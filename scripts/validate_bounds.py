@@ -29,7 +29,6 @@ def main() -> int:
     parser.add_argument("--models", type=int, default=5)
     parser.add_argument("--delta", type=float, default=0.1)
     parser.add_argument("--reference-size", type=int, default=20_000)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
@@ -45,7 +44,6 @@ def main() -> int:
         reps=args.reps,
         seed=args.seed,
         reference_sample_size=args.reference_size,
-        threads=args.threads,
     )
     result.to_csv(os.path.join(args.out, "en_samples.csv"))
 

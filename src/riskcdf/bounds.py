@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -250,10 +249,12 @@ def monte_carlo_en(
     n, reps, seed : int
         Evaluation sample size, repetition count, and root seed.  Each
         repetition derives its own seed from ``(seed, "rep", r)``, so the
-        result is identical for any ``threads`` value.
+        first k values do not depend on ``reps``.
     reference_sample_size : int
         Size of the stand-in for the true CDF; should be at least 10 * n
         (a :class:`WeakReference` warning is emitted otherwise).
+    threads : int
+        Accepted for existing callers and ignored: repetitions run serially.
     """
     if reference_sample_size < 10 * n:
         warnings.warn(
@@ -266,19 +267,11 @@ def monte_carlo_en(
     x_ref, y_ref = sample_data(ref_rng, reference_sample_size)
     references = [build_cdf(fn(x_ref, y_ref)) for fn in loss_fns]
 
-    def one_rep(r: int) -> float:
-        rng = rng_from(seed, "rep", r)
-        x, y = sample_data(rng, n)
-        worst = 0.0
-        for fn, ref in zip(loss_fns, references):
-            worst = max(worst, sup_norm_distance(build_cdf(fn(x, y)), ref))
-        return worst
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one_rep, range(reps)))
-    else:
-        values = [one_rep(r) for r in range(reps)]
+    values = []
+    for r in range(reps):
+        x, y = sample_data(rng_from(seed, "rep", r), n)
+        values.append(max((sup_norm_distance(build_cdf(fn(x, y)), ref)
+                           for fn, ref in zip(loss_fns, references)), default=0.0))
     return MonteCarloEnResult(
         values=np.asarray(values),
         n=int(n),

@@ -110,14 +110,20 @@ def build_cdf_unchecked(values) -> EmpiricalCDF:
 def sup_norm_distance(a: EmpiricalCDF, b: EmpiricalCDF) -> float:
     """Exact Kolmogorov-Smirnov distance between two step CDFs.
 
-    The supremum of |F_a - F_b| over the real line is attained either at a
-    breakpoint of one of the CDFs or on the open interval just before one,
-    so both the value and the left limit are checked at every breakpoint of
-    either CDF.
+    Let ``a`` be the sample with fewer points.  F_a is constant on each
+    interval [a_(i), a_(i+1)) between its own breakpoints, and on the two
+    tails, while F_b is monotone there.  So |F_a - F_b| on each such
+    interval is largest at one of its ends: the value at the left end or
+    the left limit at the right end.  Checking the value and the left limit
+    at a's breakpoints alone is therefore exact, and costs O(n log N) for
+    samples of n <= N points.  Every number compared is one the all-
+    breakpoints formula also compares, so the result is the same float.
     """
-    pts = np.concatenate([a.values, b.values])
-    d_right = np.abs(a.eval(pts) - b.eval(pts)).max()
-    d_left = np.abs(a.eval_left(pts) - b.eval_left(pts)).max()
+    if a.n > b.n:
+        a, b = b, a
+    x = a.values
+    d_right = np.abs(a.eval(x) - b.eval(x)).max()
+    d_left = np.abs(a.eval_left(x) - b.eval_left(x)).max()
     return float(max(d_right, d_left))
 
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cdf import EmpiricalCDF, moment
 from .errors import (
@@ -192,6 +191,8 @@ class SpectrumSpec:
         if self.cumulative is not None:
             cum = _eval_fn(self.cumulative, edges)
             return np.diff(cum)
+        from scipy.integrate import quad  # only custom spectra without a cumulative get here
+
         return np.asarray(
             [quad(lambda u: float(_eval_fn(self.h, np.array([u]))[0]), edges[i], edges[i + 1])[0]
              for i in range(n)],
@@ -512,17 +513,28 @@ def load_distortion_csv(path, name: str | None = None) -> DistortionSpec:
 def load_spectrum_csv(path, name: str | None = None) -> SpectrumSpec:
     """Load a tabulated spectrum (u, h(u)) with linear interpolation.
 
-    The cumulative is the exact trapezoid antiderivative of the
-    piecewise-linear interpolant, so rank weights are exact for the table.
+    The cumulative is the exact antiderivative of the piecewise-linear
+    interpolant (quadratic between knots, with the trapezoid sums at the
+    knots), so rank weights are exact for the table.
     """
     u, h = _load_table_csv(path)
-    knots = np.concatenate([[0.0], u, [1.0]])
-    hv = np.concatenate([[h[0]], h, [h[-1]]])
-    cum_knots = np.concatenate([[0.0], np.cumsum(0.5 * (hv[1:] + hv[:-1]) * np.diff(knots))])
+    # The interpolant's pieces on [0, 1]: 0, 1 and the table knots between.
+    knots = np.union1d([0.0, 1.0], u[(u > 0.0) & (u < 1.0)])
+    hv = np.interp(knots, u, h)
+    width = np.diff(knots)
+    cum_knots = np.concatenate([[0.0], np.cumsum(0.5 * (hv[1:] + hv[:-1]) * width)])
+    slope = np.diff(hv) / width
+
+    def cumulative(t):
+        t = np.clip(np.asarray(t, dtype=np.float64), 0.0, 1.0)
+        j = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, width.size - 1)
+        dt = t - knots[j]
+        return cum_knots[j] + hv[j] * dt + 0.5 * slope[j] * dt * dt
+
     return SpectrumSpec(
         h=lambda x: np.interp(np.asarray(x, dtype=np.float64), u, h),
         name=name or f"spectrum_file:{path}",
-        cumulative=lambda t: np.interp(np.asarray(t, dtype=np.float64), knots, cum_knots),
+        cumulative=cumulative,
     )
 
 

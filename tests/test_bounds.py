@@ -18,8 +18,10 @@ from riskcdf.bounds import (
     risk_error_bound,
     wasserstein_risk_error_bound,
 )
+from riskcdf.data import blob_mixture_sampler
 from riskcdf.errors import ConfigError, InvalidDelta, InvalidGrowth, WeakReference
-from riskcdf.seeds import standard_normal
+from riskcdf.models import init_model
+from riskcdf.seeds import derive_seed, standard_normal
 
 
 class TestMcDiarmidTerm:
@@ -148,12 +150,35 @@ class TestMonteCarloEn:
             monte_carlo_en(fns, _gaussian_sampler, n=50, reps=2, seed=0,
                            reference_sample_size=100)
 
-    def test_threading_matches_serial(self):
+    def test_rep_seeds_do_not_depend_on_rep_count(self):
+        # Each repetition seeds from (seed, "rep", r), so a shorter run is a prefix.
         fns = [lambda X, y: np.abs(X[:, 0]), lambda X, y: X[:, 0] ** 2]
-        kwargs = dict(n=40, reps=12, seed=9, reference_sample_size=400)
-        serial = monte_carlo_en(fns, _gaussian_sampler, **kwargs)
-        threaded = monte_carlo_en(fns, _gaussian_sampler, threads=4, **kwargs)
-        assert np.array_equal(serial.values, threaded.values)
+        kwargs = dict(n=40, seed=9, reference_sample_size=400)
+        long = monte_carlo_en(fns, _gaussian_sampler, reps=10, **kwargs)
+        short = monte_carlo_en(fns, _gaussian_sampler, reps=5, **kwargs)
+        again = monte_carlo_en(fns, _gaussian_sampler, reps=10, **kwargs)
+        assert np.array_equal(long.values[:5], short.values)
+        assert np.array_equal(long.values, again.values)
+
+    def test_criterion_3_values_unchanged(self):
+        # The first 20 repetitions of acceptance criterion 3, as computed by
+        # the merged-breakpoint KS formula (float.hex, so equality is exact).
+        seed = 321
+        models = [init_model("logistic_crossentropy", 2, seed=derive_seed(seed, "model", j))
+                  for j in range(5)]
+        fns = [(lambda X, y, m=m: m.batch_losses(X, y)) for m in models]
+        res = monte_carlo_en(fns, blob_mixture_sampler(), n=200, reps=20, seed=seed,
+                             reference_sample_size=20_000)
+        expected = [float.fromhex(h) for h in (
+            "0x1.8a3d70a3d70a4p-4", "0x1.292a30553261cp-4", "0x1.ae7d566cf41f0p-4",
+            "0x1.10ff972474538p-4", "0x1.3c6a7ef9db230p-4", "0x1.7318fc5048170p-5",
+            "0x1.23a29c779a6b4p-3", "0x1.bf487fcb923a0p-5", "0x1.0f9096bb98c7cp-4",
+            "0x1.14af4f0d844d1p-4", "0x1.0be0ded288ce0p-4", "0x1.1a027525460acp-4",
+            "0x1.f41f212d77310p-5", "0x1.5566cf41f2128p-4", "0x1.b7b4a2339c0ecp-4",
+            "0x1.29930be0ded2cp-4", "0x1.6809d495182acp-4", "0x1.29930be0ded28p-4",
+            "0x1.257a786c22680p-4", "0x1.226809d495184p-4",
+        )]
+        assert res.values.tolist() == expected
 
     def test_root_n_scaling_and_quantile(self):
         fns = [lambda X, y: np.abs(X[:, 0])]

@@ -114,6 +114,61 @@ class TestSupNormDistance:
             assert np.array_equal(pa, pb) and np.allclose(qa, qb)
 
 
+def merged_breakpoint_ks(a, b):
+    """The earlier sup_norm_distance: both limits at every point of either sample."""
+    pts = np.concatenate([a.values, b.values])
+    d_right = np.abs(a.eval(pts) - b.eval(pts)).max()
+    d_left = np.abs(a.eval_left(pts) - b.eval_left(pts)).max()
+    return float(max(d_right, d_left))
+
+
+class TestSupNormMatchesMergedFormula:
+    """The smaller-sample breakpoint scan returns the merged formula's float exactly."""
+
+    @staticmethod
+    def _draw(rng, size, kind):
+        if kind == "ties":
+            return rng.integers(0, 6, size).astype(float)
+        if kind == "signed_ties":
+            return rng.integers(-3, 4, size).astype(float)
+        if kind == "signed":
+            return rng.normal(size=size)
+        return rng.exponential(size=size)
+
+    def _assert_same(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            assert sup_norm_distance(x, y) == merged_breakpoint_ks(x, y)
+
+    def test_random_pairs_of_different_sizes(self):
+        rng = np.random.default_rng(20220627)
+        for i in range(2000):
+            # Half of the pairs are integer-valued with heavy ties.
+            kind = ("ties", "signed_ties", "continuous", "signed")[i % 4]
+            m = int(rng.integers(1, 300))
+            n = int(rng.integers(1, 3000))
+            if m == n:
+                n += 1
+            xs, ys = self._draw(rng, m, kind), self._draw(rng, n, kind)
+            make = build_cdf_unchecked if kind.startswith("signed") else build_cdf
+            self._assert_same(make(xs), make(ys))
+
+    def test_equal_sizes(self):
+        rng = np.random.default_rng(7)
+        for i in range(300):
+            kind = ("ties", "continuous", "signed")[i % 3]
+            n = int(rng.integers(1, 200))
+            make = build_cdf_unchecked if kind == "signed" else build_cdf
+            self._assert_same(make(self._draw(rng, n, kind)), make(self._draw(rng, n, kind)))
+
+    def test_single_point_samples(self):
+        rng = np.random.default_rng(11)
+        for i in range(300):
+            kind = ("ties", "continuous", "signed")[i % 3]
+            n = int(rng.integers(1, 500))
+            make = build_cdf_unchecked if kind == "signed" else build_cdf
+            self._assert_same(make(self._draw(rng, 1, kind)), make(self._draw(rng, n, kind)))
+
+
 class TestWasserstein:
     def test_identical_is_zero(self):
         c = build_cdf([1, 2])

@@ -264,6 +264,39 @@ class TestTableLoaders:
         spec = load_spectrum_csv(path)
         assert spectral_risk(build_cdf([1, 2, 3, 4]), spec).value == pytest.approx(2.5)
 
+    def test_spectrum_table_cumulative_is_exact_integral(self, tmp_path):
+        # h = 0.5 on [0, 1/4], linear from 0.5 to 1.5 on [1/4, 3/4] (slope 2),
+        # 1.5 on [3/4, 1]; the table omits the end points 0 and 1.
+        path = tmp_path / "spec.csv"
+        path.write_text("u,h\n0.25,0.5\n0.75,1.5\n")
+        spec = load_spectrum_csv(path)
+
+        def exact(t):
+            mid = np.clip(t, 0.25, 0.75) - 0.25
+            return (0.5 * np.minimum(t, 0.25) + 0.5 * mid + mid * mid
+                    + 1.5 * np.maximum(t - 0.75, 0.0))
+
+        t = np.linspace(0.0, 1.0, 1001)
+        np.testing.assert_allclose(spec.cumulative(t), exact(t), rtol=0, atol=1e-12)
+        edges = np.arange(8) / 7
+        np.testing.assert_allclose(spec.block_weights(7), np.diff(exact(edges)), rtol=0, atol=1e-12)
+        losses = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]
+        want = float(np.diff(exact(edges)) @ np.sort(losses))
+        assert spectral_risk(build_cdf(losses), spec).value == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("table, exact", [
+        # h(u) = 2u with knots at 0 and 1 themselves: H(t) = t^2.
+        ("0,0\n0.5,1\n1,2\n", lambda t: t * t),
+        # Knots outside [0, 1]: h(u) = 0.75 + 0.5u there, H(t) = 0.75t + 0.25t^2.
+        ("-0.5,0.5\n1.5,1.5\n", lambda t: 0.75 * t + 0.25 * t * t),
+    ])
+    def test_spectrum_table_end_knots(self, tmp_path, table, exact):
+        path = tmp_path / "spec.csv"
+        path.write_text("u,h\n" + table)
+        spec = load_spectrum_csv(path)
+        t = np.linspace(0.0, 1.0, 1001)
+        np.testing.assert_allclose(spec.cumulative(t), exact(t), rtol=0, atol=1e-12)
+
     def test_bad_table(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,0\n0,1\n")
