@@ -16,6 +16,7 @@ import sys
 
 from riskcdf.bounds import certificate_finite_class, monte_carlo_en
 from riskcdf.data import blob_mixture_sampler
+from riskcdf.errors import ToolkitError
 from riskcdf.models import init_model
 from riskcdf.seeds import derive_seed
 
@@ -37,14 +38,18 @@ def main() -> int:
         for j in range(args.models)
     ]
     loss_fns = [(lambda X, y, m=m: m.batch_losses(X, y)) for m in models]
-    result = monte_carlo_en(
-        loss_fns,
-        blob_mixture_sampler(),
-        n=args.n,
-        reps=args.reps,
-        seed=args.seed,
-        reference_sample_size=args.reference_size,
-    )
+    try:
+        result = monte_carlo_en(
+            loss_fns,
+            blob_mixture_sampler(),
+            n=args.n,
+            reps=args.reps,
+            seed=args.seed,
+            reference_sample_size=args.reference_size,
+        )
+    except ToolkitError as exc:
+        print(f"validate_bounds: error: {exc}", file=sys.stderr)
+        return exc.exit_code
     result.to_csv(os.path.join(args.out, "en_samples.csv"))
 
     cert = certificate_finite_class(args.n, args.models, args.delta)

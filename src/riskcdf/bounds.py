@@ -255,7 +255,11 @@ def monte_carlo_en(
         (a :class:`WeakReference` warning is emitted otherwise).
     threads : int
         Accepted for existing callers and ignored: repetitions run serially.
+
+    Raises :class:`ConfigError` if ``n`` or ``reps`` is below 1.
     """
+    if n < 1 or reps < 1:
+        raise ConfigError(f"monte_carlo_en needs n >= 1 and reps >= 1, got n={n}, reps={reps}")
     if reference_sample_size < 10 * n:
         warnings.warn(
             f"reference sample ({reference_sample_size}) is below 10x the "

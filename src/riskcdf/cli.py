@@ -22,11 +22,12 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
 from . import __version__, bounds, data, risks
-from .cdf import build_cdf, moment, read_losses_csv, write_cdf_csv
+from .cdf import EmpiricalCDF, build_cdf, moment, read_losses_csv, write_cdf_csv
 from .errors import ConfigError, FormatError, ToolkitError
 from .models import Example, finite_difference_check, init_model, save_checkpoint
 from .optim import TrainConfig, estimate_beta, stationarity_report, train
@@ -85,42 +86,53 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
         raise ConfigError(f"--hidden expects comma-separated widths, got {text!r}") from None
 
 
+def _token_number(token: str) -> float:
+    """The number after the last ':' of a risk token such as ``cvar:0.05``."""
+    text = token.rsplit(":", 1)[1]
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{token!r}: {text!r} is not a number") from None
+
+
 def _parse_distortion(token: str) -> risks.DistortionSpec:
     if token == "mean":
         return risks.identity_distortion()
     if token.startswith("cvar:"):
-        return risks.cvar_distortion(float(token.split(":", 1)[1]))
+        return risks.cvar_distortion(_token_number(token))
     if token.startswith("distortion-file:"):
         return risks.load_distortion_csv(token.split(":", 1)[1])
     raise ConfigError(f"unknown distortion objective {token!r}; "
                       "expected mean, cvar:ALPHA, or distortion-file:PATH")
 
 
-def _assess_one(token: str, cdf, support_bound: float) -> risks.RiskValue:
-    """Evaluate one risk token on one loss CDF."""
-    if token == "mean":
-        return risks.distortion_risk(cdf, risks.identity_distortion(), support_bound)
-    if token.startswith("cvar:"):
-        return risks.cvar(cdf, float(token.split(":", 1)[1]), support_bound)
+def _parse_oce(preset: str, support_bound: float) -> risks.OceSpec:
+    if preset == "mean":
+        return risks.oce_mean_spec(support_bound)
+    if preset == "entropic":
+        return risks.oce_entropic_spec(support_bound)
+    if preset.startswith("cvar:"):
+        return risks.oce_cvar_spec(_token_number(preset), support_bound)
+    raise ConfigError(f"unknown OCE preset {preset!r}; expected mean, entropic, or cvar:ALPHA")
+
+
+def _risk_evaluator(token: str, support_bound: float) -> Callable[[EmpiricalCDF], risks.RiskValue]:
+    """Parse one assess risk token into a ``cdf -> RiskValue`` evaluator.
+
+    Files are read and specs validated here, once per token, not once per model.
+    """
+    if token == "mean" or token.startswith(("cvar:", "distortion-file:")):
+        distortion = _parse_distortion(token)
+        return lambda cdf: risks.distortion_risk(cdf, distortion, support_bound)
     if token.startswith("mean_var:"):
-        return risks.mean_variance(cdf, float(token.split(":", 1)[1]), support_bound)
-    if token.startswith("distortion-file:"):
-        spec = risks.load_distortion_csv(token.split(":", 1)[1])
-        return risks.distortion_risk(cdf, spec, support_bound)
+        c = _token_number(token)
+        return lambda cdf: risks.mean_variance(cdf, c, support_bound)
     if token.startswith("spectral-file:"):
-        spec = risks.load_spectrum_csv(token.split(":", 1)[1])
-        return risks.spectral_risk(cdf, spec, support_bound)
+        spectrum = risks.load_spectrum_csv(token.split(":", 1)[1])
+        return lambda cdf: risks.spectral_risk(cdf, spectrum, support_bound)
     if token.startswith("oce:"):
-        rest = token.split(":", 1)[1]
-        if rest == "mean":
-            spec = risks.oce_mean_spec(support_bound)
-        elif rest == "entropic":
-            spec = risks.oce_entropic_spec(support_bound)
-        elif rest.startswith("cvar:"):
-            spec = risks.oce_cvar_spec(float(rest.split(":", 1)[1]), support_bound)
-        else:
-            raise ConfigError(f"unknown OCE preset {rest!r}; expected mean, entropic, or cvar:ALPHA")
-        return risks.oce_risk(cdf, spec)
+        oce = _parse_oce(token.split(":", 1)[1], support_bound)
+        return lambda cdf: risks.oce_risk(cdf, oce)
     raise ConfigError(f"unknown risk {token!r}")
 
 
@@ -148,10 +160,11 @@ def run_assess(params: dict, out_dir: str) -> None:
     tokens = params["risks"] or ["mean"]
     records = []
     matrix: dict[str, dict[str, float]] = {}
-    for token in tokens:
+    evaluators = {token: _risk_evaluator(token, support) for token in tokens}
+    for token, evaluate in evaluators.items():
         matrix[token] = {}
         for name in table.names:
-            rv = _assess_one(token, build_cdf(table.column(name)), support)
+            rv = evaluate(build_cdf(table.column(name)))
             eb = None if rv.holder.L is None else bounds.risk_error_bound(cert, rv.holder.L)
             records.append(risks.risk_record(name, rv, eb))
             matrix[token][name] = rv.value
@@ -339,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=_env("OUT", str, "."),
                        help="output directory (default: current directory)")
         p.add_argument("--seed", type=int, default=_env("SEED", int, 0))
-        p.add_argument("--threads", type=int, default=_env("THREADS", int, 1),
-                       help="worker count for parallelizable steps (default 1, reproducible)")
 
     p = sub.add_parser("cdf", help="build an empirical CDF from a loss CSV")
     common(p)

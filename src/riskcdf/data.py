@@ -9,6 +9,7 @@ with exact row/column positions.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -228,16 +229,18 @@ class LossTable:
         return self.values[:, self.names.index(name)]
 
 
-def load_loss_table(path) -> LossTable:
-    """Load a loss table CSV with a required header of model names."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    if len(rows) < 2:
+def _filled(row: list[str]) -> bool:
+    return bool(row) and any(c.strip() for c in row)
+
+
+def _parse_loss_rows(path, names: tuple[str, ...], body: str) -> np.ndarray:
+    """Data rows cell by cell with ``float``, naming the first bad row and column."""
+    rows = [row for row in csv.reader(io.StringIO(body)) if _filled(row)]
+    if not rows:
         raise EmptySample(f"{path}: need a header and at least one data row")
-    names = tuple(c.strip() for c in rows[0])
     width = len(names)
     data = []
-    for r, row in enumerate(rows[1:], start=2):
+    for r, row in enumerate(rows, start=2):
         if len(row) != width:
             raise FormatError(f"{path}: row {r}: expected {width} columns, got {len(row)}")
         parsed = []
@@ -249,7 +252,30 @@ def load_loss_table(path) -> LossTable:
                     f"{path}: row {r}, column {c + 1} ({names[c]}): not a number: {cell!r}"
                 ) from None
         data.append(parsed)
-    values = np.asarray(data)
+    return np.asarray(data)
+
+
+def load_loss_table(path) -> LossTable:
+    """Load a loss table CSV with a required header of model names.
+
+    The data rows go through numpy's C parser; if it rejects them, the
+    per-cell parse runs instead and either accepts what ``float`` accepts
+    or raises a :class:`FormatError` naming the row and column.
+    """
+    with open(path, newline="") as fh:
+        header = next((row for row in csv.reader(fh) if _filled(row)), None)
+        body = fh.read()
+    if header is None:
+        raise EmptySample(f"{path}: need a header and at least one data row")
+    names = tuple(c.strip() for c in header)
+    values = None
+    if body.strip():
+        try:
+            values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if values is None or values.shape[1] != len(names):
+        values = _parse_loss_rows(path, names, body)
     if not np.all(np.isfinite(values)):
         raise InvalidLoss(f"{path}: losses must be finite")
     if np.any(values < 0):

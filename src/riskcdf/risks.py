@@ -71,7 +71,6 @@ __all__ = [
 VALIDATION_GRID_POINTS = 10_001
 DISTORTION_TOL = 1e-9
 SPECTRUM_INTEGRAL_TOL = 1e-6
-OCE_COARSE_GRID = 1_000
 SUP_NORM = "sup_norm"
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -209,9 +208,12 @@ class SpectrumSpec:
 class OceSpec:
     """Disutility phi for an optimized certainty equivalent.
 
-    phi must satisfy phi(0) = 0 and be non-decreasing; both are checked on
-    a uniform grid over [-support_bound, support_bound].  ``tolerance`` is
-    the target bracket width of the lambda search.
+    phi must satisfy phi(0) = 0 and be non-decreasing and convex; all three
+    are checked on a uniform grid over [-support_bound, support_bound]
+    (convexity through second differences, tolerance 1e-9 scaled by
+    max(1, max |phi|)).  Convexity makes the OCE objective convex in lambda,
+    which the golden-section search relies on.  ``tolerance`` is the target
+    bracket width of the lambda search.
     """
 
     phi: Callable = field(repr=False)
@@ -234,6 +236,9 @@ class OceSpec:
             raise InvalidSpectrum(f"{self.name}: phi(0) = {at_zero!r}, expected 0")
         if vals.size > 1 and np.min(np.diff(vals)) < -DISTORTION_TOL:
             raise InvalidSpectrum(f"{self.name}: phi is not non-decreasing on the test grid")
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        if vals.size > 2 and np.min(np.diff(vals, 2)) < -DISTORTION_TOL * scale:
+            raise InvalidSpectrum(f"{self.name}: phi is not convex on the test grid")
 
 
 def identity_distortion() -> DistortionSpec:
@@ -371,29 +376,19 @@ def _golden_section(fn: Callable[[float], float], lo: float, hi: float, tol: flo
 
 
 def _oce_optimize(losses: np.ndarray, spec: OceSpec, sign: float) -> float:
-    """Coarse grid then golden-section search of the certainty-equivalent objective.
+    """Golden-section search of the certainty-equivalent objective over [0, D].
 
     ``sign=+1`` minimizes lambda + mean(phi(x - lambda)); ``sign=-1``
-    minimizes the negation of lambda - mean(phi(lambda - x)).  The grid
-    pass guards against non-convex user phi; golden-section refines the
-    bracket around the best grid point down to ``spec.tolerance``.
+    minimizes the negation of lambda - mean(phi(lambda - x)).  Both are
+    convex in lambda because phi is (checked by :class:`OceSpec`), so one
+    search brackets the minimizer to ``spec.tolerance`` without a grid:
+    O(n log(D / tolerance)) time and O(n) memory.
     """
-    d = spec.support_bound
-
     def objective(lam: float) -> float:
         shifted = sign * (losses - lam)
         return sign * lam + float(np.mean(_eval_fn(spec.phi, shifted)))
 
-    if d == 0.0:
-        return sign * objective(0.0)
-    grid = np.linspace(0.0, d, OCE_COARSE_GRID)
-    shifted = sign * (losses[None, :] - grid[:, None])
-    vals = sign * grid + np.mean(_eval_fn(spec.phi, shifted), axis=1)
-    j = int(np.argmin(vals))
-    lo = grid[max(j - 1, 0)]
-    hi = grid[min(j + 1, grid.size - 1)]
-    _, best = _golden_section(objective, lo, hi, spec.tolerance)
-    best = min(best, float(vals[j]))
+    _, best = _golden_section(objective, 0.0, spec.support_bound, spec.tolerance)
     return sign * best
 
 

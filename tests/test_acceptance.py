@@ -256,7 +256,7 @@ def test_criterion_8_manifest_reproducibility(tmp_path):
          "--delta", "0.1", "--support-bound", "1"],
         ["bound", "--method", "vc_sauer", "--nu", "3", "--n", "100", "--delta", "0.1"],
         ["train", "--input", str(dataset_csv), "--risk", "cvar:0.25", "--eta", "0.05",
-         "--iters", "60", "--seed", "11", "--threads", "1"],
+         "--iters", "60", "--seed", "11"],
         ["complexity", "--input", str(matrix_csv), "--mode", "exact"],
         ["gradcheck", "--arch", "mlp_tanh", "--trials", "10", "--seed", "2"],
     ]

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +147,24 @@ class TestMonteCarloEn:
         res = monte_carlo_en(fns, _gaussian_sampler, n=20, reps=10, seed=1,
                              reference_sample_size=200)
         assert np.all(res.values == 0.0)
+
+    @pytest.mark.parametrize("n,reps", [(20, 0), (20, -3), (0, 5), (-1, 5)])
+    def test_nonpositive_counts_raise_config_error(self, n, reps):
+        fns = [lambda X, y: np.abs(X[:, 0])]
+        with pytest.raises(ConfigError):
+            monte_carlo_en(fns, _gaussian_sampler, n=n, reps=reps, seed=0,
+                           reference_sample_size=200)
+
+    def test_validate_bounds_script_exits_with_config_code(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "validate_bounds.py"),
+             "--reps", "0", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == ConfigError.exit_code
+        assert "reps" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_weak_reference_warns(self):
         fns = [lambda X, y: np.abs(X[:, 0])]

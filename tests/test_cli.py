@@ -148,6 +148,13 @@ class TestCmdAssess:
         assert run(["assess", "--input", src, "--risk", "nope",
                     "--out", tmp_path / "x"]) == 2
 
+    @pytest.mark.parametrize("token", ["cvar:abc", "oce:cvar:", "mean_var:x"])
+    def test_non_numeric_risk_parameter_is_config_error(self, tmp_path, token):
+        src = tmp_path / "table.csv"
+        write_table(src, ["m"], [np.array([1.0])])
+        assert run(["assess", "--input", src, "--risk", token,
+                    "--out", tmp_path / "x"]) == 2
+
     def test_negative_loss_is_data_error(self, tmp_path):
         src = tmp_path / "table.csv"
         src.write_text("m\n-3\n")
@@ -282,7 +289,7 @@ class TestManifestRerun:
         self.assert_rerun_identical(
             tmp_path,
             ["train", "--risk", "cvar:0.5", "--eta", 0.05, "--iters", 30,
-             "--seed", 5, "--threads", 1],
+             "--seed", 5],
         )
 
     def test_cdf_rerun_and_digest_guard(self, tmp_path):

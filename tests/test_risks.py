@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +218,83 @@ class TestOce:
             OceSpec(phi=lambda x: np.asarray(x) + 1.0, support_bound=1.0, name="phi0")
         with pytest.raises(InvalidSpectrum):
             OceSpec(phi=lambda x: -np.asarray(x), support_bound=1.0, name="dec")
+
+
+def cvar_kink_oracles(losses, alpha):
+    """Upper and lower CVaR by exact kink search.
+
+    Both OCE objectives are piecewise linear in lambda with kinks at the
+    sample points, so their optimum over [0, D] is attained at one of them.
+    """
+    x = np.asarray(losses, dtype=float)
+    lam = x[:, None]
+    upper = np.min(x + np.mean(np.maximum(x[None, :] - lam, 0.0), axis=1) / alpha)
+    lower = np.max(x - np.mean(np.maximum(lam - x[None, :], 0.0), axis=1) / alpha)
+    return float(upper), float(lower)
+
+
+def random_oce_cases(count=240, seed=2024):
+    """(losses, D, alpha); every other case integer-valued with heavy ties."""
+    rng = np.random.default_rng(seed)
+    alphas = [0.1, 0.2, 0.25, 0.3, 0.5, 0.7, 1.0]
+    for i in range(count):
+        n = int(rng.integers(1, 61))
+        if i % 2 == 0:
+            d = float(rng.integers(1, 9))
+            losses = rng.integers(0, int(d) + 1, n).astype(float)
+        else:
+            d = float(rng.uniform(0.5, 10.0))
+            losses = rng.uniform(0.0, d, n)
+        yield losses, d, alphas[i % len(alphas)]
+
+
+class TestOceAgainstOracles:
+    def test_cases_cover_ties_and_fractional_alpha_n(self):
+        cases = list(random_oce_cases())
+        assert len(cases) >= 200
+        assert sum(np.unique(x).size < x.size for x, _, _ in cases) >= 100
+        assert sum(abs(a * x.size - round(a * x.size)) > 1e-9 for x, _, a in cases) >= 100
+
+    def test_mean_preset(self):
+        for x, d, _ in random_oce_cases():
+            cdf, spec = build_cdf(x), oce_mean_spec(d)
+            assert oce_risk(cdf, spec).value == pytest.approx(np.mean(x), abs=1e-6)
+            assert inverted_oce_risk(cdf, spec).value == pytest.approx(np.mean(x), abs=1e-6)
+
+    def test_entropic_preset(self):
+        for x, d, _ in random_oce_cases():
+            cdf, spec = build_cdf(x), oce_entropic_spec(d)
+            assert oce_risk(cdf, spec).value == pytest.approx(
+                np.log(np.mean(np.exp(x))), abs=1e-6)
+            assert inverted_oce_risk(cdf, spec).value == pytest.approx(
+                -np.log(np.mean(np.exp(-x))), abs=1e-6)
+
+    def test_cvar_preset(self):
+        for x, d, alpha in random_oce_cases():
+            cdf, spec = build_cdf(x), oce_cvar_spec(alpha, support_bound=d)
+            upper, lower = cvar_kink_oracles(x, alpha)
+            assert oce_risk(cdf, spec).value == pytest.approx(upper, abs=1e-6)
+            assert inverted_oce_risk(cdf, spec).value == pytest.approx(lower, abs=1e-6)
+
+    def test_non_convex_phi_rejected(self):
+        with pytest.raises(InvalidSpectrum, match="convex"):
+            OceSpec(phi=lambda x: np.asarray(x) ** 3, support_bound=2.0, name="cube")
+
+    def test_linear_phi_at_large_support_accepted(self):
+        OceSpec(phi=lambda x: 3.7 * np.asarray(x), support_bound=1e6, name="linear")
+        oce_cvar_spec(0.1, support_bound=1e6)
+
+    def test_memory_is_linear_in_n(self):
+        rng = np.random.default_rng(5)
+        cdf = build_cdf(rng.uniform(0.0, 5.0, 100_000))
+        spec = oce_entropic_spec(5.0)
+        tracemalloc.start()
+        try:
+            oce_risk(cdf, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
 
 class TestMeanVariance:
