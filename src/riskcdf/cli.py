@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, bounds, data, risks
 from .cdf import EmpiricalCDF, build_cdf, moment, read_losses_csv, write_cdf_csv
-from .errors import ConfigError, FormatError, ToolkitError
+from .errors import ConfigError, Diverged, FormatError, ToolkitError
 from .models import Example, finite_difference_check, init_model, save_checkpoint
 from .optim import TrainConfig, estimate_beta, stationarity_report, train
 from .permcomplexity import exact_min_permutations, greedy_min_permutations, load_loss_matrix_csv
@@ -234,7 +234,12 @@ def run_train(params: dict, out_dir: str) -> None:
         seed=params["seed"],
         noise=not params["disable_noise"],
     )
-    final_model, trace = train(model, features, dataset.y, config)
+    try:
+        final_model, trace = train(model, features, dataset.y, config)
+    except Diverged as exc:
+        if exc.trace is not None:  # keep the evidence up to the failing iteration
+            exc.trace.to_csv(os.path.join(out_dir, "trace.csv"))
+        raise
     trace.to_csv(os.path.join(out_dir, "trace.csv"))
     save_checkpoint(final_model, os.path.join(out_dir, "checkpoint.json"))
     try:

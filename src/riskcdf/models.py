@@ -1,6 +1,7 @@
 """Parameterized predictors with nonnegative per-example losses.
 
-Three architectures, all exposing exact per-example loss gradients for use
+Three architectures, all exposing exact per-example loss gradients and a
+one-pass vector-Jacobian product (:meth:`LossModel.loss_and_vjp`) for use
 in sorted-loss risk minimization:
 
 * ``linear_squared``: score = theta . x, loss = (score - y)^2;
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,21 +57,27 @@ class Example:
         object.__setattr__(self, "y", float(self.y))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid_pair(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigmoid(s) and its stable complement sigmoid(-s) from one exponential.
+
+    exp(-|s|) never overflows.  Bit for bit this is 1/(1+exp(-s)) for
+    s >= 0 and exp(s)/(1+exp(s)) for s < 0, and the mirror image for -s.
+    """
+    e = np.exp(-np.abs(scores))
+    denom = 1.0 + e
+    return np.where(scores >= 0, 1.0, e) / denom, np.where(scores <= 0, 1.0, e) / denom
 
 
-def _crossentropy_from_scores(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # sigmoid(-s) is the stable complement of sigmoid(s); clamping both
-    # sides caps the loss exactly at MAX_CROSSENTROPY_LOSS.
-    p = np.clip(_sigmoid(scores), PROB_CLAMP, 1.0)
-    q = np.clip(_sigmoid(-scores), PROB_CLAMP, 1.0)
-    return -(y * np.log(p) + (1.0 - y) * np.log(q))
+def _crossentropy(p: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # q = sigmoid(-s) is the stable complement of p = sigmoid(s); clamping
+    # both sides caps the loss exactly at MAX_CROSSENTROPY_LOSS.
+    return -(y * np.log(np.clip(p, PROB_CLAMP, 1.0))
+             + (1.0 - y) * np.log(np.clip(q, PROB_CLAMP, 1.0)))
+
+
+def _crossentropy_residual(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d loss / d score, with p clamped so the gradient stays bounded."""
+    return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP) - y
 
 
 def parameter_count(architecture: str, input_dim: int, hidden: tuple[int, ...] = ()) -> int:
@@ -141,42 +149,89 @@ class LossModel:
         activations = [X]
         a = X
         for w, b in layers[:-1]:
-            a = np.tanh(a @ w.T + b)
+            a = a @ w.T
+            a += b
+            np.tanh(a, out=a)
             activations.append(a)
         w_out, b_out = layers[-1]
         scores = a @ w_out.T + b_out
         return scores[:, 0], activations
 
+    def _batch(self, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._check_features(X), np.asarray(y, dtype=np.float64).ravel()
+
     def batch_losses(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        X = self._check_features(X)
-        y = np.asarray(y, dtype=np.float64).ravel()
+        X, y = self._batch(X, y)
         if self.architecture == "linear_squared":
             return (X @ self.params - y) ** 2
         if self.architecture == "logistic_crossentropy":
-            return _crossentropy_from_scores(X @ self.params, y)
+            return _crossentropy(*_sigmoid_pair(X @ self.params), y)
         scores, _ = self._mlp_forward(X)
-        return _crossentropy_from_scores(scores, y)
+        return _crossentropy(*_sigmoid_pair(scores), y)
+
+    def loss_and_vjp(self, X: np.ndarray, y: np.ndarray
+                     ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """Per-example losses and their vector-Jacobian product, from one forward pass.
+
+        Returns ``(losses, vjp)`` where ``losses`` equals
+        :meth:`batch_losses` bit for bit and ``vjp(v)`` is
+        ``sum_i v_i * grad loss_i``, i.e. ``batch_gradients(X, y).T @ v``
+        up to summation order.  ``vjp`` backpropagates the weighted
+        residuals once through the kept activations, so it needs
+        O(n * width + d) memory, not the (n, d) per-example gradients.
+        """
+        X, y = self._batch(X, y)
+        if self.architecture == "linear_squared":
+            resid = X @ self.params - y
+            r = 2.0 * resid
+            return resid ** 2, lambda v: (v * r) @ X
+        if self.architecture == "logistic_crossentropy":
+            p, q = _sigmoid_pair(X @ self.params)
+            r = _crossentropy_residual(p, y)
+            return _crossentropy(p, q, y), lambda v: (v * r) @ X
+        scores, activations = self._mlp_forward(X)
+        p, q = _sigmoid_pair(scores)
+        r = _crossentropy_residual(p, y)
+        return _crossentropy(p, q, y), lambda v: self._mlp_vjp(activations, v * r)
+
+    def _mlp_vjp(self, activations: list[np.ndarray], delta: np.ndarray) -> np.ndarray:
+        """sum_i of delta_i * d score_i / d params, by one backward pass."""
+        layers = self._mlp_layers()
+        delta = delta[:, None]  # (n, 1)
+        parts = []
+        for i in reversed(range(len(layers))):
+            w, _ = layers[i]
+            parts.append(delta.sum(axis=0))
+            parts.append((delta.T @ activations[i]).ravel())  # (out, in)
+            if i > 0:  # tanh' = 1 - a^2, formed in place: one (n, width) temporary
+                slope = np.square(activations[i])
+                np.subtract(1.0, slope, out=slope)
+                slope *= delta @ w
+                delta = slope
+        return np.concatenate(parts[::-1])
 
     def batch_gradients(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Per-example loss gradients, shape (n, parameter count)."""
-        X = self._check_features(X)
-        y = np.asarray(y, dtype=np.float64).ravel()
+        """Per-example loss gradients, shape (n, parameter count).
+
+        Builds the full matrix; training uses :meth:`loss_and_vjp`.
+        """
+        X, y = self._batch(X, y)
         if self.architecture == "linear_squared":
             resid = X @ self.params - y
             return 2.0 * resid[:, None] * X
         if self.architecture == "logistic_crossentropy":
-            p = np.clip(_sigmoid(X @ self.params), PROB_CLAMP, 1.0 - PROB_CLAMP)
-            return (p - y)[:, None] * X
+            p, _ = _sigmoid_pair(X @ self.params)
+            return _crossentropy_residual(p, y)[:, None] * X
         return self._mlp_batch_gradients(X, y)
 
     def _mlp_batch_gradients(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         layers = self._mlp_layers()
         scores, activations = self._mlp_forward(X)
-        p = np.clip(_sigmoid(scores), PROB_CLAMP, 1.0 - PROB_CLAMP)
+        p, _ = _sigmoid_pair(scores)
         n = X.shape[0]
         grads = np.empty((n, self.dim))
         # dL/dscore; backpropagate through the affine/tanh stack.
-        delta = (p - y)[:, None]  # (n, 1)
+        delta = _crossentropy_residual(p, y)[:, None]  # (n, 1)
         offsets = []
         offset = 0
         for w, b in layers:

@@ -13,6 +13,12 @@ differentiable points almost surely:
 
     theta <- theta - eta * (grad + w),   w ~ N(0, I/d).
 
+Each iteration makes one forward pass (:meth:`LossModel.loss_and_vjp`),
+one stable sort of the losses, and one vector-Jacobian product that
+backpropagates the sorted-loss weights.  The risk value and the gradient
+come from the same sort, the distortion is evaluated once per run, and no
+per-example gradient matrix is built: O(n * width + d) memory per step.
+
 The sort breaks ties stably by original index; ordering of the dataset
 never changes the risk value, and a fixed seed reproduces a run bit for
 bit in single-threaded mode.
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cdf import build_cdf
-from .errors import ConfigError, Diverged, EmptySample
+from .errors import ConfigError, Diverged, EmptySample, InvalidLoss
 from .models import LossModel
 from .risks import DistortionSpec, distortion_risk
 from .seeds import rng_from, standard_normal
@@ -147,18 +153,29 @@ def empirical_distortion_risk(model: LossModel, X: np.ndarray, y: np.ndarray,
     return distortion_risk(build_cdf(losses), spec).value
 
 
+def _sorted_loss_weights(spec: DistortionSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Telescoping coefficients g(1 - i/n), i = 0..n-1, and gradient weights.
+
+    The weight of the i-th smallest loss is g(1 - (i-1)/n) - g(1 - i/n);
+    both depend on n alone, so a training run computes them once.
+    """
+    levels = spec(1.0 - np.arange(n + 1) / n)  # g(1 - i/n), i = 0..n
+    return levels[:-1], levels[:-1] - levels[1:]
+
+
 def distortion_gradient(model: LossModel, X: np.ndarray, y: np.ndarray,
                         spec: DistortionSpec) -> np.ndarray:
-    """CDF-reweighted full-batch gradient of the empirical distortion risk."""
-    losses = model.batch_losses(X, y)
+    """CDF-reweighted full-batch gradient of the empirical distortion risk.
+
+    One forward pass, one stable sort and one vector-Jacobian product.
+    """
+    losses, vjp = model.loss_and_vjp(X, y)
     if losses.size == 0:
         raise EmptySample("no training examples")
-    n = losses.shape[0]
-    order = np.argsort(losses, kind="stable")
-    levels = spec(1.0 - np.arange(n + 1) / n)  # g(1 - i/n), i = 0..n
-    weights = levels[:-1] - levels[1:]
-    grads = model.batch_gradients(X, y)
-    return grads[order].T @ weights
+    _, weights = _sorted_loss_weights(spec, losses.shape[0])
+    v = np.empty_like(losses)
+    v[np.argsort(losses, kind="stable")] = weights
+    return vjp(v)
 
 
 def noisy_gd_step(theta: np.ndarray, gradient: np.ndarray, eta: float,
@@ -182,6 +199,12 @@ def noisy_gd_step(theta: np.ndarray, gradient: np.ndarray, eta: float,
 def train(model: LossModel, X: np.ndarray, y: np.ndarray,
           config: TrainConfig) -> tuple[LossModel, TrainTrace]:
     """Run the perturbed descent loop; returns the final model and trace.
+
+    Each iteration costs one forward pass, one stable sort and one
+    vector-Jacobian product, in O(n * width + d) memory.  ``risk[t-1]``
+    equals ``distortion_risk(build_cdf(losses), distortion).value`` on the
+    iterate's losses bit for bit.  Negative losses raise
+    :class:`InvalidLoss`, as :func:`build_cdf` does.
 
     Raises :class:`Diverged` (with the partial trace attached) if the risk
     exceeds the divergence guard or stops being finite.
@@ -212,17 +235,28 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray,
             distortion_name=config.distortion.name,
         )
 
+    n = np.atleast_2d(X).shape[0]
+    if n == 0:
+        raise EmptySample("no training examples")
+    coeff, weights = _sorted_loss_weights(config.distortion, n)
+    v = np.empty(n)
     current = model
     for t in range(1, t_total + 1):
         current = current.with_params(theta)
-        losses = current.batch_losses(X, y)
+        losses, vjp = current.loss_and_vjp(X, y)
         if not np.all(np.isfinite(losses)):
             raise Diverged(f"non-finite loss at iteration {t}", trace=make_trace(t - 1))
-        rho = distortion_risk(build_cdf(losses), config.distortion).value
+        order = np.argsort(losses, kind="stable")
+        ascending = losses[order]
+        if ascending[0] < 0.0:
+            raise InvalidLoss("losses must be nonnegative")
+        # The telescoping sum of telescoped_distortion_value, on the same sort.
+        rho = float(coeff @ np.diff(ascending, prepend=0.0))
         if not math.isfinite(rho) or rho > DIVERGENCE_GUARD:
             raise Diverged(f"risk {rho} exceeded guard at iteration {t}",
                            trace=make_trace(t - 1))
-        grad = distortion_gradient(current, X, y, config.distortion)
+        v[order] = weights
+        grad = vjp(v)
         risk[t - 1] = rho
         gn = float(np.linalg.norm(grad))
         grad_norm[t - 1] = gn

@@ -23,6 +23,7 @@ budget epsilon translates to a risk error budget L * epsilon^p.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -239,6 +240,8 @@ class OceSpec:
         scale = max(1.0, float(np.max(np.abs(vals))))
         if vals.size > 2 and np.min(np.diff(vals, 2)) < -DISTORTION_TOL * scale:
             raise InvalidSpectrum(f"{self.name}: phi is not convex on the test grid")
+        # oce_lipschitz_constant results, keyed by (grid_size, inverted).
+        object.__setattr__(self, "_lipschitz", {})
 
 
 def identity_distortion() -> DistortionSpec:
@@ -248,11 +251,20 @@ def identity_distortion() -> DistortionSpec:
 
 
 def cvar_distortion(alpha: float) -> DistortionSpec:
-    """g(t) = min(t/alpha, 1): expected value of the top 100*alpha% losses."""
+    """g(t) = min(t/alpha, 1): expected value of the top 100*alpha% losses.
+
+    Specs are frozen and stateless, so one validated spec is shared per
+    float alpha.
+    """
     if not (0.0 < alpha <= 1.0):
         raise InvalidAlpha(f"alpha must be in (0, 1], got {alpha}")
+    return _cvar_distortion(float(alpha))
+
+
+@functools.lru_cache(maxsize=128)
+def _cvar_distortion(alpha: float) -> DistortionSpec:
     return DistortionSpec(
-        g=lambda t, a=float(alpha): np.minimum(np.asarray(t, dtype=np.float64) / a, 1.0),
+        g=lambda t, a=alpha: np.minimum(np.asarray(t, dtype=np.float64) / a, 1.0),
         name=f"cvar:{alpha:g}",
         lipschitz_constant=1.0 / alpha,
     )
@@ -445,11 +457,20 @@ def oce_lipschitz_constant(spec: OceSpec, grid_size: int = VALIDATION_GRID_POINT
 
     Standard direction: max over x in [0, D] of phi(D - x) - phi(-x).
     Inverted direction: max over x in [0, D] of phi(x) - phi(x - D).
+    The constant depends on the spec alone, so each spec computes it once
+    per (grid_size, inverted).
     """
+    key = (int(grid_size), bool(inverted))
+    if key not in spec._lipschitz:
+        spec._lipschitz[key] = _oce_lipschitz_on_grid(spec, *key)
+    return spec._lipschitz[key]
+
+
+def _oce_lipschitz_on_grid(spec: OceSpec, grid_size: int, inverted: bool) -> float:
     d = spec.support_bound
     if d == 0.0:
         return 0.0
-    x = np.linspace(0.0, d, int(grid_size))
+    x = np.linspace(0.0, d, grid_size)
     if inverted:
         vals = _eval_fn(spec.phi, x) - _eval_fn(spec.phi, x - d)
     else:

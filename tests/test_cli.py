@@ -220,6 +220,18 @@ class TestCmdTrain:
                     "--risk", "mean", "--eta", 50, "--iters", 200,
                     "--disable-noise", "--out", tmp_path / "x"]) == 4
 
+    def test_divergence_keeps_partial_trace(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run(["train", "--arch", "linear_squared", "--eta", 1e6, "--iters", 50,
+                    "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        failed_at = int(err.rsplit("iteration", 1)[1])
+        lines = (out / "trace.csv").read_text().strip().splitlines()
+        assert lines[0] == "t,risk,grad_norm,avg_sq_grad_norm"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, failed_at))
+        assert failed_at >= 2
+
 
 class TestCmdComplexity:
     def test_monotone_family(self, tmp_path):

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskcdf.cdf import build_cdf
-from riskcdf.errors import ConfigError, Diverged
+from riskcdf.errors import ConfigError, Diverged, InvalidLoss
 from riskcdf.models import LossModel, init_model, relative_error
 from riskcdf.optim import (
     TrainConfig,
@@ -15,7 +17,13 @@ from riskcdf.optim import (
     stationarity_report,
     train,
 )
-from riskcdf.risks import DistortionSpec, cvar_distortion, distortion_risk, identity_distortion
+from riskcdf.risks import (
+    DistortionSpec,
+    cvar_distortion,
+    distortion_risk,
+    identity_distortion,
+    load_distortion_csv,
+)
 from riskcdf.seeds import rng_from, standard_normal
 
 loss_vectors = st.lists(
@@ -123,6 +131,124 @@ class TestDistortionGradient:
             ip = float(distortion_gradient(model, X, y, spec) @ u)
             assert relative_error(fd, ip) <= 1e-4
             checked += 1
+
+
+def old_distortion_gradient(model, X, y, spec):
+    """The per-example contraction the fused step replaced, kept as the oracle."""
+    losses = model.batch_losses(X, y)
+    n = losses.shape[0]
+    order = np.argsort(losses, kind="stable")
+    levels = spec(1.0 - np.arange(n + 1) / n)
+    weights = levels[:-1] - levels[1:]
+    return model.batch_gradients(X, y)[order].T @ weights
+
+
+ORACLE_MODELS = [("linear_squared", ()), ("logistic_crossentropy", ()),
+                 ("mlp_tanh", (4,)), ("mlp_tanh", (5, 3))]
+
+
+def oracle_problem(trial):
+    """Random dataset; every odd trial repeats rows so that losses tie."""
+    arch, hidden = ORACLE_MODELS[trial % len(ORACLE_MODELS)]
+    rng = rng_from(trial, "oracle")
+    n = int(rng.integers(2, 60))
+    dim = int(rng.integers(1, 5))
+    X = standard_normal(rng, (n, dim))
+    if arch == "linear_squared":
+        y = standard_normal(rng, n)
+    else:
+        y = (rng.random(n) < 0.5).astype(float)
+    if trial % 2:
+        rows = rng.integers(0, max(1, n // 3), n)
+        X, y = X[rows], y[rows]
+    return init_model(arch, dim, hidden, seed=trial), X, y
+
+
+@pytest.fixture(scope="module")
+def concave_file_spec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spec") / "concave.csv"
+    path.write_text("t,g\n0,0\n0.1,0.45\n0.35,0.8\n0.7,0.95\n1,1\n")
+    return load_distortion_csv(path)
+
+
+def oracle_specs(n, rng, file_spec):
+    # alpha * n lies strictly between two integers, so one sorted loss gets
+    # a fractional weight.
+    alpha = (int(rng.integers(0, n)) + float(rng.uniform(0.1, 0.9))) / n
+    return [identity_distortion(), cvar_distortion(alpha), file_spec]
+
+
+class TestFusedStepOracle:
+    def test_matches_per_example_contraction(self, concave_file_spec):
+        ties = 0
+        for trial in range(120):
+            model, X, y = oracle_problem(trial)
+            losses = model.batch_losses(X, y)
+            ties += np.unique(losses).size < losses.size
+            for spec in oracle_specs(X.shape[0], rng_from(trial, "alpha"), concave_file_spec):
+                fused = distortion_gradient(model, X, y, spec)
+                oracle = old_distortion_gradient(model, X, y, spec)
+                scale = np.max(np.abs(oracle))
+                assert np.max(np.abs(fused - oracle)) <= 1e-12 * scale, (trial, spec.name)
+        assert ties >= 60
+
+    def test_loss_and_vjp_losses_are_batch_losses(self):
+        for trial in range(40):
+            model, X, y = oracle_problem(trial)
+            losses, _ = model.loss_and_vjp(X, y)
+            assert np.array_equal(losses, model.batch_losses(X, y))
+
+    @pytest.mark.parametrize("trial", range(8))
+    def test_train_risk_is_cdf_risk_of_each_iterate(self, trial, concave_file_spec):
+        model, X, y = oracle_problem(trial)
+        for spec in oracle_specs(X.shape[0], rng_from(trial, "alpha"), concave_file_spec):
+            cfg = TrainConfig(distortion=spec, iterations=12, eta=0.05, seed=trial,
+                              snapshot_every=1)
+            _, trace = train(model, X, y, cfg)
+            assert [t for t, _, _ in trace.snapshots] == list(range(1, 13))
+            for t, theta, grad in trace.snapshots:
+                current = model.with_params(theta)
+                losses = current.batch_losses(X, y)
+                assert trace.risk[t - 1] == distortion_risk(build_cdf(losses), spec).value
+                assert np.array_equal(grad, distortion_gradient(current, X, y, spec))
+
+    def test_negative_losses_raise_invalid_loss(self):
+        class ShiftedLinear(LossModel):
+            """linear_squared with every loss lowered by one, so some go negative."""
+
+            def loss_and_vjp(self, X, y):
+                losses, vjp = super().loss_and_vjp(X, y)
+                return losses - 1.0, vjp
+
+            def batch_losses(self, X, y):
+                return super().batch_losses(X, y) - 1.0
+
+        X, y = np.array([[1.0], [2.0]]), np.array([1.0, 0.0])
+        model = ShiftedLinear("linear_squared", params=np.array([1.0]), input_dim=1)
+        cfg = TrainConfig(distortion=identity_distortion(), iterations=3, eta=0.1)
+        with pytest.raises(InvalidLoss):
+            train(model, X, y, cfg)
+        with pytest.raises(InvalidLoss):
+            empirical_distortion_risk(model, X, y, identity_distortion())
+
+    def test_mlp_step_memory_at_least_halves(self):
+        n = 100_000
+        rng = rng_from(0, "memory")
+        X = standard_normal(rng, (n, 2))
+        y = (rng.random(n) < 0.5).astype(float)
+        model = init_model("mlp_tanh", 2, (32,), seed=0)
+        spec = cvar_distortion(0.05)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn(model, X, y, spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        fused, old = peak(distortion_gradient), peak(old_distortion_gradient)
+        assert fused < 0.5 * old, (fused, old)
 
 
 class TestNoisyStep:

@@ -122,6 +122,19 @@ class TestCvar:
         for alpha in (0.05, 0.25, 0.5, 1.0):
             assert abs(cvar(cdf, alpha).value - top_fraction_mean(losses, alpha)) < 1e-12
 
+    def test_spec_is_shared_per_alpha(self):
+        spec = cvar_distortion(0.3)
+        assert cvar_distortion(0.3) is spec
+        assert cvar_distortion(np.float64(0.3)) is spec
+        assert cvar_distortion(0.25) is not spec
+        assert spec.name == "cvar:0.3" and spec.lipschitz_constant == 1.0 / 0.3
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, float("nan")])
+    def test_bad_alpha_raises_on_every_call(self, alpha):
+        for _ in range(2):
+            with pytest.raises(InvalidAlpha):
+                cvar_distortion(alpha)
+
     @given(loss_vectors)
     @settings(max_examples=60)
     def test_monotone_in_alpha_and_dominates_mean(self, losses):
@@ -317,6 +330,26 @@ class TestOceLipschitzConstant:
 
     def test_inverted_direction_linear(self):
         assert oce_lipschitz_constant(oce_mean_spec(1.0), inverted=True) == pytest.approx(1.0)
+
+    def test_computed_once_per_spec(self):
+        calls = []
+
+        def phi(x):
+            calls.append(1)
+            return np.expm1(np.asarray(x, dtype=np.float64))
+
+        spec = OceSpec(phi=phi, support_bound=2.0)
+        fresh = oce_entropic_spec(2.0)
+        for inverted in (False, True):
+            first = oce_lipschitz_constant(spec, inverted=inverted)
+            seen = len(calls)
+            assert oce_lipschitz_constant(spec, inverted=inverted) == first
+            assert len(calls) == seen
+            assert first == oce_lipschitz_constant(fresh, inverted=inverted)
+        before = len(calls)
+        oce_risk(build_cdf([0.5, 1.0]), spec)
+        oce_lipschitz_constant(spec, grid_size=101)
+        assert len(calls) > before  # the search and a new grid size still evaluate phi
 
 
 class TestHolderRiskError:
