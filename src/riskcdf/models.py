@@ -157,11 +157,9 @@ class LossModel:
         scores = a @ w_out.T + b_out
         return scores[:, 0], activations
 
-    def _batch(self, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._check_features(X), np.asarray(y, dtype=np.float64).ravel()
-
     def batch_losses(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        X, y = self._batch(X, y)
+        X = self._check_features(X)
+        y = np.asarray(y, dtype=np.float64).ravel()
         if self.architecture == "linear_squared":
             return (X @ self.params - y) ** 2
         if self.architecture == "logistic_crossentropy":
@@ -180,7 +178,8 @@ class LossModel:
         residuals once through the kept activations, so it needs
         O(n * width + d) memory, not the (n, d) per-example gradients.
         """
-        X, y = self._batch(X, y)
+        X = self._check_features(X)
+        y = np.asarray(y, dtype=np.float64).ravel()
         if self.architecture == "linear_squared":
             resid = X @ self.params - y
             r = 2.0 * resid
@@ -215,7 +214,8 @@ class LossModel:
 
         Builds the full matrix; training uses :meth:`loss_and_vjp`.
         """
-        X, y = self._batch(X, y)
+        X = self._check_features(X)
+        y = np.asarray(y, dtype=np.float64).ravel()
         if self.architecture == "linear_squared":
             resid = X @ self.params - y
             return 2.0 * resid[:, None] * X

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,6 +164,25 @@ def _sorted_loss_weights(spec: DistortionSpec, n: int) -> tuple[np.ndarray, np.n
     return levels[:-1], levels[:-1] - levels[1:]
 
 
+def _risk_and_gradient(losses: np.ndarray, vjp: Callable[[np.ndarray], np.ndarray],
+                       coeff: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """Distortion risk and its gradient from one stable sort of the losses.
+
+    The risk is the telescoping sum of
+    :func:`riskcdf.risks.telescoped_distortion_value`, so it equals
+    ``distortion_risk(build_cdf(losses), spec).value`` bit for bit; the
+    gradient is ``vjp`` of the weights scattered back to example order.
+    Negative losses raise :class:`InvalidLoss`, as :func:`build_cdf` does.
+    """
+    order = np.argsort(losses, kind="stable")
+    ascending = losses[order]
+    if ascending[0] < 0.0:
+        raise InvalidLoss("losses must be nonnegative")
+    v = np.empty_like(losses)
+    v[order] = weights
+    return float(coeff @ np.diff(ascending, prepend=0.0)), vjp(v)
+
+
 def distortion_gradient(model: LossModel, X: np.ndarray, y: np.ndarray,
                         spec: DistortionSpec) -> np.ndarray:
     """CDF-reweighted full-batch gradient of the empirical distortion risk.
@@ -172,10 +192,8 @@ def distortion_gradient(model: LossModel, X: np.ndarray, y: np.ndarray,
     losses, vjp = model.loss_and_vjp(X, y)
     if losses.size == 0:
         raise EmptySample("no training examples")
-    _, weights = _sorted_loss_weights(spec, losses.shape[0])
-    v = np.empty_like(losses)
-    v[np.argsort(losses, kind="stable")] = weights
-    return vjp(v)
+    _, grad = _risk_and_gradient(losses, vjp, *_sorted_loss_weights(spec, losses.shape[0]))
+    return grad
 
 
 def noisy_gd_step(theta: np.ndarray, gradient: np.ndarray, eta: float,
@@ -239,24 +257,16 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray,
     if n == 0:
         raise EmptySample("no training examples")
     coeff, weights = _sorted_loss_weights(config.distortion, n)
-    v = np.empty(n)
     current = model
     for t in range(1, t_total + 1):
         current = current.with_params(theta)
         losses, vjp = current.loss_and_vjp(X, y)
         if not np.all(np.isfinite(losses)):
             raise Diverged(f"non-finite loss at iteration {t}", trace=make_trace(t - 1))
-        order = np.argsort(losses, kind="stable")
-        ascending = losses[order]
-        if ascending[0] < 0.0:
-            raise InvalidLoss("losses must be nonnegative")
-        # The telescoping sum of telescoped_distortion_value, on the same sort.
-        rho = float(coeff @ np.diff(ascending, prepend=0.0))
+        rho, grad = _risk_and_gradient(losses, vjp, coeff, weights)
         if not math.isfinite(rho) or rho > DIVERGENCE_GUARD:
             raise Diverged(f"risk {rho} exceeded guard at iteration {t}",
                            trace=make_trace(t - 1))
-        v[order] = weights
-        grad = vjp(v)
         risk[t - 1] = rho
         gn = float(np.linalg.norm(grad))
         grad_norm[t - 1] = gn

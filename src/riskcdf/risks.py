@@ -23,7 +23,6 @@ budget epsilon translates to a risk error budget L * epsilon^p.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -251,20 +250,11 @@ def identity_distortion() -> DistortionSpec:
 
 
 def cvar_distortion(alpha: float) -> DistortionSpec:
-    """g(t) = min(t/alpha, 1): expected value of the top 100*alpha% losses.
-
-    Specs are frozen and stateless, so one validated spec is shared per
-    float alpha.
-    """
+    """g(t) = min(t/alpha, 1): expected value of the top 100*alpha% losses."""
     if not (0.0 < alpha <= 1.0):
         raise InvalidAlpha(f"alpha must be in (0, 1], got {alpha}")
-    return _cvar_distortion(float(alpha))
-
-
-@functools.lru_cache(maxsize=128)
-def _cvar_distortion(alpha: float) -> DistortionSpec:
     return DistortionSpec(
-        g=lambda t, a=alpha: np.minimum(np.asarray(t, dtype=np.float64) / a, 1.0),
+        g=lambda t, a=float(alpha): np.minimum(np.asarray(t, dtype=np.float64) / a, 1.0),
         name=f"cvar:{alpha:g}",
         lipschitz_constant=1.0 / alpha,
     )

@@ -122,13 +122,6 @@ class TestCvar:
         for alpha in (0.05, 0.25, 0.5, 1.0):
             assert abs(cvar(cdf, alpha).value - top_fraction_mean(losses, alpha)) < 1e-12
 
-    def test_spec_is_shared_per_alpha(self):
-        spec = cvar_distortion(0.3)
-        assert cvar_distortion(0.3) is spec
-        assert cvar_distortion(np.float64(0.3)) is spec
-        assert cvar_distortion(0.25) is not spec
-        assert spec.name == "cvar:0.3" and spec.lipschitz_constant == 1.0 / 0.3
-
     @pytest.mark.parametrize("alpha", [0.0, 1.5, float("nan")])
     def test_bad_alpha_raises_on_every_call(self, alpha):
         for _ in range(2):
