@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -37,14 +38,29 @@ from .seeds import derive_seed, rng_from, standard_normal
 PROG = "riskcdf"
 
 
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(f"RISKCDF_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(f"RISKCDF_{name}={raw!r} is not a valid {cast.__name__}") from None
+# Flags that a RISKCDF_<NAME> environment variable can preset:
+# dest -> (NAME, type, default when neither the flag nor the variable is set).
+_ENV_DEFAULTS = {
+    "out": ("OUT", str, "."),
+    "seed": ("SEED", int, 0),
+    "n": ("N", int, None),
+    "delta": ("DELTA", float, 0.05),
+    "eta": ("ETA", float, None),
+    "beta": ("BETA", float, None),
+    "iters": ("ITERS", int, 500),
+}
+
+
+def _apply_env_defaults(ns: argparse.Namespace) -> None:
+    """Fill the presettable flags that the command line left unset (None)."""
+    for dest, (name, cast, fallback) in _ENV_DEFAULTS.items():
+        if dest not in vars(ns) or getattr(ns, dest) is not None:
+            continue
+        raw = os.environ.get(f"RISKCDF_{name}")
+        try:
+            setattr(ns, dest, fallback if raw is None else cast(raw))
+        except ValueError:
+            raise ConfigError(f"RISKCDF_{name}={raw!r} is not a valid {cast.__name__}") from None
 
 
 def _sha256(path: str) -> str:
@@ -344,7 +360,10 @@ def run_rerun(manifest_path: str, out_dir: str) -> None:
     _execute(command, params, out_dir)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and environment presets are applied after parsing."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Loss-CDF risk assessment, uniform-convergence certificates, "
@@ -354,9 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", default=_env("OUT", str, "."),
+        p.add_argument("--out", default=None,
                        help="output directory (default: current directory)")
-        p.add_argument("--seed", type=int, default=_env("SEED", int, 0))
+        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("cdf", help="build an empirical CDF from a loss CSV")
     common(p)
@@ -369,9 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--risk", action="append", dest="risks", default=None, metavar="SPEC",
                    help="repeatable: mean | cvar:A | mean_var:C | oce:PRESET | "
                         "distortion-file:PATH | spectral-file:PATH")
-    p.add_argument("--n", type=int, default=_env("N", int, None),
+    p.add_argument("--n", type=int, default=None,
                    help="certificate sample size (default: table rows)")
-    p.add_argument("--delta", type=float, default=_env("DELTA", float, 0.05))
+    p.add_argument("--delta", type=float, default=None)
     p.add_argument("--support-bound", type=float, dest="support_bound", default=None,
                    help="loss support bound D (default: table maximum)")
 
@@ -380,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True,
                    choices=["finite_class", "permutation", "growth", "vc_sauer"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=float, default=_env("DELTA", float, 0.05))
+    p.add_argument("--delta", type=float, default=None)
     p.add_argument("--class-size", type=int, dest="class_size", default=None)
     p.add_argument("--n-pi", type=float, dest="n_pi", default=None)
     p.add_argument("--growth", type=float, default=None)
@@ -401,9 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tabulated distortion CSV overriding --risk")
     p.add_argument("--add-bias", dest="add_bias", action="store_true",
                    help="append a constant-1 feature column (intercept)")
-    p.add_argument("--eta", type=float, default=_env("ETA", float, None))
-    p.add_argument("--beta", type=float, default=_env("BETA", float, None))
-    p.add_argument("--iters", type=int, default=_env("ITERS", int, 500))
+    p.add_argument("--eta", type=float, default=None)
+    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--iters", type=int, default=None)
     p.add_argument("--disable-noise", dest="disable_noise", action="store_true",
                    help="test hook: zero the Gaussian step perturbation")
 
@@ -423,15 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rerun", help="replay a recorded run from its manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", default=_env("OUT", str, "."))
+    p.add_argument("--out", default=None)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
+        _apply_env_defaults(ns)
         if ns.command == "rerun":
             run_rerun(ns.manifest, ns.out)
             return 0

@@ -7,12 +7,12 @@ one of them.  A permutation sorts a row iff it is a linear extension of the
 row's tie-aware weak order, so the problem is a set cover over distinct
 weak orders:
 
-* :func:`exact_min_permutations` enumerates all n! permutations and solves
-  the cover exactly by depth-first branch and bound (limits: n <= 8,
-  at most 64 rows);
+* :func:`exact_min_permutations` tests all n! permutations against every
+  weak order in one matrix product and solves the cover exactly by
+  memoised depth-first branch and bound (limits: n <= 8, at most 64 rows);
 * :func:`greedy_min_permutations` covers greedily using only the rows' own
   sorting permutations, giving an upper bound that never exceeds the
-  number of distinct weak orders;
+  number of distinct weak orders; it handles any number of rows and any n;
 * :func:`monte_carlo_permutation_complexity` averages instance values over
   fresh data draws.
 """
@@ -20,6 +20,8 @@ weak orders:
 from __future__ import annotations
 
 import csv
+import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -58,13 +60,29 @@ class WeakOrder:
     ranks: tuple[int, ...]
 
 
+def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable argsort of each row of a 2-D array, and the row's dense tie-aware ranks."""
+    order = np.argsort(rows, axis=1, kind="stable")
+    ordered = np.take_along_axis(rows, order, axis=1)
+    dense = np.zeros(rows.shape, dtype=np.intp)
+    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=dense[:, 1:])
+    ranks = np.empty_like(dense)
+    np.put_along_axis(ranks, order, dense, axis=1)
+    return order, ranks
+
+
+def _distinct_rows(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array, in order of first occurrence."""
+    _, first = np.unique(a, axis=0, return_index=True)
+    return a[np.sort(first)]
+
+
 def weak_order(losses) -> WeakOrder:
     """Dense tie-aware ranks of a loss vector."""
-    arr = np.asarray(losses, dtype=np.float64)
+    arr = np.asarray(losses, dtype=np.float64).reshape(1, -1)
     if np.any(np.isnan(arr)):
         raise InvalidLoss("loss vector contains NaN")
-    _, inverse = np.unique(arr, return_inverse=True)
-    return WeakOrder(ranks=tuple(int(r) for r in inverse))
+    return WeakOrder(ranks=tuple(_rank_rows(arr)[1][0].tolist()))
 
 
 def permutation_sorts(perm: Sequence[int], order: WeakOrder) -> bool:
@@ -96,23 +114,48 @@ class LossMatrix:
         return self.rows.shape[1]
 
     def distinct_weak_orders(self) -> list[WeakOrder]:
-        seen: dict[tuple[int, ...], WeakOrder] = {}
-        for row in self.rows:
-            w = weak_order(row)
-            seen.setdefault(w.ranks, w)
-        return list(seen.values())
+        ranks = _distinct_rows(_rank_rows(self.rows)[1])
+        return [WeakOrder(ranks=tuple(r)) for r in ranks.tolist()]
 
 
-def _cover_masks(perms: np.ndarray, orders: list[WeakOrder]) -> list[int]:
-    """Bitmask over weak orders (bit j) sorted by each permutation (row)."""
-    ranks = np.asarray([w.ranks for w in orders], dtype=np.intp)
-    k = ranks.shape[0]
-    ok = np.empty((perms.shape[0], k), dtype=bool)
-    for j in range(k):
-        r = ranks[j][perms]
-        ok[:, j] = np.all(r[:, 1:] >= r[:, :-1], axis=1)
-    shifted = ok.astype(np.uint64) << np.arange(k, dtype=np.uint64)
-    return [int(v) for v in shifted.sum(axis=1, dtype=np.uint64)]
+@functools.cache
+def _permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All n! permutations of range(n) in lexicographic order, and their precedences.
+
+    ``prec[p, k]`` is 1 iff permutation p lists a before b, for the k-th
+    pair a < b of ``np.triu_indices(n, 1)``.  Both arrays are read-only:
+    the cache hands them to every caller.
+    """
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    perms = np.fromiter(flat, dtype=np.intp, count=math.factorial(n) * n).reshape(-1, n)
+    pos = np.argsort(perms, axis=1)
+    a, b = np.triu_indices(n, 1)
+    prec = (pos[:, a] < pos[:, b]).astype(np.float32)
+    perms.flags.writeable = prec.flags.writeable = False
+    return perms, prec
+
+
+def _cover_witnesses(orders: np.ndarray) -> dict[int, tuple[int, ...]]:
+    """Each distinct non-empty cover mask with its lexicographically first witness.
+
+    ``orders`` holds at most 64 distinct weak orders as rank rows.  Bit j of
+    a mask is set iff the witness permutation sorts order j; masks are keyed
+    in the order their first witnesses appear among the n! permutations.
+    """
+    n = orders.shape[1]
+    # Permutation p sorts order j iff it reverses no strict pair of j:
+    # prec @ gt + (1 - prec) @ lt = prec @ (gt - lt) + sum(lt) is zero.
+    # The float32 product is exact, as every count is at most n(n-1)/2.
+    perms, prec = _permutation_table(n)
+    a, b = np.triu_indices(n, 1)
+    lt = (orders[:, a] < orders[:, b]).T.astype(np.float32)
+    gt = (orders[:, a] > orders[:, b]).T.astype(np.float32)
+    sorts = np.zeros((perms.shape[0], 64), dtype=bool)
+    sorts[:, : orders.shape[0]] = prec @ (gt - lt) == -lt.sum(axis=0)
+    codes = np.packbits(sorts, bitorder="little").view("<u8")
+    _, first = np.unique(codes, return_index=True)
+    first.sort()
+    return {mask: tuple(perms[p].tolist()) for mask, p in zip(codes[first].tolist(), first) if mask}
 
 
 def greedy_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
@@ -120,22 +163,40 @@ def greedy_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
 
     Candidates are the rows' own stable argsort permutations (ties broken
     by original index), so the cover is always feasible and the result is
-    at most the number of distinct weak orders.
+    at most the number of distinct weak orders.  Works for any number of
+    rows and any n: memory is O(rows * n) plus one bit per (row, order).
     """
-    orders = m.distinct_weak_orders()
-    universe = (1 << len(orders)) - 1
-    perms_arr = np.stack([np.argsort(row, kind="stable") for row in m.rows])
-    masks = _cover_masks(perms_arr, orders)
+    perms, ranks = _rank_rows(m.rows)
+    orders = _distinct_rows(ranks)
+    # sorts[i, j]: row i's argsort lists order j's ranks non-decreasingly.
+    # Orders go in blocks of about 2**20 gathered ranks, or one at a time.
+    sorts = np.empty((perms.shape[0], orders.shape[0]), dtype=bool)
+    block = max(1, 2**20 // perms.size)
+    for lo in range(0, orders.shape[0], block):
+        along = orders[lo : lo + block][:, perms]
+        sorts[:, lo : lo + block] = np.all(along[..., 1:] >= along[..., :-1], axis=2).T
+    # Bit j of a mask is set iff the permutation sorts order j.
+    packed = np.packbits(sorts, axis=1, bitorder="little")
     candidates: dict[tuple[int, ...], int] = {}
-    for perm_row, mask in zip(perms_arr, masks):
-        candidates.setdefault(tuple(int(i) for i in perm_row), mask)
-    chosen: list[tuple[int, ...]] = []
-    remaining = universe
+    for perm_row, bits in zip(perms, packed):
+        candidates.setdefault(tuple(perm_row.tolist()), int.from_bytes(bits.tobytes(), "little"))
     pool = list(candidates.items())
+    chosen: list[tuple[int, ...]] = []
+    remaining = (1 << orders.shape[0]) - 1
+    # Each step takes the first candidate, in pool order, of largest gain.
+    # Gains only shrink as orders get covered, so a heap keyed by
+    # (-gain when pushed, index) finds it lazily: a popped candidate whose
+    # fresh key is below every stale key beats every fresh key too.
+    heap = [(-mask.bit_count(), i) for i, (_, mask) in enumerate(pool)]
+    heapq.heapify(heap)
     while remaining:
-        perm, mask = max(pool, key=lambda kv: (kv[1] & remaining).bit_count())
-        gained = mask & remaining
-        if not gained:  # cannot happen: every order's own perm covers it
+        _, i = heapq.heappop(heap)
+        perm, mask = pool[i]
+        key = (-(mask & remaining).bit_count(), i)
+        if heap and key > heap[0]:
+            heapq.heappush(heap, key)
+            continue
+        if not mask & remaining:  # cannot happen: every order's own perm covers it
             raise AssertionError("greedy cover stalled")
         chosen.append(perm)
         remaining &= ~mask
@@ -145,10 +206,11 @@ def greedy_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
 def exact_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
     """Exact minimum permutation count with a witness set.
 
-    Enumerates all n! permutations, reduces to distinct maximal cover sets
-    over the distinct weak orders, and solves the set cover by depth-first
-    branch and bound seeded with the greedy solution.  Feasible because
-    every weak order is sorted by at least its own argsort permutation.
+    Tests all n! permutations against every distinct weak order at once,
+    reduces them to distinct maximal cover sets, and solves the set cover
+    by memoised depth-first branch and bound seeded with the greedy solution.
+    Feasible because every weak order is sorted by at least its own
+    argsort permutation.
     """
     n = m.n_points
     if n > EXACT_MAX_N:
@@ -161,51 +223,48 @@ def exact_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
             f"exact solver is limited to {EXACT_MAX_ROWS} hypotheses; "
             f"got {m.n_hypotheses}. Use greedy_min_permutations instead."
         )
-    orders = m.distinct_weak_orders()
-    n_orders = len(orders)
+    orders = _distinct_rows(_rank_rows(m.rows)[1])
+    n_orders = orders.shape[0]
     universe = (1 << n_orders) - 1
 
-    # Distinct cover masks, keeping the lexicographically first witness each.
-    all_perms = np.asarray(list(itertools.permutations(range(n))), dtype=np.intp)
-    masks_per_perm = _cover_masks(all_perms, orders)
-    mask_to_perm: dict[int, tuple[int, ...]] = {}
-    for perm_row, mask in zip(all_perms, masks_per_perm):
-        if mask and mask not in mask_to_perm:
-            mask_to_perm[mask] = tuple(int(i) for i in perm_row)
+    mask_to_perm = _cover_witnesses(orders)
 
     # Only maximal masks can appear in some optimal cover.
     masks = sorted(mask_to_perm, key=lambda mk: mk.bit_count(), reverse=True)
     maximal: list[int] = []
     for mk in masks:
-        if not any(mk != other and (mk & other) == mk for other in maximal):
+        if not any((mk & other) == mk for other in maximal):
             maximal.append(mk)
 
     by_element: list[list[int]] = [
         [mk for mk in maximal if mk >> j & 1] for j in range(n_orders)
     ]
+    # Branch on the uncovered order with the fewest covering masks (the
+    # lowest such order on a tie).
+    branch_order = sorted(range(n_orders), key=lambda j: len(by_element[j]))
     best_count, best_perms = greedy_min_permutations(m)
     best: list[int] = []  # masks of the incumbent (greedy witness used if never improved)
     max_cover = max(mk.bit_count() for mk in maximal)
+    # Fewest masks chosen on reaching each remaining set.  A revisit at no
+    # smaller depth is pruned: the first visit searched the same subtree
+    # under an incumbent no better than today's, so it cannot improve it.
+    seen: dict[int, int] = {}
 
     def dfs(remaining: int, chosen: list[int]) -> None:
         nonlocal best_count, best
+        depth = len(chosen)
+        if seen.get(remaining, depth + 1) <= depth:
+            return
+        seen[remaining] = depth
         if not remaining:
-            if len(chosen) < best_count:
-                best_count = len(chosen)
+            if depth < best_count:
+                best_count = depth
                 best = list(chosen)
             return
-        lower = len(chosen) + math.ceil(remaining.bit_count() / max_cover)
+        lower = depth + math.ceil(remaining.bit_count() / max_cover)
         if lower >= best_count:
             return
-        # Branch on the uncovered order with the fewest covering masks.
-        pick, fewest = -1, None
-        r = remaining
-        while r:
-            j = (r & -r).bit_length() - 1
-            k = sum(1 for mk in by_element[j] if mk & remaining)
-            if fewest is None or k < fewest:
-                pick, fewest = j, k
-            r &= r - 1
+        pick = next(j for j in branch_order if remaining >> j & 1)
         cands = sorted(
             (mk for mk in by_element[pick]),
             key=lambda mk: (mk & remaining).bit_count(),

@@ -255,6 +255,17 @@ class TestCmdComplexity:
         assert payload["value"] <= 4
         assert len(payload["witness_permutations"]) == payload["value"]
 
+    def test_greedy_beyond_64_weak_orders(self, tmp_path, capsys):
+        rows = np.random.default_rng(100).uniform(size=(100, 12))
+        src = tmp_path / "m.csv"
+        src.write_text("\n".join(",".join(f"{v:.17g}" for v in row) for row in rows))
+        out = tmp_path / "c"
+        assert run(["complexity", "--input", src, "--mode", "greedy", "--out", out]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads((out / "complexity.json").read_text())
+        assert payload["is_upper_bound"] is True
+        assert payload["value"] == len(payload["witness_permutations"]) <= 100
+
     def test_too_large_suggests_greedy(self, tmp_path, capsys):
         src = tmp_path / "m.csv"
         src.write_text(",".join(["1"] * 9) + "\n" + ",".join(["2"] * 9))
@@ -341,3 +352,12 @@ class TestEnvOverrides:
                     "--n", 10, "--seed", 4, "--out", out]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 4
+
+    def test_bad_value_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RISKCDF_SEED", "abc")
+        src = tmp_path / "l.csv"
+        write_losses(src, [1, 2])
+        assert run(["cdf", "--input", src, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "RISKCDF_SEED='abc'" in err

@@ -1,4 +1,9 @@
+import functools
 import itertools
+import json
+import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,8 @@ from riskcdf.bounds import rademacher_finite_class, rademacher_permutation
 from riskcdf.errors import InvalidLoss, TooLarge
 from riskcdf.permcomplexity import (
     LossMatrix,
+    WeakOrder,
+    _cover_witnesses,
     exact_min_permutations,
     greedy_min_permutations,
     load_loss_matrix_csv,
@@ -42,6 +49,68 @@ def brute_force_min_cover(rows):
     raise AssertionError("unreachable: each order is sorted by its own argsort")
 
 
+def _cover_masks(perms: np.ndarray, orders: list) -> list[int]:
+    """Oracle: bitmask over weak orders (bit j) sorted by each permutation (row).
+
+    The per-order loop over explicit permutations that the matrix-product
+    cover build replaced; at most 64 orders, as for the exact solver.
+    """
+    ranks = np.asarray([w.ranks for w in orders], dtype=np.intp)
+    k = ranks.shape[0]
+    ok = np.empty((perms.shape[0], k), dtype=bool)
+    for j in range(k):
+        r = ranks[j][perms]
+        ok[:, j] = np.all(r[:, 1:] >= r[:, :-1], axis=1)
+    shifted = ok.astype(np.uint64) << np.arange(k, dtype=np.uint64)
+    return shifted.sum(axis=1, dtype=np.uint64).tolist()
+
+
+def cover_witnesses_oracle(rows):
+    """Oracle: distinct weak orders (per-row ``np.unique`` ranks, first seen
+    first) and each distinct non-empty cover mask with its first witness
+    among ``itertools.permutations``."""
+    orders: dict = {}
+    for row in rows:
+        ranks = tuple(np.unique(row, return_inverse=True)[1].tolist())
+        orders.setdefault(ranks, WeakOrder(ranks))
+    orders = list(orders.values())
+    perm_tuples, perms = _all_permutations(rows.shape[1])
+    mask_to_perm: dict = {}
+    for perm, mask in zip(perm_tuples, _cover_masks(perms, orders)):
+        if mask and mask not in mask_to_perm:
+            mask_to_perm[mask] = perm
+    return orders, mask_to_perm
+
+
+@functools.cache
+def _all_permutations(n):
+    perm_tuples = list(itertools.permutations(range(n)))
+    return perm_tuples, np.asarray(perm_tuples, dtype=np.intp)
+
+
+def pinned_matrix(seed, k):
+    """The k-th pinned input, shaped like the benchmark's: even k exact-sized
+    integers 0..3 (n 5..8, 8..64 rows), odd k continuous (n 12, 16..64 rows)."""
+    rng = np.random.default_rng([seed, k])
+    if k % 2 == 0:
+        n = 5 + (k // 2) % 4
+        rows = int(rng.integers(8, 65))
+        return rng.integers(0, 4, size=(rows, n)).astype(float)
+    rows = int(rng.integers(16, 65))
+    return rng.random((rows, 12))
+
+
+# (value, witnesses) of both solvers on the pinned inputs as the per-order
+# cover build (``_cover_masks`` above) and the unmemoised search gave them;
+# each permutation is a string of hex digits.
+PINS = json.loads((Path(__file__).parent / "data" / "permcomplexity_pins.json").read_text())
+
+
+def _unpin(result):
+    value, witnesses = result
+    return value, [tuple(int(c, 16) for c in p) for p in witnesses]
+
+
 def all_binary_patterns(n):
     return np.asarray(list(itertools.product([0.0, 1.0], repeat=n)))
 
@@ -71,6 +140,36 @@ class TestWeakOrder:
         assert not permutation_sorts((1, 0, 2), w)
 
 
+class TestCoverBuild:
+    def test_matches_per_order_oracle_with_ties(self):
+        # Heavy ties (2-4 levels, some rows repeated) across every exact size.
+        rng = np.random.default_rng(2026)
+        for i in range(500):
+            n = 8 if i % 10 == 0 else int(rng.integers(1, 8))
+            n_rows = int(rng.integers(1, 65 if n < 8 else 25))
+            rows = rng.integers(0, int(rng.integers(2, 5)), size=(n_rows, n)).astype(float)
+            if n_rows > 1 and rng.random() < 0.3:
+                rows[rng.integers(0, n_rows)] = rows[0]
+            orders, expected = cover_witnesses_oracle(rows)
+            assert LossMatrix(rows).distinct_weak_orders() == orders
+            got = _cover_witnesses(np.asarray([w.ranks for w in orders], dtype=np.intp))
+            assert list(got.items()) == list(expected.items())
+
+    def test_weak_order_matches_unique_ranks(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            row = rng.integers(-3, 3, size=int(rng.integers(1, 30))) * 0.5
+            assert weak_order(row).ranks == tuple(np.unique(row, return_inverse=True)[1].tolist())
+
+
+@pytest.mark.parametrize("entry", PINS["matrices"], ids=lambda e: f"k{e['k']}")
+def test_pinned_outputs(entry):
+    m = LossMatrix(pinned_matrix(PINS["seed"], entry["k"]))
+    assert greedy_min_permutations(m) == _unpin(entry["greedy"])
+    if "exact" in entry:
+        assert exact_min_permutations(m) == _unpin(entry["exact"])
+
+
 class TestExactSolver:
     def test_single_hypothesis(self):
         count, witnesses = exact_min_permutations(LossMatrix([[3.0, 1.0, 2.0]]))
@@ -94,6 +193,20 @@ class TestExactSolver:
         for row in rows:
             w = weak_order(row)
             assert any(permutation_sorts(p, w) for p in witnesses)
+
+    def test_memoised_search_on_binary_rows(self):
+        # Sixty 0/1 rows on 7 points reach the same uncovered sets along many
+        # branches; a search that revisits them took 178 s (2-vCPU Xeon VM)
+        # to this same result, which the memo reaches in well under a second.
+        rows = np.random.default_rng(2).integers(0, 2, size=(60, 7)).astype(float)
+        start = time.perf_counter()
+        result = exact_min_permutations(LossMatrix(rows))
+        assert time.perf_counter() - start < 10.0
+        assert result == _unpin([16, [
+            "3502146", "6014235", "3042156", "6251340", "6021345", "1205346",
+            "1430256", "6513420", "2410356", "3504612", "6431250", "6210345",
+            "6231450", "6435120", "1524306", "3512406",
+        ]])
 
     def test_too_large_rejected(self):
         with pytest.raises(TooLarge):
@@ -130,6 +243,35 @@ class TestGreedySolver:
         rows = rng.uniform(size=(12, 30))
         count, witnesses = greedy_min_permutations(LossMatrix(rows))
         assert count <= 12
+        for row in rows:
+            w = weak_order(row)
+            assert any(permutation_sorts(p, w) for p in witnesses)
+
+    @pytest.mark.parametrize("n_rows", [65, 100, 300])
+    def test_more_than_64_weak_orders(self, n_rows):
+        rows = np.random.default_rng(n_rows).uniform(size=(n_rows, 12))
+        m = LossMatrix(rows)
+        assert len(m.distinct_weak_orders()) == n_rows
+        count, witnesses = greedy_min_permutations(m)
+        assert count == len(witnesses) <= n_rows
+        for row in rows:
+            w = weak_order(row)
+            assert any(permutation_sorts(p, w) for p in witnesses)
+
+    def test_large_n_peak_memory(self):
+        # At this size ranks are gathered one order at a time, O(rows * n);
+        # the exact solver's pairwise-precedence layout would need
+        # rows * n(n-1)/2 entries here.
+        rows = np.random.default_rng(60).uniform(size=(60, 10_000))
+        m = LossMatrix(rows)
+        tracemalloc.start()
+        try:
+            count, witnesses = greedy_min_permutations(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 49e6
+        assert count == len(witnesses) <= 60
         for row in rows:
             w = weak_order(row)
             assert any(permutation_sorts(p, w) for p in witnesses)
