@@ -92,8 +92,8 @@ def rademacher_permutation(n: int, n_pi: float) -> float:
 def rademacher_growth(n: int, growth: float) -> float:
     """Rademacher bound 2 * sqrt(log(G) / n) from a growth number G."""
     n = _check_n(n)
-    if growth < 1:
-        raise InvalidGrowth(f"growth must be >= 1, got {growth}")
+    if not (math.isfinite(growth) and growth >= 1):
+        raise InvalidGrowth(f"growth must be finite and >= 1, got {growth}")
     return 2.0 * math.sqrt(math.log(growth) / n)
 
 

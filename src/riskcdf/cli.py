@@ -97,9 +97,12 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        return tuple(int(w) for w in text.split(","))
+        widths = tuple(int(w) for w in text.split(","))
     except ValueError:
         raise ConfigError(f"--hidden expects comma-separated widths, got {text!r}") from None
+    if min(widths) < 1:
+        raise ConfigError(f"--hidden widths must be at least 1, got {text!r}")
+    return widths
 
 
 def _token_number(token: str) -> float:
@@ -292,6 +295,10 @@ def run_gradcheck(params: dict, out_dir: str) -> None:
     arch = params["arch"]
     hidden = _parse_hidden(params["hidden"])
     dim = params["input_dim"]
+    if params["trials"] < 1:
+        raise ConfigError(f"--trials must be at least 1, got {params['trials']}")
+    if dim < 1:
+        raise ConfigError(f"--input-dim must be at least 1, got {dim}")
     worst = 0.0
     for t in range(params["trials"]):
         trial_seed = derive_seed(params["seed"], "gradcheck", t)
@@ -344,14 +351,60 @@ def _execute(command: str, params: dict, out_dir: str) -> None:
     RUNNERS[command](params, out_dir)
 
 
+def _flag_accepts(action: argparse.Action, value: object) -> bool:
+    """Whether ``value`` has the type (and choice) that parsing ``action`` yields."""
+    if value is None:
+        preset = _ENV_DEFAULTS.get(action.dest)
+        return (action.default is None and not action.required
+                and (preset is None or preset[2] is None))
+    if action.nargs == 0:  # --flag and --flag/--no-flag switches
+        return isinstance(value, bool)
+    if isinstance(action, argparse._AppendAction):
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    kinds = {int: int, float: (int, float)}.get(action.type, str)
+    return (isinstance(value, kinds) and not isinstance(value, bool)
+            and (action.choices is None or value in action.choices))
+
+
+def _replay_params(manifest: object, where: str) -> tuple[str, dict, dict]:
+    """The command, flags and input digests of a manifest, checked against the
+    flags that command defines: every flag present, none unknown, each of the
+    type its parser gives, and a digest for every input file."""
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{where}: a manifest is a JSON object, got {type(manifest).__name__}")
+    command = manifest.get("command")
+    if not isinstance(command, str) or command not in RUNNERS:
+        raise ConfigError(f"{where}: unknown command {command!r}")
+    params = manifest.get("args")
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where}: 'args' must be an object of flags, got {params!r}")
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
+    unknown = sorted(set(params) - set(actions))
+    if unknown:
+        raise ConfigError(f"{where}: {command} has no flag {unknown[0]!r}")
+    for dest, action in actions.items():
+        if dest not in params:
+            raise ConfigError(f"{where}: args lack the {command} flag {dest!r}")
+        if not _flag_accepts(action, params[dest]):
+            raise ConfigError(f"{where}: {command} flag {dest!r} cannot be {params[dest]!r}")
+    digests = manifest.get("input_digests")
+    if not (isinstance(digests, dict) and all(isinstance(v, str) for v in digests.values())):
+        raise ConfigError(f"{where}: 'input_digests' must map paths to digests, got {digests!r}")
+    for path in _input_paths(params):
+        if path not in digests:
+            raise ConfigError(f"{where}: input {path} has no recorded digest")
+    return command, params, digests
+
+
 def run_rerun(manifest_path: str, out_dir: str) -> None:
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    command = manifest.get("command")
-    if command not in RUNNERS:
-        raise ConfigError(f"{manifest_path}: unknown command {command!r}")
-    params = dict(manifest.get("args", {}))
-    for path, digest in manifest.get("input_digests", {}).items():
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{manifest_path}: not a JSON manifest: {exc}") from None
+    command, params, digests = _replay_params(manifest, manifest_path)
+    for path, digest in digests.items():
         if not os.path.exists(path):
             raise ConfigError(f"{manifest_path}: recorded input {path} is missing")
         if _sha256(path) != digest:

@@ -280,8 +280,8 @@ def relative_error(a, b) -> float:
 def finite_difference_check(model: LossModel, z: Example, step: float = 1e-6) -> float:
     """Central-difference check of the analytic gradient; returns the
     relative error (unit-floored scale, see :func:`relative_error`)."""
-    if step <= 0:
-        raise ConfigError(f"step must be positive, got {step}")
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigError(f"step must be finite and positive, got {step}")
     grad = per_example_gradient(model, z)
     fd = np.empty_like(grad)
     base = model.params

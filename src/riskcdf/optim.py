@@ -78,10 +78,10 @@ class TrainConfig:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.eta is None and self.beta is None:
             raise ConfigError("either eta or beta must be given")
-        if self.eta is not None and self.eta < 0:
-            raise ConfigError(f"eta must be nonnegative, got {self.eta}")
-        if self.beta is not None and self.beta <= 0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
+        if self.eta is not None and not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ConfigError(f"eta must be finite and nonnegative, got {self.eta}")
+        if self.beta is not None and not (math.isfinite(self.beta) and self.beta > 0):
+            raise ConfigError(f"beta must be finite and positive, got {self.beta}")
 
     @property
     def effective_eta(self) -> float:

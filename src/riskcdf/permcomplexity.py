@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FormatError, InvalidLoss, TooLarge
+from .errors import ConfigError, FormatError, InvalidLoss, TooLarge
 from .seeds import rng_from
 
 __all__ = [
@@ -309,8 +309,12 @@ def monte_carlo_permutation_complexity(
 
     Uses the exact solver when the instance is small enough; larger
     instances require ``allow_greedy`` (the estimate is then an upper
-    bound) and otherwise raise :class:`TooLarge`.
+    bound) and otherwise raise :class:`TooLarge`.  Raises :class:`ConfigError`
+    if ``n`` or ``reps`` is below 1.
     """
+    if n < 1 or reps < 1:
+        raise ConfigError(f"monte_carlo_permutation_complexity needs n >= 1 and reps >= 1, "
+                          f"got n={n}, reps={reps}")
     values = np.empty(reps)
     solvers = []
     for r in range(reps):

@@ -17,7 +17,10 @@ telescoping sum
 
 which is evaluated exactly (no quadrature).  Every evaluator reports the
 value together with sup-norm Holder constants (L, p) so that a CDF error
-budget epsilon translates to a risk error budget L * epsilon^p.
+budget epsilon translates to a risk error budget L * epsilon^p.  Each L is
+a closed form, not a grid estimate: 1/alpha and the table's steepest slope
+for distortions (times D), h(1) * D for spectra, phi(D) - phi(0) for OCEs
+and D + 3 c D^2 for mean + c * variance.
 """
 
 from __future__ import annotations
@@ -95,7 +98,6 @@ class HolderConstants:
     L: float | None
     p: float = 1.0
     metric: str = SUP_NORM
-    estimated: bool = False
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,6 @@ class DistortionSpec:
     g: Callable = field(repr=False)
     name: str = "custom"
     lipschitz_constant: float | None = None
-    lipschitz_estimated: bool = False
 
     def __post_init__(self):
         grid = np.linspace(0.0, 1.0, VALIDATION_GRID_POINTS)
@@ -142,7 +143,7 @@ class DistortionSpec:
 
     def risk_constant(self, support_bound: float) -> HolderConstants:
         L = None if self.lipschitz_constant is None else self.lipschitz_constant * support_bound
-        return HolderConstants(L=L, p=1.0, metric=SUP_NORM, estimated=self.lipschitz_estimated)
+        return HolderConstants(L=L, p=1.0, metric=SUP_NORM)
 
 
 @dataclass(frozen=True)
@@ -152,9 +153,9 @@ class SpectrumSpec:
     The unit-integral check uses the composite midpoint rule over the
     10,000 cells of the validation grid (midpoint handles step spectra with
     on-grid jumps exactly, which the trapezoid rule does not).
-    ``cumulative`` is an optional exact antiderivative H(t) = int_0^t h;
-    when present, rank-weight block integrals are computed from it exactly,
-    otherwise by adaptive quadrature per block.
+    ``cumulative`` is the required exact antiderivative H(t) = int_0^t h,
+    with H(0) = 0 and H(1) = 1; rank-weight block integrals are differences
+    of H, so they are exact.
     """
 
     h: Callable = field(repr=False)
@@ -162,6 +163,10 @@ class SpectrumSpec:
     cumulative: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.cumulative is None:
+            raise InvalidSpectrum(
+                f"{self.name}: pass cumulative=H, the exact antiderivative H(t) = int_0^t h"
+            )
         grid = np.linspace(0.0, 1.0, VALIDATION_GRID_POINTS)
         vals = _eval_fn(self.h, grid)
         if not np.all(np.isfinite(vals)):
@@ -176,32 +181,17 @@ class SpectrumSpec:
             raise InvalidSpectrum(
                 f"{self.name}: spectrum integrates to {integral!r}, expected 1"
             )
-        if self.cumulative is not None:
-            h0 = float(_eval_fn(self.cumulative, np.array([0.0]))[0])
-            h1 = float(_eval_fn(self.cumulative, np.array([1.0]))[0])
-            if abs(h0) > DISTORTION_TOL or abs(h1 - 1.0) > DISTORTION_TOL:
-                raise InvalidSpectrum(
-                    f"{self.name}: cumulative spectrum must run from 0 to 1"
-                )
+        h0, h1 = _eval_fn(self.cumulative, np.array([0.0, 1.0]))
+        if abs(h0) > DISTORTION_TOL or abs(h1 - 1.0) > DISTORTION_TOL:
+            raise InvalidSpectrum(f"{self.name}: cumulative spectrum must run from 0 to 1")
 
     def block_weights(self, n: int) -> np.ndarray:
-        """Rank weights w_i = int_{(i-1)/n}^{i/n} h(u) du for i = 1..n."""
-        edges = np.arange(n + 1) / n
-        if self.cumulative is not None:
-            cum = _eval_fn(self.cumulative, edges)
-            return np.diff(cum)
-        from scipy.integrate import quad  # only custom spectra without a cumulative get here
-
-        return np.asarray(
-            [quad(lambda u: float(_eval_fn(self.h, np.array([u]))[0]), edges[i], edges[i + 1])[0]
-             for i in range(n)],
-            dtype=np.float64,
-        )
+        """Rank weights w_i = H(i/n) - H((i-1)/n) for i = 1..n."""
+        return np.diff(_eval_fn(self.cumulative, np.arange(n + 1) / n))
 
     def max_value(self) -> float:
-        """Largest spectrum value on the validation grid (= h(1) when monotone)."""
-        grid = np.linspace(0.0, 1.0, VALIDATION_GRID_POINTS)
-        return float(np.max(_eval_fn(self.h, grid)))
+        """Largest spectrum value, h(1), since h is checked to be non-decreasing."""
+        return float(_eval_fn(self.h, np.array([1.0]))[0])
 
 
 @dataclass(frozen=True)
@@ -239,8 +229,6 @@ class OceSpec:
         scale = max(1.0, float(np.max(np.abs(vals))))
         if vals.size > 2 and np.min(np.diff(vals, 2)) < -DISTORTION_TOL * scale:
             raise InvalidSpectrum(f"{self.name}: phi is not convex on the test grid")
-        # oce_lipschitz_constant results, keyed by (grid_size, inverted).
-        object.__setattr__(self, "_lipschitz", {})
 
 
 def identity_distortion() -> DistortionSpec:
@@ -303,17 +291,29 @@ def spectrum_to_distortion(spec: SpectrumSpec) -> DistortionSpec:
 
     This orientation puts the spectrum's heavy upper-quantile mass on the
     largest losses, so the CVaR spectrum maps to the CVaR distortion.
-    Requires an exact cumulative; g(t) = H(1) - H(1-t).
+    From the exact cumulative: g(t) = H(1) - H(1-t), with slope at most h(1).
     """
-    if spec.cumulative is None:
-        raise InvalidSpectrum(f"{spec.name}: exact cumulative required for conversion")
     cum = spec.cumulative
     return DistortionSpec(
         g=lambda t: 1.0 - np.asarray(_eval_fn(cum, 1.0 - np.asarray(t, dtype=np.float64))),
         name=f"distortion({spec.name})",
         lipschitz_constant=spec.max_value(),
-        lipschitz_estimated=True,
     )
+
+
+def _support_bound(cdf: EmpiricalCDF, support_bound: float | None) -> float:
+    """D for the Holder constants: the given bound, or the sample maximum.
+
+    The constants hold for losses in [0, D] only, so a D below the sample
+    maximum, or one that is not finite, is rejected.
+    """
+    if support_bound is None:
+        return cdf.max
+    d = float(support_bound)
+    if not (math.isfinite(d) and d >= cdf.max):
+        raise SupportViolation(f"support bound {d} must be finite and at least the "
+                               f"largest loss {cdf.max}")
+    return d
 
 
 def telescoped_distortion_value(sorted_losses: np.ndarray, spec: DistortionSpec) -> float:
@@ -332,7 +332,7 @@ def distortion_risk(cdf: EmpiricalCDF, spec: DistortionSpec,
     """Distortion risk of an empirical CDF via the telescoping sum."""
     if cdf.min < 0.0:
         raise InvalidLoss("distortion risk requires nonnegative losses")
-    d = cdf.max if support_bound is None else float(support_bound)
+    d = _support_bound(cdf, support_bound)
     return RiskValue(
         value=telescoped_distortion_value(cdf.values, spec),
         risk_name=spec.name,
@@ -351,11 +351,11 @@ def spectral_risk(cdf: EmpiricalCDF, spec: SpectrumSpec,
     if cdf.min < 0.0:
         raise InvalidLoss("spectral risk requires nonnegative losses")
     w = spec.block_weights(cdf.n)
-    d = cdf.max if support_bound is None else float(support_bound)
+    d = _support_bound(cdf, support_bound)
     return RiskValue(
         value=float(w @ cdf.values),
         risk_name=spec.name,
-        holder=HolderConstants(L=spec.max_value() * d, p=1.0, metric=SUP_NORM, estimated=True),
+        holder=HolderConstants(L=spec.max_value() * d, p=1.0, metric=SUP_NORM),
     )
 
 
@@ -402,26 +402,23 @@ def _check_oce_support(cdf: EmpiricalCDF, spec: OceSpec) -> None:
         )
 
 
-def oce_risk(cdf: EmpiricalCDF, spec: OceSpec, grid_size: int = VALIDATION_GRID_POINTS) -> RiskValue:
+def oce_risk(cdf: EmpiricalCDF, spec: OceSpec) -> RiskValue:
     """Optimized certainty equivalent: min over lambda in [0, D] of lambda + E[phi(X - lambda)]."""
     _check_oce_support(cdf, spec)
     return RiskValue(
         value=_oce_optimize(cdf.values, spec, sign=+1.0),
         risk_name=spec.name,
-        holder=HolderConstants(L=oce_lipschitz_constant(spec, grid_size), p=1.0,
-                               metric=SUP_NORM, estimated=True),
+        holder=HolderConstants(L=oce_lipschitz_constant(spec), p=1.0, metric=SUP_NORM),
     )
 
 
-def inverted_oce_risk(cdf: EmpiricalCDF, spec: OceSpec,
-                      grid_size: int = VALIDATION_GRID_POINTS) -> RiskValue:
+def inverted_oce_risk(cdf: EmpiricalCDF, spec: OceSpec) -> RiskValue:
     """Risk-seeking inversion: max over lambda in [0, D] of lambda - E[phi(lambda - X)]."""
     _check_oce_support(cdf, spec)
     return RiskValue(
         value=_oce_optimize(cdf.values, spec, sign=-1.0),
         risk_name=f"inverted_{spec.name}",
-        holder=HolderConstants(L=oce_lipschitz_constant(spec, grid_size, inverted=True),
-                               p=1.0, metric=SUP_NORM, estimated=True),
+        holder=HolderConstants(L=oce_lipschitz_constant(spec), p=1.0, metric=SUP_NORM),
     )
 
 
@@ -433,7 +430,7 @@ def mean_variance(cdf: EmpiricalCDF, c: float, support_bound: float | None = Non
     """
     m1 = moment(cdf, 1)
     m2 = moment(cdf, 2)
-    d = cdf.max if support_bound is None else float(support_bound)
+    d = _support_bound(cdf, support_bound)
     return RiskValue(
         value=m1 + c * (m2 - m1 * m1),
         risk_name=f"mean_var:{c:g}",
@@ -441,31 +438,17 @@ def mean_variance(cdf: EmpiricalCDF, c: float, support_bound: float | None = Non
     )
 
 
-def oce_lipschitz_constant(spec: OceSpec, grid_size: int = VALIDATION_GRID_POINTS,
-                           inverted: bool = False) -> float:
-    """Sup-norm Lipschitz constant of an OCE risk on losses in [0, D].
+def oce_lipschitz_constant(spec: OceSpec) -> float:
+    """Sup-norm Lipschitz constant of an OCE risk on losses in [0, D]: phi(D) - phi(0).
 
-    Standard direction: max over x in [0, D] of phi(D - x) - phi(-x).
-    Inverted direction: max over x in [0, D] of phi(x) - phi(x - D).
-    The constant depends on the spec alone, so each spec computes it once
-    per (grid_size, inverted).
+    The standard direction's constant is the max over x in [0, D] of
+    phi(D - x) - phi(-x), and the inverted one's is the max of
+    phi(x) - phi(x - D).  Increments of a convex phi grow with their start,
+    so the first is largest at x = 0 and the second at x = D; both equal
+    phi(D) - phi(0).
     """
-    key = (int(grid_size), bool(inverted))
-    if key not in spec._lipschitz:
-        spec._lipschitz[key] = _oce_lipschitz_on_grid(spec, *key)
-    return spec._lipschitz[key]
-
-
-def _oce_lipschitz_on_grid(spec: OceSpec, grid_size: int, inverted: bool) -> float:
-    d = spec.support_bound
-    if d == 0.0:
-        return 0.0
-    x = np.linspace(0.0, d, grid_size)
-    if inverted:
-        vals = _eval_fn(spec.phi, x) - _eval_fn(spec.phi, x - d)
-    else:
-        vals = _eval_fn(spec.phi, d - x) - _eval_fn(spec.phi, -x)
-    return float(np.max(vals))
+    at_zero, at_d = _eval_fn(spec.phi, np.array([0.0, spec.support_bound]))
+    return float(at_d - at_zero)
 
 
 def holder_risk_error(L: float, p: float, epsilon: float) -> float:
@@ -501,18 +484,17 @@ def _load_table_csv(path) -> tuple[np.ndarray, np.ndarray]:
 def load_distortion_csv(path, name: str | None = None) -> DistortionSpec:
     """Load a tabulated distortion (t, g(t)) with linear interpolation.
 
-    The Lipschitz constant is estimated as the maximum finite-difference
-    slope over the validation grid and flagged as estimated.
+    The Lipschitz constant is exact: the steepest |dg/dt| among the
+    interpolant's pieces that meet (0, 1), however short they are (outside
+    the table the interpolant is flat).
     """
     t, g = _load_table_csv(path)
-    grid = np.linspace(0.0, 1.0, VALIDATION_GRID_POINTS)
-    interp = np.interp(grid, t, g)
-    slope = float(np.max(np.abs(np.diff(interp)))) * (VALIDATION_GRID_POINTS - 1)
+    meets = (t[:-1] < 1.0) & (t[1:] > 0.0)
+    slopes = np.abs(np.diff(g) / np.diff(t))[meets]
     return DistortionSpec(
         g=lambda u: np.interp(np.asarray(u, dtype=np.float64), t, g),
         name=name or f"distortion_file:{path}",
-        lipschitz_constant=slope,
-        lipschitz_estimated=True,
+        lipschitz_constant=float(np.max(slopes, initial=0.0)),
     )
 
 

@@ -155,6 +155,28 @@ class TestCmdAssess:
         assert run(["assess", "--input", src, "--risk", token,
                     "--out", tmp_path / "x"]) == 2
 
+    def test_steep_distortion_file_bound(self, tmp_path):
+        src = tmp_path / "table.csv"
+        write_table(src, ["m"], [np.array([1.0, 2.0, 3.0, 4.0])])
+        dist = tmp_path / "steep.csv"
+        dist.write_text("t,g\n0,0\n0.5,0.1\n0.50001,0.9\n1,1\n")
+        out = tmp_path / "a"
+        assert run(["assess", "--input", src, "--risk", f"distortion-file:{dist}",
+                    "--support-bound", 4, "--out", out]) == 0
+        payload = json.loads((out / "assessment.json").read_text())
+        record = payload["records"][0]
+        assert record["L"] == pytest.approx(4 * 0.8 / 1e-5, rel=1e-9)
+        assert record["error_bound"] == pytest.approx(
+            record["L"] * payload["certificate"]["epsilon"], rel=1e-12)
+
+    @pytest.mark.parametrize("bound", ["-1", "3.5", "nan"])
+    def test_support_bound_below_losses_is_data_error(self, tmp_path, capsys, bound):
+        src = tmp_path / "table.csv"
+        write_table(src, ["m"], [np.array([1.0, 4.0])])
+        assert run(["assess", "--input", src, "--risk", "cvar:0.5", "--support-bound", bound,
+                    "--out", tmp_path / "x"]) == 3
+        assert "support bound" in capsys.readouterr().err
+
     def test_negative_loss_is_data_error(self, tmp_path):
         src = tmp_path / "table.csv"
         src.write_text("m\n-3\n")
@@ -315,6 +337,13 @@ class TestManifestRerun:
              "--seed", 5],
         )
 
+    def test_assess_rerun(self, tmp_path):
+        src = tmp_path / "table.csv"
+        write_table(src, ["m1", "m2"], [np.linspace(0, 1, 9), np.linspace(1, 0, 9) ** 2])
+        self.assert_rerun_identical(
+            tmp_path, ["assess", "--input", src, "--risk", "cvar:0.25", "--risk", "oce:entropic"]
+        )
+
     def test_cdf_rerun_and_digest_guard(self, tmp_path):
         src = tmp_path / "l.csv"
         write_losses(src, [3, 1, 4, 1, 5])
@@ -334,6 +363,56 @@ class TestManifestRerun:
         assert manifest["seed"] == 3
         assert manifest["version"]
         assert str(src) in manifest["input_digests"]
+
+
+CDF_ARGS = {"input": "losses.csv", "has_header": False, "out": ".", "seed": 0}
+
+# (case, argv, manifest text for MANIFEST or None, exit code)
+REJECTIONS = [
+    ("manifest-not-json", ["rerun", "--manifest", "MANIFEST"], "{not json", 2),
+    ("manifest-list", ["rerun", "--manifest", "MANIFEST"], "[1, 2]", 2),
+    ("manifest-args-number", ["rerun", "--manifest", "MANIFEST"],
+     json.dumps({"command": "cdf", "args": 5}), 2),
+    ("manifest-digests-list", ["rerun", "--manifest", "MANIFEST"],
+     json.dumps({"command": "cdf", "args": CDF_ARGS, "input_digests": [1]}), 2),
+    ("manifest-args-empty", ["rerun", "--manifest", "MANIFEST"],
+     json.dumps({"command": "cdf", "args": {}}), 2),
+    ("manifest-flag-type", ["rerun", "--manifest", "MANIFEST"],
+     json.dumps({"command": "cdf", "args": {**CDF_ARGS, "seed": "7"}, "input_digests": {}}), 2),
+    ("manifest-unknown-flag", ["rerun", "--manifest", "MANIFEST"],
+     json.dumps({"command": "cdf", "args": {**CDF_ARGS, "trials": 3}, "input_digests": {}}), 2),
+    ("manifest-command-list", ["rerun", "--manifest", "MANIFEST"],
+     json.dumps({"command": ["cdf"], "args": CDF_ARGS, "input_digests": {}}), 2),
+    ("manifest-input-undigested", ["rerun", "--manifest", "MANIFEST"],
+     json.dumps({"command": "cdf", "args": CDF_ARGS, "input_digests": {}}), 2),
+    ("manifest-missing", ["rerun", "--manifest", "MANIFEST"], None, 3),
+    ("hidden-negative", ["train", "--arch", "mlp_tanh", "--hidden", "-3", "--eta", 0.1], None, 2),
+    ("hidden-zero", ["train", "--arch", "mlp_tanh", "--hidden", "0", "--eta", 0.1], None, 2),
+    ("eta-nan", ["train", "--eta", "nan", "--iters", 3], None, 2),
+    ("beta-inf", ["train", "--beta", "inf", "--iters", 3], None, 2),
+    ("trials-zero", ["gradcheck", "--trials", 0], None, 2),
+    ("trials-negative", ["gradcheck", "--trials", -1], None, 2),
+    ("input-dim-negative", ["gradcheck", "--input-dim", -1, "--trials", 2], None, 2),
+    ("step-nan", ["gradcheck", "--step", "nan", "--trials", 2], None, 2),
+    ("growth-nan", ["bound", "--method", "growth", "--n", 10, "--growth", "nan"], None, 2),
+]
+
+
+class TestRejections:
+    """Bad flags and bad manifests end in one error line and exit 2 (3 for an
+    unreadable file), never in a traceback or a vacuous success."""
+
+    @pytest.mark.parametrize("argv, manifest, code", [case[1:] for case in REJECTIONS],
+                             ids=[case[0] for case in REJECTIONS])
+    def test_rejected(self, tmp_path, capsys, argv, manifest, code):
+        path = tmp_path / "manifest.json"
+        if manifest is not None:
+            path.write_text(manifest)
+        argv = [path if a == "MANIFEST" else a for a in argv]
+        assert run([*argv, "--out", tmp_path / "out"]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("riskcdf: error: ") and err.count("\n") == 1
 
 
 class TestEnvOverrides:

@@ -1,0 +1,85 @@
+"""riskcdf runs on numpy alone: every risk family and every subcommand work in
+a fresh interpreter where importing scipy fails."""
+
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import riskcdf
+
+SRC = str(Path(riskcdf.__file__).resolve().parents[1])
+
+SCRIPT = textwrap.dedent("""
+    import os
+    import sys
+
+    sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
+
+    import numpy as np
+
+    from riskcdf import cli, risks
+    from riskcdf.cdf import build_cdf
+
+    cdf = build_cdf([0.0, 1.0, 1.0, 2.5, 4.0])
+    values = [
+        risks.distortion_risk(cdf, risks.identity_distortion()),
+        risks.cvar(cdf, 0.4),
+        risks.spectral_risk(cdf, risks.uniform_spectrum()),
+        risks.spectral_risk(cdf, risks.cvar_spectrum(0.4)),
+        risks.distortion_risk(cdf, risks.spectrum_to_distortion(risks.cvar_spectrum(0.4))),
+        risks.mean_variance(cdf, 0.5),
+    ]
+    for spec in (risks.oce_mean_spec(4.0), risks.oce_entropic_spec(4.0),
+                 risks.oce_cvar_spec(0.4, 4.0)):
+        values += [risks.oce_risk(cdf, spec), risks.inverted_oce_risk(cdf, spec)]
+    assert all(np.isfinite(v.value) and np.isfinite(v.holder.L) for v in values)
+
+    work = sys.argv[1]
+    def path(name, text):
+        full = os.path.join(work, name)
+        with open(full, "w") as fh:
+            fh.write(text)
+        return full
+
+    table = path("table.csv", "a,b\\n0.5,1\\n2,0\\n3.5,4\\n1,1\\n")
+    dist = path("dist.csv", "t,g\\n0,0\\n0.5,0.8\\n1,1\\n")
+    spec = path("spec.csv", "u,h\\n0,0.5\\n1,1.5\\n")
+    tokens = ["mean", "cvar:0.5", "mean_var:0.5", "oce:mean", "oce:entropic", "oce:cvar:0.5",
+              f"distortion-file:{dist}", f"spectral-file:{spec}"]
+    assess = ["assess", "--input", table, "--support-bound", "4"]
+    for token in tokens:
+        assess += ["--risk", token]
+    runs = [
+        assess,
+        ["cdf", "--input", path("losses.csv", "3\\n1\\n2\\n")],
+        ["bound", "--method", "finite_class", "--class-size", "3", "--n", "50"],
+        ["train", "--risk", f"distortion-file:{dist}", "--eta", "0.1", "--iters", "3"],
+        ["complexity", "--input", path("matrix.csv", "1,2,3\\n3,2,1\\n")],
+        ["gradcheck", "--arch", "mlp_tanh", "--trials", "2"],
+    ]
+    for i, argv in enumerate(runs):
+        out = os.path.join(work, f"out{i}")
+        assert cli.main([*argv, "--out", out]) == 0, argv
+    manifest = os.path.join(work, "out0", "manifest.json")
+    assert cli.main(["rerun", "--manifest", manifest, "--out", os.path.join(work, "replay")]) == 0
+    assert sys.modules["scipy"] is None
+    print("ok")
+""")
+
+
+def test_runs_without_scipy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().endswith("ok")
+
+
+def test_no_module_imports_scipy():
+    pattern = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+    sources = sorted(Path(SRC, "riskcdf").glob("*.py"))
+    assert sources
+    assert [p.name for p in sources if pattern.search(p.read_text())] == []

@@ -330,6 +330,14 @@ class TestTrain:
         cfg = TrainConfig(distortion=identity_distortion(), iterations=100, beta=2.0)
         assert cfg.effective_eta == pytest.approx(1 / (2.0 * 10.0))
 
+    @pytest.mark.parametrize("rates", [
+        {"eta": float("nan")}, {"eta": float("inf")},
+        {"beta": float("nan")}, {"beta": float("inf")},
+    ])
+    def test_non_finite_rates_rejected(self, rates):
+        with pytest.raises(ConfigError, match="finite"):
+            TrainConfig(distortion=identity_distortion(), iterations=5, **rates)
+
     def test_trace_csv(self, tmp_path):
         model, X, y = random_problem("linear_squared", 9)
         cfg = TrainConfig(distortion=identity_distortion(), iterations=8, eta=0.01, seed=1)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskcdf.bounds import rademacher_finite_class, rademacher_permutation
-from riskcdf.errors import InvalidLoss, TooLarge
+from riskcdf.errors import ConfigError, InvalidLoss, TooLarge
 from riskcdf.permcomplexity import (
     LossMatrix,
     WeakOrder,
@@ -342,6 +342,12 @@ class TestMonteCarlo:
         est = monte_carlo_permutation_complexity(fns, _scalar_sampler, n=9, reps=2, seed=1,
                                                  allow_greedy=True)
         assert set(est.solvers) == {"greedy"}
+
+    @pytest.mark.parametrize("n, reps", [(4, 0), (4, -1), (0, 3)])
+    def test_empty_draws_rejected(self, n, reps):
+        fns = [lambda X, y: X[:, 0]]
+        with pytest.raises(ConfigError, match="reps >= 1"):
+            monte_carlo_permutation_complexity(fns, _scalar_sampler, n=n, reps=reps, seed=1)
 
 
 class TestCsvIngestion:

@@ -77,6 +77,18 @@ class TestDistortionRisk:
         assert rv.holder.L == pytest.approx(10.0)
         assert rv.holder.p == 1.0
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda cdf, d: distortion_risk(cdf, identity_distortion(), d),
+        lambda cdf, d: spectral_risk(cdf, uniform_spectrum(), d),
+        lambda cdf, d: mean_variance(cdf, 0.5, d),
+    ], ids=["distortion", "spectral", "mean_variance"])
+    @pytest.mark.parametrize("d", [-1.0, 4.9, float("nan"), float("inf")])
+    def test_support_bound_must_cover_the_sample(self, evaluate, d):
+        cdf = build_cdf([0.0, 1.0, 5.0])
+        with pytest.raises(SupportViolation, match="support bound"):
+            evaluate(cdf, d)
+        assert evaluate(cdf, 5.0).holder.L >= 5.0
+
     @given(loss_vectors)
     @settings(max_examples=80)
     def test_identity_matches_mean_to_1e12(self, losses):
@@ -151,10 +163,12 @@ class TestSpectralRisk:
         assert spectral_risk(build_cdf([2.0] * 5), uniform_spectrum()).value == pytest.approx(2.0)
 
     def test_invalid_spectra_rejected(self):
-        with pytest.raises(InvalidSpectrum):
-            SpectrumSpec(h=lambda u: 2.0 * np.ones_like(np.asarray(u)), name="mass2")
-        with pytest.raises(InvalidSpectrum):
-            SpectrumSpec(h=lambda u: 2.0 * (np.asarray(u) < 0.5), name="decreasing")
+        with pytest.raises(InvalidSpectrum, match="integrates to"):
+            SpectrumSpec(h=lambda u: 2.0 * np.ones_like(np.asarray(u)), name="mass2",
+                         cumulative=lambda t: 2.0 * np.asarray(t))
+        with pytest.raises(InvalidSpectrum, match="non-decreasing"):
+            SpectrumSpec(h=lambda u: 2.0 * (np.asarray(u) < 0.5), name="decreasing",
+                         cumulative=lambda t: 2.0 * np.minimum(np.asarray(t), 0.5))
 
     @given(loss_vectors, st.sampled_from([0.05, 0.2, 0.5, 1.0]))
     @settings(max_examples=60)
@@ -162,13 +176,18 @@ class TestSpectralRisk:
         cdf = build_cdf(losses)
         assert abs(spectral_risk(cdf, cvar_spectrum(alpha)).value - cvar(cdf, alpha).value) < 1e-12
 
-    def test_quadrature_fallback_without_cumulative(self):
-        spec = SpectrumSpec(h=lambda u: 2.0 * np.asarray(u, dtype=float), name="linear")
+    def test_spec_without_cumulative_rejected(self):
+        with pytest.raises(InvalidSpectrum, match="cumulative=H"):
+            SpectrumSpec(h=lambda u: 2.0 * np.asarray(u, dtype=float), name="linear")
+
+    def test_linear_spectrum_weights_are_exact(self):
+        spec = SpectrumSpec(h=lambda u: 2.0 * np.asarray(u, dtype=float), name="linear",
+                            cumulative=lambda t: np.asarray(t, dtype=float) ** 2)
         cdf = build_cdf([1, 2, 3, 4])
         # w_i = (i/n)^2 - ((i-1)/n)^2, here (1, 3, 5, 7)/16.
         expect = np.dot([1, 3, 5, 7], [1, 2, 3, 4]) / 16
-        assert spec.cumulative is None
-        assert spectral_risk(cdf, spec).value == pytest.approx(expect, rel=1e-9)
+        assert spectral_risk(cdf, spec).value == pytest.approx(expect, rel=1e-15)
+        assert spectral_risk(cdf, spec, support_bound=4.0).holder.L == 2.0 * 4.0
 
     def test_spectrum_to_distortion_reproduces_cvar(self):
         spec = spectrum_to_distortion(cvar_spectrum(0.5))
@@ -322,27 +341,120 @@ class TestOceLipschitzConstant:
         assert oce_lipschitz_constant(oce_mean_spec(0.0)) == 0.0
 
     def test_inverted_direction_linear(self):
-        assert oce_lipschitz_constant(oce_mean_spec(1.0), inverted=True) == pytest.approx(1.0)
+        cdf, spec = build_cdf([0.25, 1.0]), oce_mean_spec(1.0)
+        assert inverted_oce_risk(cdf, spec).holder.L == oce_risk(cdf, spec).holder.L == 1.0
 
-    def test_computed_once_per_spec(self):
-        calls = []
+    def test_constant_reads_phi_at_zero_and_d(self):
+        seen = []
 
         def phi(x):
-            calls.append(1)
+            seen.append(np.array(x, dtype=np.float64))
             return np.expm1(np.asarray(x, dtype=np.float64))
 
         spec = OceSpec(phi=phi, support_bound=2.0)
-        fresh = oce_entropic_spec(2.0)
-        for inverted in (False, True):
-            first = oce_lipschitz_constant(spec, inverted=inverted)
-            seen = len(calls)
-            assert oce_lipschitz_constant(spec, inverted=inverted) == first
-            assert len(calls) == seen
-            assert first == oce_lipschitz_constant(fresh, inverted=inverted)
-        before = len(calls)
-        oce_risk(build_cdf([0.5, 1.0]), spec)
-        oce_lipschitz_constant(spec, grid_size=101)
-        assert len(calls) > before  # the search and a new grid size still evaluate phi
+        seen.clear()
+        assert oce_lipschitz_constant(spec) == np.expm1(2.0)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], [0.0, 2.0])
+
+
+GRID_POINTS = 10_001
+
+CONVEX_PHIS = {
+    "squared_hinge": lambda x: np.maximum(np.asarray(x, dtype=float), 0.0) ** 2,
+    "two_slopes": lambda x: np.maximum(0.5 * np.asarray(x, dtype=float), 2.0 * np.asarray(x)),
+    "softplus": lambda x: np.logaddexp(0.0, np.asarray(x, dtype=float)) - np.log(2.0),
+}
+
+
+def grid_oce_lipschitz(spec, inverted):
+    """The former grid estimate of an OCE constant, kept as an oracle: the max
+    over x on a 10,001-point grid of [0, D] of phi(D - x) - phi(-x), or of
+    phi(x) - phi(x - D) for the inverted risk."""
+    d = spec.support_bound
+    if d == 0.0:
+        return 0.0
+    x = np.linspace(0.0, d, GRID_POINTS)
+    if inverted:
+        vals = spec.phi(x) - spec.phi(x - d)
+    else:
+        vals = spec.phi(d - x) - spec.phi(-x)
+    return float(np.max(vals))
+
+
+def grid_spectrum_max(spec):
+    """The former grid estimate of a spectrum's largest value, kept as an oracle."""
+    return float(np.max(spec.h(np.linspace(0.0, 1.0, GRID_POINTS))))
+
+
+def grid_distortion_slope(t, g):
+    """The former grid estimate of a distortion table's slope, kept as an oracle:
+    the largest finite difference of the interpolant on a 10,001-point grid."""
+    interp = np.interp(np.linspace(0.0, 1.0, GRID_POINTS), t, g)
+    return float(np.max(np.abs(np.diff(interp)))) * (GRID_POINTS - 1)
+
+
+def write_table(path, t, v):
+    path.write_text("t,v\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(t, v)))
+    return path
+
+
+class TestExactConstantsAgainstGrids:
+    SUPPORTS = [0.0, 1e-3, 0.37, 1.0, 5.0, 20.0, 300.0]
+    ALPHAS = [0.01, 0.05, 0.1, 0.5, 1.0]
+
+    def oce_specs(self, d):
+        yield oce_mean_spec(d)
+        yield oce_entropic_spec(d)
+        for alpha in self.ALPHAS:
+            yield oce_cvar_spec(alpha, support_bound=d)
+        for name, phi in CONVEX_PHIS.items():
+            yield OceSpec(phi=phi, support_bound=d, name=name)
+
+    @pytest.mark.parametrize("d", SUPPORTS)
+    def test_oce_constant_equals_grid_bit_for_bit(self, d):
+        cdf = build_cdf([0.0, d])
+        for spec in self.oce_specs(d):
+            upper, lower = oce_risk(cdf, spec).holder.L, inverted_oce_risk(cdf, spec).holder.L
+            assert upper == lower == oce_lipschitz_constant(spec), spec.name
+            assert upper == grid_oce_lipschitz(spec, inverted=False), spec.name
+            assert lower == grid_oce_lipschitz(spec, inverted=True), spec.name
+
+    def test_spectrum_constant_equals_grid_bit_for_bit(self, tmp_path):
+        # Shaped like the benchmark's table: increasing h on 0, 0.3, 0.6, 0.9, 1.
+        u = np.array([0.0, 0.3, 0.6, 0.9, 1.0])
+        h = np.cumsum(np.random.default_rng(3).uniform(0.1, 1.0, u.size))
+        h /= float(np.sum(0.5 * (h[1:] + h[:-1]) * np.diff(u)))
+        table = load_spectrum_csv(write_table(tmp_path / "spec.csv", u, h))
+        specs = [uniform_spectrum(), table] + [cvar_spectrum(a) for a in self.ALPHAS]
+        cdf = build_cdf([0.5, 2.0])
+        for spec in specs:
+            assert spec.max_value() == grid_spectrum_max(spec), spec.name
+            assert spectral_risk(cdf, spec, support_bound=2.0).holder.L == grid_spectrum_max(spec) * 2.0
+            assert spectrum_to_distortion(spec).lipschitz_constant == grid_spectrum_max(spec)
+
+    def test_distortion_slope_matches_grid_on_wide_pieces(self, tmp_path):
+        # Concave and shaped like the benchmark's table: knots on multiples of 0.1.
+        t = np.array([0.0, 0.2, 0.5, 0.7, 1.0])
+        g = np.concatenate([[0.0], np.cumsum(np.array([2.7, 1.4, 0.9, 0.3]) * np.diff(t))])
+        g /= g[-1]
+        spec = load_distortion_csv(write_table(tmp_path / "dist.csv", t, g))
+        assert spec.lipschitz_constant == pytest.approx(grid_distortion_slope(t, g), rel=1e-12)
+
+    def test_steep_short_piece_is_exact(self, tmp_path):
+        t, g = [0.0, 0.5, 0.50001, 1.0], [0.0, 0.1, 0.9, 1.0]
+        spec = load_distortion_csv(write_table(tmp_path / "steep.csv", t, g))
+        assert spec.lipschitz_constant == pytest.approx(0.8 / 1e-5, rel=1e-9)
+        # The grid steps over the 1e-5-wide piece and reports a tenth of the slope.
+        assert grid_distortion_slope(t, g) < spec.lipschitz_constant / 9
+        cdf = build_cdf([1.0, 3.0])
+        assert distortion_risk(cdf, spec, support_bound=4.0).holder.L == spec.lipschitz_constant * 4.0
+
+    def test_pieces_outside_unit_interval_ignored(self, tmp_path):
+        # Steep pieces end at t = 0 and start at t = 1; g is the identity between.
+        t, g = [-0.5, 0.0, 1.0, 1.0001], [-5.0, 0.0, 1.0, 3.0]
+        spec = load_distortion_csv(write_table(tmp_path / "outside.csv", t, g))
+        assert spec.lipschitz_constant == 1.0
 
 
 class TestHolderRiskError:
@@ -357,8 +469,7 @@ class TestTableLoaders:
         path = tmp_path / "dist.csv"
         path.write_text("t,g\n0,0\n0.5,0.8\n1,1\n")
         spec = load_distortion_csv(path)
-        assert spec.lipschitz_estimated
-        assert spec.lipschitz_constant == pytest.approx(1.6, rel=1e-3)
+        assert spec.lipschitz_constant == pytest.approx(1.6, rel=1e-15)
         cdf = build_cdf([1, 2])
         # g(1)=1, g(0.5)=0.8: telescoping 1*1 + 0.8*1 = 1.8.
         assert distortion_risk(cdf, spec).value == pytest.approx(1.8)
