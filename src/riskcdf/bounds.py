@@ -133,6 +133,12 @@ class BoundCertificate:
     epsilon: float
     inputs: dict = field(default_factory=dict)
 
+    @property
+    def vacuous(self) -> bool:
+        """Whether epsilon >= 1: a sup-norm CDF distance never exceeds 1, so
+        such a bound certifies nothing."""
+        return self.epsilon >= 1.0
+
     def to_dict(self) -> dict:
         return {
             "method": self.method,
@@ -141,6 +147,7 @@ class BoundCertificate:
             "inputs": self.inputs,
             "rademacher_bound": self.rademacher_bound,
             "epsilon": self.epsilon,
+            "vacuous": self.vacuous,
         }
 
 

@@ -173,30 +173,34 @@ def run_assess(params: dict, out_dir: str) -> None:
     table = data.load_loss_table(params["input"])
     n = params["n"] if params["n"] is not None else table.n
     support = params["support_bound"]
-    if support is None:
+    inferred = support is None
+    if inferred:
         support = float(np.max(table.values)) if table.values.size else 0.0
     cert = bounds.certificate_finite_class(n, table.n_models, params["delta"])
     tokens = params["risks"] or ["mean"]
-    records = []
-    matrix: dict[str, dict[str, float]] = {}
     evaluators = {token: _risk_evaluator(token, support) for token in tokens}
-    for token, evaluate in evaluators.items():
-        matrix[token] = {}
-        for name in table.names:
-            rv = evaluate(build_cdf(table.column(name)))
+    # One sorted CDF per model, shared by every token; records stay token-major.
+    cells: dict[str, list[risks.RiskValue]] = {token: [] for token in evaluators}
+    for name in table.names:
+        cdf = build_cdf(table.column(name))
+        for token, evaluate in evaluators.items():
+            cells[token].append(evaluate(cdf))
+    records = []
+    for row in cells.values():
+        for name, rv in zip(table.names, row):
             eb = None if rv.holder.L is None else bounds.risk_error_bound(cert, rv.holder.L)
             records.append(risks.risk_record(name, rv, eb))
-            matrix[token][name] = rv.value
     payload = {
         "certificate": cert.to_dict(),
         "support_bound": support,
+        "support_bound_inferred": inferred,
         "records": records,
     }
     _write_json(payload, os.path.join(out_dir, "assessment.json"))
     with open(os.path.join(out_dir, "assessment.csv"), "w", newline="") as fh:
         fh.write("risk," + ",".join(table.names) + "\n")
         for token in tokens:
-            row = ",".join(f"{matrix[token][name]:.17g}" for name in table.names)
+            row = ",".join(f"{rv.value:.17g}" for rv in cells[token])
             fh.write(f"{token},{row}\n")
     print(f"{PROG} assess: {len(tokens)} risks x {table.n_models} models, "
           f"epsilon={cert.epsilon:.6g} (one shared certificate)")
@@ -228,6 +232,9 @@ def run_bound(params: dict, out_dir: str) -> None:
         raise ConfigError(f"unknown method {method!r}")
     _write_json(cert.to_dict(), os.path.join(out_dir, "certificate.json"))
     print(f"{PROG} bound: method={method} n={n} delta={delta} epsilon={cert.epsilon:.6g}")
+    if cert.vacuous:
+        print(f"{PROG} bound: note: epsilon >= 1 is vacuous; a CDF sup-norm distance "
+              "never exceeds 1, so this certifies nothing")
 
 
 def run_train(params: dict, out_dir: str) -> None:

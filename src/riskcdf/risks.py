@@ -7,7 +7,9 @@ Supported families:
   custom distortions);
 * spectral (rank-weighted) risks with a non-decreasing spectrum h that
   integrates to 1;
-* optimized certainty equivalents (OCE) and their risk-seeking inversion;
+* optimized certainty equivalents (OCE) and their risk-seeking inversion:
+  the mean, entropic and CVaR presets in closed form, a user-supplied phi
+  by golden-section search over lambda;
 * moment composites (mean + c * variance).
 
 On a step CDF the distortion integral collapses to the sorted-loss
@@ -204,12 +206,17 @@ class OceSpec:
     max(1, max |phi|)).  Convexity makes the OCE objective convex in lambda,
     which the golden-section search relies on.  ``tolerance`` is the target
     bracket width of the lambda search.
+
+    ``closed_form(sorted_losses, sign)``, when set, is the exact OCE value
+    (``sign=+1``) or its inversion (``sign=-1``) and replaces the search;
+    only the presets set it, and it must agree with phi.
     """
 
     phi: Callable = field(repr=False)
     support_bound: float
     name: str = "oce"
     tolerance: float = 1e-7
+    closed_form: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.support_bound < 0:
@@ -237,12 +244,17 @@ def identity_distortion() -> DistortionSpec:
                           name="mean", lipschitz_constant=1.0)
 
 
+def _cvar_g(a: float) -> Callable:
+    """The CVaR distortion g(t) = min(t/a, 1) as a plain vectorised function."""
+    return lambda t: np.minimum(np.asarray(t, dtype=np.float64) / a, 1.0)
+
+
 def cvar_distortion(alpha: float) -> DistortionSpec:
     """g(t) = min(t/alpha, 1): expected value of the top 100*alpha% losses."""
     if not (0.0 < alpha <= 1.0):
         raise InvalidAlpha(f"alpha must be in (0, 1], got {alpha}")
     return DistortionSpec(
-        g=lambda t, a=float(alpha): np.minimum(np.asarray(t, dtype=np.float64) / a, 1.0),
+        g=_cvar_g(float(alpha)),
         name=f"cvar:{alpha:g}",
         lipschitz_constant=1.0 / alpha,
     )
@@ -268,22 +280,43 @@ def cvar_spectrum(alpha: float) -> SpectrumSpec:
 def oce_mean_spec(support_bound: float, tolerance: float = 1e-7) -> OceSpec:
     """phi(x) = x: lambda cancels and the OCE reduces to the mean."""
     return OceSpec(phi=lambda x: np.asarray(x, dtype=np.float64),
-                   support_bound=support_bound, name="oce:mean", tolerance=tolerance)
+                   support_bound=support_bound, name="oce:mean", tolerance=tolerance,
+                   closed_form=lambda x, sign: float(np.mean(x)))
 
 
 def oce_cvar_spec(alpha: float, support_bound: float, tolerance: float = 1e-7) -> OceSpec:
-    """phi(x) = max(x, 0)/alpha: the certainty-equivalent form of CVaR."""
+    """phi(x) = max(x, 0)/alpha: the certainty-equivalent form of CVaR.
+
+    The objective is piecewise linear in lambda with its optimum at a sample
+    quantile, so the value is a telescoped distortion sum: the upper-tail
+    CVaR g(t) = min(t/alpha, 1) (equal to :func:`cvar`) and, inverted, the
+    lower-tail mean g(t) = max(t - 1 + alpha, 0)/alpha.
+    """
     if not (0.0 < alpha <= 1.0):
         raise InvalidAlpha(f"alpha must be in (0, 1], got {alpha}")
     a = float(alpha)
+    upper = _cvar_g(a)
+
+    def lower(t):
+        return np.maximum(np.asarray(t, dtype=np.float64) - (1.0 - a), 0.0) / a
+
     return OceSpec(phi=lambda x: np.maximum(np.asarray(x, dtype=np.float64), 0.0) / a,
-                   support_bound=support_bound, name=f"oce:cvar:{alpha:g}", tolerance=tolerance)
+                   support_bound=support_bound, name=f"oce:cvar:{alpha:g}", tolerance=tolerance,
+                   closed_form=lambda x, sign: telescoped_distortion_value(
+                       x, upper if sign > 0 else lower))
+
+
+def _entropic_value(x: np.ndarray, sign: float) -> float:
+    """sign * log mean exp(sign * x), shifted by the extreme value so exp never overflows."""
+    m = float(x[-1] if sign > 0 else x[0])
+    return m + sign * float(np.log(np.mean(np.exp(sign * (x - m)))))
 
 
 def oce_entropic_spec(support_bound: float, tolerance: float = 1e-7) -> OceSpec:
-    """phi(x) = exp(x) - 1: the entropic risk."""
+    """phi(x) = exp(x) - 1: the entropic risk, log mean exp(x) in closed form."""
     return OceSpec(phi=lambda x: np.expm1(np.asarray(x, dtype=np.float64)),
-                   support_bound=support_bound, name="oce:entropic", tolerance=tolerance)
+                   support_bound=support_bound, name="oce:entropic", tolerance=tolerance,
+                   closed_form=_entropic_value)
 
 
 def spectrum_to_distortion(spec: SpectrumSpec) -> DistortionSpec:
@@ -316,10 +349,11 @@ def _support_bound(cdf: EmpiricalCDF, support_bound: float | None) -> float:
     return d
 
 
-def telescoped_distortion_value(sorted_losses: np.ndarray, spec: DistortionSpec) -> float:
+def telescoped_distortion_value(sorted_losses: np.ndarray, spec: Callable) -> float:
     """Exact distortion risk of a sorted nonnegative loss sample.
 
-    Evaluates sum_i g(1 - (i-1)/n) * (x_(i) - x_(i-1)) with x_(0) = 0.
+    Evaluates sum_i g(1 - (i-1)/n) * (x_(i) - x_(i-1)) with x_(0) = 0, where
+    g is ``spec``: a :class:`DistortionSpec` or a vectorised g it would accept.
     """
     v = np.asarray(sorted_losses, dtype=np.float64)
     n = v.shape[0]
@@ -378,14 +412,20 @@ def _golden_section(fn: Callable[[float], float], lo: float, hi: float, tol: flo
 
 
 def _oce_optimize(losses: np.ndarray, spec: OceSpec, sign: float) -> float:
-    """Golden-section search of the certainty-equivalent objective over [0, D].
+    """The certainty-equivalent optimum over lambda in [0, D] for sorted losses.
 
     ``sign=+1`` minimizes lambda + mean(phi(x - lambda)); ``sign=-1``
-    minimizes the negation of lambda - mean(phi(lambda - x)).  Both are
-    convex in lambda because phi is (checked by :class:`OceSpec`), so one
-    search brackets the minimizer to ``spec.tolerance`` without a grid:
-    O(n log(D / tolerance)) time and O(n) memory.
+    minimizes the negation of lambda - mean(phi(lambda - x)).  A preset's
+    ``closed_form`` gives the optimum exactly in O(n); its optimizer is a
+    sample statistic in [min x, max x], inside [0, D].  For any other phi,
+    both objectives are convex in lambda because phi is (checked by
+    :class:`OceSpec`), so one golden-section search brackets the minimizer
+    to ``spec.tolerance`` without a grid: O(n log(D / tolerance)) time and
+    O(n) memory.
     """
+    if spec.closed_form is not None:
+        return spec.closed_form(losses, sign)
+
     def objective(lam: float) -> float:
         shifted = sign * (losses - lam)
         return sign * lam + float(np.mean(_eval_fn(spec.phi, shifted)))

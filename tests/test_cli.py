@@ -89,6 +89,22 @@ class TestCmdBound:
         assert run(["bound", "--method", "finite_class", "--n", 100,
                     "--out", tmp_path / "x"]) == 2
 
+    def test_vacuous_certificate_is_marked(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert run(["bound", "--method", "vc_sauer", "--nu", 100000, "--n", 10,
+                    "--out", out]) == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["epsilon"] >= 1 and cert["vacuous"] is True
+        assert "vacuous" in capsys.readouterr().out
+
+    def test_informative_certificate_is_not_vacuous(self, tmp_path, capsys):
+        out = tmp_path / "f"
+        assert run(["bound", "--method", "finite_class", "--class-size", 5,
+                    "--n", 100, "--delta", 0.1, "--out", out]) == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["epsilon"] < 1 and cert["vacuous"] is False
+        assert "vacuous" not in capsys.readouterr().out
+
 
 class TestCmdAssess:
     def test_single_certificate_and_ratio(self, tmp_path):
@@ -181,6 +197,75 @@ class TestCmdAssess:
         src = tmp_path / "table.csv"
         src.write_text("m\n-3\n")
         assert run(["assess", "--input", src, "--out", tmp_path / "x"]) == 3
+
+    @pytest.mark.parametrize("flags, inferred, support", [
+        ([], True, 4.0), (["--support-bound", 5], False, 5.0)], ids=["inferred", "given"])
+    def test_support_bound_inferred_flag(self, tmp_path, flags, inferred, support):
+        src = tmp_path / "table.csv"
+        write_table(src, ["m"], [np.array([1.0, 4.0])])
+        out = tmp_path / "a"
+        assert run(["assess", "--input", src, "--risk", "mean", *flags, "--out", out]) == 0
+        payload = json.loads((out / "assessment.json").read_text())
+        assert payload["support_bound_inferred"] is inferred
+        assert payload["support_bound"] == support
+
+
+class TestAssessHotPath:
+    """Guards on what one assess run computes: one CDF per model, no OCE search
+    for the presets, and the same values as evaluating each cell on its own."""
+
+    TOKENS = ["mean", "cvar:0.25", "mean_var:0.5", "oce:entropic"]
+
+    def write(self, tmp_path):
+        src = tmp_path / "table.csv"
+        rng = rng_from(3, "hot-path")
+        cols = [np.round(rng.random(50) * 8) / 4 for _ in range(3)]  # ties
+        write_table(src, ["m1", "m2", "m3"], cols)
+        return src, cols
+
+    def assess(self, src, out, tokens):
+        argv = ["assess", "--input", src, "--support-bound", 2, "--out", out]
+        for token in tokens:
+            argv += ["--risk", token]
+        assert run(argv) == 0
+        return json.loads((out / "assessment.json").read_text())
+
+    def test_one_cdf_per_model(self, tmp_path, monkeypatch):
+        import riskcdf.cli as cli
+
+        built = []
+        original = cli.build_cdf
+        monkeypatch.setattr(cli, "build_cdf", lambda x: built.append(1) or original(x))
+        src, _ = self.write(tmp_path)
+        payload = self.assess(src, tmp_path / "a", self.TOKENS)
+        assert len(built) == 3
+        assert [(r["risk_name"], r["model"]) for r in payload["records"]] == [
+            (token, m) for token in self.TOKENS for m in ("m1", "m2", "m3")]
+
+    def test_presets_never_search(self, tmp_path, monkeypatch):
+        import riskcdf.risks as risks
+
+        searches = []
+        monkeypatch.setattr(risks, "_golden_section", lambda *a: searches.append(a))
+        src, _ = self.write(tmp_path)
+        self.assess(src, tmp_path / "a", ["oce:mean", "oce:entropic", "oce:cvar:0.3"])
+        assert searches == []
+
+    def test_values_equal_per_cell_evaluation(self, tmp_path):
+        from riskcdf import risks
+        from riskcdf.cdf import build_cdf
+
+        src, cols = self.write(tmp_path)
+        payload = self.assess(src, tmp_path / "a", self.TOKENS)
+        per_cell = {
+            "mean": lambda c: risks.distortion_risk(c, risks.identity_distortion(), 2.0),
+            "cvar:0.25": lambda c: risks.cvar(c, 0.25, 2.0),
+            "mean_var:0.5": lambda c: risks.mean_variance(c, 0.5, 2.0),
+        }
+        records = {(r["risk_name"], r["model"]): r["value"] for r in payload["records"]}
+        for token, evaluate in per_cell.items():
+            for name, col in zip(("m1", "m2", "m3"), cols):
+                assert records[(token, name)] == evaluate(build_cdf(col)).value
 
 
 class TestCmdTrain:

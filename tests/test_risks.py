@@ -283,23 +283,23 @@ class TestOceAgainstOracles:
     def test_mean_preset(self):
         for x, d, _ in random_oce_cases():
             cdf, spec = build_cdf(x), oce_mean_spec(d)
-            assert oce_risk(cdf, spec).value == pytest.approx(np.mean(x), abs=1e-6)
-            assert inverted_oce_risk(cdf, spec).value == pytest.approx(np.mean(x), abs=1e-6)
+            assert oce_risk(cdf, spec).value == pytest.approx(np.mean(x), abs=1e-12)
+            assert inverted_oce_risk(cdf, spec).value == pytest.approx(np.mean(x), abs=1e-12)
 
     def test_entropic_preset(self):
         for x, d, _ in random_oce_cases():
             cdf, spec = build_cdf(x), oce_entropic_spec(d)
             assert oce_risk(cdf, spec).value == pytest.approx(
-                np.log(np.mean(np.exp(x))), abs=1e-6)
+                np.log(np.mean(np.exp(x))), abs=1e-12)
             assert inverted_oce_risk(cdf, spec).value == pytest.approx(
-                -np.log(np.mean(np.exp(-x))), abs=1e-6)
+                -np.log(np.mean(np.exp(-x))), abs=1e-12)
 
     def test_cvar_preset(self):
         for x, d, alpha in random_oce_cases():
             cdf, spec = build_cdf(x), oce_cvar_spec(alpha, support_bound=d)
             upper, lower = cvar_kink_oracles(x, alpha)
-            assert oce_risk(cdf, spec).value == pytest.approx(upper, abs=1e-6)
-            assert inverted_oce_risk(cdf, spec).value == pytest.approx(lower, abs=1e-6)
+            assert oce_risk(cdf, spec).value == pytest.approx(upper, abs=1e-12)
+            assert inverted_oce_risk(cdf, spec).value == pytest.approx(lower, abs=1e-12)
 
     def test_non_convex_phi_rejected(self):
         with pytest.raises(InvalidSpectrum, match="convex"):
@@ -320,6 +320,85 @@ class TestOceAgainstOracles:
         finally:
             tracemalloc.stop()
         assert peak < 50e6
+
+
+def searched(spec):
+    """The same phi and support without the closed form: the golden-section search."""
+    return OceSpec(phi=spec.phi, support_bound=spec.support_bound, name=spec.name,
+                   tolerance=spec.tolerance)
+
+
+PRESETS = {
+    "mean": lambda d, alpha: oce_mean_spec(d),
+    "entropic": lambda d, alpha: oce_entropic_spec(d),
+    "cvar": lambda d, alpha: oce_cvar_spec(alpha, support_bound=d),
+}
+
+
+class TestOceClosedForms:
+    @pytest.mark.parametrize("preset", list(PRESETS))
+    def test_preset_matches_search(self, preset):
+        for x, d, alpha in random_oce_cases():
+            cdf, spec = build_cdf(x), PRESETS[preset](d, alpha)
+            assert spec.closed_form is not None
+            oracle = searched(spec)
+            assert oracle.closed_form is None
+            assert oce_risk(cdf, spec).value == pytest.approx(
+                oce_risk(cdf, oracle).value, abs=1e-6)
+            assert inverted_oce_risk(cdf, spec).value == pytest.approx(
+                inverted_oce_risk(cdf, oracle).value, abs=1e-6)
+
+    def test_cvar_preset_equals_cvar_exactly(self):
+        for x, d, alpha in random_oce_cases():
+            cdf = build_cdf(x)
+            assert oce_risk(cdf, oce_cvar_spec(alpha, d)).value == cvar(cdf, alpha).value
+
+    def test_closed_form_skips_the_search(self, monkeypatch):
+        import riskcdf.risks as risks_module
+
+        calls = []
+        search = risks_module._golden_section
+        monkeypatch.setattr(risks_module, "_golden_section",
+                            lambda *a: calls.append(a) or search(*a))
+        cdf = build_cdf([0.5, 1.0, 2.0])
+        for spec in (oce_mean_spec(2.0), oce_entropic_spec(2.0), oce_cvar_spec(0.3, 2.0)):
+            oce_risk(cdf, spec)
+            inverted_oce_risk(cdf, spec)
+        assert calls == []
+        oce_risk(cdf, searched(oce_entropic_spec(2.0)))
+        assert len(calls) == 1
+
+    def test_closed_form_not_compared(self):
+        spec = oce_mean_spec(1.0)
+        assert spec == searched(spec)
+        assert "closed_form" not in repr(spec)
+
+    @pytest.mark.parametrize("losses, d", [
+        ([2.5], 3.0),                 # n = 1
+        ([1.0, 1.0, 1.0, 1.0], 2.0),  # constant sample
+        ([0.0, 0.0, 0.0], 0.0),       # D = 0
+    ], ids=["n1", "constant", "d0"])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1])
+    def test_degenerate_samples(self, losses, d, alpha):
+        cdf, value = build_cdf(losses), losses[0]
+        for spec in (oce_mean_spec(d), oce_entropic_spec(d), oce_cvar_spec(alpha, d)):
+            assert oce_risk(cdf, spec).value == pytest.approx(value, abs=1e-15)
+            assert inverted_oce_risk(cdf, spec).value == pytest.approx(value, abs=1e-15)
+
+    def test_alpha_one_is_the_mean(self):
+        x = np.array([0.0, 1.0, 1.0, 3.5, 7.0])
+        cdf, spec = build_cdf(x), oce_cvar_spec(1.0, 7.0)
+        assert oce_risk(cdf, spec).value == pytest.approx(np.mean(x), abs=1e-15)
+        assert inverted_oce_risk(cdf, spec).value == pytest.approx(np.mean(x), abs=1e-15)
+
+    def test_alpha_below_one_over_n(self):
+        # alpha * n = 0.4 < 1: the upper value is the maximum, the lower the minimum.
+        x = np.array([1.0, 2.0, 2.0, 6.0])
+        cdf, spec = build_cdf(x), oce_cvar_spec(0.1, 6.0)
+        assert oce_risk(cdf, spec).value == pytest.approx(6.0, abs=1e-15)
+        assert inverted_oce_risk(cdf, spec).value == pytest.approx(1.0, abs=1e-15)
+        assert oce_risk(cdf, searched(spec)).value == pytest.approx(6.0, abs=1e-6)
+        assert inverted_oce_risk(cdf, searched(spec)).value == pytest.approx(1.0, abs=1e-6)
 
 
 class TestMeanVariance:
