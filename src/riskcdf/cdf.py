@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import read_numeric_csv
 from .errors import EmptySample, FormatError, InvalidLoss, InvalidOrder, SupportViolation
 
 __all__ = [
@@ -180,24 +181,13 @@ def distance_report(a: EmpiricalCDF, b: EmpiricalCDF, support_bound: float) -> C
 def read_losses_csv(path, has_header: bool = False) -> np.ndarray:
     """Read a single-column CSV of loss values.
 
-    The header row is skipped when ``has_header`` is set.  Parse failures
-    raise :class:`FormatError` naming the offending row.
+    Parsed by :func:`riskcdf.data.read_numeric_csv`; the first filled row
+    is a header when ``has_header`` is set.
     """
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader):
-            if has_header and i == 0:
-                continue
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue
-            if len(row) != 1:
-                raise FormatError(f"{path}: row {i + 1}: expected a single column, got {len(row)}")
-            try:
-                out.append(float(row[0]))
-            except ValueError:
-                raise FormatError(f"{path}: row {i + 1}: not a number: {row[0]!r}") from None
-    return np.asarray(out, dtype=np.float64)
+    _, values = read_numeric_csv(path, header=has_header)
+    if values.shape[1] != 1:
+        raise FormatError(f"{path}: expected a single column, got {values.shape[1]}")
+    return values[:, 0]
 
 
 def write_cdf_csv(cdf: EmpiricalCDF, path) -> None:

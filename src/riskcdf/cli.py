@@ -239,7 +239,14 @@ def run_bound(params: dict, out_dir: str) -> None:
 
 def run_train(params: dict, out_dir: str) -> None:
     if params["input"] is not None:
-        dataset = data.load_dataset_csv(params["input"], label_column=params["label_column"],
+        label = params["label_column"]
+        if not params["has_header"]:
+            try:
+                label = int(label)
+            except ValueError:
+                raise ConfigError(f"--label-column must be a column index with --no-has-header, "
+                                  f"got {label!r}") from None
+        dataset = data.load_dataset_csv(params["input"], label_column=label,
                                         has_header=params["has_header"])
     else:
         dataset = data.toy_blobs(seed=derive_seed(params["seed"], "data"))
@@ -469,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--input", default=None,
                    help="dataset CSV; omitted = built-in imbalanced blob preset")
-    p.add_argument("--label-column", dest="label_column", default="label")
+    p.add_argument("--label-column", dest="label_column", default="label",
+                   help="label header name, or a 0-based column index with --no-has-header")
     p.add_argument("--has-header", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--arch", default="logistic_crossentropy",
                    choices=["linear_squared", "logistic_crossentropy", "mlp_tanh"])

@@ -2,8 +2,9 @@
 
 Gaussian blob generation uses an explicit Box-Muller transform over a
 counter-based (Philox) generator, so a dataset is a pure function of its
-parameters and seed on every platform.  CSV loaders report parse failures
-with exact row/column positions.
+parameters and seed on every platform.  Every CSV input riskcdf reads is
+parsed by :func:`read_numeric_csv`, which reports a parse failure with its
+exact file row and column.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "load_dataset_csv",
     "save_dataset_csv",
     "load_loss_table",
+    "read_numeric_csv",
 ]
 
 # Imbalanced two-cluster toy setting: a diffuse majority at the origin and
@@ -144,52 +146,23 @@ def load_dataset_csv(path, label_column: str | int = "label",
     """Load a dataset; features are the non-label columns in header order.
 
     ``label_column`` is a header name (with ``has_header``) or a 0-based
-    column index.  Any non-numeric cell raises :class:`FormatError` naming
-    the cell.
+    column index.  Parsed by :func:`read_numeric_csv`, so any non-numeric
+    cell raises :class:`FormatError` naming the cell.
     """
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    if not rows:
-        raise EmptySample(f"{path}: no rows")
-    if has_header:
-        header = [c.strip() for c in rows[0]]
-        body = rows[1:]
-        if isinstance(label_column, int):
-            label_idx = label_column
-        else:
-            if label_column not in header:
-                raise FormatError(f"{path}: label column {label_column!r} not in header {header}")
-            label_idx = header.index(label_column)
-        names = header
-    else:
-        if not isinstance(label_column, int):
-            raise ConfigError("label_column must be a column index when has_header=False")
-        label_idx = label_column
-        body = rows
-        names = [f"col{i}" for i in range(len(rows[0]))]
-    if not body:
-        raise EmptySample(f"{path}: no data rows")
-    width = len(body[0])
+    if not has_header and not isinstance(label_column, int):
+        raise ConfigError("label_column must be a column index when has_header=False")
+    names, values = read_numeric_csv(path, header=has_header)
+    label_idx = label_column
+    if not isinstance(label_column, int):
+        if label_column not in names:
+            raise FormatError(f"{path}: label column {label_column!r} not in header {list(names)}")
+        label_idx = names.index(label_column)
+    width = values.shape[1]
     if not (0 <= label_idx < width):
         raise FormatError(f"{path}: label column index {label_idx} out of range for width {width}")
-    feats, labels = [], []
-    for r, row in enumerate(body):
-        if len(row) != width:
-            raise FormatError(f"{path}: row {r + 1 + int(has_header)}: expected {width} columns, got {len(row)}")
-        parsed = []
-        for c, cell in enumerate(row):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise FormatError(
-                    f"{path}: row {r + 1 + int(has_header)}, column {c + 1} "
-                    f"({names[c] if c < len(names) else c}): not a number: {cell!r}"
-                ) from None
-        labels.append(parsed[label_idx])
-        feats.append([v for i, v in enumerate(parsed) if i != label_idx])
     return Dataset(
-        X=np.asarray(feats),
-        y=np.asarray(labels),
+        X=np.delete(values, label_idx, axis=1),
+        y=values[:, label_idx],
         metadata={"source": str(path), "label_column": label_column},
     )
 
@@ -229,18 +202,34 @@ class LossTable:
         return self.values[:, self.names.index(name)]
 
 
-def _filled(row: list[str]) -> bool:
-    return bool(row) and any(c.strip() for c in row)
+def _filled_rows(lines):
+    """(file line number, cells) of each CSV row with a non-blank cell."""
+    reader = csv.reader(lines)
+    for row in reader:
+        if any(c.strip() for c in row):
+            yield reader.line_num, row
 
 
-def _parse_loss_rows(path, names: tuple[str, ...], body: str) -> np.ndarray:
-    """Data rows cell by cell with ``float``, naming the first bad row and column."""
-    rows = [row for row in csv.reader(io.StringIO(body)) if _filled(row)]
-    if not rows:
-        raise EmptySample(f"{path}: need a header and at least one data row")
-    width = len(names)
+def _all_numbers(row: list[str]) -> bool:
+    try:
+        for cell in row:
+            float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_cells(path, body: str, offset: int, names: tuple[str, ...] | None) -> np.ndarray:
+    """Rows of ``body`` cell by cell with ``float``, naming the first bad row and column.
+
+    ``offset`` is the file line that precedes ``body``, so errors give file
+    line numbers; the width is the header's, else the first row's.
+    """
+    width = None if names is None else len(names)
     data = []
-    for r, row in enumerate(rows, start=2):
+    for line, row in _filled_rows(io.StringIO(body)):
+        r = offset + line
+        width = len(row) if width is None else width
         if len(row) != width:
             raise FormatError(f"{path}: row {r}: expected {width} columns, got {len(row)}")
         parsed = []
@@ -248,34 +237,55 @@ def _parse_loss_rows(path, names: tuple[str, ...], body: str) -> np.ndarray:
             try:
                 parsed.append(float(cell))
             except ValueError:
+                name = f" ({names[c]})" if names is not None else ""
                 raise FormatError(
-                    f"{path}: row {r}, column {c + 1} ({names[c]}): not a number: {cell!r}"
+                    f"{path}: row {r}, column {c + 1}{name}: not a number: {cell!r}"
                 ) from None
         data.append(parsed)
-    return np.asarray(data)
+    return np.asarray(data, dtype=np.float64)
 
 
-def load_loss_table(path) -> LossTable:
-    """Load a loss table CSV with a required header of model names.
+def read_numeric_csv(path, header: bool | None) -> tuple[tuple[str, ...] | None, np.ndarray]:
+    """Read a CSV of numbers: ``(names or None, float64 array of shape (rows, width))``.
 
-    The data rows go through numpy's C parser; if it rejects them, the
-    per-cell parse runs instead and either accepts what ``float`` accepts
-    or raises a :class:`FormatError` naming the row and column.
+    The one format every riskcdf input file shares.  Rows with no
+    non-blank cell are skipped.  ``header=True`` makes the first such row
+    a header of names, ``False`` means there is none, and ``None`` means a
+    header iff that row is not all numbers.  The body goes through numpy's
+    C parser; if it rejects the body, or gives a width other than the
+    header's, each cell is parsed with ``float`` and the first bad one
+    raises :class:`FormatError` naming its file row and column (or the row
+    of a wrong width).  No data row raises :class:`EmptySample`.
     """
+    names, offset = None, 0
     with open(path, newline="") as fh:
-        header = next((row for row in csv.reader(fh) if _filled(row)), None)
+        if header is not False:
+            line, first = next(_filled_rows(fh), (0, None))
+            if first is not None and (header or not _all_numbers(first)):
+                names, offset = tuple(c.strip() for c in first), line
+            else:
+                fh.seek(0)
         body = fh.read()
-    if header is None:
-        raise EmptySample(f"{path}: need a header and at least one data row")
-    names = tuple(c.strip() for c in header)
     values = None
     if body.strip():
         try:
             values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass
-    if values is None or values.shape[1] != len(names):
-        values = _parse_loss_rows(path, names, body)
+    if values is None or (names is not None and values.shape[1] != len(names)):
+        values = _parse_cells(path, body, offset, names)
+    if len(values) == 0:
+        raise EmptySample(f"{path}: no data rows")
+    return names, values
+
+
+def load_loss_table(path) -> LossTable:
+    """Load a loss table CSV with a required header of model names.
+
+    Parsed by :func:`read_numeric_csv`; every entry must be finite and
+    nonnegative.
+    """
+    names, values = read_numeric_csv(path, header=True)
     if not np.all(np.isfinite(values)):
         raise InvalidLoss(f"{path}: losses must be finite")
     if np.any(values < 0):

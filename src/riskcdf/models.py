@@ -265,7 +265,8 @@ def per_example_loss(model: LossModel, z: Example) -> float:
 
 
 def per_example_gradient(model: LossModel, z: Example) -> np.ndarray:
-    return model.batch_gradients(z.x[None, :], np.array([z.y]))[0]
+    """The gradient of one example's loss, by the backward pass that training runs."""
+    return model.loss_and_vjp(z.x[None], [z.y])[1](np.ones(1))
 
 
 def relative_error(a, b) -> float:

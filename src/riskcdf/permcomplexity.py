@@ -19,7 +19,6 @@ weak orders:
 
 from __future__ import annotations
 
-import csv
 import functools
 import heapq
 import itertools
@@ -29,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .data import read_numeric_csv
 from .errors import ConfigError, FormatError, InvalidLoss, TooLarge
 from .seeds import rng_from
 
@@ -343,23 +343,6 @@ def monte_carlo_permutation_complexity(
 
 
 def load_loss_matrix_csv(path) -> LossMatrix:
-    """Load a loss matrix: rows = hypotheses, columns = data points."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                if i == 0:
-                    continue  # header row
-                raise FormatError(f"{path}: row {i + 1}: not numeric: {row!r}") from None
-    if not rows:
-        raise FormatError(f"{path}: no numeric rows")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise FormatError(f"{path}: row {i + 1}: expected {width} columns, got {len(row)}")
-    return LossMatrix(np.asarray(rows))
+    """Load a loss matrix: rows = hypotheses, columns = data points; header optional."""
+    _, values = read_numeric_csv(path, header=None)
+    return LossMatrix(values)

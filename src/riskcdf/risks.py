@@ -27,7 +27,6 @@ and D + 3 c D^2 for mean + c * variance.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -35,6 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .cdf import EmpiricalCDF, moment
+from .data import read_numeric_csv
 from .errors import (
     FormatError,
     InvalidAlpha,
@@ -225,9 +225,11 @@ class OceSpec:
             raise InvalidSpectrum(f"{self.name}: tolerance must be positive")
         d = self.support_bound
         grid = np.linspace(-d, d, VALIDATION_GRID_POINTS) if d > 0 else np.zeros(1)
-        vals = _eval_fn(self.phi, grid)
+        with np.errstate(over="ignore"):  # an overflow is reported below, not warned
+            vals = _eval_fn(self.phi, grid)
         if not np.all(np.isfinite(vals)):
-            raise InvalidSpectrum(f"{self.name}: phi produced non-finite values")
+            raise InvalidSpectrum(f"{self.name}: phi produced non-finite values on [-D, D] "
+                                  f"with support bound D = {d:g}")
         at_zero = float(_eval_fn(self.phi, np.array([0.0]))[0])
         if abs(at_zero) > DISTORTION_TOL:
             raise InvalidSpectrum(f"{self.name}: phi(0) = {at_zero!r}, expected 0")
@@ -277,14 +279,14 @@ def cvar_spectrum(alpha: float) -> SpectrumSpec:
     )
 
 
-def oce_mean_spec(support_bound: float, tolerance: float = 1e-7) -> OceSpec:
+def oce_mean_spec(support_bound: float) -> OceSpec:
     """phi(x) = x: lambda cancels and the OCE reduces to the mean."""
     return OceSpec(phi=lambda x: np.asarray(x, dtype=np.float64),
-                   support_bound=support_bound, name="oce:mean", tolerance=tolerance,
+                   support_bound=support_bound, name="oce:mean",
                    closed_form=lambda x, sign: float(np.mean(x)))
 
 
-def oce_cvar_spec(alpha: float, support_bound: float, tolerance: float = 1e-7) -> OceSpec:
+def oce_cvar_spec(alpha: float, support_bound: float) -> OceSpec:
     """phi(x) = max(x, 0)/alpha: the certainty-equivalent form of CVaR.
 
     The objective is piecewise linear in lambda with its optimum at a sample
@@ -301,7 +303,7 @@ def oce_cvar_spec(alpha: float, support_bound: float, tolerance: float = 1e-7) -
         return np.maximum(np.asarray(t, dtype=np.float64) - (1.0 - a), 0.0) / a
 
     return OceSpec(phi=lambda x: np.maximum(np.asarray(x, dtype=np.float64), 0.0) / a,
-                   support_bound=support_bound, name=f"oce:cvar:{alpha:g}", tolerance=tolerance,
+                   support_bound=support_bound, name=f"oce:cvar:{alpha:g}",
                    closed_form=lambda x, sign: telescoped_distortion_value(
                        x, upper if sign > 0 else lower))
 
@@ -312,10 +314,10 @@ def _entropic_value(x: np.ndarray, sign: float) -> float:
     return m + sign * float(np.log(np.mean(np.exp(sign * (x - m)))))
 
 
-def oce_entropic_spec(support_bound: float, tolerance: float = 1e-7) -> OceSpec:
+def oce_entropic_spec(support_bound: float) -> OceSpec:
     """phi(x) = exp(x) - 1: the entropic risk, log mean exp(x) in closed form."""
     return OceSpec(phi=lambda x: np.expm1(np.asarray(x, dtype=np.float64)),
-                   support_bound=support_bound, name="oce:entropic", tolerance=tolerance,
+                   support_bound=support_bound, name="oce:entropic",
                    closed_form=_entropic_value)
 
 
@@ -497,25 +499,13 @@ def holder_risk_error(L: float, p: float, epsilon: float) -> float:
 
 
 def _load_table_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    xs, ys = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue
-            if len(row) != 2:
-                raise FormatError(f"{path}: row {i + 1}: expected two columns, got {len(row)}")
-            try:
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
-            except ValueError:
-                if i == 0:
-                    continue  # header row
-                raise FormatError(f"{path}: row {i + 1}: not numeric: {row!r}") from None
-    if len(xs) < 2:
+    """Two columns, at least two rows, strictly increasing first column; header optional."""
+    _, values = read_numeric_csv(path, header=None)
+    if values.shape[1] != 2:
+        raise FormatError(f"{path}: expected two columns, got {values.shape[1]}")
+    if values.shape[0] < 2:
         raise FormatError(f"{path}: need at least two numeric rows")
-    x = np.asarray(xs)
-    y = np.asarray(ys)
+    x, y = np.ascontiguousarray(values.T)
     if np.any(np.diff(x) <= 0):
         raise FormatError(f"{path}: first column must be strictly increasing")
     return x, y

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -339,6 +340,27 @@ class TestCmdTrain:
         assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, failed_at))
         assert failed_at >= 2
 
+    def test_headerless_dataset_by_column_index(self, tmp_path):
+        ds = toy_blobs(seed=3)
+        with_header = tmp_path / "ds.csv"
+        save_dataset_csv(ds, with_header)
+        headerless = tmp_path / "plain.csv"
+        headerless.write_text(with_header.read_text().split("\n", 1)[1])
+        flags = ["--arch", "logistic_crossentropy", "--eta", 0.2, "--iters", 5,
+                 "--disable-noise"]
+        assert run(["train", "--input", with_header, *flags, "--out", tmp_path / "a"]) == 0
+        assert run(["train", "--input", headerless, "--no-has-header", "--label-column", 2,
+                    *flags, "--out", tmp_path / "b"]) == 0
+        for name in ("trace.csv", "checkpoint.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_headerless_label_name_is_config_error(self, tmp_path, capsys):
+        src = tmp_path / "plain.csv"
+        src.write_text("1,2,0\n3,4,1\n")
+        assert run(["train", "--input", src, "--no-has-header", "--label-column", "label",
+                    "--eta", 0.1, "--iters", 2, "--out", tmp_path / "x"]) == 2
+        assert "--label-column" in capsys.readouterr().err
+
 
 class TestCmdComplexity:
     def test_monotone_family(self, tmp_path):
@@ -372,6 +394,19 @@ class TestCmdComplexity:
         payload = json.loads((out / "complexity.json").read_text())
         assert payload["is_upper_bound"] is True
         assert payload["value"] == len(payload["witness_permutations"]) <= 100
+
+    @pytest.mark.parametrize("mode", ["exact", "greedy"])
+    def test_blank_cell_rows_skipped(self, tmp_path, mode):
+        rows = np.random.default_rng(4).integers(0, 3, size=(12, 5))
+        text = "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        plain.write_text(text)
+        blank.write_text(",\n" + text.replace("\n", "\n,,,,\n", 3))
+        for src, out in [(plain, "a"), (blank, "b")]:
+            assert run(["complexity", "--input", src, "--mode", mode,
+                        "--out", tmp_path / out]) == 0
+        got = [(tmp_path / out / "complexity.json").read_bytes() for out in "ab"]
+        assert got[0] == got[1]
 
     def test_too_large_suggests_greedy(self, tmp_path, capsys):
         src = tmp_path / "m.csv"
@@ -480,6 +515,8 @@ REJECTIONS = [
     ("input-dim-negative", ["gradcheck", "--input-dim", -1, "--trials", 2], None, 2),
     ("step-nan", ["gradcheck", "--step", "nan", "--trials", 2], None, 2),
     ("growth-nan", ["bound", "--method", "growth", "--n", 10, "--growth", "nan"], None, 2),
+    ("oce-entropic-overflow", ["assess", "--input", "TABLE", "--risk", "oce:entropic",
+                               "--support-bound", 800], None, 2),
 ]
 
 
@@ -493,8 +530,13 @@ class TestRejections:
         path = tmp_path / "manifest.json"
         if manifest is not None:
             path.write_text(manifest)
-        argv = [path if a == "MANIFEST" else a for a in argv]
-        assert run([*argv, "--out", tmp_path / "out"]) == code
+        table = tmp_path / "table.csv"
+        write_table(table, ["m"], [np.array([1.0, 2.0])])
+        argv = [{"MANIFEST": path, "TABLE": table}.get(a, a) for a in argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run([*argv, "--out", tmp_path / "out"]) == code
+        assert not [str(w.message) for w in caught]  # a warning would reach stderr too
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("riskcdf: error: ") and err.count("\n") == 1

@@ -1,18 +1,24 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from riskcdf.cdf import read_losses_csv
 from riskcdf.data import (
     Dataset,
+    _parse_cells,
     blob_mixture_sampler,
     generate_blobs,
     load_dataset_csv,
     load_loss_table,
+    read_numeric_csv,
     save_dataset_csv,
     toy_blobs,
 )
 from riskcdf.errors import ConfigError, EmptySample, FormatError, InvalidLoss
+from riskcdf.permcomplexity import load_loss_matrix_csv
+from riskcdf.risks import _load_table_csv
 from riskcdf.seeds import rng_from
 
 
@@ -146,3 +152,141 @@ class TestDatasetType:
         ds = Dataset(X=np.array([[1.0, 2.0]]), y=np.array([1.0]))
         assert len(ds.examples) == 1
         assert ds.examples[0].y == 1.0
+
+
+# Every loader as (path -> 2-D array, header rule, width).  The header rule is
+# the reader's: True = the first filled row is a header, False = there is
+# none, None = a header iff that row is not all numbers.
+LOADERS = {
+    "loss-table": (lambda p: load_loss_table(p).values, True, 2),
+    "dataset": (lambda p: _dataset_array(load_dataset_csv(p, label_column=1)), True, 2),
+    "dataset-headerless": (lambda p: _dataset_array(
+        load_dataset_csv(p, label_column=1, has_header=False)), False, 2),
+    "losses": (lambda p: read_losses_csv(p)[:, None], False, 1),
+    "losses-header": (lambda p: read_losses_csv(p, has_header=True)[:, None], True, 1),
+    "distortion-table": (lambda p: np.column_stack(_load_table_csv(p)), None, 2),
+    "loss-matrix": (lambda p: load_loss_matrix_csv(p).rows, None, 2),
+}
+
+
+def _dataset_array(ds: Dataset) -> np.ndarray:
+    return np.column_stack([ds.X, ds.y])
+
+
+def _body(width: int) -> np.ndarray:
+    """Three valid rows for every loader: nonnegative, first column increasing."""
+    return np.array([[0.0, 0.25], [1.0, 1.5], [2.0, 2.75]])[:, :width]
+
+
+def _lines(rows) -> str:
+    return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+
+
+def _header_line(width: int) -> str:
+    return "a,label\n" if width == 2 else "loss\n"
+
+
+@pytest.mark.parametrize("name", list(LOADERS))
+class TestSharedCsvRules:
+    """The rules of :func:`read_numeric_csv`, held by all five loaders."""
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        return path
+
+    def test_blank_cell_rows_skipped(self, tmp_path, name):
+        load, header, width = LOADERS[name]
+        body = _body(width)
+        head = _header_line(width) if header is not False else ""
+        text = ",,\n" + head + _lines(body[:1]) + ",,\n  \n\n" + _lines(body[1:]) + " , \n"
+        assert np.array_equal(load(self.write(tmp_path, text)), body)
+
+    def test_text_first_row(self, tmp_path, name):
+        load, header, width = LOADERS[name]
+        path = self.write(tmp_path, _header_line(width) + _lines(_body(width)))
+        if header is False:
+            with pytest.raises(FormatError, match="row 1, column 1: not a number"):
+                load(path)
+        else:
+            assert np.array_equal(load(path), _body(width))
+
+    def test_numeric_first_row(self, tmp_path, name):
+        load, header, width = LOADERS[name]
+        body = _body(width)
+        got = load(self.write(tmp_path, _lines(body)))
+        # A header row is a header even when it reads as numbers.
+        assert np.array_equal(got, body[1:] if header else body)
+
+    def test_quoted_number(self, tmp_path, name):
+        load, header, width = LOADERS[name]
+        body = _body(width)
+        head = _header_line(width) if header is not False else ""
+        first, rest = _lines(body).split("\n", 1)
+        cell, sep, tail = first.partition(",")
+        text = head + f'"{cell}"{sep}{tail}\n' + rest
+        assert np.array_equal(load(self.write(tmp_path, text)), body)
+
+    def test_bad_cell_names_file_row_and_column(self, tmp_path, name):
+        load, header, width = LOADERS[name]
+        head = _header_line(width) if header is not False else ""
+        rows = _lines(_body(width)).splitlines()
+        rows[1] = rows[1].rsplit(",", 1)[0] + ",oops" if width == 2 else "oops"
+        path = self.write(tmp_path, head + rows[0] + "\n,,\n" + rows[1] + "\n" + rows[2] + "\n")
+        row = 3 + bool(head)
+        label = f" ({head.strip().split(',')[-1]})" if head else ""
+        want = f"in.csv: row {row}, column {width}{label}: not a number: 'oops'"
+        with pytest.raises(FormatError, match=re.escape(want) + "$"):
+            load(path)
+
+    def test_ragged_row_rejected(self, tmp_path, name):
+        load, header, width = LOADERS[name]
+        head = _header_line(width) if header is not False else ""
+        rows = _lines(_body(width)).splitlines()
+        rows[2] += ",9"
+        path = self.write(tmp_path, head + "\n".join(rows) + "\n")
+        row = 3 + bool(head)
+        with pytest.raises(FormatError, match=f"row {row}: expected {width} columns, got {width + 1}"):
+            load(path)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n,,\n"])
+    def test_empty_file(self, tmp_path, name, text):
+        load, _, _ = LOADERS[name]
+        with pytest.raises(EmptySample, match="no data rows"):
+            load(self.write(tmp_path, text))
+
+
+class TestReadNumericCsv:
+    def test_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("m1,m2\n,,\n")
+        for header in (True, None):
+            with pytest.raises(EmptySample):
+                read_numeric_csv(path, header=header)
+
+    def test_names_are_stripped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(" m1 , m2\n1,2\n")
+        names, values = read_numeric_csv(path, header=None)
+        assert names == ("m1", "m2") and values.tolist() == [[1.0, 2.0]]
+
+    def test_header_width_mismatch_names_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("m1,m2,m3\n1,2\n3,4\n")
+        with pytest.raises(FormatError, match="row 2: expected 3 columns, got 2"):
+            read_numeric_csv(path, header=True)
+
+    def test_fast_and_per_cell_paths_agree_at_17_digits(self, tmp_path):
+        rng = rng_from(5, "csv17")
+        values = rng.standard_normal((200, 4)) * 10.0 ** rng.integers(-300, 300, (200, 4))
+        values[0] = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1]
+        text = _lines(values)
+        path = tmp_path / "v.csv"
+        path.write_text(text)
+        _, fast = read_numeric_csv(path, header=False)
+        per_cell = _parse_cells(path, text, 0, None)
+        assert np.array_equal(fast, values) and np.array_equal(per_cell, values)
+        # A quoted cell sends the whole body down the per-cell path.
+        path.write_text('"' + text.replace(",", '",', 1))
+        _, quoted = read_numeric_csv(path, header=False)
+        assert np.array_equal(quoted, values)

@@ -77,14 +77,18 @@ class TestPerExampleGradient:
         assert np.all(grad == 0.0)
 
     def test_batch_matches_per_example(self):
-        model = init_model("mlp_tanh", 3, (5, 2), seed=11)
-        rng = rng_from(11, "batch")
-        X = standard_normal(rng, (7, 3))
-        y = (rng.random(7) < 0.5).astype(float)
-        batch = model.batch_gradients(X, y)
-        for i in range(7):
-            row = per_example_gradient(model, Example(x=X[i], y=y[i]))
-            assert np.allclose(batch[i], row, atol=1e-12)
+        # per_example_gradient runs the training backward pass (loss_and_vjp),
+        # so this holds it against the per-example matrix of batch_gradients.
+        for arch, hidden in [("linear_squared", ()), ("logistic_crossentropy", ()),
+                             ("mlp_tanh", (5, 2))]:
+            model = init_model(arch, 3, hidden, seed=11)
+            rng = rng_from(11, "batch")
+            X = standard_normal(rng, (7, 3))
+            y = (rng.random(7) < 0.5).astype(float)
+            batch = model.batch_gradients(X, y)
+            for i in range(7):
+                row = per_example_gradient(model, Example(x=X[i], y=y[i]))
+                assert np.allclose(batch[i], row, atol=1e-12), arch
 
 
 class TestFiniteDifference:

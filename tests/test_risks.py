@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,12 @@ class TestOce:
             OceSpec(phi=lambda x: np.asarray(x) + 1.0, support_bound=1.0, name="phi0")
         with pytest.raises(InvalidSpectrum):
             OceSpec(phi=lambda x: -np.asarray(x), support_bound=1.0, name="dec")
+
+    def test_overflowing_phi_names_support_bound_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSpectrum, match=r"non-finite .* D = 800$"):
+                oce_entropic_spec(800.0)
 
 
 def cvar_kink_oracles(losses, alpha):
