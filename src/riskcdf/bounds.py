@@ -10,8 +10,10 @@ threshold-composed losses.  Available R(n) bounds:
 
 * finite class of size |F|:        sqrt(log(4|F|) / (2n))
 * permutation complexity N:        sqrt(log(4N) / (2n))
-* growth number G (labelings):     2 * sqrt(log(G) / n), with presets
-  G = (n+1)|F| for a finite class and G = (n+1)**nu for VC dimension nu.
+* growth number G (labelings):     2 * sqrt(log(G) / n), with the preset
+  G = (n+1)|F| for a finite class
+* VC dimension nu:                 2 * sqrt(nu * log(n+1) / n), the growth
+  bound at G = (n+1)**nu in log space, so it never overflows
 
 Natural logarithms throughout.  A certificate propagates to risk errors via
 L * epsilon (sup-norm Holder risks) or L * D**p * epsilon**p (Wasserstein
@@ -39,7 +41,6 @@ __all__ = [
     "rademacher_permutation",
     "rademacher_growth",
     "growth_finite_class",
-    "growth_vc_dimension",
     "rademacher_vc_sauer",
     "cdf_uniform_bound",
     "certificate_finite_class",
@@ -100,14 +101,6 @@ def rademacher_growth(n: int, growth: float) -> float:
 def growth_finite_class(n: int, class_size: int) -> float:
     """Labeling count (n+1)|F| of threshold-composed losses for a finite class."""
     return (_check_n(n) + 1) * float(class_size)
-
-
-def growth_vc_dimension(n: int, nu: int) -> float:
-    """Labeling count (n+1)**nu under VC dimension nu (may overflow to inf)."""
-    try:
-        return math.exp(nu * math.log(_check_n(n) + 1))
-    except OverflowError:
-        return math.inf
 
 
 def rademacher_vc_sauer(n: int, nu: int) -> float:

@@ -114,13 +114,20 @@ def _token_number(token: str) -> float:
         raise ConfigError(f"{token!r}: {text!r} is not a number") from None
 
 
+def _token_path(token: str | None) -> str | None:
+    """The file that a ``distortion-file:`` or ``spectral-file:`` risk token names, else None."""
+    if token is not None and token.startswith(("distortion-file:", "spectral-file:")):
+        return token.split(":", 1)[1]
+    return None
+
+
 def _parse_distortion(token: str) -> risks.DistortionSpec:
     if token == "mean":
         return risks.identity_distortion()
     if token.startswith("cvar:"):
         return risks.cvar_distortion(_token_number(token))
     if token.startswith("distortion-file:"):
-        return risks.load_distortion_csv(token.split(":", 1)[1])
+        return risks.load_distortion_csv(_token_path(token))
     raise ConfigError(f"unknown distortion objective {token!r}; "
                       "expected mean, cvar:ALPHA, or distortion-file:PATH")
 
@@ -147,7 +154,7 @@ def _risk_evaluator(token: str, support_bound: float) -> Callable[[EmpiricalCDF]
         c = _token_number(token)
         return lambda cdf: risks.mean_variance(cdf, c, support_bound)
     if token.startswith("spectral-file:"):
-        spectrum = risks.load_spectrum_csv(token.split(":", 1)[1])
+        spectrum = risks.load_spectrum_csv(_token_path(token))
         return lambda cdf: risks.spectral_risk(cdf, spectrum, support_bound)
     if token.startswith("oce:"):
         oce = _parse_oce(token.split(":", 1)[1], support_bound)
@@ -175,7 +182,7 @@ def run_assess(params: dict, out_dir: str) -> None:
     support = params["support_bound"]
     inferred = support is None
     if inferred:
-        support = float(np.max(table.values)) if table.values.size else 0.0
+        support = float(np.max(table.values))
     cert = bounds.certificate_finite_class(n, table.n_models, params["delta"])
     tokens = params["risks"] or ["mean"]
     evaluators = {token: _risk_evaluator(token, support) for token in tokens}
@@ -250,10 +257,7 @@ def run_train(params: dict, out_dir: str) -> None:
                                         has_header=params["has_header"])
     else:
         dataset = data.toy_blobs(seed=derive_seed(params["seed"], "data"))
-    if params["distortion_file"] is not None:
-        spec = risks.load_distortion_csv(params["distortion_file"])
-    else:
-        spec = _parse_distortion(params["risk"])
+    spec = _parse_distortion(params["risk"])
     features = dataset.X
     if params.get("add_bias"):
         features = np.hstack([features, np.ones((dataset.n, 1))])
@@ -347,16 +351,11 @@ RUNNERS = {
 
 
 def _input_paths(params: dict) -> list[str]:
-    paths = []
-    if params.get("input"):
-        paths.append(params["input"])
-    if params.get("distortion_file"):
-        paths.append(params["distortion_file"])
-    for token in params.get("risks") or []:
-        for prefix in ("distortion-file:", "spectral-file:"):
-            if token.startswith(prefix):
-                paths.append(token.split(":", 1)[1])
-    return paths
+    """The files a run reads: ``--input`` and each file a risk token names
+    (assess's ``--risk`` list, train's single ``--risk``)."""
+    tokens = params.get("risks") or [params.get("risk")]
+    paths = [params["input"]] if params.get("input") else []
+    return paths + [p for p in map(_token_path, tokens) if p is not None]
 
 
 def _execute(command: str, params: dict, out_dir: str) -> None:
@@ -484,8 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", default="8", help="MLP widths, comma-separated")
     p.add_argument("--risk", default="mean",
                    help="objective: mean | cvar:A | distortion-file:PATH")
-    p.add_argument("--distortion-file", dest="distortion_file", default=None,
-                   help="tabulated distortion CSV overriding --risk")
     p.add_argument("--add-bias", dest="add_bias", action="store_true",
                    help="append a constant-1 feature column (intercept)")
     p.add_argument("--eta", type=float, default=None)

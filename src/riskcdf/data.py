@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -289,9 +290,12 @@ def load_loss_table(path) -> LossTable:
     if not np.all(np.isfinite(values)):
         raise InvalidLoss(f"{path}: losses must be finite")
     if np.any(values < 0):
-        bad = np.argwhere(values < 0)[0]
+        row, col = (int(i) for i in np.argwhere(values < 0)[0])
+        # Only on this error path: re-scan for the file line of filled row
+        # row + 1 (filled row 0 is the header).
+        with open(path, newline="") as fh:
+            line, _ = next(itertools.islice(_filled_rows(fh), row + 1, None))
         raise InvalidLoss(
-            f"{path}: negative loss at row {int(bad[0]) + 2}, column "
-            f"{int(bad[1]) + 1} ({names[int(bad[1])]})"
+            f"{path}: negative loss at row {line}, column {col + 1} ({names[col]})"
         )
     return LossTable(names=names, values=values)

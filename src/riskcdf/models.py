@@ -158,40 +158,33 @@ class LossModel:
         return scores[:, 0], activations
 
     def batch_losses(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        X = self._check_features(X)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if self.architecture == "linear_squared":
-            return (X @ self.params - y) ** 2
-        if self.architecture == "logistic_crossentropy":
-            return _crossentropy(*_sigmoid_pair(X @ self.params), y)
-        scores, _ = self._mlp_forward(X)
-        return _crossentropy(*_sigmoid_pair(scores), y)
+        """Per-example losses: the forward pass of :meth:`loss_and_vjp`."""
+        return self.loss_and_vjp(X, y)[0]
 
     def loss_and_vjp(self, X: np.ndarray, y: np.ndarray
                      ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
         """Per-example losses and their vector-Jacobian product, from one forward pass.
 
-        Returns ``(losses, vjp)`` where ``losses`` equals
-        :meth:`batch_losses` bit for bit and ``vjp(v)`` is
+        Returns ``(losses, vjp)`` where ``vjp(v)`` is
         ``sum_i v_i * grad loss_i``, i.e. ``batch_gradients(X, y).T @ v``
-        up to summation order.  ``vjp`` backpropagates the weighted
-        residuals once through the kept activations, so it needs
-        O(n * width + d) memory, not the (n, d) per-example gradients.
+        up to summation order.  The loss residuals d loss / d score are
+        formed inside ``vjp``, so a forward pass alone does no backward
+        work.  ``vjp`` backpropagates the weighted residuals once through
+        the kept activations, so it needs O(n * width + d) memory, not the
+        (n, d) per-example gradients.
         """
         X = self._check_features(X)
         y = np.asarray(y, dtype=np.float64).ravel()
         if self.architecture == "linear_squared":
             resid = X @ self.params - y
-            r = 2.0 * resid
-            return resid ** 2, lambda v: (v * r) @ X
+            return resid ** 2, lambda v: (v * (2.0 * resid)) @ X
         if self.architecture == "logistic_crossentropy":
             p, q = _sigmoid_pair(X @ self.params)
-            r = _crossentropy_residual(p, y)
-            return _crossentropy(p, q, y), lambda v: (v * r) @ X
+            return _crossentropy(p, q, y), lambda v: (v * _crossentropy_residual(p, y)) @ X
         scores, activations = self._mlp_forward(X)
         p, q = _sigmoid_pair(scores)
-        r = _crossentropy_residual(p, y)
-        return _crossentropy(p, q, y), lambda v: self._mlp_vjp(activations, v * r)
+        return _crossentropy(p, q, y), lambda v: self._mlp_vjp(
+            activations, v * _crossentropy_residual(p, y))
 
     def _mlp_vjp(self, activations: list[np.ndarray], delta: np.ndarray) -> np.ndarray:
         """sum_i of delta_i * d score_i / d params, by one backward pass."""

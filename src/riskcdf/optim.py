@@ -1,8 +1,10 @@
 """Empirical distortion risk minimization by reweighted gradient descent.
 
-The training objective is the sorted-loss telescoping form of a distortion
-risk.  Where it is differentiable, its gradient reweights the per-example
-loss gradients by distortion increments over the empirical CDF:
+The training objective is a distortion risk of the per-example losses:
+the rank weights ``spec.rank_weights(n)`` dotted with the sorted losses,
+as :func:`riskcdf.risks.distortion_risk` evaluates it.  Where it is
+differentiable, its gradient reweights the per-example loss gradients by
+the same weights:
 
     grad = sum_i [g(1 - (i-1)/n) - g(1 - i/n)] * grad loss of i-th smallest,
 
@@ -15,9 +17,10 @@ differentiable points almost surely:
 
 Each iteration makes one forward pass (:meth:`LossModel.loss_and_vjp`),
 one stable sort of the losses, and one vector-Jacobian product that
-backpropagates the sorted-loss weights.  The risk value and the gradient
-come from the same sort, the distortion is evaluated once per run, and no
-per-example gradient matrix is built: O(n * width + d) memory per step.
+backpropagates the rank weights.  The risk value and the gradient come
+from the same sort and weights, the weights are computed once per run,
+and no per-example gradient matrix is built: O(n * width + d) memory per
+step.
 
 The sort breaks ties stably by original index; ordering of the dataset
 never changes the risk value, and a fixed seed reproduces a run bit for
@@ -154,22 +157,12 @@ def empirical_distortion_risk(model: LossModel, X: np.ndarray, y: np.ndarray,
     return distortion_risk(build_cdf(losses), spec).value
 
 
-def _sorted_loss_weights(spec: DistortionSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Telescoping coefficients g(1 - i/n), i = 0..n-1, and gradient weights.
-
-    The weight of the i-th smallest loss is g(1 - (i-1)/n) - g(1 - i/n);
-    both depend on n alone, so a training run computes them once.
-    """
-    levels = spec(1.0 - np.arange(n + 1) / n)  # g(1 - i/n), i = 0..n
-    return levels[:-1], levels[:-1] - levels[1:]
-
-
 def _risk_and_gradient(losses: np.ndarray, vjp: Callable[[np.ndarray], np.ndarray],
-                       coeff: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
+                       weights: np.ndarray) -> tuple[float, np.ndarray]:
     """Distortion risk and its gradient from one stable sort of the losses.
 
-    The risk is the telescoping sum of
-    :func:`riskcdf.risks.telescoped_distortion_value`, so it equals
+    ``weights`` is ``spec.rank_weights(n)``.  The risk is ``weights`` dotted
+    with the ascending losses, so it equals
     ``distortion_risk(build_cdf(losses), spec).value`` bit for bit; the
     gradient is ``vjp`` of the weights scattered back to example order.
     Negative losses raise :class:`InvalidLoss`, as :func:`build_cdf` does.
@@ -180,7 +173,7 @@ def _risk_and_gradient(losses: np.ndarray, vjp: Callable[[np.ndarray], np.ndarra
         raise InvalidLoss("losses must be nonnegative")
     v = np.empty_like(losses)
     v[order] = weights
-    return float(coeff @ np.diff(ascending, prepend=0.0)), vjp(v)
+    return float(weights @ ascending), vjp(v)
 
 
 def distortion_gradient(model: LossModel, X: np.ndarray, y: np.ndarray,
@@ -192,7 +185,7 @@ def distortion_gradient(model: LossModel, X: np.ndarray, y: np.ndarray,
     losses, vjp = model.loss_and_vjp(X, y)
     if losses.size == 0:
         raise EmptySample("no training examples")
-    _, grad = _risk_and_gradient(losses, vjp, *_sorted_loss_weights(spec, losses.shape[0]))
+    _, grad = _risk_and_gradient(losses, vjp, spec.rank_weights(losses.shape[0]))
     return grad
 
 
@@ -256,14 +249,14 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray,
     n = np.atleast_2d(X).shape[0]
     if n == 0:
         raise EmptySample("no training examples")
-    coeff, weights = _sorted_loss_weights(config.distortion, n)
+    weights = config.distortion.rank_weights(n)
     current = model
     for t in range(1, t_total + 1):
         current = current.with_params(theta)
         losses, vjp = current.loss_and_vjp(X, y)
         if not np.all(np.isfinite(losses)):
             raise Diverged(f"non-finite loss at iteration {t}", trace=make_trace(t - 1))
-        rho, grad = _risk_and_gradient(losses, vjp, coeff, weights)
+        rho, grad = _risk_and_gradient(losses, vjp, weights)
         if not math.isfinite(rho) or rho > DIVERGENCE_GUARD:
             raise Diverged(f"risk {rho} exceeded guard at iteration {t}",
                            trace=make_trace(t - 1))

@@ -12,17 +12,19 @@ Supported families:
   by golden-section search over lambda;
 * moment composites (mean + c * variance).
 
-On a step CDF the distortion integral collapses to the sorted-loss
-telescoping sum
+On a step CDF every distortion and spectral risk is a rank-weighted sum of
+the sorted losses, evaluated exactly (no quadrature):
 
-    sum_i g(1 - (i-1)/n) * (x_(i) - x_(i-1)),   x_(0) = 0,
+    sum_i w_i * x_(i),   w_i = g(1 - (i-1)/n) - g(1 - i/n)  or  H(i/n) - H((i-1)/n),
 
-which is evaluated exactly (no quadrature).  Every evaluator reports the
-value together with sup-norm Holder constants (L, p) so that a CDF error
-budget epsilon translates to a risk error budget L * epsilon^p.  Each L is
-a closed form, not a grid estimate: 1/alpha and the table's steepest slope
-for distortions (times D), h(1) * D for spectra, phi(D) - phi(0) for OCEs
-and D + 3 c D^2 for mean + c * variance.
+where g is the distortion, H the cumulative spectrum and w is
+``spec.rank_weights(n)``: nonnegative weights summing to 1.  The CVaR OCE
+presets and the training gradient use the same vector.  Every evaluator
+reports the value together with sup-norm Holder constants (L, p) so that a
+CDF error budget epsilon translates to a risk error budget L * epsilon^p.
+Each L is a closed form, not a grid estimate: 1/alpha and the table's
+steepest slope for distortions (times D), h(1) * D for spectra,
+phi(D) - phi(0) for OCEs and D + 3 c D^2 for mean + c * variance.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ __all__ = [
     "oce_mean_spec",
     "spectrum_to_distortion",
     "distortion_risk",
-    "telescoped_distortion_value",
     "cvar",
     "spectral_risk",
     "oce_risk",
@@ -143,6 +144,11 @@ class DistortionSpec:
     def __call__(self, t) -> np.ndarray:
         return _eval_fn(self.g, np.asarray(t, dtype=np.float64))
 
+    def rank_weights(self, n: int) -> np.ndarray:
+        """Weight g(1 - (i-1)/n) - g(1 - i/n) of the i-th smallest of n losses, i = 1..n."""
+        levels = self(1.0 - np.arange(n + 1) / n)  # g(1 - i/n), i = 0..n
+        return levels[:-1] - levels[1:]
+
     def risk_constant(self, support_bound: float) -> HolderConstants:
         L = None if self.lipschitz_constant is None else self.lipschitz_constant * support_bound
         return HolderConstants(L=L, p=1.0, metric=SUP_NORM)
@@ -156,8 +162,8 @@ class SpectrumSpec:
     10,000 cells of the validation grid (midpoint handles step spectra with
     on-grid jumps exactly, which the trapezoid rule does not).
     ``cumulative`` is the required exact antiderivative H(t) = int_0^t h,
-    with H(0) = 0 and H(1) = 1; rank-weight block integrals are differences
-    of H, so they are exact.
+    with H(0) = 0 and H(1) = 1; rank weights are differences of H, so they
+    are exact.
     """
 
     h: Callable = field(repr=False)
@@ -187,8 +193,8 @@ class SpectrumSpec:
         if abs(h0) > DISTORTION_TOL or abs(h1 - 1.0) > DISTORTION_TOL:
             raise InvalidSpectrum(f"{self.name}: cumulative spectrum must run from 0 to 1")
 
-    def block_weights(self, n: int) -> np.ndarray:
-        """Rank weights w_i = H(i/n) - H((i-1)/n) for i = 1..n."""
+    def rank_weights(self, n: int) -> np.ndarray:
+        """Weight H(i/n) - H((i-1)/n) of the i-th smallest of n losses, i = 1..n."""
         return np.diff(_eval_fn(self.cumulative, np.arange(n + 1) / n))
 
     def max_value(self) -> float:
@@ -246,17 +252,13 @@ def identity_distortion() -> DistortionSpec:
                           name="mean", lipschitz_constant=1.0)
 
 
-def _cvar_g(a: float) -> Callable:
-    """The CVaR distortion g(t) = min(t/a, 1) as a plain vectorised function."""
-    return lambda t: np.minimum(np.asarray(t, dtype=np.float64) / a, 1.0)
-
-
 def cvar_distortion(alpha: float) -> DistortionSpec:
     """g(t) = min(t/alpha, 1): expected value of the top 100*alpha% losses."""
     if not (0.0 < alpha <= 1.0):
         raise InvalidAlpha(f"alpha must be in (0, 1], got {alpha}")
+    a = float(alpha)
     return DistortionSpec(
-        g=_cvar_g(float(alpha)),
+        g=lambda t: np.minimum(np.asarray(t, dtype=np.float64) / a, 1.0),
         name=f"cvar:{alpha:g}",
         lipschitz_constant=1.0 / alpha,
     )
@@ -290,22 +292,25 @@ def oce_cvar_spec(alpha: float, support_bound: float) -> OceSpec:
     """phi(x) = max(x, 0)/alpha: the certainty-equivalent form of CVaR.
 
     The objective is piecewise linear in lambda with its optimum at a sample
-    quantile, so the value is a telescoped distortion sum: the upper-tail
-    CVaR g(t) = min(t/alpha, 1) (equal to :func:`cvar`) and, inverted, the
-    lower-tail mean g(t) = max(t - 1 + alpha, 0)/alpha.
+    quantile, so the value is a distortion risk: the upper-tail CVaR
+    g(t) = min(t/alpha, 1) (the rank weights of :func:`cvar`, so the two
+    are equal) and, inverted, the lower-tail mean
+    g(t) = max(t - 1 + alpha, 0)/alpha.  Both specs are built once here.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise InvalidAlpha(f"alpha must be in (0, 1], got {alpha}")
+    upper = cvar_distortion(alpha)
     a = float(alpha)
-    upper = _cvar_g(a)
+    lower = DistortionSpec(
+        g=lambda t: np.maximum(np.asarray(t, dtype=np.float64) - (1.0 - a), 0.0) / a,
+        name=f"lower_tail_mean:{alpha:g}",
+        lipschitz_constant=1.0 / a,
+    )
 
-    def lower(t):
-        return np.maximum(np.asarray(t, dtype=np.float64) - (1.0 - a), 0.0) / a
+    def closed_form(x: np.ndarray, sign: float) -> float:
+        return float((upper if sign > 0 else lower).rank_weights(x.shape[0]) @ x)
 
     return OceSpec(phi=lambda x: np.maximum(np.asarray(x, dtype=np.float64), 0.0) / a,
                    support_bound=support_bound, name=f"oce:cvar:{alpha:g}",
-                   closed_form=lambda x, sign: telescoped_distortion_value(
-                       x, upper if sign > 0 else lower))
+                   closed_form=closed_form)
 
 
 def _entropic_value(x: np.ndarray, sign: float) -> float:
@@ -351,26 +356,14 @@ def _support_bound(cdf: EmpiricalCDF, support_bound: float | None) -> float:
     return d
 
 
-def telescoped_distortion_value(sorted_losses: np.ndarray, spec: Callable) -> float:
-    """Exact distortion risk of a sorted nonnegative loss sample.
-
-    Evaluates sum_i g(1 - (i-1)/n) * (x_(i) - x_(i-1)) with x_(0) = 0, where
-    g is ``spec``: a :class:`DistortionSpec` or a vectorised g it would accept.
-    """
-    v = np.asarray(sorted_losses, dtype=np.float64)
-    n = v.shape[0]
-    coeff = spec(1.0 - np.arange(n) / n)
-    return float(coeff @ np.diff(v, prepend=0.0))
-
-
 def distortion_risk(cdf: EmpiricalCDF, spec: DistortionSpec,
                     support_bound: float | None = None) -> RiskValue:
-    """Distortion risk of an empirical CDF via the telescoping sum."""
+    """Distortion risk of an empirical CDF: the rank weights of g dotted with the sorted losses."""
     if cdf.min < 0.0:
         raise InvalidLoss("distortion risk requires nonnegative losses")
     d = _support_bound(cdf, support_bound)
     return RiskValue(
-        value=telescoped_distortion_value(cdf.values, spec),
+        value=float(spec.rank_weights(cdf.n) @ cdf.values),
         risk_name=spec.name,
         holder=spec.risk_constant(d),
     )
@@ -383,13 +376,12 @@ def cvar(cdf: EmpiricalCDF, alpha: float, support_bound: float | None = None) ->
 
 def spectral_risk(cdf: EmpiricalCDF, spec: SpectrumSpec,
                   support_bound: float | None = None) -> RiskValue:
-    """Rank-weighted risk: sum_i w_i * x_(i), w_i = int over the i-th quantile block."""
+    """Rank-weighted risk: sum_i w_i * x_(i), w_i = int of h over the i-th quantile block."""
     if cdf.min < 0.0:
         raise InvalidLoss("spectral risk requires nonnegative losses")
-    w = spec.block_weights(cdf.n)
     d = _support_bound(cdf, support_bound)
     return RiskValue(
-        value=float(w @ cdf.values),
+        value=float(spec.rank_weights(cdf.n) @ cdf.values),
         risk_name=spec.name,
         holder=HolderConstants(L=spec.max_value() * d, p=1.0, metric=SUP_NORM),
     )

@@ -473,6 +473,31 @@ class TestManifestRerun:
         assert run(["rerun", "--manifest", out_a / "manifest.json",
                     "--out", tmp_path / "b"]) == 2
 
+    def test_train_distortion_file_digest_guard(self, tmp_path, capsys):
+        dist = tmp_path / "g.csv"
+        dist.write_text("t,g\n0,0\n0.5,0.8\n1,1\n")
+        out_a = tmp_path / "a"
+        assert run(["train", "--risk", f"distortion-file:{dist}", "--eta", 0.05,
+                    "--iters", 5, "--out", out_a]) == 0
+        manifest = json.loads((out_a / "manifest.json").read_text())
+        assert list(manifest["input_digests"]) == [str(dist)]
+        dist.write_text("t,g\n0,0\n0.5,0.2\n1,1\n")
+        capsys.readouterr()
+        assert run(["rerun", "--manifest", out_a / "manifest.json",
+                    "--out", tmp_path / "b"]) == 2
+        assert f"input {dist} changed since the recorded run" in capsys.readouterr().err
+
+    def test_old_train_manifest_with_distortion_file_flag_rejected(self, tmp_path, capsys):
+        out_a = tmp_path / "a"
+        assert run(["train", "--eta", 0.05, "--iters", 3, "--out", out_a]) == 0
+        manifest = json.loads((out_a / "manifest.json").read_text())
+        manifest["args"]["distortion_file"] = None
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["rerun", "--manifest", path, "--out", tmp_path / "b"]) == 2
+        assert "train has no flag 'distortion_file'" in capsys.readouterr().err
+
     def test_manifest_contents(self, tmp_path):
         out = tmp_path / "o"
         src = tmp_path / "l.csv"

@@ -127,7 +127,18 @@ class TestLossTable:
     def test_negative_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("m\n1\n-1\n")
-        with pytest.raises(InvalidLoss):
+        with pytest.raises(InvalidLoss, match=r"negative loss at row 3, column 1 \(m\)$"):
+            load_loss_table(path)
+
+    @pytest.mark.parametrize("text, where", [
+        ("m\n\n1\n-1\n", "row 4, column 1 (m)"),      # blank line before the data
+        ("\nm\n1\n-1\n", "row 4, column 1 (m)"),      # blank line before the header
+        ("a,b\n1,2\n,\n3,-1\n", "row 4, column 2 (b)"),  # blank-cell row, per-cell path
+    ], ids=["blank-before-data", "blank-before-header", "blank-cells"])
+    def test_negative_loss_names_its_file_line(self, tmp_path, text, where):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidLoss, match=rf"negative loss at {re.escape(where)}$"):
             load_loss_table(path)
 
     def test_ragged_rejected(self, tmp_path):

@@ -581,7 +581,7 @@ class TestTableLoaders:
         t = np.linspace(0.0, 1.0, 1001)
         np.testing.assert_allclose(spec.cumulative(t), exact(t), rtol=0, atol=1e-12)
         edges = np.arange(8) / 7
-        np.testing.assert_allclose(spec.block_weights(7), np.diff(exact(edges)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(spec.rank_weights(7), np.diff(exact(edges)), rtol=0, atol=1e-12)
         losses = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]
         want = float(np.diff(exact(edges)) @ np.sort(losses))
         assert spectral_risk(build_cdf(losses), spec).value == pytest.approx(want, abs=1e-12)
@@ -604,3 +604,76 @@ class TestTableLoaders:
         path.write_text("0,0\n0,1\n")
         with pytest.raises(Exception):
             load_distortion_csv(path)
+
+
+def telescoped(losses, g):
+    """Oracle: the distortion integral of the step CDF as the telescoping sum
+    sum_i g(1 - (i-1)/n) * (x_(i) - x_(i-1)) with x_(0) = 0."""
+    x = np.sort(np.asarray(losses, dtype=float))
+    n = x.size
+    coeff = np.asarray(g(1.0 - np.arange(n) / n), dtype=float)
+    return float(coeff @ np.diff(x, prepend=0.0))
+
+
+def lower_tail_g(alpha):
+    """The inverted CVaR OCE's distortion: g(t) = max(t - 1 + alpha, 0)/alpha."""
+    return lambda t: np.maximum(np.asarray(t, dtype=float) - (1.0 - alpha), 0.0) / alpha
+
+
+def assert_matches_oracle(value, oracle):
+    assert abs(value - oracle) <= 1e-12 * max(1.0, abs(oracle)), (value, oracle)
+
+
+class TestRankWeightsAgainstTelescopedSum:
+    def test_distortion_risk(self):
+        for x, _, _ in random_oce_cases():
+            cdf = build_cdf(x)
+            for spec in (identity_distortion(), ESS_SUP):
+                assert_matches_oracle(distortion_risk(cdf, spec).value, telescoped(x, spec))
+
+    def test_cvar_with_integral_and_fractional_alpha_n(self):
+        integral = fractional = 0
+        for x, _, alpha in random_oce_cases():
+            if abs(alpha * x.size - round(alpha * x.size)) < 1e-9:
+                integral += 1
+            else:
+                fractional += 1
+            value = cvar(build_cdf(x), alpha).value
+            assert_matches_oracle(value, telescoped(x, cvar_distortion(alpha)))
+        assert integral >= 50 and fractional >= 50
+
+    def test_oce_cvar_both_directions(self):
+        for x, d, alpha in random_oce_cases():
+            cdf, spec = build_cdf(x), oce_cvar_spec(alpha, d)
+            assert_matches_oracle(oce_risk(cdf, spec).value,
+                                  telescoped(x, cvar_distortion(alpha)))
+            assert_matches_oracle(inverted_oce_risk(cdf, spec).value,
+                                  telescoped(x, lower_tail_g(alpha)))
+
+    def test_distortion_tables(self, tmp_path):
+        rng = np.random.default_rng(77)
+        for k in range(6):
+            # Non-decreasing g from 0 to 1 on random knots, some pieces flat.
+            inner = np.sort(rng.choice(np.arange(1, 20), 4, replace=False)) / 20
+            t = np.concatenate([[0.0], inner, [1.0]])
+            rise = rng.uniform(0.0, 1.0, t.size - 1) * (rng.random(t.size - 1) < 0.7)
+            rise[k % rise.size] += 0.1
+            g = np.concatenate([[0.0], np.cumsum(rise)])
+            g /= g[-1]
+            path = tmp_path / f"dist{k}.csv"
+            path.write_text("t,g\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(t, g)))
+            spec = load_distortion_csv(path)
+            for x, _, _ in random_oce_cases(count=40, seed=k):
+                assert_matches_oracle(distortion_risk(build_cdf(x), spec).value,
+                                      telescoped(x, spec))
+
+    @pytest.mark.parametrize("spec", [
+        identity_distortion(), cvar_distortion(0.05), cvar_distortion(0.3), cvar_distortion(1.0),
+        uniform_spectrum(), cvar_spectrum(0.05), cvar_spectrum(0.3), cvar_spectrum(1.0),
+    ], ids=lambda spec: spec.name)
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 1000, 20_000])
+    def test_preset_weights_nonnegative_sum_to_one(self, spec, n):
+        w = spec.rank_weights(n)
+        assert w.shape == (n,)
+        assert np.all(w >= 0.0)
+        assert abs(float(np.sum(w)) - 1.0) <= 1e-12
