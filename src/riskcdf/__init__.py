@@ -62,7 +62,6 @@ from .risks import (
     cvar_distortion,
     cvar_spectrum,
     distortion_risk,
-    holder_risk_error,
     identity_distortion,
     inverted_oce_risk,
     mean_variance,

@@ -16,7 +16,7 @@ threshold-composed losses.  Available R(n) bounds:
   bound at G = (n+1)**nu in log space, so it never overflows
 
 Natural logarithms throughout.  A certificate propagates to risk errors via
-L * epsilon (sup-norm Holder risks) or L * D**p * epsilon**p (Wasserstein
+L * epsilon**p (sup-norm Holder risks) or L * D**p * epsilon**p (Wasserstein
 Holder risks on [0, D]), and to excess risk via doubling.
 """
 
@@ -32,6 +32,7 @@ import numpy as np
 
 from .cdf import EmpiricalCDF, build_cdf, sup_norm_distance
 from .errors import ConfigError, InvalidDelta, InvalidGrowth, WeakReference
+from .risks import HolderConstants
 from .seeds import rng_from
 
 __all__ = [
@@ -176,10 +177,10 @@ def certificate_vc_sauer(n: int, nu: int, delta: float) -> BoundCertificate:
                              method="vc_sauer", inputs={"nu": int(nu)})
 
 
-def risk_error_bound(cert: BoundCertificate, L: float) -> float:
-    """Simultaneous estimation-error bound L * epsilon for every sup-norm
-    Holder risk with constant at most L and every hypothesis in the class."""
-    return float(L) * cert.epsilon
+def risk_error_bound(cert: BoundCertificate, holder: HolderConstants) -> float | None:
+    """Simultaneous estimation-error bound L * epsilon**p (None if L is unknown) for
+    every sup-norm Holder risk with constants at most (L, p) and every hypothesis."""
+    return None if holder.L is None else float(holder.L) * cert.epsilon ** holder.p
 
 
 def wasserstein_risk_error_bound(cert: BoundCertificate, L: float, D: float, p: float) -> float:

@@ -23,12 +23,11 @@ import hashlib
 import json
 import os
 import sys
-from collections.abc import Callable
 
 import numpy as np
 
 from . import __version__, bounds, data, risks
-from .cdf import EmpiricalCDF, build_cdf, moment, read_losses_csv, write_cdf_csv
+from .cdf import build_cdf, moment, read_losses_csv, write_cdf_csv
 from .errors import ConfigError, Diverged, FormatError, ToolkitError
 from .models import Example, finite_difference_check, init_model, save_checkpoint
 from .optim import TrainConfig, estimate_beta, stationarity_report, train
@@ -105,63 +104,6 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
     return widths
 
 
-def _token_number(token: str) -> float:
-    """The number after the last ':' of a risk token such as ``cvar:0.05``."""
-    text = token.rsplit(":", 1)[1]
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{token!r}: {text!r} is not a number") from None
-
-
-def _token_path(token: str | None) -> str | None:
-    """The file that a ``distortion-file:`` or ``spectral-file:`` risk token names, else None."""
-    if token is not None and token.startswith(("distortion-file:", "spectral-file:")):
-        return token.split(":", 1)[1]
-    return None
-
-
-def _parse_distortion(token: str) -> risks.DistortionSpec:
-    if token == "mean":
-        return risks.identity_distortion()
-    if token.startswith("cvar:"):
-        return risks.cvar_distortion(_token_number(token))
-    if token.startswith("distortion-file:"):
-        return risks.load_distortion_csv(_token_path(token))
-    raise ConfigError(f"unknown distortion objective {token!r}; "
-                      "expected mean, cvar:ALPHA, or distortion-file:PATH")
-
-
-def _parse_oce(preset: str, support_bound: float) -> risks.OceSpec:
-    if preset == "mean":
-        return risks.oce_mean_spec(support_bound)
-    if preset == "entropic":
-        return risks.oce_entropic_spec(support_bound)
-    if preset.startswith("cvar:"):
-        return risks.oce_cvar_spec(_token_number(preset), support_bound)
-    raise ConfigError(f"unknown OCE preset {preset!r}; expected mean, entropic, or cvar:ALPHA")
-
-
-def _risk_evaluator(token: str, support_bound: float) -> Callable[[EmpiricalCDF], risks.RiskValue]:
-    """Parse one assess risk token into a ``cdf -> RiskValue`` evaluator.
-
-    Files are read and specs validated here, once per token, not once per model.
-    """
-    if token == "mean" or token.startswith(("cvar:", "distortion-file:")):
-        distortion = _parse_distortion(token)
-        return lambda cdf: risks.distortion_risk(cdf, distortion, support_bound)
-    if token.startswith("mean_var:"):
-        c = _token_number(token)
-        return lambda cdf: risks.mean_variance(cdf, c, support_bound)
-    if token.startswith("spectral-file:"):
-        spectrum = risks.load_spectrum_csv(_token_path(token))
-        return lambda cdf: risks.spectral_risk(cdf, spectrum, support_bound)
-    if token.startswith("oce:"):
-        oce = _parse_oce(token.split(":", 1)[1], support_bound)
-        return lambda cdf: risks.oce_risk(cdf, oce)
-    raise ConfigError(f"unknown risk {token!r}")
-
-
 def run_cdf(params: dict, out_dir: str) -> None:
     losses = read_losses_csv(params["input"], has_header=params["has_header"])
     cdf = build_cdf(losses)
@@ -185,18 +127,15 @@ def run_assess(params: dict, out_dir: str) -> None:
         support = float(np.max(table.values))
     cert = bounds.certificate_finite_class(n, table.n_models, params["delta"])
     tokens = params["risks"] or ["mean"]
-    evaluators = {token: _risk_evaluator(token, support) for token in tokens}
+    evaluators = {token: risks.parse_risk(token, support).evaluate for token in tokens}
     # One sorted CDF per model, shared by every token; records stay token-major.
     cells: dict[str, list[risks.RiskValue]] = {token: [] for token in evaluators}
     for name in table.names:
         cdf = build_cdf(table.column(name))
         for token, evaluate in evaluators.items():
             cells[token].append(evaluate(cdf))
-    records = []
-    for row in cells.values():
-        for name, rv in zip(table.names, row):
-            eb = None if rv.holder.L is None else bounds.risk_error_bound(cert, rv.holder.L)
-            records.append(risks.risk_record(name, rv, eb))
+    records = [risks.risk_record(name, rv, bounds.risk_error_bound(cert, rv.holder))
+               for row in cells.values() for name, rv in zip(table.names, row)]
     payload = {
         "certificate": cert.to_dict(),
         "support_bound": support,
@@ -257,7 +196,7 @@ def run_train(params: dict, out_dir: str) -> None:
                                         has_header=params["has_header"])
     else:
         dataset = data.toy_blobs(seed=derive_seed(params["seed"], "data"))
-    spec = _parse_distortion(params["risk"])
+    spec = risks.parse_distortion(params["risk"])
     features = dataset.X
     if params.get("add_bias"):
         features = np.hstack([features, np.ones((dataset.n, 1))])
@@ -353,9 +292,9 @@ RUNNERS = {
 def _input_paths(params: dict) -> list[str]:
     """The files a run reads: ``--input`` and each file a risk token names
     (assess's ``--risk`` list, train's single ``--risk``)."""
-    tokens = params.get("risks") or [params.get("risk")]
+    tokens = params.get("risks") or ([params["risk"]] if params.get("risk") else [])
     paths = [params["input"]] if params.get("input") else []
-    return paths + [p for p in map(_token_path, tokens) if p is not None]
+    return paths + [p for p in map(risks.token_path, tokens) if p is not None]
 
 
 def _execute(command: str, params: dict, out_dir: str) -> None:
@@ -452,8 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--input", required=True, help="loss table CSV (header = model names)")
     p.add_argument("--risk", action="append", dest="risks", default=None, metavar="SPEC",
-                   help="repeatable: mean | cvar:A | mean_var:C | oce:PRESET | "
-                        "distortion-file:PATH | spectral-file:PATH")
+                   help="repeatable: " + " | ".join(risks.RISK_TOKENS))
     p.add_argument("--n", type=int, default=None,
                    help="certificate sample size (default: table rows)")
     p.add_argument("--delta", type=float, default=None)
@@ -482,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["linear_squared", "logistic_crossentropy", "mlp_tanh"])
     p.add_argument("--hidden", default="8", help="MLP widths, comma-separated")
     p.add_argument("--risk", default="mean",
-                   help="objective: mean | cvar:A | distortion-file:PATH")
+                   help="objective, a distortion risk: " + " | ".join(risks.DISTORTION_TOKENS))
     p.add_argument("--add-bias", dest="add_bias", action="store_true",
                    help="append a constant-1 feature column (intercept)")
     p.add_argument("--eta", type=float, default=None)

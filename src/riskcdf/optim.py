@@ -2,7 +2,9 @@
 
 The training objective is a distortion risk of the per-example losses:
 the rank weights ``spec.rank_weights(n)`` dotted with the sorted losses,
-as :func:`riskcdf.risks.distortion_risk` evaluates it.  Where it is
+as :func:`riskcdf.risks.distortion_risk` evaluates it, for a distortion or
+spectral spec: ``train --risk`` takes ``mean``, ``cvar:ALPHA``,
+``distortion-file:PATH`` and ``spectral-file:PATH``.  Where it is
 differentiable, its gradient reweights the per-example loss gradients by
 the same weights:
 
@@ -39,7 +41,7 @@ import numpy as np
 from .cdf import build_cdf
 from .errors import ConfigError, Diverged, EmptySample, InvalidLoss
 from .models import LossModel
-from .risks import DistortionSpec, distortion_risk
+from .risks import DistortionSpec, SpectrumSpec, distortion_risk
 from .seeds import rng_from, standard_normal
 
 __all__ = [
@@ -68,7 +70,7 @@ class TrainConfig:
     perturbation; production runs keep it on.
     """
 
-    distortion: DistortionSpec
+    distortion: DistortionSpec | SpectrumSpec
     iterations: int
     eta: float | None = None
     beta: float | None = None
@@ -145,7 +147,7 @@ class TrainTrace:
 
 
 def empirical_distortion_risk(model: LossModel, X: np.ndarray, y: np.ndarray,
-                              spec: DistortionSpec) -> float:
+                              spec: DistortionSpec | SpectrumSpec) -> float:
     """Distortion risk of the model's per-example losses on a dataset.
 
     Delegates to the CDF-based evaluator, so it agrees exactly with
@@ -177,7 +179,7 @@ def _risk_and_gradient(losses: np.ndarray, vjp: Callable[[np.ndarray], np.ndarra
 
 
 def distortion_gradient(model: LossModel, X: np.ndarray, y: np.ndarray,
-                        spec: DistortionSpec) -> np.ndarray:
+                        spec: DistortionSpec | SpectrumSpec) -> np.ndarray:
     """CDF-reweighted full-batch gradient of the empirical distortion risk.
 
     One forward pass, one stable sort and one vector-Jacobian product.

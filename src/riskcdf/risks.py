@@ -24,20 +24,25 @@ reports the value together with sup-norm Holder constants (L, p) so that a
 CDF error budget epsilon translates to a risk error budget L * epsilon^p.
 Each L is a closed form, not a grid estimate: 1/alpha and the table's
 steepest slope for distortions (times D), h(1) * D for spectra,
-phi(D) - phi(0) for OCEs and D + 3 c D^2 for mean + c * variance.
+phi(D) - phi(0) for OCEs and D + 3 |c| D^2 for mean + c * variance.
+
+:data:`RISK_TOKENS` is the one grammar of ``--risk`` tokens (:func:`parse_risk`);
+its distortion tokens, the ones training takes, are :data:`DISTORTION_TOKENS`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .cdf import EmpiricalCDF, moment
 from .data import read_numeric_csv
 from .errors import (
+    ConfigError,
     FormatError,
     InvalidAlpha,
     InvalidDistortion,
@@ -53,6 +58,12 @@ __all__ = [
     "OceSpec",
     "HolderConstants",
     "RiskValue",
+    "Risk",
+    "RISK_TOKENS",
+    "DISTORTION_TOKENS",
+    "parse_risk",
+    "parse_distortion",
+    "token_path",
     "identity_distortion",
     "cvar_distortion",
     "cvar_spectrum",
@@ -60,7 +71,6 @@ __all__ = [
     "oce_cvar_spec",
     "oce_entropic_spec",
     "oce_mean_spec",
-    "spectrum_to_distortion",
     "distortion_risk",
     "cvar",
     "spectral_risk",
@@ -68,7 +78,6 @@ __all__ = [
     "inverted_oce_risk",
     "mean_variance",
     "oce_lipschitz_constant",
-    "holder_risk_error",
     "load_distortion_csv",
     "load_spectrum_csv",
     "risk_record",
@@ -201,6 +210,9 @@ class SpectrumSpec:
         """Largest spectrum value, h(1), since h is checked to be non-decreasing."""
         return float(_eval_fn(self.h, np.array([1.0]))[0])
 
+    def risk_constant(self, support_bound: float) -> HolderConstants:
+        return HolderConstants(L=self.max_value() * support_bound, p=1.0, metric=SUP_NORM)
+
 
 @dataclass(frozen=True)
 class OceSpec:
@@ -304,9 +316,10 @@ def oce_cvar_spec(alpha: float, support_bound: float) -> OceSpec:
         name=f"lower_tail_mean:{alpha:g}",
         lipschitz_constant=1.0 / a,
     )
+    up, down = (functools.lru_cache(maxsize=1)(spec.rank_weights) for spec in (upper, lower))
 
     def closed_form(x: np.ndarray, sign: float) -> float:
-        return float((upper if sign > 0 else lower).rank_weights(x.shape[0]) @ x)
+        return float((up if sign > 0 else down)(x.shape[0]) @ x)
 
     return OceSpec(phi=lambda x: np.maximum(np.asarray(x, dtype=np.float64), 0.0) / a,
                    support_bound=support_bound, name=f"oce:cvar:{alpha:g}",
@@ -326,21 +339,6 @@ def oce_entropic_spec(support_bound: float) -> OceSpec:
                    closed_form=_entropic_value)
 
 
-def spectrum_to_distortion(spec: SpectrumSpec) -> DistortionSpec:
-    """Distortion equivalent of a spectrum: g(t) = int_0^t h(1-s) ds.
-
-    This orientation puts the spectrum's heavy upper-quantile mass on the
-    largest losses, so the CVaR spectrum maps to the CVaR distortion.
-    From the exact cumulative: g(t) = H(1) - H(1-t), with slope at most h(1).
-    """
-    cum = spec.cumulative
-    return DistortionSpec(
-        g=lambda t: 1.0 - np.asarray(_eval_fn(cum, 1.0 - np.asarray(t, dtype=np.float64))),
-        name=f"distortion({spec.name})",
-        lipschitz_constant=spec.max_value(),
-    )
-
-
 def _support_bound(cdf: EmpiricalCDF, support_bound: float | None) -> float:
     """D for the Holder constants: the given bound, or the sample maximum.
 
@@ -356,35 +354,26 @@ def _support_bound(cdf: EmpiricalCDF, support_bound: float | None) -> float:
     return d
 
 
-def distortion_risk(cdf: EmpiricalCDF, spec: DistortionSpec,
-                    support_bound: float | None = None) -> RiskValue:
-    """Distortion risk of an empirical CDF: the rank weights of g dotted with the sorted losses."""
+def distortion_risk(cdf: EmpiricalCDF, spec: DistortionSpec | SpectrumSpec,
+                    support_bound: float | None = None,
+                    weights: np.ndarray | None = None) -> RiskValue:
+    """Distortion or spectral risk of an empirical CDF: the spec's rank weights
+    dotted with the sorted losses.  ``weights``, if given, is
+    ``spec.rank_weights(cdf.n)``, built once for many CDFs of that size."""
     if cdf.min < 0.0:
         raise InvalidLoss("distortion risk requires nonnegative losses")
     d = _support_bound(cdf, support_bound)
-    return RiskValue(
-        value=float(spec.rank_weights(cdf.n) @ cdf.values),
-        risk_name=spec.name,
-        holder=spec.risk_constant(d),
-    )
+    w = spec.rank_weights(cdf.n) if weights is None else weights
+    return RiskValue(value=float(w @ cdf.values), risk_name=spec.name,
+                     holder=spec.risk_constant(d))
+
+
+spectral_risk = distortion_risk  # a spectral risk is a distortion risk
 
 
 def cvar(cdf: EmpiricalCDF, alpha: float, support_bound: float | None = None) -> RiskValue:
     """Conditional value at risk at level alpha (top 100*alpha% mean)."""
     return distortion_risk(cdf, cvar_distortion(alpha), support_bound=support_bound)
-
-
-def spectral_risk(cdf: EmpiricalCDF, spec: SpectrumSpec,
-                  support_bound: float | None = None) -> RiskValue:
-    """Rank-weighted risk: sum_i w_i * x_(i), w_i = int of h over the i-th quantile block."""
-    if cdf.min < 0.0:
-        raise InvalidLoss("spectral risk requires nonnegative losses")
-    d = _support_bound(cdf, support_bound)
-    return RiskValue(
-        value=float(spec.rank_weights(cdf.n) @ cdf.values),
-        risk_name=spec.name,
-        holder=HolderConstants(L=spec.max_value() * d, p=1.0, metric=SUP_NORM),
-    )
 
 
 def _golden_section(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -459,8 +448,8 @@ def inverted_oce_risk(cdf: EmpiricalCDF, spec: OceSpec) -> RiskValue:
 def mean_variance(cdf: EmpiricalCDF, c: float, support_bound: float | None = None) -> RiskValue:
     """mean + c * variance, from the first two raw moments.
 
-    The sup-norm constant on losses in [0, D] combines the mean (D), the
-    second raw moment (D^2), and the squared mean (2 D^2): D + 3 c D^2.
+    The sup-norm constant on losses in [0, D] is D (the mean) plus |c| times
+    D^2 (the second raw moment) and 2 D^2 (the squared mean): D + 3 |c| D^2.
     """
     m1 = moment(cdf, 1)
     m2 = moment(cdf, 2)
@@ -468,7 +457,7 @@ def mean_variance(cdf: EmpiricalCDF, c: float, support_bound: float | None = Non
     return RiskValue(
         value=m1 + c * (m2 - m1 * m1),
         risk_name=f"mean_var:{c:g}",
-        holder=HolderConstants(L=d + 3.0 * c * d * d, p=1.0, metric=SUP_NORM),
+        holder=HolderConstants(L=d + 3.0 * abs(c) * d * d, p=1.0, metric=SUP_NORM),
     )
 
 
@@ -483,11 +472,6 @@ def oce_lipschitz_constant(spec: OceSpec) -> float:
     """
     at_zero, at_d = _eval_fn(spec.phi, np.array([0.0, spec.support_bound]))
     return float(at_d - at_zero)
-
-
-def holder_risk_error(L: float, p: float, epsilon: float) -> float:
-    """Risk estimation error budget L * epsilon**p from a CDF error budget."""
-    return float(L) * float(epsilon) ** float(p)
 
 
 def _load_table_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -546,6 +530,80 @@ def load_spectrum_csv(path, name: str | None = None) -> SpectrumSpec:
         name=name or f"spectrum_file:{path}",
         cumulative=cumulative,
     )
+
+
+class Risk(NamedTuple):
+    """A parsed token: its value on a CDF, and the spec of a distortion token."""
+
+    name: str
+    evaluate: Callable[[EmpiricalCDF], RiskValue]
+    spec: DistortionSpec | SpectrumSpec | None = None
+
+
+# The risk-token grammar.  A form's last piece in capitals is its parameter:
+# the rest of the token, a path for PATH and a finite number otherwise.
+# Distortion tokens build a spec from it, the others an evaluator (with D).
+# The loaders are looked up when called, so a wrapped one (a tracer's) runs.
+DISTORTION_TOKENS: dict[str, Callable] = {
+    "mean": lambda _: identity_distortion(),
+    "cvar:ALPHA": cvar_distortion,
+    "distortion-file:PATH": lambda path: load_distortion_csv(path),
+    "spectral-file:PATH": lambda path: load_spectrum_csv(path),
+}
+_VALUE_TOKENS: dict[str, Callable] = {
+    "mean_var:C": lambda c, d: functools.partial(mean_variance, c=c, support_bound=d),
+    "oce:mean": lambda _, d: functools.partial(oce_risk, spec=oce_mean_spec(d)),
+    "oce:entropic": lambda _, d: functools.partial(oce_risk, spec=oce_entropic_spec(d)),
+    "oce:cvar:ALPHA": lambda a, d: functools.partial(oce_risk, spec=oce_cvar_spec(a, d)),
+}
+RISK_TOKENS = (*DISTORTION_TOKENS, *_VALUE_TOKENS)
+
+
+def _match(token: str, forms, what: str) -> tuple[str, str | float | None]:
+    """The form among ``forms`` that ``token`` has, and its parameter (None if it takes none)."""
+    for form in forms:
+        prefix, _, param = form.rpartition(":")
+        if not param.isupper():
+            if token == form:
+                return form, None
+        elif token.startswith(prefix + ":"):
+            text = token[len(prefix) + 1:]
+            if param == "PATH":
+                return form, text
+            try:
+                if math.isfinite(value := float(text)):
+                    return form, value
+            except ValueError:
+                pass
+            raise ConfigError(f"{token!r}: {text!r} is not a finite number")
+    raise ConfigError(f"{token!r} is not a {what}; expected {' | '.join(forms)}")
+
+
+def parse_risk(token: str, support_bound: float) -> Risk:
+    """The risk a token of :data:`RISK_TOKENS` names, on losses in [0, support_bound].
+
+    Files are read and specs validated once per token, and rank weights built
+    once per sample size, not once per CDF.
+    """
+    form, param = _match(token, RISK_TOKENS, "risk")
+    if form not in DISTORTION_TOKENS:
+        return Risk(token, _VALUE_TOKENS[form](param, support_bound))
+    spec = DISTORTION_TOKENS[form](param)
+    weights = functools.lru_cache(maxsize=1)(spec.rank_weights)
+    risk = spectral_risk if isinstance(spec, SpectrumSpec) else distortion_risk
+    return Risk(token, lambda cdf: risk(cdf, spec, support_bound, weights(cdf.n)), spec)
+
+
+def parse_distortion(token: str) -> DistortionSpec | SpectrumSpec:
+    """The rank-weighted spec a token of :data:`DISTORTION_TOKENS` names."""
+    form, param = _match(token, DISTORTION_TOKENS, "distortion risk")
+    return DISTORTION_TOKENS[form](param)
+
+
+def token_path(token: str) -> str | None:
+    """The file a ``...:PATH`` risk token names, else None."""
+    head, _, rest = token.partition(":")
+    return rest if f"{head}:PATH" in RISK_TOKENS else None
 
 
 def risk_record(model: str, rv: RiskValue, error_bound: float | None) -> dict:

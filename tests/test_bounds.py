@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from riskcdf.bounds import (
+    BoundCertificate,
     certificate_finite_class,
     cdf_uniform_bound,
     excess_risk_bound,
@@ -25,6 +26,7 @@ from riskcdf.bounds import (
 from riskcdf.data import blob_mixture_sampler
 from riskcdf.errors import ConfigError, InvalidDelta, InvalidGrowth, WeakReference
 from riskcdf.models import init_model
+from riskcdf.risks import HolderConstants
 from riskcdf.seeds import derive_seed, standard_normal
 
 
@@ -111,14 +113,24 @@ class TestCertificates:
         assert payload["epsilon"] == pytest.approx(cert.epsilon)
 
 
+def with_epsilon(epsilon):
+    return BoundCertificate(n=1, delta=1.0, rademacher_bound=0.0, method="user_supplied",
+                            epsilon=epsilon)
+
+
 class TestRiskErrorPropagation:
     def test_linear_propagation(self):
         cert = cdf_uniform_bound(0.0, 100, 1.0)
-        assert risk_error_bound(cert, 3.0) == 0.0
+        assert risk_error_bound(cert, HolderConstants(3.0)) == 0.0
         cert2 = certificate_finite_class(50000, 5, 0.05)
-        assert risk_error_bound(cert2, 1.0) == pytest.approx(cert2.epsilon)
+        assert risk_error_bound(cert2, HolderConstants(1.0)) == cert2.epsilon
         # CVaR at alpha=0.05 on [0, 1] losses: constant 20x the mean's.
-        assert risk_error_bound(cert2, 20.0) == pytest.approx(20 * cert2.epsilon)
+        assert risk_error_bound(cert2, HolderConstants(20.0)) == pytest.approx(20 * cert2.epsilon)
+
+    def test_holder_exponent(self):
+        assert risk_error_bound(with_epsilon(0.1), HolderConstants(2.0, 1.0)) == pytest.approx(0.2)
+        assert risk_error_bound(with_epsilon(0.04), HolderConstants(1.0, 0.5)) == pytest.approx(0.2)
+        assert risk_error_bound(with_epsilon(0.0), HolderConstants(7.0, 0.3)) == 0.0
 
     def test_wasserstein_propagation(self):
         cert = cdf_uniform_bound(0.0, 200, 0.5)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from riskcdf.cdf import build_cdf
 from riskcdf.cli import main
 from riskcdf.data import save_dataset_csv, toy_blobs
 from riskcdf.models import init_model
@@ -165,12 +166,25 @@ class TestCmdAssess:
         assert run(["assess", "--input", src, "--risk", "nope",
                     "--out", tmp_path / "x"]) == 2
 
-    @pytest.mark.parametrize("token", ["cvar:abc", "oce:cvar:", "mean_var:x"])
-    def test_non_numeric_risk_parameter_is_config_error(self, tmp_path, token):
+    @pytest.mark.parametrize("token", ["cvar:abc", "oce:cvar:", "mean_var:x", "cvar:abc:0.5",
+                                       "mean_var:x:0.5", "oce:cvar:q:0.5", "mean_var:nan",
+                                       "mean_var:inf"])
+    def test_non_numeric_risk_parameter_is_config_error(self, tmp_path, capsys, token):
         src = tmp_path / "table.csv"
         write_table(src, ["m"], [np.array([1.0])])
         assert run(["assess", "--input", src, "--risk", token,
                     "--out", tmp_path / "x"]) == 2
+        assert "is not a finite number" in capsys.readouterr().err
+
+    def test_negative_mean_var_constant_is_positive(self, tmp_path):
+        src = tmp_path / "table.csv"
+        write_table(src, ["m"], [np.array([0.0, 1.0, 3.0])])
+        out = tmp_path / "a"
+        assert run(["assess", "--input", src, "--risk", "mean_var:-1", "--support-bound", 3,
+                    "--out", out]) == 0
+        record = json.loads((out / "assessment.json").read_text())["records"][0]
+        assert record["L"] == 3 + 3 * 9
+        assert record["error_bound"] > 0
 
     def test_steep_distortion_file_bound(self, tmp_path):
         src = tmp_path / "table.csv"
@@ -251,6 +265,26 @@ class TestAssessHotPath:
         src, _ = self.write(tmp_path)
         self.assess(src, tmp_path / "a", ["oce:mean", "oce:entropic", "oce:cvar:0.3"])
         assert searches == []
+
+    @pytest.mark.parametrize("models", [1, 3, 8])
+    def test_rank_weights_once_per_token(self, tmp_path, monkeypatch, models):
+        from riskcdf import risks
+
+        calls = []
+        for cls in (risks.DistortionSpec, risks.SpectrumSpec):
+            monkeypatch.setattr(cls, "rank_weights",
+                                lambda self, n, f=cls.rank_weights: calls.append(n) or f(self, n))
+        src = tmp_path / "table.csv"
+        rng = rng_from(4, "hot-path")
+        write_table(src, [f"m{j}" for j in range(models)],
+                    [np.round(rng.random(50) * 8) / 4 for _ in range(models)])
+        dist, spec = tmp_path / "g.csv", tmp_path / "h.csv"
+        dist.write_text("t,g\n0,0\n0.5,0.8\n1,1\n")
+        spec.write_text("u,h\n0,0.5\n1,1.5\n")
+        rank_weighted = ["mean", "cvar:0.25", "oce:cvar:0.3", f"distortion-file:{dist}",
+                         f"spectral-file:{spec}"]
+        self.assess(src, tmp_path / "a", [*rank_weighted, "mean_var:0.5", "oce:entropic"])
+        assert calls == [50] * len(rank_weighted)
 
     def test_values_equal_per_cell_evaluation(self, tmp_path):
         from riskcdf import risks
@@ -473,15 +507,19 @@ class TestManifestRerun:
         assert run(["rerun", "--manifest", out_a / "manifest.json",
                     "--out", tmp_path / "b"]) == 2
 
-    def test_train_distortion_file_digest_guard(self, tmp_path, capsys):
+    @pytest.mark.parametrize("prefix, table, edited", [
+        ("distortion-file", "t,g\n0,0\n0.5,0.8\n1,1\n", "t,g\n0,0\n0.5,0.2\n1,1\n"),
+        ("spectral-file", "u,h\n0,0.5\n1,1.5\n", "u,h\n0,0\n0.5,1\n1,2\n"),
+    ], ids=["distortion-file", "spectral-file"])
+    def test_train_distortion_file_digest_guard(self, tmp_path, capsys, prefix, table, edited):
         dist = tmp_path / "g.csv"
-        dist.write_text("t,g\n0,0\n0.5,0.8\n1,1\n")
+        dist.write_text(table)
         out_a = tmp_path / "a"
-        assert run(["train", "--risk", f"distortion-file:{dist}", "--eta", 0.05,
+        assert run(["train", "--risk", f"{prefix}:{dist}", "--eta", 0.05,
                     "--iters", 5, "--out", out_a]) == 0
         manifest = json.loads((out_a / "manifest.json").read_text())
         assert list(manifest["input_digests"]) == [str(dist)]
-        dist.write_text("t,g\n0,0\n0.5,0.2\n1,1\n")
+        dist.write_text(edited)
         capsys.readouterr()
         assert run(["rerun", "--manifest", out_a / "manifest.json",
                     "--out", tmp_path / "b"]) == 2
@@ -542,6 +580,13 @@ REJECTIONS = [
     ("growth-nan", ["bound", "--method", "growth", "--n", 10, "--growth", "nan"], None, 2),
     ("oce-entropic-overflow", ["assess", "--input", "TABLE", "--risk", "oce:entropic",
                                "--support-bound", 800], None, 2),
+    ("risk-unknown", ["assess", "--input", "TABLE", "--risk", "nope"], None, 2),
+    ("train-risk-malformed", ["train", "--risk", "cvar:abc:0.5", "--eta", 0.1, "--iters", 3],
+     None, 2),
+    ("train-risk-not-distortion", ["train", "--risk", "oce:mean", "--eta", 0.1, "--iters", 3],
+     None, 2),
+    ("train-risk-mean-var", ["train", "--risk", "mean_var:0.5", "--eta", 0.1, "--iters", 3],
+     None, 2),
 ]
 
 
@@ -592,3 +637,46 @@ class TestEnvOverrides:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "RISKCDF_SEED='abc'" in err
+
+
+class TestRiskGrammarDocs:
+    """The README and both --help texts list the one grammar in risks."""
+
+    @staticmethod
+    def risk_help(command):
+        from riskcdf.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        return next(a.help for a in sub.choices[command]._actions if "--risk" in a.option_strings)
+
+    def test_readme_and_help_list_every_form(self):
+        from pathlib import Path
+
+        from riskcdf.risks import DISTORTION_TOKENS, RISK_TOKENS
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        grammar = readme[readme.index("Risk grammar"):]
+        grammar = " ".join(grammar[:grammar.index("\n\n")].split())
+        train_sentence = grammar[grammar.index("`train --risk`"):].split(".")[0]
+        assert set(RISK_TOKENS) >= set(DISTORTION_TOKENS)
+        for form in RISK_TOKENS:
+            assert f"`{form}`" in grammar, form
+            assert form in self.risk_help("assess"), form
+            assert (f"`{form}`" in train_sentence) == (form in DISTORTION_TOKENS), form
+            assert (form in self.risk_help("train")) == (form in DISTORTION_TOKENS), form
+
+    def test_distortion_tokens_are_the_entries_with_a_spec(self, tmp_path):
+        from riskcdf.risks import DISTORTION_TOKENS, RISK_TOKENS, parse_risk
+
+        tables = {"distortion-file": "t,g\n0,0\n0.5,0.8\n1,1\n",
+                  "spectral-file": "u,h\n0,0.5\n1,1.5\n"}
+        for form in RISK_TOKENS:
+            token = form.replace("ALPHA", "0.5").replace("C", "0.5")
+            head = form.split(":")[0]
+            if head in tables:
+                (tmp_path / head).write_text(tables[head])
+                token = token.replace("PATH", str(tmp_path / head))
+            risk = parse_risk(token, 1.0)
+            assert risk.name == token
+            assert (risk.spec is not None) == (form in DISTORTION_TOKENS), form
+            assert math.isfinite(risk.evaluate(build_cdf([0.0, 0.5, 1.0])).value), form

@@ -29,7 +29,7 @@ SCRIPT = textwrap.dedent("""
         risks.cvar(cdf, 0.4),
         risks.spectral_risk(cdf, risks.uniform_spectrum()),
         risks.spectral_risk(cdf, risks.cvar_spectrum(0.4)),
-        risks.distortion_risk(cdf, risks.spectrum_to_distortion(risks.cvar_spectrum(0.4))),
+        risks.distortion_risk(cdf, risks.cvar_spectrum(0.4)),
         risks.mean_variance(cdf, 0.5),
     ]
     for spec in (risks.oce_mean_spec(4.0), risks.oce_entropic_spec(4.0),
@@ -57,6 +57,7 @@ SCRIPT = textwrap.dedent("""
         ["cdf", "--input", path("losses.csv", "3\\n1\\n2\\n")],
         ["bound", "--method", "finite_class", "--class-size", "3", "--n", "50"],
         ["train", "--risk", f"distortion-file:{dist}", "--eta", "0.1", "--iters", "3"],
+        ["train", "--risk", f"spectral-file:{spec}", "--eta", "0.1", "--iters", "3"],
         ["complexity", "--input", path("matrix.csv", "1,2,3\\n3,2,1\\n")],
         ["gradcheck", "--arch", "mlp_tanh", "--trials", "2"],
     ]

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskcdf.cdf import build_cdf
+from riskcdf.cdf import build_cdf, sup_norm_distance
+from riskcdf.cli import main
 from riskcdf.errors import (
     InvalidAlpha,
     InvalidDistortion,
@@ -21,7 +22,6 @@ from riskcdf.risks import (
     cvar_distortion,
     cvar_spectrum,
     distortion_risk,
-    holder_risk_error,
     identity_distortion,
     inverted_oce_risk,
     load_distortion_csv,
@@ -33,7 +33,6 @@ from riskcdf.risks import (
     oce_mean_spec,
     oce_risk,
     spectral_risk,
-    spectrum_to_distortion,
     uniform_spectrum,
 )
 
@@ -50,6 +49,21 @@ def top_fraction_mean(losses, alpha):
 
 
 ESS_SUP = DistortionSpec(g=lambda t: (np.asarray(t) > 0).astype(float), name="ess_sup")
+
+
+def spectrum_to_distortion(spec):
+    """Oracle: the distortion of a spectrum, g(t) = int_0^t h(1-s) ds = H(1) - H(1-t).
+
+    This orientation puts the spectrum's heavy upper-quantile mass on the
+    largest losses, so the CVaR spectrum maps to the CVaR distortion; the
+    slope of g is at most h(1).
+    """
+    return DistortionSpec(
+        g=lambda t: 1.0 - np.asarray(spec.cumulative(1.0 - np.asarray(t, dtype=float)),
+                                     dtype=float),
+        name=f"distortion({spec.name})",
+        lipschitz_constant=spec.max_value(),
+    )
 
 
 class TestDistortionRisk:
@@ -194,6 +208,39 @@ class TestSpectralRisk:
         spec = spectrum_to_distortion(cvar_spectrum(0.5))
         cdf = build_cdf([1, 2, 3, 4])
         assert distortion_risk(cdf, spec).value == pytest.approx(3.5)
+
+
+SPECTRUM_TABLE = "u,h\n0,0.25\n0.6,0.25\n1,4\n"  # integrates to 1
+
+
+class TestSpectrumAsDistortion:
+    """A spectrum's rank weights equal those of its distortion, so training on
+    ``spectral-file:`` follows ``distortion-file:`` of that distortion."""
+
+    @pytest.mark.parametrize("n", [1, 7, 1050, 20_000])
+    def test_rank_weights_match_the_distortion(self, tmp_path, n):
+        path = tmp_path / "spec.csv"
+        path.write_text(SPECTRUM_TABLE)
+        for spec in (load_spectrum_csv(path), cvar_spectrum(0.3), uniform_spectrum()):
+            np.testing.assert_allclose(spectrum_to_distortion(spec).rank_weights(n),
+                                       spec.rank_weights(n), rtol=0, atol=1e-15)
+
+    def test_train_spectral_file_matches_distortion_file(self, tmp_path):
+        spec_path = tmp_path / "spec.csv"
+        spec_path.write_text(SPECTRUM_TABLE)
+        g = spectrum_to_distortion(load_spectrum_csv(spec_path))
+        n = 1050  # the blob preset's size
+        # Knots at the levels 1 - i/n where training reads g, so interpolation is exact.
+        t = (1.0 - np.arange(n + 1) / n)[::-1]
+        dist_path = write_table(tmp_path / "dist.csv", t, g(t))
+        traces = []
+        for token in (f"spectral-file:{spec_path}", f"distortion-file:{dist_path}"):
+            out = tmp_path / token.split(":")[0]
+            assert main(["train", "--risk", token, "--eta", "0.1", "--iters", "40",
+                         "--seed", "5", "--add-bias", "--out", str(out)]) == 0
+            traces.append(np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1))
+        assert traces[0].shape == (40, 4)
+        np.testing.assert_allclose(traces[0][:, 1], traces[1][:, 1], rtol=0, atol=1e-15)
 
 
 class TestOce:
@@ -414,6 +461,18 @@ class TestMeanVariance:
         assert mean_variance(build_cdf([1, 2, 3]), 0.5).value == pytest.approx(7 / 3)
         assert mean_variance(build_cdf([4.0] * 3), 2.0).value == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("c", [-1.0, -0.1, 0.5])
+    def test_constant_bounds_the_change_on_tie_heavy_pairs(self, c):
+        d = 3.0
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            f, g = (build_cdf(np.round(rng.uniform(0, d, rng.integers(1, 30)) * 2) / 2)
+                    for _ in range(2))
+            rv = mean_variance(f, c, d)
+            assert rv.holder.L == d + 3 * abs(c) * d * d > 0
+            change = abs(rv.value - mean_variance(g, c, d).value)
+            assert change <= rv.holder.L * sup_norm_distance(f, g) + 1e-12
+
 
 class TestOceLipschitzConstant:
     def test_linear_phi(self):
@@ -541,13 +600,6 @@ class TestExactConstantsAgainstGrids:
         t, g = [-0.5, 0.0, 1.0, 1.0001], [-5.0, 0.0, 1.0, 3.0]
         spec = load_distortion_csv(write_table(tmp_path / "outside.csv", t, g))
         assert spec.lipschitz_constant == 1.0
-
-
-class TestHolderRiskError:
-    def test_values(self):
-        assert holder_risk_error(2.0, 1.0, 0.1) == pytest.approx(0.2)
-        assert holder_risk_error(1.0, 0.5, 0.04) == pytest.approx(0.2)
-        assert holder_risk_error(7.0, 0.3, 0.0) == 0.0
 
 
 class TestTableLoaders:
