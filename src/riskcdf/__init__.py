@@ -28,7 +28,6 @@ from .cdf import (
     EmpiricalCDF,
     build_cdf,
     build_cdf_unchecked,
-    distance_report,
     moment,
     sup_norm_distance,
     wasserstein1,

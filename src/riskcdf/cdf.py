@@ -17,13 +17,11 @@ from .errors import EmptySample, FormatError, InvalidLoss, InvalidOrder, Support
 
 __all__ = [
     "EmpiricalCDF",
-    "CdfDistanceReport",
     "build_cdf",
     "build_cdf_unchecked",
     "sup_norm_distance",
     "wasserstein1",
     "moment",
-    "distance_report",
     "read_losses_csv",
     "write_cdf_csv",
 ]
@@ -155,27 +153,6 @@ def moment(cdf: EmpiricalCDF, k: int) -> float:
     if int(k) != k or k < 1:
         raise InvalidOrder(f"moment order must be a positive integer, got {k!r}")
     return float(np.mean(cdf.values ** int(k)))
-
-
-@dataclass(frozen=True)
-class CdfDistanceReport:
-    """Both CDF distances plus the support bound tying them together.
-
-    Satisfies wasserstein1 <= support_bound * sup_norm (the dual-form
-    comparison of the two metrics on a bounded interval).
-    """
-
-    sup_norm: float
-    wasserstein1: float
-    support_bound: float
-
-
-def distance_report(a: EmpiricalCDF, b: EmpiricalCDF, support_bound: float) -> CdfDistanceReport:
-    return CdfDistanceReport(
-        sup_norm=sup_norm_distance(a, b),
-        wasserstein1=wasserstein1(a, b, support_bound),
-        support_bound=float(support_bound),
-    )
 
 
 def read_losses_csv(path, has_header: bool = False) -> np.ndarray:

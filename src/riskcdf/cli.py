@@ -126,7 +126,7 @@ def run_assess(params: dict, out_dir: str) -> None:
     if inferred:
         support = float(np.max(table.values))
     cert = bounds.certificate_finite_class(n, table.n_models, params["delta"])
-    tokens = params["risks"] or ["mean"]
+    tokens = list(dict.fromkeys(params["risks"] or ["mean"]))  # a repeated token counts once
     evaluators = {token: risks.parse_risk(token, support).evaluate for token in tokens}
     # One sorted CDF per model, shared by every token; records stay token-major.
     cells: dict[str, list[risks.RiskValue]] = {token: [] for token in evaluators}

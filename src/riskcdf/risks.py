@@ -8,8 +8,7 @@ Supported families:
 * spectral (rank-weighted) risks with a non-decreasing spectrum h that
   integrates to 1;
 * optimized certainty equivalents (OCE) and their risk-seeking inversion:
-  the mean, entropic and CVaR presets in closed form, a user-supplied phi
-  by golden-section search over lambda;
+  the mean, entropic and CVaR presets, each an exact closed form;
 * moment composites (mean + c * variance).
 
 On a step CDF every distortion and spectral risk is a rank-weighted sum of
@@ -86,9 +85,6 @@ __all__ = [
 VALIDATION_GRID_POINTS = 10_001
 DISTORTION_TOL = 1e-9
 SPECTRUM_INTEGRAL_TOL = 1e-6
-SUP_NORM = "sup_norm"
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _eval_fn(fn: Callable, x: np.ndarray) -> np.ndarray:
@@ -105,11 +101,10 @@ def _eval_fn(fn: Callable, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HolderConstants:
-    """Holder modulus (L, p) of a risk with respect to a CDF quasi-metric."""
+    """Holder modulus (L, p) of a risk with respect to the CDF sup norm."""
 
     L: float | None
     p: float = 1.0
-    metric: str = SUP_NORM
 
 
 @dataclass(frozen=True)
@@ -160,7 +155,7 @@ class DistortionSpec:
 
     def risk_constant(self, support_bound: float) -> HolderConstants:
         L = None if self.lipschitz_constant is None else self.lipschitz_constant * support_bound
-        return HolderConstants(L=L, p=1.0, metric=SUP_NORM)
+        return HolderConstants(L=L, p=1.0)
 
 
 @dataclass(frozen=True)
@@ -211,51 +206,34 @@ class SpectrumSpec:
         return float(_eval_fn(self.h, np.array([1.0]))[0])
 
     def risk_constant(self, support_bound: float) -> HolderConstants:
-        return HolderConstants(L=self.max_value() * support_bound, p=1.0, metric=SUP_NORM)
+        return HolderConstants(L=self.max_value() * support_bound, p=1.0)
 
 
 @dataclass(frozen=True)
 class OceSpec:
-    """Disutility phi for an optimized certainty equivalent.
+    """An optimized certainty equivalent: its disutility phi and its exact value.
 
-    phi must satisfy phi(0) = 0 and be non-decreasing and convex; all three
-    are checked on a uniform grid over [-support_bound, support_bound]
-    (convexity through second differences, tolerance 1e-9 scaled by
-    max(1, max |phi|)).  Convexity makes the OCE objective convex in lambda,
-    which the golden-section search relies on.  ``tolerance`` is the target
-    bracket width of the lambda search.
-
-    ``closed_form(sorted_losses, sign)``, when set, is the exact OCE value
-    (``sign=+1``) or its inversion (``sign=-1``) and replaces the search;
-    only the presets set it, and it must agree with phi.
+    phi is convex and non-decreasing with phi(0) = 0; it gives the Holder
+    constant phi(D) - phi(0) (:func:`oce_lipschitz_constant`), which must be
+    finite.  ``closed_form(sorted_losses, sign)`` is the exact OCE value
+    (``sign=+1``) or its inversion (``sign=-1``), in agreement with phi.
+    The presets (:func:`oce_mean_spec`, :func:`oce_entropic_spec`,
+    :func:`oce_cvar_spec`) build every OCE riskcdf evaluates.
     """
 
     phi: Callable = field(repr=False)
     support_bound: float
+    closed_form: Callable = field(repr=False)
     name: str = "oce"
-    tolerance: float = 1e-7
-    closed_form: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.support_bound < 0:
             raise SupportViolation(f"{self.name}: support bound must be nonnegative")
-        if self.tolerance <= 0:
-            raise InvalidSpectrum(f"{self.name}: tolerance must be positive")
-        d = self.support_bound
-        grid = np.linspace(-d, d, VALIDATION_GRID_POINTS) if d > 0 else np.zeros(1)
-        with np.errstate(over="ignore"):  # an overflow is reported below, not warned
-            vals = _eval_fn(self.phi, grid)
-        if not np.all(np.isfinite(vals)):
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+            lipschitz = oce_lipschitz_constant(self)
+        if not math.isfinite(lipschitz):
             raise InvalidSpectrum(f"{self.name}: phi produced non-finite values on [-D, D] "
-                                  f"with support bound D = {d:g}")
-        at_zero = float(_eval_fn(self.phi, np.array([0.0]))[0])
-        if abs(at_zero) > DISTORTION_TOL:
-            raise InvalidSpectrum(f"{self.name}: phi(0) = {at_zero!r}, expected 0")
-        if vals.size > 1 and np.min(np.diff(vals)) < -DISTORTION_TOL:
-            raise InvalidSpectrum(f"{self.name}: phi is not non-decreasing on the test grid")
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if vals.size > 2 and np.min(np.diff(vals, 2)) < -DISTORTION_TOL * scale:
-            raise InvalidSpectrum(f"{self.name}: phi is not convex on the test grid")
+                                  f"with support bound D = {self.support_bound:g}")
 
 
 def identity_distortion() -> DistortionSpec:
@@ -376,47 +354,6 @@ def cvar(cdf: EmpiricalCDF, alpha: float, support_bound: float | None = None) ->
     return distortion_risk(cdf, cvar_distortion(alpha), support_bound=support_bound)
 
 
-def _golden_section(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Minimize fn on [lo, hi] by golden-section search to bracket width tol."""
-    a, b = float(lo), float(hi)
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while (b - a) > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = fn(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
-def _oce_optimize(losses: np.ndarray, spec: OceSpec, sign: float) -> float:
-    """The certainty-equivalent optimum over lambda in [0, D] for sorted losses.
-
-    ``sign=+1`` minimizes lambda + mean(phi(x - lambda)); ``sign=-1``
-    minimizes the negation of lambda - mean(phi(lambda - x)).  A preset's
-    ``closed_form`` gives the optimum exactly in O(n); its optimizer is a
-    sample statistic in [min x, max x], inside [0, D].  For any other phi,
-    both objectives are convex in lambda because phi is (checked by
-    :class:`OceSpec`), so one golden-section search brackets the minimizer
-    to ``spec.tolerance`` without a grid: O(n log(D / tolerance)) time and
-    O(n) memory.
-    """
-    if spec.closed_form is not None:
-        return spec.closed_form(losses, sign)
-
-    def objective(lam: float) -> float:
-        shifted = sign * (losses - lam)
-        return sign * lam + float(np.mean(_eval_fn(spec.phi, shifted)))
-
-    _, best = _golden_section(objective, 0.0, spec.support_bound, spec.tolerance)
-    return sign * best
-
-
 def _check_oce_support(cdf: EmpiricalCDF, spec: OceSpec) -> None:
     if cdf.min < 0.0 or cdf.max > spec.support_bound:
         raise SupportViolation(
@@ -429,9 +366,9 @@ def oce_risk(cdf: EmpiricalCDF, spec: OceSpec) -> RiskValue:
     """Optimized certainty equivalent: min over lambda in [0, D] of lambda + E[phi(X - lambda)]."""
     _check_oce_support(cdf, spec)
     return RiskValue(
-        value=_oce_optimize(cdf.values, spec, sign=+1.0),
+        value=spec.closed_form(cdf.values, +1.0),
         risk_name=spec.name,
-        holder=HolderConstants(L=oce_lipschitz_constant(spec), p=1.0, metric=SUP_NORM),
+        holder=HolderConstants(L=oce_lipschitz_constant(spec), p=1.0),
     )
 
 
@@ -439,9 +376,9 @@ def inverted_oce_risk(cdf: EmpiricalCDF, spec: OceSpec) -> RiskValue:
     """Risk-seeking inversion: max over lambda in [0, D] of lambda - E[phi(lambda - X)]."""
     _check_oce_support(cdf, spec)
     return RiskValue(
-        value=_oce_optimize(cdf.values, spec, sign=-1.0),
+        value=spec.closed_form(cdf.values, -1.0),
         risk_name=f"inverted_{spec.name}",
-        holder=HolderConstants(L=oce_lipschitz_constant(spec), p=1.0, metric=SUP_NORM),
+        holder=HolderConstants(L=oce_lipschitz_constant(spec), p=1.0),
     )
 
 
@@ -457,7 +394,7 @@ def mean_variance(cdf: EmpiricalCDF, c: float, support_bound: float | None = Non
     return RiskValue(
         value=m1 + c * (m2 - m1 * m1),
         risk_name=f"mean_var:{c:g}",
-        holder=HolderConstants(L=d + 3.0 * abs(c) * d * d, p=1.0, metric=SUP_NORM),
+        holder=HolderConstants(L=d + 3.0 * abs(c) * d * d, p=1.0),
     )
 
 

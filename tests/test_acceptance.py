@@ -78,7 +78,7 @@ def test_criterion_1_risk_oracle_equivalence():
             oracle = float(srt[-k:].mean())
             assert abs(cvar(cdf, alpha).value - oracle) < 1e-12
             spec = oce_cvar_spec(alpha, support_bound=10.0)
-            assert abs(oce_risk(cdf, spec).value - oracle) < 1e-6
+            assert abs(oce_risk(cdf, spec).value - oracle) < 1e-12
     elapsed = budget.check()
     announce(1, "risk oracle equivalence", elapsed)
 

@@ -226,8 +226,8 @@ class TestCmdAssess:
 
 
 class TestAssessHotPath:
-    """Guards on what one assess run computes: one CDF per model, no OCE search
-    for the presets, and the same values as evaluating each cell on its own."""
+    """Guards on what one assess run computes: one CDF per model, one entry per
+    distinct token, and the same values as evaluating each cell on its own."""
 
     TOKENS = ["mean", "cvar:0.25", "mean_var:0.5", "oce:entropic"]
 
@@ -257,14 +257,14 @@ class TestAssessHotPath:
         assert [(r["risk_name"], r["model"]) for r in payload["records"]] == [
             (token, m) for token in self.TOKENS for m in ("m1", "m2", "m3")]
 
-    def test_presets_never_search(self, tmp_path, monkeypatch):
-        import riskcdf.risks as risks
-
-        searches = []
-        monkeypatch.setattr(risks, "_golden_section", lambda *a: searches.append(a))
+    def test_repeated_token_counts_once(self, tmp_path):
         src, _ = self.write(tmp_path)
-        self.assess(src, tmp_path / "a", ["oce:mean", "oce:entropic", "oce:cvar:0.3"])
-        assert searches == []
+        out = tmp_path / "a"
+        payload = self.assess(src, out, ["mean", "oce:entropic", "mean", "oce:entropic"])
+        assert [(r["risk_name"], r["model"]) for r in payload["records"]] == [
+            (token, m) for token in ("mean", "oce:entropic") for m in ("m1", "m2", "m3")]
+        rows = (out / "assessment.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["risk", "mean", "oce:entropic"]
 
     @pytest.mark.parametrize("models", [1, 3, 8])
     def test_rank_weights_once_per_token(self, tmp_path, monkeypatch, models):
