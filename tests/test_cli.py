@@ -587,7 +587,24 @@ REJECTIONS = [
      None, 2),
     ("train-risk-mean-var", ["train", "--risk", "mean_var:0.5", "--eta", 0.1, "--iters", 3],
      None, 2),
+    ("assess-distortion-narrow-dip", ["assess", "--input", "TABLE", "--risk", "DIP_G"], None, 2),
+    ("assess-spectrum-narrow-negative-dip", ["assess", "--input", "TABLE", "--risk", "DIP_H"],
+     None, 2),
+    ("train-distortion-narrow-dip", ["train", "--risk", "DIP_G", "--eta", 0.1, "--iters", 3],
+     None, 2),
+    ("train-spectrum-narrow-negative-dip", ["train", "--risk", "DIP_H", "--eta", 0.1,
+                                            "--iters", 3], None, 2),
 ]
+
+# Tables valid except on a piece too narrow for a 10,001-point grid: g falls
+# from 0.6 to 0.2 within 1e-5, and h dips to -c within 2e-7 (c keeps the
+# integral at 1).
+C_DIP = 1.0 / (1.0 - 2e-7)
+DIP_TABLES = {
+    "DIP_G": ("distortion-file", "t,g\n0,0\n0.50001,0.6\n0.50002,0.2\n0.50003,0.6\n1,1\n"),
+    "DIP_H": ("spectral-file", f"u,h\n0,{C_DIP!r}\n0.5,{C_DIP!r}\n0.5000001,{-C_DIP!r}\n"
+                               f"0.5000002,{C_DIP!r}\n1,{C_DIP!r}\n"),
+}
 
 
 class TestRejections:
@@ -602,7 +619,11 @@ class TestRejections:
             path.write_text(manifest)
         table = tmp_path / "table.csv"
         write_table(table, ["m"], [np.array([1.0, 2.0])])
-        argv = [{"MANIFEST": path, "TABLE": table}.get(a, a) for a in argv]
+        files = {"MANIFEST": path, "TABLE": table}
+        for key, (head, text) in DIP_TABLES.items():
+            (tmp_path / key).write_text(text)
+            files[key] = f"{head}:{tmp_path / key}"
+        argv = [files.get(a, a) for a in argv]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run([*argv, "--out", tmp_path / "out"]) == code
@@ -666,7 +687,8 @@ class TestRiskGrammarDocs:
             assert (form in self.risk_help("train")) == (form in DISTORTION_TOKENS), form
 
     def test_distortion_tokens_are_the_entries_with_a_spec(self, tmp_path):
-        from riskcdf.risks import DISTORTION_TOKENS, RISK_TOKENS, parse_risk
+        from riskcdf.errors import ConfigError
+        from riskcdf.risks import DISTORTION_TOKENS, RISK_TOKENS, parse_distortion, parse_risk
 
         tables = {"distortion-file": "t,g\n0,0\n0.5,0.8\n1,1\n",
                   "spectral-file": "u,h\n0,0.5\n1,1.5\n"}
@@ -678,5 +700,9 @@ class TestRiskGrammarDocs:
                 token = token.replace("PATH", str(tmp_path / head))
             risk = parse_risk(token, 1.0)
             assert risk.name == token
-            assert (risk.spec is not None) == (form in DISTORTION_TOKENS), form
             assert math.isfinite(risk.evaluate(build_cdf([0.0, 0.5, 1.0])).value), form
+            if form in DISTORTION_TOKENS:
+                assert len(parse_distortion(token).rank_weights(3)) == 3, form
+            else:
+                with pytest.raises(ConfigError, match="is not a distortion risk"):
+                    parse_distortion(token)

@@ -27,7 +27,6 @@ SCRIPT = textwrap.dedent("""
     values = [
         risks.distortion_risk(cdf, risks.identity_distortion()),
         risks.cvar(cdf, 0.4),
-        risks.spectral_risk(cdf, risks.uniform_spectrum()),
         risks.spectral_risk(cdf, risks.cvar_spectrum(0.4)),
         risks.distortion_risk(cdf, risks.cvar_spectrum(0.4)),
         risks.mean_variance(cdf, 0.5),

@@ -1,6 +1,7 @@
-"""Every exported name exists: each module's ``__all__`` and each name the
-package ``__init__`` imports, so a deleted function cannot leave a stale
-export behind."""
+"""Every exported name exists: each module's ``__all__``, each name the
+package ``__init__`` imports and each name the benchmark harness in
+``perfbench/`` binds, so a deleted function cannot leave a stale export or a
+broken traced run behind."""
 
 import ast
 import importlib
@@ -43,3 +44,49 @@ def test_package_imports_resolve_and_are_exported():
         assert hasattr(mod, name), f"{module}.{name}"
         assert hasattr(riskcdf, name), name
         assert name in getattr(mod, "__all__", [name]), f"{name} is not in {module}.__all__"
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_tree(name):
+    return ast.parse((PERFBENCH / name).read_text())
+
+
+def traced_bindings():
+    """(module, attribute) pairs of ``LAYERS`` in perfbench/tracing.py, read
+    without importing it; a dotted attribute names a method or class hook."""
+    for node in perfbench_tree("tracing.py").body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]:
+            return [b for bindings in ast.literal_eval(node.value).values() for b in bindings]
+    raise AssertionError("perfbench/tracing.py defines no LAYERS")
+
+
+def sweep_names():
+    """(module, name) for each ``module.name`` that perfbench/sweep.py reads
+    from a module it imports with ``from riskcdf import ...``."""
+    tree = perfbench_tree("sweep.py")
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "riskcdf"
+               for alias in node.names}
+    return sorted({(node.value.id, node.attr) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in modules})
+
+
+def test_perfbench_traced_bindings_resolve():
+    bindings = traced_bindings()
+    assert ("risks", "SpectrumSpec.__post_init__") in bindings
+    for module, attr in bindings:
+        obj = importlib.import_module(f"riskcdf.{module}")
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"riskcdf.{module}.{attr}"
+            obj = getattr(obj, part)
+
+
+def test_perfbench_sweep_names_resolve():
+    names = sweep_names()
+    assert ("risks", "cvar_spectrum") in names and ("cdf", "build_cdf") in names
+    missing = [f"riskcdf.{m}.{n}" for m, n in names
+               if not hasattr(importlib.import_module(f"riskcdf.{m}"), n)]
+    assert missing == []

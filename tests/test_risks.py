@@ -33,7 +33,6 @@ from riskcdf.risks import (
     oce_mean_spec,
     oce_risk,
     spectral_risk,
-    uniform_spectrum,
 )
 
 loss_vectors = st.lists(
@@ -49,6 +48,12 @@ def top_fraction_mean(losses, alpha):
 
 
 ESS_SUP = DistortionSpec(g=lambda t: (np.asarray(t) > 0).astype(float), name="ess_sup")
+
+
+def uniform_spectrum():
+    """h = 1 and H(t) = t: the spectral form of the mean."""
+    return SpectrumSpec(h=lambda u: np.ones_like(np.asarray(u, dtype=float)),
+                        cumulative=lambda t: np.asarray(t, dtype=float), name="uniform")
 
 
 def spectrum_to_distortion(spec):
@@ -85,6 +90,23 @@ class TestDistortionRisk:
             DistortionSpec(g=lambda t: np.asarray(t) + 0.1, name="bad_endpoints")
         with pytest.raises(InvalidDistortion):
             DistortionSpec(g=lambda t: 1.0 - np.asarray(t), name="decreasing")
+
+    def test_narrow_decrease_rejected_by_rank_weights(self):
+        # g(0) = 0 and g(1) = 1, but g falls from 0.6 to 0.2 on (0.50001, 0.50002):
+        # a 10,001-point grid steps over the dip, and at n = 100,000 one weight is -0.4.
+        spec = DistortionSpec(g=lambda t: np.interp(t, [0, 0.50001, 0.50002, 0.50003, 1],
+                                                    [0, 0.6, 0.2, 0.6, 1]), name="dip")
+        assert np.all(spec.rank_weights(10_000) >= 0.0)
+        with pytest.raises(InvalidDistortion, match="dip: distortion is not non-decreasing"):
+            spec.rank_weights(100_000)
+
+    @pytest.mark.parametrize("g, match", [
+        (lambda t: np.where(np.asarray(t) == 0.5, np.nan, t), "non-finite"),
+        (lambda t: np.full(np.shape(t), np.nan), r"g\(0\) = .*nan.*, expected 0"),
+    ], ids=["nan-inside", "nan-everywhere"])
+    def test_non_finite_distortion_rejected(self, g, match):
+        with pytest.raises(InvalidDistortion, match=match):
+            DistortionSpec(g=g, name="bad").rank_weights(4)
 
     def test_risk_constant_scales_with_support(self):
         cdf = build_cdf([0.0, 1.0, 5.0])
@@ -178,12 +200,20 @@ class TestSpectralRisk:
         assert spectral_risk(build_cdf([2.0] * 5), uniform_spectrum()).value == pytest.approx(2.0)
 
     def test_invalid_spectra_rejected(self):
-        with pytest.raises(InvalidSpectrum, match="integrates to"):
+        with pytest.raises(InvalidSpectrum, match="cumulative spectrum must run from 0 to 1"):
             SpectrumSpec(h=lambda u: 2.0 * np.ones_like(np.asarray(u)), name="mass2",
                          cumulative=lambda t: 2.0 * np.asarray(t))
+        decreasing = SpectrumSpec(h=lambda u: 2.0 * (np.asarray(u) < 0.5), name="decreasing",
+                                  cumulative=lambda t: 2.0 * np.minimum(np.asarray(t), 0.5))
         with pytest.raises(InvalidSpectrum, match="non-decreasing"):
-            SpectrumSpec(h=lambda u: 2.0 * (np.asarray(u) < 0.5), name="decreasing",
-                         cumulative=lambda t: 2.0 * np.minimum(np.asarray(t), 0.5))
+            decreasing.rank_weights(4)
+        negative = SpectrumSpec(h=lambda u: 4.0 * np.asarray(u) - 1.0, name="negative",
+                                cumulative=lambda t: 2.0 * np.asarray(t) ** 2 - np.asarray(t))
+        with pytest.raises(InvalidSpectrum, match="negative"):
+            negative.rank_weights(4)
+        with pytest.raises(InvalidSpectrum, match="non-finite"):
+            SpectrumSpec(h=np.sqrt, cumulative=lambda t: np.where(t == 0.5, np.nan, t),
+                         name="nan").rank_weights(4)
 
     @given(loss_vectors, st.sampled_from([0.05, 0.2, 0.5, 1.0]))
     @settings(max_examples=60)
@@ -192,7 +222,7 @@ class TestSpectralRisk:
         assert abs(spectral_risk(cdf, cvar_spectrum(alpha)).value - cvar(cdf, alpha).value) < 1e-12
 
     def test_spec_without_cumulative_rejected(self):
-        with pytest.raises(InvalidSpectrum, match="cumulative=H"):
+        with pytest.raises(TypeError, match="cumulative"):
             SpectrumSpec(h=lambda u: 2.0 * np.asarray(u, dtype=float), name="linear")
 
     def test_linear_spectrum_weights_are_exact(self):
@@ -548,6 +578,52 @@ def write_table(path, t, v):
     return path
 
 
+def grid_check_distortion(levels):
+    """The former construction check of a distortion, kept as a test: g at the
+    10,001 points k/10,000 is finite and non-decreasing from 0 to 1 (tolerance 1e-9)."""
+    assert np.all(np.isfinite(levels))
+    assert abs(levels[0]) <= 1e-9 and abs(levels[-1] - 1.0) <= 1e-9
+    assert np.min(np.diff(levels)) >= -1e-9
+
+
+def grid_check_spectrum(spec):
+    """The former construction check of a spectrum, kept as a test: h on the
+    10,001-point grid is finite, nonnegative and non-decreasing (tolerance
+    1e-9), its midpoint rule over the 10,000 cells gives 1 to 1e-6, and H
+    runs from 0 to 1."""
+    grid = np.linspace(0.0, 1.0, GRID_POINTS)
+    vals = spec.h(grid)
+    assert np.all(np.isfinite(vals)) and np.min(vals) >= -1e-9
+    assert np.min(np.diff(vals)) >= -1e-9
+    assert abs(float(np.mean(spec.h(0.5 * (grid[:-1] + grid[1:])))) - 1.0) <= 1e-6
+    h0, h1 = spec.cumulative(np.array([0.0, 1.0]))
+    assert abs(h0) <= 1e-9 and abs(h1 - 1.0) <= 1e-9
+
+
+def oce_cvar_levels(spec, sign):
+    """g(k/n), k = 0..n with n = 10,000, of the distortion inside a CVaR OCE
+    preset: its value on the losses that are 1 on the top k ranks and 0 below
+    is the sum of the top k rank weights, g(k/n) - g(0)."""
+    n = GRID_POINTS - 1
+    ranks = np.arange(n)
+    return np.array([spec.closed_form((ranks >= n - k).astype(float), sign)
+                     for k in range(n + 1)])
+
+
+def benchmark_shaped_tables(rng):
+    """(t, g) and (u, h) drawn as the benchmark's assess job draws its tables:
+    a concave distortion on three knots at multiples of 0.1, and an increasing
+    spectrum on 0, 0.3, 0.6, 0.9, 1 integrating to 1."""
+    knots = np.sort(rng.choice(np.arange(1, 10), 3, replace=False)) / 10
+    t = np.concatenate([[0.0], knots, [1.0]])
+    slopes = np.sort(rng.uniform(0.2, 3.0, t.size - 1))[::-1]
+    g = np.concatenate([[0.0], np.cumsum(slopes * np.diff(t))])
+    u = np.array([0.0, 0.3, 0.6, 0.9, 1.0])
+    h = np.cumsum(rng.uniform(0.1, 1.0, u.size))
+    h /= float(np.sum(0.5 * (h[1:] + h[:-1]) * np.diff(u)))
+    return (t, g / g[-1]), (u, h)
+
+
 class TestExactConstantsAgainstGrids:
     SUPPORTS = [0.0, 1e-3, 0.37, 1.0, 5.0, 20.0, 300.0]
     ALPHAS = [0.01, 0.05, 0.1, 0.5, 1.0]
@@ -617,6 +693,26 @@ class TestExactConstantsAgainstGrids:
         cdf = build_cdf([1.0, 3.0])
         assert distortion_risk(cdf, spec, support_bound=4.0).holder.L == spec.lipschitz_constant * 4.0
 
+    def test_package_specs_pass_the_former_grid_checks(self, tmp_path):
+        """Every spec riskcdf builds passes the 10,001-point grid checks,
+        midpoint integral included; construction checks only what is exact."""
+        grid = np.linspace(0.0, 1.0, GRID_POINTS)
+        spectra = [cvar_spectrum(a) for a in self.ALPHAS]
+        for alpha in self.ALPHAS:
+            grid_check_distortion(cvar_distortion(alpha)(grid))
+        grid_check_distortion(identity_distortion()(grid))
+        for alpha in (0.05, 0.1, 1.0):  # the upper tail is cvar:alpha, the lower its mirror
+            spec = oce_cvar_spec(alpha, support_bound=1.0)
+            grid_check_distortion(oce_cvar_levels(spec, +1.0))
+            grid_check_distortion(oce_cvar_levels(spec, -1.0))
+        rng = np.random.default_rng(1)
+        for k in range(5):
+            (t, g), (u, h) = benchmark_shaped_tables(rng)
+            grid_check_distortion(load_distortion_csv(write_table(tmp_path / f"g{k}.csv", t, g))(grid))
+            spectra.append(load_spectrum_csv(write_table(tmp_path / f"h{k}.csv", u, h)))
+        for spec in spectra:
+            grid_check_spectrum(spec)
+
     def test_pieces_outside_unit_interval_ignored(self, tmp_path):
         # Steep pieces end at t = 0 and start at t = 1; g is the identity between.
         t, g = [-0.5, 0.0, 1.0, 1.0001], [-5.0, 0.0, 1.0, 3.0]
@@ -672,6 +768,34 @@ class TestTableLoaders:
         spec = load_spectrum_csv(path)
         t = np.linspace(0.0, 1.0, 1001)
         np.testing.assert_allclose(spec.cumulative(t), exact(t), rtol=0, atol=1e-12)
+
+    C_DIP = 1.0 / (1.0 - 2e-7)  # the dip below keeps the unit integral
+
+    @pytest.mark.parametrize("load, table, error, match", [
+        (load_distortion_csv, "0,0\n0.50001,0.6\n0.50002,0.2\n0.50003,0.6\n1,1\n",
+         InvalidDistortion, "not non-decreasing"),
+        (load_distortion_csv, "0,0\n0.5,nan\n1,1\n", InvalidDistortion, "non-finite"),
+        (load_distortion_csv, "0.2,0.1\n1,1\n", InvalidDistortion, r"g\(0\) = .*0\.1"),
+        (load_distortion_csv, "0,0\n0.8,0.9\n", InvalidDistortion, r"g\(1\) = .*0\.9"),
+        (load_spectrum_csv, f"0,{C_DIP!r}\n0.5,{C_DIP!r}\n0.5000001,{-C_DIP!r}\n"
+                            f"0.5000002,{C_DIP!r}\n1,{C_DIP!r}\n",
+         InvalidSpectrum, "spectrum is negative"),
+        (load_spectrum_csv, "0,1.5\n1,0.5\n", InvalidSpectrum, "not non-decreasing"),
+        (load_spectrum_csv, "0,1\n0.5,nan\n1,1\n", InvalidSpectrum, "non-finite"),
+        (load_spectrum_csv, "0,2\n1,2\n", InvalidSpectrum, "must run from 0 to 1"),
+    ], ids=["g-narrow-dip", "g-nan", "g-at-0", "g-at-1",
+            "h-narrow-negative-dip", "h-decreasing", "h-nan", "h-mass-2"])
+    def test_invalid_table_rejected_at_its_knots(self, tmp_path, load, table, error, match):
+        path = tmp_path / "table.csv"
+        path.write_text(table)
+        with pytest.raises(error, match=match):
+            load(path)
+
+    def test_knots_outside_unit_interval_are_not_checked(self, tmp_path):
+        # Decreasing and negative beyond [0, 1], valid on it.
+        path = tmp_path / "spec.csv"
+        path.write_text("-1,5\n0,1\n1,1\n2,-3\n")
+        assert load_spectrum_csv(path).rank_weights(4).tolist() == [0.25] * 4
 
     def test_bad_table(self, tmp_path):
         path = tmp_path / "bad.csv"
