@@ -30,8 +30,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cdf import EmpiricalCDF, build_cdf, sup_norm_distance
-from .errors import ConfigError, InvalidDelta, InvalidGrowth, WeakReference
+# perfbench/tracing.py times calls through the names bound here, so
+# sup_norm_distance stays bound although the Monte Carlo loop calls the
+# rows kernel.
+from .cdf import build_cdf, check_losses, sup_norm_distance, sup_norm_distances  # noqa: F401
+from .errors import ConfigError, InvalidDelta, InvalidGrowth, ShapeError, WeakReference
 from .risks import HolderConstants
 from .seeds import rng_from
 
@@ -229,6 +232,14 @@ class MonteCarloEnResult:
                 writer.writerow([r, f"{v:.17g}"])
 
 
+def _row_losses(fn, j: int, X, y, rows: int) -> np.ndarray:
+    """``loss_fns[j]`` on a dataset of ``rows`` examples, one loss per row."""
+    losses = np.asarray(fn(X, y), dtype=np.float64).ravel()
+    if losses.size != rows:
+        raise ShapeError(f"loss function {j} returned {losses.size} losses for {rows} rows")
+    return losses
+
+
 def monte_carlo_en(
     loss_fns: Sequence[Callable[[np.ndarray, np.ndarray], np.ndarray]],
     sample_data: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]],
@@ -244,7 +255,9 @@ def monte_carlo_en(
     ----------
     loss_fns : sequence of callables
         One per fixed model; each maps a dataset ``(X, y)`` to a 1-D array
-        of nonnegative per-example losses.
+        of nonnegative per-example losses.  Each must be row-wise: the
+        losses of datasets stacked along axis 0 are their losses stacked,
+        since repetitions are evaluated in blocks by one call.
     sample_data : callable
         ``(rng, size) -> (X, y)`` drawing fresh i.i.d. data.
     n, reps, seed : int
@@ -257,7 +270,16 @@ def monte_carlo_en(
     threads : int
         Accepted for existing callers and ignored: repetitions run serially.
 
-    Raises :class:`ConfigError` if ``n`` or ``reps`` is below 1.
+    Repetitions run in blocks of ``max(1, reference_sample_size // n)``, so
+    a block holds about as many losses as the reference.  Per block and
+    model there is one loss call on the block's stacked draws, one sort of
+    its rows and one :func:`~riskcdf.cdf.sup_norm_distances` pass against
+    the reference: O(reps n log N) time for a reference of N points, and
+    working memory of O(N) beyond the reference data.
+
+    Raises :class:`ConfigError` if ``n`` or ``reps`` is below 1,
+    :class:`ShapeError` if a loss function returns other than one loss per
+    row, and :class:`InvalidLoss` for a NaN, infinite or negative loss.
     """
     if n < 1 or reps < 1:
         raise ConfigError(f"monte_carlo_en needs n >= 1 and reps >= 1, got n={n}, reps={reps}")
@@ -270,15 +292,23 @@ def monte_carlo_en(
         )
     ref_rng = rng_from(seed, "reference")
     x_ref, y_ref = sample_data(ref_rng, reference_sample_size)
-    references = [build_cdf(fn(x_ref, y_ref)) for fn in loss_fns]
+    references = [build_cdf(_row_losses(fn, j, x_ref, y_ref, reference_sample_size))
+                  for j, fn in enumerate(loss_fns)]
 
-    values = []
-    for r in range(reps):
-        x, y = sample_data(rng_from(seed, "rep", r), n)
-        values.append(max((sup_norm_distance(build_cdf(fn(x, y)), ref)
-                           for fn, ref in zip(loss_fns, references)), default=0.0))
+    values = np.zeros(reps)
+    block = max(1, reference_sample_size // n)
+    for start in range(0, reps, block):
+        draws = [sample_data(rng_from(seed, "rep", r), n)
+                 for r in range(start, min(start + block, reps))]
+        x = np.concatenate([d[0] for d in draws])
+        y = np.concatenate([d[1] for d in draws])
+        out = values[start:start + len(draws)]
+        for j, (fn, ref) in enumerate(zip(loss_fns, references)):
+            losses = check_losses(_row_losses(fn, j, x, y, len(draws) * n))
+            rows = np.sort(losses.reshape(len(draws), n), axis=1)
+            np.maximum(out, sup_norm_distances(rows, ref), out=out)
     return MonteCarloEnResult(
-        values=np.asarray(values),
+        values=values,
         n=int(n),
         reference_sample_size=int(reference_sample_size),
         seed=int(seed),

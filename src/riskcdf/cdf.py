@@ -19,7 +19,9 @@ __all__ = [
     "EmpiricalCDF",
     "build_cdf",
     "build_cdf_unchecked",
+    "check_losses",
     "sup_norm_distance",
+    "sup_norm_distances",
     "wasserstein1",
     "moment",
     "read_losses_csv",
@@ -85,11 +87,19 @@ def build_cdf(losses) -> EmpiricalCDF:
     arr = np.asarray(losses, dtype=np.float64).ravel()
     if arr.size == 0:
         raise EmptySample("loss sample is empty")
-    if not np.all(np.isfinite(arr)):
+    return EmpiricalCDF(np.sort(check_losses(arr)))
+
+
+def check_losses(losses: np.ndarray) -> np.ndarray:
+    """Return ``losses`` after checking that every value is finite and nonnegative.
+
+    Raises :class:`InvalidLoss` with the text :func:`build_cdf` uses.
+    """
+    if not np.all(np.isfinite(losses)):
         raise InvalidLoss("losses must be finite (no NaN/inf)")
-    if np.any(arr < 0.0):
+    if np.any(losses < 0.0):
         raise InvalidLoss("losses must be nonnegative")
-    return EmpiricalCDF(np.sort(arr))
+    return losses
 
 
 def build_cdf_unchecked(values) -> EmpiricalCDF:
@@ -109,21 +119,57 @@ def build_cdf_unchecked(values) -> EmpiricalCDF:
 def sup_norm_distance(a: EmpiricalCDF, b: EmpiricalCDF) -> float:
     """Exact Kolmogorov-Smirnov distance between two step CDFs.
 
-    Let ``a`` be the sample with fewer points.  F_a is constant on each
-    interval [a_(i), a_(i+1)) between its own breakpoints, and on the two
-    tails, while F_b is monotone there.  So |F_a - F_b| on each such
-    interval is largest at one of its ends: the value at the left end or
-    the left limit at the right end.  Checking the value and the left limit
-    at a's breakpoints alone is therefore exact, and costs O(n log N) for
-    samples of n <= N points.  Every number compared is one the all-
-    breakpoints formula also compares, so the result is the same float.
+    The one-row case of :func:`sup_norm_distances`, run on the sample with
+    fewer points: O(n log N) for samples of n <= N points.
     """
     if a.n > b.n:
         a, b = b, a
-    x = a.values
-    d_right = np.abs(a.eval(x) - b.eval(x)).max()
-    d_left = np.abs(a.eval_left(x) - b.eval_left(x)).max()
-    return float(max(d_right, d_left))
+    return float(sup_norm_distances(a.values[np.newaxis], b)[0])
+
+
+def sup_norm_distances(rows: np.ndarray, reference: EmpiricalCDF) -> np.ndarray:
+    """Exact KS distance from the step CDF of each row to ``reference``.
+
+    ``rows`` is an (m, n) array whose rows are sorted ascending; the result
+    holds m distances.  F_row is constant on each interval [x_i, x_(i+1))
+    between its own breakpoints, and on the two tails, while F_ref is
+    monotone there.  So |F_row - F_ref| on each such interval is largest at
+    one of its ends: the value at the left end or the left limit at the
+    right end.  Checking the value and the left limit at the row's points
+    alone is therefore exact, whichever sample is larger.  Each number
+    compared is one the all-breakpoints formula also compares, so the
+    result is the same float.
+
+    A row's own counts (< x and <= x at its points) are the ends of its runs
+    of equal values, found by one running max and one running min, so they
+    need no search.  The reference is searched once, on the left; the right
+    count is searched only for points equal to a reference value.  Cost:
+    O(m n log N) for a reference of N points, with O(m n) working memory.
+    """
+    m, n = rows.shape
+    pos = np.arange(n)
+    starts = np.ones((m, n), dtype=bool)  # rows[:, i] begins a run of equal values
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
+    below = np.where(starts, pos, 0)
+    np.maximum.accumulate(below, axis=1, out=below)
+    ends = np.ones((m, n), dtype=bool)  # rows[:, i] ends a run
+    ends[:, :-1] = starts[:, 1:]
+    at_most = np.where(ends, pos + 1, n)
+    np.minimum.accumulate(at_most[:, ::-1], axis=1, out=at_most[:, ::-1])
+
+    ref = reference.values
+    keys = rows.ravel()
+    ref_below = np.searchsorted(ref, keys, side="left")
+    ref_at_most = ref_below.copy()
+    hit = ref[np.minimum(ref_below, ref.size - 1)] == keys
+    ref_at_most[hit] = np.searchsorted(ref, keys[hit], side="right")
+
+    d = np.empty((2, m, n))
+    for out, own, other in ((d[0], at_most, ref_at_most), (d[1], below, ref_below)):
+        np.divide(own, n, out=out)
+        out -= other.reshape(m, n) / reference.n
+        np.abs(out, out=out)
+    return d.max(axis=(0, 2))
 
 
 def wasserstein1(a: EmpiricalCDF, b: EmpiricalCDF, support_bound: float) -> float:

@@ -147,9 +147,9 @@ class DistortionSpec:
     def __post_init__(self):
         g0, g1 = _eval_fn(self.g, np.array([0.0, 1.0]))
         if not abs(g0) <= DISTORTION_TOL:  # NaN fails too
-            raise InvalidDistortion(f"{self.name}: g(0) = {g0!r}, expected 0")
+            raise InvalidDistortion(f"{self.name}: g(0) = {float(g0)}, expected 0")
         if not abs(g1 - 1.0) <= DISTORTION_TOL:
-            raise InvalidDistortion(f"{self.name}: g(1) = {g1!r}, expected 1")
+            raise InvalidDistortion(f"{self.name}: g(1) = {float(g1)}, expected 1")
 
     def __call__(self, t) -> np.ndarray:
         return _eval_fn(self.g, t)

@@ -1,8 +1,12 @@
+import csv
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +27,22 @@ from riskcdf.bounds import (
     risk_error_bound,
     wasserstein_risk_error_bound,
 )
+from riskcdf.cdf import build_cdf
 from riskcdf.data import blob_mixture_sampler
-from riskcdf.errors import ConfigError, InvalidDelta, InvalidGrowth, WeakReference
+from riskcdf.errors import (
+    ConfigError,
+    InvalidDelta,
+    InvalidGrowth,
+    InvalidLoss,
+    ShapeError,
+    WeakReference,
+)
 from riskcdf.models import init_model
 from riskcdf.risks import HolderConstants
-from riskcdf.seeds import derive_seed, standard_normal
+from riskcdf.seeds import derive_seed, rng_from, standard_normal
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "validate_bounds.py"
 
 
 class TestMcDiarmidTerm:
@@ -168,15 +183,24 @@ class TestMonteCarloEn:
                            reference_sample_size=200)
 
     def test_validate_bounds_script_exits_with_config_code(self, tmp_path):
-        root = Path(__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(root / "src")}
-        proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "validate_bounds.py"),
-             "--reps", "0", "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_validate_bounds("--reps", "0", "--out", str(tmp_path))
         assert proc.returncode == ConfigError.exit_code
         assert "reps" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_validate_bounds_script_writes_monte_carlo_values(self, tmp_path):
+        proc = run_validate_bounds("--n", "50", "--reps", "30", "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        with open(tmp_path / "en_samples.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["rep", "e_n"]
+        assert [int(r) for r, _ in rows[1:]] == list(range(30))
+        # The script's defaults: seed 321, five logistic models, a 20,000-point reference.
+        models = [init_model("logistic_crossentropy", 2, seed=derive_seed(321, "model", j))
+                  for j in range(5)]
+        fns = [(lambda X, y, m=m: m.batch_losses(X, y)) for m in models]
+        res = monte_carlo_en(fns, blob_mixture_sampler(), n=50, reps=30, seed=321,
+                             reference_sample_size=20_000)
+        assert [float(v) for _, v in rows[1:]] == res.values.tolist()
 
     def test_weak_reference_warns(self):
         fns = [lambda X, y: np.abs(X[:, 0])]
@@ -233,3 +257,162 @@ class TestMonteCarloEn:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "rep,e_n"
         assert len(lines) == 4
+
+
+def run_validate_bounds(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, str(SCRIPT), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def searchsorted_ks(a, b):
+    """The per-pair KS distance monte_carlo_en used before the rows kernel:
+    both limits at the smaller sample's points, by searchsorted."""
+    if a.n > b.n:
+        a, b = b, a
+    x = a.values
+    d_right = np.abs(a.eval(x) - b.eval(x)).max()
+    d_left = np.abs(a.eval_left(x) - b.eval_left(x)).max()
+    return float(max(d_right, d_left))
+
+
+def per_rep_monte_carlo_en(loss_fns, sample_data, n, reps, seed, reference_sample_size):
+    """monte_carlo_en as a loop over repetitions and models: one loss call,
+    one CDF and one KS distance per (repetition, model)."""
+    x_ref, y_ref = sample_data(rng_from(seed, "reference"), reference_sample_size)
+    references = [build_cdf(fn(x_ref, y_ref)) for fn in loss_fns]
+    values = []
+    for r in range(reps):
+        x, y = sample_data(rng_from(seed, "rep", r), n)
+        values.append(max((searchsorted_ks(build_cdf(fn(x, y)), ref)
+                           for fn, ref in zip(loss_fns, references)), default=0.0))
+    return np.asarray(values)
+
+
+TIE_HEAVY_FNS = [
+    lambda X, y: np.abs(X[:, 0]),
+    lambda X, y: np.floor(2.0 * np.abs(X[:, 0])),       # a few integer values
+    lambda X, y: np.zeros(X.shape[0]),                   # every loss tied
+    lambda X, y: np.round(X[:, 0] ** 2, 1),              # ties with the reference
+]
+
+
+class TestBlockedMonteCarlo:
+    """Blocks of repetitions give the per-repetition loop's floats exactly."""
+
+    @pytest.mark.parametrize("n,reps,reference", [
+        (20, 7, 200),     # reps below the block size of 10
+        (20, 10, 200),    # reps equal to it
+        (20, 23, 200),    # reps not a multiple of it
+        (1, 45, 20),      # one-point samples, blocks of 20
+        (30, 9, 900),     # one block covers every rep
+        (50, 6, 30),      # n > reference: blocks of one
+        (40, 5, 40),      # n = reference
+    ])
+    def test_matches_per_rep_loop(self, n, reps, reference):
+        kwargs = dict(n=n, reps=reps, seed=n + reps, reference_sample_size=reference)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakReference)
+            got = monte_carlo_en(TIE_HEAVY_FNS, _gaussian_sampler, **kwargs)
+            want = per_rep_monte_carlo_en(TIE_HEAVY_FNS, _gaussian_sampler, **kwargs)
+        assert got.values.dtype == want.dtype and got.values.tolist() == want.tolist()
+
+    def test_logistic_models_match_per_rep_loop(self):
+        models = [init_model("logistic_crossentropy", 2, seed=derive_seed(4, "model", j))
+                  for j in range(3)]
+        fns = [(lambda X, y, m=m: m.batch_losses(X, y)) for m in models]
+        kwargs = dict(n=150, reps=37, seed=4, reference_sample_size=2_000)
+        got = monte_carlo_en(fns, blob_mixture_sampler(), **kwargs)
+        want = per_rep_monte_carlo_en(fns, blob_mixture_sampler(), **kwargs)
+        assert got.values.tolist() == want.tolist()
+
+    def test_one_loss_call_per_model_and_block(self):
+        calls = []
+
+        def fn(X, y):
+            calls.append(X.shape[0])
+            return np.abs(X[:, 0])
+
+        monte_carlo_en([fn], _gaussian_sampler, n=20, reps=23, seed=0,
+                       reference_sample_size=200)
+        # The reference, then blocks of 10, 10 and 3 repetitions.
+        assert calls == [200, 200, 200, 60]
+
+    def test_no_models_gives_zeros(self):
+        res = monte_carlo_en([], _gaussian_sampler, n=5, reps=4, seed=0,
+                             reference_sample_size=50)
+        assert res.values.tolist() == [0.0] * 4
+
+    def test_peak_memory_stays_order_reference(self):
+        # Blocks of 25 repetitions hold 20,000 losses each, like the
+        # reference; all 1,000 repetitions at once would hold 800,000.
+        fns = [lambda X, y: np.abs(X[:, 0]), lambda X, y: np.floor(4.0 * X[:, 0] ** 2)]
+        tracemalloc.start()
+        try:
+            monte_carlo_en(fns, _gaussian_sampler, n=800, reps=1000, seed=0,
+                           reference_sample_size=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _bad_loss(kind):
+    def fn(X, y):
+        losses = np.abs(X[:, 0])
+        if kind == "short":
+            return losses[:-1]
+        losses[3] = {"nan": np.nan, "inf": np.inf, "negative": -1.0}[kind]
+        return losses
+    return fn
+
+
+class TestLossFunctionContract:
+    def test_wrong_length_raises_shape_error(self):
+        fns = [lambda X, y: np.abs(X[:, 0]), _bad_loss("short")]
+        with pytest.raises(ShapeError, match=r"^loss function 1 returned 199 losses for 200 rows$"):
+            monte_carlo_en(fns, _gaussian_sampler, n=20, reps=3, seed=0,
+                           reference_sample_size=200)
+
+    def test_wrong_length_on_the_block_raises_shape_error(self):
+        def per_call_sample(X, y):  # right for the reference, wrong for a block
+            return np.abs(X[:20, 0]) if X.shape[0] != 200 else np.abs(X[:, 0])
+
+        with pytest.raises(ShapeError, match=r"^loss function 0 returned 20 losses for 60 rows$"):
+            monte_carlo_en([per_call_sample], _gaussian_sampler, n=20, reps=3, seed=0,
+                           reference_sample_size=200)
+
+    @pytest.mark.parametrize("kind, text", [
+        ("nan", "losses must be finite (no NaN/inf)"),
+        ("inf", "losses must be finite (no NaN/inf)"),
+        ("negative", "losses must be nonnegative"),
+    ])
+    def test_invalid_loss_keeps_build_cdf_text(self, kind, text):
+        with pytest.raises(InvalidLoss) as build_err:
+            build_cdf(_bad_loss(kind)(np.ones((5, 1)), None))
+        assert str(build_err.value) == text
+        with pytest.raises(InvalidLoss) as mc_err:
+            monte_carlo_en([_bad_loss(kind)], _gaussian_sampler, n=20, reps=3, seed=0,
+                           reference_sample_size=200)
+        assert str(mc_err.value) == text
+
+    @pytest.mark.parametrize("kind, error, text", [
+        ("short", ShapeError, "loss function 0 returned 19999 losses for 20000 rows"),
+        ("nan", InvalidLoss, "losses must be finite (no NaN/inf)"),
+        ("negative", InvalidLoss, "losses must be nonnegative"),
+    ])
+    def test_script_reports_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                           kind, error, text):
+        spec = importlib.util.spec_from_file_location("validate_bounds", SCRIPT)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+
+        class BadModel:
+            batch_losses = staticmethod(_bad_loss(kind))
+
+        monkeypatch.setattr(script, "init_model", lambda *a, **k: BadModel())
+        monkeypatch.setattr(sys, "argv", ["validate_bounds.py", "--n", "20", "--reps", "3",
+                                          "--out", str(tmp_path)])
+        assert script.main() == error.exit_code
+        err = capsys.readouterr().err
+        assert err == f"validate_bounds: error: {text}\n"

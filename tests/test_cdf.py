@@ -9,6 +9,7 @@ from riskcdf.cdf import (
     moment,
     read_losses_csv,
     sup_norm_distance,
+    sup_norm_distances,
     wasserstein1,
     write_cdf_csv,
 )
@@ -166,6 +167,35 @@ class TestSupNormMatchesMergedFormula:
             n = int(rng.integers(1, 500))
             make = build_cdf_unchecked if kind == "signed" else build_cdf
             self._assert_same(make(self._draw(rng, 1, kind)), make(self._draw(rng, n, kind)))
+
+
+class TestRowsKernelMatchesMergedFormula:
+    """sup_norm_distances gives each row the merged formula's float exactly."""
+
+    @pytest.mark.parametrize("n, big", [
+        (1, 50), (7, 50), (50, 50), (200, 50), (1, 1), (3, 1), (40, 2000),
+    ], ids=["n=1", "n<N", "n=N", "n>N", "both-one", "N=1", "n<<N"])
+    @pytest.mark.parametrize("kind", ["ties", "signed_ties", "continuous", "shared"])
+    def test_random_rows(self, n, big, kind):
+        rng = np.random.default_rng(n * 1000 + big)
+        draw = TestSupNormMatchesMergedFormula._draw
+        if kind == "shared":
+            # Continuous values, most of them also in the reference.
+            pool = rng.exponential(size=max(n, big))
+            ref_values = rng.choice(pool, big)
+            rows = rng.choice(pool, (9, n))
+        else:
+            ref_values = draw(rng, big, kind)
+            rows = np.stack([draw(rng, n, kind) for _ in range(9)])
+        rows = np.sort(rows, axis=1)
+        ref = build_cdf_unchecked(ref_values)
+        got = sup_norm_distances(rows, ref)
+        assert got.shape == (9,)
+        for row, d in zip(rows, got):
+            a = build_cdf_unchecked(row)
+            want = merged_breakpoint_ks(a, ref)
+            assert d == want
+            assert sup_norm_distance(a, ref) == want == sup_norm_distance(ref, a)
 
 
 class TestWasserstein:

@@ -102,7 +102,7 @@ class TestDistortionRisk:
 
     @pytest.mark.parametrize("g, match", [
         (lambda t: np.where(np.asarray(t) == 0.5, np.nan, t), "non-finite"),
-        (lambda t: np.full(np.shape(t), np.nan), r"g\(0\) = .*nan.*, expected 0"),
+        (lambda t: np.full(np.shape(t), np.nan), r"g\(0\) = nan, expected 0"),
     ], ids=["nan-inside", "nan-everywhere"])
     def test_non_finite_distortion_rejected(self, g, match):
         with pytest.raises(InvalidDistortion, match=match):
