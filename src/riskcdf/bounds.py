@@ -33,7 +33,7 @@ import numpy as np
 # perfbench/tracing.py times calls through the names bound here, so
 # sup_norm_distance stays bound although the Monte Carlo loop calls the
 # rows kernel.
-from .cdf import build_cdf, check_losses, sup_norm_distance, sup_norm_distances  # noqa: F401
+from .cdf import _check_losses, build_cdf, sup_norm_distance, sup_norm_distances  # noqa: F401
 from .errors import ConfigError, InvalidDelta, InvalidGrowth, ShapeError, WeakReference
 from .risks import HolderConstants
 from .seeds import rng_from
@@ -304,7 +304,7 @@ def monte_carlo_en(
         y = np.concatenate([d[1] for d in draws])
         out = values[start:start + len(draws)]
         for j, (fn, ref) in enumerate(zip(loss_fns, references)):
-            losses = check_losses(_row_losses(fn, j, x, y, len(draws) * n))
+            losses = _check_losses(_row_losses(fn, j, x, y, len(draws) * n))
             rows = np.sort(losses.reshape(len(draws), n), axis=1)
             np.maximum(out, sup_norm_distances(rows, ref), out=out)
     return MonteCarloEnResult(

@@ -19,7 +19,6 @@ __all__ = [
     "EmpiricalCDF",
     "build_cdf",
     "build_cdf_unchecked",
-    "check_losses",
     "sup_norm_distance",
     "sup_norm_distances",
     "wasserstein1",
@@ -87,10 +86,10 @@ def build_cdf(losses) -> EmpiricalCDF:
     arr = np.asarray(losses, dtype=np.float64).ravel()
     if arr.size == 0:
         raise EmptySample("loss sample is empty")
-    return EmpiricalCDF(np.sort(check_losses(arr)))
+    return EmpiricalCDF(np.sort(_check_losses(arr)))
 
 
-def check_losses(losses: np.ndarray) -> np.ndarray:
+def _check_losses(losses: np.ndarray) -> np.ndarray:
     """Return ``losses`` after checking that every value is finite and nonnegative.
 
     Raises :class:`InvalidLoss` with the text :func:`build_cdf` uses.

@@ -246,14 +246,6 @@ def _parse_cells(path, body: str, offset: int, names: tuple[str, ...] | None) ->
     return np.asarray(data, dtype=np.float64)
 
 
-def _loadtxt(text: str) -> np.ndarray | None:
-    """``text`` parsed by numpy's C reader, or None if it rejects it."""
-    try:
-        return np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-
-
 def read_numeric_csv(path, header: bool | None) -> tuple[tuple[str, ...] | None, np.ndarray]:
     """Read a CSV of numbers: ``(names or None, float64 array of shape (rows, width))``.
 
@@ -261,11 +253,10 @@ def read_numeric_csv(path, header: bool | None) -> tuple[tuple[str, ...] | None,
     non-blank cell are skipped.  ``header=True`` makes the first such row
     a header of names, ``False`` means there is none, and ``None`` means a
     header iff that row is not all numbers.  The body goes through numpy's
-    C parser, once more without its blank rows if it rejects the body.  If
-    it still does, or gives a width other than the header's, each cell is
-    parsed with ``float`` and the first bad one raises :class:`FormatError`
-    naming its file row and column (or the row of a wrong width).  No data
-    row raises :class:`EmptySample`.
+    C parser; if it rejects the body, or gives a width other than the
+    header's, each cell is parsed with ``float`` and the first bad one
+    raises :class:`FormatError` naming its file row and column (or the row
+    of a wrong width).  No data row raises :class:`EmptySample`.
     """
     names, offset = None, 0
     with open(path, newline="") as fh:
@@ -278,14 +269,10 @@ def read_numeric_csv(path, header: bool | None) -> tuple[tuple[str, ...] | None,
         body = fh.read()
     values = None
     if body.strip():
-        values = _loadtxt(body)
-        if values is None:
-            # numpy skips empty lines but rejects a line of only blanks and
-            # commas, which the format skips too; retry once without those.
-            lines = [ln for ln in body.split("\n") if ln.strip("\r")]
-            filled = [ln for ln in lines if ln.replace(",", "").strip()]
-            if 0 < len(filled) < len(lines):
-                values = _loadtxt("\n".join(filled))
+        try:
+            values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
     if values is None or (names is not None and values.shape[1] != len(names)):
         values = _parse_cells(path, body, offset, names)
     if len(values) == 0:

@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-import riskcdf.data
 from riskcdf.cdf import read_losses_csv
 from riskcdf.data import (
     Dataset,
@@ -305,9 +304,8 @@ class TestReadNumericCsv:
 
     @pytest.mark.parametrize("blank", ["  \n", ",,,,\n", " , ,,\t\n", "\t\n"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    def test_blank_rows_stay_on_the_numpy_path(self, tmp_path, parse_cells_calls, blank, newline):
-        # numpy rejects these rows; the retry without them must give the
-        # clean file's values without the per-cell parse.
+    def test_blank_rows_give_the_clean_values(self, tmp_path, blank, newline):
+        # numpy rejects these rows; they are skipped like empty lines.
         rng = rng_from(6, "blank-rows")
         values = rng.exponential(size=(50, 4))
         rows = _lines(values).splitlines(keepends=True)
@@ -321,20 +319,9 @@ class TestReadNumericCsv:
         assert got["dirty"][0] == got["clean"][0] == ("m1", "m2", "m3", "m4")
         assert np.array_equal(got["dirty"][1], got["clean"][1])
         assert np.array_equal(got["clean"][1], values)
-        assert parse_cells_calls == []
 
-    def test_bad_cell_after_a_blank_row_still_names_its_line(self, tmp_path, parse_cells_calls):
+    def test_bad_cell_after_a_blank_row_still_names_its_line(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("m1,m2\n1,2\n  \n3,x\n")
         with pytest.raises(FormatError, match=r"t\.csv: row 4, column 2 \(m2\): not a number: 'x'$"):
             read_numeric_csv(path, header=True)
-        assert len(parse_cells_calls) == 1
-
-
-@pytest.fixture
-def parse_cells_calls(monkeypatch):
-    """The arguments of each per-cell parse that read_numeric_csv makes."""
-    calls = []
-    parse = riskcdf.data._parse_cells
-    monkeypatch.setattr(riskcdf.data, "_parse_cells", lambda *a: calls.append(a) or parse(*a))
-    return calls
