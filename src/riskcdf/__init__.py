@@ -22,12 +22,10 @@ from .bounds import (
     rademacher_permutation,
     rademacher_vc_sauer,
     risk_error_bound,
-    wasserstein_risk_error_bound,
 )
 from .cdf import (
     EmpiricalCDF,
     build_cdf,
-    build_cdf_unchecked,
     moment,
     sup_norm_distance,
     wasserstein1,
@@ -39,7 +37,6 @@ from .optim import (
     TrainConfig,
     TrainTrace,
     distortion_gradient,
-    empirical_distortion_risk,
     noisy_gd_step,
     stationarity_report,
     train,

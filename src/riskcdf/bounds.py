@@ -15,9 +15,10 @@ threshold-composed losses.  Available R(n) bounds:
 * VC dimension nu:                 2 * sqrt(nu * log(n+1) / n), the growth
   bound at G = (n+1)**nu in log space, so it never overflows
 
-Natural logarithms throughout.  A certificate propagates to risk errors via
-L * epsilon**p (sup-norm Holder risks) or L * D**p * epsilon**p (Wasserstein
-Holder risks on [0, D]), and to excess risk via doubling.
+Natural logarithms throughout.  Every count (n, |F|, N, G, nu) must be a
+finite number, and so must R(n).  A certificate propagates to risk errors
+via L * epsilon**p for sup-norm Holder risks, and to excess risk via
+doubling.
 """
 
 from __future__ import annotations
@@ -52,14 +53,26 @@ __all__ = [
     "certificate_growth",
     "certificate_vc_sauer",
     "risk_error_bound",
-    "wasserstein_risk_error_bound",
     "excess_risk_bound",
     "MonteCarloEnResult",
     "monte_carlo_en",
 ]
 
 
+def _finite(value, what: str, error: type[ConfigError] = ConfigError) -> float:
+    """``value`` as a float, which must be finite: a NaN or infinite count, or an
+    integer too large for a float (a 400-digit one), raises ``error``."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise error(f"{what} must be a finite number, got {value!r}")
+    return x
+
+
 def _check_n(n: int) -> int:
+    _finite(n, "sample size")
     if int(n) != n or n < 1:
         raise ConfigError(f"sample size must be a positive integer, got {n!r}")
     return int(n)
@@ -81,7 +94,7 @@ def mcdiarmid_term(n: int, delta: float) -> float:
 def rademacher_finite_class(n: int, class_size: int) -> float:
     """Rademacher bound sqrt(log(4|F|) / (2n)) for a finite class."""
     n = _check_n(n)
-    if class_size < 1:
+    if _finite(class_size, "class size") < 1:
         raise ConfigError(f"class size must be >= 1, got {class_size}")
     return math.sqrt(math.log(4.0 * class_size) / (2.0 * n))
 
@@ -89,7 +102,7 @@ def rademacher_finite_class(n: int, class_size: int) -> float:
 def rademacher_permutation(n: int, n_pi: float) -> float:
     """Rademacher bound sqrt(log(4N) / (2n)) from permutation complexity N."""
     n = _check_n(n)
-    if n_pi < 1:
+    if _finite(n_pi, "permutation complexity") < 1:
         raise ConfigError(f"permutation complexity must be >= 1, got {n_pi}")
     return math.sqrt(math.log(4.0 * n_pi) / (2.0 * n))
 
@@ -97,20 +110,20 @@ def rademacher_permutation(n: int, n_pi: float) -> float:
 def rademacher_growth(n: int, growth: float) -> float:
     """Rademacher bound 2 * sqrt(log(G) / n) from a growth number G."""
     n = _check_n(n)
-    if not (math.isfinite(growth) and growth >= 1):
-        raise InvalidGrowth(f"growth must be finite and >= 1, got {growth}")
+    if _finite(growth, "growth", InvalidGrowth) < 1:
+        raise InvalidGrowth(f"growth must be >= 1, got {growth}")
     return 2.0 * math.sqrt(math.log(growth) / n)
 
 
 def growth_finite_class(n: int, class_size: int) -> float:
     """Labeling count (n+1)|F| of threshold-composed losses for a finite class."""
-    return (_check_n(n) + 1) * float(class_size)
+    return (_check_n(n) + 1) * _finite(class_size, "class size")
 
 
 def rademacher_vc_sauer(n: int, nu: int) -> float:
     """Growth bound with the VC preset, computed in log space: 2*sqrt(nu*log(n+1)/n)."""
     n = _check_n(n)
-    if nu < 0:
+    if _finite(nu, "VC dimension") < 0:
         raise ConfigError(f"VC dimension must be nonnegative, got {nu}")
     return 2.0 * math.sqrt(nu * math.log(n + 1.0) / n)
 
@@ -153,7 +166,7 @@ def cdf_uniform_bound(rademacher_bound: float, n: int, delta: float,
     """Assemble a certificate: epsilon = 2 * R + sqrt(log(1/delta)/(2n))."""
     n = _check_n(n)
     delta = _check_delta(delta)
-    if rademacher_bound < 0:
+    if _finite(rademacher_bound, "rademacher bound") < 0:
         raise ConfigError(f"rademacher bound must be nonnegative, got {rademacher_bound}")
     eps = 2.0 * rademacher_bound + mcdiarmid_term(n, delta)
     return BoundCertificate(n=n, delta=delta, rademacher_bound=float(rademacher_bound),
@@ -186,11 +199,6 @@ def risk_error_bound(cert: BoundCertificate, holder: HolderConstants) -> float |
     return None if holder.L is None else float(holder.L) * cert.epsilon ** holder.p
 
 
-def wasserstein_risk_error_bound(cert: BoundCertificate, L: float, D: float, p: float) -> float:
-    """Error bound L * D**p * epsilon**p for Wasserstein Holder risks on [0, D]."""
-    return float(L) * float(D) ** p * cert.epsilon ** p
-
-
 def excess_risk_bound(risk_error: float) -> float:
     """Excess risk of the empirical risk minimizer: twice the uniform risk error."""
     if risk_error < 0:
@@ -210,9 +218,6 @@ class MonteCarloEnResult:
     """
 
     values: np.ndarray
-    n: int
-    reference_sample_size: int
-    seed: int
 
     def quantile(self, q: float) -> float:
         return float(np.quantile(self.values, q))
@@ -307,9 +312,4 @@ def monte_carlo_en(
             losses = _check_losses(_row_losses(fn, j, x, y, len(draws) * n))
             rows = np.sort(losses.reshape(len(draws), n), axis=1)
             np.maximum(out, sup_norm_distances(rows, ref), out=out)
-    return MonteCarloEnResult(
-        values=values,
-        n=int(n),
-        reference_sample_size=int(reference_sample_size),
-        seed=int(seed),
-    )
+    return MonteCarloEnResult(values=values)

@@ -18,7 +18,6 @@ from .errors import EmptySample, FormatError, InvalidLoss, InvalidOrder, Support
 __all__ = [
     "EmpiricalCDF",
     "build_cdf",
-    "build_cdf_unchecked",
     "sup_norm_distance",
     "sup_norm_distances",
     "wasserstein1",
@@ -32,9 +31,9 @@ __all__ = [
 class EmpiricalCDF:
     """Sorted sample with step-function CDF semantics.
 
-    ``values`` is ascending-sorted and read-only; construction goes through
-    :func:`build_cdf` (nonnegative losses) or :func:`build_cdf_unchecked`
-    (signed samples, distance use only).
+    ``values`` is ascending-sorted and read-only.  :func:`build_cdf` builds
+    one from nonnegative losses; a signed sample, for the distances alone,
+    gets one as ``EmpiricalCDF(np.sort(x))``.
     """
 
     values: np.ndarray = field(repr=False)
@@ -50,12 +49,6 @@ class EmpiricalCDF:
     def eval(self, r):
         """Fraction of the sample <= r (right-continuous, vectorized)."""
         idx = np.searchsorted(self.values, r, side="right")
-        out = idx / self.n
-        return float(out) if np.isscalar(r) else out
-
-    def eval_left(self, r):
-        """Left limit F(r-): fraction of the sample strictly below r."""
-        idx = np.searchsorted(self.values, r, side="left")
         out = idx / self.n
         return float(out) if np.isscalar(r) else out
 
@@ -99,20 +92,6 @@ def _check_losses(losses: np.ndarray) -> np.ndarray:
     if np.any(losses < 0.0):
         raise InvalidLoss("losses must be nonnegative")
     return losses
-
-
-def build_cdf_unchecked(values) -> EmpiricalCDF:
-    """Build a CDF from a possibly signed sample.
-
-    Skips the nonnegativity check; intended for distance computations on
-    signed data.  Finiteness is still required so ordering is well defined.
-    """
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise EmptySample("sample is empty")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidLoss("values must be finite (no NaN/inf)")
-    return EmpiricalCDF(np.sort(arr))
 
 
 def sup_norm_distance(a: EmpiricalCDF, b: EmpiricalCDF) -> float:

@@ -21,6 +21,7 @@ import datetime
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import __version__, bounds, data, risks
 from .cdf import build_cdf, moment, read_losses_csv, write_cdf_csv
-from .errors import ConfigError, Diverged, FormatError, ToolkitError
+from .errors import ConfigError, Diverged, FormatError, NumericError, ToolkitError
 from .models import Example, finite_difference_check, init_model, save_checkpoint
 from .optim import TrainConfig, estimate_beta, stationarity_report, train
 from .permcomplexity import exact_min_permutations, greedy_min_permutations, load_loss_matrix_csv
@@ -121,10 +122,10 @@ def run_cdf(params: dict, out_dir: str) -> None:
 def run_assess(params: dict, out_dir: str) -> None:
     table = data.load_loss_table(params["input"])
     n = params["n"] if params["n"] is not None else table.n
-    support = params["support_bound"]
-    inferred = support is None
-    if inferred:
-        support = float(np.max(table.values))
+    inferred = params["support_bound"] is None
+    # A given D is checked once, before any token is parsed, so every risk
+    # rejects a bad one with the same error.
+    support = risks._support_bound(params["support_bound"], float(np.max(table.values)))
     cert = bounds.certificate_finite_class(n, table.n_models, params["delta"])
     tokens = list(dict.fromkeys(params["risks"] or ["mean"]))  # a repeated token counts once
     evaluators = {token: risks.parse_risk(token, support).evaluate for token in tokens}
@@ -266,8 +267,12 @@ def run_gradcheck(params: dict, out_dir: str) -> None:
             y = float(standard_normal(rng, 1)[0])
         else:
             y = float(rng.random() < 0.5)
-        worst = max(worst, finite_difference_check(model, Example(x=x, y=y),
-                                                   step=params["step"]))
+        with np.errstate(all="ignore"):  # a non-finite error is raised below, not warned
+            error = finite_difference_check(model, Example(x=x, y=y), step=params["step"])
+        if not math.isfinite(error):
+            raise NumericError(f"gradcheck trial {t}: the relative error is {error} "
+                               f"at step {params['step']:g}")
+        worst = max(worst, error)
     payload = {
         "architecture": arch,
         "trials": params["trials"],

@@ -12,14 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, EmptySample, FormatError, InvalidLoss
-from .models import Example
 from .seeds import rng_from, standard_normal
 
 __all__ = [
@@ -46,11 +43,10 @@ TOY_BLOB_STDS = (1.5, 0.5)
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix, label vector, and provenance metadata."""
+    """Feature matrix and label vector."""
 
     X: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=np.float64))
@@ -67,13 +63,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.X.shape[1]
-
-    def __getitem__(self, i: int) -> Example:
-        return Example(x=self.X[i], y=self.y[i])
-
-    @property
-    def examples(self) -> list[Example]:
-        return [self[i] for i in range(self.n)]
 
 
 def generate_blobs(sizes, centers, stds, seed: int = 0) -> Dataset:
@@ -102,17 +91,7 @@ def generate_blobs(sizes, centers, stds, seed: int = 0) -> Dataset:
     for k, (size, center, std) in enumerate(zip(sizes, centers, stds)):
         blocks.append(center + std * standard_normal(rng, (size, dim)))
         labels.append(np.full(size, float(k)))
-    return Dataset(
-        X=np.concatenate(blocks),
-        y=np.concatenate(labels),
-        metadata={
-            "source": "blobs",
-            "seed": int(seed),
-            "sizes": sizes,
-            "centers": [list(map(float, c)) for c in centers],
-            "stds": stds,
-        },
-    )
+    return Dataset(X=np.concatenate(blocks), y=np.concatenate(labels))
 
 
 def toy_blobs(seed: int = 0) -> Dataset:
@@ -148,11 +127,17 @@ def load_dataset_csv(path, label_column: str | int = "label",
 
     ``label_column`` is a header name (with ``has_header``) or a 0-based
     column index.  Parsed by :func:`read_numeric_csv`, so any non-numeric
-    cell raises :class:`FormatError` naming the cell.
+    cell raises :class:`FormatError` naming the cell, and so does a NaN or
+    infinite one.
     """
     if not has_header and not isinstance(label_column, int):
         raise ConfigError("label_column must be a column index when has_header=False")
     names, values = read_numeric_csv(path, header=has_header)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, col = (int(i) for i in bad[0])
+        raise FormatError(f"{path}: {_cell(path, names, row, col)}: "
+                          f"not a finite number: {float(values[row, col])}")
     label_idx = label_column
     if not isinstance(label_column, int):
         if label_column not in names:
@@ -161,27 +146,17 @@ def load_dataset_csv(path, label_column: str | int = "label",
     width = values.shape[1]
     if not (0 <= label_idx < width):
         raise FormatError(f"{path}: label column index {label_idx} out of range for width {width}")
-    return Dataset(
-        X=np.delete(values, label_idx, axis=1),
-        y=values[:, label_idx],
-        metadata={"source": str(path), "label_column": label_column},
-    )
-
-
-def _sidecar_path(path) -> str:
-    return f"{os.fspath(path)}.meta.json"
+    return Dataset(X=np.delete(values, label_idx, axis=1), y=values[:, label_idx])
 
 
 def save_dataset_csv(dataset: Dataset, path, label_name: str = "label") -> None:
-    """Write features + label column (17 significant digits) and a metadata sidecar."""
+    """Write features + label column (17 significant digits), the format
+    :func:`load_dataset_csv` and ``riskcdf train --input`` read."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(dataset.dim)] + [label_name])
         for xi, yi in zip(dataset.X, dataset.y):
             writer.writerow([f"{v:.17g}" for v in xi] + [f"{yi:.17g}"])
-    with open(_sidecar_path(path), "w") as fh:
-        json.dump(dataset.metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -209,6 +184,19 @@ def _filled_rows(lines):
     for row in reader:
         if any(c.strip() for c in row):
             yield reader.line_num, row
+
+
+def _cell(path, names: tuple[str, ...] | None, row: int, col: int) -> str:
+    """``row R, column C (name)`` for data row ``row`` of ``path``, R its file line.
+
+    Only for error paths: the reader returns no line numbers, so this
+    re-scans the file for filled row ``row`` after the header (there is one
+    iff ``names`` is set).
+    """
+    with open(path, newline="") as fh:
+        line, _ = next(itertools.islice(_filled_rows(fh), row + (names is not None), None))
+    name = f" ({names[col]})" if names is not None else ""
+    return f"row {line}, column {col + 1}{name}"
 
 
 def _all_numbers(row: list[str]) -> bool:
@@ -291,11 +279,5 @@ def load_loss_table(path) -> LossTable:
         raise InvalidLoss(f"{path}: losses must be finite")
     if np.any(values < 0):
         row, col = (int(i) for i in np.argwhere(values < 0)[0])
-        # Only on this error path: re-scan for the file line of filled row
-        # row + 1 (filled row 0 is the header).
-        with open(path, newline="") as fh:
-            line, _ = next(itertools.islice(_filled_rows(fh), row + 1, None))
-        raise InvalidLoss(
-            f"{path}: negative loss at row {line}, column {col + 1} ({names[col]})"
-        )
+        raise InvalidLoss(f"{path}: negative loss at {_cell(path, names, row, col)}")
     return LossTable(names=names, values=values)

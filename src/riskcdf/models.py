@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, DataError, FormatError, ShapeError
 from .seeds import rng_from
 
 __all__ = [
@@ -129,6 +129,17 @@ class LossModel:
                 f"got {X.shape[1]}"
             )
         return X
+
+    def check_labels(self, y) -> None:
+        """Raise :class:`DataError` if a cross-entropy model gets a label outside
+        [0, 1], where its loss can be negative; any label suits linear_squared."""
+        if self.architecture == "linear_squared":
+            return
+        y = np.asarray(y, dtype=np.float64).ravel()
+        bad = np.flatnonzero(~((y >= 0.0) & (y <= 1.0)))
+        if bad.size:
+            raise DataError(f"{self.architecture}: label {y[bad[0]]:g} of example {bad[0] + 1} "
+                            "is outside [0, 1], which cross-entropy needs")
 
     def _mlp_layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         dims = [self.input_dim, *self.hidden, 1]

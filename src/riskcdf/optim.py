@@ -38,10 +38,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cdf import build_cdf
+# perfbench/tracing.py times calls through the names bound here, so
+# build_cdf and distortion_risk stay bound although training reads neither:
+# its risk is the rank-weighted sum that distortion_risk computes.
+from .cdf import build_cdf  # noqa: F401
 from .errors import ConfigError, Diverged, EmptySample, InvalidLoss
 from .models import LossModel
-from .risks import DistortionSpec, SpectrumSpec, distortion_risk
+from .risks import DistortionSpec, SpectrumSpec, distortion_risk  # noqa: F401
 from .seeds import rng_from, standard_normal
 
 __all__ = [
@@ -49,7 +52,6 @@ __all__ = [
     "TrainConfig",
     "TrainTrace",
     "StationarityReport",
-    "empirical_distortion_risk",
     "distortion_gradient",
     "noisy_gd_step",
     "train",
@@ -115,11 +117,6 @@ class TrainTrace:
     grad_norm: np.ndarray
     avg_sq_grad_norm: np.ndarray
     snapshots: tuple[tuple[int, np.ndarray, np.ndarray], ...]
-    final_params: np.ndarray
-    initial_params: np.ndarray
-    eta: float
-    seed: int
-    distortion_name: str
 
     @property
     def iterations(self) -> int:
@@ -144,19 +141,6 @@ class TrainTrace:
                     f"{self.grad_norm[t]:.17g}",
                     f"{self.avg_sq_grad_norm[t]:.17g}",
                 ])
-
-
-def empirical_distortion_risk(model: LossModel, X: np.ndarray, y: np.ndarray,
-                              spec: DistortionSpec | SpectrumSpec) -> float:
-    """Distortion risk of the model's per-example losses on a dataset.
-
-    Delegates to the CDF-based evaluator, so it agrees exactly with
-    :func:`riskcdf.risks.distortion_risk` on the same losses.
-    """
-    losses = model.batch_losses(X, y)
-    if losses.size == 0:
-        raise EmptySample("no training examples")
-    return distortion_risk(build_cdf(losses), spec).value
 
 
 def _risk_and_gradient(losses: np.ndarray, vjp: Callable[[np.ndarray], np.ndarray],
@@ -217,7 +201,9 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray,
     vector-Jacobian product, in O(n * width + d) memory.  ``risk[t-1]``
     equals ``distortion_risk(build_cdf(losses), distortion).value`` on the
     iterate's losses bit for bit.  Negative losses raise
-    :class:`InvalidLoss`, as :func:`build_cdf` does.
+    :class:`InvalidLoss`, as :func:`build_cdf` does, and labels that the
+    model's loss does not accept raise :class:`DataError` before the first
+    step (:meth:`LossModel.check_labels`).
 
     Raises :class:`Diverged` (with the partial trace attached) if the risk
     exceeds the divergence guard or stops being finite.
@@ -227,8 +213,7 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray,
     cadence = config.effective_snapshot_every
     t_total = config.iterations
 
-    theta = model.params.copy()
-    initial = theta.copy()
+    theta = model.params
     risk = np.empty(t_total)
     grad_norm = np.empty(t_total)
     avg_sq = np.empty(t_total)
@@ -241,16 +226,12 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray,
             grad_norm=grad_norm[:upto].copy(),
             avg_sq_grad_norm=avg_sq[:upto].copy(),
             snapshots=tuple(snapshots),
-            final_params=theta.copy(),
-            initial_params=initial,
-            eta=eta,
-            seed=config.seed,
-            distortion_name=config.distortion.name,
         )
 
     n = np.atleast_2d(X).shape[0]
     if n == 0:
         raise EmptySample("no training examples")
+    model.check_labels(y)
     weights = config.distortion.rank_weights(n)
     current = model
     for t in range(1, t_total + 1):

@@ -113,10 +113,6 @@ class LossMatrix:
     def n_points(self) -> int:
         return self.rows.shape[1]
 
-    def distinct_weak_orders(self) -> list[WeakOrder]:
-        ranks = _distinct_rows(_rank_rows(self.rows)[1])
-        return [WeakOrder(ranks=tuple(r)) for r in ranks.tolist()]
-
 
 @functools.cache
 def _permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:

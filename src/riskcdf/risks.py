@@ -302,18 +302,19 @@ def oce_entropic_spec(support_bound: float) -> OceSpec:
                    closed_form=_entropic_value)
 
 
-def _support_bound(cdf: EmpiricalCDF, support_bound: float | None) -> float:
-    """D for the Holder constants: the given bound, or the sample maximum.
+def _support_bound(support_bound: float | None, largest: float) -> float:
+    """D for the Holder constants: ``support_bound``, or if it is None the
+    sample maximum ``largest``.
 
     The constants hold for losses in [0, D] only, so a D below the sample
-    maximum, or one that is not finite, is rejected.
+    maximum, or one that is not finite, raises :class:`SupportViolation`.
     """
     if support_bound is None:
-        return cdf.max
+        return largest
     d = float(support_bound)
-    if not (math.isfinite(d) and d >= cdf.max):
+    if not (math.isfinite(d) and d >= largest):
         raise SupportViolation(f"support bound {d} must be finite and at least the "
-                               f"largest loss {cdf.max}")
+                               f"largest loss {largest}")
     return d
 
 
@@ -325,7 +326,7 @@ def distortion_risk(cdf: EmpiricalCDF, spec: DistortionSpec | SpectrumSpec,
     ``spec.rank_weights(cdf.n)``, built once for many CDFs of that size."""
     if cdf.min < 0.0:
         raise InvalidLoss("distortion risk requires nonnegative losses")
-    d = _support_bound(cdf, support_bound)
+    d = _support_bound(support_bound, cdf.max)
     w = spec.rank_weights(cdf.n) if weights is None else weights
     return RiskValue(value=float(w @ cdf.values), risk_name=spec.name,
                      holder=spec.risk_constant(d))
@@ -375,7 +376,7 @@ def mean_variance(cdf: EmpiricalCDF, c: float, support_bound: float | None = Non
     """
     m1 = moment(cdf, 1)
     m2 = moment(cdf, 2)
-    d = _support_bound(cdf, support_bound)
+    d = _support_bound(support_bound, cdf.max)
     return RiskValue(
         value=m1 + c * (m2 - m1 * m1),
         risk_name=f"mean_var:{c:g}",

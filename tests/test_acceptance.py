@@ -21,7 +21,6 @@ from riskcdf.models import init_model, relative_error
 from riskcdf.optim import (
     TrainConfig,
     distortion_gradient,
-    empirical_distortion_risk,
     estimate_beta,
     stationarity_report,
     train,
@@ -81,6 +80,11 @@ def test_criterion_1_risk_oracle_equivalence():
             assert abs(oce_risk(cdf, spec).value - oracle) < 1e-12
     elapsed = budget.check()
     announce(1, "risk oracle equivalence", elapsed)
+
+
+def empirical_distortion_risk(model, X, y, spec):
+    """Distortion risk of the model's per-example losses, through their CDF."""
+    return distortion_risk(build_cdf(model.batch_losses(X, y)), spec).value
 
 
 def test_criterion_2_gradient_correctness():

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskcdf.cdf import (
+    EmpiricalCDF,
     build_cdf,
-    build_cdf_unchecked,
     moment,
     read_losses_csv,
     sup_norm_distance,
@@ -43,7 +43,7 @@ class TestBuildCdf:
     def test_right_continuity_at_jump(self):
         c = build_cdf([1.0, 1.0, 2.0])
         assert c.eval(1.0) == pytest.approx(2 / 3)
-        assert c.eval_left(1.0) == 0.0
+        assert c.eval(np.nextafter(1.0, 0.0)) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySample):
@@ -53,12 +53,6 @@ class TestBuildCdf:
     def test_invalid_rejected(self, bad):
         with pytest.raises(InvalidLoss):
             build_cdf(bad)
-
-    def test_unchecked_allows_signed(self):
-        c = build_cdf_unchecked([-1.0, 1.0])
-        assert c.eval(0.0) == 0.5
-        with pytest.raises(InvalidLoss):
-            build_cdf_unchecked([float("nan")])
 
     @given(finite_losses)
     def test_eval_takes_multiples_of_one_over_n(self, losses):
@@ -114,11 +108,21 @@ class TestSupNormDistance:
             assert np.array_equal(pa, pb) and np.allclose(qa, qb)
 
 
+def signed_cdf(values):
+    """The CDF of a possibly signed sample, for the distances alone."""
+    return EmpiricalCDF(np.sort(values))
+
+
+def left_limit(cdf, r):
+    """F(r-), the fraction of the sample strictly below r."""
+    return np.searchsorted(cdf.values, r, side="left") / cdf.n
+
+
 def merged_breakpoint_ks(a, b):
     """The earlier sup_norm_distance: both limits at every point of either sample."""
     pts = np.concatenate([a.values, b.values])
     d_right = np.abs(a.eval(pts) - b.eval(pts)).max()
-    d_left = np.abs(a.eval_left(pts) - b.eval_left(pts)).max()
+    d_left = np.abs(left_limit(a, pts) - left_limit(b, pts)).max()
     return float(max(d_right, d_left))
 
 
@@ -149,7 +153,7 @@ class TestSupNormMatchesMergedFormula:
             if m == n:
                 n += 1
             xs, ys = self._draw(rng, m, kind), self._draw(rng, n, kind)
-            make = build_cdf_unchecked if kind.startswith("signed") else build_cdf
+            make = signed_cdf if kind.startswith("signed") else build_cdf
             self._assert_same(make(xs), make(ys))
 
     def test_equal_sizes(self):
@@ -157,7 +161,7 @@ class TestSupNormMatchesMergedFormula:
         for i in range(300):
             kind = ("ties", "continuous", "signed")[i % 3]
             n = int(rng.integers(1, 200))
-            make = build_cdf_unchecked if kind == "signed" else build_cdf
+            make = signed_cdf if kind == "signed" else build_cdf
             self._assert_same(make(self._draw(rng, n, kind)), make(self._draw(rng, n, kind)))
 
     def test_single_point_samples(self):
@@ -165,7 +169,7 @@ class TestSupNormMatchesMergedFormula:
         for i in range(300):
             kind = ("ties", "continuous", "signed")[i % 3]
             n = int(rng.integers(1, 500))
-            make = build_cdf_unchecked if kind == "signed" else build_cdf
+            make = signed_cdf if kind == "signed" else build_cdf
             self._assert_same(make(self._draw(rng, 1, kind)), make(self._draw(rng, n, kind)))
 
 
@@ -188,11 +192,11 @@ class TestRowsKernelMatchesMergedFormula:
             ref_values = draw(rng, big, kind)
             rows = np.stack([draw(rng, n, kind) for _ in range(9)])
         rows = np.sort(rows, axis=1)
-        ref = build_cdf_unchecked(ref_values)
+        ref = signed_cdf(ref_values)
         got = sup_norm_distances(rows, ref)
         assert got.shape == (9,)
         for row, d in zip(rows, got):
-            a = build_cdf_unchecked(row)
+            a = signed_cdf(row)
             want = merged_breakpoint_ks(a, ref)
             assert d == want
             assert sup_norm_distance(a, ref) == want == sup_norm_distance(ref, a)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -208,6 +209,18 @@ class TestCmdAssess:
                     "--out", tmp_path / "x"]) == 3
         assert "support bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-1", "3.5"])
+    def test_bad_support_bound_gives_one_error_for_every_token(self, tmp_path, capsys, bound):
+        src = tmp_path / "table.csv"
+        write_table(src, ["m", "k"], [np.array([1.0, 4.0]), np.array([0.5, 2.0])])
+        errors = set()
+        for token in ["mean", "oce:mean", "oce:entropic"]:
+            assert run(["assess", "--input", src, "--risk", token, "--support-bound", bound,
+                        "--out", tmp_path / token]) == 3, token
+            errors.add(capsys.readouterr().err)
+        assert errors == {f"riskcdf: error: support bound {float(bound)} must be finite "
+                          "and at least the largest loss 4.0\n"}
+
     def test_negative_loss_is_data_error(self, tmp_path):
         src = tmp_path / "table.csv"
         src.write_text("m\n-3\n")
@@ -322,6 +335,18 @@ class TestCmdTrain:
             p = 1.0 / (1.0 + np.exp(-(X @ theta)))
             theta = theta - 0.2 * ((p - y)[:, None] * X).mean(axis=0)
         assert np.allclose(ckpt["parameter_vector"], theta, atol=1e-9)
+
+    @pytest.mark.parametrize("key, message", [
+        ("NAN_DATASET", "{src}: row 3, column 2 (b): not a finite number: nan"),
+        ("LABEL_DATASET", "logistic_crossentropy: label 2 of example 2 is outside [0, 1], "
+                          "which cross-entropy needs"),
+    ])
+    def test_input_data_errors_name_their_cause(self, tmp_path, capsys, key, message):
+        src = tmp_path / "d.csv"
+        src.write_text(DATASETS[key])
+        assert run(["train", "--input", src, "--eta", 0.1, "--iters", 3,
+                    "--out", tmp_path / "o"]) == 3
+        assert capsys.readouterr().err == f"riskcdf: error: {message.format(src=src)}\n"
 
     def test_eta_zero_is_flat(self, tmp_path):
         out = tmp_path / "t"
@@ -549,6 +574,9 @@ class TestManifestRerun:
 
 
 CDF_ARGS = {"input": "losses.csv", "has_header": False, "out": ".", "seed": 0}
+HUGE = "1" + "0" * 400  # a count no float holds
+DATASETS = {"NAN_DATASET": "a,b,label\n1,2,0\n3,nan,1\n",
+            "LABEL_DATASET": "a,b,label\n1,2,0\n3,4,2\n"}
 
 # (case, argv, manifest text for MANIFEST or None, exit code)
 REJECTIONS = [
@@ -578,6 +606,23 @@ REJECTIONS = [
     ("input-dim-negative", ["gradcheck", "--input-dim", -1, "--trials", 2], None, 2),
     ("step-nan", ["gradcheck", "--step", "nan", "--trials", 2], None, 2),
     ("growth-nan", ["bound", "--method", "growth", "--n", 10, "--growth", "nan"], None, 2),
+    ("n-pi-nan", ["bound", "--method", "permutation", "--n", 10, "--n-pi", "nan"], None, 2),
+    ("n-pi-inf", ["bound", "--method", "permutation", "--n", 10, "--n-pi", "inf"], None, 2),
+    ("n-pi-infinite-bound", ["bound", "--method", "permutation", "--n", 10, "--n-pi", "1e308"],
+     None, 2),
+    ("class-size-401-digits", ["bound", "--method", "finite_class", "--n", 10,
+                               "--class-size", HUGE], None, 2),
+    ("growth-class-size-401-digits", ["bound", "--method", "growth", "--n", 10,
+                                      "--class-size", HUGE], None, 2),
+    ("nu-401-digits", ["bound", "--method", "vc_sauer", "--n", 10, "--nu", HUGE], None, 2),
+    ("bound-n-401-digits", ["bound", "--method", "vc_sauer", "--n", HUGE, "--nu", 3], None, 2),
+    ("assess-n-401-digits", ["assess", "--input", "TABLE", "--n", HUGE], None, 2),
+    ("gradcheck-step-overflow", ["gradcheck", "--arch", "linear_squared", "--step", "1e300",
+                                 "--trials", 2], None, 4),
+    ("train-input-nan-feature", ["train", "--input", "NAN_DATASET", "--eta", 0.1,
+                                 "--iters", 3], None, 3),
+    ("train-input-label-two", ["train", "--input", "LABEL_DATASET", "--eta", 0.1,
+                               "--iters", 3], None, 3),
     ("oce-entropic-overflow", ["assess", "--input", "TABLE", "--risk", "oce:entropic",
                                "--support-bound", 800], None, 2),
     ("risk-unknown", ["assess", "--input", "TABLE", "--risk", "nope"], None, 2),
@@ -608,8 +653,9 @@ DIP_TABLES = {
 
 
 class TestRejections:
-    """Bad flags and bad manifests end in one error line and exit 2 (3 for an
-    unreadable file), never in a traceback or a vacuous success."""
+    """Bad flags, bad inputs and bad manifests end in one error line and exit 2
+    (3 for bad data, 4 for a numeric failure), never in a traceback or a
+    vacuous success: no output but the manifest is written."""
 
     @pytest.mark.parametrize("argv, manifest, code", [case[1:] for case in REJECTIONS],
                              ids=[case[0] for case in REJECTIONS])
@@ -623,14 +669,19 @@ class TestRejections:
         for key, (head, text) in DIP_TABLES.items():
             (tmp_path / key).write_text(text)
             files[key] = f"{head}:{tmp_path / key}"
+        for key, text in DATASETS.items():
+            (tmp_path / key).write_text(text)
+            files[key] = tmp_path / key
         argv = [files.get(a, a) for a in argv]
+        out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run([*argv, "--out", tmp_path / "out"]) == code
+            assert run([*argv, "--out", out]) == code
         assert not [str(w.message) for w in caught]  # a warning would reach stderr too
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("riskcdf: error: ") and err.count("\n") == 1
+        assert not out.exists() or os.listdir(out) == ["manifest.json"]
 
 
 class TestEnvOverrides:

@@ -1,4 +1,3 @@
-import json
 import re
 
 import numpy as np
@@ -69,8 +68,18 @@ class TestDatasetCsv:
         loaded = load_dataset_csv(path, label_column="label")
         assert np.array_equal(loaded.X, ds.X)
         assert np.array_equal(loaded.y, ds.y)
-        sidecar = json.loads((tmp_path / "ds.csv.meta.json").read_text())
-        assert sidecar["source"] == "blobs" and sidecar["seed"] == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.csv"]  # no sidecar
+
+    @pytest.mark.parametrize("text, header, label, where", [
+        ("a,b,label\n1,2,0\n\n3,nan,1\n", True, "label", "row 4, column 2 (b)"),
+        ("\na,b,label\n1,2,inf\n", True, "label", "row 3, column 3 (label)"),
+        ("1,2,0\n,,\n-inf,4,1\n", False, 2, "row 3, column 1"),
+    ], ids=["nan-feature", "inf-label", "headerless"])
+    def test_non_finite_cell_names_its_file_line(self, tmp_path, text, header, label, where):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f"d.csv: {re.escape(where)}: not a finite number"):
+            load_dataset_csv(path, label_column=label, has_header=header)
 
     def test_basic_load(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -78,7 +87,7 @@ class TestDatasetCsv:
         ds = load_dataset_csv(path, label_column="label")
         assert ds.n == 3 and ds.dim == 2
         assert ds.y.tolist() == [0.0, 1.0, 0.0]
-        assert ds[1].x.tolist() == [3.0, 4.0]
+        assert ds.X[1].tolist() == [3.0, 4.0]
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -158,11 +167,6 @@ class TestDatasetType:
     def test_shape_consistency(self):
         with pytest.raises(FormatError):
             Dataset(X=np.zeros((3, 2)), y=np.zeros(2))
-
-    def test_examples_view(self):
-        ds = Dataset(X=np.array([[1.0, 2.0]]), y=np.array([1.0]))
-        assert len(ds.examples) == 1
-        assert ds.examples[0].y == 1.0
 
 
 # Every loader as (path -> 2-D array, header rule, width).  The header rule is

@@ -6,6 +6,7 @@ broken traced run behind."""
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -90,3 +91,48 @@ def test_perfbench_sweep_names_resolve():
     missing = [f"riskcdf.{m}.{n}" for m, n in names
                if not hasattr(importlib.import_module(f"riskcdf.{m}"), n)]
     assert missing == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "riskcdf"
+
+
+def exported_names():
+    """(module, name) for every entry of every riskcdf module's ``__all__``."""
+    return [(module, name) for module in MODULES
+            for name in getattr(importlib.import_module(module), "__all__", [])]
+
+
+def package_reads():
+    """Every name and attribute that code in riskcdf reads (loads), outside
+    ``__init__.py``: definitions, ``__all__`` strings, imports, docstrings and
+    messages are not reads."""
+    reads = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    return reads
+
+
+def readme_code_spans():
+    return re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+
+
+def test_every_export_has_a_user_path():
+    """Each name in a module's ``__all__`` is read outside tests/: by riskcdf's
+    own code, by a script or the benchmark harness, or named in backticks in
+    README.md.  A name none of them reads is test-only API."""
+    reads = package_reads()
+    outside = " ".join(p.read_text() for d in ("scripts", "perfbench")
+                       for p in sorted((ROOT / d).glob("*.py")))
+    spans = readme_code_spans()
+    unread = [f"{module}.{name}" for module, name in exported_names()
+              if name not in reads
+              and not re.search(rf"\b{re.escape(name)}\b", outside)
+              and not any(re.search(rf"\b{re.escape(name)}\b", s) for s in spans)]
+    assert unread == [], "exported but read only by tests: " + ", ".join(unread)

@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskcdf.cdf import build_cdf
-from riskcdf.errors import ConfigError, Diverged, InvalidLoss
+from riskcdf.errors import ConfigError, DataError, Diverged, InvalidLoss
 from riskcdf.models import LossModel, init_model, relative_error
 from riskcdf.optim import (
     TrainConfig,
     distortion_gradient,
-    empirical_distortion_risk,
     estimate_beta,
     noisy_gd_step,
     stationarity_report,
@@ -54,6 +53,11 @@ def random_problem(arch, seed, n=25, dim=3):
     return model, X, y
 
 
+def empirical_distortion_risk(model, X, y, spec):
+    """Distortion risk of the model's per-example losses, through their CDF."""
+    return distortion_risk(build_cdf(model.batch_losses(X, y)), spec).value
+
+
 class TestEmpiricalDistortionRisk:
     def test_identity_is_mean(self):
         model, X, y = random_problem("linear_squared", 0, n=4)
@@ -65,9 +69,8 @@ class TestEmpiricalDistortionRisk:
     def test_agrees_exactly_with_cdf_evaluator(self):
         model, X, y = random_problem("logistic_crossentropy", 3)
         spec = cvar_distortion(0.25)
-        direct = empirical_distortion_risk(model, X, y, spec)
-        via_cdf = distortion_risk(build_cdf(model.batch_losses(X, y)), spec).value
-        assert direct == via_cdf
+        _, trace = train(model, X, y, TrainConfig(distortion=spec, iterations=1, eta=0.1))
+        assert trace.risk[0] == empirical_distortion_risk(model, X, y, spec)
 
     def test_single_example(self):
         m = LossModel("linear_squared", params=np.array([2.0]), input_dim=1)
@@ -274,6 +277,27 @@ class TestNoisyStep:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("arch", ["logistic_crossentropy", "mlp_tanh"])
+    @pytest.mark.parametrize("label", [2.0, -0.5, float("nan")])
+    def test_crossentropy_rejects_labels_outside_unit_interval(self, arch, label, monkeypatch):
+        model, X, y = random_problem(arch, 4, n=6)
+        y[3] = label
+
+        def no_step(self, X, y):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(LossModel, "loss_and_vjp", no_step)  # rejected before any step
+        cfg = TrainConfig(distortion=identity_distortion(), iterations=3, eta=0.1)
+        with pytest.raises(DataError, match=f"{arch}: label {label:g} of example 4 is outside"):
+            train(model, X, y, cfg)
+
+    def test_linear_squared_takes_any_label(self):
+        model, X, y = random_problem("linear_squared", 4, n=6)
+        y[3] = 7.5
+        cfg = TrainConfig(distortion=identity_distortion(), iterations=2, eta=0.01)
+        _, trace = train(model, X, y, cfg)
+        assert trace.iterations == 2
+
     def test_eta_zero_is_flat(self):
         model, X, y = random_problem("logistic_crossentropy", 1)
         cfg = TrainConfig(distortion=identity_distortion(), iterations=5, eta=0.0,
