@@ -31,7 +31,7 @@ from . import __version__, bounds, data, risks
 from .cdf import build_cdf, moment, read_losses_csv, write_cdf_csv
 from .errors import ConfigError, Diverged, FormatError, NumericError, ToolkitError
 from .models import Example, finite_difference_check, init_model, save_checkpoint
-from .optim import TrainConfig, estimate_beta, stationarity_report, train
+from .optim import TrainConfig, stationarity_report, train
 from .permcomplexity import exact_min_permutations, greedy_min_permutations, load_loss_matrix_csv
 from .seeds import derive_seed, rng_from, standard_normal
 
