@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import read_numeric_csv
+from .data import _check_loss_cells, read_numeric_csv
 from .errors import EmptySample, FormatError, InvalidLoss, InvalidOrder, SupportViolation
 
 __all__ = [
@@ -183,11 +183,13 @@ def read_losses_csv(path, has_header: bool = False) -> np.ndarray:
     """Read a single-column CSV of loss values.
 
     Parsed by :func:`riskcdf.data.read_numeric_csv`; the first filled row
-    is a header when ``has_header`` is set.
+    is a header when ``has_header`` is set.  A non-finite or negative loss
+    raises :class:`InvalidLoss` naming its file row and column.
     """
-    _, values = read_numeric_csv(path, header=has_header)
+    names, values = read_numeric_csv(path, header=has_header)
     if values.shape[1] != 1:
         raise FormatError(f"{path}: expected a single column, got {values.shape[1]}")
+    _check_loss_cells(path, names, values)
     return values[:, 0]
 
 

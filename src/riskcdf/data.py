@@ -268,16 +268,22 @@ def read_numeric_csv(path, header: bool | None) -> tuple[tuple[str, ...] | None,
     return names, values
 
 
+def _check_loss_cells(path, names: tuple[str, ...] | None, values: np.ndarray) -> None:
+    """Raise :class:`InvalidLoss` naming the file row and column of the first
+    non-finite loss in ``values``, else of the first negative one."""
+    for bad, kind in ((~np.isfinite(values), "non-finite"), (values < 0, "negative")):
+        if bad.any():
+            row, col = (int(i) for i in np.argwhere(bad)[0])
+            raise InvalidLoss(f"{path}: {kind} loss at {_cell(path, names, row, col)}")
+
+
 def load_loss_table(path) -> LossTable:
     """Load a loss table CSV with a required header of model names.
 
     Parsed by :func:`read_numeric_csv`; every entry must be finite and
-    nonnegative.
+    nonnegative, and the first that is not raises :class:`InvalidLoss`
+    naming its file row and column.
     """
     names, values = read_numeric_csv(path, header=True)
-    if not np.all(np.isfinite(values)):
-        raise InvalidLoss(f"{path}: losses must be finite")
-    if np.any(values < 0):
-        row, col = (int(i) for i in np.argwhere(values < 0)[0])
-        raise InvalidLoss(f"{path}: negative loss at {_cell(path, names, row, col)}")
+    _check_loss_cells(path, names, values)
     return LossTable(names=names, values=values)

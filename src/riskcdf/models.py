@@ -2,7 +2,9 @@
 
 Three architectures, all exposing exact per-example loss gradients and a
 one-pass vector-Jacobian product (:meth:`LossModel.loss_and_vjp`) for use
-in sorted-loss risk minimization:
+in sorted-loss risk minimization.  ``vjp(rows, v)`` backpropagates weights
+on a subset of the examples only, so a risk that weights few of them (CVaR
+at a small level) pays for those rows alone:
 
 * ``linear_squared``: score = theta . x, loss = (score - y)^2;
 * ``logistic_crossentropy``: p = sigmoid(theta . x), binary cross-entropy;
@@ -173,40 +175,44 @@ class LossModel:
         return self.loss_and_vjp(X, y)[0]
 
     def loss_and_vjp(self, X: np.ndarray, y: np.ndarray
-                     ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+                     ) -> tuple[np.ndarray, Callable[[np.ndarray | slice, np.ndarray], np.ndarray]]:
         """Per-example losses and their vector-Jacobian product, from one forward pass.
 
-        Returns ``(losses, vjp)`` where ``vjp(v)`` is
-        ``sum_i v_i * grad loss_i``, i.e. ``batch_gradients(X, y).T @ v``
-        up to summation order.  The loss residuals d loss / d score are
-        formed inside ``vjp``, so a forward pass alone does no backward
-        work.  ``vjp`` backpropagates the weighted residuals once through
-        the kept activations, so it needs O(n * width + d) memory, not the
-        (n, d) per-example gradients.
+        Returns ``(losses, vjp)`` where ``vjp(rows, v)`` is
+        ``sum_k v[k] * grad loss_{rows[k]}``, i.e.
+        ``batch_gradients(X, y)[rows].T @ v`` up to summation order.
+        ``rows`` is an index array, or ``slice(None)`` for every example in
+        order, which gathers nothing.  ``vjp`` gathers only the rows it is
+        given from the inputs, labels, probabilities and kept activations,
+        forms their loss residuals d loss / d score (so a forward pass alone
+        does no backward work) and backpropagates the weighted residuals
+        once: O(len(rows) * width + d) work and memory, never the (n, d)
+        per-example gradients.
         """
         X = self._check_features(X)
         y = np.asarray(y, dtype=np.float64).ravel()
         if self.architecture == "linear_squared":
             resid = X @ self.params - y
-            return resid ** 2, lambda v: (v * (2.0 * resid)) @ X
+            return resid ** 2, lambda rows, v: (v * (2.0 * resid[rows])) @ X[rows]
         if self.architecture == "logistic_crossentropy":
             p, q = _sigmoid_pair(X @ self.params)
-            return _crossentropy(p, q, y), lambda v: (v * _crossentropy_residual(p, y)) @ X
+            return _crossentropy(p, q, y), lambda rows, v: (
+                (v * _crossentropy_residual(p[rows], y[rows])) @ X[rows])
         scores, activations = self._mlp_forward(X)
         p, q = _sigmoid_pair(scores)
-        return _crossentropy(p, q, y), lambda v: self._mlp_vjp(
-            activations, v * _crossentropy_residual(p, y))
+        return _crossentropy(p, q, y), lambda rows, v: self._mlp_vjp(
+            [a[rows] for a in activations], v * _crossentropy_residual(p[rows], y[rows]))
 
     def _mlp_vjp(self, activations: list[np.ndarray], delta: np.ndarray) -> np.ndarray:
         """sum_i of delta_i * d score_i / d params, by one backward pass."""
         layers = self._mlp_layers()
-        delta = delta[:, None]  # (n, 1)
+        delta = delta[:, None]  # (rows, 1)
         parts = []
         for i in reversed(range(len(layers))):
             w, _ = layers[i]
             parts.append(delta.sum(axis=0))
             parts.append((delta.T @ activations[i]).ravel())  # (out, in)
-            if i > 0:  # tanh' = 1 - a^2, formed in place: one (n, width) temporary
+            if i > 0:  # tanh' = 1 - a^2, formed in place: one (rows, width) temporary
                 slope = np.square(activations[i])
                 np.subtract(1.0, slope, out=slope)
                 slope *= delta @ w
@@ -270,7 +276,7 @@ def per_example_loss(model: LossModel, z: Example) -> float:
 
 def per_example_gradient(model: LossModel, z: Example) -> np.ndarray:
     """The gradient of one example's loss, by the backward pass that training runs."""
-    return model.loss_and_vjp(z.x[None], [z.y])[1](np.ones(1))
+    return model.loss_and_vjp(z.x[None], [z.y])[1](slice(None), np.ones(1))
 
 
 def relative_error(a, b) -> float:

@@ -18,15 +18,23 @@ differentiable points almost surely:
     theta <- theta - eta * (grad + w),   w ~ N(0, I/d).
 
 Each iteration makes one forward pass (:meth:`LossModel.loss_and_vjp`),
-one stable sort of the losses, and one vector-Jacobian product that
-backpropagates the rank weights.  The risk value and the gradient come
-from the same sort and weights, the weights are computed once per run,
-and no per-example gradient matrix is built: O(n * width + d) memory per
-step.
+one stable sort, and one vector-Jacobian product that backpropagates the
+rank weights.  The risk value and the gradient come from the same sort and
+weights, the weights are computed once per run, and no per-example
+gradient matrix is built: O(n * width + d) memory per step.
 
-The sort breaks ties stably by original index; ordering of the dataset
-never changes the risk value, and a fixed seed reproduces a run bit for
-bit in single-threaded mode.
+Only the ranks from ``lo``, the first rank with a nonzero weight, count.
+When ``lo > 0`` (CVaR at level alpha < 1 has ``lo = n - ceil(alpha * n)``)
+a step selects the candidates, the losses at or above the ``lo``-th
+smallest, in O(n); it sorts only those and backpropagates only the
+``n - lo`` rows the weights reach.  When ``lo == 0`` (the smallest loss
+has weight, as under the mean) it sorts all n losses and backpropagates
+every row in example order.
+
+The sort breaks ties stably by original index; the candidates keep that
+order, so ties at rank ``lo`` break as in a sort of all n losses.
+Ordering of the dataset never changes the risk value, and a fixed seed
+reproduces a run bit for bit in single-threaded mode.
 """
 
 from __future__ import annotations
@@ -143,35 +151,65 @@ class TrainTrace:
                 ])
 
 
-def _risk_and_gradient(losses: np.ndarray, vjp: Callable[[np.ndarray], np.ndarray],
-                       weights: np.ndarray) -> tuple[float, np.ndarray]:
-    """Distortion risk and its gradient from one stable sort of the losses.
+def _first_weighted_rank(weights: np.ndarray) -> int:
+    """``lo``: the first rank whose weight is nonzero; ranks below it carry no weight."""
+    return int(np.argmax(weights != 0.0))
 
-    ``weights`` is ``spec.rank_weights(n)``.  The risk is ``weights`` dotted
-    with the ascending losses, so it equals
-    ``distortion_risk(build_cdf(losses), spec).value`` bit for bit; the
-    gradient is ``vjp`` of the weights scattered back to example order.
-    Negative losses raise :class:`InvalidLoss`, as :func:`build_cdf` does.
+
+def _risk_and_gradient(losses: np.ndarray,
+                       vjp: Callable[[np.ndarray | slice, np.ndarray], np.ndarray],
+                       weights: np.ndarray, lo: int) -> tuple[float, np.ndarray]:
+    """Distortion risk and its gradient from one stable sort of the weighted ranks.
+
+    ``weights`` is ``spec.rank_weights(n)`` and ``lo`` its
+    :func:`_first_weighted_rank`.  For ``lo == 0`` all n losses are sorted
+    and the weights, scattered back to example order, are backpropagated
+    through every row.  For ``lo > 0`` the candidates are the rows whose
+    loss is at least the ``lo``-th smallest, found by one partition and
+    listed in index order, so ties at rank ``lo`` among them break as the
+    full stable sort breaks them.  Only the candidates are sorted, and
+    ``vjp`` gets the top ``n - lo`` of them with ``weights[lo:]``.
+
+    The risk is ``weights`` dotted with the ascending losses, zeros
+    standing in below rank ``lo`` where every weight is zero, so it equals
+    ``distortion_risk(build_cdf(losses), spec).value`` bit for bit.
+    ``losses`` must be finite.  Negative losses raise :class:`InvalidLoss`,
+    as :func:`build_cdf` does; for ``lo > 0`` the partition does not put
+    the minimum first, so it is checked on its own.
     """
-    order = np.argsort(losses, kind="stable")
-    ascending = losses[order]
-    if ascending[0] < 0.0:
+    if lo == 0:
+        order = np.argsort(losses, kind="stable")
+        ascending = losses[order]
+        if ascending[0] < 0.0:
+            raise InvalidLoss("losses must be nonnegative")
+        v = np.empty_like(losses)
+        v[order] = weights
+        return float(weights @ ascending), vjp(slice(None), v)
+    if losses.min() < 0.0:
         raise InvalidLoss("losses must be nonnegative")
-    v = np.empty_like(losses)
-    v[order] = weights
-    return float(weights @ ascending), vjp(v)
+    candidates = np.flatnonzero(losses >= np.partition(losses, lo)[lo])
+    top = candidates[np.argsort(losses[candidates], kind="stable")[lo - losses.shape[0]:]]
+    ascending = np.zeros_like(losses)
+    ascending[lo:] = losses[top]
+    return float(weights @ ascending), vjp(top, weights[lo:])
 
 
 def distortion_gradient(model: LossModel, X: np.ndarray, y: np.ndarray,
                         spec: DistortionSpec | SpectrumSpec) -> np.ndarray:
     """CDF-reweighted full-batch gradient of the empirical distortion risk.
 
-    One forward pass, one stable sort and one vector-Jacobian product.
+    One forward pass, one stable sort and one vector-Jacobian product, as
+    in a training step: only the examples at ranks the weights reach are
+    sorted and backpropagated (:func:`_risk_and_gradient`).  NaN, infinite
+    or negative losses raise :class:`InvalidLoss`, as :func:`build_cdf` does.
     """
     losses, vjp = model.loss_and_vjp(X, y)
     if losses.size == 0:
         raise EmptySample("no training examples")
-    _, grad = _risk_and_gradient(losses, vjp, spec.rank_weights(losses.shape[0]))
+    if not np.all(np.isfinite(losses)):
+        raise InvalidLoss("losses must be finite (no NaN/inf)")
+    weights = spec.rank_weights(losses.shape[0])
+    _, grad = _risk_and_gradient(losses, vjp, weights, _first_weighted_rank(weights))
     return grad
 
 
@@ -198,7 +236,9 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray,
     """Run the perturbed descent loop; returns the final model and trace.
 
     Each iteration costs one forward pass, one stable sort and one
-    vector-Jacobian product, in O(n * width + d) memory.  ``risk[t-1]``
+    vector-Jacobian product, in O(n * width + d) memory; the sort and the
+    backward pass cover only the ranks from the first nonzero weight up,
+    found once per run (:func:`_risk_and_gradient`).  ``risk[t-1]``
     equals ``distortion_risk(build_cdf(losses), distortion).value`` on the
     iterate's losses bit for bit.  Negative losses raise
     :class:`InvalidLoss`, as :func:`build_cdf` does, and labels that the
@@ -233,13 +273,14 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray,
         raise EmptySample("no training examples")
     model.check_labels(y)
     weights = config.distortion.rank_weights(n)
+    lo = _first_weighted_rank(weights)
     current = model
     for t in range(1, t_total + 1):
         current = current.with_params(theta)
         losses, vjp = current.loss_and_vjp(X, y)
         if not np.all(np.isfinite(losses)):
             raise Diverged(f"non-finite loss at iteration {t}", trace=make_trace(t - 1))
-        rho, grad = _risk_and_gradient(losses, vjp, weights)
+        rho, grad = _risk_and_gradient(losses, vjp, weights, lo)
         if not math.isfinite(rho) or rho > DIVERGENCE_GUARD:
             raise Diverged(f"risk {rho} exceeded guard at iteration {t}",
                            trace=make_trace(t - 1))

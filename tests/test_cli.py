@@ -576,7 +576,9 @@ class TestManifestRerun:
 CDF_ARGS = {"input": "losses.csv", "has_header": False, "out": ".", "seed": 0}
 HUGE = "1" + "0" * 400  # a count no float holds
 DATASETS = {"NAN_DATASET": "a,b,label\n1,2,0\n3,nan,1\n",
-            "LABEL_DATASET": "a,b,label\n1,2,0\n3,4,2\n"}
+            "LABEL_DATASET": "a,b,label\n1,2,0\n3,4,2\n",
+            "NAN_LOSSES": "1\n2\n\nnan\n",
+            "INF_TABLE": "m,k\n1,2\n3,inf\n"}
 
 # (case, argv, manifest text for MANIFEST or None, exit code)
 REJECTIONS = [
@@ -623,6 +625,8 @@ REJECTIONS = [
                                  "--iters", 3], None, 3),
     ("train-input-label-two", ["train", "--input", "LABEL_DATASET", "--eta", 0.1,
                                "--iters", 3], None, 3),
+    ("cdf-input-nan-loss", ["cdf", "--input", "NAN_LOSSES"], None, 3),
+    ("assess-input-inf-loss", ["assess", "--input", "INF_TABLE"], None, 3),
     ("oce-entropic-overflow", ["assess", "--input", "TABLE", "--risk", "oce:entropic",
                                "--support-bound", 800], None, 2),
     ("risk-unknown", ["assess", "--input", "TABLE", "--risk", "nope"], None, 2),
@@ -682,6 +686,16 @@ class TestRejections:
         assert "Traceback" not in err
         assert err.startswith("riskcdf: error: ") and err.count("\n") == 1
         assert not out.exists() or os.listdir(out) == ["manifest.json"]
+
+    @pytest.mark.parametrize("command, key, where", [
+        ("cdf", "NAN_LOSSES", "row 4, column 1"),
+        ("assess", "INF_TABLE", "row 3, column 2 (k)"),
+    ])
+    def test_non_finite_loss_names_its_cell(self, tmp_path, capsys, command, key, where):
+        src = tmp_path / "in.csv"
+        src.write_text(DATASETS[key])
+        assert run([command, "--input", src, "--out", tmp_path / "o"]) == 3
+        assert capsys.readouterr().err == f"riskcdf: error: {src}: non-finite loss at {where}\n"
 
 
 class TestEnvOverrides:

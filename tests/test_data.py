@@ -140,6 +140,19 @@ class TestLossTable:
             load_loss_table(path)
 
     @pytest.mark.parametrize("text, where", [
+        ("m,k\n1,nan\n-1,2\n", "row 2, column 2 (k)"),   # reported before any negative
+        ("m\n1\n\n-inf\n", "row 4, column 1 (m)"),
+    ], ids=["nan-before-negative", "minus-inf"])
+    def test_non_finite_loss_names_its_cell(self, tmp_path, text, where):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidLoss, match=rf"non-finite loss at {re.escape(where)}$"):
+            load_loss_table(path)
+        if "," not in text:
+            with pytest.raises(InvalidLoss, match=rf"non-finite loss at {re.escape(where)}$"):
+                read_losses_csv(path, has_header=True)
+
+    @pytest.mark.parametrize("text, where", [
         ("m\n\n1\n-1\n", "row 4, column 1 (m)"),      # blank line before the data
         ("\nm\n1\n-1\n", "row 4, column 1 (m)"),      # blank line before the header
         ("a,b\n1,2\n,\n3,-1\n", "row 4, column 2 (b)"),  # blank-cell row, per-cell path

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from riskcdf.cdf import build_cdf
 from riskcdf.errors import ConfigError, DataError, Diverged, InvalidLoss
-from riskcdf.models import LossModel, init_model, relative_error
+from riskcdf.data import toy_blobs
+from riskcdf.models import MAX_CROSSENTROPY_LOSS, LossModel, init_model, relative_error
 from riskcdf.optim import (
     TrainConfig,
     distortion_gradient,
@@ -218,7 +220,9 @@ class TestFusedStepOracle:
                 assert trace.risk[t - 1] == distortion_risk(build_cdf(losses), spec).value
                 assert np.array_equal(grad, distortion_gradient(current, X, y, spec))
 
-    def test_negative_losses_raise_invalid_loss(self):
+    @pytest.mark.parametrize("spec", [identity_distortion(), cvar_distortion(0.5)],
+                             ids=["identity", "cvar-half"])
+    def test_negative_losses_raise_invalid_loss(self, spec):
         class ShiftedLinear(LossModel):
             """linear_squared with every loss lowered by one, so some go negative."""
 
@@ -226,13 +230,25 @@ class TestFusedStepOracle:
                 losses, vjp = super().loss_and_vjp(X, y)
                 return losses - 1.0, vjp
 
-        X, y = np.array([[1.0], [2.0]]), np.array([1.0, 0.0])
+        # Losses (-1, 3, 8, 15): under CVaR at 1/2 the negative one is at a
+        # rank of zero weight, below every example the step sorts.
+        X, y = np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([1.0, 0.0, 0.0, 0.0])
         model = ShiftedLinear("linear_squared", params=np.array([1.0]), input_dim=1)
-        cfg = TrainConfig(distortion=identity_distortion(), iterations=3, eta=0.1)
+        cfg = TrainConfig(distortion=spec, iterations=3, eta=0.1)
         with pytest.raises(InvalidLoss):
             train(model, X, y, cfg)
         with pytest.raises(InvalidLoss):
-            empirical_distortion_risk(model, X, y, identity_distortion())
+            distortion_gradient(model, X, y, spec)
+        with pytest.raises(InvalidLoss):
+            empirical_distortion_risk(model, X, y, spec)
+
+    @pytest.mark.parametrize("spec", [identity_distortion(), cvar_distortion(0.5)],
+                             ids=["identity", "cvar-half"])
+    def test_gradient_rejects_non_finite_losses(self, spec):
+        X, y = np.array([[1.0], [np.nan], [3.0], [4.0]]), np.zeros(4)
+        model = LossModel("linear_squared", params=np.array([1.0]), input_dim=1)
+        with pytest.raises(InvalidLoss, match="finite"):
+            distortion_gradient(model, X, y, spec)
 
     def test_mlp_step_memory_at_least_halves(self):
         n = 100_000
@@ -252,6 +268,114 @@ class TestFusedStepOracle:
 
         fused, old = peak(distortion_gradient), peak(old_distortion_gradient)
         assert fused < 0.5 * old, (fused, old)
+
+
+def tied_problem(trial):
+    """Losses tied across a rank, each tied example with its own gradient.
+
+    Odd trials use the passthrough model with params[i] from five values,
+    so that loss_i = params[i]^2 ties, and its gradient 2 * params[i] lies
+    on coordinate i alone.
+    Even trials use a logistic model whose losses below score -28 are all
+    clamped at MAX_CROSSENTROPY_LOSS, with gradients about -x for distinct x.
+    """
+    rng = rng_from(trial, "tied")
+    n = int(rng.integers(4, 40))
+    if trial % 2:
+        X, y = passthrough_model(n)
+        params = rng.choice([-2.0, -1.0, 1.0, 2.0, 3.0], n)
+        return LossModel("linear_squared", params=params, input_dim=n), X, y
+    x = np.where(rng.random(n) < 0.5, rng.uniform(-300.0, -40.0, n), rng.uniform(-5.0, 5.0, n))
+    model = LossModel("logistic_crossentropy", params=np.array([1.0]), input_dim=1)
+    return model, x[:, None], np.ones(n)
+
+
+def straddling_cvar(losses, rng):
+    """CVaR whose first weighted rank lo splits a run of tied losses, with
+    alpha * n strictly between two integers; None if no run can be split."""
+    n = losses.shape[0]
+    ascending = np.sort(losses)
+    splits = np.flatnonzero(ascending[1:] == ascending[:-1]) + 1
+    if splits.size == 0:
+        return None
+    lo = int(rng.choice(splits))
+    spec = cvar_distortion((n - lo - float(rng.uniform(0.1, 0.9))) / n)
+    weights = spec.rank_weights(n)
+    assert np.all(weights[:lo] == 0.0) and weights[lo] > 0.0
+    return spec
+
+
+class TestTiesAtFirstWeightedRank:
+    """Ties that cross the first weighted rank break as a full stable sort breaks them."""
+
+    def test_gradient_matches_per_example_contraction(self):
+        straddled = clamped = 0
+        for trial in range(80):
+            model, X, y = tied_problem(trial)
+            losses = model.batch_losses(X, y)
+            spec = straddling_cvar(losses, rng_from(trial, "lo"))
+            if spec is None:
+                continue
+            straddled += 1
+            clamped += np.sum(losses == MAX_CROSSENTROPY_LOSS) > 1
+            fused = distortion_gradient(model, X, y, spec)
+            oracle = old_distortion_gradient(model, X, y, spec)
+            scale = np.max(np.abs(oracle))
+            assert np.max(np.abs(fused - oracle)) <= 1e-12 * scale, trial
+        assert straddled >= 60 and clamped >= 20
+
+    @pytest.mark.parametrize("trial", range(6))
+    def test_train_risk_and_gradient_of_each_iterate(self, trial):
+        model, X, y = tied_problem(trial)
+        spec = straddling_cvar(model.batch_losses(X, y), rng_from(trial, "lo"))
+        assert spec is not None
+        # Without noise, tied examples of equal weight stay tied.
+        cfg = TrainConfig(distortion=spec, iterations=10, eta=0.01, noise=False,
+                          snapshot_every=1)
+        _, trace = train(model, X, y, cfg)
+        for t, theta, grad in trace.snapshots:
+            current = model.with_params(theta)
+            losses = current.batch_losses(X, y)
+            assert trace.risk[t - 1] == distortion_risk(build_cdf(losses), spec).value
+            oracle = old_distortion_gradient(current, X, y, spec)
+            assert np.max(np.abs(grad - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+class TestWeightedRowsOnly:
+    """A step backpropagates the examples at weighted ranks and no others."""
+
+    @pytest.mark.parametrize("risk, alpha", [("mean", 1.0), ("cvar", 0.05)])
+    def test_rows_passed_to_vjp(self, risk, alpha):
+        calls = []
+
+        class RowRecorder(LossModel):
+            def loss_and_vjp(self, X, y):
+                losses, vjp = super().loss_and_vjp(X, y)
+
+                def recording_vjp(rows, v):
+                    calls.append((losses, np.arange(losses.shape[0])[rows]))
+                    return vjp(rows, v)
+
+                return losses, recording_vjp
+
+        ds = toy_blobs(seed=0)
+        n = ds.n
+        start = init_model("logistic_crossentropy", ds.dim, seed=0)
+        model = RowRecorder("logistic_crossentropy", params=start.params, input_dim=ds.dim)
+        spec = identity_distortion() if risk == "mean" else cvar_distortion(alpha)
+        train(model, ds.X, ds.y, TrainConfig(distortion=spec, iterations=4, eta=0.05))
+        distortion_gradient(model, ds.X, ds.y, spec)
+        assert len(calls) == 5
+        weighted = math.ceil(alpha * n)
+        for losses, rows in calls:
+            assert np.unique(rows).size == rows.size
+            if risk == "mean":
+                assert np.array_equal(np.sort(rows), np.arange(n))
+                continue
+            boundary = np.sort(losses)[n - weighted]
+            ties = int(np.sum(losses == boundary))
+            assert weighted <= rows.size <= weighted + ties
+            assert np.all(losses[rows] >= boundary)
 
 
 class TestNoisyStep:
