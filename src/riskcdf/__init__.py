@@ -53,7 +53,6 @@ from .risks import (
     DistortionSpec,
     OceSpec,
     RiskValue,
-    SpectrumSpec,
     cvar,
     cvar_distortion,
     cvar_spectrum,

@@ -75,15 +75,24 @@ def _sha256(path: str) -> str:
 
 
 def _write_json(payload: dict, path: str) -> None:
+    """Write ``payload`` as standard JSON: a NaN or infinity in it raises
+    :class:`NumericError` before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"cannot write {path}: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_manifest(command: str, params: dict, out_dir: str, input_paths: list[str]) -> None:
+    # JSON has no NaN or infinity, so a non-finite flag value is recorded as
+    # its text; every run given one fails, and so does its replay.
+    args = {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in params.items()}
     manifest = {
         "command": command,
-        "args": params,
+        "args": args,
         "seed": params.get("seed"),
         "input_digests": {p: _sha256(p) for p in input_paths},
         "version": __version__,

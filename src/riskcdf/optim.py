@@ -2,8 +2,8 @@
 
 The training objective is a distortion risk of the per-example losses:
 the rank weights ``spec.rank_weights(n)`` dotted with the sorted losses,
-as :func:`riskcdf.risks.distortion_risk` evaluates it, for a distortion or
-spectral spec: ``train --risk`` takes ``mean``, ``cvar:ALPHA``,
+as :func:`riskcdf.risks.distortion_risk` evaluates it, for a distortion
+spec (a spectrum is one): ``train --risk`` takes ``mean``, ``cvar:ALPHA``,
 ``distortion-file:PATH`` and ``spectral-file:PATH``.  Where it is
 differentiable, its gradient reweights the per-example loss gradients by
 the same weights:
@@ -52,7 +52,7 @@ import numpy as np
 from .cdf import build_cdf  # noqa: F401
 from .errors import ConfigError, Diverged, EmptySample, InvalidLoss
 from .models import LossModel
-from .risks import DistortionSpec, SpectrumSpec, distortion_risk  # noqa: F401
+from .risks import DistortionSpec, distortion_risk  # noqa: F401
 from .seeds import rng_from, standard_normal
 
 __all__ = [
@@ -80,7 +80,7 @@ class TrainConfig:
     perturbation; production runs keep it on.
     """
 
-    distortion: DistortionSpec | SpectrumSpec
+    distortion: DistortionSpec
     iterations: int
     eta: float | None = None
     beta: float | None = None
@@ -195,7 +195,7 @@ def _risk_and_gradient(losses: np.ndarray,
 
 
 def distortion_gradient(model: LossModel, X: np.ndarray, y: np.ndarray,
-                        spec: DistortionSpec | SpectrumSpec) -> np.ndarray:
+                        spec: DistortionSpec) -> np.ndarray:
     """CDF-reweighted full-batch gradient of the empirical distortion risk.
 
     One forward pass, one stable sort and one vector-Jacobian product, as

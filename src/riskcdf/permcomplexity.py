@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .bounds import _row_losses
 from .data import read_numeric_csv
 from .errors import ConfigError, FormatError, InvalidLoss, TooLarge
 from .seeds import rng_from
@@ -306,7 +307,8 @@ def monte_carlo_permutation_complexity(
     Uses the exact solver when the instance is small enough; larger
     instances require ``allow_greedy`` (the estimate is then an upper
     bound) and otherwise raise :class:`TooLarge`.  Raises :class:`ConfigError`
-    if ``n`` or ``reps`` is below 1.
+    if ``n`` or ``reps`` is below 1, and :class:`ShapeError` if a loss
+    function returns other than one loss per example.
     """
     if n < 1 or reps < 1:
         raise ConfigError(f"monte_carlo_permutation_complexity needs n >= 1 and reps >= 1, "
@@ -316,7 +318,7 @@ def monte_carlo_permutation_complexity(
     for r in range(reps):
         rng = rng_from(seed, "perm_rep", r)
         x, y = sample_data(rng, n)
-        m = LossMatrix(np.stack([fn(x, y) for fn in loss_fns]))
+        m = LossMatrix(np.stack([_row_losses(fn, j, x, y, n) for j, fn in enumerate(loss_fns)]))
         if n <= EXACT_MAX_N and m.n_hypotheses <= EXACT_MAX_ROWS:
             count, _ = exact_min_permutations(m)
             solvers.append("exact")

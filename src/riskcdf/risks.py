@@ -4,26 +4,26 @@ Supported families:
 
 * distortion risks  rho(F) = integral of g(1 - F(r)) dr  for a
   non-decreasing g on [0,1] with g(0)=0, g(1)=1 (mean, CVaR, tabulated
-  custom distortions);
-* spectral (rank-weighted) risks with a non-decreasing spectrum h that
-  integrates to 1;
+  custom distortions).  They subsume the spectral risks: a non-decreasing
+  spectrum h >= 0 with unit integral and cumulative H is the distortion
+  g(t) = 1 - H(1 - t), whose Lipschitz constant is h(1);
 * optimized certainty equivalents (OCE) and their risk-seeking inversion:
   the mean, entropic and CVaR presets, each an exact closed form;
 * moment composites (mean + c * variance).
 
-On a step CDF every distortion and spectral risk is a rank-weighted sum of
-the sorted losses, evaluated exactly (no quadrature):
+On a step CDF every distortion risk is a rank-weighted sum of the sorted
+losses, evaluated exactly (no quadrature):
 
-    sum_i w_i * x_(i),   w_i = g(1 - (i-1)/n) - g(1 - i/n)  or  H(i/n) - H((i-1)/n),
+    sum_i w_i * x_(i),   w_i = g(1 - (i-1)/n) - g(1 - i/n),
 
-where g is the distortion, H the cumulative spectrum and w is
-``spec.rank_weights(n)``: nonnegative weights summing to 1, checked as
-they are built (tables are also checked exactly at their knots).  The CVaR OCE
+where g is the distortion and w is ``spec.rank_weights(n)``: nonnegative
+weights summing to 1, checked as they are built (tables are also checked
+exactly at their knots).  The CVaR OCE
 presets and the training gradient use the same vector.  Every evaluator
 reports the value together with sup-norm Holder constants (L, p) so that a
 CDF error budget epsilon translates to a risk error budget L * epsilon^p.
-Each L is a closed form, not a grid estimate: 1/alpha and the table's
-steepest slope for distortions (times D), h(1) * D for spectra,
+Each L is a closed form, not a grid estimate: 1/alpha, the table's
+steepest slope or h(1) for distortions (times D),
 phi(D) - phi(0) for OCEs and D + 3 |c| D^2 for mean + c * variance.
 
 :data:`RISK_TOKENS` is the one grammar of ``--risk`` tokens (:func:`parse_risk`);
@@ -54,7 +54,6 @@ from .errors import (
 
 __all__ = [
     "DistortionSpec",
-    "SpectrumSpec",
     "OceSpec",
     "HolderConstants",
     "RiskValue",
@@ -99,8 +98,7 @@ def _check_distortion_levels(name: str, levels: np.ndarray) -> None:
 
 
 def _check_spectrum_values(name: str, values: np.ndarray) -> None:
-    """h at increasing points of [0, 1], or its masses on cells, must be finite,
-    nonnegative and non-decreasing."""
+    """h at increasing points of [0, 1] must be finite, nonnegative and non-decreasing."""
     if not np.all(np.isfinite(values)):
         raise InvalidSpectrum(f"{name}: spectrum produced non-finite values")
     if np.min(values) < -DISTORTION_TOL:
@@ -126,6 +124,8 @@ class RiskValue:
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise NumericError(f"risk {self.risk_name!r} evaluated to {self.value}")
+        if self.holder.L is not None and not math.isfinite(self.holder.L):
+            raise NumericError(f"risk {self.risk_name!r} has Holder constant L = {self.holder.L}")
 
 
 @dataclass(frozen=True)
@@ -165,38 +165,19 @@ class DistortionSpec:
         return HolderConstants(L=L, p=1.0)
 
 
-@dataclass(frozen=True)
-class SpectrumSpec:
-    """A non-decreasing spectrum h >= 0 on [0,1] integrating to 1.
+# riskcdf builds no SpectrumSpec: a spectrum is a DistortionSpec.  The class
+# stays only for the benchmark tracer's SpectrumSpec.__post_init__ binding,
+# with a hook of its own so that the tracer does not wrap DistortionSpec's
+# twice.  ROADMAP item 1 deletes it together with that binding.
+class SpectrumSpec(DistortionSpec):
+    __post_init__ = DistortionSpec.__post_init__
 
-    ``cumulative`` is the exact antiderivative H(t) = int_0^t h; both are
-    vectorised.  Construction checks H(0) = 0 and H(1) = 1 (the unit
-    integral).  Rank weights are differences of H, so they are exact, and
-    :meth:`rank_weights` checks them as h: finite, nonnegative and
-    non-decreasing (tolerance 1e-9).
-    """
 
-    h: Callable = field(repr=False)
-    cumulative: Callable = field(repr=False)
-    name: str = "custom"
-
-    def __post_init__(self):
-        h0, h1 = _eval_fn(self.cumulative, np.array([0.0, 1.0]))
-        if not (abs(h0) <= DISTORTION_TOL and abs(h1 - 1.0) <= DISTORTION_TOL):
-            raise InvalidSpectrum(f"{self.name}: cumulative spectrum must run from 0 to 1")
-
-    def rank_weights(self, n: int) -> np.ndarray:
-        """Weight H(i/n) - H((i-1)/n) of the i-th smallest of n losses, i = 1..n."""
-        weights = np.diff(_eval_fn(self.cumulative, np.arange(n + 1) / n))
-        _check_spectrum_values(self.name, weights)
-        return weights
-
-    def max_value(self) -> float:
-        """Largest spectrum value, h(1), since h is non-decreasing."""
-        return float(_eval_fn(self.h, 1.0))
-
-    def risk_constant(self, support_bound: float) -> HolderConstants:
-        return HolderConstants(L=self.max_value() * support_bound, p=1.0)
+def _spectrum_distortion(cumulative: Callable, top: float, name: str) -> DistortionSpec:
+    """The distortion g(t) = 1 - H(1 - t) of a spectrum with cumulative H and
+    largest value h(1) = ``top``; its rank weights are H(i/n) - H((i-1)/n)."""
+    return DistortionSpec(g=lambda t: 1.0 - cumulative(1.0 - np.asarray(t, dtype=np.float64)),
+                          name=name, lipschitz_constant=top)
 
 
 @dataclass(frozen=True)
@@ -244,16 +225,13 @@ def cvar_distortion(alpha: float) -> DistortionSpec:
     )
 
 
-def cvar_spectrum(alpha: float) -> SpectrumSpec:
-    """h(u) = (1/alpha) * 1{u >= 1-alpha}; exact cumulative attached."""
+def cvar_spectrum(alpha: float) -> DistortionSpec:
+    """h(u) = (1/alpha) * 1{u >= 1-alpha}, as the distortion of its exact cumulative."""
     if not (0.0 < alpha <= 1.0):
         raise InvalidAlpha(f"alpha must be in (0, 1], got {alpha}")
     a = float(alpha)
-    return SpectrumSpec(
-        h=lambda u: np.where(np.asarray(u, dtype=np.float64) >= 1.0 - a, 1.0 / a, 0.0),
-        name=f"cvar_spectrum:{alpha:g}",
-        cumulative=lambda t: np.maximum(np.asarray(t, dtype=np.float64) - (1.0 - a), 0.0) / a,
-    )
+    return _spectrum_distortion(lambda t: np.maximum(t - (1.0 - a), 0.0) / a, 1.0 / a,
+                                f"cvar_spectrum:{alpha:g}")
 
 
 def oce_mean_spec(support_bound: float) -> OceSpec:
@@ -318,11 +296,11 @@ def _support_bound(support_bound: float | None, largest: float) -> float:
     return d
 
 
-def distortion_risk(cdf: EmpiricalCDF, spec: DistortionSpec | SpectrumSpec,
+def distortion_risk(cdf: EmpiricalCDF, spec: DistortionSpec,
                     support_bound: float | None = None,
                     weights: np.ndarray | None = None) -> RiskValue:
-    """Distortion or spectral risk of an empirical CDF: the spec's rank weights
-    dotted with the sorted losses.  ``weights``, if given, is
+    """Distortion risk of an empirical CDF, spectral risks included: the
+    spec's rank weights dotted with the sorted losses.  ``weights``, if given, is
     ``spec.rank_weights(cdf.n)``, built once for many CDFs of that size."""
     if cdf.min < 0.0:
         raise InvalidLoss("distortion risk requires nonnegative losses")
@@ -437,11 +415,11 @@ def load_distortion_csv(path, name: str | None = None) -> DistortionSpec:
     )
 
 
-def load_spectrum_csv(path, name: str | None = None) -> SpectrumSpec:
-    """Load a tabulated spectrum (u, h(u)) with linear interpolation.
+def load_spectrum_csv(path, name: str | None = None) -> DistortionSpec:
+    """Load a tabulated spectrum (u, h(u)) with linear interpolation, as its distortion.
 
     The interpolant is checked at its knots on [0, 1], which is exact on all
-    of [0, 1]: finite, nonnegative and non-decreasing.  The cumulative is
+    of [0, 1]: finite, nonnegative and non-decreasing.  The cumulative H is
     its exact antiderivative (quadratic between knots, with the trapezoid
     sums at the knots), so H(1) = 1 checks the unit integral exactly and
     rank weights are exact for the table.
@@ -452,19 +430,17 @@ def load_spectrum_csv(path, name: str | None = None) -> SpectrumSpec:
     _check_spectrum_values(name, hv)
     width = np.diff(knots)
     cum_knots = np.concatenate([[0.0], np.cumsum(0.5 * (hv[1:] + hv[:-1]) * width)])
+    if not abs(cum_knots[-1] - 1.0) <= DISTORTION_TOL:
+        raise InvalidSpectrum(f"{name}: cumulative spectrum must run from 0 to 1")
     slope = np.diff(hv) / width
 
     def cumulative(t):
-        t = np.clip(np.asarray(t, dtype=np.float64), 0.0, 1.0)
+        t = np.clip(t, 0.0, 1.0)
         j = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, width.size - 1)
         dt = t - knots[j]
         return cum_knots[j] + hv[j] * dt + 0.5 * slope[j] * dt * dt
 
-    return SpectrumSpec(
-        h=lambda x: np.interp(np.asarray(x, dtype=np.float64), u, h),
-        name=name,
-        cumulative=cumulative,
-    )
+    return _spectrum_distortion(cumulative, float(hv[-1]), name)
 
 
 class Risk(NamedTuple):
@@ -524,11 +500,10 @@ def parse_risk(token: str, support_bound: float) -> Risk:
         return Risk(token, _VALUE_TOKENS[form](param, support_bound))
     spec = DISTORTION_TOKENS[form](param)
     weights = functools.lru_cache(maxsize=1)(spec.rank_weights)
-    risk = spectral_risk if isinstance(spec, SpectrumSpec) else distortion_risk
-    return Risk(token, lambda cdf: risk(cdf, spec, support_bound, weights(cdf.n)))
+    return Risk(token, lambda cdf: distortion_risk(cdf, spec, support_bound, weights(cdf.n)))
 
 
-def parse_distortion(token: str) -> DistortionSpec | SpectrumSpec:
+def parse_distortion(token: str) -> DistortionSpec:
     """The rank-weighted spec a token of :data:`DISTORTION_TOKENS` names."""
     form, param = _match(token, DISTORTION_TOKENS, "distortion risk")
     return DISTORTION_TOKENS[form](param)

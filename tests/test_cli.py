@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from riskcdf.cdf import build_cdf
-from riskcdf.cli import main
+from riskcdf.cli import _write_json, main
 from riskcdf.data import save_dataset_csv, toy_blobs
+from riskcdf.errors import NumericError
 from riskcdf.models import init_model
 from riskcdf.seeds import rng_from, standard_normal
 
@@ -284,9 +285,9 @@ class TestAssessHotPath:
         from riskcdf import risks
 
         calls = []
-        for cls in (risks.DistortionSpec, risks.SpectrumSpec):
-            monkeypatch.setattr(cls, "rank_weights",
-                                lambda self, n, f=cls.rank_weights: calls.append(n) or f(self, n))
+        f = risks.DistortionSpec.rank_weights
+        monkeypatch.setattr(risks.DistortionSpec, "rank_weights",
+                            lambda self, n: calls.append(n) or f(self, n))
         src = tmp_path / "table.csv"
         rng = rng_from(4, "hot-path")
         write_table(src, [f"m{j}" for j in range(models)],
@@ -629,6 +630,10 @@ REJECTIONS = [
     ("assess-input-inf-loss", ["assess", "--input", "INF_TABLE"], None, 3),
     ("oce-entropic-overflow", ["assess", "--input", "TABLE", "--risk", "oce:entropic",
                                "--support-bound", 800], None, 2),
+    ("mean-var-constant-overflow", ["assess", "--input", "TABLE", "--risk", "mean_var:1e308"],
+     None, 4),
+    ("mean-var-support-overflow", ["assess", "--input", "TABLE", "--risk", "mean_var:1",
+                                   "--support-bound", "1e160"], None, 4),
     ("risk-unknown", ["assess", "--input", "TABLE", "--risk", "nope"], None, 2),
     ("train-risk-malformed", ["train", "--risk", "cvar:abc:0.5", "--eta", 0.1, "--iters", 3],
      None, 2),
@@ -686,6 +691,8 @@ class TestRejections:
         assert "Traceback" not in err
         assert err.startswith("riskcdf: error: ") and err.count("\n") == 1
         assert not out.exists() or os.listdir(out) == ["manifest.json"]
+        if out.exists():  # standard JSON: no NaN or Infinity
+            json.loads((out / "manifest.json").read_text(), parse_constant=pytest.fail)
 
     @pytest.mark.parametrize("command, key, where", [
         ("cdf", "NAN_LOSSES", "row 4, column 1"),
@@ -696,6 +703,13 @@ class TestRejections:
         src.write_text(DATASETS[key])
         assert run([command, "--input", src, "--out", tmp_path / "o"]) == 3
         assert capsys.readouterr().err == f"riskcdf: error: {src}: non-finite loss at {where}\n"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_output_holds_only_finite_numbers(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        with pytest.raises(NumericError, match=f"cannot write {path}"):
+            _write_json({"ok": 1.0, "bad": [value]}, str(path))
+        assert not path.exists()
 
 
 class TestEnvOverrides:

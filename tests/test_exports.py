@@ -5,6 +5,7 @@ broken traced run behind."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -83,6 +84,49 @@ def test_perfbench_traced_bindings_resolve():
         for part in attr.split("."):
             assert hasattr(obj, part), f"riskcdf.{module}.{attr}"
             obj = getattr(obj, part)
+
+
+def load_tracing():
+    """perfbench/tracing.py as a module, loaded by path (it imports only the
+    standard library, and riskcdf when installing)."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def resolve(module, attr):
+    """The owner (module or class) of a binding and the object it binds."""
+    owner = importlib.import_module(f"riskcdf.{module}")
+    *path, name = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    return owner, getattr(owner, name)
+
+
+def test_perfbench_tracer_round_trip():
+    """Installing the tracer wraps each binding exactly once, around the object
+    it bound before; uninstalling restores every original and leaves no class
+    with an attribute of its own that it did not have."""
+    tracing = load_tracing()
+    bindings = traced_bindings()
+    resolved = {b: resolve(*b) for b in bindings}
+    originals = {b: obj for b, (_, obj) in resolved.items()}
+    own = {owner: dict(vars(owner)) for owner, _ in resolved.values() if isinstance(owner, type)}
+    traced_code = tracing.Tracer().wrap("probe", lambda: None).__code__
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for binding in bindings:
+            current = resolve(*binding)[1]
+            assert current.__code__ is traced_code, binding
+            assert current.__wrapped__ is originals[binding], f"{binding} is wrapped twice"
+    finally:
+        tracer.uninstall()
+    for binding in bindings:
+        assert resolve(*binding)[1] is originals[binding], binding
+    for cls, attributes in own.items():
+        assert dict(vars(cls)) == attributes, cls.__name__
 
 
 def test_perfbench_sweep_names_resolve():

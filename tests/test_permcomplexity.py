@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskcdf.bounds import rademacher_finite_class, rademacher_permutation
-from riskcdf.errors import ConfigError, InvalidLoss, TooLarge
+from riskcdf.errors import ConfigError, InvalidLoss, ShapeError, TooLarge
 from riskcdf.permcomplexity import (
     LossMatrix,
     WeakOrder,
@@ -356,6 +356,11 @@ class TestMonteCarlo:
         fns = [lambda X, y: X[:, 0]]
         with pytest.raises(ConfigError, match="reps >= 1"):
             monte_carlo_permutation_complexity(fns, _scalar_sampler, n=n, reps=reps, seed=1)
+
+    def test_wrong_loss_count_is_a_shape_error(self):
+        fns = [lambda X, y: X[:, 0], lambda X, y: X[1:, 0]]
+        with pytest.raises(ShapeError, match=r"^loss function 1 returned 4 losses for 5 rows$"):
+            monte_carlo_permutation_complexity(fns, _scalar_sampler, n=5, reps=2, seed=1)
 
 
 class TestCsvIngestion:

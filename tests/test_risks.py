@@ -1,5 +1,8 @@
+import json
 import tracemalloc
 import warnings
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -17,7 +20,6 @@ from riskcdf.errors import (
 from riskcdf.risks import (
     DistortionSpec,
     OceSpec,
-    SpectrumSpec,
     cvar,
     cvar_distortion,
     cvar_spectrum,
@@ -50,25 +52,52 @@ def top_fraction_mean(losses, alpha):
 ESS_SUP = DistortionSpec(g=lambda t: (np.asarray(t) > 0).astype(float), name="ess_sup")
 
 
-def uniform_spectrum():
-    """h = 1 and H(t) = t: the spectral form of the mean."""
-    return SpectrumSpec(h=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-                        cumulative=lambda t: np.asarray(t, dtype=float), name="uniform")
+@dataclass(frozen=True)
+class FormerSpectrumSpec:
+    """Oracle: riskcdf's former spectrum type, a spectrum h with its exact
+    cumulative H.  The weight of the i-th smallest of n losses is the
+    difference H(i/n) - H((i-1)/n), and the Lipschitz constant is h(1)."""
+
+    h: Callable = field(repr=False)
+    cumulative: Callable = field(repr=False)
+
+    def rank_weights(self, n):
+        return np.diff(np.asarray(self.cumulative(np.arange(n + 1) / n), dtype=float))
+
+    def max_value(self):
+        return float(self.h(1.0))
 
 
-def spectrum_to_distortion(spec):
-    """Oracle: the distortion of a spectrum, g(t) = int_0^t h(1-s) ds = H(1) - H(1-t).
+def former_cvar_spectrum(alpha):
+    """h(u) = (1/alpha) * 1{u >= 1-alpha}, as riskcdf built it as a former spectrum."""
+    return FormerSpectrumSpec(
+        h=lambda u: np.where(np.asarray(u, dtype=float) >= 1.0 - alpha, 1.0 / alpha, 0.0),
+        cumulative=lambda t: np.maximum(np.asarray(t, dtype=float) - (1.0 - alpha), 0.0) / alpha)
 
-    This orientation puts the spectrum's heavy upper-quantile mass on the
-    largest losses, so the CVaR spectrum maps to the CVaR distortion; the
-    slope of g is at most h(1).
-    """
-    return DistortionSpec(
-        g=lambda t: 1.0 - np.asarray(spec.cumulative(1.0 - np.asarray(t, dtype=float)),
-                                     dtype=float),
-        name=f"distortion({spec.name})",
-        lipschitz_constant=spec.max_value(),
-    )
+
+def former_spectrum_table(u, h):
+    """A table (u, h(u)) as riskcdf loaded it as a former spectrum: h
+    interpolated linearly, H its exact antiderivative (quadratic between the
+    knots on [0, 1], trapezoid sums at them)."""
+    knots = np.union1d([0.0, 1.0], u[(u > 0.0) & (u < 1.0)])
+    hv = np.interp(knots, u, h)
+    width = np.diff(knots)
+    cum_knots = np.concatenate([[0.0], np.cumsum(0.5 * (hv[1:] + hv[:-1]) * width)])
+    slope = np.diff(hv) / width
+
+    def cumulative(t):
+        t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+        j = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, width.size - 1)
+        dt = t - knots[j]
+        return cum_knots[j] + hv[j] * dt + 0.5 * slope[j] * dt * dt
+
+    return FormerSpectrumSpec(h=lambda x: np.interp(np.asarray(x, dtype=float), u, h),
+                              cumulative=cumulative)
+
+
+def cumulative(spec, t):
+    """H(t) = 1 - g(1 - t) of a spectrum riskcdf built as its distortion g."""
+    return 1.0 - spec(1.0 - np.asarray(t, dtype=float))
 
 
 class TestDistortionRisk:
@@ -116,7 +145,7 @@ class TestDistortionRisk:
 
     @pytest.mark.parametrize("evaluate", [
         lambda cdf, d: distortion_risk(cdf, identity_distortion(), d),
-        lambda cdf, d: spectral_risk(cdf, uniform_spectrum(), d),
+        lambda cdf, d: spectral_risk(cdf, cvar_spectrum(1.0), d),
         lambda cdf, d: mean_variance(cdf, 0.5, d),
     ], ids=["distortion", "spectral", "mean_variance"])
     @pytest.mark.parametrize("d", [-1.0, 4.9, float("nan"), float("inf")])
@@ -189,7 +218,8 @@ class TestCvar:
 
 class TestSpectralRisk:
     def test_uniform_spectrum_is_mean(self):
-        assert spectral_risk(build_cdf([1, 2, 3, 4]), uniform_spectrum()).value == pytest.approx(2.5)
+        # cvar_spectrum(1) is h = 1 on [0, 1].
+        assert spectral_risk(build_cdf([1, 2, 3, 4]), cvar_spectrum(1.0)).value == pytest.approx(2.5)
 
     def test_step_spectrum_matches_cvar(self):
         # h = 2 on [0.5, 1]: rank weights (0, 0, 0.5, 0.5).
@@ -197,23 +227,21 @@ class TestSpectralRisk:
         assert spectral_risk(cdf, cvar_spectrum(0.5)).value == pytest.approx(3.5)
 
     def test_constant_sample(self):
-        assert spectral_risk(build_cdf([2.0] * 5), uniform_spectrum()).value == pytest.approx(2.0)
+        assert spectral_risk(build_cdf([2.0] * 5), cvar_spectrum(1.0)).value == pytest.approx(2.0)
 
-    def test_invalid_spectra_rejected(self):
-        with pytest.raises(InvalidSpectrum, match="cumulative spectrum must run from 0 to 1"):
-            SpectrumSpec(h=lambda u: 2.0 * np.ones_like(np.asarray(u)), name="mass2",
-                         cumulative=lambda t: 2.0 * np.asarray(t))
-        decreasing = SpectrumSpec(h=lambda u: 2.0 * (np.asarray(u) < 0.5), name="decreasing",
-                                  cumulative=lambda t: 2.0 * np.minimum(np.asarray(t), 0.5))
-        with pytest.raises(InvalidSpectrum, match="non-decreasing"):
-            decreasing.rank_weights(4)
-        negative = SpectrumSpec(h=lambda u: 4.0 * np.asarray(u) - 1.0, name="negative",
-                                cumulative=lambda t: 2.0 * np.asarray(t) ** 2 - np.asarray(t))
-        with pytest.raises(InvalidSpectrum, match="negative"):
-            negative.rank_weights(4)
-        with pytest.raises(InvalidSpectrum, match="non-finite"):
-            SpectrumSpec(h=np.sqrt, cumulative=lambda t: np.where(t == 0.5, np.nan, t),
-                         name="nan").rank_weights(4)
+    @pytest.mark.parametrize("table, text", [
+        ("0,2\n1,2\n", "cumulative spectrum must run from 0 to 1"),
+        ("0,1.5\n1,0.5\n", "spectrum is not non-decreasing"),
+        ("0,-1\n1,3\n", "spectrum is negative"),
+        ("0,1\n0.5,nan\n1,1\n", "spectrum produced non-finite values"),
+    ], ids=["mass-2", "decreasing", "negative", "nan"])
+    def test_invalid_spectra_rejected(self, tmp_path, capsys, table, text):
+        path, losses = tmp_path / "spec.csv", tmp_path / "losses.csv"
+        path.write_text("u,h\n" + table)
+        losses.write_text("m\n1\n2\n")
+        assert main(["assess", "--input", str(losses), "--risk", f"spectral-file:{path}",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"riskcdf: error: spectrum_file:{path}: {text}\n"
 
     @given(loss_vectors, st.sampled_from([0.05, 0.2, 0.5, 1.0]))
     @settings(max_examples=60)
@@ -221,44 +249,78 @@ class TestSpectralRisk:
         cdf = build_cdf(losses)
         assert abs(spectral_risk(cdf, cvar_spectrum(alpha)).value - cvar(cdf, alpha).value) < 1e-12
 
-    def test_spec_without_cumulative_rejected(self):
-        with pytest.raises(TypeError, match="cumulative"):
-            SpectrumSpec(h=lambda u: 2.0 * np.asarray(u, dtype=float), name="linear")
-
-    def test_linear_spectrum_weights_are_exact(self):
-        spec = SpectrumSpec(h=lambda u: 2.0 * np.asarray(u, dtype=float), name="linear",
-                            cumulative=lambda t: np.asarray(t, dtype=float) ** 2)
+    def test_linear_spectrum_weights_are_exact(self, tmp_path):
+        path = tmp_path / "linear.csv"
+        path.write_text("u,h\n0,0\n1,2\n")  # h(u) = 2u, H(t) = t^2
+        spec = load_spectrum_csv(path)
         cdf = build_cdf([1, 2, 3, 4])
         # w_i = (i/n)^2 - ((i-1)/n)^2, here (1, 3, 5, 7)/16.
         expect = np.dot([1, 3, 5, 7], [1, 2, 3, 4]) / 16
         assert spectral_risk(cdf, spec).value == pytest.approx(expect, rel=1e-15)
         assert spectral_risk(cdf, spec, support_bound=4.0).holder.L == 2.0 * 4.0
 
-    def test_spectrum_to_distortion_reproduces_cvar(self):
-        spec = spectrum_to_distortion(cvar_spectrum(0.5))
-        cdf = build_cdf([1, 2, 3, 4])
-        assert distortion_risk(cdf, spec).value == pytest.approx(3.5)
-
 
 SPECTRUM_TABLE = "u,h\n0,0.25\n0.6,0.25\n1,4\n"  # integrates to 1
 
 
-class TestSpectrumAsDistortion:
-    """A spectrum's rank weights equal those of its distortion, so training on
-    ``spectral-file:`` follows ``distortion-file:`` of that distortion."""
+def random_spectrum_table(rng):
+    """(u, h): a non-decreasing h >= 0 with unit integral on 2 to 6 knots,
+    some pieces flat, the end knots sometimes inside (0, 1) or beyond it."""
+    inner = np.sort(rng.choice(np.arange(3, 38), rng.integers(0, 5), replace=False)) / 40
+    u = np.concatenate([[rng.choice([-0.25, 0.0, 0.05])], inner, [rng.choice([0.95, 1.0, 1.5])]])
+    rise = rng.uniform(0.0, 2.0, u.size) * (rng.random(u.size) < 0.6)
+    h = np.cumsum(rise)
+    knots = np.union1d([0.0, 1.0], u[(u > 0.0) & (u < 1.0)])
+    hv = np.interp(knots, u, h)
+    mass = float(np.sum(0.5 * (hv[1:] + hv[:-1]) * np.diff(knots)))
+    if mass == 0.0:
+        h, mass = np.ones_like(h), 1.0
+    return u, h / mass
+
+
+class TestSpectrumAgainstFormerType:
+    """A spectrum is the distortion g(t) = 1 - H(1 - t).  Its rank weights,
+    constant and values are checked against the former spectrum type, which
+    took differences of H."""
 
     @pytest.mark.parametrize("n", [1, 7, 1050, 20_000])
-    def test_rank_weights_match_the_distortion(self, tmp_path, n):
-        path = tmp_path / "spec.csv"
-        path.write_text(SPECTRUM_TABLE)
-        for spec in (load_spectrum_csv(path), cvar_spectrum(0.3), uniform_spectrum()):
-            np.testing.assert_allclose(spectrum_to_distortion(spec).rank_weights(n),
-                                       spec.rank_weights(n), rtol=0, atol=1e-15)
+    def test_weights_and_constant_match(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        pairs = [(cvar_spectrum(a), former_cvar_spectrum(a)) for a in (0.05, 0.3, 1.0)]
+        for k in range(40):
+            u, h = random_spectrum_table(rng)
+            table = load_spectrum_csv(write_table(tmp_path / f"h{k}.csv", u, h))
+            pairs.append((table, former_spectrum_table(u, h)))
+        cdf = build_cdf([0.0, 2.5])
+        for spec, former in pairs:
+            np.testing.assert_allclose(spec.rank_weights(n), former.rank_weights(n),
+                                       rtol=0, atol=1e-15)
+            assert spec.lipschitz_constant == former.max_value()
+            assert spectral_risk(cdf, spec, support_bound=3.0).holder.L == former.max_value() * 3.0
+
+    @pytest.mark.parametrize("n", [1, 7, 1050, 20_000])
+    def test_assess_values_match(self, tmp_path, n):
+        rng = np.random.default_rng(100 + n)
+        formers, tokens = [], []
+        for k in range(6):
+            u, h = random_spectrum_table(rng)
+            formers.append(former_spectrum_table(u, h))
+            tokens += ["--risk", f"spectral-file:{write_table(tmp_path / f'h{k}.csv', u, h)}"]
+        losses = np.round(rng.uniform(0.0, 5.0, (n, 3)) * 4) / 4  # ties in [0, 5]
+        src = tmp_path / "losses.csv"
+        src.write_text("a,b,c\n" + "".join(f"{x:.17g},{y:.17g},{z:.17g}\n" for x, y, z in losses))
+        assert main(["assess", "--input", str(src), *tokens, "--out", str(tmp_path / "out")]) == 0
+        records = json.loads((tmp_path / "out" / "assessment.json").read_text())["records"]
+        want = [former.rank_weights(n) @ np.sort(losses[:, j])
+                for former in formers for j in range(3)]
+        assert len(records) == len(want)
+        for record, value in zip(records, want):
+            assert abs(record["value"] - value) <= 1e-14, (record["risk_name"], record["model"])
 
     def test_train_spectral_file_matches_distortion_file(self, tmp_path):
         spec_path = tmp_path / "spec.csv"
         spec_path.write_text(SPECTRUM_TABLE)
-        g = spectrum_to_distortion(load_spectrum_csv(spec_path))
+        g = load_spectrum_csv(spec_path)
         n = 1050  # the blob preset's size
         # Knots at the levels 1 - i/n where training reads g, so interpolation is exact.
         t = (1.0 - np.arange(n + 1) / n)[::-1]
@@ -561,9 +623,9 @@ def grid_oce_lipschitz(spec, inverted):
     return float(np.max(vals))
 
 
-def grid_spectrum_max(spec):
+def grid_spectrum_max(former):
     """The former grid estimate of a spectrum's largest value, kept as an oracle."""
-    return float(np.max(spec.h(np.linspace(0.0, 1.0, GRID_POINTS))))
+    return float(np.max(former.h(np.linspace(0.0, 1.0, GRID_POINTS))))
 
 
 def grid_distortion_slope(t, g):
@@ -587,17 +649,17 @@ def grid_check_distortion(levels):
 
 
 def grid_check_spectrum(spec):
-    """The former construction check of a spectrum, kept as a test: h on the
-    10,001-point grid is finite, nonnegative and non-decreasing (tolerance
-    1e-9), its midpoint rule over the 10,000 cells gives 1 to 1e-6, and H
-    runs from 0 to 1."""
-    grid = np.linspace(0.0, 1.0, GRID_POINTS)
-    vals = spec.h(grid)
-    assert np.all(np.isfinite(vals)) and np.min(vals) >= -1e-9
-    assert np.min(np.diff(vals)) >= -1e-9
-    assert abs(float(np.mean(spec.h(0.5 * (grid[:-1] + grid[1:])))) - 1.0) <= 1e-6
-    h0, h1 = spec.cumulative(np.array([0.0, 1.0]))
-    assert abs(h0) <= 1e-9 and abs(h1 - 1.0) <= 1e-9
+    """The former construction check of a spectrum, kept as a test on its
+    distortion g(t) = 1 - H(1 - t).  On the 10,001-point grid the scaled
+    differences 10,000 * diff(g) are the means of h over the 10,000 cells,
+    read from u = 1 down: they are nonnegative and non-decreasing in u
+    (tolerance 1e-9 in units of h, as the former check on h), and g running
+    from 0 to 1 is the unit integral of h."""
+    levels = spec(np.linspace(0.0, 1.0, GRID_POINTS))
+    grid_check_distortion(levels)
+    cells = GRID_POINTS - 1
+    assert np.min(np.diff(levels)) * cells >= -1e-9
+    assert np.max(np.diff(levels, 2)) * cells <= 1e-9
 
 
 def oce_cvar_levels(spec, sign):
@@ -669,12 +731,13 @@ class TestExactConstantsAgainstGrids:
         h = np.cumsum(np.random.default_rng(3).uniform(0.1, 1.0, u.size))
         h /= float(np.sum(0.5 * (h[1:] + h[:-1]) * np.diff(u)))
         table = load_spectrum_csv(write_table(tmp_path / "spec.csv", u, h))
-        specs = [uniform_spectrum(), table] + [cvar_spectrum(a) for a in self.ALPHAS]
+        pairs = [(table, former_spectrum_table(u, h))]
+        pairs += [(cvar_spectrum(a), former_cvar_spectrum(a)) for a in self.ALPHAS]
         cdf = build_cdf([0.5, 2.0])
-        for spec in specs:
-            assert spec.max_value() == grid_spectrum_max(spec), spec.name
-            assert spectral_risk(cdf, spec, support_bound=2.0).holder.L == grid_spectrum_max(spec) * 2.0
-            assert spectrum_to_distortion(spec).lipschitz_constant == grid_spectrum_max(spec)
+        for spec, former in pairs:
+            top = grid_spectrum_max(former)
+            assert spec.lipschitz_constant == top, spec.name
+            assert spectral_risk(cdf, spec, support_bound=2.0).holder.L == top * 2.0, spec.name
 
     def test_distortion_slope_matches_grid_on_wide_pieces(self, tmp_path):
         # Concave and shaped like the benchmark's table: knots on multiples of 0.1.
@@ -695,7 +758,7 @@ class TestExactConstantsAgainstGrids:
 
     def test_package_specs_pass_the_former_grid_checks(self, tmp_path):
         """Every spec riskcdf builds passes the 10,001-point grid checks,
-        midpoint integral included; construction checks only what is exact."""
+        unit integral included; construction checks only what is exact."""
         grid = np.linspace(0.0, 1.0, GRID_POINTS)
         spectra = [cvar_spectrum(a) for a in self.ALPHAS]
         for alpha in self.ALPHAS:
@@ -749,7 +812,7 @@ class TestTableLoaders:
                     + 1.5 * np.maximum(t - 0.75, 0.0))
 
         t = np.linspace(0.0, 1.0, 1001)
-        np.testing.assert_allclose(spec.cumulative(t), exact(t), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cumulative(spec, t), exact(t), rtol=0, atol=1e-12)
         edges = np.arange(8) / 7
         np.testing.assert_allclose(spec.rank_weights(7), np.diff(exact(edges)), rtol=0, atol=1e-12)
         losses = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]
@@ -767,7 +830,7 @@ class TestTableLoaders:
         path.write_text("u,h\n" + table)
         spec = load_spectrum_csv(path)
         t = np.linspace(0.0, 1.0, 1001)
-        np.testing.assert_allclose(spec.cumulative(t), exact(t), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cumulative(spec, t), exact(t), rtol=0, atol=1e-12)
 
     C_DIP = 1.0 / (1.0 - 2e-7)  # the dip below keeps the unit integral
 
@@ -867,7 +930,7 @@ class TestRankWeightsAgainstTelescopedSum:
 
     @pytest.mark.parametrize("spec", [
         identity_distortion(), cvar_distortion(0.05), cvar_distortion(0.3), cvar_distortion(1.0),
-        uniform_spectrum(), cvar_spectrum(0.05), cvar_spectrum(0.3), cvar_spectrum(1.0),
+        cvar_spectrum(0.05), cvar_spectrum(0.3), cvar_spectrum(1.0),
     ], ids=lambda spec: spec.name)
     @pytest.mark.parametrize("n", [1, 2, 7, 20, 1000, 20_000])
     def test_preset_weights_nonnegative_sum_to_one(self, spec, n):
