@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -150,15 +150,7 @@ class BoundCertificate:
         return self.epsilon >= 1.0
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "n": self.n,
-            "delta": self.delta,
-            "inputs": self.inputs,
-            "rademacher_bound": self.rademacher_bound,
-            "epsilon": self.epsilon,
-            "vacuous": self.vacuous,
-        }
+        return {**asdict(self), "vacuous": self.vacuous}
 
 
 def cdf_uniform_bound(rademacher_bound: float, n: int, delta: float,

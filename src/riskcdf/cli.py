@@ -9,9 +9,10 @@ gradient audit), and ``rerun`` (replay a recorded run).
 Every command writes a ``manifest.json`` with the resolved flag set, input
 file digests, toolkit version, and timestamp; ``rerun`` replays a manifest
 and reproduces the primary outputs byte for byte in single-threaded mode.
-Flags can be preset through ``RISKCDF_``-prefixed environment variables
-(command-line values win).  Exit codes: 0 success, 2 configuration error,
-3 data error, 4 numeric failure.
+Flag values come from the command line alone; unset flags take the
+parser's defaults (``--out .``, ``--seed 0``, ``--delta 0.05``,
+``--iters 500``).  Exit codes: 0 success, 2 configuration error, 3 data
+error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -36,31 +37,6 @@ from .permcomplexity import exact_min_permutations, greedy_min_permutations, loa
 from .seeds import derive_seed, rng_from, standard_normal
 
 PROG = "riskcdf"
-
-
-# Flags that a RISKCDF_<NAME> environment variable can preset:
-# dest -> (NAME, type, default when neither the flag nor the variable is set).
-_ENV_DEFAULTS = {
-    "out": ("OUT", str, "."),
-    "seed": ("SEED", int, 0),
-    "n": ("N", int, None),
-    "delta": ("DELTA", float, 0.05),
-    "eta": ("ETA", float, None),
-    "beta": ("BETA", float, None),
-    "iters": ("ITERS", int, 500),
-}
-
-
-def _apply_env_defaults(ns: argparse.Namespace) -> None:
-    """Fill the presettable flags that the command line left unset (None)."""
-    for dest, (name, cast, fallback) in _ENV_DEFAULTS.items():
-        if dest not in vars(ns) or getattr(ns, dest) is not None:
-            continue
-        raw = os.environ.get(f"RISKCDF_{name}")
-        try:
-            setattr(ns, dest, fallback if raw is None else cast(raw))
-        except ValueError:
-            raise ConfigError(f"RISKCDF_{name}={raw!r} is not a valid {cast.__name__}") from None
 
 
 def _sha256(path: str) -> str:
@@ -320,9 +296,7 @@ def _execute(command: str, params: dict, out_dir: str) -> None:
 def _flag_accepts(action: argparse.Action, value: object) -> bool:
     """Whether ``value`` has the type (and choice) that parsing ``action`` yields."""
     if value is None:
-        preset = _ENV_DEFAULTS.get(action.dest)
-        return (action.default is None and not action.required
-                and (preset is None or preset[2] is None))
+        return action.default is None and not action.required
     if action.nargs == 0:  # --flag and --flag/--no-flag switches
         return isinstance(value, bool)
     if isinstance(action, argparse._AppendAction):
@@ -381,8 +355,9 @@ def run_rerun(manifest_path: str, out_dir: str) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it
-    unchanged, and environment presets are applied after parsing."""
+    """The argument parser, built once per process (parsing leaves it
+    unchanged).  It is the only source of flag values: a flag left off the
+    command line takes the default given here."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Loss-CDF risk assessment, uniform-convergence certificates, "
@@ -392,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", default=None,
+        p.add_argument("--out", default=".",
                        help="output directory (default: current directory)")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("cdf", help="build an empirical CDF from a loss CSV")
     common(p)
@@ -408,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeatable: " + " | ".join(risks.RISK_TOKENS))
     p.add_argument("--n", type=int, default=None,
                    help="certificate sample size (default: table rows)")
-    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--support-bound", type=float, dest="support_bound", default=None,
                    help="loss support bound D (default: table maximum)")
 
@@ -417,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True,
                    choices=["finite_class", "permutation", "growth", "vc_sauer"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--class-size", type=int, dest="class_size", default=None)
     p.add_argument("--n-pi", type=float, dest="n_pi", default=None)
     p.add_argument("--growth", type=float, default=None)
@@ -439,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append a constant-1 feature column (intercept)")
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--iters", type=int, default=None)
+    p.add_argument("--iters", type=int, default=500)
     p.add_argument("--disable-noise", dest="disable_noise", action="store_true",
                    help="test hook: zero the Gaussian step perturbation")
 
@@ -459,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rerun", help="replay a recorded run from its manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=".")
 
     return parser
 
@@ -467,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        _apply_env_defaults(ns)
         if ns.command == "rerun":
             run_rerun(ns.manifest, ns.out)
             return 0

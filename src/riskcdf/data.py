@@ -99,16 +99,16 @@ def toy_blobs(seed: int = 0) -> Dataset:
     return generate_blobs(TOY_BLOB_SIZES, TOY_BLOB_CENTERS, TOY_BLOB_STDS, seed=seed)
 
 
-def blob_mixture_sampler(sizes=TOY_BLOB_SIZES, centers=TOY_BLOB_CENTERS,
-                         stds=TOY_BLOB_STDS):
-    """I.i.d. sampler from the blob mixture (weights proportional to sizes).
+def blob_mixture_sampler():
+    """I.i.d. sampler from the toy blob mixture: cluster k (``TOY_BLOB_*``)
+    is drawn with probability proportional to ``TOY_BLOB_SIZES[k]``.
 
     Returns ``sample(rng, n) -> (X, y)`` for Monte Carlo drivers that need
     fresh draws from the population rather than a fixed dataset.
     """
-    centers_arr = np.asarray(centers, dtype=np.float64)
-    stds_arr = np.asarray(stds, dtype=np.float64)
-    weights = np.asarray(sizes, dtype=np.float64)
+    centers_arr = np.asarray(TOY_BLOB_CENTERS, dtype=np.float64)
+    stds_arr = np.asarray(TOY_BLOB_STDS, dtype=np.float64)
+    weights = np.asarray(TOY_BLOB_SIZES, dtype=np.float64)
     weights = weights / weights.sum()
     cum = np.cumsum(weights)
 
@@ -149,12 +149,13 @@ def load_dataset_csv(path, label_column: str | int = "label",
     return Dataset(X=np.delete(values, label_idx, axis=1), y=values[:, label_idx])
 
 
-def save_dataset_csv(dataset: Dataset, path, label_name: str = "label") -> None:
-    """Write features + label column (17 significant digits), the format
-    :func:`load_dataset_csv` and ``riskcdf train --input`` read."""
+def save_dataset_csv(dataset: Dataset, path) -> None:
+    """Write features ``x0, x1, ...`` and a ``label`` column (17 significant
+    digits), the format :func:`load_dataset_csv` and ``riskcdf train --input``
+    read."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(dataset.dim)] + [label_name])
+        writer.writerow([f"x{i}" for i in range(dataset.dim)] + ["label"])
         for xi, yi in zip(dataset.X, dataset.y):
             writer.writerow([f"{v:.17g}" for v in xi] + [f"{yi:.17g}"])
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -70,6 +70,13 @@ __all__ = [
 DIVERGENCE_GUARD = 1e12
 
 
+def _positive_beta(beta: float) -> float:
+    """``beta`` as a float: a smoothness constant must be finite and positive."""
+    if not (math.isfinite(beta) and beta > 0):
+        raise ConfigError(f"beta must be finite and positive, got {beta}")
+    return float(beta)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Gradient descent configuration.
@@ -77,7 +84,9 @@ class TrainConfig:
     When ``eta`` is omitted, the learning rate defaults to
     ``1 / (beta * sqrt(iterations))`` from the smoothness estimate
     ``beta``.  ``noise=False`` is a test hook that zeroes the Gaussian
-    perturbation; production runs keep it on.
+    perturbation; production runs keep it on.  :func:`train` snapshots
+    the iterate every ``max(1, iterations // 100)`` iterations, plus at
+    t = 1 and t = ``iterations``.
     """
 
     distortion: DistortionSpec
@@ -86,7 +95,6 @@ class TrainConfig:
     beta: float | None = None
     seed: int = 0
     noise: bool = True
-    snapshot_every: int | None = None
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -95,20 +103,14 @@ class TrainConfig:
             raise ConfigError("either eta or beta must be given")
         if self.eta is not None and not (math.isfinite(self.eta) and self.eta >= 0):
             raise ConfigError(f"eta must be finite and nonnegative, got {self.eta}")
-        if self.beta is not None and not (math.isfinite(self.beta) and self.beta > 0):
-            raise ConfigError(f"beta must be finite and positive, got {self.beta}")
+        if self.beta is not None:
+            _positive_beta(self.beta)
 
     @property
     def effective_eta(self) -> float:
         if self.eta is not None:
             return float(self.eta)
         return 1.0 / (self.beta * math.sqrt(self.iterations))
-
-    @property
-    def effective_snapshot_every(self) -> int:
-        if self.snapshot_every is not None:
-            return max(1, int(self.snapshot_every))
-        return max(1, self.iterations // 100)
 
 
 @dataclass(frozen=True)
@@ -117,8 +119,9 @@ class TrainTrace:
 
     ``risk[t-1]``, ``grad_norm[t-1]`` are measured at the pre-step iterate
     theta_t; ``avg_sq_grad_norm`` is the running mean of squared gradient
-    norms up to t.  Snapshots hold (t, theta_t, grad_t) at the configured
-    cadence, always including t=1 and the final iterate.
+    norms up to t.  Snapshots hold (t, theta_t, grad_t) every
+    ``max(1, T // 100)`` iterations, always including t=1 and the final
+    iterate.
     """
 
     risk: np.ndarray
@@ -250,13 +253,16 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray,
     """
     eta = config.effective_eta
     rng = rng_from(config.seed, "gd_noise") if config.noise else None
-    cadence = config.effective_snapshot_every
     t_total = config.iterations
+    cadence = max(1, t_total // 100)
 
     theta = model.params
-    risk = np.empty(t_total)
-    grad_norm = np.empty(t_total)
-    avg_sq = np.empty(t_total)
+    try:
+        risk = np.empty(t_total)
+        grad_norm = np.empty(t_total)
+        avg_sq = np.empty(t_total)
+    except (MemoryError, ValueError):
+        raise ConfigError(f"cannot hold the trace of {t_total} iterations in memory") from None
     snapshots: list[tuple[int, np.ndarray, np.ndarray]] = []
     running_sq = 0.0
 
@@ -332,25 +338,17 @@ class StationarityReport:
     last_decile_mean_sq: float
 
     def to_dict(self) -> dict:
-        return {
-            "mean_sq_grad_norm": self.mean_sq_grad_norm,
-            "beta": self.beta,
-            "beta_estimated": self.beta_estimated,
-            "iterations": self.iterations,
-            "initial_risk": self.initial_risk,
-            "best_risk": self.best_risk,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "best_risk_is_surrogate": self.best_risk_is_surrogate,
-            "first_decile_mean_sq": self.first_decile_mean_sq,
-            "last_decile_mean_sq": self.last_decile_mean_sq,
-        }
+        return asdict(self)
 
 
 def stationarity_report(trace: TrainTrace, beta: float | None = None) -> StationarityReport:
-    """Check the average squared gradient norm against the smoothness bound."""
+    """Check the average squared gradient norm against the smoothness bound.
+
+    ``beta=None`` estimates beta from the trace; a given beta must be finite
+    and positive, as in :class:`TrainConfig`, else :class:`ConfigError`.
+    """
     estimated = beta is None
-    b = estimate_beta(trace) if estimated else float(beta)
+    b = estimate_beta(trace) if estimated else _positive_beta(beta)
     t_total = trace.iterations
     sq = trace.grad_norm ** 2
     lhs = float(np.mean(sq))

@@ -394,7 +394,7 @@ def _on_unit_interval(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     return knots, np.interp(knots, x, y)
 
 
-def load_distortion_csv(path, name: str | None = None) -> DistortionSpec:
+def load_distortion_csv(path) -> DistortionSpec:
     """Load a tabulated distortion (t, g(t)) with linear interpolation.
 
     The interpolant is checked at its knots on [0, 1], which is exact on all
@@ -404,7 +404,7 @@ def load_distortion_csv(path, name: str | None = None) -> DistortionSpec:
     the table the interpolant is flat).
     """
     t, g = _load_table_csv(path)
-    name = name or f"distortion_file:{path}"
+    name = f"distortion_file:{path}"
     _check_distortion_levels(name, _on_unit_interval(t, g)[1])
     meets = (t[:-1] < 1.0) & (t[1:] > 0.0)
     slopes = np.abs(np.diff(g) / np.diff(t))[meets]
@@ -415,7 +415,7 @@ def load_distortion_csv(path, name: str | None = None) -> DistortionSpec:
     )
 
 
-def load_spectrum_csv(path, name: str | None = None) -> DistortionSpec:
+def load_spectrum_csv(path) -> DistortionSpec:
     """Load a tabulated spectrum (u, h(u)) with linear interpolation, as its distortion.
 
     The interpolant is checked at its knots on [0, 1], which is exact on all
@@ -425,7 +425,7 @@ def load_spectrum_csv(path, name: str | None = None) -> DistortionSpec:
     rank weights are exact for the table.
     """
     u, h = _load_table_csv(path)
-    name = name or f"spectrum_file:{path}"
+    name = f"spectrum_file:{path}"
     knots, hv = _on_unit_interval(u, h)
     _check_spectrum_values(name, hv)
     width = np.diff(knots)

@@ -209,8 +209,7 @@ def test_criterion_6_stationarity_diagnostic():
     budget = Budget(30.0)
     X, y = _augmented_toy(seed=0)
     model0 = init_model("logistic_crossentropy", 3, seed=7)
-    probe_cfg = TrainConfig(distortion=identity_distortion(), iterations=100, eta=0.01,
-                            seed=7, snapshot_every=1)
+    probe_cfg = TrainConfig(distortion=identity_distortion(), iterations=100, eta=0.01, seed=7)
     _, probe = train(model0, X, y, probe_cfg)
     beta = estimate_beta(probe)
     T = 2000

@@ -562,6 +562,35 @@ class TestManifestRerun:
         assert run(["rerun", "--manifest", path, "--out", tmp_path / "b"]) == 2
         assert "train has no flag 'distortion_file'" in capsys.readouterr().err
 
+    def test_recorded_manifest_replays_byte_identically(self, tmp_path):
+        """A manifest as recorded for ``train --eta 0.1 --iters 3`` when unset
+        flags could still be preset from the environment: its args equal
+        those a run records now, and its replay writes the same files."""
+        recorded = {
+            "args": {"add_bias": False, "arch": "logistic_crossentropy", "beta": None,
+                     "disable_noise": False, "eta": 0.1, "has_header": True, "hidden": "8",
+                     "input": None, "iters": 3, "label_column": "label", "out": "m1",
+                     "risk": "mean", "seed": 0},
+            "command": "train",
+            "input_digests": {},
+            "seed": 0,
+            "timestamp": "2026-10-19T12:03:08.194845+00:00",
+            "version": "0.1.0",
+        }
+        path = tmp_path / "recorded.json"
+        path.write_text(json.dumps(recorded, indent=2))
+        out_a = tmp_path / "a"
+        assert run(["train", "--eta", 0.1, "--iters", 3, "--out", out_a]) == 0
+        written = json.loads((out_a / "manifest.json").read_text())
+        assert written["args"] == {**recorded["args"], "out": str(out_a)}
+        out_b = tmp_path / "b"
+        assert run(["rerun", "--manifest", path, "--out", out_b]) == 0
+        names = self.primary_files(out_a)
+        assert names == self.primary_files(out_b) == [
+            "checkpoint.json", "stationarity.json", "trace.csv"]
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
     def test_manifest_contents(self, tmp_path):
         out = tmp_path / "o"
         src = tmp_path / "l.csv"
@@ -576,6 +605,11 @@ class TestManifestRerun:
 
 CDF_ARGS = {"input": "losses.csv", "has_header": False, "out": ".", "seed": 0}
 HUGE = "1" + "0" * 400  # a count no float holds
+# Iteration counts whose trace buffers no machine holds: 8e18 bytes fails to
+# allocate, and 1e19 exceeds numpy's largest dimension.  (A count near 1e12
+# is not used: under memory overcommit it may allocate and then run.)
+ITERS_1E18 = "1" + "0" * 18
+ITERS_1E19 = "1" + "0" * 19
 DATASETS = {"NAN_DATASET": "a,b,label\n1,2,0\n3,nan,1\n",
             "LABEL_DATASET": "a,b,label\n1,2,0\n3,4,2\n",
             "NAN_LOSSES": "1\n2\n\nnan\n",
@@ -635,6 +669,8 @@ REJECTIONS = [
     ("mean-var-support-overflow", ["assess", "--input", "TABLE", "--risk", "mean_var:1",
                                    "--support-bound", "1e160"], None, 4),
     ("risk-unknown", ["assess", "--input", "TABLE", "--risk", "nope"], None, 2),
+    ("train-iters-1e18", ["train", "--eta", 0.1, "--iters", ITERS_1E18], None, 2),
+    ("train-iters-1e19", ["train", "--eta", 0.1, "--iters", ITERS_1E19], None, 2),
     ("train-risk-malformed", ["train", "--risk", "cvar:abc:0.5", "--eta", 0.1, "--iters", 3],
      None, 2),
     ("train-risk-not-distortion", ["train", "--risk", "oce:mean", "--eta", 0.1, "--iters", 3],
@@ -694,6 +730,12 @@ class TestRejections:
         if out.exists():  # standard JSON: no NaN or Infinity
             json.loads((out / "manifest.json").read_text(), parse_constant=pytest.fail)
 
+    @pytest.mark.parametrize("iters", [ITERS_1E18, ITERS_1E19])
+    def test_iteration_count_beyond_memory_is_named(self, tmp_path, capsys, iters):
+        assert run(["train", "--eta", 0.1, "--iters", iters, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            f"riskcdf: error: cannot hold the trace of {iters} iterations in memory\n")
+
     @pytest.mark.parametrize("command, key, where", [
         ("cdf", "NAN_LOSSES", "row 4, column 1"),
         ("assess", "INF_TABLE", "row 3, column 2 (k)"),
@@ -710,33 +752,6 @@ class TestRejections:
         with pytest.raises(NumericError, match=f"cannot write {path}"):
             _write_json({"ok": 1.0, "bad": [value]}, str(path))
         assert not path.exists()
-
-
-class TestEnvOverrides:
-    def test_seed_from_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RISKCDF_SEED", "17")
-        out = tmp_path / "o"
-        assert run(["bound", "--method", "finite_class", "--class-size", 2,
-                    "--n", 10, "--out", out]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seed"] == 17
-
-    def test_cli_flag_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RISKCDF_SEED", "17")
-        out = tmp_path / "o"
-        assert run(["bound", "--method", "finite_class", "--class-size", 2,
-                    "--n", 10, "--seed", 4, "--out", out]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seed"] == 4
-
-    def test_bad_value_is_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("RISKCDF_SEED", "abc")
-        src = tmp_path / "l.csv"
-        write_losses(src, [1, 2])
-        assert run(["cdf", "--input", src, "--out", tmp_path / "o"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "RISKCDF_SEED='abc'" in err
 
 
 class TestRiskGrammarDocs:

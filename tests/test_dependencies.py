@@ -1,6 +1,8 @@
 """riskcdf runs on numpy alone: every risk family and every subcommand work in
-a fresh interpreter where importing scipy fails."""
+a fresh interpreter where importing scipy fails.  It reads nothing from the
+process environment: every flag value comes from the command line."""
 
+import ast
 import os
 import re
 import subprocess
@@ -83,3 +85,29 @@ def test_no_module_imports_scipy():
     sources = sorted(Path(SRC, "riskcdf").glob("*.py"))
     assert sources
     assert [p.name for p in sources if pattern.search(p.read_text())] == []
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[int]:
+    """Lines of ``source`` that read the environment through ``os``:
+    ``os.environ``, ``os.getenv`` or ``from os import environ``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(alias.name in ENVIRONMENT_READS for alias in node.names)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_reads_the_environment():
+    assert environment_reads("import os\nos.environ.get('A')\nos.getenv('B')\n"
+                             "from os import environ\n") == [2, 3, 4]
+    sources = sorted(Path(SRC, "riskcdf").glob("*.py"))
+    assert sources
+    found = [f"{p.name}:{line}" for p in sources for line in environment_reads(p.read_text())]
+    assert found == []

@@ -210,8 +210,7 @@ class TestFusedStepOracle:
     def test_train_risk_is_cdf_risk_of_each_iterate(self, trial, concave_file_spec):
         model, X, y = oracle_problem(trial)
         for spec in oracle_specs(X.shape[0], rng_from(trial, "alpha"), concave_file_spec):
-            cfg = TrainConfig(distortion=spec, iterations=12, eta=0.05, seed=trial,
-                              snapshot_every=1)
+            cfg = TrainConfig(distortion=spec, iterations=12, eta=0.05, seed=trial)
             _, trace = train(model, X, y, cfg)
             assert [t for t, _, _ in trace.snapshots] == list(range(1, 13))
             for t, theta, grad in trace.snapshots:
@@ -330,8 +329,7 @@ class TestTiesAtFirstWeightedRank:
         spec = straddling_cvar(model.batch_losses(X, y), rng_from(trial, "lo"))
         assert spec is not None
         # Without noise, tied examples of equal weight stay tied.
-        cfg = TrainConfig(distortion=spec, iterations=10, eta=0.01, noise=False,
-                          snapshot_every=1)
+        cfg = TrainConfig(distortion=spec, iterations=10, eta=0.01, noise=False)
         _, trace = train(model, X, y, cfg)
         for t, theta, grad in trace.snapshots:
             current = model.with_params(theta)
@@ -532,12 +530,25 @@ class TestStationarity:
 
     def test_beta_estimate_positive(self):
         model, X, y = random_problem("logistic_crossentropy", 13)
-        cfg = TrainConfig(distortion=identity_distortion(), iterations=50, eta=0.05,
-                          seed=2, snapshot_every=5)
+        cfg = TrainConfig(distortion=identity_distortion(), iterations=50, eta=0.05, seed=2)
         _, trace = train(model, X, y, cfg)
         assert estimate_beta(trace) > 0
         report = stationarity_report(trace)
         assert report.beta_estimated
+
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, math.nan, math.inf])
+    def test_beta_rule_shared_with_config(self, beta):
+        """A beta that is not finite and positive is a ConfigError in both
+        places it is given, with the same message."""
+        model, X, y = random_problem("logistic_crossentropy", 13)
+        cfg = TrainConfig(distortion=identity_distortion(), iterations=5, eta=0.05, seed=2)
+        _, trace = train(model, X, y, cfg)
+        with pytest.raises(ConfigError) as from_report:
+            stationarity_report(trace, beta=beta)
+        with pytest.raises(ConfigError) as from_config:
+            TrainConfig(distortion=identity_distortion(), iterations=5, beta=beta)
+        assert str(from_report.value) == str(from_config.value)
+        assert str(from_report.value) == f"beta must be finite and positive, got {beta}"
 
 
 def test_toy_experiment_script_runs(tmp_path):
