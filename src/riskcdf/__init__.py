@@ -30,9 +30,9 @@ from .cdf import (
     sup_norm_distance,
     wasserstein1,
 )
-from .data import Dataset, LossTable, generate_blobs, load_loss_table, toy_blobs
+from .data import Dataset, generate_blobs, load_loss_table, toy_blobs
 from .errors import ToolkitError
-from .models import Example, LossModel, finite_difference_check, init_model
+from .models import LossModel, finite_difference_check, init_model
 from .optim import (
     TrainConfig,
     TrainTrace,
@@ -43,7 +43,6 @@ from .optim import (
 )
 from .permcomplexity import (
     LossMatrix,
-    WeakOrder,
     exact_min_permutations,
     greedy_min_permutations,
     monte_carlo_permutation_complexity,

@@ -36,7 +36,6 @@ import numpy as np
 # rows kernel.
 from .cdf import _check_losses, build_cdf, sup_norm_distance, sup_norm_distances  # noqa: F401
 from .errors import ConfigError, InvalidDelta, InvalidGrowth, ShapeError, WeakReference
-from .risks import HolderConstants
 from .seeds import rng_from
 
 __all__ = [
@@ -185,10 +184,10 @@ def certificate_vc_sauer(n: int, nu: int, delta: float) -> BoundCertificate:
                              method="vc_sauer", inputs={"nu": int(nu)})
 
 
-def risk_error_bound(cert: BoundCertificate, holder: HolderConstants) -> float | None:
+def risk_error_bound(cert: BoundCertificate, L: float | None, p: float) -> float | None:
     """Simultaneous estimation-error bound L * epsilon**p (None if L is unknown) for
     every sup-norm Holder risk with constants at most (L, p) and every hypothesis."""
-    return None if holder.L is None else float(holder.L) * cert.epsilon ** holder.p
+    return None if L is None else float(L) * cert.epsilon ** p
 
 
 def excess_risk_bound(risk_error: float) -> float:

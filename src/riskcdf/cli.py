@@ -11,8 +11,9 @@ file digests, toolkit version, and timestamp; ``rerun`` replays a manifest
 and reproduces the primary outputs byte for byte in single-threaded mode.
 Flag values come from the command line alone; unset flags take the
 parser's defaults (``--out .``, ``--seed 0``, ``--delta 0.05``,
-``--iters 500``).  Exit codes: 0 success, 2 configuration error, 3 data
-error, 4 numeric failure.
+``--iters 500``).  Only ``train`` and ``gradcheck`` draw random numbers,
+so only they take ``--seed``.  Exit codes: 0 success, 2 configuration
+error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from . import __version__, bounds, data, risks
 from .cdf import build_cdf, moment, read_losses_csv, write_cdf_csv
 from .errors import ConfigError, Diverged, FormatError, NumericError, ToolkitError
-from .models import Example, finite_difference_check, init_model, save_checkpoint
+from .models import ARCHITECTURES, finite_difference_check, init_model, save_checkpoint
 from .optim import TrainConfig, stationarity_report, train
 from .permcomplexity import exact_min_permutations, greedy_min_permutations, load_loss_matrix_csv
 from .seeds import derive_seed, rng_from, standard_normal
@@ -105,23 +106,23 @@ def run_cdf(params: dict, out_dir: str) -> None:
 
 
 def run_assess(params: dict, out_dir: str) -> None:
-    table = data.load_loss_table(params["input"])
-    n = params["n"] if params["n"] is not None else table.n
+    names, losses = data.load_loss_table(params["input"])
+    n = params["n"] if params["n"] is not None else losses.shape[0]
     inferred = params["support_bound"] is None
     # A given D is checked once, before any token is parsed, so every risk
     # rejects a bad one with the same error.
-    support = risks._support_bound(params["support_bound"], float(np.max(table.values)))
-    cert = bounds.certificate_finite_class(n, table.n_models, params["delta"])
+    support = risks._support_bound(params["support_bound"], float(np.max(losses)))
+    cert = bounds.certificate_finite_class(n, len(names), params["delta"])
     tokens = list(dict.fromkeys(params["risks"] or ["mean"]))  # a repeated token counts once
-    evaluators = {token: risks.parse_risk(token, support).evaluate for token in tokens}
+    evaluators = {token: risks.parse_risk(token, support) for token in tokens}
     # One sorted CDF per model, shared by every token; records stay token-major.
     cells: dict[str, list[risks.RiskValue]] = {token: [] for token in evaluators}
-    for name in table.names:
-        cdf = build_cdf(table.column(name))
+    for column in losses.T:
+        cdf = build_cdf(column)
         for token, evaluate in evaluators.items():
             cells[token].append(evaluate(cdf))
-    records = [risks.risk_record(name, rv, bounds.risk_error_bound(cert, rv.holder))
-               for row in cells.values() for name, rv in zip(table.names, row)]
+    records = [risks.risk_record(name, rv, bounds.risk_error_bound(cert, rv.L, rv.p))
+               for row in cells.values() for name, rv in zip(names, row)]
     payload = {
         "certificate": cert.to_dict(),
         "support_bound": support,
@@ -130,11 +131,11 @@ def run_assess(params: dict, out_dir: str) -> None:
     }
     _write_json(payload, os.path.join(out_dir, "assessment.json"))
     with open(os.path.join(out_dir, "assessment.csv"), "w", newline="") as fh:
-        fh.write("risk," + ",".join(table.names) + "\n")
+        fh.write("risk," + ",".join(names) + "\n")
         for token in tokens:
             row = ",".join(f"{rv.value:.17g}" for rv in cells[token])
             fh.write(f"{token},{row}\n")
-    print(f"{PROG} assess: {len(tokens)} risks x {table.n_models} models, "
+    print(f"{PROG} assess: {len(tokens)} risks x {len(names)} models, "
           f"epsilon={cert.epsilon:.6g} (one shared certificate)")
 
 
@@ -156,12 +157,10 @@ def run_bound(params: dict, out_dir: str) -> None:
                 raise ConfigError("--growth or --class-size is required for method=growth")
             growth = bounds.growth_finite_class(n, params["class_size"])
         cert = bounds.certificate_growth(n, growth, delta)
-    elif method == "vc_sauer":
+    else:  # vc_sauer
         if params["nu"] is None:
             raise ConfigError("--nu is required for method=vc_sauer")
         cert = bounds.certificate_vc_sauer(n, params["nu"], delta)
-    else:
-        raise ConfigError(f"unknown method {method!r}")
     _write_json(cert.to_dict(), os.path.join(out_dir, "certificate.json"))
     print(f"{PROG} bound: method={method} n={n} delta={delta} epsilon={cert.epsilon:.6g}")
     if cert.vacuous:
@@ -197,7 +196,8 @@ def run_train(params: dict, out_dir: str) -> None:
         noise=not params["disable_noise"],
     )
     try:
-        final_model, trace = train(model, features, dataset.y, config)
+        with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised, not warned
+            final_model, trace = train(model, features, dataset.y, config)
     except Diverged as exc:
         if exc.trace is not None:  # keep the evidence up to the failing iteration
             exc.trace.to_csv(os.path.join(out_dir, "trace.csv"))
@@ -218,10 +218,8 @@ def run_complexity(params: dict, out_dir: str) -> None:
     matrix = load_loss_matrix_csv(params["input"])
     if params["mode"] == "exact":
         value, witnesses = exact_min_permutations(matrix)
-    elif params["mode"] == "greedy":
-        value, witnesses = greedy_min_permutations(matrix)
     else:
-        raise ConfigError(f"unknown mode {params['mode']!r}; expected exact or greedy")
+        value, witnesses = greedy_min_permutations(matrix)
     payload = {
         "mode": params["mode"],
         "value": value,
@@ -253,7 +251,7 @@ def run_gradcheck(params: dict, out_dir: str) -> None:
         else:
             y = float(rng.random() < 0.5)
         with np.errstate(all="ignore"):  # a non-finite error is raised below, not warned
-            error = finite_difference_check(model, Example(x=x, y=y), step=params["step"])
+            error = finite_difference_check(model, x, y, step=params["step"])
         if not math.isfinite(error):
             raise NumericError(f"gradcheck trial {t}: the relative error is {error} "
                                f"at step {params['step']:g}")
@@ -320,6 +318,8 @@ def _replay_params(manifest: object, where: str) -> tuple[str, dict, dict]:
         raise ConfigError(f"{where}: 'args' must be an object of flags, got {params!r}")
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     actions = {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
+    if "seed" not in actions:  # recorded before cdf, assess, bound and complexity lost --seed
+        params = {k: v for k, v in params.items() if k != "seed"}
     unknown = sorted(set(params) - set(actions))
     if unknown:
         raise ConfigError(f"{where}: {command} has no flag {unknown[0]!r}")
@@ -369,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=".",
                        help="output directory (default: current directory)")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("cdf", help="build an empirical CDF from a loss CSV")
     common(p)
@@ -400,13 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="minimize an empirical distortion risk")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--input", default=None,
                    help="dataset CSV; omitted = built-in imbalanced blob preset")
     p.add_argument("--label-column", dest="label_column", default="label",
                    help="label header name, or a 0-based column index with --no-has-header")
     p.add_argument("--has-header", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--arch", default="logistic_crossentropy",
-                   choices=["linear_squared", "logistic_crossentropy", "mlp_tanh"])
+    p.add_argument("--arch", default="logistic_crossentropy", choices=ARCHITECTURES)
     p.add_argument("--hidden", default="8", help="MLP widths, comma-separated")
     p.add_argument("--risk", default="mean",
                    help="objective, a distortion risk: " + " | ".join(risks.DISTORTION_TOKENS))
@@ -425,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of loss gradients")
     common(p)
-    p.add_argument("--arch", default="logistic_crossentropy",
-                   choices=["linear_squared", "logistic_crossentropy", "mlp_tanh"])
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--arch", default="logistic_crossentropy", choices=ARCHITECTURES)
     p.add_argument("--hidden", default="4")
     p.add_argument("--input-dim", type=int, dest="input_dim", default=3)
     p.add_argument("--trials", type=int, default=100)

@@ -21,7 +21,6 @@ from .seeds import rng_from, standard_normal
 
 __all__ = [
     "Dataset",
-    "LossTable",
     "generate_blobs",
     "blob_mixture_sampler",
     "TOY_BLOB_SIZES",
@@ -160,25 +159,6 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
             writer.writerow([f"{v:.17g}" for v in xi] + [f"{yi:.17g}"])
 
 
-@dataclass(frozen=True)
-class LossTable:
-    """Rectangular table of nonnegative losses, one column per model."""
-
-    names: tuple[str, ...]
-    values: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_models(self) -> int:
-        return self.values.shape[1]
-
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.names.index(name)]
-
-
 def _filled_rows(lines):
     """(file line number, cells) of each CSV row with a non-blank cell."""
     reader = csv.reader(lines)
@@ -278,13 +258,20 @@ def _check_loss_cells(path, names: tuple[str, ...] | None, values: np.ndarray) -
             raise InvalidLoss(f"{path}: {kind} loss at {_cell(path, names, row, col)}")
 
 
-def load_loss_table(path) -> LossTable:
-    """Load a loss table CSV with a required header of model names.
+def load_loss_table(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Load a loss table CSV with a required header of model names:
+    ``(names, losses)``, column j of the (rows, models) array ``losses``
+    holding model ``names[j]``'s losses.
 
-    Parsed by :func:`read_numeric_csv`; every entry must be finite and
+    Parsed by :func:`read_numeric_csv`.  A name given to two columns raises
+    :class:`FormatError` naming both; every entry must be finite and
     nonnegative, and the first that is not raises :class:`InvalidLoss`
     naming its file row and column.
     """
     names, values = read_numeric_csv(path, header=True)
+    for col, name in enumerate(names):
+        if (first := names.index(name)) < col:
+            raise FormatError(f"{path}: model name {name!r} heads both column {first + 1} "
+                              f"and column {col + 1}")
     _check_loss_cells(path, names, values)
-    return LossTable(names=names, values=values)
+    return names, values

@@ -25,13 +25,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, ShapeError
+from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .seeds import rng_from
 
 __all__ = [
     "ARCHITECTURES",
     "MAX_CROSSENTROPY_LOSS",
-    "Example",
     "LossModel",
     "parameter_count",
     "init_model",
@@ -47,16 +46,6 @@ ARCHITECTURES = ("linear_squared", "logistic_crossentropy", "mlp_tanh")
 
 PROB_CLAMP = 1e-12
 MAX_CROSSENTROPY_LOSS = -math.log(PROB_CLAMP)
-
-
-@dataclass(frozen=True)
-class Example:
-    x: np.ndarray
-    y: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64).ravel())
-        object.__setattr__(self, "y", float(self.y))
 
 
 def _sigmoid_pair(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,13 +259,14 @@ def init_model(architecture: str, input_dim: int, hidden: tuple[int, ...] = (),
                      input_dim=int(input_dim), hidden=tuple(hidden))
 
 
-def per_example_loss(model: LossModel, z: Example) -> float:
-    return float(model.batch_losses(z.x[None, :], np.array([z.y]))[0])
+def per_example_loss(model: LossModel, x, y: float) -> float:
+    """The loss of one example: feature vector ``x`` and label ``y``."""
+    return float(model.batch_losses([x], [y])[0])
 
 
-def per_example_gradient(model: LossModel, z: Example) -> np.ndarray:
+def per_example_gradient(model: LossModel, x, y: float) -> np.ndarray:
     """The gradient of one example's loss, by the backward pass that training runs."""
-    return model.loss_and_vjp(z.x[None], [z.y])[1](slice(None), np.ones(1))
+    return model.loss_and_vjp([x], [y])[1](slice(None), np.ones(1))
 
 
 def relative_error(a, b) -> float:
@@ -288,32 +278,38 @@ def relative_error(a, b) -> float:
     return float(np.max(np.abs(a - b), initial=0.0)) / scale
 
 
-def finite_difference_check(model: LossModel, z: Example, step: float = 1e-6) -> float:
-    """Central-difference check of the analytic gradient; returns the
-    relative error (unit-floored scale, see :func:`relative_error`)."""
+def finite_difference_check(model: LossModel, x, y: float, step: float = 1e-6) -> float:
+    """Central-difference check of the analytic gradient of one example's
+    loss (features ``x``, label ``y``); returns the relative error
+    (unit-floored scale, see :func:`relative_error`)."""
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"step must be finite and positive, got {step}")
-    grad = per_example_gradient(model, z)
+    grad = per_example_gradient(model, x, y)
     fd = np.empty_like(grad)
     base = model.params
     for i in range(base.shape[0]):
         bump = np.zeros_like(base)
         bump[i] = step
-        hi = per_example_loss(model.with_params(base + bump), z)
-        lo = per_example_loss(model.with_params(base - bump), z)
+        hi = per_example_loss(model.with_params(base + bump), x, y)
+        lo = per_example_loss(model.with_params(base - bump), x, y)
         fd[i] = (hi - lo) / (2.0 * step)
     return relative_error(fd, grad)
 
 
 def save_checkpoint(model: LossModel, path) -> None:
+    """Write the model as standard JSON: a NaN or infinite parameter raises
+    :class:`NumericError` before the file is opened."""
     payload = {
         "architecture": model.architecture,
         "hyperparameters": {"input_dim": model.input_dim, "hidden": list(model.hidden)},
         "parameter_vector": [float(v) for v in model.params],
     }
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"cannot write {path}: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_checkpoint(path) -> LossModel:

@@ -249,7 +249,8 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray,
     step (:meth:`LossModel.check_labels`).
 
     Raises :class:`Diverged` (with the partial trace attached) if the risk
-    exceeds the divergence guard or stops being finite.
+    exceeds the divergence guard or stops being finite, or if a step makes
+    the parameters non-finite.
     """
     eta = config.effective_eta
     rng = rng_from(config.seed, "gd_noise") if config.noise else None
@@ -298,6 +299,9 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray,
         if t == 1 or t == t_total or t % cadence == 0:
             snapshots.append((t, theta.copy(), grad.copy()))
         theta = noisy_gd_step(theta, grad, eta, rng)
+        if not np.isfinite(theta).all():
+            raise Diverged(f"the step at iteration {t} made the parameters non-finite",
+                           trace=make_trace(t))
     return current.with_params(theta), make_trace(t_total)
 
 

@@ -34,7 +34,6 @@ from .errors import ConfigError, FormatError, InvalidLoss, TooLarge
 from .seeds import rng_from
 
 __all__ = [
-    "WeakOrder",
     "LossMatrix",
     "weak_order",
     "permutation_sorts",
@@ -47,18 +46,6 @@ __all__ = [
 
 EXACT_MAX_N = 8
 EXACT_MAX_ROWS = 64
-
-
-@dataclass(frozen=True)
-class WeakOrder:
-    """Tie-aware ranking of indices induced by a loss vector.
-
-    ``ranks`` uses consecutive values starting at 0; equal losses share a
-    rank.  A permutation sorts the order iff ranks are non-decreasing along
-    it.
-    """
-
-    ranks: tuple[int, ...]
 
 
 def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -78,17 +65,18 @@ def _distinct_rows(a: np.ndarray) -> np.ndarray:
     return a[np.sort(first)]
 
 
-def weak_order(losses) -> WeakOrder:
-    """Dense tie-aware ranks of a loss vector."""
+def weak_order(losses) -> tuple[int, ...]:
+    """The tie-aware weak order a loss vector induces on its indices, as dense
+    ranks: consecutive values from 0, equal losses sharing a rank.  A
+    permutation sorts the vector iff the ranks are non-decreasing along it."""
     arr = np.asarray(losses, dtype=np.float64).reshape(1, -1)
     if np.any(np.isnan(arr)):
         raise InvalidLoss("loss vector contains NaN")
-    return WeakOrder(ranks=tuple(_rank_rows(arr)[1][0].tolist()))
+    return tuple(_rank_rows(arr)[1][0].tolist())
 
 
-def permutation_sorts(perm: Sequence[int], order: WeakOrder) -> bool:
+def permutation_sorts(perm: Sequence[int], ranks: Sequence[int]) -> bool:
     """True iff the permutation lists the indices in non-decreasing rank order."""
-    ranks = order.ranks
     return all(ranks[perm[i]] <= ranks[perm[i + 1]] for i in range(len(perm) - 1))
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -55,9 +55,7 @@ from .errors import (
 __all__ = [
     "DistortionSpec",
     "OceSpec",
-    "HolderConstants",
     "RiskValue",
-    "Risk",
     "RISK_TOKENS",
     "DISTORTION_TOKENS",
     "parse_risk",
@@ -108,24 +106,21 @@ def _check_spectrum_values(name: str, values: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class HolderConstants:
-    """Holder modulus (L, p) of a risk with respect to the CDF sup norm."""
-
-    L: float | None
-    p: float = 1.0
-
-
-@dataclass(frozen=True)
 class RiskValue:
+    """A risk's value on a CDF and its Holder modulus (L, p) in the CDF sup
+    norm: a CDF error epsilon moves the value by at most L * epsilon**p.
+    ``L`` is None when unknown; the value and a given L must be finite."""
+
     value: float
     risk_name: str
-    holder: HolderConstants
+    L: float | None
+    p: float = 1.0
 
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise NumericError(f"risk {self.risk_name!r} evaluated to {self.value}")
-        if self.holder.L is not None and not math.isfinite(self.holder.L):
-            raise NumericError(f"risk {self.risk_name!r} has Holder constant L = {self.holder.L}")
+        if self.L is not None and not math.isfinite(self.L):
+            raise NumericError(f"risk {self.risk_name!r} has Holder constant L = {self.L}")
 
 
 @dataclass(frozen=True)
@@ -159,10 +154,6 @@ class DistortionSpec:
         levels = self(1.0 - np.arange(n + 1) / n)  # g(1 - i/n), i = 0..n
         _check_distortion_levels(self.name, levels[::-1])
         return levels[:-1] - levels[1:]
-
-    def risk_constant(self, support_bound: float) -> HolderConstants:
-        L = None if self.lipschitz_constant is None else self.lipschitz_constant * support_bound
-        return HolderConstants(L=L, p=1.0)
 
 
 # riskcdf builds no SpectrumSpec: a spectrum is a DistortionSpec.  The class
@@ -306,8 +297,8 @@ def distortion_risk(cdf: EmpiricalCDF, spec: DistortionSpec,
         raise InvalidLoss("distortion risk requires nonnegative losses")
     d = _support_bound(support_bound, cdf.max)
     w = spec.rank_weights(cdf.n) if weights is None else weights
-    return RiskValue(value=float(w @ cdf.values), risk_name=spec.name,
-                     holder=spec.risk_constant(d))
+    L = None if spec.lipschitz_constant is None else spec.lipschitz_constant * d
+    return RiskValue(value=float(w @ cdf.values), risk_name=spec.name, L=L)
 
 
 spectral_risk = distortion_risk  # a spectral risk is a distortion risk
@@ -332,7 +323,7 @@ def oce_risk(cdf: EmpiricalCDF, spec: OceSpec) -> RiskValue:
     return RiskValue(
         value=spec.closed_form(cdf.values, +1.0),
         risk_name=spec.name,
-        holder=HolderConstants(L=oce_lipschitz_constant(spec), p=1.0),
+        L=oce_lipschitz_constant(spec),
     )
 
 
@@ -342,7 +333,7 @@ def inverted_oce_risk(cdf: EmpiricalCDF, spec: OceSpec) -> RiskValue:
     return RiskValue(
         value=spec.closed_form(cdf.values, -1.0),
         risk_name=f"inverted_{spec.name}",
-        holder=HolderConstants(L=oce_lipschitz_constant(spec), p=1.0),
+        L=oce_lipschitz_constant(spec),
     )
 
 
@@ -358,7 +349,7 @@ def mean_variance(cdf: EmpiricalCDF, c: float, support_bound: float | None = Non
     return RiskValue(
         value=m1 + c * (m2 - m1 * m1),
         risk_name=f"mean_var:{c:g}",
-        holder=HolderConstants(L=d + 3.0 * abs(c) * d * d, p=1.0),
+        L=d + 3.0 * abs(c) * d * d,
     )
 
 
@@ -443,13 +434,6 @@ def load_spectrum_csv(path) -> DistortionSpec:
     return _spectrum_distortion(cumulative, float(hv[-1]), name)
 
 
-class Risk(NamedTuple):
-    """A parsed token and its value on a CDF."""
-
-    name: str
-    evaluate: Callable[[EmpiricalCDF], RiskValue]
-
-
 # The risk-token grammar.  A form's last piece in capitals is its parameter:
 # the rest of the token, a path for PATH and a finite number otherwise.
 # Distortion tokens build a spec from it, the others an evaluator (with D).
@@ -489,18 +473,19 @@ def _match(token: str, forms, what: str) -> tuple[str, str | float | None]:
     raise ConfigError(f"{token!r} is not a {what}; expected {' | '.join(forms)}")
 
 
-def parse_risk(token: str, support_bound: float) -> Risk:
-    """The risk a token of :data:`RISK_TOKENS` names, on losses in [0, support_bound].
+def parse_risk(token: str, support_bound: float) -> Callable[[EmpiricalCDF], RiskValue]:
+    """The evaluator ``cdf -> RiskValue`` of the risk a token of
+    :data:`RISK_TOKENS` names, on losses in [0, support_bound].
 
     Files are read and specs validated once per token, and rank weights built
     once per sample size, not once per CDF.
     """
     form, param = _match(token, RISK_TOKENS, "risk")
     if form not in DISTORTION_TOKENS:
-        return Risk(token, _VALUE_TOKENS[form](param, support_bound))
+        return _VALUE_TOKENS[form](param, support_bound)
     spec = DISTORTION_TOKENS[form](param)
     weights = functools.lru_cache(maxsize=1)(spec.rank_weights)
-    return Risk(token, lambda cdf: distortion_risk(cdf, spec, support_bound, weights(cdf.n)))
+    return lambda cdf: distortion_risk(cdf, spec, support_bound, weights(cdf.n))
 
 
 def parse_distortion(token: str) -> DistortionSpec:
@@ -521,7 +506,7 @@ def risk_record(model: str, rv: RiskValue, error_bound: float | None) -> dict:
         "model": model,
         "risk_name": rv.risk_name,
         "value": rv.value,
-        "L": rv.holder.L,
-        "p": rv.holder.p,
+        "L": rv.L,
+        "p": rv.p,
         "error_bound": error_bound,
     }

@@ -38,7 +38,6 @@ from riskcdf.errors import (
     WeakReference,
 )
 from riskcdf.models import init_model
-from riskcdf.risks import HolderConstants
 from riskcdf.seeds import derive_seed, rng_from, standard_normal
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -174,16 +173,16 @@ def with_epsilon(epsilon):
 class TestRiskErrorPropagation:
     def test_linear_propagation(self):
         cert = cdf_uniform_bound(0.0, 100, 1.0)
-        assert risk_error_bound(cert, HolderConstants(3.0)) == 0.0
+        assert risk_error_bound(cert, 3.0, 1.0) == 0.0
         cert2 = certificate_finite_class(50000, 5, 0.05)
-        assert risk_error_bound(cert2, HolderConstants(1.0)) == cert2.epsilon
+        assert risk_error_bound(cert2, 1.0, 1.0) == cert2.epsilon
         # CVaR at alpha=0.05 on [0, 1] losses: constant 20x the mean's.
-        assert risk_error_bound(cert2, HolderConstants(20.0)) == pytest.approx(20 * cert2.epsilon)
+        assert risk_error_bound(cert2, 20.0, 1.0) == pytest.approx(20 * cert2.epsilon)
 
     def test_holder_exponent(self):
-        assert risk_error_bound(with_epsilon(0.1), HolderConstants(2.0, 1.0)) == pytest.approx(0.2)
-        assert risk_error_bound(with_epsilon(0.04), HolderConstants(1.0, 0.5)) == pytest.approx(0.2)
-        assert risk_error_bound(with_epsilon(0.0), HolderConstants(7.0, 0.3)) == 0.0
+        assert risk_error_bound(with_epsilon(0.1), 2.0, 1.0) == pytest.approx(0.2)
+        assert risk_error_bound(with_epsilon(0.04), 1.0, 0.5) == pytest.approx(0.2)
+        assert risk_error_bound(with_epsilon(0.0), 7.0, 0.3) == 0.0
 
     def test_excess_risk_doubles(self):
         assert excess_risk_bound(0.0) == 0.0

@@ -400,6 +400,19 @@ class TestCmdTrain:
         assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, failed_at))
         assert failed_at >= 2
 
+    def test_non_finite_step_writes_no_checkpoint(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["train", "--arch", "linear_squared", "--eta", 1e308, "--iters", 1,
+                        "--out", out]) == 4
+        assert not [str(w.message) for w in caught]  # a warning would reach stderr too
+        assert capsys.readouterr().err == (
+            "riskcdf: error: the step at iteration 1 made the parameters non-finite\n")
+        assert sorted(os.listdir(out)) == ["manifest.json", "trace.csv"]
+        lines = (out / "trace.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["t", "1"]
+
     def test_headerless_dataset_by_column_index(self, tmp_path):
         ds = toy_blobs(seed=3)
         with_header = tmp_path / "ds.csv"
@@ -591,19 +604,67 @@ class TestManifestRerun:
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    def test_recorded_assess_manifest_with_seed_replays(self, tmp_path):
+        """A manifest as recorded for ``assess`` when it still took ``--seed``:
+        its replay drops the seed and writes the same files as a run today."""
+        table = tmp_path / "table.csv"
+        table.write_text("m1,m2\n0.5,1\n2,0\n3.5,4\n")
+        recorded = {
+            "args": {"delta": 0.05, "input": str(table), "n": None, "out": "a",
+                     "risks": ["cvar:0.5", "mean_var:0.5"], "seed": 0, "support_bound": None},
+            "command": "assess",
+            "input_digests": {
+                str(table): "2a8a7435c8de907392a3c847f0592099e9c7792f45b6844f0fb956b933c9a722"},
+            "seed": 0,
+            "timestamp": "2026-10-19T13:05:50.479895+00:00",
+            "version": "0.1.0",
+        }
+        path = tmp_path / "recorded.json"
+        path.write_text(json.dumps(recorded, indent=2))
+        out_a = tmp_path / "a"
+        assert run(["assess", "--input", table, "--risk", "cvar:0.5", "--risk", "mean_var:0.5",
+                    "--out", out_a]) == 0
+        written = json.loads((out_a / "manifest.json").read_text())
+        args = {k: v for k, v in recorded["args"].items() if k != "seed"}
+        assert written["args"] == {**args, "out": str(out_a)}
+        out_b = tmp_path / "b"
+        assert run(["rerun", "--manifest", path, "--out", out_b]) == 0
+        replayed = json.loads((out_b / "manifest.json").read_text())
+        assert replayed["args"] == {**args, "out": str(out_b)}
+        assert (out_b / "assessment.csv").read_text() == (
+            "risk,m1,m2\ncvar:0.5,3,3\nmean_var:0.5,2.75,3.1111111111111112\n")
+        names = self.primary_files(out_a)
+        assert names == self.primary_files(out_b) == ["assessment.csv", "assessment.json"]
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_recorded_seed_still_checked_where_it_is_a_flag(self, tmp_path, capsys, command):
+        out_a = tmp_path / "a"
+        argv = ["--eta", 0.1, "--iters", 2] if command == "train" else ["--trials", 1]
+        assert run([command, *argv, "--out", out_a]) == 0
+        manifest = json.loads((out_a / "manifest.json").read_text())
+        manifest["args"]["seed"] = "7"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["rerun", "--manifest", path, "--out", tmp_path / "b"]) == 2
+        assert f"{command} flag 'seed' cannot be '7'" in capsys.readouterr().err
+
     def test_manifest_contents(self, tmp_path):
         out = tmp_path / "o"
-        src = tmp_path / "l.csv"
-        write_losses(src, [1.0])
-        assert run(["cdf", "--input", src, "--seed", 3, "--out", out]) == 0
+        src = tmp_path / "d.csv"
+        src.write_text("a,label\n1,0\n2,1\n")
+        assert run(["train", "--input", src, "--seed", 3, "--eta", 0.1, "--iters", 2,
+                    "--out", out]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"] == "cdf"
+        assert manifest["command"] == "train"
         assert manifest["seed"] == 3
         assert manifest["version"]
         assert str(src) in manifest["input_digests"]
 
 
-CDF_ARGS = {"input": "losses.csv", "has_header": False, "out": ".", "seed": 0}
+CDF_ARGS = {"input": "losses.csv", "has_header": False, "out": "."}
 HUGE = "1" + "0" * 400  # a count no float holds
 # Iteration counts whose trace buffers no machine holds: 8e18 bytes fails to
 # allocate, and 1e19 exceeds numpy's largest dimension.  (A count near 1e12
@@ -613,7 +674,8 @@ ITERS_1E19 = "1" + "0" * 19
 DATASETS = {"NAN_DATASET": "a,b,label\n1,2,0\n3,nan,1\n",
             "LABEL_DATASET": "a,b,label\n1,2,0\n3,4,2\n",
             "NAN_LOSSES": "1\n2\n\nnan\n",
-            "INF_TABLE": "m,k\n1,2\n3,inf\n"}
+            "INF_TABLE": "m,k\n1,2\n3,inf\n",
+            "REPEATED_NAME_TABLE": "m,m\n1,5\n2,6\n"}
 
 # (case, argv, manifest text for MANIFEST or None, exit code)
 REJECTIONS = [
@@ -626,7 +688,8 @@ REJECTIONS = [
     ("manifest-args-empty", ["rerun", "--manifest", "MANIFEST"],
      json.dumps({"command": "cdf", "args": {}}), 2),
     ("manifest-flag-type", ["rerun", "--manifest", "MANIFEST"],
-     json.dumps({"command": "cdf", "args": {**CDF_ARGS, "seed": "7"}, "input_digests": {}}), 2),
+     json.dumps({"command": "cdf", "args": {**CDF_ARGS, "has_header": "yes"},
+                 "input_digests": {}}), 2),
     ("manifest-unknown-flag", ["rerun", "--manifest", "MANIFEST"],
      json.dumps({"command": "cdf", "args": {**CDF_ARGS, "trials": 3}, "input_digests": {}}), 2),
     ("manifest-command-list", ["rerun", "--manifest", "MANIFEST"],
@@ -662,6 +725,7 @@ REJECTIONS = [
                                "--iters", 3], None, 3),
     ("cdf-input-nan-loss", ["cdf", "--input", "NAN_LOSSES"], None, 3),
     ("assess-input-inf-loss", ["assess", "--input", "INF_TABLE"], None, 3),
+    ("assess-repeated-model-name", ["assess", "--input", "REPEATED_NAME_TABLE"], None, 3),
     ("oce-entropic-overflow", ["assess", "--input", "TABLE", "--risk", "oce:entropic",
                                "--support-bound", 800], None, 2),
     ("mean-var-constant-overflow", ["assess", "--input", "TABLE", "--risk", "mean_var:1e308"],
@@ -730,6 +794,19 @@ class TestRejections:
         if out.exists():  # standard JSON: no NaN or Infinity
             json.loads((out / "manifest.json").read_text(), parse_constant=pytest.fail)
 
+    @pytest.mark.parametrize("argv", [
+        ["cdf", "--input", "l.csv"],
+        ["assess", "--input", "t.csv"],
+        ["bound", "--method", "vc_sauer", "--n", 10, "--nu", 3],
+        ["complexity", "--input", "m.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_only_where_randomness_is_drawn(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            run([*argv, "--seed", 0, "--out", tmp_path / "o"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("iters", [ITERS_1E18, ITERS_1E19])
     def test_iteration_count_beyond_memory_is_named(self, tmp_path, capsys, iters):
         assert run(["train", "--eta", 0.1, "--iters", iters, "--out", tmp_path / "o"]) == 2
@@ -792,9 +869,8 @@ class TestRiskGrammarDocs:
             if head in tables:
                 (tmp_path / head).write_text(tables[head])
                 token = token.replace("PATH", str(tmp_path / head))
-            risk = parse_risk(token, 1.0)
-            assert risk.name == token
-            assert math.isfinite(risk.evaluate(build_cdf([0.0, 0.5, 1.0])).value), form
+            evaluate = parse_risk(token, 1.0)
+            assert math.isfinite(evaluate(build_cdf([0.0, 0.5, 1.0])).value), form
             if form in DISTORTION_TOKENS:
                 assert len(parse_distortion(token).rank_weights(3)) == 3, form
             else:

@@ -112,9 +112,9 @@ class TestLossTable:
     def test_load_and_column_access(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("m1,m2\n1,2\n2,3\n3,4\n4,5\n")
-        table = load_loss_table(path)
-        assert table.names == ("m1", "m2")
-        assert table.column("m1").mean() == pytest.approx(2.5)
+        names, losses = load_loss_table(path)
+        assert names == ("m1", "m2")
+        assert losses[:, names.index("m1")].mean() == pytest.approx(2.5)
 
     def test_pretrained_model_style_header(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -123,15 +123,15 @@ class TestLossTable:
             "1.2,1.3,1.4,1.8,1.2\n"
             "0.9,1.1,1.2,1.9,1.0\n"
         )
-        table = load_loss_table(path)
-        assert table.n_models == 5
-        assert table.column("ResNet-18").tolist() == [1.2, 1.0]
+        names, losses = load_loss_table(path)
+        assert losses.shape == (2, 5) and len(names) == 5
+        assert losses[:, names.index("ResNet-18")].tolist() == [1.2, 1.0]
 
     def test_zero_column(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("only\n0\n0\n")
-        table = load_loss_table(path)
-        assert np.all(table.values == 0.0)
+        _, losses = load_loss_table(path)
+        assert np.all(losses == 0.0)
 
     def test_negative_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -163,6 +163,17 @@ class TestLossTable:
         with pytest.raises(InvalidLoss, match=rf"negative loss at {re.escape(where)}$"):
             load_loss_table(path)
 
+    @pytest.mark.parametrize("header, repeat", [
+        ("m,m", "'m' heads both column 1 and column 2"),
+        ("a,b,a ,c", "'a' heads both column 1 and column 3"),  # names are stripped
+        ("a,b,c,b,b", "'b' heads both column 2 and column 4"),
+    ])
+    def test_repeated_name_rejected(self, tmp_path, header, repeat):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{header}\n" + ",".join(["1"] * (header.count(",") + 1)) + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: model name {repeat}") + "$"):
+            load_loss_table(path)
+
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("m1,m2\n1,2\n3\n")
@@ -186,7 +197,7 @@ class TestDatasetType:
 # the reader's: True = the first filled row is a header, False = there is
 # none, None = a header iff that row is not all numbers.
 LOADERS = {
-    "loss-table": (lambda p: load_loss_table(p).values, True, 2),
+    "loss-table": (lambda p: load_loss_table(p)[1], True, 2),
     "dataset": (lambda p: _dataset_array(load_dataset_csv(p, label_column=1)), True, 2),
     "dataset-headerless": (lambda p: _dataset_array(
         load_dataset_csv(p, label_column=1, has_header=False)), False, 2),

@@ -1,6 +1,8 @@
 """riskcdf runs on numpy alone: every risk family and every subcommand work in
 a fresh interpreter where importing scipy fails.  It reads nothing from the
-process environment: every flag value comes from the command line."""
+process environment: every flag value comes from the command line.  Its
+lower layers (CDFs, certificates, permutation complexity) import none of
+the layers built on them."""
 
 import ast
 import os
@@ -36,7 +38,7 @@ SCRIPT = textwrap.dedent("""
     for spec in (risks.oce_mean_spec(4.0), risks.oce_entropic_spec(4.0),
                  risks.oce_cvar_spec(0.4, 4.0)):
         values += [risks.oce_risk(cdf, spec), risks.inverted_oce_risk(cdf, spec)]
-    assert all(np.isfinite(v.value) and np.isfinite(v.holder.L) for v in values)
+    assert all(np.isfinite(v.value) and np.isfinite(v.L) for v in values)
 
     work = sys.argv[1]
     def path(name, text):
@@ -111,3 +113,31 @@ def test_no_module_reads_the_environment():
     assert sources
     found = [f"{p.name}:{line}" for p in sources for line in environment_reads(p.read_text())]
     assert found == []
+
+
+LOWER_LAYERS = ("cdf", "bounds", "permcomplexity")
+UPPER_LAYERS = {"risks", "models", "optim", "cli"}
+
+
+def riskcdf_imports(source: str) -> set[str]:
+    """The riskcdf modules that ``source``, a module of the package, imports:
+    ``from .m import x``, ``from . import m`` and ``riskcdf.m`` forms."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or
+                                                 (node.module or "").startswith("riskcdf")):
+            module = (node.module or "").removeprefix("riskcdf").lstrip(".")
+            found |= {module.split(".")[0]} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("riskcdf.")}
+    return found
+
+
+def test_lower_layers_import_no_upper_layer():
+    assert riskcdf_imports("from .risks import x\nfrom . import cli, data\n"
+                           "import riskcdf.models\nfrom riskcdf.optim import y\n"
+                           "import numpy\n") == {"risks", "cli", "data", "models", "optim"}
+    found = {name: riskcdf_imports(Path(SRC, "riskcdf", f"{name}.py").read_text()) & UPPER_LAYERS
+             for name in LOWER_LAYERS}
+    assert found == {name: set() for name in LOWER_LAYERS}

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from riskcdf.errors import ConfigError, ShapeError
+from riskcdf.errors import ConfigError, NumericError, ShapeError
 from riskcdf.models import (
     ARCHITECTURES,
     MAX_CROSSENTROPY_LOSS,
-    Example,
     LossModel,
     finite_difference_check,
     init_model,
@@ -26,54 +25,54 @@ def random_case(arch, trial, input_dim=3, hidden=(4,)):
     rng = rng_from(seed, "case")
     x = standard_normal(rng, input_dim)
     y = float(standard_normal(rng, 1)[0]) if arch == "linear_squared" else float(rng.random() < 0.5)
-    return model, Example(x=x, y=y)
+    return model, x, y
 
 
 class TestPerExampleLoss:
     def test_linear_zero_params_zero_target(self):
         m = LossModel("linear_squared", params=np.zeros(3), input_dim=3)
-        assert per_example_loss(m, Example(x=[1.0, -2.0, 0.5], y=0.0)) == 0.0
+        assert per_example_loss(m, [1.0, -2.0, 0.5], 0.0) == 0.0
 
     def test_logistic_at_even_odds(self):
         m = LossModel("logistic_crossentropy", params=np.zeros(2), input_dim=2)
-        assert per_example_loss(m, Example(x=[3.0, -1.0], y=1.0)) == pytest.approx(math.log(2))
+        assert per_example_loss(m, [3.0, -1.0], 1.0) == pytest.approx(math.log(2))
 
     def test_linear_squared_residual(self):
         m = LossModel("linear_squared", params=np.array([1.0]), input_dim=1)
-        assert per_example_loss(m, Example(x=[2.0], y=1.0)) == pytest.approx(1.0)
+        assert per_example_loss(m, [2.0], 1.0) == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         m = LossModel("linear_squared", params=np.zeros(3), input_dim=3)
         with pytest.raises(ShapeError):
-            per_example_loss(m, Example(x=[1.0, 2.0], y=0.0))
+            per_example_loss(m, [1.0, 2.0], 0.0)
 
     def test_losses_clamped_and_nonnegative(self):
         m = LossModel("logistic_crossentropy", params=np.array([100.0]), input_dim=1)
-        loss = per_example_loss(m, Example(x=[10.0], y=0.0))
+        loss = per_example_loss(m, [10.0], 0.0)
         assert 0.0 <= loss <= MAX_CROSSENTROPY_LOSS
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_nonnegativity_random(self, arch):
         for trial in range(30):
-            model, z = random_case(arch, trial)
-            assert per_example_loss(model, z) >= 0.0
+            model, x, y = random_case(arch, trial)
+            assert per_example_loss(model, x, y) >= 0.0
 
 
 class TestPerExampleGradient:
     def test_linear_gradient(self):
         m = LossModel("linear_squared", params=np.array([1.0]), input_dim=1)
-        grad = per_example_gradient(m, Example(x=[2.0], y=1.0))
+        grad = per_example_gradient(m, [2.0], 1.0)
         assert grad == pytest.approx([4.0])
 
     def test_logistic_gradient_at_zero_score(self):
         m = LossModel("logistic_crossentropy", params=np.zeros(2), input_dim=2)
         x = np.array([3.0, -1.0])
-        grad = per_example_gradient(m, Example(x=x, y=1.0))
+        grad = per_example_gradient(m, x, 1.0)
         assert grad == pytest.approx(-0.5 * x)
 
     def test_zero_features_give_zero_weight_gradient(self):
         m = LossModel("linear_squared", params=np.array([0.3, -0.7]), input_dim=2)
-        grad = per_example_gradient(m, Example(x=[0.0, 0.0], y=2.0))
+        grad = per_example_gradient(m, [0.0, 0.0], 2.0)
         assert np.all(grad == 0.0)
 
     def test_batch_matches_per_example(self):
@@ -87,28 +86,28 @@ class TestPerExampleGradient:
             y = (rng.random(7) < 0.5).astype(float)
             batch = model.batch_gradients(X, y)
             for i in range(7):
-                row = per_example_gradient(model, Example(x=X[i], y=y[i]))
+                row = per_example_gradient(model, X[i], y[i])
                 assert np.allclose(batch[i], row, atol=1e-12), arch
 
 
 class TestFiniteDifference:
     def test_linear_tiny_step(self):
-        model, z = random_case("linear_squared", 0)
-        assert finite_difference_check(model, z, step=1e-6) <= 1e-7
+        model, x, y = random_case("linear_squared", 0)
+        assert finite_difference_check(model, x, y, step=1e-6) <= 1e-7
 
     def test_linear_large_step_still_exact(self):
         # Central differences are exact for losses quadratic in each coordinate.
-        model, z = random_case("linear_squared", 1)
-        assert finite_difference_check(model, z, step=1e-1) <= 1e-10
+        model, x, y = random_case("linear_squared", 1)
+        assert finite_difference_check(model, x, y, step=1e-1) <= 1e-10
 
     def test_logistic(self):
-        model, z = random_case("logistic_crossentropy", 2)
-        assert finite_difference_check(model, z, step=1e-6) <= 1e-5
+        model, x, y = random_case("logistic_crossentropy", 2)
+        assert finite_difference_check(model, x, y, step=1e-6) <= 1e-5
 
     def test_bad_step(self):
-        model, z = random_case("linear_squared", 3)
+        model, x, y = random_case("linear_squared", 3)
         with pytest.raises(ConfigError):
-            finite_difference_check(model, z, step=0.0)
+            finite_difference_check(model, x, y, step=0.0)
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_hundred_random_draws(self, arch):
@@ -124,15 +123,15 @@ class TestLipschitzInParameters:
         # |loss(a) - loss(b)| <= K ||a - b|| with K from observed gradient
         # norms on the segment's endpoints (x1.5 headroom).
         rng = rng_from(99, "lipschitz", arch)
-        model, z = random_case(arch, 7)
+        model, x, y = random_case(arch, 7)
         norms, steps = [], []
         for _ in range(50):
             a = standard_normal(rng, model.dim) * 0.5
             b = a + standard_normal(rng, model.dim) * 0.05
             ma, mb = model.with_params(a), model.with_params(b)
-            la, lb = per_example_loss(ma, z), per_example_loss(mb, z)
-            ga = np.linalg.norm(per_example_gradient(ma, z))
-            gb = np.linalg.norm(per_example_gradient(mb, z))
+            la, lb = per_example_loss(ma, x, y), per_example_loss(mb, x, y)
+            ga = np.linalg.norm(per_example_gradient(ma, x, y))
+            gb = np.linalg.norm(per_example_gradient(mb, x, y))
             norms.append(max(ga, gb))
             steps.append((abs(la - lb), np.linalg.norm(a - b)))
         K = 1.5 * max(norms)
@@ -150,6 +149,14 @@ class TestCheckpointRoundTrip:
         assert loaded.input_dim == model.input_dim
         assert loaded.hidden == model.hidden
         assert np.array_equal(loaded.params, model.params)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_is_not_written(self, tmp_path, value):
+        model = init_model("linear_squared", 2).with_params([0.5, value])
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(NumericError, match=f"cannot write {path}"):
+            save_checkpoint(model, path)
+        assert not path.exists()
 
     def test_init_is_seeded_uniform(self):
         a = init_model("logistic_crossentropy", 6, seed=42)

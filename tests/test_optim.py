@@ -460,6 +460,17 @@ class TestTrain:
         assert err.value.trace is not None
         assert err.value.trace.iterations < 500
 
+    def test_non_finite_step_is_divergence(self):
+        # The first step overflows while its risk, at the initial iterate, is finite.
+        m = LossModel("linear_squared", params=np.array([1.0]), input_dim=1)
+        X, y = np.array([[1.0]]), np.array([0.0])
+        cfg = TrainConfig(distortion=identity_distortion(), iterations=3, eta=1e308,
+                          seed=0, noise=False)
+        with np.errstate(over="ignore"), pytest.raises(
+                Diverged, match="^the step at iteration 1 made the parameters non-finite$") as err:
+            train(m, X, y, cfg)
+        assert err.value.trace.risk.tolist() == [1.0]
+
     def test_running_average_matches_mean(self):
         model, X, y = random_problem("logistic_crossentropy", 6)
         cfg = TrainConfig(distortion=identity_distortion(), iterations=25, eta=0.1, seed=3)

@@ -14,7 +14,6 @@ from riskcdf.bounds import rademacher_finite_class, rademacher_permutation
 from riskcdf.errors import ConfigError, InvalidLoss, ShapeError, TooLarge
 from riskcdf.permcomplexity import (
     LossMatrix,
-    WeakOrder,
     _cover_witnesses,
     _distinct_rows,
     _rank_rows,
@@ -31,7 +30,7 @@ from riskcdf.seeds import standard_normal
 def distinct_weak_orders(m):
     """The distinct weak orders of a matrix's rows, in first-seen order, as the
     cover build and greedy form them."""
-    return [WeakOrder(ranks=tuple(r)) for r in _distinct_rows(_rank_rows(m.rows)[1]).tolist()]
+    return [tuple(r) for r in _distinct_rows(_rank_rows(m.rows)[1]).tolist()]
 
 
 def brute_force_min_cover(rows):
@@ -42,8 +41,7 @@ def brute_force_min_cover(rows):
     restriction loses nothing).
     """
     n = rows.shape[1]
-    orders = {weak_order(row).ranks for row in rows}
-    orders = [weak_order(np.asarray(r, dtype=float)) for r in orders]
+    orders = list({weak_order(row) for row in rows})
     covers = {
         frozenset(j for j, w in enumerate(orders) if permutation_sorts(p, w))
         for p in itertools.permutations(range(n))
@@ -63,7 +61,7 @@ def _cover_masks(perms: np.ndarray, orders: list) -> list[int]:
     The per-order loop over explicit permutations that the matrix-product
     cover build replaced; at most 64 orders, as for the exact solver.
     """
-    ranks = np.asarray([w.ranks for w in orders], dtype=np.intp)
+    ranks = np.asarray(orders, dtype=np.intp)
     k = ranks.shape[0]
     ok = np.empty((perms.shape[0], k), dtype=bool)
     for j in range(k):
@@ -77,11 +75,8 @@ def cover_witnesses_oracle(rows):
     """Oracle: distinct weak orders (per-row ``np.unique`` ranks, first seen
     first) and each distinct non-empty cover mask with its first witness
     among ``itertools.permutations``."""
-    orders: dict = {}
-    for row in rows:
-        ranks = tuple(np.unique(row, return_inverse=True)[1].tolist())
-        orders.setdefault(ranks, WeakOrder(ranks))
-    orders = list(orders.values())
+    orders = list(dict.fromkeys(tuple(np.unique(row, return_inverse=True)[1].tolist())
+                                for row in rows))
     perm_tuples, perms = _all_permutations(rows.shape[1])
     mask_to_perm: dict = {}
     for perm, mask in zip(perm_tuples, _cover_masks(perms, orders)):
@@ -125,13 +120,13 @@ def all_binary_patterns(n):
 
 class TestWeakOrder:
     def test_strict_order(self):
-        assert weak_order([5, 1, 3]).ranks == (2, 0, 1)
+        assert weak_order([5, 1, 3]) == (2, 0, 1)
 
     def test_total_tie(self):
-        assert weak_order([2, 2, 2]).ranks == (0, 0, 0)
+        assert weak_order([2, 2, 2]) == (0, 0, 0)
 
     def test_duplicate_minimum(self):
-        assert weak_order([1, 3, 1]).ranks == (0, 1, 0)
+        assert weak_order([1, 3, 1]) == (0, 1, 0)
 
     def test_nan_rejected(self):
         with pytest.raises(InvalidLoss):
@@ -139,7 +134,7 @@ class TestWeakOrder:
 
     def test_monotone_transform_invariance(self):
         base = np.array([0.3, -1.2, 5.0, 0.3])
-        assert weak_order(base).ranks == weak_order(np.exp(base)).ranks
+        assert weak_order(base) == weak_order(np.exp(base))
 
     def test_sorting_semantics(self):
         w = weak_order([1, 3, 1])
@@ -160,14 +155,14 @@ class TestCoverBuild:
                 rows[rng.integers(0, n_rows)] = rows[0]
             orders, expected = cover_witnesses_oracle(rows)
             assert distinct_weak_orders(LossMatrix(rows)) == orders
-            got = _cover_witnesses(np.asarray([w.ranks for w in orders], dtype=np.intp))
+            got = _cover_witnesses(np.asarray(orders, dtype=np.intp))
             assert list(got.items()) == list(expected.items())
 
     def test_weak_order_matches_unique_ranks(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             row = rng.integers(-3, 3, size=int(rng.integers(1, 30))) * 0.5
-            assert weak_order(row).ranks == tuple(np.unique(row, return_inverse=True)[1].tolist())
+            assert weak_order(row) == tuple(np.unique(row, return_inverse=True)[1].tolist())
 
 
 @pytest.mark.parametrize("entry", PINS["matrices"], ids=lambda e: f"k{e['k']}")

@@ -140,8 +140,8 @@ class TestDistortionRisk:
     def test_risk_constant_scales_with_support(self):
         cdf = build_cdf([0.0, 1.0, 5.0])
         rv = cvar(cdf, 0.5, support_bound=5.0)
-        assert rv.holder.L == pytest.approx(10.0)
-        assert rv.holder.p == 1.0
+        assert rv.L == pytest.approx(10.0)
+        assert rv.p == 1.0
 
     @pytest.mark.parametrize("evaluate", [
         lambda cdf, d: distortion_risk(cdf, identity_distortion(), d),
@@ -153,7 +153,7 @@ class TestDistortionRisk:
         cdf = build_cdf([0.0, 1.0, 5.0])
         with pytest.raises(SupportViolation, match="support bound"):
             evaluate(cdf, d)
-        assert evaluate(cdf, 5.0).holder.L >= 5.0
+        assert evaluate(cdf, 5.0).L >= 5.0
 
     @given(loss_vectors)
     @settings(max_examples=80)
@@ -257,7 +257,7 @@ class TestSpectralRisk:
         # w_i = (i/n)^2 - ((i-1)/n)^2, here (1, 3, 5, 7)/16.
         expect = np.dot([1, 3, 5, 7], [1, 2, 3, 4]) / 16
         assert spectral_risk(cdf, spec).value == pytest.approx(expect, rel=1e-15)
-        assert spectral_risk(cdf, spec, support_bound=4.0).holder.L == 2.0 * 4.0
+        assert spectral_risk(cdf, spec, support_bound=4.0).L == 2.0 * 4.0
 
 
 SPECTRUM_TABLE = "u,h\n0,0.25\n0.6,0.25\n1,4\n"  # integrates to 1
@@ -296,7 +296,7 @@ class TestSpectrumAgainstFormerType:
             np.testing.assert_allclose(spec.rank_weights(n), former.rank_weights(n),
                                        rtol=0, atol=1e-15)
             assert spec.lipschitz_constant == former.max_value()
-            assert spectral_risk(cdf, spec, support_bound=3.0).holder.L == former.max_value() * 3.0
+            assert spectral_risk(cdf, spec, support_bound=3.0).L == former.max_value() * 3.0
 
     @pytest.mark.parametrize("n", [1, 7, 1050, 20_000])
     def test_assess_values_match(self, tmp_path, n):
@@ -565,9 +565,9 @@ class TestMeanVariance:
             f, g = (build_cdf(np.round(rng.uniform(0, d, rng.integers(1, 30)) * 2) / 2)
                     for _ in range(2))
             rv = mean_variance(f, c, d)
-            assert rv.holder.L == d + 3 * abs(c) * d * d > 0
+            assert rv.L == d + 3 * abs(c) * d * d > 0
             change = abs(rv.value - mean_variance(g, c, d).value)
-            assert change <= rv.holder.L * sup_norm_distance(f, g) + 1e-12
+            assert change <= rv.L * sup_norm_distance(f, g) + 1e-12
 
 
 class TestOceLipschitzConstant:
@@ -583,7 +583,7 @@ class TestOceLipschitzConstant:
 
     def test_inverted_direction_linear(self):
         cdf, spec = build_cdf([0.25, 1.0]), oce_mean_spec(1.0)
-        assert inverted_oce_risk(cdf, spec).holder.L == oce_risk(cdf, spec).holder.L == 1.0
+        assert inverted_oce_risk(cdf, spec).L == oce_risk(cdf, spec).L == 1.0
 
     def test_constant_reads_phi_at_zero_and_d(self):
         seen = []
@@ -720,7 +720,7 @@ class TestExactConstantsAgainstGrids:
     def test_oce_constant_equals_grid_bit_for_bit(self, d):
         cdf = build_cdf([0.0, d])
         for spec in self.oce_specs(d):
-            upper, lower = oce_risk(cdf, spec).holder.L, inverted_oce_risk(cdf, spec).holder.L
+            upper, lower = oce_risk(cdf, spec).L, inverted_oce_risk(cdf, spec).L
             assert upper == lower == oce_lipschitz_constant(spec), spec.name
             assert upper == grid_oce_lipschitz(spec, inverted=False), spec.name
             assert lower == grid_oce_lipschitz(spec, inverted=True), spec.name
@@ -737,7 +737,7 @@ class TestExactConstantsAgainstGrids:
         for spec, former in pairs:
             top = grid_spectrum_max(former)
             assert spec.lipschitz_constant == top, spec.name
-            assert spectral_risk(cdf, spec, support_bound=2.0).holder.L == top * 2.0, spec.name
+            assert spectral_risk(cdf, spec, support_bound=2.0).L == top * 2.0, spec.name
 
     def test_distortion_slope_matches_grid_on_wide_pieces(self, tmp_path):
         # Concave and shaped like the benchmark's table: knots on multiples of 0.1.
@@ -754,7 +754,7 @@ class TestExactConstantsAgainstGrids:
         # The grid steps over the 1e-5-wide piece and reports a tenth of the slope.
         assert grid_distortion_slope(t, g) < spec.lipschitz_constant / 9
         cdf = build_cdf([1.0, 3.0])
-        assert distortion_risk(cdf, spec, support_bound=4.0).holder.L == spec.lipschitz_constant * 4.0
+        assert distortion_risk(cdf, spec, support_bound=4.0).L == spec.lipschitz_constant * 4.0
 
     def test_package_specs_pass_the_former_grid_checks(self, tmp_path):
         """Every spec riskcdf builds passes the 10,001-point grid checks,
