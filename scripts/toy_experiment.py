@@ -33,8 +33,8 @@ def main() -> int:
     args = parser.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
-    dataset = toy_blobs(seed=0)
-    X = np.hstack([dataset.X, np.ones((dataset.n, 1))])  # intercept column
+    features, y = toy_blobs(seed=0)
+    X = np.hstack([features, np.ones((features.shape[0], 1))])  # intercept column
     model0 = init_model("logistic_crossentropy", X.shape[1], seed=args.seed)
 
     objectives = {
@@ -45,9 +45,9 @@ def main() -> int:
     for name, spec in objectives.items():
         cfg = TrainConfig(distortion=spec, iterations=args.iters, eta=args.eta,
                           seed=args.seed)
-        final, trace = train(model0, X, dataset.y, cfg)
+        final, trace = train(model0, X, y, cfg)
         trace.to_csv(os.path.join(args.out, f"trace_{name}.csv"))
-        losses = final.batch_losses(X, dataset.y)
+        losses = final.batch_losses(X, y)
         cdf = build_cdf(losses)
         rows.append({
             "objective": name,

@@ -30,7 +30,7 @@ from .cdf import (
     sup_norm_distance,
     wasserstein1,
 )
-from .data import Dataset, generate_blobs, load_loss_table, toy_blobs
+from .data import load_loss_table, toy_blobs
 from .errors import ToolkitError
 from .models import LossModel, finite_difference_check, init_model
 from .optim import (

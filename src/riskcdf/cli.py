@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__, bounds, data, risks
 from .cdf import build_cdf, moment, read_losses_csv, write_cdf_csv
+from .data import _write_json
 from .errors import ConfigError, Diverged, FormatError, NumericError, ToolkitError
 from .models import ARCHITECTURES, finite_difference_check, init_model, save_checkpoint
 from .optim import TrainConfig, stationarity_report, train
@@ -51,17 +52,6 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_json(payload: dict, path: str) -> None:
-    """Write ``payload`` as standard JSON: a NaN or infinity in it raises
-    :class:`NumericError` before the file is opened."""
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise NumericError(f"cannot write {path}: {exc}") from None
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-
-
 def _write_manifest(command: str, params: dict, out_dir: str, input_paths: list[str]) -> None:
     # JSON has no NaN or infinity, so a non-finite flag value is recorded as
     # its text; every run given one fails, and so does its replay.
@@ -70,7 +60,6 @@ def _write_manifest(command: str, params: dict, out_dir: str, input_paths: list[
     manifest = {
         "command": command,
         "args": args,
-        "seed": params.get("seed"),
         "input_digests": {p: _sha256(p) for p in input_paths},
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -177,14 +166,13 @@ def run_train(params: dict, out_dir: str) -> None:
             except ValueError:
                 raise ConfigError(f"--label-column must be a column index with --no-has-header, "
                                   f"got {label!r}") from None
-        dataset = data.load_dataset_csv(params["input"], label_column=label,
-                                        has_header=params["has_header"])
+        features, labels = data.load_dataset_csv(params["input"], label_column=label,
+                                                 has_header=params["has_header"])
     else:
-        dataset = data.toy_blobs(seed=derive_seed(params["seed"], "data"))
+        features, labels = data.toy_blobs(seed=derive_seed(params["seed"], "data"))
     spec = risks.parse_distortion(params["risk"])
-    features = dataset.X
     if params.get("add_bias"):
-        features = np.hstack([features, np.ones((dataset.n, 1))])
+        features = np.hstack([features, np.ones((features.shape[0], 1))])
     model = init_model(params["arch"], features.shape[1], _parse_hidden(params["hidden"]),
                        seed=params["seed"])
     config = TrainConfig(
@@ -197,7 +185,7 @@ def run_train(params: dict, out_dir: str) -> None:
     )
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised, not warned
-            final_model, trace = train(model, features, dataset.y, config)
+            final_model, trace = train(model, features, labels, config)
     except Diverged as exc:
         if exc.trace is not None:  # keep the evidence up to the failing iteration
             exc.trace.to_csv(os.path.join(out_dir, "trace.csv"))
@@ -205,8 +193,7 @@ def run_train(params: dict, out_dir: str) -> None:
     trace.to_csv(os.path.join(out_dir, "trace.csv"))
     save_checkpoint(final_model, os.path.join(out_dir, "checkpoint.json"))
     try:
-        report = stationarity_report(trace, beta=params["beta"])
-        payload = {"available": True, **report.to_dict()}
+        payload = {"available": True, **stationarity_report(trace, beta=params["beta"])}
     except ConfigError as exc:
         payload = {"available": False, "reason": str(exc)}
     _write_json(payload, os.path.join(out_dir, "stationarity.json"))

@@ -1,10 +1,11 @@
-"""Synthetic datasets and file ingestion.
+"""Synthetic datasets, file ingestion and the JSON writer.
 
 Gaussian blob generation uses an explicit Box-Muller transform over a
-counter-based (Philox) generator, so a dataset is a pure function of its
-parameters and seed on every platform.  Every CSV input riskcdf reads is
-parsed by :func:`read_numeric_csv`, which reports a parse failure with its
-exact file row and column.
+counter-based (Philox) generator, so the toy dataset is a pure function of
+its seed on every platform.  Every CSV input riskcdf reads is parsed by
+:func:`read_numeric_csv`, which reports a parse failure with its exact file
+row and column.  Every JSON file riskcdf writes goes through
+:func:`_write_json`.
 """
 
 from __future__ import annotations
@@ -12,16 +13,14 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass, field
+import json
 
 import numpy as np
 
-from .errors import ConfigError, EmptySample, FormatError, InvalidLoss
+from .errors import ConfigError, EmptySample, FormatError, InvalidLoss, NumericError
 from .seeds import rng_from, standard_normal
 
 __all__ = [
-    "Dataset",
-    "generate_blobs",
     "blob_mixture_sampler",
     "TOY_BLOB_SIZES",
     "TOY_BLOB_CENTERS",
@@ -40,62 +39,20 @@ TOY_BLOB_CENTERS = ((0.0, 0.0), (1.0, 1.0))
 TOY_BLOB_STDS = (1.5, 0.5)
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Feature matrix and label vector."""
-
-    X: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=np.float64))
-        y = np.asarray(self.y, dtype=np.float64).ravel()
-        if X.shape[0] != y.shape[0]:
-            raise FormatError(f"feature rows ({X.shape[0]}) != labels ({y.shape[0]})")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.X.shape[1]
-
-
-def generate_blobs(sizes, centers, stds, seed: int = 0) -> Dataset:
-    """Isotropic Gaussian clusters; cluster k contributes sizes[k] points labeled k.
+def toy_blobs(seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The imbalanced two-cluster toy dataset (1000 + 50 points in 2-D) as
+    ``(X, y)``: cluster k (``TOY_BLOB_*``) contributes ``TOY_BLOB_SIZES[k]``
+    isotropic Gaussian points labeled k.
 
     Points appear in cluster-block order (no shuffling) and are identical
-    for identical arguments.
+    for identical seeds.
     """
-    sizes = [int(s) for s in sizes]
-    centers = [np.asarray(c, dtype=np.float64).ravel() for c in centers]
-    stds = [float(s) for s in stds]
-    if not (len(sizes) == len(centers) == len(stds)):
-        raise ConfigError(
-            f"sizes ({len(sizes)}), centers ({len(centers)}), and stds "
-            f"({len(stds)}) must have equal length"
-        )
-    if any(s <= 0 for s in stds):
-        raise ConfigError("cluster stds must be positive")
-    if any(s < 1 for s in sizes):
-        raise ConfigError("cluster sizes must be at least 1")
-    dim = centers[0].shape[0]
-    if any(c.shape[0] != dim for c in centers):
-        raise ConfigError("all centers must share a dimension")
     rng = rng_from(seed, "blobs")
     blocks, labels = [], []
-    for k, (size, center, std) in enumerate(zip(sizes, centers, stds)):
-        blocks.append(center + std * standard_normal(rng, (size, dim)))
+    for k, (size, center, std) in enumerate(zip(TOY_BLOB_SIZES, TOY_BLOB_CENTERS, TOY_BLOB_STDS)):
+        blocks.append(np.asarray(center) + std * standard_normal(rng, (size, len(center))))
         labels.append(np.full(size, float(k)))
-    return Dataset(X=np.concatenate(blocks), y=np.concatenate(labels))
-
-
-def toy_blobs(seed: int = 0) -> Dataset:
-    """The imbalanced two-cluster toy dataset (1000 + 50 points in 2-D)."""
-    return generate_blobs(TOY_BLOB_SIZES, TOY_BLOB_CENTERS, TOY_BLOB_STDS, seed=seed)
+    return np.concatenate(blocks), np.concatenate(labels)
 
 
 def blob_mixture_sampler():
@@ -121,8 +78,9 @@ def blob_mixture_sampler():
 
 
 def load_dataset_csv(path, label_column: str | int = "label",
-                     has_header: bool = True) -> Dataset:
-    """Load a dataset; features are the non-label columns in header order.
+                     has_header: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Load a dataset as ``(X, y)``: the features are the non-label columns
+    in header order, the labels the label column.
 
     ``label_column`` is a header name (with ``has_header``) or a 0-based
     column index.  Parsed by :func:`read_numeric_csv`, so any non-numeric
@@ -145,17 +103,17 @@ def load_dataset_csv(path, label_column: str | int = "label",
     width = values.shape[1]
     if not (0 <= label_idx < width):
         raise FormatError(f"{path}: label column index {label_idx} out of range for width {width}")
-    return Dataset(X=np.delete(values, label_idx, axis=1), y=values[:, label_idx])
+    return np.delete(values, label_idx, axis=1), values[:, label_idx]
 
 
-def save_dataset_csv(dataset: Dataset, path) -> None:
-    """Write features ``x0, x1, ...`` and a ``label`` column (17 significant
-    digits), the format :func:`load_dataset_csv` and ``riskcdf train --input``
-    read."""
+def save_dataset_csv(X: np.ndarray, y: np.ndarray, path) -> None:
+    """Write the rows of features ``X`` as columns ``x0, x1, ...`` and labels
+    ``y`` as a ``label`` column (17 significant digits), the format
+    :func:`load_dataset_csv` and ``riskcdf train --input`` read."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(dataset.dim)] + ["label"])
-        for xi, yi in zip(dataset.X, dataset.y):
+        writer.writerow([f"x{i}" for i in range(X.shape[1])] + ["label"])
+        for xi, yi in zip(X, y):
             writer.writerow([f"{v:.17g}" for v in xi] + [f"{yi:.17g}"])
 
 
@@ -249,13 +207,19 @@ def read_numeric_csv(path, header: bool | None) -> tuple[tuple[str, ...] | None,
     return names, values
 
 
+def _reject_cells(path, names: tuple[str, ...] | None, bad: np.ndarray, kind: str) -> None:
+    """Raise :class:`InvalidLoss` ``{path}: {kind} loss at row R, column C``
+    for the first true cell of the mask ``bad``, if any."""
+    if bad.any():
+        row, col = (int(i) for i in np.argwhere(bad)[0])
+        raise InvalidLoss(f"{path}: {kind} loss at {_cell(path, names, row, col)}")
+
+
 def _check_loss_cells(path, names: tuple[str, ...] | None, values: np.ndarray) -> None:
     """Raise :class:`InvalidLoss` naming the file row and column of the first
     non-finite loss in ``values``, else of the first negative one."""
-    for bad, kind in ((~np.isfinite(values), "non-finite"), (values < 0, "negative")):
-        if bad.any():
-            row, col = (int(i) for i in np.argwhere(bad)[0])
-            raise InvalidLoss(f"{path}: {kind} loss at {_cell(path, names, row, col)}")
+    _reject_cells(path, names, ~np.isfinite(values), "non-finite")
+    _reject_cells(path, names, values < 0, "negative")
 
 
 def load_loss_table(path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -275,3 +239,15 @@ def load_loss_table(path) -> tuple[tuple[str, ...], np.ndarray]:
                               f"and column {col + 1}")
     _check_loss_cells(path, names, values)
     return names, values
+
+
+def _write_json(payload: dict, path) -> None:
+    """Write ``payload`` as standard JSON, the format of every JSON file
+    riskcdf writes: a NaN or infinity in it raises :class:`NumericError`
+    before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"cannot write {path}: {exc}") from None
+    with open(path, "w") as fh:
+        fh.write(text + "\n")

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
+from .data import _write_json
+from .errors import ConfigError, DataError, FormatError, ShapeError
 from .seeds import rng_from
 
 __all__ = [
@@ -304,15 +305,24 @@ def save_checkpoint(model: LossModel, path) -> None:
         "hyperparameters": {"input_dim": model.input_dim, "hidden": list(model.hidden)},
         "parameter_vector": [float(v) for v in model.params],
     }
+    _write_json(payload, path)
+
+
+def _parameter(path, i: int, value) -> float:
+    """Entry ``i`` of a checkpoint's ``parameter_vector`` as a finite float,
+    else :class:`FormatError` naming the file and the index."""
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise NumericError(f"cannot write {path}: {exc}") from None
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise FormatError(f"{path}: parameter_vector[{i}] is not a finite number: {value!r}")
+    return number
 
 
 def load_checkpoint(path) -> LossModel:
+    """The model a :func:`save_checkpoint` file holds; a missing field or a
+    parameter that is not a finite number raises :class:`FormatError`."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -322,7 +332,8 @@ def load_checkpoint(path) -> LossModel:
         hyper = payload["hyperparameters"]
         return LossModel(
             architecture=payload["architecture"],
-            params=np.asarray(payload["parameter_vector"], dtype=np.float64),
+            params=np.array([_parameter(path, i, v)
+                             for i, v in enumerate(payload["parameter_vector"])]),
             input_dim=int(hyper["input_dim"]),
             hidden=tuple(int(h) for h in hyper.get("hidden", [])),
         )

@@ -42,7 +42,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,6 @@ __all__ = [
     "DIVERGENCE_GUARD",
     "TrainConfig",
     "TrainTrace",
-    "StationarityReport",
     "distortion_gradient",
     "noisy_gd_step",
     "train",
@@ -318,38 +317,19 @@ def estimate_beta(trace: TrainTrace) -> float:
     return best
 
 
-@dataclass(frozen=True)
-class StationarityReport:
-    """Average squared gradient norm against its descent guarantee.
+def stationarity_report(trace: TrainTrace, beta: float | None = None) -> dict:
+    """Average squared gradient norm against its descent guarantee, as the
+    dict ``train`` writes to ``stationarity.json``.
 
     ``rhs`` is (2*beta/sqrt(T)) * (initial risk - best risk + 1/(2*beta)),
     using the best observed risk as a surrogate for the optimum (flagged by
-    ``best_risk_is_surrogate``; the surrogate makes the check stricter).
-    The decile means expose the descent trend of the squared gradient
-    norms over a single run.
-    """
+    ``best_risk_is_surrogate``; the surrogate makes the check stricter), and
+    ``holds`` is ``mean_sq_grad_norm <= rhs``.  The decile means expose the
+    descent trend of the squared gradient norms over a single run.
 
-    mean_sq_grad_norm: float
-    beta: float
-    beta_estimated: bool
-    iterations: int
-    initial_risk: float
-    best_risk: float
-    rhs: float
-    holds: bool
-    best_risk_is_surrogate: bool
-    first_decile_mean_sq: float
-    last_decile_mean_sq: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def stationarity_report(trace: TrainTrace, beta: float | None = None) -> StationarityReport:
-    """Check the average squared gradient norm against the smoothness bound.
-
-    ``beta=None`` estimates beta from the trace; a given beta must be finite
-    and positive, as in :class:`TrainConfig`, else :class:`ConfigError`.
+    ``beta=None`` estimates beta from the trace (``beta_estimated``); a given
+    beta must be finite and positive, as in :class:`TrainConfig`, else
+    :class:`ConfigError`.
     """
     estimated = beta is None
     b = estimate_beta(trace) if estimated else _positive_beta(beta)
@@ -358,16 +338,16 @@ def stationarity_report(trace: TrainTrace, beta: float | None = None) -> Station
     lhs = float(np.mean(sq))
     rhs = (2.0 * b / math.sqrt(t_total)) * (trace.initial_risk - trace.best_risk + 1.0 / (2.0 * b))
     decile = max(1, t_total // 10)
-    return StationarityReport(
-        mean_sq_grad_norm=lhs,
-        beta=b,
-        beta_estimated=estimated,
-        iterations=t_total,
-        initial_risk=trace.initial_risk,
-        best_risk=trace.best_risk,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        best_risk_is_surrogate=True,
-        first_decile_mean_sq=float(np.mean(sq[:decile])),
-        last_decile_mean_sq=float(np.mean(sq[-decile:])),
-    )
+    return {
+        "mean_sq_grad_norm": lhs,
+        "beta": b,
+        "beta_estimated": estimated,
+        "iterations": t_total,
+        "initial_risk": trace.initial_risk,
+        "best_risk": trace.best_risk,
+        "rhs": rhs,
+        "holds": lhs <= rhs,
+        "best_risk_is_surrogate": True,
+        "first_decile_mean_sq": float(np.mean(sq[:decile])),
+        "last_decile_mean_sq": float(np.mean(sq[-decile:])),
+    }

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import _row_losses
-from .data import read_numeric_csv
+from .data import _reject_cells, read_numeric_csv
 from .errors import ConfigError, FormatError, InvalidLoss, TooLarge
 from .seeds import rng_from
 
@@ -329,6 +329,11 @@ def monte_carlo_permutation_complexity(
 
 
 def load_loss_matrix_csv(path) -> LossMatrix:
-    """Load a loss matrix: rows = hypotheses, columns = data points; header optional."""
-    _, values = read_numeric_csv(path, header=None)
+    """Load a loss matrix: rows = hypotheses, columns = data points; header optional.
+
+    A non-finite entry raises :class:`InvalidLoss` naming its file row and
+    column; negative entries are accepted.
+    """
+    names, values = read_numeric_csv(path, header=None)
+    _reject_cells(path, names, ~np.isfinite(values), "non-finite")
     return LossMatrix(values)

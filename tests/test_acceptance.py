@@ -178,9 +178,8 @@ def test_criterion_4_permutation_complexity():
 
 
 def _augmented_toy(seed):
-    ds = toy_blobs(seed=seed)
-    X = np.hstack([ds.X, np.ones((ds.n, 1))])  # intercept column
-    return X, ds.y
+    X, y = toy_blobs(seed=seed)
+    return np.hstack([X, np.ones((X.shape[0], 1))]), y  # intercept column
 
 
 def test_criterion_5_toy_training_ordering():
@@ -217,11 +216,11 @@ def test_criterion_6_stationarity_diagnostic():
     assert cfg.effective_eta == pytest.approx(1.0 / (beta * np.sqrt(T)))
     _, trace = train(model0, X, y, cfg)
     report = stationarity_report(trace, beta=beta)
-    assert report.last_decile_mean_sq < report.first_decile_mean_sq, report
-    assert report.holds, report
+    assert report["last_decile_mean_sq"] < report["first_decile_mean_sq"], report
+    assert report["holds"], report
     elapsed = budget.check()
-    announce(6, f"stationarity (lhs={report.mean_sq_grad_norm:.4g} <= rhs={report.rhs:.4g})",
-             elapsed)
+    announce(6, f"stationarity (lhs={report['mean_sq_grad_norm']:.4g} "
+                f"<= rhs={report['rhs']:.4g})", elapsed)
 
 
 def test_criterion_7_formula_spot_values(tmp_path):
@@ -249,7 +248,7 @@ def test_criterion_8_manifest_reproducibility(tmp_path):
     table_csv.write_text("m1,m2\n" + "\n".join(
         f"{a:.17g},{b:.17g}" for a, b in rng_pairs()) + "\n")
     dataset_csv = tmp_path / "ds.csv"
-    save_dataset_csv(toy_blobs(seed=3), dataset_csv)
+    save_dataset_csv(*toy_blobs(seed=3), dataset_csv)
     matrix_csv = tmp_path / "matrix.csv"
     matrix_csv.write_text("0,1,2\n2,1,0\n1,1,1\n")
 

@@ -321,9 +321,9 @@ class TestCmdTrain:
     def test_identity_matches_plain_erm_reference(self, tmp_path):
         # Independent reference: hand-rolled full-batch logistic GD with the
         # same init and no noise must match the CLI trajectory exactly.
-        ds = toy_blobs(seed=7)
+        X, y = toy_blobs(seed=7)
         src = tmp_path / "ds.csv"
-        save_dataset_csv(ds, src)
+        save_dataset_csv(X, y, src)
         out = tmp_path / "t"
         assert run(["train", "--input", src, "--arch", "logistic_crossentropy",
                     "--risk", "mean", "--eta", 0.2, "--iters", 40, "--seed", 7,
@@ -331,7 +331,6 @@ class TestCmdTrain:
         ckpt = json.loads((out / "checkpoint.json").read_text())
 
         theta = init_model("logistic_crossentropy", 2, seed=7).params.copy()
-        X, y = ds.X, ds.y
         for _ in range(40):
             p = 1.0 / (1.0 + np.exp(-(X @ theta)))
             theta = theta - 0.2 * ((p - y)[:, None] * X).mean(axis=0)
@@ -371,9 +370,9 @@ class TestCmdTrain:
             from riskcdf.risks import cvar
             from riskcdf.seeds import derive_seed
             model = load_checkpoint(out / "checkpoint.json")
-            ds = blobs(seed=derive_seed(11, "data"))
-            X = np.hstack([ds.X, np.ones((ds.n, 1))])
-            losses = model.batch_losses(X, ds.y)
+            features, y = blobs(seed=derive_seed(11, "data"))
+            X = np.hstack([features, np.ones((features.shape[0], 1))])
+            losses = model.batch_losses(X, y)
             final_cvar[name] = cvar(build_cdf(losses), 0.05).value
         assert final_cvar["cvar"] < final_cvar["mean"]
 
@@ -381,9 +380,8 @@ class TestCmdTrain:
         assert run(["train", "--iters", 3, "--out", tmp_path / "x"]) == 2
 
     def test_divergence_exit_code(self, tmp_path):
-        ds = toy_blobs(seed=1)
         src = tmp_path / "ds.csv"
-        save_dataset_csv(ds, src)
+        save_dataset_csv(*toy_blobs(seed=1), src)
         assert run(["train", "--input", src, "--arch", "linear_squared",
                     "--risk", "mean", "--eta", 50, "--iters", 200,
                     "--disable-noise", "--out", tmp_path / "x"]) == 4
@@ -414,9 +412,8 @@ class TestCmdTrain:
         assert [line.split(",")[0] for line in lines] == ["t", "1"]
 
     def test_headerless_dataset_by_column_index(self, tmp_path):
-        ds = toy_blobs(seed=3)
         with_header = tmp_path / "ds.csv"
-        save_dataset_csv(ds, with_header)
+        save_dataset_csv(*toy_blobs(seed=3), with_header)
         headerless = tmp_path / "plain.csv"
         headerless.write_text(with_header.read_text().split("\n", 1)[1])
         flags = ["--arch", "logistic_crossentropy", "--eta", 0.2, "--iters", 5,
@@ -456,6 +453,13 @@ class TestCmdComplexity:
         payload = json.loads((out / "complexity.json").read_text())
         assert payload["value"] <= 4
         assert len(payload["witness_permutations"]) == payload["value"]
+
+    def test_negative_entries_are_accepted(self, tmp_path):
+        src = tmp_path / "m.csv"
+        src.write_text("1,2,3\n4,-1,6\n")
+        out = tmp_path / "c"
+        assert run(["complexity", "--input", src, "--out", out]) == 0
+        assert json.loads((out / "complexity.json").read_text())["value"] == 2
 
     def test_greedy_beyond_64_weak_orders(self, tmp_path, capsys):
         rows = np.random.default_rng(100).uniform(size=(100, 12))
@@ -659,9 +663,21 @@ class TestManifestRerun:
                     "--out", out]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "train"
-        assert manifest["seed"] == 3
+        assert manifest["args"]["seed"] == 3
         assert manifest["version"]
         assert str(src) in manifest["input_digests"]
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seed", 3, "--eta", 0.1, "--iters", 2],
+        ["gradcheck", "--seed", 3, "--trials", 1],
+        ["bound", "--method", "vc_sauer", "--n", 10, "--nu", 3],
+    ], ids=lambda argv: argv[0])
+    def test_manifest_records_the_seed_once(self, tmp_path, argv):
+        """The seed is a flag like any other: only ``args`` records it."""
+        out = tmp_path / "o"
+        assert run([*argv, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == ["args", "command", "input_digests", "timestamp", "version"]
 
 
 CDF_ARGS = {"input": "losses.csv", "has_header": False, "out": "."}
@@ -675,6 +691,7 @@ DATASETS = {"NAN_DATASET": "a,b,label\n1,2,0\n3,nan,1\n",
             "LABEL_DATASET": "a,b,label\n1,2,0\n3,4,2\n",
             "NAN_LOSSES": "1\n2\n\nnan\n",
             "INF_TABLE": "m,k\n1,2\n3,inf\n",
+            "NAN_MATRIX": "1,2,3\n4,nan,6\n",
             "REPEATED_NAME_TABLE": "m,m\n1,5\n2,6\n"}
 
 # (case, argv, manifest text for MANIFEST or None, exit code)
@@ -725,6 +742,7 @@ REJECTIONS = [
                                "--iters", 3], None, 3),
     ("cdf-input-nan-loss", ["cdf", "--input", "NAN_LOSSES"], None, 3),
     ("assess-input-inf-loss", ["assess", "--input", "INF_TABLE"], None, 3),
+    ("complexity-input-nan-loss", ["complexity", "--input", "NAN_MATRIX"], None, 3),
     ("assess-repeated-model-name", ["assess", "--input", "REPEATED_NAME_TABLE"], None, 3),
     ("oce-entropic-overflow", ["assess", "--input", "TABLE", "--risk", "oce:entropic",
                                "--support-bound", 800], None, 2),
@@ -816,6 +834,7 @@ class TestRejections:
     @pytest.mark.parametrize("command, key, where", [
         ("cdf", "NAN_LOSSES", "row 4, column 1"),
         ("assess", "INF_TABLE", "row 3, column 2 (k)"),
+        ("complexity", "NAN_MATRIX", "row 2, column 2"),
     ])
     def test_non_finite_loss_names_its_cell(self, tmp_path, capsys, command, key, where):
         src = tmp_path / "in.csv"

@@ -5,17 +5,18 @@ import pytest
 
 from riskcdf.cdf import read_losses_csv
 from riskcdf.data import (
-    Dataset,
+    TOY_BLOB_CENTERS,
+    TOY_BLOB_SIZES,
+    TOY_BLOB_STDS,
     _parse_cells,
     blob_mixture_sampler,
-    generate_blobs,
     load_dataset_csv,
     load_loss_table,
     read_numeric_csv,
     save_dataset_csv,
     toy_blobs,
 )
-from riskcdf.errors import ConfigError, EmptySample, FormatError, InvalidLoss
+from riskcdf.errors import EmptySample, FormatError, InvalidLoss
 from riskcdf.permcomplexity import load_loss_matrix_csv
 from riskcdf.risks import _load_table_csv
 from riskcdf.seeds import rng_from
@@ -23,34 +24,24 @@ from riskcdf.seeds import rng_from
 
 class TestGenerateBlobs:
     def test_preset_shape(self):
-        ds = toy_blobs(seed=0)
-        assert ds.n == 1050 and ds.dim == 2
-        counts = np.bincount(ds.y.astype(int))
+        X, y = toy_blobs(seed=0)
+        assert X.shape == (1050, 2) and y.shape == (1050,)
+        counts = np.bincount(y.astype(int))
         assert counts.tolist() == [1000, 50]
         # Cluster blocks are contiguous and unshuffled.
-        assert np.all(ds.y[:1000] == 0) and np.all(ds.y[1000:] == 1)
-
-    def test_degenerate_spread(self):
-        ds = generate_blobs([3], [[0.0, 0.0]], [1e-12], seed=1)
-        assert np.allclose(ds.X, 0.0, atol=1e-10)
+        assert np.all(y[:1000] == 0) and np.all(y[1000:] == 1)
 
     def test_determinism(self):
-        a = generate_blobs([10, 5], [[0, 0], [2, 2]], [1.0, 0.5], seed=9)
-        b = generate_blobs([10, 5], [[0, 0], [2, 2]], [1.0, 0.5], seed=9)
-        c = generate_blobs([10, 5], [[0, 0], [2, 2]], [1.0, 0.5], seed=10)
-        assert np.array_equal(a.X, b.X)
-        assert not np.array_equal(a.X, c.X)
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ConfigError):
-            generate_blobs([3, 4], [[0, 0]], [1.0])
+        a, b, c = toy_blobs(seed=9), toy_blobs(seed=9), toy_blobs(seed=10)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert not np.array_equal(a[0], c[0])
 
     def test_sample_means_converge(self):
-        size, std = 10_000, 1.5
-        ds = generate_blobs([size], [[2.0, -1.0]], [std], seed=4)
-        mean = ds.X.mean(axis=0)
-        tol = 5 * std / np.sqrt(size)
-        assert abs(mean[0] - 2.0) < tol and abs(mean[1] + 1.0) < tol
+        X, y = toy_blobs(seed=4)
+        for k, (size, center, std) in enumerate(zip(TOY_BLOB_SIZES, TOY_BLOB_CENTERS,
+                                                    TOY_BLOB_STDS)):
+            mean = X[y == k].mean(axis=0)
+            assert np.all(np.abs(mean - center) < 5 * std / np.sqrt(size)), k
 
     def test_mixture_sampler_weights(self):
         sampler = blob_mixture_sampler()
@@ -62,12 +53,12 @@ class TestGenerateBlobs:
 
 class TestDatasetCsv:
     def test_round_trip(self, tmp_path):
-        ds = generate_blobs([4, 3], [[0, 0], [1, 1]], [1.0, 1.0], seed=2)
+        X, y = toy_blobs(seed=2)
         path = tmp_path / "ds.csv"
-        save_dataset_csv(ds, path)
-        loaded = load_dataset_csv(path, label_column="label")
-        assert np.array_equal(loaded.X, ds.X)
-        assert np.array_equal(loaded.y, ds.y)
+        save_dataset_csv(X, y, path)
+        loaded_X, loaded_y = load_dataset_csv(path, label_column="label")
+        assert np.array_equal(loaded_X, X)
+        assert np.array_equal(loaded_y, y)
         assert [p.name for p in tmp_path.iterdir()] == ["ds.csv"]  # no sidecar
 
     @pytest.mark.parametrize("text, header, label, where", [
@@ -84,10 +75,10 @@ class TestDatasetCsv:
     def test_basic_load(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b,label\n1,2,0\n3,4,1\n5,6,0\n")
-        ds = load_dataset_csv(path, label_column="label")
-        assert ds.n == 3 and ds.dim == 2
-        assert ds.y.tolist() == [0.0, 1.0, 0.0]
-        assert ds.X[1].tolist() == [3.0, 4.0]
+        X, y = load_dataset_csv(path, label_column="label")
+        assert X.shape == (3, 2)
+        assert y.tolist() == [0.0, 1.0, 0.0]
+        assert X[1].tolist() == [3.0, 4.0]
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -104,8 +95,8 @@ class TestDatasetCsv:
     def test_headerless_by_index(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,2,0\n3,4,1\n")
-        ds = load_dataset_csv(path, label_column=2, has_header=False)
-        assert ds.dim == 2 and ds.y.tolist() == [0.0, 1.0]
+        X, y = load_dataset_csv(path, label_column=2, has_header=False)
+        assert X.shape[1] == 2 and y.tolist() == [0.0, 1.0]
 
 
 class TestLossTable:
@@ -187,29 +178,19 @@ class TestLossTable:
             load_loss_table(path)
 
 
-class TestDatasetType:
-    def test_shape_consistency(self):
-        with pytest.raises(FormatError):
-            Dataset(X=np.zeros((3, 2)), y=np.zeros(2))
-
-
 # Every loader as (path -> 2-D array, header rule, width).  The header rule is
 # the reader's: True = the first filled row is a header, False = there is
 # none, None = a header iff that row is not all numbers.
 LOADERS = {
     "loss-table": (lambda p: load_loss_table(p)[1], True, 2),
-    "dataset": (lambda p: _dataset_array(load_dataset_csv(p, label_column=1)), True, 2),
-    "dataset-headerless": (lambda p: _dataset_array(
+    "dataset": (lambda p: np.column_stack(load_dataset_csv(p, label_column=1)), True, 2),
+    "dataset-headerless": (lambda p: np.column_stack(
         load_dataset_csv(p, label_column=1, has_header=False)), False, 2),
     "losses": (lambda p: read_losses_csv(p)[:, None], False, 1),
     "losses-header": (lambda p: read_losses_csv(p, has_header=True)[:, None], True, 1),
     "distortion-table": (lambda p: np.column_stack(_load_table_csv(p)), None, 2),
     "loss-matrix": (lambda p: load_loss_matrix_csv(p).rows, None, 2),
 }
-
-
-def _dataset_array(ds: Dataset) -> np.ndarray:
-    return np.column_stack([ds.X, ds.y])
 
 
 def _body(width: int) -> np.ndarray:

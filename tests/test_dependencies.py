@@ -1,8 +1,8 @@
 """riskcdf runs on numpy alone: every risk family and every subcommand work in
 a fresh interpreter where importing scipy fails.  It reads nothing from the
-process environment: every flag value comes from the command line.  Its
-lower layers (CDFs, certificates, permutation complexity) import none of
-the layers built on them."""
+process environment: every flag value comes from the command line.  One
+function writes its JSON.  Its lower layers (CDFs, certificates,
+permutation complexity) import none of the layers built on them."""
 
 import ast
 import os
@@ -113,6 +113,46 @@ def test_no_module_reads_the_environment():
     assert sources
     found = [f"{p.name}:{line}" for p in sources for line in environment_reads(p.read_text())]
     assert found == []
+
+
+JSON_WRITES = {"dump", "dumps"}
+
+
+def json_writers(source: str) -> list[str]:
+    """The function of ``source`` around each ``json.dump``/``json.dumps``
+    call (``<module>`` outside any function), and ``<import>`` for each
+    ``from json import dump`` or ``dumps``."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in JSON_WRITES and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id == "json"):
+                found.append(where)
+            elif (isinstance(child, ast.ImportFrom) and child.module == "json"
+                  and any(alias.name in JSON_WRITES for alias in child.names)):
+                found.append("<import>")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_one_json_writer():
+    """Every JSON file riskcdf writes goes through ``data._write_json``, so
+    all share one format and one non-finite rule."""
+    assert json_writers("import json\njson.dumps(1)\ndef f():\n    def g():\n"
+                        "        json.dump(1, fh)\n    return json.dumps(2)\n"
+                        "from json import dumps\njson.loads('1')\n") == [
+        "<module>", "g", "f", "<import>"]
+    sources = sorted(Path(SRC, "riskcdf").glob("*.py"))
+    assert sources
+    found = [f"{p.name}:{where}" for p in sources for where in json_writers(p.read_text())]
+    assert found == ["data.py:_write_json"]
 
 
 LOWER_LAYERS = ("cdf", "bounds", "permcomplexity")

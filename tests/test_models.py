@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from riskcdf.errors import ConfigError, NumericError, ShapeError
+from riskcdf.errors import ConfigError, FormatError, NumericError, ShapeError
 from riskcdf.models import (
     ARCHITECTURES,
     MAX_CROSSENTROPY_LOSS,
@@ -157,6 +158,19 @@ class TestCheckpointRoundTrip:
         with pytest.raises(NumericError, match=f"cannot write {path}"):
             save_checkpoint(model, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("vector, bad", [
+        ("[NaN, 1.0]", "parameter_vector[0] is not a finite number: nan"),
+        ("[1.0, Infinity]", "parameter_vector[1] is not a finite number: inf"),
+        ('["a", 1.0]', "parameter_vector[0] is not a finite number: 'a'"),
+    ], ids=["nan", "infinity", "string"])
+    def test_bad_parameter_is_not_loaded(self, tmp_path, vector, bad):
+        path = tmp_path / "ckpt.json"
+        path.write_text('{"architecture": "linear_squared", '
+                        '"hyperparameters": {"input_dim": 2, "hidden": []}, '
+                        f'"parameter_vector": {vector}}}')
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {bad}')}$"):
+            load_checkpoint(path)
 
     def test_init_is_seeded_uniform(self):
         a = init_model("logistic_crossentropy", 6, seed=42)
