@@ -8,19 +8,11 @@ distortion risk minimization.
 """
 
 from .bounds import (
+    CERTIFICATE_METHODS,
     BoundCertificate,
-    cdf_uniform_bound,
+    certificate,
     certificate_finite_class,
-    certificate_growth,
-    certificate_permutation,
-    certificate_vc_sauer,
-    excess_risk_bound,
-    mcdiarmid_term,
     monte_carlo_en,
-    rademacher_finite_class,
-    rademacher_growth,
-    rademacher_permutation,
-    rademacher_vc_sauer,
     risk_error_bound,
 )
 from .cdf import (

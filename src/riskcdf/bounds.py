@@ -6,19 +6,19 @@ a hypothesis class: with probability at least 1 - delta,
     e_n  <=  2 * R(n) + sqrt(log(1/delta) / (2n)),
 
 where R(n) is any upper bound on the class's Rademacher complexity for
-threshold-composed losses.  Available R(n) bounds:
+threshold-composed losses.  :data:`CERTIFICATE_METHODS` holds the available
+R(n) bounds, one per complexity count, and :func:`certificate` reads it:
 
 * finite class of size |F|:        sqrt(log(4|F|) / (2n))
 * permutation complexity N:        sqrt(log(4N) / (2n))
-* growth number G (labelings):     2 * sqrt(log(G) / n), with the preset
-  G = (n+1)|F| for a finite class
+* growth number G (labelings):     2 * sqrt(log(G) / n); a finite class has
+  G <= (n+1)|F|, the ``bound`` command's preset
 * VC dimension nu:                 2 * sqrt(nu * log(n+1) / n), the growth
   bound at G = (n+1)**nu in log space, so it never overflows
 
 Natural logarithms throughout.  Every count (n, |F|, N, G, nu) must be a
 finite number, and so must R(n).  A certificate propagates to risk errors
-via L * epsilon**p for sup-norm Holder risks, and to excess risk via
-doubling.
+via L * epsilon**p for sup-norm Holder risks.
 """
 
 from __future__ import annotations
@@ -40,19 +40,10 @@ from .seeds import rng_from
 
 __all__ = [
     "BoundCertificate",
-    "mcdiarmid_term",
-    "rademacher_finite_class",
-    "rademacher_permutation",
-    "rademacher_growth",
-    "growth_finite_class",
-    "rademacher_vc_sauer",
-    "cdf_uniform_bound",
+    "CERTIFICATE_METHODS",
+    "certificate",
     "certificate_finite_class",
-    "certificate_permutation",
-    "certificate_growth",
-    "certificate_vc_sauer",
     "risk_error_bound",
-    "excess_risk_bound",
     "MonteCarloEnResult",
     "monte_carlo_en",
 ]
@@ -77,54 +68,19 @@ def _check_n(n: int) -> int:
     return int(n)
 
 
-def _check_delta(delta: float) -> float:
-    if not (0.0 < delta <= 1.0):
-        raise InvalidDelta(f"delta must be in (0, 1], got {delta!r}")
-    return float(delta)
-
-
-def mcdiarmid_term(n: int, delta: float) -> float:
-    """Concentration term sqrt(log(1/delta) / (2n))."""
-    n = _check_n(n)
-    delta = _check_delta(delta)
-    return math.sqrt(math.log(1.0 / delta) / (2.0 * n))
-
-
-def rademacher_finite_class(n: int, class_size: int) -> float:
-    """Rademacher bound sqrt(log(4|F|) / (2n)) for a finite class."""
-    n = _check_n(n)
-    if _finite(class_size, "class size") < 1:
-        raise ConfigError(f"class size must be >= 1, got {class_size}")
-    return math.sqrt(math.log(4.0 * class_size) / (2.0 * n))
-
-
-def rademacher_permutation(n: int, n_pi: float) -> float:
-    """Rademacher bound sqrt(log(4N) / (2n)) from permutation complexity N."""
-    n = _check_n(n)
-    if _finite(n_pi, "permutation complexity") < 1:
-        raise ConfigError(f"permutation complexity must be >= 1, got {n_pi}")
-    return math.sqrt(math.log(4.0 * n_pi) / (2.0 * n))
-
-
-def rademacher_growth(n: int, growth: float) -> float:
-    """Rademacher bound 2 * sqrt(log(G) / n) from a growth number G."""
-    n = _check_n(n)
-    if _finite(growth, "growth", InvalidGrowth) < 1:
-        raise InvalidGrowth(f"growth must be >= 1, got {growth}")
-    return 2.0 * math.sqrt(math.log(growth) / n)
-
-
-def growth_finite_class(n: int, class_size: int) -> float:
-    """Labeling count (n+1)|F| of threshold-composed losses for a finite class."""
-    return (_check_n(n) + 1) * _finite(class_size, "class size")
-
-
-def rademacher_vc_sauer(n: int, nu: int) -> float:
-    """Growth bound with the VC preset, computed in log space: 2*sqrt(nu*log(n+1)/n)."""
-    n = _check_n(n)
-    if _finite(nu, "VC dimension") < 0:
-        raise ConfigError(f"VC dimension must be nonnegative, got {nu}")
-    return 2.0 * math.sqrt(nu * math.log(n + 1.0) / n)
+# method -> (its count's flag, the count's name in messages, the least valid
+# count, the error a bad count raises, R(n, count)).
+CERTIFICATE_METHODS: dict[str, tuple[str, str, int, type[ConfigError],
+                                     Callable[[int, float], float]]] = {
+    "finite_class": ("class_size", "class size", 1, ConfigError,
+                     lambda n, size: math.sqrt(math.log(4.0 * size) / (2.0 * n))),
+    "permutation": ("n_pi", "permutation complexity", 1, ConfigError,
+                    lambda n, n_pi: math.sqrt(math.log(4.0 * n_pi) / (2.0 * n))),
+    "growth": ("growth", "growth", 1, InvalidGrowth,
+               lambda n, growth: 2.0 * math.sqrt(math.log(growth) / n)),
+    "vc_sauer": ("nu", "VC dimension", 0, ConfigError,
+                 lambda n, nu: 2.0 * math.sqrt(nu * math.log(n + 1.0) / n)),
+}
 
 
 @dataclass(frozen=True)
@@ -132,7 +88,7 @@ class BoundCertificate:
     """A computed CDF uniform-convergence bound with its inputs.
 
     ``epsilon = 2 * rademacher_bound + sqrt(log(1/delta)/(2n))`` holds by
-    construction for every method except ``user_supplied``.
+    construction.
     """
 
     n: int
@@ -152,49 +108,35 @@ class BoundCertificate:
         return {**asdict(self), "vacuous": self.vacuous}
 
 
-def cdf_uniform_bound(rademacher_bound: float, n: int, delta: float,
-                      method: str = "user_supplied", inputs: dict | None = None) -> BoundCertificate:
-    """Assemble a certificate: epsilon = 2 * R + sqrt(log(1/delta)/(2n))."""
+def certificate(method: str, n: int, delta: float, count: float) -> BoundCertificate:
+    """The certificate of ``method``, a key of :data:`CERTIFICATE_METHODS`, for
+    ``n`` samples, confidence ``1 - delta`` and the method's complexity ``count``.
+
+    Checks n, then the count, then delta, then that R(n) is finite; a bad
+    count raises the method's error, a bad delta :class:`InvalidDelta`.
+    """
+    flag, what, least, error, rademacher = CERTIFICATE_METHODS[method]
     n = _check_n(n)
-    delta = _check_delta(delta)
-    if _finite(rademacher_bound, "rademacher bound") < 0:
-        raise ConfigError(f"rademacher bound must be nonnegative, got {rademacher_bound}")
-    eps = 2.0 * rademacher_bound + mcdiarmid_term(n, delta)
-    return BoundCertificate(n=n, delta=delta, rademacher_bound=float(rademacher_bound),
-                            method=method, epsilon=eps, inputs=dict(inputs or {}))
+    if _finite(count, what, error) < least:
+        condition = "nonnegative" if least == 0 else f">= {least}"
+        raise error(f"{what} must be {condition}, got {count}")
+    if not (0.0 < delta <= 1.0):
+        raise InvalidDelta(f"delta must be in (0, 1], got {delta!r}")
+    delta = float(delta)
+    r = _finite(rademacher(n, count), "rademacher bound")
+    eps = 2.0 * r + math.sqrt(math.log(1.0 / delta) / (2.0 * n))
+    return BoundCertificate(n=n, delta=delta, rademacher_bound=r, method=method,
+                            epsilon=eps, inputs={flag: count})
 
 
 def certificate_finite_class(n: int, class_size: int, delta: float) -> BoundCertificate:
-    return cdf_uniform_bound(rademacher_finite_class(n, class_size), n, delta,
-                             method="finite_class", inputs={"class_size": int(class_size)})
-
-
-def certificate_permutation(n: int, n_pi: float, delta: float) -> BoundCertificate:
-    return cdf_uniform_bound(rademacher_permutation(n, n_pi), n, delta,
-                             method="permutation", inputs={"n_pi": n_pi})
-
-
-def certificate_growth(n: int, growth: float, delta: float) -> BoundCertificate:
-    return cdf_uniform_bound(rademacher_growth(n, growth), n, delta,
-                             method="growth", inputs={"growth": growth})
-
-
-def certificate_vc_sauer(n: int, nu: int, delta: float) -> BoundCertificate:
-    return cdf_uniform_bound(rademacher_vc_sauer(n, nu), n, delta,
-                             method="vc_sauer", inputs={"nu": int(nu)})
+    return certificate("finite_class", n, delta, class_size)
 
 
 def risk_error_bound(cert: BoundCertificate, L: float | None, p: float) -> float | None:
     """Simultaneous estimation-error bound L * epsilon**p (None if L is unknown) for
     every sup-norm Holder risk with constants at most (L, p) and every hypothesis."""
     return None if L is None else float(L) * cert.epsilon ** p
-
-
-def excess_risk_bound(risk_error: float) -> float:
-    """Excess risk of the empirical risk minimizer: twice the uniform risk error."""
-    if risk_error < 0:
-        raise ConfigError(f"risk error must be nonnegative, got {risk_error}")
-    return 2.0 * float(risk_error)
 
 
 @dataclass(frozen=True)

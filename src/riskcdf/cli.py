@@ -101,7 +101,7 @@ def run_assess(params: dict, out_dir: str) -> None:
     # A given D is checked once, before any token is parsed, so every risk
     # rejects a bad one with the same error.
     support = risks._support_bound(params["support_bound"], float(np.max(losses)))
-    cert = bounds.certificate_finite_class(n, len(names), params["delta"])
+    cert = bounds.certificate("finite_class", n, params["delta"], len(names))
     tokens = list(dict.fromkeys(params["risks"] or ["mean"]))  # a repeated token counts once
     evaluators = {token: risks.parse_risk(token, support) for token in tokens}
     # One sorted CDF per model, shared by every token; records stay token-major.
@@ -131,25 +131,16 @@ def run_assess(params: dict, out_dir: str) -> None:
 def run_bound(params: dict, out_dir: str) -> None:
     method = params["method"]
     n, delta = params["n"], params["delta"]
-    if method == "finite_class":
+    flag = bounds.CERTIFICATE_METHODS[method][0]
+    count = params[flag]
+    if method == "growth" and count is None:
+        # A finite class of size |F| has at most (n+1)|F| labelings.
         if params["class_size"] is None:
-            raise ConfigError("--class-size is required for method=finite_class")
-        cert = bounds.certificate_finite_class(n, params["class_size"], delta)
-    elif method == "permutation":
-        if params["n_pi"] is None:
-            raise ConfigError("--n-pi is required for method=permutation")
-        cert = bounds.certificate_permutation(n, params["n_pi"], delta)
-    elif method == "growth":
-        growth = params["growth"]
-        if growth is None:
-            if params["class_size"] is None:
-                raise ConfigError("--growth or --class-size is required for method=growth")
-            growth = bounds.growth_finite_class(n, params["class_size"])
-        cert = bounds.certificate_growth(n, growth, delta)
-    else:  # vc_sauer
-        if params["nu"] is None:
-            raise ConfigError("--nu is required for method=vc_sauer")
-        cert = bounds.certificate_vc_sauer(n, params["nu"], delta)
+            raise ConfigError("--growth or --class-size is required for method=growth")
+        count = (bounds._check_n(n) + 1) * bounds._finite(params["class_size"], "class size")
+    elif count is None:
+        raise ConfigError(f"--{flag.replace('_', '-')} is required for method={method}")
+    cert = bounds.certificate(method, n, delta, count)
     _write_json(cert.to_dict(), os.path.join(out_dir, "certificate.json"))
     print(f"{PROG} bound: method={method} n={n} delta={delta} epsilon={cert.epsilon:.6g}")
     if cert.vacuous:
@@ -183,19 +174,20 @@ def run_train(params: dict, out_dir: str) -> None:
         seed=params["seed"],
         noise=not params["disable_noise"],
     )
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised, not warned
+    # Divergence is raised and an unestimable beta reported, not warned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
             final_model, trace = train(model, features, labels, config)
-    except Diverged as exc:
-        if exc.trace is not None:  # keep the evidence up to the failing iteration
-            exc.trace.to_csv(os.path.join(out_dir, "trace.csv"))
-        raise
+        except Diverged as exc:
+            if exc.trace is not None:  # keep the evidence up to the failing iteration
+                exc.trace.to_csv(os.path.join(out_dir, "trace.csv"))
+            raise
+        try:
+            payload = {"available": True, **stationarity_report(trace, beta=params["beta"])}
+        except ConfigError as exc:
+            payload = {"available": False, "reason": str(exc)}
     trace.to_csv(os.path.join(out_dir, "trace.csv"))
     save_checkpoint(final_model, os.path.join(out_dir, "checkpoint.json"))
-    try:
-        payload = {"available": True, **stationarity_report(trace, beta=params["beta"])}
-    except ConfigError as exc:
-        payload = {"available": False, "reason": str(exc)}
     _write_json(payload, os.path.join(out_dir, "stationarity.json"))
     print(f"{PROG} train: objective={spec.name} T={trace.iterations} "
           f"risk {trace.initial_risk:.6g} -> {trace.risk[-1]:.6g}")
@@ -375,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="compute a CDF uniform-convergence certificate")
     common(p)
-    p.add_argument("--method", required=True,
-                   choices=["finite_class", "permutation", "growth", "vc_sauer"])
+    p.add_argument("--method", required=True, choices=list(bounds.CERTIFICATE_METHODS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--class-size", type=int, dest="class_size", default=None)

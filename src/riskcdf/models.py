@@ -320,9 +320,18 @@ def _parameter(path, i: int, value) -> float:
     return number
 
 
+def _width(path, name: str, value) -> int:
+    """A checkpoint's ``input_dim`` or hidden width as it must be, a JSON
+    integer of at least 1, else :class:`FormatError` naming the file and field."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise FormatError(f"{path}: {name} is not an integer >= 1: {value!r}")
+    return value
+
+
 def load_checkpoint(path) -> LossModel:
-    """The model a :func:`save_checkpoint` file holds; a missing field or a
-    parameter that is not a finite number raises :class:`FormatError`."""
+    """The model a :func:`save_checkpoint` file holds; a missing field, a
+    parameter that is not a finite number or a width that is not a positive
+    integer raises :class:`FormatError`."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -334,8 +343,9 @@ def load_checkpoint(path) -> LossModel:
             architecture=payload["architecture"],
             params=np.array([_parameter(path, i, v)
                              for i, v in enumerate(payload["parameter_vector"])]),
-            input_dim=int(hyper["input_dim"]),
-            hidden=tuple(int(h) for h in hyper.get("hidden", [])),
+            input_dim=_width(path, "input_dim", hyper["input_dim"]),
+            hidden=tuple(_width(path, f"hidden[{i}]", h)
+                         for i, h in enumerate(hyper.get("hidden", []))),
         )
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: missing checkpoint field: {exc}") from None

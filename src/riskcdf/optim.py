@@ -310,6 +310,8 @@ def estimate_beta(trace: TrainTrace) -> float:
     best = 0.0
     for (_, th_a, g_a), (_, th_b, g_b) in pairs:
         dth = float(np.linalg.norm(th_b - th_a))
+        if not math.isfinite(dth):
+            raise ConfigError("cannot estimate beta: parameter movement is not finite")
         if dth > 0:
             best = max(best, float(np.linalg.norm(g_b - g_a)) / dth)
     if best == 0.0:

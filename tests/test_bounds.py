@@ -7,27 +7,21 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from riskcdf.bounds import (
-    BoundCertificate,
+    CERTIFICATE_METHODS,
+    certificate,
     certificate_finite_class,
-    certificate_permutation,
-    cdf_uniform_bound,
-    excess_risk_bound,
-    growth_finite_class,
-    mcdiarmid_term,
     monte_carlo_en,
-    rademacher_finite_class,
-    rademacher_growth,
-    rademacher_permutation,
-    rademacher_vc_sauer,
     risk_error_bound,
 )
 from riskcdf.cdf import build_cdf
+from riskcdf.cli import run_bound
 from riskcdf.data import blob_mixture_sampler
 from riskcdf.errors import (
     ConfigError,
@@ -44,63 +38,87 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "validate_bounds.py"
 
 
+def mcdiarmid(n, delta):
+    """The concentration term sqrt(log(1/delta) / (2n)): the epsilon of a
+    certificate whose R(n) is 0, from a growth number of 1."""
+    return certificate("growth", n, delta, 1).epsilon
+
+
+def rademacher(method, n, count):
+    return certificate(method, n, 1.0, count).rademacher_bound
+
+
 class TestMcDiarmidTerm:
     def test_delta_one_is_zero(self):
-        assert mcdiarmid_term(37, 1.0) == 0.0
+        assert mcdiarmid(37, 1.0) == 0.0
 
     def test_unit_value(self):
-        assert mcdiarmid_term(50, math.exp(-100)) == pytest.approx(1.0)
+        assert mcdiarmid(50, math.exp(-100)) == pytest.approx(1.0)
 
     def test_formula(self):
-        assert mcdiarmid_term(100000, 0.05) == pytest.approx(
+        assert mcdiarmid(100000, 0.05) == pytest.approx(
             math.sqrt(math.log(20) / 200000)
         )
 
     @pytest.mark.parametrize("delta", [0.0, -0.2, 1.0001])
     def test_invalid_delta(self, delta):
         with pytest.raises(InvalidDelta):
-            mcdiarmid_term(10, delta)
+            mcdiarmid(10, delta)
 
 
 class TestRademacherBounds:
     def test_singleton_class(self):
-        assert rademacher_finite_class(64, 1) == pytest.approx(math.sqrt(math.log(4) / 128))
+        assert rademacher("finite_class", 64, 1) == pytest.approx(math.sqrt(math.log(4) / 128))
 
     def test_finite_class_values(self):
-        assert rademacher_finite_class(100, 5) == pytest.approx(0.1223873, abs=1e-6)
-        assert rademacher_finite_class(50000, 5) == pytest.approx(0.0054733, abs=1e-6)
+        assert rademacher("finite_class", 100, 5) == pytest.approx(0.1223873, abs=1e-6)
+        assert rademacher("finite_class", 50000, 5) == pytest.approx(0.0054733, abs=1e-6)
 
     def test_permutation_matches_finite_class_formula(self):
         for n, size in [(10, 3), (200, 7), (5000, 64)]:
-            assert rademacher_permutation(n, size) == rademacher_finite_class(n, size)
+            assert rademacher("permutation", n, size) == rademacher("finite_class", n, size)
 
     def test_permutation_value(self):
-        assert rademacher_permutation(200, 4) == pytest.approx(0.0832555, abs=1e-6)
+        assert rademacher("permutation", 200, 4) == pytest.approx(0.0832555, abs=1e-6)
 
     def test_growth_values(self):
-        assert rademacher_growth(77, 1.0) == 0.0
-        assert rademacher_growth(100, growth_finite_class(100, 5)) == pytest.approx(
+        assert rademacher("growth", 77, 1.0) == 0.0
+        assert rademacher("growth", 100, (100 + 1) * 5) == pytest.approx(
             2 * math.sqrt(math.log(505) / 100)
         )
         with pytest.raises(InvalidGrowth):
-            rademacher_growth(10, 0.5)
+            rademacher("growth", 10, 0.5)
         with pytest.raises(InvalidGrowth, match="growth must be a finite number"):
-            rademacher_growth(10, float("nan"))
+            rademacher("growth", 10, float("nan"))
 
     def test_vc_sauer_value(self):
-        assert rademacher_vc_sauer(100, 3) == pytest.approx(
+        assert rademacher("vc_sauer", 100, 3) == pytest.approx(
             2 * math.sqrt(3 * math.log(101) / 100)
         )
 
     def test_finite_class_beats_growth_preset(self):
         for n in (100, 1000, 10000):
             for size in (2, 10, 100):
-                fc = rademacher_finite_class(n, size)
-                gr = rademacher_growth(n, growth_finite_class(n, size))
+                fc = rademacher("finite_class", n, size)
+                gr = rademacher("growth", n, (n + 1) * size)
                 assert fc < gr
 
 
 HUGE = 10 ** 400  # an integer no float holds
+
+
+def growth_preset(n, class_size):
+    """``bound --method growth`` given only ``--class-size``."""
+    run_bound({"method": "growth", "n": n, "delta": 0.5, "class_size": class_size,
+               "n_pi": None, "growth": None, "nu": None}, out_dir="unwritten")
+
+
+def with_rademacher(value):
+    """A certificate from a method whose R(n) is ``value`` whatever its count."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(CERTIFICATE_METHODS, "fixed",
+                   ("count", "count", 0, ConfigError, lambda n, count: value))
+        return certificate("fixed", 10, 0.5, 1)
 
 
 class TestCountsMustBeFinite:
@@ -108,20 +126,20 @@ class TestCountsMustBeFinite:
     a NaN or infinite Rademacher bound never becomes a certificate."""
 
     @pytest.mark.parametrize("call", [
-        lambda: rademacher_permutation(10, float("nan")),
-        lambda: rademacher_permutation(10, float("inf")),
-        lambda: rademacher_permutation(10, HUGE),
-        lambda: rademacher_finite_class(10, HUGE),
-        lambda: rademacher_finite_class(HUGE, 3),
-        lambda: rademacher_vc_sauer(10, HUGE),
-        lambda: rademacher_vc_sauer(10, float("nan")),
-        lambda: growth_finite_class(10, HUGE),
-        lambda: rademacher_growth(10, HUGE),
-        lambda: mcdiarmid_term(HUGE, 0.5),
-        lambda: mcdiarmid_term(float("nan"), 0.5),
-        lambda: cdf_uniform_bound(float("nan"), 10, 0.5),
-        lambda: cdf_uniform_bound(float("inf"), 10, 0.5),
-        lambda: certificate_permutation(10, 1e308, 0.5),  # log(4N) overflows to inf
+        lambda: certificate("permutation", 10, 0.5, float("nan")),
+        lambda: certificate("permutation", 10, 0.5, float("inf")),
+        lambda: certificate("permutation", 10, 0.5, HUGE),
+        lambda: certificate("finite_class", 10, 0.5, HUGE),
+        lambda: certificate("finite_class", HUGE, 0.5, 3),
+        lambda: certificate("vc_sauer", 10, 0.5, HUGE),
+        lambda: certificate("vc_sauer", 10, 0.5, float("nan")),
+        lambda: growth_preset(10, HUGE),
+        lambda: certificate("growth", 10, 0.5, HUGE),
+        lambda: mcdiarmid(HUGE, 0.5),
+        lambda: mcdiarmid(float("nan"), 0.5),
+        lambda: with_rademacher(float("nan")),
+        lambda: with_rademacher(float("inf")),
+        lambda: certificate("permutation", 10, 0.5, 1e308),  # log(4N) overflows to inf
         lambda: certificate_finite_class(10, 10 ** 308, 0.5),
     ], ids=["n-pi-nan", "n-pi-inf", "n-pi-huge", "class-size-huge", "n-huge", "nu-huge",
             "nu-nan", "growth-class-size-huge", "growth-huge", "mcdiarmid-n-huge",
@@ -138,7 +156,7 @@ class TestCountsMustBeFinite:
 
 class TestCertificates:
     def test_zero_rademacher_delta_one(self):
-        cert = cdf_uniform_bound(0.0, 10, 1.0)
+        cert = certificate("growth", 10, 1.0, 1)
         assert cert.epsilon == 0.0
 
     def test_spot_values(self):
@@ -148,7 +166,7 @@ class TestCertificates:
     def test_composition_invariant(self):
         cert = certificate_finite_class(321, 9, 0.2)
         assert cert.epsilon == pytest.approx(
-            2 * cert.rademacher_bound + mcdiarmid_term(321, 0.2)
+            2 * cert.rademacher_bound + mcdiarmid(321, 0.2)
         )
 
     def test_monotonicity(self):
@@ -166,13 +184,12 @@ class TestCertificates:
 
 
 def with_epsilon(epsilon):
-    return BoundCertificate(n=1, delta=1.0, rademacher_bound=0.0, method="user_supplied",
-                            epsilon=epsilon)
+    return replace(certificate("growth", 1, 1.0, 1), epsilon=epsilon)
 
 
 class TestRiskErrorPropagation:
     def test_linear_propagation(self):
-        cert = cdf_uniform_bound(0.0, 100, 1.0)
+        cert = certificate("growth", 100, 1.0, 1)
         assert risk_error_bound(cert, 3.0, 1.0) == 0.0
         cert2 = certificate_finite_class(50000, 5, 0.05)
         assert risk_error_bound(cert2, 1.0, 1.0) == cert2.epsilon
@@ -183,13 +200,6 @@ class TestRiskErrorPropagation:
         assert risk_error_bound(with_epsilon(0.1), 2.0, 1.0) == pytest.approx(0.2)
         assert risk_error_bound(with_epsilon(0.04), 1.0, 0.5) == pytest.approx(0.2)
         assert risk_error_bound(with_epsilon(0.0), 7.0, 0.3) == 0.0
-
-    def test_excess_risk_doubles(self):
-        assert excess_risk_bound(0.0) == 0.0
-        assert excess_risk_bound(0.1) == pytest.approx(0.2)
-        assert excess_risk_bound(0.328) == pytest.approx(0.656)
-        with pytest.raises(ConfigError):
-            excess_risk_bound(-0.1)
 
 
 def _gaussian_sampler(rng, size):

@@ -2,12 +2,14 @@ import json
 import math
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from riskcdf.bounds import CERTIFICATE_METHODS
 from riskcdf.cdf import build_cdf
-from riskcdf.cli import _write_json, main
+from riskcdf.cli import _write_json, build_parser, main
 from riskcdf.data import save_dataset_csv, toy_blobs
 from riskcdf.errors import NumericError
 from riskcdf.models import init_model
@@ -59,6 +61,20 @@ class TestCmdCdf:
         assert run(["cdf", "--input", src, "--out", tmp_path / "o"]) == 3
 
 
+MISSING_COUNT = {
+    "finite_class": "--class-size is required for method=finite_class",
+    "permutation": "--n-pi is required for method=permutation",
+    "growth": "--growth or --class-size is required for method=growth",
+    "vc_sauer": "--nu is required for method=vc_sauer",
+}
+
+# `bound` runs as recorded before the certificate table replaced one function
+# per method: each run's argv, exit code, exact certificate.json text (None
+# when the run fails), stdout and stderr.
+CERTIFICATE_PINS = json.loads(
+    (Path(__file__).parent / "data" / "certificate_pins.json").read_text())
+
+
 class TestCmdBound:
     def test_finite_class_spot_value(self, tmp_path):
         out = tmp_path / "b"
@@ -92,6 +108,24 @@ class TestCmdBound:
     def test_missing_method_input_is_config_error(self, tmp_path):
         assert run(["bound", "--method", "finite_class", "--n", 100,
                     "--out", tmp_path / "x"]) == 2
+
+    def test_method_choices_are_the_table(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        method = next(a for a in sub.choices["bound"]._actions if a.dest == "method")
+        assert method.choices == list(CERTIFICATE_METHODS) == list(MISSING_COUNT)
+
+    @pytest.mark.parametrize("method", MISSING_COUNT)
+    def test_missing_count_names_its_flag(self, tmp_path, capsys, method):
+        assert run(["bound", "--method", method, "--n", 100, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == f"riskcdf: error: {MISSING_COUNT[method]}\n"
+
+    @pytest.mark.parametrize("pin", CERTIFICATE_PINS, ids=[p["name"] for p in CERTIFICATE_PINS])
+    def test_pinned_run(self, tmp_path, capsys, pin):
+        out = tmp_path / "out"
+        assert main([*pin["argv"], "--out", str(out)]) == pin["exit_code"]
+        path = out / "certificate.json"
+        assert (path.read_text() if path.exists() else None) == pin["certificate"]
+        assert capsys.readouterr() == (pin["stdout"], pin["stderr"])
 
     def test_vacuous_certificate_is_marked(self, tmp_path, capsys):
         out = tmp_path / "v"
@@ -410,6 +444,20 @@ class TestCmdTrain:
         assert sorted(os.listdir(out)) == ["manifest.json", "trace.csv"]
         lines = (out / "trace.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines] == ["t", "1"]
+
+    def test_overflowing_movement_is_reported_without_warning(self, tmp_path, capsys):
+        # The step takes the parameters to about 3.5e307: finite, but the norm
+        # of their movement overflows.
+        out = tmp_path / "x"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["train", "--arch", "mlp_tanh", "--eta", 1e308, "--iters", 2,
+                        "--out", out]) == 0
+        assert not [str(w.message) for w in caught]
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "stationarity.json").read_text()) == {
+            "available": False,
+            "reason": "cannot estimate beta: parameter movement is not finite"}
 
     def test_headerless_dataset_by_column_index(self, tmp_path):
         with_header = tmp_path / "ds.csv"

@@ -172,6 +172,18 @@ class TestCheckpointRoundTrip:
         with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {bad}')}$"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("hyper, bad", [
+        ('"input_dim": "x", "hidden": [2]', "input_dim is not an integer >= 1: 'x'"),
+        ('"input_dim": 2, "hidden": ["a"]', "hidden[0] is not an integer >= 1: 'a'"),
+        ('"input_dim": 2.9, "hidden": [2]', "input_dim is not an integer >= 1: 2.9"),
+    ], ids=["input-dim-string", "hidden-string", "input-dim-fraction"])
+    def test_bad_width_is_not_loaded(self, tmp_path, hyper, bad):
+        path = tmp_path / "ckpt.json"
+        path.write_text(f'{{"architecture": "mlp_tanh", "hyperparameters": {{{hyper}}}, '
+                        f'"parameter_vector": {[0.5] * 9}}}')
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {bad}')}$"):
+            load_checkpoint(path)
+
     def test_init_is_seeded_uniform(self):
         a = init_model("logistic_crossentropy", 6, seed=42)
         b = init_model("logistic_crossentropy", 6, seed=42)

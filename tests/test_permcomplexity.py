@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskcdf.bounds import rademacher_finite_class, rademacher_permutation
+from riskcdf.bounds import certificate
 from riskcdf.errors import ConfigError, InvalidLoss, ShapeError, TooLarge
 from riskcdf.permcomplexity import (
     LossMatrix,
@@ -307,7 +307,8 @@ class TestGreedySolver:
         greedy, _ = greedy_min_permutations(m)
         n = m.n_points
         for value in (exact, greedy):
-            assert rademacher_permutation(n, value) <= rademacher_finite_class(n, 10)
+            permutation = certificate("permutation", n, 1.0, value).rademacher_bound
+            assert permutation <= certificate("finite_class", n, 1.0, 10).rademacher_bound
 
 
 def _scalar_sampler(rng, size):
