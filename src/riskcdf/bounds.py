@@ -108,6 +108,17 @@ class BoundCertificate:
         return {**asdict(self), "vacuous": self.vacuous}
 
 
+def _check_count(method: str, count) -> float:
+    """``count`` as a float, checked as ``method``'s complexity count: finite and
+    at least the method's least valid count, else the method's error."""
+    _, what, least, error, _ = CERTIFICATE_METHODS[method]
+    value = _finite(count, what, error)
+    if value < least:
+        condition = "nonnegative" if least == 0 else f">= {least}"
+        raise error(f"{what} must be {condition}, got {count}")
+    return value
+
+
 def certificate(method: str, n: int, delta: float, count: float) -> BoundCertificate:
     """The certificate of ``method``, a key of :data:`CERTIFICATE_METHODS`, for
     ``n`` samples, confidence ``1 - delta`` and the method's complexity ``count``.
@@ -115,11 +126,9 @@ def certificate(method: str, n: int, delta: float, count: float) -> BoundCertifi
     Checks n, then the count, then delta, then that R(n) is finite; a bad
     count raises the method's error, a bad delta :class:`InvalidDelta`.
     """
-    flag, what, least, error, rademacher = CERTIFICATE_METHODS[method]
+    flag, _, _, _, rademacher = CERTIFICATE_METHODS[method]
     n = _check_n(n)
-    if _finite(count, what, error) < least:
-        condition = "nonnegative" if least == 0 else f">= {least}"
-        raise error(f"{what} must be {condition}, got {count}")
+    _check_count(method, count)
     if not (0.0 < delta <= 1.0):
         raise InvalidDelta(f"delta must be in (0, 1], got {delta!r}")
     delta = float(delta)

@@ -134,10 +134,12 @@ def run_bound(params: dict, out_dir: str) -> None:
     flag = bounds.CERTIFICATE_METHODS[method][0]
     count = params[flag]
     if method == "growth" and count is None:
-        # A finite class of size |F| has at most (n+1)|F| labelings.
+        # A finite class of size |F| has at most (n+1)|F| labelings; |F| is
+        # checked as finite_class checks it, so a bad one is named as given.
         if params["class_size"] is None:
             raise ConfigError("--growth or --class-size is required for method=growth")
-        count = (bounds._check_n(n) + 1) * bounds._finite(params["class_size"], "class size")
+        count = (bounds._check_n(n) + 1) * bounds._check_count("finite_class",
+                                                                params["class_size"])
     elif count is None:
         raise ConfigError(f"--{flag.replace('_', '-')} is required for method={method}")
     cert = bounds.certificate(method, n, delta, count)

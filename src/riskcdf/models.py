@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,14 +62,17 @@ def _sigmoid_pair(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _crossentropy(p: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
     # q = sigmoid(-s) is the stable complement of p = sigmoid(s); clamping
-    # both sides caps the loss exactly at MAX_CROSSENTROPY_LOSS.
-    return -(y * np.log(np.clip(p, PROB_CLAMP, 1.0))
-             + (1.0 - y) * np.log(np.clip(q, PROB_CLAMP, 1.0)))
+    # both sides below caps the loss exactly at MAX_CROSSENTROPY_LOSS.  A
+    # sigmoid never exceeds 1, so no upper clamp is needed.
+    log_p = np.log(np.maximum(p, PROB_CLAMP))
+    log_q = np.log(np.maximum(q, PROB_CLAMP))
+    return -(y * log_p + (1.0 - y) * log_q)
 
 
 def _crossentropy_residual(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d loss / d score, with p clamped so the gradient stays bounded."""
-    return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP) - y
+    """d loss / d score, with p clamped to [PROB_CLAMP, 1 - PROB_CLAMP] so the
+    gradient stays bounded."""
+    return np.minimum(np.maximum(p, PROB_CLAMP), 1.0 - PROB_CLAMP) - y
 
 
 def parameter_count(architecture: str, input_dim: int, hidden: tuple[int, ...] = ()) -> int:
@@ -85,7 +88,10 @@ def parameter_count(architecture: str, input_dim: int, hidden: tuple[int, ...] =
 class LossModel:
     """A parameter vector plus an architecture tag.
 
-    Immutable; training produces new instances via :meth:`with_params`.
+    Immutable.  Construction checks the architecture and the parameter
+    count; :meth:`with_params` binds a new parameter vector of the same
+    shape without checking them again, which is all a training step does
+    to the model.
     """
 
     architecture: str
@@ -111,7 +117,18 @@ class LossModel:
         return self.params.shape[0]
 
     def with_params(self, params: np.ndarray) -> "LossModel":
-        return replace(self, params=np.array(params, dtype=np.float64))
+        """This model, of the same class, holding a read-only float64 copy of
+        ``params``, which must have as many entries as :attr:`params`, else
+        :class:`ShapeError`."""
+        arr = np.array(params, dtype=np.float64).ravel()
+        if arr.shape != self.params.shape:
+            raise ShapeError(
+                f"{self.architecture}: expected {self.dim} parameters, got {arr.shape[0]}"
+            )
+        arr.flags.writeable = False
+        model = object.__new__(type(self))
+        model.__dict__.update(self.__dict__, params=arr)
+        return model
 
     def _check_features(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))

@@ -17,10 +17,13 @@ differentiable points almost surely:
 
     theta <- theta - eta * (grad + w),   w ~ N(0, I/d).
 
-Each iteration makes one forward pass (:meth:`LossModel.loss_and_vjp`),
-one stable sort, and one vector-Jacobian product that backpropagates the
-rank weights.  The risk value and the gradient come from the same sort and
-weights, the weights are computed once per run, and no per-example
+Once per run, :func:`train` checks the labels, converts the features and
+labels to float64 arrays and computes the rank weights.  Each iteration
+then rebinds the iterate (:meth:`LossModel.with_params`), makes one forward
+pass (:meth:`LossModel.loss_and_vjp`), one stable sort and one
+vector-Jacobian product that backpropagates the rank weights, and adds the
+step's noise, drawn for a block of steps at a time.  The risk value and
+the gradient come from the same sort and weights, and no per-example
 gradient matrix is built: O(n * width + d) memory per step.
 
 Only the ranks from ``lo``, the first rank with a nonzero weight, count.
@@ -39,7 +42,6 @@ reproduces a run bit for bit in single-threaded mode.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -53,7 +55,7 @@ from .cdf import build_cdf  # noqa: F401
 from .errors import ConfigError, Diverged, EmptySample, InvalidLoss
 from .models import LossModel
 from .risks import DistortionSpec, distortion_risk  # noqa: F401
-from .seeds import rng_from, standard_normal
+from .seeds import rng_from, standard_normal, standard_normal_rows
 
 __all__ = [
     "DIVERGENCE_GUARD",
@@ -67,6 +69,9 @@ __all__ = [
 ]
 
 DIVERGENCE_GUARD = 1e12
+# Uniforms drawn at once for the step noise: 2d per step, so a block holds
+# max(1, NOISE_BLOCK_DRAWS // (2d)) steps, 32 KB of doubles or one step.
+NOISE_BLOCK_DRAWS = 4096
 
 
 def _positive_beta(beta: float) -> float:
@@ -141,16 +146,12 @@ class TrainTrace:
         return float(np.min(self.risk))
 
     def to_csv(self, path) -> None:
+        """Write a header and one row per iteration, CSV with CRLF line ends."""
+        rows = zip(self.risk.tolist(), self.grad_norm.tolist(), self.avg_sq_grad_norm.tolist())
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "risk", "grad_norm", "avg_sq_grad_norm"])
-            for t in range(self.iterations):
-                writer.writerow([
-                    t + 1,
-                    f"{self.risk[t]:.17g}",
-                    f"{self.grad_norm[t]:.17g}",
-                    f"{self.avg_sq_grad_norm[t]:.17g}",
-                ])
+            fh.write("".join(["t,risk,grad_norm,avg_sq_grad_norm\r\n",
+                              *(f"{t},{r:.17g},{g:.17g},{a:.17g}\r\n"
+                                for t, (r, g, a) in enumerate(rows, 1))]))
 
 
 def _first_weighted_rank(weights: np.ndarray) -> int:
@@ -179,19 +180,22 @@ def _risk_and_gradient(losses: np.ndarray,
     as :func:`build_cdf` does; for ``lo > 0`` the partition does not put
     the minimum first, so it is checked on its own.
     """
+    n = losses.shape[0]
     if lo == 0:
-        order = np.argsort(losses, kind="stable")
+        order = losses.argsort(kind="stable")
         ascending = losses[order]
         if ascending[0] < 0.0:
             raise InvalidLoss("losses must be nonnegative")
-        v = np.empty_like(losses)
+        v = np.empty(n)
         v[order] = weights
         return float(weights @ ascending), vjp(slice(None), v)
     if losses.min() < 0.0:
         raise InvalidLoss("losses must be nonnegative")
-    candidates = np.flatnonzero(losses >= np.partition(losses, lo)[lo])
-    top = candidates[np.argsort(losses[candidates], kind="stable")[lo - losses.shape[0]:]]
-    ascending = np.zeros_like(losses)
+    kth = losses.copy()
+    kth.partition(lo)
+    candidates = (losses >= kth[lo]).nonzero()[0]
+    top = candidates[losses[candidates].argsort(kind="stable")[lo - n:]]
+    ascending = np.zeros(n)
     ascending[lo:] = losses[top]
     return float(weights @ ascending), vjp(top, weights[lo:])
 
@@ -219,7 +223,8 @@ def noisy_gd_step(theta: np.ndarray, gradient: np.ndarray, eta: float,
                   rng: np.random.Generator | None) -> np.ndarray:
     """One descent step theta - eta*(gradient + w), w ~ N(0, I/d).
 
-    ``rng=None`` zeroes the perturbation (test hook).
+    ``rng=None`` zeroes the perturbation (test hook).  :func:`train` makes
+    the same step, with the same noise stream, from noise drawn in blocks.
     """
     theta = np.asarray(theta, dtype=np.float64)
     gradient = np.asarray(gradient, dtype=np.float64)
@@ -237,10 +242,15 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray,
           config: TrainConfig) -> tuple[LossModel, TrainTrace]:
     """Run the perturbed descent loop; returns the final model and trace.
 
-    Each iteration costs one forward pass, one stable sort and one
-    vector-Jacobian product, in O(n * width + d) memory; the sort and the
-    backward pass cover only the ranks from the first nonzero weight up,
-    found once per run (:func:`_risk_and_gradient`).  ``risk[t-1]``
+    Once per run it checks the labels, converts ``X`` and ``y`` to float64
+    arrays and computes the rank weights and their first weighted rank.
+    Each iteration costs one parameter rebind, one forward pass, one stable
+    sort and one vector-Jacobian product, in O(n * width + d) memory; the
+    sort and the backward pass cover only the ranks from the first nonzero
+    weight up (:func:`_risk_and_gradient`).  The step is
+    :func:`noisy_gd_step`'s, with its noise stream bit for bit, but the
+    noise comes from one :func:`~riskcdf.seeds.standard_normal_rows` draw
+    per block of ``max(1, NOISE_BLOCK_DRAWS // (2 * d))`` steps.  ``risk[t-1]``
     equals ``distortion_risk(build_cdf(losses), distortion).value`` on the
     iterate's losses bit for bit.  Negative losses raise
     :class:`InvalidLoss`, as :func:`build_cdf` does, and labels that the
@@ -278,26 +288,44 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray,
     if n == 0:
         raise EmptySample("no training examples")
     model.check_labels(y)
+    X = model._check_features(X)
+    y = np.asarray(y, dtype=np.float64).ravel()
     weights = config.distortion.rank_weights(n)
     lo = _first_weighted_rank(weights)
+    d = theta.shape[0]
+    block = max(1, NOISE_BLOCK_DRAWS // (2 * d))
+    # The noise buffers are allocated once, before the loop: a block array
+    # allocated mid-run, above the step's large temporaries, can make the
+    # allocator return and re-fault the heap top every step (~100 page
+    # faults a step for mlp_tanh with 32 units under the mean at n = 1050).
+    uniforms = np.empty((block, 2, d))
+    noise = np.empty((block, d))
+    w = np.zeros(d)  # without noise the step adds zeros, as noisy_gd_step does
     current = model
     for t in range(1, t_total + 1):
         current = current.with_params(theta)
         losses, vjp = current.loss_and_vjp(X, y)
-        if not np.all(np.isfinite(losses)):
+        if not np.isfinite(losses).all():
             raise Diverged(f"non-finite loss at iteration {t}", trace=make_trace(t - 1))
         rho, grad = _risk_and_gradient(losses, vjp, weights, lo)
         if not math.isfinite(rho) or rho > DIVERGENCE_GUARD:
             raise Diverged(f"risk {rho} exceeded guard at iteration {t}",
                            trace=make_trace(t - 1))
         risk[t - 1] = rho
-        gn = float(np.linalg.norm(grad))
+        gn = math.sqrt(grad.dot(grad))  # np.linalg.norm's formula
         grad_norm[t - 1] = gn
         running_sq += gn * gn
         avg_sq[t - 1] = running_sq / t
         if t == 1 or t == t_total or t % cadence == 0:
             snapshots.append((t, theta.copy(), grad.copy()))
-        theta = noisy_gd_step(theta, grad, eta, rng)
+        if rng is not None:
+            k = (t - 1) % block
+            if k == 0:
+                rows = min(block, t_total - t + 1)
+                np.divide(standard_normal_rows(rng, uniforms[:rows]), math.sqrt(d),
+                          out=noise[:rows])
+            w = noise[k]
+        theta = theta - eta * (grad + w)
         if not np.isfinite(theta).all():
             raise Diverged(f"the step at iteration {t} made the parameters non-finite",
                            trace=make_trace(t))

@@ -28,14 +28,30 @@ def rng_from(seed: int, *scope) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_seed(seed, *scope)))
 
 
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Standard normals from two arrays of uniforms on [0, 1).  ``u1`` is
+    reflected into (0, 1] to keep the logarithm finite."""
+    return np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)
+
+
 def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard normals via the Box-Muller transform.
 
     Uses explicit Box-Muller over the generator's uniforms instead of the
     library's ziggurat sampler so that streams are reproducible across
-    library versions from the seed alone.  ``u1`` is reflected into (0, 1]
-    to keep the logarithm finite.
+    library versions from the seed alone.  Draws ``u1``, then ``u2``, each
+    of ``shape``.
     """
-    u1 = 1.0 - rng.random(shape)
+    u1 = rng.random(shape)
     u2 = rng.random(shape)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return _box_muller(u1, u2)
+
+
+def standard_normal_rows(rng: np.random.Generator, uniforms: np.ndarray) -> np.ndarray:
+    """Successive ``standard_normal(rng, d)`` draws, bit for bit, as the rows
+    of one array, from one ``rng.random`` call that refills ``uniforms``, a
+    C-contiguous float64 buffer of shape (rows, 2, d).  The generator yields
+    its doubles in the same order whatever the shape of the call, so row k's
+    ``u1`` and ``u2`` are the 2d doubles that the k-th separate draw takes."""
+    rng.random(out=uniforms)
+    return _box_muller(uniforms[:, 0], uniforms[:, 1])

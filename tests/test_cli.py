@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -70,9 +71,19 @@ MISSING_COUNT = {
 
 # `bound` runs as recorded before the certificate table replaced one function
 # per method: each run's argv, exit code, exact certificate.json text (None
-# when the run fails), stdout and stderr.
+# when the run fails), stdout and stderr.  The growth runs with --class-size
+# -1 and 0 name the class size since the preset checks it before (n+1)|F|.
 CERTIFICATE_PINS = json.loads(
     (Path(__file__).parent / "data" / "certificate_pins.json").read_text())
+
+# `train` runs as recorded before the noise was drawn in blocks: each run's
+# argv, exit code and the sha256 of trace.csv, checkpoint.json and
+# stationarity.json (None for a file the run does not write).  They cover the
+# three architectures, mean (every rank weighted) and CVaR, --beta,
+# --disable-noise, runs that end inside a noise block, a model with one step
+# per block (mlp 64,16: 1249 parameters), a diverging run that keeps a partial
+# trace and a run whose parameter movement overflows.
+TRAIN_PINS = json.loads((Path(__file__).parent / "data" / "train_pins.json").read_text())
 
 
 class TestCmdBound:
@@ -352,6 +363,14 @@ class TestAssessHotPath:
 
 
 class TestCmdTrain:
+    @pytest.mark.parametrize("pin", TRAIN_PINS, ids=[p["name"] for p in TRAIN_PINS])
+    def test_pinned_run(self, tmp_path, capsys, pin):
+        out = tmp_path / "out"
+        assert main([*pin["argv"], "--out", str(out)]) == pin["exit_code"]
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   if (out / name).exists() else None for name in pin["sha256"]}
+        assert digests == pin["sha256"]
+
     def test_identity_matches_plain_erm_reference(self, tmp_path):
         # Independent reference: hand-rolled full-batch logistic GD with the
         # same init and no noise must match the CLI trajectory exactly.

@@ -8,7 +8,11 @@ from riskcdf.errors import ConfigError, FormatError, NumericError, ShapeError
 from riskcdf.models import (
     ARCHITECTURES,
     MAX_CROSSENTROPY_LOSS,
+    PROB_CLAMP,
     LossModel,
+    _crossentropy,
+    _crossentropy_residual,
+    _sigmoid_pair,
     finite_difference_check,
     init_model,
     load_checkpoint,
@@ -57,6 +61,48 @@ class TestPerExampleLoss:
         for trial in range(30):
             model, x, y = random_case(arch, trial)
             assert per_example_loss(model, x, y) >= 0.0
+
+
+def clip_crossentropy(p, q, y):
+    """Oracle: the clamped cross-entropy in its np.clip form."""
+    return -(y * np.log(np.clip(p, PROB_CLAMP, 1.0))
+             + (1.0 - y) * np.log(np.clip(q, PROB_CLAMP, 1.0)))
+
+
+def clip_residual(p, y):
+    """Oracle: the clamped loss residual in its np.clip form."""
+    return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP) - y
+
+
+def assert_same_floats(a, b):
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+class TestClampsMatchClipOracle:
+    """The one-sided clamps equal the np.clip forms: a sigmoid never exceeds 1."""
+
+    SCORES = np.concatenate([
+        [0.0, -0.0, np.nan, 800.0, -800.0, 27.6, -27.6, 27.7, -27.7, 36.8, -36.8, 1e-300],
+        np.linspace(-800.0, 800.0, 4001),
+        40.0 * standard_normal(rng_from(0, "scores"), 4000),
+    ])
+
+    @pytest.mark.parametrize("labels", ["zero", "one", "half", "uniform"])
+    def test_loss_and_residual(self, labels):
+        n = self.SCORES.shape[0]
+        y = {"zero": np.zeros(n), "one": np.ones(n), "half": np.full(n, 0.5),
+             "uniform": rng_from(1, "labels").random(n)}[labels]
+        p, q = _sigmoid_pair(self.SCORES)
+        assert_same_floats(_crossentropy(p, q, y), clip_crossentropy(p, q, y))
+        assert_same_floats(_crossentropy_residual(p, y), clip_residual(p, y))
+        # batch_losses, which certify's Monte Carlo runs, reaches them the same way.
+        model = LossModel("logistic_crossentropy", params=np.ones(1), input_dim=1)
+        assert_same_floats(model.batch_losses(self.SCORES[:, None], y),
+                           clip_crossentropy(p, q, y))
 
 
 class TestPerExampleGradient:
@@ -191,6 +237,20 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(a.params, b.params)
         assert not np.array_equal(a.params, c.params)
         assert np.all(np.abs(a.params) <= 0.5)
+
+    def test_with_params_rebinds_a_read_only_copy(self):
+        class Tagged(LossModel):
+            pass
+
+        model = Tagged("mlp_tanh", params=np.zeros(9), input_dim=2, hidden=(2,))
+        source = np.arange(9.0)
+        rebound = model.with_params(source)
+        source[0] = 99.0
+        assert type(rebound) is Tagged and rebound.hidden == (2,)
+        assert rebound.params.tolist() == list(range(9)) and not rebound.params.flags.writeable
+        assert model.params.tolist() == [0.0] * 9
+        with pytest.raises(ShapeError, match="^mlp_tanh: expected 9 parameters, got 8$"):
+            model.with_params(np.zeros(8))
 
     def test_parameter_count(self):
         assert parameter_count("linear_squared", 7) == 7

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from riskcdf.cdf import build_cdf
 from riskcdf.errors import ConfigError, DataError, Diverged, InvalidLoss
+from riskcdf import optim
 from riskcdf.data import toy_blobs
 from riskcdf.models import MAX_CROSSENTROPY_LOSS, LossModel, init_model, relative_error
 from riskcdf.optim import (
+    NOISE_BLOCK_DRAWS,
     TrainConfig,
     distortion_gradient,
     estimate_beta,
@@ -30,7 +32,7 @@ from riskcdf.risks import (
     identity_distortion,
     load_distortion_csv,
 )
-from riskcdf.seeds import rng_from, standard_normal
+from riskcdf.seeds import rng_from, standard_normal, standard_normal_rows
 
 loss_vectors = st.lists(
     st.floats(min_value=0.0, max_value=10.0, allow_nan=False), min_size=1, max_size=30
@@ -397,6 +399,32 @@ class TestNoisyStep:
               for _ in range(400)]
         assert np.mean(sq) == pytest.approx(1.0, rel=0.15)
 
+    # d = 1 and 3 fill a block with 2048 and 682 steps, 700 with 2, 2049 with one.
+    @pytest.mark.parametrize("d", [1, 3, 700, 2049])
+    def test_block_noise_is_the_per_step_stream(self, d):
+        block = max(1, NOISE_BLOCK_DRAWS // (2 * d))
+        steps = 2 * block + 1  # two full blocks and one step of a third
+        per_step = rng_from(5, "gd_noise")
+        expected = np.array([standard_normal(per_step, d) / math.sqrt(d) for _ in range(steps)])
+        blocked = rng_from(5, "gd_noise")
+        drawn = np.concatenate([
+            standard_normal_rows(blocked, np.empty((rows, 2, d))) / math.sqrt(d)
+            for rows in (block, block, 1)])
+        assert drawn.tobytes() == expected.tobytes()
+
+        # train takes the same steps as noisy_gd_step drawing its own noise.
+        X = standard_normal(rng_from(d, "X"), (4, d)) / math.sqrt(d)
+        y = np.array([0.5, -1.0, 2.0, 0.0])
+        model = LossModel("linear_squared", params=np.full(d, 0.1), input_dim=d)
+        spec = cvar_distortion(0.5)
+        cfg = TrainConfig(distortion=spec, iterations=steps, eta=1e-3, seed=5)
+        final, trace = train(model, X, y, cfg)
+        theta, rng = model.params, rng_from(5, "gd_noise")
+        for _ in range(steps):
+            grad = distortion_gradient(model.with_params(theta), X, y, spec)
+            theta = noisy_gd_step(theta, grad, 1e-3, rng)
+        assert final.params.tobytes() == theta.tobytes()
+
 
 class TestTrain:
     @pytest.mark.parametrize("arch", ["logistic_crossentropy", "mlp_tanh"])
@@ -478,6 +506,32 @@ class TestTrain:
         sq = trace.grad_norm ** 2
         for t in (0, 10, 24):
             assert trace.avg_sq_grad_norm[t] == pytest.approx(float(np.mean(sq[:t + 1])))
+
+    @pytest.mark.parametrize("iterations", [7, 100])
+    def test_per_run_work_is_not_repeated_per_step(self, iterations, monkeypatch):
+        d = 300  # a noise block holds 4096 // 600 = 6 steps
+        model = LossModel("linear_squared", params=np.zeros(d), input_dim=d)
+        X = standard_normal(rng_from(2, "X"), (5, d)) / math.sqrt(d)
+        y = np.ones(5)
+        validations, draws = [], []
+        validate = LossModel.__post_init__
+        monkeypatch.setattr(LossModel, "__post_init__",
+                            lambda self: (validations.append(1), validate(self))[1])
+
+        class CountingGenerator:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, *args, **kwargs):
+                draws.append(1)
+                return self.rng.random(*args, **kwargs)
+
+        derive = optim.rng_from
+        monkeypatch.setattr(optim, "rng_from", lambda *a: CountingGenerator(derive(*a)))
+        cfg = TrainConfig(distortion=identity_distortion(), iterations=iterations, eta=0.01)
+        train(model, X, y, cfg)
+        assert len(validations) <= 1
+        assert len(draws) <= math.ceil(iterations / (NOISE_BLOCK_DRAWS // (2 * d))) + 1
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
