@@ -8,8 +8,9 @@ row's tie-aware weak order, so the problem is a set cover over distinct
 weak orders:
 
 * :func:`exact_min_permutations` tests all n! permutations against every
-  weak order in one matrix product and solves the cover exactly by
-  memoised depth-first branch and bound (limits: n <= 8, at most 64 rows);
+  weak order, one matrix product per fixed block of permutations, and
+  solves the cover exactly by memoised depth-first branch and bound
+  (limits: n <= 8, at most 64 rows);
 * :func:`greedy_min_permutations` covers greedily using only the rows' own
   sorting permutations, giving an upper bound that never exceeds the
   number of distinct weak orders; it handles any number of rows and any n;
@@ -30,7 +31,7 @@ import numpy as np
 
 from .bounds import _row_losses
 from .data import _reject_cells, read_numeric_csv
-from .errors import ConfigError, FormatError, InvalidLoss, TooLarge
+from .errors import ConfigError, FormatError, InvalidLoss, ShapeError, TooLarge
 from .seeds import rng_from
 
 __all__ = [
@@ -46,6 +47,8 @@ __all__ = [
 
 EXACT_MAX_N = 8
 EXACT_MAX_ROWS = 64
+# Permutations per block of the exact cover's table build and product.
+_COVER_BLOCK = 2048
 
 
 def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,15 +71,24 @@ def _distinct_rows(a: np.ndarray) -> np.ndarray:
 def weak_order(losses) -> tuple[int, ...]:
     """The tie-aware weak order a loss vector induces on its indices, as dense
     ranks: consecutive values from 0, equal losses sharing a rank.  A
-    permutation sorts the vector iff the ranks are non-decreasing along it."""
-    arr = np.asarray(losses, dtype=np.float64).reshape(1, -1)
+    permutation sorts the vector iff the ranks are non-decreasing along it.
+    Raises :class:`ShapeError` unless ``losses`` is 1-D."""
+    arr = np.asarray(losses, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ShapeError(f"weak_order needs a 1-D loss vector, got shape {arr.shape}")
     if np.any(np.isnan(arr)):
         raise InvalidLoss("loss vector contains NaN")
-    return tuple(_rank_rows(arr)[1][0].tolist())
+    return tuple(_rank_rows(arr.reshape(1, -1))[1][0].tolist())
 
 
 def permutation_sorts(perm: Sequence[int], ranks: Sequence[int]) -> bool:
-    """True iff the permutation lists the indices in non-decreasing rank order."""
+    """True iff the permutation lists the indices in non-decreasing rank order.
+
+    Raises :class:`ShapeError` unless ``perm`` is a permutation of
+    ``range(len(ranks))``.
+    """
+    if sorted(perm) != list(range(len(ranks))):
+        raise ShapeError(f"{tuple(perm)} is not a permutation of range({len(ranks)})")
     return all(ranks[perm[i]] <= ranks[perm[i + 1]] for i in range(len(perm) - 1))
 
 
@@ -107,15 +119,20 @@ class LossMatrix:
 def _permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All n! permutations of range(n) in lexicographic order, and their precedences.
 
-    ``prec[p, k]`` is 1 iff permutation p lists a before b, for the k-th
-    pair a < b of ``np.triu_indices(n, 1)``.  Both arrays are read-only:
-    the cache hands them to every caller.
+    ``perms`` is ``uint8`` (n <= 8).  ``prec[p, k]`` is 1.0 (``float32``) iff
+    permutation p lists a before b, for the k-th pair a < b of
+    ``np.triu_indices(n, 1)``; it is filled :data:`_COVER_BLOCK` permutations
+    at a time from their ``uint8`` positions, so the n = 8 table takes about
+    4.8 MB and its build no more than a block's temporaries.  Both arrays are
+    read-only: the cache hands them to every caller.
     """
     flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
-    perms = np.fromiter(flat, dtype=np.intp, count=math.factorial(n) * n).reshape(-1, n)
-    pos = np.argsort(perms, axis=1)
+    perms = np.fromiter(flat, dtype=np.uint8, count=math.factorial(n) * n).reshape(-1, n)
     a, b = np.triu_indices(n, 1)
-    prec = (pos[:, a] < pos[:, b]).astype(np.float32)
+    prec = np.empty((perms.shape[0], a.size), dtype=np.float32)
+    for lo in range(0, perms.shape[0], _COVER_BLOCK):
+        pos = perms[lo : lo + _COVER_BLOCK].argsort(axis=1).astype(np.uint8)
+        prec[lo : lo + _COVER_BLOCK] = pos[:, a] < pos[:, b]
     perms.flags.writeable = prec.flags.writeable = False
     return perms, prec
 
@@ -126,6 +143,10 @@ def _cover_witnesses(orders: np.ndarray) -> dict[int, tuple[int, ...]]:
     ``orders`` holds at most 64 distinct weak orders as rank rows.  Bit j of
     a mask is set iff the witness permutation sorts order j; masks are keyed
     in the order their first witnesses appear among the n! permutations.
+    The permutations are tested :data:`_COVER_BLOCK` at a time against the
+    read-only cached table, through one reused (block, 64) ``bool`` buffer,
+    into one (n!,) ``<u8`` array of packed masks: working memory is
+    O(block * 64) beside that array.
     """
     n = orders.shape[1]
     # Permutation p sorts order j iff it reverses no strict pair of j:
@@ -135,9 +156,15 @@ def _cover_witnesses(orders: np.ndarray) -> dict[int, tuple[int, ...]]:
     a, b = np.triu_indices(n, 1)
     lt = (orders[:, a] < orders[:, b]).T.astype(np.float32)
     gt = (orders[:, a] > orders[:, b]).T.astype(np.float32)
-    sorts = np.zeros((perms.shape[0], 64), dtype=bool)
-    sorts[:, : orders.shape[0]] = prec @ (gt - lt) == -lt.sum(axis=0)
-    codes = np.packbits(sorts, bitorder="little").view("<u8")
+    step, need = gt - lt, -lt.sum(axis=0)
+    # Columns past the last order stay False, so their mask bits stay 0.
+    sorts = np.zeros((_COVER_BLOCK, 64), dtype=bool)
+    codes = np.empty(perms.shape[0], dtype="<u8")
+    for lo in range(0, perms.shape[0], _COVER_BLOCK):
+        block = prec[lo : lo + _COVER_BLOCK]
+        hits = sorts[: len(block)]
+        np.equal(block @ step, need, out=hits[:, : orders.shape[0]])
+        codes[lo : lo + len(block)] = np.packbits(hits, bitorder="little").view("<u8")
     _, first = np.unique(codes, return_index=True)
     first.sort()
     return {mask: tuple(perms[p].tolist()) for mask, p in zip(codes[first].tolist(), first) if mask}
@@ -191,7 +218,7 @@ def greedy_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
 def exact_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
     """Exact minimum permutation count with a witness set.
 
-    Tests all n! permutations against every distinct weak order at once,
+    Tests all n! permutations against every distinct weak order in blocks,
     reduces them to distinct maximal cover sets, and solves the set cover
     by memoised depth-first branch and bound seeded with the greedy solution.
     Feasible because every weak order is sorted by at least its own

@@ -16,6 +16,7 @@ from riskcdf.permcomplexity import (
     LossMatrix,
     _cover_witnesses,
     _distinct_rows,
+    _permutation_table,
     _rank_rows,
     exact_min_permutations,
     greedy_min_permutations,
@@ -91,6 +92,25 @@ def _all_permutations(n):
     return perm_tuples, np.asarray(perm_tuples, dtype=np.intp)
 
 
+def one_product_cover_witnesses(orders):
+    """Oracle: ``_cover_witnesses`` as one product over all n! permutations,
+    with int64 positions and full-size float32 and bool temporaries, as it
+    was before the cover build went in blocks."""
+    n = orders.shape[1]
+    perms = _all_permutations(n)[1]
+    pos = np.argsort(perms, axis=1)
+    a, b = np.triu_indices(n, 1)
+    prec = (pos[:, a] < pos[:, b]).astype(np.float32)
+    lt = (orders[:, a] < orders[:, b]).T.astype(np.float32)
+    gt = (orders[:, a] > orders[:, b]).T.astype(np.float32)
+    sorts = np.zeros((perms.shape[0], 64), dtype=bool)
+    sorts[:, : orders.shape[0]] = prec @ (gt - lt) == -lt.sum(axis=0)
+    codes = np.packbits(sorts, bitorder="little").view("<u8")
+    _, first = np.unique(codes, return_index=True)
+    first.sort()
+    return {mask: tuple(perms[p].tolist()) for mask, p in zip(codes[first].tolist(), first) if mask}
+
+
 def pinned_matrix(seed, k):
     """The k-th pinned input, shaped like the benchmark's: even k exact-sized
     integers 0..3 (n 5..8, 8..64 rows), odd k continuous (n 12, 16..64 rows)."""
@@ -142,6 +162,20 @@ class TestWeakOrder:
         assert permutation_sorts((2, 0, 1), w)
         assert not permutation_sorts((1, 0, 2), w)
 
+    def test_matrix_rejected(self):
+        with pytest.raises(ShapeError):
+            weak_order([[3, 1], [2, 0]])
+
+    @pytest.mark.parametrize("perm, ranks", [
+        ((0,), (0, 1)),            # too short
+        ((0, 0, 1), (0, 1, 2)),    # repeated index
+        ((0, 1, 3), (0, 1, 2)),    # index past the end
+        ((-1, 0, 1), (0, 1, 2)),   # negative index
+    ], ids=["short", "repeat", "past-end", "negative"])
+    def test_non_permutation_rejected(self, perm, ranks):
+        with pytest.raises(ShapeError):
+            permutation_sorts(perm, ranks)
+
 
 class TestCoverBuild:
     def test_matches_per_order_oracle_with_ties(self):
@@ -157,6 +191,62 @@ class TestCoverBuild:
             assert distinct_weak_orders(LossMatrix(rows)) == orders
             got = _cover_witnesses(np.asarray(orders, dtype=np.intp))
             assert list(got.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("count", [1, 63, 64])
+    def test_matches_one_product_oracle_at_large_n(self, n, count):
+        # 64 orders set the mask's top bit; neither 7! nor 8! permutations
+        # fill a whole number of blocks.
+        rows = np.random.default_rng([n, count]).integers(0, 4, size=(400, n)).astype(float)
+        orders = _distinct_rows(_rank_rows(rows)[1])[:count]
+        assert orders.shape[0] == count
+        got = _cover_witnesses(orders)
+        assert list(got.items()) == list(one_product_cover_witnesses(orders).items())
+        if count == 64:
+            assert any(mask >> 63 for mask in got)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_all_tie_rows_match_one_product_oracle(self, n):
+        tie = np.zeros((1, n), dtype=np.intp)
+        got = _cover_witnesses(tie)
+        assert list(got.items()) == [(1, tuple(range(n)))]
+        rows = np.random.default_rng(n).integers(0, 3, size=(80, n)).astype(float)
+        rows[[0, 5]] = 2.0
+        orders = _distinct_rows(_rank_rows(rows)[1])[:64]
+        assert not orders[0].any()
+        got = _cover_witnesses(orders)
+        assert list(got.items()) == list(one_product_cover_witnesses(orders).items())
+
+    # tracemalloc counts bytes, so the two tests below time nothing.  With
+    # full n!-row temporaries a cold solve peaked at 24.4 MB and a warm
+    # cover build at 15.5 MB; the cached n = 8 table is about 4.8 MB.
+    ROWS = np.random.default_rng(64).integers(0, 4, size=(64, 8)).astype(float)
+
+    @staticmethod
+    def _peak_bytes(solve):
+        tracemalloc.start()
+        try:
+            solve()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_cold_solve_peak_memory(self):
+        _permutation_table.cache_clear()
+        try:
+            peak = self._peak_bytes(lambda: exact_min_permutations(LossMatrix(self.ROWS)))
+        finally:
+            _permutation_table.cache_clear()
+        assert peak <= 8e6
+
+    def test_warm_cover_peak_memory(self):
+        orders = _distinct_rows(_rank_rows(self.ROWS)[1])
+        try:
+            _cover_witnesses(orders)
+            peak = self._peak_bytes(lambda: _cover_witnesses(orders))
+        finally:
+            _permutation_table.cache_clear()
+        assert peak <= 2.5e6
 
     def test_weak_order_matches_unique_ranks(self):
         rng = np.random.default_rng(7)
