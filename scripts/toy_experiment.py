@@ -18,7 +18,7 @@ import numpy as np
 from riskcdf.cdf import build_cdf
 from riskcdf.data import toy_blobs
 from riskcdf.models import init_model
-from riskcdf.optim import TrainConfig, train
+from riskcdf.optim import train
 from riskcdf.risks import cvar, cvar_distortion, identity_distortion, mean_variance
 
 
@@ -43,9 +43,7 @@ def main() -> int:
     }
     rows = []
     for name, spec in objectives.items():
-        cfg = TrainConfig(distortion=spec, iterations=args.iters, eta=args.eta,
-                          seed=args.seed)
-        final, trace = train(model0, X, y, cfg)
+        final, trace = train(model0, X, y, spec, args.iters, eta=args.eta, seed=args.seed)
         trace.to_csv(os.path.join(args.out, f"trace_{name}.csv"))
         losses = final.batch_losses(X, y)
         cdf = build_cdf(losses)

@@ -26,9 +26,9 @@ from .data import load_loss_table, toy_blobs
 from .errors import ToolkitError
 from .models import LossModel, finite_difference_check, init_model
 from .optim import (
-    TrainConfig,
     TrainTrace,
     distortion_gradient,
+    estimate_beta,
     noisy_gd_step,
     stationarity_report,
     train,

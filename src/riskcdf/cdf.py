@@ -33,14 +33,18 @@ class EmpiricalCDF:
 
     ``values`` is ascending-sorted and read-only.  :func:`build_cdf` builds
     one from nonnegative losses; a signed sample, for the distances alone,
-    gets one as ``EmpiricalCDF(np.sort(x))``.
+    gets one as ``EmpiricalCDF(np.sort(x))``.  An empty sample raises
+    :class:`EmptySample`.
     """
 
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        self.values.flags.writeable = False
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.size == 0:
+            raise EmptySample("loss sample is empty")
+        object.__setattr__(self, "values", values)
+        values.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -77,8 +81,6 @@ def build_cdf(losses) -> EmpiricalCDF:
         if any value is NaN, infinite, or negative.
     """
     arr = np.asarray(losses, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise EmptySample("loss sample is empty")
     return EmpiricalCDF(np.sort(_check_losses(arr)))
 
 

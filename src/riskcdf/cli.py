@@ -34,7 +34,7 @@ from .cdf import build_cdf, moment, read_losses_csv, write_cdf_csv
 from .data import _write_json
 from .errors import ConfigError, Diverged, FormatError, NumericError, ToolkitError
 from .models import ARCHITECTURES, finite_difference_check, init_model, save_checkpoint
-from .optim import TrainConfig, stationarity_report, train
+from .optim import stationarity_report, train
 from .permcomplexity import exact_min_permutations, greedy_min_permutations, load_loss_matrix_csv
 from .seeds import derive_seed, rng_from, standard_normal
 
@@ -72,12 +72,9 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        widths = tuple(int(w) for w in text.split(","))
+        return tuple(int(w) for w in text.split(","))
     except ValueError:
         raise ConfigError(f"--hidden expects comma-separated widths, got {text!r}") from None
-    if min(widths) < 1:
-        raise ConfigError(f"--hidden widths must be at least 1, got {text!r}")
-    return widths
 
 
 def run_cdf(params: dict, out_dir: str) -> None:
@@ -168,18 +165,12 @@ def run_train(params: dict, out_dir: str) -> None:
         features = np.hstack([features, np.ones((features.shape[0], 1))])
     model = init_model(params["arch"], features.shape[1], _parse_hidden(params["hidden"]),
                        seed=params["seed"])
-    config = TrainConfig(
-        distortion=spec,
-        iterations=params["iters"],
-        eta=params["eta"],
-        beta=params["beta"],
-        seed=params["seed"],
-        noise=not params["disable_noise"],
-    )
     # Divergence is raised and an unestimable beta reported, not warned.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            final_model, trace = train(model, features, labels, config)
+            final_model, trace = train(model, features, labels, spec, params["iters"],
+                                       eta=params["eta"], beta=params["beta"],
+                                       seed=params["seed"], noise=not params["disable_noise"])
         except Diverged as exc:
             if exc.trace is not None:  # keep the evidence up to the failing iteration
                 exc.trace.to_csv(os.path.join(out_dir, "trace.csv"))
@@ -219,8 +210,6 @@ def run_gradcheck(params: dict, out_dir: str) -> None:
     dim = params["input_dim"]
     if params["trials"] < 1:
         raise ConfigError(f"--trials must be at least 1, got {params['trials']}")
-    if dim < 1:
-        raise ConfigError(f"--input-dim must be at least 1, got {dim}")
     worst = 0.0
     for t in range(params["trials"]):
         trial_seed = derive_seed(params["seed"], "gradcheck", t)

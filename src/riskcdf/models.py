@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -75,13 +76,28 @@ def _crossentropy_residual(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(p, PROB_CLAMP), 1.0 - PROB_CLAMP) - y
 
 
+def _is_width(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
 def parameter_count(architecture: str, input_dim: int, hidden: tuple[int, ...] = ()) -> int:
-    if architecture in ("linear_squared", "logistic_crossentropy"):
+    """The length of the parameter vector of an architecture and shape.
+
+    ``input_dim`` and every ``hidden`` width must be integers >= 1, for
+    every architecture, else :class:`ConfigError`; only ``mlp_tanh`` reads
+    ``hidden``.
+    """
+    if architecture not in ARCHITECTURES:
+        raise ConfigError(f"unknown architecture {architecture!r}")
+    if not _is_width(input_dim):
+        raise ConfigError(f"{architecture}: input_dim must be an integer >= 1, got {input_dim!r}")
+    hidden = tuple(hidden)
+    if not all(map(_is_width, hidden)):
+        raise ConfigError(f"{architecture}: hidden widths must be integers >= 1, got {hidden!r}")
+    if architecture != "mlp_tanh":
         return int(input_dim)
-    if architecture == "mlp_tanh":
-        dims = [int(input_dim), *map(int, hidden), 1]
-        return sum(dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1))
-    raise ConfigError(f"unknown architecture {architecture!r}")
+    dims = [int(input_dim), *map(int, hidden), 1]
+    return sum(dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1))
 
 
 @dataclass(frozen=True)
@@ -100,10 +116,8 @@ class LossModel:
     hidden: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise ConfigError(f"unknown architecture {self.architecture!r}")
-        arr = np.asarray(self.params, dtype=np.float64).ravel()
         expected = parameter_count(self.architecture, self.input_dim, self.hidden)
+        arr = np.asarray(self.params, dtype=np.float64).ravel()
         if arr.shape[0] != expected:
             raise ShapeError(
                 f"{self.architecture}: expected {expected} parameters, got {arr.shape[0]}"

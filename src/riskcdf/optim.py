@@ -17,14 +17,18 @@ differentiable points almost surely:
 
     theta <- theta - eta * (grad + w),   w ~ N(0, I/d).
 
-Once per run, :func:`train` checks the labels, converts the features and
-labels to float64 arrays and computes the rank weights.  Each iteration
-then rebinds the iterate (:meth:`LossModel.with_params`), makes one forward
-pass (:meth:`LossModel.loss_and_vjp`), one stable sort and one
-vector-Jacobian product that backpropagates the rank weights, and adds the
-step's noise, drawn for a block of steps at a time.  The risk value and
-the gradient come from the same sort and weights, and no per-example
-gradient matrix is built: O(n * width + d) memory per step.
+The step size over T steps is ``eta`` as given or 1/(beta * sqrt(T)) from a
+smoothness estimate beta, the rate of the descent guarantee that
+:func:`stationarity_report` checks.
+
+Once per run, :func:`train` checks its arguments and the labels, converts
+the features and labels to float64 arrays and computes the rank weights.
+Each iteration then rebinds the iterate (:meth:`LossModel.with_params`),
+makes one forward pass (:meth:`LossModel.loss_and_vjp`), one stable sort
+and one vector-Jacobian product that backpropagates the rank weights, and
+adds the step's noise, drawn for a block of steps at a time.  The risk
+value and the gradient come from the same sort and weights, and no
+per-example gradient matrix is built: O(n * width + d) memory per step.
 
 Only the ranks from ``lo``, the first rank with a nonzero weight, count.
 When ``lo > 0`` (CVaR at level alpha < 1 has ``lo = n - ceil(alpha * n)``)
@@ -43,6 +47,7 @@ reproduces a run bit for bit in single-threaded mode.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -59,7 +64,6 @@ from .seeds import rng_from, standard_normal, standard_normal_rows
 
 __all__ = [
     "DIVERGENCE_GUARD",
-    "TrainConfig",
     "TrainTrace",
     "distortion_gradient",
     "noisy_gd_step",
@@ -79,42 +83,6 @@ def _positive_beta(beta: float) -> float:
     if not (math.isfinite(beta) and beta > 0):
         raise ConfigError(f"beta must be finite and positive, got {beta}")
     return float(beta)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Gradient descent configuration.
-
-    When ``eta`` is omitted, the learning rate defaults to
-    ``1 / (beta * sqrt(iterations))`` from the smoothness estimate
-    ``beta``.  ``noise=False`` is a test hook that zeroes the Gaussian
-    perturbation; production runs keep it on.  :func:`train` snapshots
-    the iterate every ``max(1, iterations // 100)`` iterations, plus at
-    t = 1 and t = ``iterations``.
-    """
-
-    distortion: DistortionSpec
-    iterations: int
-    eta: float | None = None
-    beta: float | None = None
-    seed: int = 0
-    noise: bool = True
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.eta is None and self.beta is None:
-            raise ConfigError("either eta or beta must be given")
-        if self.eta is not None and not (math.isfinite(self.eta) and self.eta >= 0):
-            raise ConfigError(f"eta must be finite and nonnegative, got {self.eta}")
-        if self.beta is not None:
-            _positive_beta(self.beta)
-
-    @property
-    def effective_eta(self) -> float:
-        if self.eta is not None:
-            return float(self.eta)
-        return 1.0 / (self.beta * math.sqrt(self.iterations))
 
 
 @dataclass(frozen=True)
@@ -238,9 +206,17 @@ def noisy_gd_step(theta: np.ndarray, gradient: np.ndarray, eta: float,
     return theta - eta * (gradient + w)
 
 
-def train(model: LossModel, X: np.ndarray, y: np.ndarray,
-          config: TrainConfig) -> tuple[LossModel, TrainTrace]:
+def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: DistortionSpec,
+          iterations: int, *, eta: float | None = None, beta: float | None = None,
+          seed: int = 0, noise: bool = True) -> tuple[LossModel, TrainTrace]:
     """Run the perturbed descent loop; returns the final model and trace.
+
+    ``distortion`` is the objective and ``iterations`` (an integer >= 1)
+    the number of steps T.  The step size is ``eta`` (finite and
+    nonnegative) or, when ``eta`` is None, ``1 / (beta * sqrt(T))`` from the
+    smoothness estimate ``beta`` (finite and positive); one of the two must
+    be given, else :class:`ConfigError`.  ``seed`` seeds the step noise, and
+    ``noise=False`` is a test hook that zeroes it; production runs keep it on.
 
     Once per run it checks the labels, converts ``X`` and ``y`` to float64
     arrays and computes the rank weights and their first weighted rank.
@@ -255,32 +231,40 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray,
     iterate's losses bit for bit.  Negative losses raise
     :class:`InvalidLoss`, as :func:`build_cdf` does, and labels that the
     model's loss does not accept raise :class:`DataError` before the first
-    step (:meth:`LossModel.check_labels`).
+    step (:meth:`LossModel.check_labels`).  The trace snapshots the iterate
+    every ``max(1, T // 100)`` iterations, plus at t = 1 and t = T.
 
     Raises :class:`Diverged` (with the partial trace attached) if the risk
     exceeds the divergence guard or stops being finite, or if a step makes
     the parameters non-finite.
     """
-    eta = config.effective_eta
-    rng = rng_from(config.seed, "gd_noise") if config.noise else None
-    t_total = config.iterations
+    if (isinstance(iterations, bool) or not isinstance(iterations, numbers.Integral)
+            or iterations < 1):
+        raise ConfigError(f"iterations must be an integer >= 1, got {iterations!r}")
+    if eta is None and beta is None:
+        raise ConfigError("either eta or beta must be given")
+    if eta is not None and not (math.isfinite(eta) and eta >= 0):
+        raise ConfigError(f"eta must be finite and nonnegative, got {eta}")
+    if beta is not None:
+        _positive_beta(beta)
+    eta = float(eta) if eta is not None else 1.0 / (beta * math.sqrt(iterations))
+    rng = rng_from(seed, "gd_noise") if noise else None
+    t_total = int(iterations)
     cadence = max(1, t_total // 100)
 
     theta = model.params
     try:
         risk = np.empty(t_total)
         grad_norm = np.empty(t_total)
-        avg_sq = np.empty(t_total)
     except (MemoryError, ValueError):
         raise ConfigError(f"cannot hold the trace of {t_total} iterations in memory") from None
     snapshots: list[tuple[int, np.ndarray, np.ndarray]] = []
-    running_sq = 0.0
 
     def make_trace(upto: int) -> TrainTrace:
         return TrainTrace(
             risk=risk[:upto].copy(),
             grad_norm=grad_norm[:upto].copy(),
-            avg_sq_grad_norm=avg_sq[:upto].copy(),
+            avg_sq_grad_norm=np.cumsum(grad_norm[:upto] ** 2) / np.arange(1, upto + 1),
             snapshots=tuple(snapshots),
         )
 
@@ -290,7 +274,7 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray,
     model.check_labels(y)
     X = model._check_features(X)
     y = np.asarray(y, dtype=np.float64).ravel()
-    weights = config.distortion.rank_weights(n)
+    weights = distortion.rank_weights(n)
     lo = _first_weighted_rank(weights)
     d = theta.shape[0]
     block = max(1, NOISE_BLOCK_DRAWS // (2 * d))
@@ -312,10 +296,7 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray,
             raise Diverged(f"risk {rho} exceeded guard at iteration {t}",
                            trace=make_trace(t - 1))
         risk[t - 1] = rho
-        gn = math.sqrt(grad.dot(grad))  # np.linalg.norm's formula
-        grad_norm[t - 1] = gn
-        running_sq += gn * gn
-        avg_sq[t - 1] = running_sq / t
+        grad_norm[t - 1] = math.sqrt(grad.dot(grad))  # np.linalg.norm's formula
         if t == 1 or t == t_total or t % cadence == 0:
             snapshots.append((t, theta.copy(), grad.copy()))
         if rng is not None:
@@ -358,7 +339,7 @@ def stationarity_report(trace: TrainTrace, beta: float | None = None) -> dict:
     descent trend of the squared gradient norms over a single run.
 
     ``beta=None`` estimates beta from the trace (``beta_estimated``); a given
-    beta must be finite and positive, as in :class:`TrainConfig`, else
+    beta must be finite and positive, as :func:`train` requires, else
     :class:`ConfigError`.
     """
     estimated = beta is None

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -150,7 +151,11 @@ class DistortionSpec:
         return _eval_fn(self.g, t)
 
     def rank_weights(self, n: int) -> np.ndarray:
-        """Weight g(1 - (i-1)/n) - g(1 - i/n) of the i-th smallest of n losses, i = 1..n."""
+        """Weight g(1 - (i-1)/n) - g(1 - i/n) of the i-th smallest of n losses, i = 1..n.
+
+        ``n`` must be an integer >= 1, else :class:`ConfigError`."""
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ConfigError(f"{self.name}: rank weights need an integer n >= 1, got {n!r}")
         levels = self(1.0 - np.arange(n + 1) / n)  # g(1 - i/n), i = 0..n
         _check_distortion_levels(self.name, levels[::-1])
         return levels[:-1] - levels[1:]
@@ -210,7 +215,7 @@ def cvar_distortion(alpha: float) -> DistortionSpec:
         raise InvalidAlpha(f"alpha must be in (0, 1], got {alpha}")
     a = float(alpha)
     return DistortionSpec(
-        g=lambda t: np.minimum(np.asarray(t, dtype=np.float64) / a, 1.0),
+        g=lambda t: np.minimum(np.asarray(t, dtype=np.float64), a) / a,  # min(t/a, 1), without overflow
         name=f"cvar:{alpha:g}",
         lipschitz_constant=1.0 / alpha,
     )
@@ -239,12 +244,14 @@ def oce_cvar_spec(alpha: float, support_bound: float) -> OceSpec:
     quantile, so the value is a distortion risk: the upper-tail CVaR
     g(t) = min(t/alpha, 1) (the rank weights of :func:`cvar`, so the two
     are equal) and, inverted, the lower-tail mean
-    g(t) = max(t - 1 + alpha, 0)/alpha.  Both specs are built once here.
+    g(t) = max(t - 1 + alpha, 0)/alpha.  Both specs are built once here; the
+    lower g adds alpha to t - 1, which is exact at t = 1, so g(1) = 1 however
+    small alpha is.
     """
     upper = cvar_distortion(alpha)
     a = float(alpha)
     lower = DistortionSpec(
-        g=lambda t: np.maximum(np.asarray(t, dtype=np.float64) - (1.0 - a), 0.0) / a,
+        g=lambda t: np.maximum((np.asarray(t, dtype=np.float64) - 1.0) + a, 0.0) / a,
         name=f"lower_tail_mean:{alpha:g}",
         lipschitz_constant=1.0 / a,
     )

@@ -19,7 +19,6 @@ from riskcdf.cli import main as cli_main
 from riskcdf.data import blob_mixture_sampler, save_dataset_csv, toy_blobs
 from riskcdf.models import init_model, relative_error
 from riskcdf.optim import (
-    TrainConfig,
     distortion_gradient,
     estimate_beta,
     stationarity_report,
@@ -189,8 +188,7 @@ def test_criterion_5_toy_training_ordering():
     model0 = init_model("logistic_crossentropy", 3, seed=seed)
     runs = {}
     for name, spec in [("mean", identity_distortion()), ("cvar", cvar_distortion(0.05))]:
-        cfg = TrainConfig(distortion=spec, iterations=2000, eta=0.1, seed=seed)
-        final, _ = train(model0, X, y, cfg)
+        final, _ = train(model0, X, y, spec, 2000, eta=0.1, seed=seed)
         losses = final.batch_losses(X, y)
         runs[name] = {
             "mean": float(losses.mean()),
@@ -208,13 +206,10 @@ def test_criterion_6_stationarity_diagnostic():
     budget = Budget(30.0)
     X, y = _augmented_toy(seed=0)
     model0 = init_model("logistic_crossentropy", 3, seed=7)
-    probe_cfg = TrainConfig(distortion=identity_distortion(), iterations=100, eta=0.01, seed=7)
-    _, probe = train(model0, X, y, probe_cfg)
+    _, probe = train(model0, X, y, identity_distortion(), 100, eta=0.01, seed=7)
     beta = estimate_beta(probe)
     T = 2000
-    cfg = TrainConfig(distortion=identity_distortion(), iterations=T, beta=beta, seed=7)
-    assert cfg.effective_eta == pytest.approx(1.0 / (beta * np.sqrt(T)))
-    _, trace = train(model0, X, y, cfg)
+    _, trace = train(model0, X, y, identity_distortion(), T, beta=beta, seed=7)
     report = stationarity_report(trace, beta=beta)
     assert report["last_decile_mean_sq"] < report["first_decile_mean_sq"], report
     assert report["holds"], report

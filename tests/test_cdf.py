@@ -49,6 +49,10 @@ class TestBuildCdf:
         with pytest.raises(EmptySample):
             build_cdf([])
 
+    def test_empty_signed_sample_rejected(self):
+        with pytest.raises(EmptySample, match="^loss sample is empty$"):
+            EmpiricalCDF(np.array([]))
+
     @pytest.mark.parametrize("bad", [[1.0, float("nan")], [1.0, float("inf")], [1.0, -0.5]])
     def test_invalid_rejected(self, bad):
         with pytest.raises(InvalidLoss):

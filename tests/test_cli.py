@@ -207,6 +207,16 @@ class TestCmdAssess:
         assert values["mean_var:0.5"] == pytest.approx(2.5 + 0.5 * 1.25)
         assert values["oce:cvar:0.5"] == pytest.approx(3.5, abs=1e-6)
 
+    def test_oce_cvar_equals_cvar_at_tiny_alpha(self, tmp_path):
+        src = tmp_path / "table.csv"
+        write_table(src, ["a", "b"], [np.array([1.0, 2.0, 3.0, 4.0]),
+                                      np.array([0.5, 0.0, 2.5, 2.5])])
+        out = tmp_path / "a"
+        assert run(["assess", "--input", src, "--risk", "oce:cvar:1e-17",
+                    "--risk", "cvar:1e-17", "--out", out]) == 0
+        oce, plain = (out / "assessment.csv").read_text().splitlines()[1:]
+        assert oce.split(",", 1) == ["oce:cvar:1e-17", plain.split(",", 1)[1]]
+
     def test_unknown_risk_is_config_error(self, tmp_path):
         src = tmp_path / "table.csv"
         write_table(src, ["m"], [np.array([1.0])])
@@ -428,6 +438,14 @@ class TestCmdTrain:
             losses = model.batch_losses(X, y)
             final_cvar[name] = cvar(build_cdf(losses), 0.05).value
         assert final_cvar["cvar"] < final_cvar["mean"]
+
+    def test_subnormal_cvar_level_trains_without_warning(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["train", "--risk", "cvar:1e-320", "--eta", 0.1, "--iters", 5,
+                        "--out", tmp_path / "x"]) == 0
+        assert not [str(w.message) for w in caught]
+        assert capsys.readouterr().err == ""
 
     def test_missing_eta_and_beta_is_config_error(self, tmp_path):
         assert run(["train", "--iters", 3, "--out", tmp_path / "x"]) == 2
@@ -818,6 +836,8 @@ REJECTIONS = [
     ("mean-var-support-overflow", ["assess", "--input", "TABLE", "--risk", "mean_var:1",
                                    "--support-bound", "1e160"], None, 4),
     ("risk-unknown", ["assess", "--input", "TABLE", "--risk", "nope"], None, 2),
+    ("assess-cvar-subnormal-level", ["assess", "--input", "TABLE", "--risk", "cvar:1e-320"],
+     None, 4),
     ("train-iters-1e18", ["train", "--eta", 0.1, "--iters", ITERS_1E18], None, 2),
     ("train-iters-1e19", ["train", "--eta", 0.1, "--iters", ITERS_1E19], None, 2),
     ("train-risk-malformed", ["train", "--risk", "cvar:abc:0.5", "--eta", 0.1, "--iters", 3],

@@ -255,3 +255,18 @@ class TestCheckpointRoundTrip:
     def test_parameter_count(self):
         assert parameter_count("linear_squared", 7) == 7
         assert parameter_count("mlp_tanh", 3, (4, 2)) == (4 * 3 + 4) + (2 * 4 + 2) + (2 + 1)
+
+    @pytest.mark.parametrize("arch, input_dim, hidden, match", [
+        ("mlp_tanh", 2, (-3,), r"hidden widths must be integers >= 1, got \(-3,\)"),
+        ("mlp_tanh", 2, (0,), r"hidden widths must be integers >= 1, got \(0,\)"),
+        ("logistic_crossentropy", 3, (4, 0), r"hidden widths must be integers >= 1"),
+        ("logistic_crossentropy", -2, (), "input_dim must be an integer >= 1, got -2"),
+        ("linear_squared", 0, (), "input_dim must be an integer >= 1, got 0"),
+        ("mlp_tanh", 2.5, (3,), "input_dim must be an integer >= 1, got 2.5"),
+        ("mlp_tanh", 2, (True,), r"hidden widths must be integers >= 1, got \(True,\)"),
+    ])
+    def test_bad_shape_is_config_error(self, arch, input_dim, hidden, match):
+        with pytest.raises(ConfigError, match=f"^{arch}: {match}"):
+            init_model(arch, input_dim, hidden)
+        with pytest.raises(ConfigError, match=f"^{arch}: {match}"):
+            LossModel(arch, params=np.zeros(3), input_dim=input_dim, hidden=hidden)

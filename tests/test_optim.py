@@ -18,7 +18,6 @@ from riskcdf.data import toy_blobs
 from riskcdf.models import MAX_CROSSENTROPY_LOSS, LossModel, init_model, relative_error
 from riskcdf.optim import (
     NOISE_BLOCK_DRAWS,
-    TrainConfig,
     distortion_gradient,
     estimate_beta,
     noisy_gd_step,
@@ -73,7 +72,7 @@ class TestEmpiricalDistortionRisk:
     def test_agrees_exactly_with_cdf_evaluator(self):
         model, X, y = random_problem("logistic_crossentropy", 3)
         spec = cvar_distortion(0.25)
-        _, trace = train(model, X, y, TrainConfig(distortion=spec, iterations=1, eta=0.1))
+        _, trace = train(model, X, y, spec, 1, eta=0.1)
         assert trace.risk[0] == empirical_distortion_risk(model, X, y, spec)
 
     def test_single_example(self):
@@ -212,8 +211,7 @@ class TestFusedStepOracle:
     def test_train_risk_is_cdf_risk_of_each_iterate(self, trial, concave_file_spec):
         model, X, y = oracle_problem(trial)
         for spec in oracle_specs(X.shape[0], rng_from(trial, "alpha"), concave_file_spec):
-            cfg = TrainConfig(distortion=spec, iterations=12, eta=0.05, seed=trial)
-            _, trace = train(model, X, y, cfg)
+            _, trace = train(model, X, y, spec, 12, eta=0.05, seed=trial)
             assert [t for t, _, _ in trace.snapshots] == list(range(1, 13))
             for t, theta, grad in trace.snapshots:
                 current = model.with_params(theta)
@@ -235,9 +233,8 @@ class TestFusedStepOracle:
         # rank of zero weight, below every example the step sorts.
         X, y = np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([1.0, 0.0, 0.0, 0.0])
         model = ShiftedLinear("linear_squared", params=np.array([1.0]), input_dim=1)
-        cfg = TrainConfig(distortion=spec, iterations=3, eta=0.1)
         with pytest.raises(InvalidLoss):
-            train(model, X, y, cfg)
+            train(model, X, y, spec, 3, eta=0.1)
         with pytest.raises(InvalidLoss):
             distortion_gradient(model, X, y, spec)
         with pytest.raises(InvalidLoss):
@@ -331,8 +328,7 @@ class TestTiesAtFirstWeightedRank:
         spec = straddling_cvar(model.batch_losses(X, y), rng_from(trial, "lo"))
         assert spec is not None
         # Without noise, tied examples of equal weight stay tied.
-        cfg = TrainConfig(distortion=spec, iterations=10, eta=0.01, noise=False)
-        _, trace = train(model, X, y, cfg)
+        _, trace = train(model, X, y, spec, 10, eta=0.01, noise=False)
         for t, theta, grad in trace.snapshots:
             current = model.with_params(theta)
             losses = current.batch_losses(X, y)
@@ -363,7 +359,7 @@ class TestWeightedRowsOnly:
         start = init_model("logistic_crossentropy", dim, seed=0)
         model = RowRecorder("logistic_crossentropy", params=start.params, input_dim=dim)
         spec = identity_distortion() if risk == "mean" else cvar_distortion(alpha)
-        train(model, X, y, TrainConfig(distortion=spec, iterations=4, eta=0.05))
+        train(model, X, y, spec, 4, eta=0.05)
         distortion_gradient(model, X, y, spec)
         assert len(calls) == 5
         weighted = math.ceil(alpha * n)
@@ -417,8 +413,7 @@ class TestNoisyStep:
         y = np.array([0.5, -1.0, 2.0, 0.0])
         model = LossModel("linear_squared", params=np.full(d, 0.1), input_dim=d)
         spec = cvar_distortion(0.5)
-        cfg = TrainConfig(distortion=spec, iterations=steps, eta=1e-3, seed=5)
-        final, trace = train(model, X, y, cfg)
+        final, trace = train(model, X, y, spec, steps, eta=1e-3, seed=5)
         theta, rng = model.params, rng_from(5, "gd_noise")
         for _ in range(steps):
             grad = distortion_gradient(model.with_params(theta), X, y, spec)
@@ -437,22 +432,18 @@ class TestTrain:
             raise AssertionError("a training step ran")
 
         monkeypatch.setattr(LossModel, "loss_and_vjp", no_step)  # rejected before any step
-        cfg = TrainConfig(distortion=identity_distortion(), iterations=3, eta=0.1)
         with pytest.raises(DataError, match=f"{arch}: label {label:g} of example 4 is outside"):
-            train(model, X, y, cfg)
+            train(model, X, y, identity_distortion(), 3, eta=0.1)
 
     def test_linear_squared_takes_any_label(self):
         model, X, y = random_problem("linear_squared", 4, n=6)
         y[3] = 7.5
-        cfg = TrainConfig(distortion=identity_distortion(), iterations=2, eta=0.01)
-        _, trace = train(model, X, y, cfg)
+        _, trace = train(model, X, y, identity_distortion(), 2, eta=0.01)
         assert trace.iterations == 2
 
     def test_eta_zero_is_flat(self):
         model, X, y = random_problem("logistic_crossentropy", 1)
-        cfg = TrainConfig(distortion=identity_distortion(), iterations=5, eta=0.0,
-                          seed=0, noise=False)
-        _, trace = train(model, X, y, cfg)
+        _, trace = train(model, X, y, identity_distortion(), 5, eta=0.0, seed=0, noise=False)
         assert np.all(trace.risk == trace.risk[0])
 
     def test_quadratic_geometric_convergence(self):
@@ -461,9 +452,7 @@ class TestTrain:
         m = LossModel("linear_squared", params=np.array([0.0]), input_dim=1)
         X, y = np.array([[1.0]]), np.array([3.0])
         eta = 0.25
-        cfg = TrainConfig(distortion=identity_distortion(), iterations=30, eta=eta,
-                          seed=0, noise=False)
-        final, trace = train(m, X, y, cfg)
+        final, trace = train(m, X, y, identity_distortion(), 30, eta=eta, seed=0, noise=False)
         rate = abs(1 - 2 * eta)
         for t in range(1, 10):
             expect = (rate ** t * 3.0) ** 2
@@ -472,19 +461,16 @@ class TestTrain:
 
     def test_bit_reproducible(self):
         model, X, y = random_problem("logistic_crossentropy", 4)
-        cfg = TrainConfig(distortion=cvar_distortion(0.25), iterations=40, eta=0.05, seed=12)
-        final_a, trace_a = train(model, X, y, cfg)
-        final_b, trace_b = train(model, X, y, cfg)
+        final_a, trace_a = train(model, X, y, cvar_distortion(0.25), 40, eta=0.05, seed=12)
+        final_b, trace_b = train(model, X, y, cvar_distortion(0.25), 40, eta=0.05, seed=12)
         assert np.array_equal(final_a.params, final_b.params)
         assert np.array_equal(trace_a.risk, trace_b.risk)
 
     def test_divergence_guard(self):
         m = LossModel("linear_squared", params=np.array([1.0]), input_dim=1)
         X, y = np.array([[1.0]]), np.array([0.0])
-        cfg = TrainConfig(distortion=identity_distortion(), iterations=500, eta=10.0,
-                          seed=0, noise=False)
         with pytest.raises(Diverged) as err:
-            train(m, X, y, cfg)
+            train(m, X, y, identity_distortion(), 500, eta=10.0, seed=0, noise=False)
         assert err.value.trace is not None
         assert err.value.trace.iterations < 500
 
@@ -492,17 +478,27 @@ class TestTrain:
         # The first step overflows while its risk, at the initial iterate, is finite.
         m = LossModel("linear_squared", params=np.array([1.0]), input_dim=1)
         X, y = np.array([[1.0]]), np.array([0.0])
-        cfg = TrainConfig(distortion=identity_distortion(), iterations=3, eta=1e308,
-                          seed=0, noise=False)
         with np.errstate(over="ignore"), pytest.raises(
                 Diverged, match="^the step at iteration 1 made the parameters non-finite$") as err:
-            train(m, X, y, cfg)
+            train(m, X, y, identity_distortion(), 3, eta=1e308, seed=0, noise=False)
         assert err.value.trace.risk.tolist() == [1.0]
+
+    def test_partial_trace_average_is_running_mean(self):
+        m = LossModel("linear_squared", params=np.array([1.0]), input_dim=1)
+        X, y = np.array([[1.0]]), np.array([0.0])
+        with pytest.raises(Diverged) as err:
+            train(m, X, y, identity_distortion(), 500, eta=10.0, seed=0, noise=False)
+        trace = err.value.trace
+        assert trace.iterations >= 3
+        running, expected = 0.0, []
+        for t, gn in enumerate(trace.grad_norm.tolist(), 1):
+            running += gn * gn
+            expected.append(running / t)
+        assert trace.avg_sq_grad_norm.tolist() == expected
 
     def test_running_average_matches_mean(self):
         model, X, y = random_problem("logistic_crossentropy", 6)
-        cfg = TrainConfig(distortion=identity_distortion(), iterations=25, eta=0.1, seed=3)
-        _, trace = train(model, X, y, cfg)
+        _, trace = train(model, X, y, identity_distortion(), 25, eta=0.1, seed=3)
         sq = trace.grad_norm ** 2
         for t in (0, 10, 24):
             assert trace.avg_sq_grad_norm[t] == pytest.approx(float(np.mean(sq[:t + 1])))
@@ -528,31 +524,42 @@ class TestTrain:
 
         derive = optim.rng_from
         monkeypatch.setattr(optim, "rng_from", lambda *a: CountingGenerator(derive(*a)))
-        cfg = TrainConfig(distortion=identity_distortion(), iterations=iterations, eta=0.01)
-        train(model, X, y, cfg)
+        train(model, X, y, identity_distortion(), iterations, eta=0.01)
         assert len(validations) <= 1
         assert len(draws) <= math.ceil(iterations / (NOISE_BLOCK_DRAWS // (2 * d))) + 1
 
     def test_config_validation(self):
+        model, X, y = random_problem("logistic_crossentropy", 1)
         with pytest.raises(ConfigError):
-            TrainConfig(distortion=identity_distortion(), iterations=0, eta=0.1)
+            train(model, X, y, identity_distortion(), 0, eta=0.1)
         with pytest.raises(ConfigError):
-            TrainConfig(distortion=identity_distortion(), iterations=5)
-        cfg = TrainConfig(distortion=identity_distortion(), iterations=100, beta=2.0)
-        assert cfg.effective_eta == pytest.approx(1 / (2.0 * 10.0))
+            train(model, X, y, identity_distortion(), 5)
+        # 1 / (2 * sqrt(100)) is the double 0.05, so the beta rule takes the same steps.
+        _, by_beta = train(model, X, y, identity_distortion(), np.int64(100), beta=2.0,
+                           noise=False)
+        _, by_eta = train(model, X, y, identity_distortion(), 100, eta=0.05, noise=False)
+        for field in ("risk", "grad_norm", "avg_sq_grad_norm"):
+            assert getattr(by_beta, field).tobytes() == getattr(by_eta, field).tobytes()
+        assert by_beta.snapshots[-1][1].tobytes() == by_eta.snapshots[-1][1].tobytes()
+
+    @pytest.mark.parametrize("iterations", [2.5, True])
+    def test_iterations_must_be_an_integer(self, iterations):
+        model, X, y = random_problem("linear_squared", 1)
+        with pytest.raises(ConfigError, match="^iterations must be an integer >= 1, got "):
+            train(model, X, y, identity_distortion(), iterations, eta=0.1)
 
     @pytest.mark.parametrize("rates", [
         {"eta": float("nan")}, {"eta": float("inf")},
         {"beta": float("nan")}, {"beta": float("inf")},
     ])
     def test_non_finite_rates_rejected(self, rates):
+        model, X, y = random_problem("linear_squared", 1)
         with pytest.raises(ConfigError, match="finite"):
-            TrainConfig(distortion=identity_distortion(), iterations=5, **rates)
+            train(model, X, y, identity_distortion(), 5, **rates)
 
     def test_trace_csv(self, tmp_path):
         model, X, y = random_problem("linear_squared", 9)
-        cfg = TrainConfig(distortion=identity_distortion(), iterations=8, eta=0.01, seed=1)
-        _, trace = train(model, X, y, cfg)
+        _, trace = train(model, X, y, identity_distortion(), 8, eta=0.01, seed=1)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -565,9 +572,7 @@ class TestStationarity:
         # Loss constant in theta: gradient identically zero, bound trivially holds.
         m = LossModel("linear_squared", params=np.array([0.5]), input_dim=1)
         X, y = np.array([[0.0]]), np.array([1.0])
-        cfg = TrainConfig(distortion=identity_distortion(), iterations=20, eta=0.1,
-                          seed=0, noise=False)
-        _, trace = train(m, X, y, cfg)
+        _, trace = train(m, X, y, identity_distortion(), 20, eta=0.1, seed=0, noise=False)
         report = stationarity_report(trace, beta=1.0)
         assert report["mean_sq_grad_norm"] == 0.0
         assert report["holds"]
@@ -577,8 +582,7 @@ class TestStationarity:
         X, y = np.array([[1.0]]), np.array([2.0])
         beta = 2.0  # exact smoothness of (p - 2)^2
         T = 400
-        cfg = TrainConfig(distortion=identity_distortion(), iterations=T, beta=beta, seed=5)
-        _, trace = train(m, X, y, cfg)
+        _, trace = train(m, X, y, identity_distortion(), T, beta=beta, seed=5)
         report = stationarity_report(trace, beta=beta)
         assert report["holds"]
         assert report["best_risk_is_surrogate"]
@@ -588,15 +592,13 @@ class TestStationarity:
         X, y = np.array([[1.0]]), np.array([2.0])
         means = []
         for T in (100, 400):
-            cfg = TrainConfig(distortion=identity_distortion(), iterations=T, beta=2.0, seed=5)
-            _, trace = train(m, X, y, cfg)
+            _, trace = train(m, X, y, identity_distortion(), T, beta=2.0, seed=5)
             means.append(stationarity_report(trace, beta=2.0)["mean_sq_grad_norm"])
         assert means[1] < means[0]
 
     def test_beta_estimate_positive(self):
         model, X, y = random_problem("logistic_crossentropy", 13)
-        cfg = TrainConfig(distortion=identity_distortion(), iterations=50, eta=0.05, seed=2)
-        _, trace = train(model, X, y, cfg)
+        _, trace = train(model, X, y, identity_distortion(), 50, eta=0.05, seed=2)
         assert estimate_beta(trace) > 0
         report = stationarity_report(trace)
         assert report["beta_estimated"]
@@ -606,13 +608,12 @@ class TestStationarity:
         """A beta that is not finite and positive is a ConfigError in both
         places it is given, with the same message."""
         model, X, y = random_problem("logistic_crossentropy", 13)
-        cfg = TrainConfig(distortion=identity_distortion(), iterations=5, eta=0.05, seed=2)
-        _, trace = train(model, X, y, cfg)
+        _, trace = train(model, X, y, identity_distortion(), 5, eta=0.05, seed=2)
         with pytest.raises(ConfigError) as from_report:
             stationarity_report(trace, beta=beta)
-        with pytest.raises(ConfigError) as from_config:
-            TrainConfig(distortion=identity_distortion(), iterations=5, beta=beta)
-        assert str(from_report.value) == str(from_config.value)
+        with pytest.raises(ConfigError) as from_train:
+            train(model, X, y, identity_distortion(), 5, beta=beta)
+        assert str(from_report.value) == str(from_train.value)
         assert str(from_report.value) == f"beta must be finite and positive, got {beta}"
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from riskcdf.cdf import build_cdf, sup_norm_distance
 from riskcdf.cli import main
 from riskcdf.errors import (
+    ConfigError,
     InvalidAlpha,
     InvalidDistortion,
     InvalidSpectrum,
@@ -137,6 +138,14 @@ class TestDistortionRisk:
         with pytest.raises(InvalidDistortion, match=match):
             DistortionSpec(g=g, name="bad").rank_weights(4)
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True])
+    def test_rank_weights_need_a_positive_integer(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"^mean: rank weights need an integer n >= 1, "
+                                                  f"got {n!r}$"):
+                identity_distortion().rank_weights(n)
+
     def test_risk_constant_scales_with_support(self):
         cdf = build_cdf([0.0, 1.0, 5.0])
         rv = cvar(cdf, 0.5, support_bound=5.0)
@@ -199,6 +208,14 @@ class TestCvar:
         cdf = build_cdf(losses)
         for alpha in (0.05, 0.25, 0.5, 1.0):
             assert abs(cvar(cdf, alpha).value - top_fraction_mean(losses, alpha)) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [1e-320, 1e-17, 0.05, 1 / 3, 0.5, 1.0])
+    def test_distortion_is_min_of_ratio_and_one_without_overflow(self, alpha):
+        t = 1.0 - np.arange(38) / 37
+        with np.errstate(all="raise"):
+            g = cvar_distortion(alpha)(t)
+        with np.errstate(over="ignore"):
+            assert g.tobytes() == np.minimum(t / alpha, 1.0).tobytes()
 
     @pytest.mark.parametrize("alpha", [0.0, 1.5, float("nan")])
     def test_bad_alpha_raises_on_every_call(self, alpha):
@@ -340,10 +357,11 @@ class TestOce:
         cdf = build_cdf([1, 2, 3, 4])
         assert oce_risk(cdf, oce_mean_spec(4.0)).value == pytest.approx(2.5, abs=1e-9)
 
-    def test_cvar_form(self):
+    @pytest.mark.parametrize("alpha", [0.5, 1e-17])  # 1 - 1e-17 rounds to 1
+    def test_cvar_form(self, alpha):
         cdf = build_cdf([1, 2, 3, 4])
-        spec = oce_cvar_spec(0.5, support_bound=4.0)
-        assert oce_risk(cdf, spec).value == cvar(cdf, 0.5).value
+        spec = oce_cvar_spec(alpha, support_bound=4.0)
+        assert oce_risk(cdf, spec).value == cvar(cdf, alpha).value
 
     def test_entropic_constant_sample(self):
         cdf = build_cdf([2.0, 2.0, 2.0])
