@@ -23,7 +23,6 @@ via L * epsilon**p for sup-norm Holder risks.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -35,6 +34,7 @@ import numpy as np
 # sup_norm_distance stays bound although the Monte Carlo loop calls the
 # rows kernel.
 from .cdf import _check_losses, build_cdf, sup_norm_distance, sup_norm_distances  # noqa: F401
+from .data import _is_count, _write_csv
 from .errors import ConfigError, InvalidDelta, InvalidGrowth, ShapeError, WeakReference
 from .seeds import rng_from
 
@@ -172,11 +172,7 @@ class MonteCarloEnResult:
         return float(np.median(self.values))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rep", "e_n"])
-            for r, v in enumerate(self.values):
-                writer.writerow([r, f"{v:.17g}"])
+        _write_csv(path, ["rep", "e_n"], [range(len(self.values)), self.values])
 
 
 def _row_losses(fn, j: int, X, y, rows: int) -> np.ndarray:
@@ -224,12 +220,13 @@ def monte_carlo_en(
     the reference: O(reps n log N) time for a reference of N points, and
     working memory of O(N) beyond the reference data.
 
-    Raises :class:`ConfigError` if ``n`` or ``reps`` is below 1,
-    :class:`ShapeError` if a loss function returns other than one loss per
-    row, and :class:`InvalidLoss` for a NaN, infinite or negative loss.
+    Raises :class:`ConfigError` unless n, reps and reference_sample_size are
+    integers >= 1, :class:`ShapeError` if a loss function returns other than
+    one loss per row, and :class:`InvalidLoss` for a NaN, infinite or negative loss.
     """
-    if n < 1 or reps < 1:
-        raise ConfigError(f"monte_carlo_en needs n >= 1 and reps >= 1, got n={n}, reps={reps}")
+    if not (_is_count(n) and _is_count(reps) and _is_count(reference_sample_size)):
+        raise ConfigError(f"monte_carlo_en needs integers n, reps, reference_sample_size >= 1, "
+                          f"got {n!r}, {reps!r}, {reference_sample_size!r}")
     if reference_sample_size < 10 * n:
         warnings.warn(
             f"reference sample ({reference_sample_size}) is below 10x the "

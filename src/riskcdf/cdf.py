@@ -7,13 +7,13 @@ the step height at a repeated value is multiplicity/n.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _check_loss_cells, read_numeric_csv
-from .errors import EmptySample, FormatError, InvalidLoss, InvalidOrder, SupportViolation
+from .data import _check_loss_cells, _write_csv, read_numeric_csv
+from .errors import (EmptySample, FormatError, InvalidLoss, InvalidOrder, ShapeError,
+                     SupportViolation)
 
 __all__ = [
     "EmpiricalCDF",
@@ -31,10 +31,11 @@ __all__ = [
 class EmpiricalCDF:
     """Sorted sample with step-function CDF semantics.
 
-    ``values`` is ascending-sorted and read-only.  :func:`build_cdf` builds
-    one from nonnegative losses; a signed sample, for the distances alone,
-    gets one as ``EmpiricalCDF(np.sort(x))``.  An empty sample raises
-    :class:`EmptySample`.
+    ``values``, read-only, must be 1-D and ascending with no NaN: else
+    :class:`ShapeError`, or :class:`InvalidLoss` naming the first bad position.
+    :func:`build_cdf` builds one from nonnegative losses; a signed sample, for
+    the distances alone, gets one as ``EmpiricalCDF(np.sort(x))``.  An empty
+    sample raises :class:`EmptySample`.
     """
 
     values: np.ndarray = field(repr=False)
@@ -43,6 +44,16 @@ class EmpiricalCDF:
         values = np.asarray(self.values, dtype=np.float64)
         if values.size == 0:
             raise EmptySample("loss sample is empty")
+        if values.ndim != 1:
+            raise ShapeError(f"a CDF sample must be 1-D, got shape {values.shape}")
+        nan = np.isnan(values)
+        if nan.any():
+            raise InvalidLoss(f"CDF sample values must not be NaN: values[{nan.argmax()}] is NaN")
+        decrease = values[1:] < values[:-1]
+        if decrease.any():
+            i = int(decrease.argmax()) + 1
+            raise InvalidLoss(f"CDF sample values must be ascending: values[{i}] = {values[i]} "
+                              f"is below values[{i - 1}] = {values[i - 1]}")
         object.__setattr__(self, "values", values)
         values.flags.writeable = False
 
@@ -197,9 +208,4 @@ def read_losses_csv(path, has_header: bool = False) -> np.ndarray:
 
 def write_cdf_csv(cdf: EmpiricalCDF, path) -> None:
     """Export the CDF as (breakpoint, cumulative_probability) rows."""
-    pts, probs = cdf.breakpoints()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["breakpoint", "cumulative_probability"])
-        for p, q in zip(pts, probs):
-            writer.writerow([f"{p:.17g}", f"{q:.17g}"])
+    _write_csv(path, ["breakpoint", "cumulative_probability"], cdf.breakpoints())

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, bounds, data, risks
 from .cdf import build_cdf, moment, read_losses_csv, write_cdf_csv
-from .data import _write_json
+from .data import _write_csv, _write_json
 from .errors import ConfigError, Diverged, FormatError, NumericError, ToolkitError
 from .models import ARCHITECTURES, finite_difference_check, init_model, save_checkpoint
 from .optim import stationarity_report, train
@@ -116,11 +116,8 @@ def run_assess(params: dict, out_dir: str) -> None:
         "records": records,
     }
     _write_json(payload, os.path.join(out_dir, "assessment.json"))
-    with open(os.path.join(out_dir, "assessment.csv"), "w", newline="") as fh:
-        fh.write("risk," + ",".join(names) + "\n")
-        for token in tokens:
-            row = ",".join(f"{rv.value:.17g}" for rv in cells[token])
-            fh.write(f"{token},{row}\n")
+    values = np.array([[rv.value for rv in cells[token]] for token in tokens])
+    _write_csv(os.path.join(out_dir, "assessment.csv"), ["risk", *names], [tokens, *values.T])
     print(f"{PROG} assess: {len(tokens)} risks x {len(names)} models, "
           f"epsilon={cert.epsilon:.6g} (one shared certificate)")
 

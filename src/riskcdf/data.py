@@ -4,8 +4,8 @@ Gaussian blob generation uses an explicit Box-Muller transform over a
 counter-based (Philox) generator, so the toy dataset is a pure function of
 its seed on every platform.  Every CSV input riskcdf reads is parsed by
 :func:`read_numeric_csv`, which reports a parse failure with its exact file
-row and column.  Every JSON file riskcdf writes goes through
-:func:`_write_json`.
+row and column.  Every file riskcdf writes goes through :func:`_write_csv`
+or :func:`_write_json`.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import csv
 import io
 import itertools
 import json
+import numbers
+import types
 
 import numpy as np
 
@@ -110,11 +112,14 @@ def save_dataset_csv(X: np.ndarray, y: np.ndarray, path) -> None:
     """Write the rows of features ``X`` as columns ``x0, x1, ...`` and labels
     ``y`` as a ``label`` column (17 significant digits), the format
     :func:`load_dataset_csv` and ``riskcdf train --input`` read."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(X.shape[1])] + ["label"])
-        for xi, yi in zip(X, y):
-            writer.writerow([f"{v:.17g}" for v in xi] + [f"{yi:.17g}"])
+    X = np.asarray(X, dtype=np.float64)
+    _write_csv(path, [f"x{i}" for i in range(X.shape[1])] + ["label"],
+               [*X.T, np.asarray(y, dtype=np.float64)])
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer >= 1 and not a bool, as every count riskcdf takes must be."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
 
 
 def _filled_rows(lines):
@@ -251,3 +256,22 @@ def _write_json(payload: dict, path) -> None:
         raise NumericError(f"cannot write {path}: {exc}") from None
     with open(path, "w") as fh:
         fh.write(text + "\n")
+
+
+def _write_csv(path, header: list[str], columns) -> None:
+    """Write ``columns``, equal-length sequences, under ``header`` as CSV, the
+    format of every CSV file riskcdf writes: floats with 17 significant
+    digits, integers with ``str``, the header and text cells quoted by the
+    csv module, CRLF line ends."""
+    line = csv.writer(types.SimpleNamespace(write=str)).writerow  # the quoted line + CRLF
+    cells = []
+    for column in map(np.asarray, columns):
+        if column.dtype.kind == "f":
+            cells.append([f"{v:.17g}" for v in column.tolist()])
+        elif column.dtype.kind in "iu":
+            cells.append([str(v) for v in column.tolist()])
+        else:
+            cells.append([line([v])[:-2] for v in column.tolist()])
+    rows = map(",".join, zip(*cells))
+    with open(path, "w", newline="") as fh:
+        fh.write("".join([line(header), *[f"{row}\r\n" for row in rows]]))

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _write_json
+from .data import _is_count, _write_json
 from .errors import ConfigError, DataError, FormatError, ShapeError
 from .seeds import rng_from
 
@@ -76,10 +75,6 @@ def _crossentropy_residual(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(p, PROB_CLAMP), 1.0 - PROB_CLAMP) - y
 
 
-def _is_width(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
-
-
 def parameter_count(architecture: str, input_dim: int, hidden: tuple[int, ...] = ()) -> int:
     """The length of the parameter vector of an architecture and shape.
 
@@ -89,10 +84,10 @@ def parameter_count(architecture: str, input_dim: int, hidden: tuple[int, ...] =
     """
     if architecture not in ARCHITECTURES:
         raise ConfigError(f"unknown architecture {architecture!r}")
-    if not _is_width(input_dim):
+    if not _is_count(input_dim):
         raise ConfigError(f"{architecture}: input_dim must be an integer >= 1, got {input_dim!r}")
     hidden = tuple(hidden)
-    if not all(map(_is_width, hidden)):
+    if not all(map(_is_count, hidden)):
         raise ConfigError(f"{architecture}: hidden widths must be integers >= 1, got {hidden!r}")
     if architecture != "mlp_tanh":
         return int(input_dim)
@@ -354,7 +349,7 @@ def _parameter(path, i: int, value) -> float:
 def _width(path, name: str, value) -> int:
     """A checkpoint's ``input_dim`` or hidden width as it must be, a JSON
     integer of at least 1, else :class:`FormatError` naming the file and field."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if not _is_count(value):
         raise FormatError(f"{path}: {name} is not an integer >= 1: {value!r}")
     return value
 

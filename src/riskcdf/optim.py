@@ -47,7 +47,6 @@ reproduces a run bit for bit in single-threaded mode.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -57,6 +56,7 @@ import numpy as np
 # build_cdf and distortion_risk stay bound although training reads neither:
 # its risk is the rank-weighted sum that distortion_risk computes.
 from .cdf import build_cdf  # noqa: F401
+from .data import _is_count, _write_csv
 from .errors import ConfigError, Diverged, EmptySample, InvalidLoss
 from .models import LossModel
 from .risks import DistortionSpec, distortion_risk  # noqa: F401
@@ -115,11 +115,9 @@ class TrainTrace:
 
     def to_csv(self, path) -> None:
         """Write a header and one row per iteration, CSV with CRLF line ends."""
-        rows = zip(self.risk.tolist(), self.grad_norm.tolist(), self.avg_sq_grad_norm.tolist())
-        with open(path, "w", newline="") as fh:
-            fh.write("".join(["t,risk,grad_norm,avg_sq_grad_norm\r\n",
-                              *(f"{t},{r:.17g},{g:.17g},{a:.17g}\r\n"
-                                for t, (r, g, a) in enumerate(rows, 1))]))
+        _write_csv(path, ["t", "risk", "grad_norm", "avg_sq_grad_norm"],
+                   [range(1, self.iterations + 1), self.risk, self.grad_norm,
+                    self.avg_sq_grad_norm])
 
 
 def _first_weighted_rank(weights: np.ndarray) -> int:
@@ -238,8 +236,7 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: Distortion
     exceeds the divergence guard or stops being finite, or if a step makes
     the parameters non-finite.
     """
-    if (isinstance(iterations, bool) or not isinstance(iterations, numbers.Integral)
-            or iterations < 1):
+    if not _is_count(iterations):
         raise ConfigError(f"iterations must be an integer >= 1, got {iterations!r}")
     if eta is None and beta is None:
         raise ConfigError("either eta or beta must be given")

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import _row_losses
-from .data import _reject_cells, read_numeric_csv
+from .data import _is_count, _reject_cells, read_numeric_csv
 from .errors import ConfigError, FormatError, InvalidLoss, ShapeError, TooLarge
 from .seeds import rng_from
 
@@ -322,12 +322,12 @@ def monte_carlo_permutation_complexity(
     Uses the exact solver when the instance is small enough; larger
     instances require ``allow_greedy`` (the estimate is then an upper
     bound) and otherwise raise :class:`TooLarge`.  Raises :class:`ConfigError`
-    if ``n`` or ``reps`` is below 1, and :class:`ShapeError` if a loss
-    function returns other than one loss per example.
+    unless ``n`` and ``reps`` are integers >= 1, and :class:`ShapeError` if a
+    loss function returns other than one loss per example.
     """
-    if n < 1 or reps < 1:
-        raise ConfigError(f"monte_carlo_permutation_complexity needs n >= 1 and reps >= 1, "
-                          f"got n={n}, reps={reps}")
+    if not (_is_count(n) and _is_count(reps)):
+        raise ConfigError(f"monte_carlo_permutation_complexity needs integers n >= 1 and "
+                          f"reps >= 1, got n={n!r}, reps={reps!r}")
     values = np.empty(reps)
     solvers = []
     for r in range(reps):

@@ -32,16 +32,16 @@ its distortion tokens, the ones training takes, are :data:`DISTORTION_TOKENS`.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .cdf import EmpiricalCDF, moment
-from .data import read_numeric_csv
+from .data import _is_count, read_numeric_csv
 from .errors import (
     ConfigError,
     FormatError,
@@ -154,7 +154,7 @@ class DistortionSpec:
         """Weight g(1 - (i-1)/n) - g(1 - i/n) of the i-th smallest of n losses, i = 1..n.
 
         ``n`` must be an integer >= 1, else :class:`ConfigError`."""
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        if not _is_count(n):
             raise ConfigError(f"{self.name}: rank weights need an integer n >= 1, got {n!r}")
         levels = self(1.0 - np.arange(n + 1) / n)  # g(1 - i/n), i = 0..n
         _check_distortion_levels(self.name, levels[::-1])
@@ -169,20 +169,14 @@ class SpectrumSpec(DistortionSpec):
     __post_init__ = DistortionSpec.__post_init__
 
 
-def _spectrum_distortion(cumulative: Callable, top: float, name: str) -> DistortionSpec:
-    """The distortion g(t) = 1 - H(1 - t) of a spectrum with cumulative H and
-    largest value h(1) = ``top``; its rank weights are H(i/n) - H((i-1)/n)."""
-    return DistortionSpec(g=lambda t: 1.0 - cumulative(1.0 - np.asarray(t, dtype=np.float64)),
-                          name=name, lipschitz_constant=top)
-
-
 @dataclass(frozen=True)
 class OceSpec:
     """An optimized certainty equivalent: its disutility phi and its exact value.
 
     phi is convex and non-decreasing with phi(0) = 0; it gives the Holder
     constant phi(D) - phi(0) (:func:`oce_lipschitz_constant`), which must be
-    finite.  ``closed_form(sorted_losses, sign)`` is the exact OCE value
+    finite: an overflowing one raises :class:`NumericError`, as it does for
+    every risk.  ``closed_form(sorted_losses, sign)`` is the exact OCE value
     (``sign=+1``) or its inversion (``sign=-1``), in agreement with phi.
     The presets (:func:`oce_mean_spec`, :func:`oce_entropic_spec`,
     :func:`oce_cvar_spec`) build every OCE riskcdf evaluates.
@@ -199,8 +193,8 @@ class OceSpec:
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
             lipschitz = oce_lipschitz_constant(self)
         if not math.isfinite(lipschitz):
-            raise InvalidSpectrum(f"{self.name}: phi produced non-finite values on [-D, D] "
-                                  f"with support bound D = {self.support_bound:g}")
+            raise NumericError(f"{self.name}: phi produced non-finite values on [-D, D] "
+                               f"with support bound D = {self.support_bound:g}")
 
 
 def identity_distortion() -> DistortionSpec:
@@ -222,12 +216,10 @@ def cvar_distortion(alpha: float) -> DistortionSpec:
 
 
 def cvar_spectrum(alpha: float) -> DistortionSpec:
-    """h(u) = (1/alpha) * 1{u >= 1-alpha}, as the distortion of its exact cumulative."""
-    if not (0.0 < alpha <= 1.0):
-        raise InvalidAlpha(f"alpha must be in (0, 1], got {alpha}")
-    a = float(alpha)
-    return _spectrum_distortion(lambda t: np.maximum(t - (1.0 - a), 0.0) / a, 1.0 / a,
-                                f"cvar_spectrum:{alpha:g}")
+    """h(u) = (1/alpha) * 1{u >= 1-alpha} as its distortion 1 - H(1 - t), which
+    is CVaR's min(t/alpha, 1): :func:`cvar_distortion` under the spectrum's
+    name, so g(0) = 0 and g(1) = 1 however small alpha is."""
+    return dataclasses.replace(cvar_distortion(alpha), name=f"cvar_spectrum:{alpha:g}")
 
 
 def oce_mean_spec(support_bound: float) -> OceSpec:
@@ -316,32 +308,23 @@ def cvar(cdf: EmpiricalCDF, alpha: float, support_bound: float | None = None) ->
     return distortion_risk(cdf, cvar_distortion(alpha), support_bound=support_bound)
 
 
-def _check_oce_support(cdf: EmpiricalCDF, spec: OceSpec) -> None:
+def _oce_value(cdf: EmpiricalCDF, spec: OceSpec, sign: float, name: str) -> RiskValue:
+    """The OCE (``sign=+1``) or its inversion (``sign=-1``) of losses in [0, D]."""
     if cdf.min < 0.0 or cdf.max > spec.support_bound:
-        raise SupportViolation(
-            f"losses must lie in [0, {spec.support_bound}]; got range "
-            f"[{cdf.min}, {cdf.max}]"
-        )
+        raise SupportViolation(f"losses must lie in [0, {spec.support_bound}]; got range "
+                               f"[{cdf.min}, {cdf.max}]")
+    return RiskValue(value=spec.closed_form(cdf.values, sign), risk_name=name,
+                     L=oce_lipschitz_constant(spec))
 
 
 def oce_risk(cdf: EmpiricalCDF, spec: OceSpec) -> RiskValue:
     """Optimized certainty equivalent: min over lambda in [0, D] of lambda + E[phi(X - lambda)]."""
-    _check_oce_support(cdf, spec)
-    return RiskValue(
-        value=spec.closed_form(cdf.values, +1.0),
-        risk_name=spec.name,
-        L=oce_lipschitz_constant(spec),
-    )
+    return _oce_value(cdf, spec, +1.0, spec.name)
 
 
 def inverted_oce_risk(cdf: EmpiricalCDF, spec: OceSpec) -> RiskValue:
     """Risk-seeking inversion: max over lambda in [0, D] of lambda - E[phi(lambda - X)]."""
-    _check_oce_support(cdf, spec)
-    return RiskValue(
-        value=spec.closed_form(cdf.values, -1.0),
-        risk_name=f"inverted_{spec.name}",
-        L=oce_lipschitz_constant(spec),
-    )
+    return _oce_value(cdf, spec, -1.0, f"inverted_{spec.name}")
 
 
 def mean_variance(cdf: EmpiricalCDF, c: float, support_bound: float | None = None) -> RiskValue:
@@ -432,13 +415,13 @@ def load_spectrum_csv(path) -> DistortionSpec:
         raise InvalidSpectrum(f"{name}: cumulative spectrum must run from 0 to 1")
     slope = np.diff(hv) / width
 
-    def cumulative(t):
-        t = np.clip(t, 0.0, 1.0)
-        j = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, width.size - 1)
-        dt = t - knots[j]
-        return cum_knots[j] + hv[j] * dt + 0.5 * slope[j] * dt * dt
+    def distortion(t):  # g(t) = 1 - H(1 - t); rank weights H(i/n) - H((i-1)/n)
+        u = np.clip(1.0 - np.asarray(t, dtype=np.float64), 0.0, 1.0)
+        j = np.clip(np.searchsorted(knots, u, side="right") - 1, 0, width.size - 1)
+        du = u - knots[j]
+        return 1.0 - (cum_knots[j] + hv[j] * du + 0.5 * slope[j] * du * du)
 
-    return _spectrum_distortion(cumulative, float(hv[-1]), name)
+    return DistortionSpec(g=distortion, name=name, lipschitz_constant=float(hv[-1]))
 
 
 # The risk-token grammar.  A form's last piece in capitals is its parameter:

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -220,6 +221,16 @@ class TestMonteCarloEn:
         with pytest.raises(ConfigError):
             monte_carlo_en(fns, _gaussian_sampler, n=n, reps=reps, seed=0,
                            reference_sample_size=200)
+
+    @pytest.mark.parametrize("arg, value", [("n", 2.5), ("n", True), ("reps", 2.5),
+                                            ("reps", False), ("reference_sample_size", 2.5),
+                                            ("reference_sample_size", True)])
+    def test_non_integer_counts_raise_config_error(self, arg, value):
+        fns = [lambda X, y: np.abs(X[:, 0])]
+        kwargs = {"n": 20, "reps": 3, "reference_sample_size": 200, arg: value}
+        got = ", ".join(repr(kwargs[k]) for k in ("n", "reps", "reference_sample_size"))
+        with pytest.raises(ConfigError, match=rf"needs integers .* got {re.escape(got)}$"):
+            monte_carlo_en(fns, _gaussian_sampler, seed=0, **kwargs)
 
     def test_validate_bounds_script_exits_with_config_code(self, tmp_path):
         proc = run_validate_bounds("--reps", "0", "--out", str(tmp_path))

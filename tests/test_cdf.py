@@ -13,7 +13,7 @@ from riskcdf.cdf import (
     wasserstein1,
     write_cdf_csv,
 )
-from riskcdf.errors import EmptySample, InvalidLoss, InvalidOrder, SupportViolation
+from riskcdf.errors import EmptySample, InvalidLoss, InvalidOrder, ShapeError, SupportViolation
 
 finite_losses = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False), min_size=1, max_size=50
@@ -71,6 +71,32 @@ class TestBuildCdf:
         shuffled = list(losses)
         rnd.shuffle(shuffled)
         assert np.array_equal(build_cdf(losses).values, build_cdf(shuffled).values)
+
+
+class TestEmpiricalCdfInvariant:
+    """An EmpiricalCDF holds a 1-D, ascending, NaN-free sample; anything else
+    is a data error (exit code 3) that names where the sample goes wrong."""
+
+    def test_unsorted_rejected(self):
+        with pytest.raises(InvalidLoss, match=r"values\[1\] = 1.0 is below values\[0\] = 3.0$"):
+            EmpiricalCDF(np.array([3.0, 1.0, 2.0]))
+        with pytest.raises(InvalidLoss, match=r"values\[3\] = 1.5 is below values\[2\] = 2.0$"):
+            EmpiricalCDF(np.array([1.0, 2.0, 2.0, 1.5]))
+
+    @pytest.mark.parametrize("values, position", [([np.nan], 0), ([1.0, np.nan, 2.0], 1),
+                                                  ([1.0, 2.0, np.nan], 2)])
+    def test_nan_rejected(self, values, position):
+        with pytest.raises(InvalidLoss, match=rf"values\[{position}\] is NaN$"):
+            EmpiricalCDF(np.array(values))
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ShapeError, match=r"1-D, got shape \(2, 2\)$"):
+            EmpiricalCDF(np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+    def test_signed_sorted_sample_keeps_its_distance(self):
+        a = EmpiricalCDF(np.array([-2.0, -0.5, 0.0, 3.0]))
+        b = EmpiricalCDF(np.array([-np.inf, -1.0, 1.0, 1.0]))
+        assert sup_norm_distance(a, b) == brute_force_ks(a.values, b.values) == 0.25
 
 
 class TestSupNormDistance:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -216,6 +217,20 @@ class TestCmdAssess:
                     "--risk", "cvar:1e-17", "--out", out]) == 0
         oce, plain = (out / "assessment.csv").read_text().splitlines()[1:]
         assert oce.split(",", 1) == ["oce:cvar:1e-17", plain.split(",", 1)[1]]
+
+    def test_csv_quotes_names_and_tokens_with_commas(self, tmp_path):
+        src = tmp_path / "table.csv"
+        src.write_text('"a,b",c\n1,2\n3,4\n')
+        dist = tmp_path / "g,1.csv"
+        dist.write_text("t,g\n0,0\n1,1\n")
+        token = f"distortion-file:{dist}"
+        out = tmp_path / "a"
+        assert run(["assess", "--input", src, "--risk", "mean", "--risk", token,
+                    "--out", out]) == 0
+        with open(out / "assessment.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["risk", "a,b", "c"], ["mean", "2", "3"], [token, "2", "3"]]
+        assert (out / "assessment.csv").read_bytes().count(b"\r\n") == 3
 
     def test_unknown_risk_is_config_error(self, tmp_path):
         src = tmp_path / "table.csv"
@@ -830,7 +845,9 @@ REJECTIONS = [
     ("complexity-input-nan-loss", ["complexity", "--input", "NAN_MATRIX"], None, 3),
     ("assess-repeated-model-name", ["assess", "--input", "REPEATED_NAME_TABLE"], None, 3),
     ("oce-entropic-overflow", ["assess", "--input", "TABLE", "--risk", "oce:entropic",
-                               "--support-bound", 800], None, 2),
+                               "--support-bound", 800], None, 4),
+    ("oce-cvar-subnormal-level", ["assess", "--input", "TABLE", "--risk", "oce:cvar:1e-320"],
+     None, 4),
     ("mean-var-constant-overflow", ["assess", "--input", "TABLE", "--risk", "mean_var:1e308"],
      None, 4),
     ("mean-var-support-overflow", ["assess", "--input", "TABLE", "--risk", "mean_var:1",

@@ -1,8 +1,9 @@
 """riskcdf runs on numpy alone: every risk family and every subcommand work in
 a fresh interpreter where importing scipy fails.  It reads nothing from the
 process environment: every flag value comes from the command line.  One
-function writes its JSON.  Its lower layers (CDFs, certificates,
-permutation complexity) import none of the layers built on them."""
+function writes its JSON and one its CSV.  Its lower layers (CDFs,
+certificates, permutation complexity) import none of the layers built on
+them."""
 
 import ast
 import os
@@ -115,6 +116,34 @@ def test_no_module_reads_the_environment():
     assert found == []
 
 
+def nodes_in_functions(source: str):
+    """Each AST node of ``source`` in source order, with the name of the
+    function around it (``<module>`` outside any function)."""
+
+    def visit(node: ast.AST, where: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            yield child, where
+            yield from visit(child, where)
+
+    yield from visit(ast.parse(source), "<module>")
+
+
+def module_calls(node: ast.AST, module: str, names: set[str]) -> bool:
+    """Whether ``node`` is a call ``module.name(...)`` for a name in ``names``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == module)
+
+
+def imports_from(node: ast.AST, module: str, names: set[str]) -> bool:
+    """Whether ``node`` is ``from module import name`` for a name in ``names``."""
+    return (isinstance(node, ast.ImportFrom) and node.module == module
+            and any(alias.name in names for alias in node.names))
+
+
 JSON_WRITES = {"dump", "dumps"}
 
 
@@ -123,22 +152,11 @@ def json_writers(source: str) -> list[str]:
     call (``<module>`` outside any function), and ``<import>`` for each
     ``from json import dump`` or ``dumps``."""
     found = []
-
-    def visit(node: ast.AST, where: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr in JSON_WRITES and isinstance(child.func.value, ast.Name)
-                    and child.func.value.id == "json"):
-                found.append(where)
-            elif (isinstance(child, ast.ImportFrom) and child.module == "json"
-                  and any(alias.name in JSON_WRITES for alias in child.names)):
-                found.append("<import>")
-            visit(child, where)
-
-    visit(ast.parse(source), "<module>")
+    for node, where in nodes_in_functions(source):
+        if module_calls(node, "json", JSON_WRITES):
+            found.append(where)
+        elif imports_from(node, "json", JSON_WRITES):
+            found.append("<import>")
     return found
 
 
@@ -153,6 +171,74 @@ def test_one_json_writer():
     assert sources
     found = [f"{p.name}:{where}" for p in sources for where in json_writers(p.read_text())]
     assert found == ["data.py:_write_json"]
+
+
+CSV_WRITERS = {"writer", "DictWriter"}
+
+
+def opens_for_writing(node: ast.AST) -> bool:
+    """Whether ``node`` opens a file in a mode that may write: ``open(path,
+    mode)``, ``io.open(path, mode)`` or ``path.open(mode)`` whose mode has w,
+    a, x or + or is not a literal, or ``path.write_text``/``write_bytes``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr in {"write_text", "write_bytes"}:
+        return True
+    if isinstance(func, ast.Name) and func.id == "open" or module_calls(node, "io", {"open"}):
+        position = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        position = 0
+    else:
+        return False
+    modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[position:position + 1]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+               or set(m.value) & set("wax+") for m in modes)
+
+
+def file_writers(source: str) -> list[str]:
+    """``open:F`` for each file that function F of ``source`` opens for
+    writing (``<module>`` outside any function), ``csv:F`` for each
+    ``csv.writer``/``csv.DictWriter`` it makes, and ``csv:<import>`` for
+    ``from csv import writer`` or ``DictWriter``."""
+    found = []
+    for node, where in nodes_in_functions(source):
+        if opens_for_writing(node):
+            found.append(f"open:{where}")
+        elif module_calls(node, "csv", CSV_WRITERS):
+            found.append(f"csv:{where}")
+        elif imports_from(node, "csv", CSV_WRITERS):
+            found.append("csv:<import>")
+    return found
+
+
+def test_one_file_writer():
+    """Every file riskcdf writes is opened by ``data._write_csv`` or
+    ``data._write_json``, and only ``data`` makes a csv writer, so each
+    format is decided in one place."""
+    assert file_writers(textwrap.dedent("""
+        open(p)
+        open(p, "rb")
+        open(p, newline="")
+        Path(p).open()
+        def f():
+            with open(p, "w", newline="") as fh:
+                csv.writer(fh)
+        def g(mode):
+            Path(p).open("a")
+            open(p, mode)
+            open(p, mode="x")
+            p.write_text("t")
+            csv.reader(fh)
+        from csv import writer
+        io.open(p, "r+")
+    """)) == ["open:f", "csv:f", "open:g", "open:g", "open:g", "open:g", "csv:<import>",
+              "open:<module>"]
+    sources = sorted(Path(SRC, "riskcdf").glob("*.py"))
+    assert sources
+    found = [f"{p.name}:{where}" for p in sources for where in file_writers(p.read_text())]
+    assert found == ["data.py:open:_write_json", "data.py:csv:_write_csv",
+                     "data.py:open:_write_csv"]
 
 
 LOWER_LAYERS = ("cdf", "bounds", "permcomplexity")

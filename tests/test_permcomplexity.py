@@ -443,6 +443,14 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError, match="reps >= 1"):
             monte_carlo_permutation_complexity(fns, _scalar_sampler, n=n, reps=reps, seed=1)
 
+    @pytest.mark.parametrize("arg, value", [("n", 2.5), ("n", True), ("reps", 2.5),
+                                            ("reps", True)])
+    def test_non_integer_counts_rejected(self, arg, value):
+        fns = [lambda X, y: X[:, 0]]
+        kwargs = {"n": 4, "reps": 3, arg: value}
+        with pytest.raises(ConfigError, match=rf"needs integers .* {arg}={value!r}"):
+            monte_carlo_permutation_complexity(fns, _scalar_sampler, seed=1, **kwargs)
+
     def test_wrong_loss_count_is_a_shape_error(self):
         fns = [lambda X, y: X[:, 0], lambda X, y: X[1:, 0]]
         with pytest.raises(ShapeError, match=r"^loss function 1 returned 4 losses for 5 rows$"):

@@ -16,6 +16,7 @@ from riskcdf.errors import (
     InvalidAlpha,
     InvalidDistortion,
     InvalidSpectrum,
+    NumericError,
     SupportViolation,
 )
 from riskcdf.risks import (
@@ -266,6 +267,14 @@ class TestSpectralRisk:
         cdf = build_cdf(losses)
         assert abs(spectral_risk(cdf, cvar_spectrum(alpha)).value - cvar(cdf, alpha).value) < 1e-12
 
+    @pytest.mark.parametrize("alpha", [1e-17, 1e-320])
+    def test_cvar_spectrum_below_float_resolution(self, alpha):
+        # 1 - alpha rounds to 1 here, so a cumulative max(u - (1 - alpha), 0)/alpha
+        # would make g(0) = 1 and fail construction.
+        spec = cvar_spectrum(alpha)
+        for n in (1, 7, 1050):
+            assert np.array_equal(spec.rank_weights(n), cvar_distortion(alpha).rank_weights(n))
+
     def test_linear_spectrum_weights_are_exact(self, tmp_path):
         path = tmp_path / "linear.csv"
         path.write_text("u,h\n0,0\n1,2\n")  # h(u) = 2u, H(t) = t^2
@@ -399,7 +408,7 @@ class TestOce:
     def test_overflowing_phi_names_support_bound_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidSpectrum, match=r"non-finite .* D = 800$"):
+            with pytest.raises(NumericError, match=r"non-finite .* D = 800$"):
                 oce_entropic_spec(800.0)
 
 
