@@ -9,14 +9,13 @@ Writes one training trace per objective plus a side-by-side risk table
 """
 
 import argparse
-import csv
 import os
 import sys
 
 import numpy as np
 
 from riskcdf.cdf import build_cdf
-from riskcdf.data import toy_blobs
+from riskcdf.data import _write_csv, toy_blobs
 from riskcdf.models import init_model
 from riskcdf.optim import train
 from riskcdf.risks import cvar, cvar_distortion, identity_distortion, mean_variance
@@ -55,13 +54,10 @@ def main() -> int:
             "max_loss": float(losses.max()),
         })
 
-    table_path = os.path.join(args.out, "risk_comparison.csv")
-    with open(table_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-
     header = list(rows[0])
+    table_path = os.path.join(args.out, "risk_comparison.csv")
+    _write_csv(table_path, header, [[row[h] for row in rows] for h in header])
+
     print("  ".join(f"{h:>14}" for h in header))
     for row in rows:
         print("  ".join(f"{row[h]:>14.5g}" if h != "objective" else f"{row[h]:>14}"

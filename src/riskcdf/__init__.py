@@ -51,7 +51,6 @@ from .risks import (
     identity_distortion,
     inverted_oce_risk,
     mean_variance,
-    oce_lipschitz_constant,
     oce_risk,
     spectral_risk,
 )

@@ -63,7 +63,7 @@ def _finite(value, what: str, error: type[ConfigError] = ConfigError) -> float:
 
 def _check_n(n: int) -> int:
     _finite(n, "sample size")
-    if int(n) != n or n < 1:
+    if not _is_count(n):
         raise ConfigError(f"sample size must be a positive integer, got {n!r}")
     return int(n)
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _check_loss_cells, _write_csv, read_numeric_csv
-from .errors import (EmptySample, FormatError, InvalidLoss, InvalidOrder, ShapeError,
-                     SupportViolation)
+from .errors import (EmptySample, FormatError, InvalidLoss, InvalidOrder, NumericError,
+                     ShapeError, SupportViolation)
 
 __all__ = [
     "EmpiricalCDF",
@@ -186,10 +186,15 @@ def wasserstein1(a: EmpiricalCDF, b: EmpiricalCDF, support_bound: float) -> floa
 
 
 def moment(cdf: EmpiricalCDF, k: int) -> float:
-    """k-th raw moment (1/n) * sum(values**k) for integer k >= 1."""
+    """k-th raw moment (1/n) * sum(values**k) for integer k >= 1; one that
+    overflows raises :class:`NumericError` naming k."""
     if int(k) != k or k < 1:
         raise InvalidOrder(f"moment order must be a positive integer, got {k!r}")
-    return float(np.mean(cdf.values ** int(k)))
+    with np.errstate(over="ignore"):  # reported below, not warned
+        m = float(np.mean(cdf.values ** int(k)))
+    if not np.isfinite(m):
+        raise NumericError(f"moment of order {int(k)} is not finite: {m}")
+    return m
 
 
 def read_losses_csv(path, has_header: bool = False) -> np.ndarray:

@@ -80,13 +80,13 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
 def run_cdf(params: dict, out_dir: str) -> None:
     losses = read_losses_csv(params["input"], has_header=params["has_header"])
     cdf = build_cdf(losses)
-    write_cdf_csv(cdf, os.path.join(out_dir, "cdf.csv"))
     summary = {
         "n": cdf.n,
         "min": cdf.min,
         "max": cdf.max,
         "moments": {str(k): moment(cdf, k) for k in (1, 2, 3, 4)},
     }
+    write_cdf_csv(cdf, os.path.join(out_dir, "cdf.csv"))
     _write_json(summary, os.path.join(out_dir, "summary.json"))
     print(f"{PROG} cdf: n={cdf.n} min={cdf.min:g} max={cdf.max:g}")
 

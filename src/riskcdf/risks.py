@@ -24,7 +24,8 @@ reports the value together with sup-norm Holder constants (L, p) so that a
 CDF error budget epsilon translates to a risk error budget L * epsilon^p.
 Each L is a closed form, not a grid estimate: 1/alpha, the table's
 steepest slope or h(1) for distortions (times D),
-phi(D) - phi(0) for OCEs and D + 3 |c| D^2 for mean + c * variance.
+D, D/alpha and e^D - 1 for the mean, CVaR and entropic OCEs and
+D + 3 |c| D^2 for mean + c * variance.
 
 :data:`RISK_TOKENS` is the one grammar of ``--risk`` tokens (:func:`parse_risk`);
 its distortion tokens, the ones training takes, are :data:`DISTORTION_TOKENS`.
@@ -74,18 +75,12 @@ __all__ = [
     "oce_risk",
     "inverted_oce_risk",
     "mean_variance",
-    "oce_lipschitz_constant",
     "load_distortion_csv",
     "load_spectrum_csv",
     "risk_record",
 ]
 
 DISTORTION_TOL = 1e-9
-
-
-def _eval_fn(fn: Callable, x) -> np.ndarray:
-    """A vectorised spec function evaluated on a float array."""
-    return np.asarray(fn(np.asarray(x, dtype=np.float64)), dtype=np.float64)
 
 
 def _check_distortion_levels(name: str, levels: np.ndarray) -> None:
@@ -141,14 +136,14 @@ class DistortionSpec:
     lipschitz_constant: float | None = None
 
     def __post_init__(self):
-        g0, g1 = _eval_fn(self.g, np.array([0.0, 1.0]))
+        g0, g1 = self(np.array([0.0, 1.0]))
         if not abs(g0) <= DISTORTION_TOL:  # NaN fails too
             raise InvalidDistortion(f"{self.name}: g(0) = {float(g0)}, expected 0")
         if not abs(g1 - 1.0) <= DISTORTION_TOL:
             raise InvalidDistortion(f"{self.name}: g(1) = {float(g1)}, expected 1")
 
     def __call__(self, t) -> np.ndarray:
-        return _eval_fn(self.g, t)
+        return np.asarray(self.g(np.asarray(t, dtype=np.float64)), dtype=np.float64)
 
     def rank_weights(self, n: int) -> np.ndarray:
         """Weight g(1 - (i-1)/n) - g(1 - i/n) of the i-th smallest of n losses, i = 1..n.
@@ -171,30 +166,33 @@ class SpectrumSpec(DistortionSpec):
 
 @dataclass(frozen=True)
 class OceSpec:
-    """An optimized certainty equivalent: its disutility phi and its exact value.
+    """An optimized certainty equivalent on losses in [0, D]: its exact value
+    and its Holder constant.
 
-    phi is convex and non-decreasing with phi(0) = 0; it gives the Holder
-    constant phi(D) - phi(0) (:func:`oce_lipschitz_constant`), which must be
-    finite: an overflowing one raises :class:`NumericError`, as it does for
-    every risk.  ``closed_form(sorted_losses, sign)`` is the exact OCE value
-    (``sign=+1``) or its inversion (``sign=-1``), in agreement with phi.
-    The presets (:func:`oce_mean_spec`, :func:`oce_entropic_spec`,
-    :func:`oce_cvar_spec`) build every OCE riskcdf evaluates.
+    ``closed_form(sorted_losses, sign)`` is the exact OCE value (``sign=+1``)
+    or its inversion (``sign=-1``) for a convex, non-decreasing disutility phi
+    with phi(0) = 0.  ``lipschitz_constant`` is the risk's sup-norm constant
+    on [0, D], the same for both directions: phi(D) - phi(0), the largest
+    increment phi(D - x) - phi(-x), or phi(x) - phi(x - D) for the inversion,
+    over x in [0, D], since the increments of a convex phi grow with their
+    start.  It must be finite: an overflowing one raises :class:`NumericError`,
+    as it does for every risk.  The presets (:func:`oce_mean_spec`,
+    :func:`oce_entropic_spec`, :func:`oce_cvar_spec`) build every OCE riskcdf
+    evaluates, each with its constant in closed form.
     """
 
-    phi: Callable = field(repr=False)
     support_bound: float
+    lipschitz_constant: float
     closed_form: Callable = field(repr=False)
     name: str = "oce"
 
     def __post_init__(self):
         if self.support_bound < 0:
             raise SupportViolation(f"{self.name}: support bound must be nonnegative")
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
-            lipschitz = oce_lipschitz_constant(self)
-        if not math.isfinite(lipschitz):
-            raise NumericError(f"{self.name}: phi produced non-finite values on [-D, D] "
-                               f"with support bound D = {self.support_bound:g}")
+        if not math.isfinite(self.lipschitz_constant):
+            raise NumericError(f"{self.name}: non-finite Holder constant "
+                               f"{self.lipschitz_constant} with support bound "
+                               f"D = {self.support_bound:g}")
 
 
 def identity_distortion() -> DistortionSpec:
@@ -223,14 +221,13 @@ def cvar_spectrum(alpha: float) -> DistortionSpec:
 
 
 def oce_mean_spec(support_bound: float) -> OceSpec:
-    """phi(x) = x: lambda cancels and the OCE reduces to the mean."""
-    return OceSpec(phi=lambda x: np.asarray(x, dtype=np.float64),
-                   support_bound=support_bound, name="oce:mean",
-                   closed_form=lambda x, sign: float(np.mean(x)))
+    """phi(x) = x: lambda cancels and the OCE reduces to the mean; L = D."""
+    return OceSpec(support_bound=support_bound, lipschitz_constant=float(support_bound),
+                   name="oce:mean", closed_form=lambda x, sign: float(np.mean(x)))
 
 
 def oce_cvar_spec(alpha: float, support_bound: float) -> OceSpec:
-    """phi(x) = max(x, 0)/alpha: the certainty-equivalent form of CVaR.
+    """phi(x) = max(x, 0)/alpha: the certainty-equivalent form of CVaR; L = D/alpha.
 
     The objective is piecewise linear in lambda with its optimum at a sample
     quantile, so the value is a distortion risk: the upper-tail CVaR
@@ -252,9 +249,8 @@ def oce_cvar_spec(alpha: float, support_bound: float) -> OceSpec:
     def closed_form(x: np.ndarray, sign: float) -> float:
         return float((up if sign > 0 else down)(x.shape[0]) @ x)
 
-    return OceSpec(phi=lambda x: np.maximum(np.asarray(x, dtype=np.float64), 0.0) / a,
-                   support_bound=support_bound, name=f"oce:cvar:{alpha:g}",
-                   closed_form=closed_form)
+    return OceSpec(support_bound=support_bound, lipschitz_constant=float(support_bound) / a,
+                   name=f"oce:cvar:{alpha:g}", closed_form=closed_form)
 
 
 def _entropic_value(x: np.ndarray, sign: float) -> float:
@@ -264,10 +260,12 @@ def _entropic_value(x: np.ndarray, sign: float) -> float:
 
 
 def oce_entropic_spec(support_bound: float) -> OceSpec:
-    """phi(x) = exp(x) - 1: the entropic risk, log mean exp(x) in closed form."""
-    return OceSpec(phi=lambda x: np.expm1(np.asarray(x, dtype=np.float64)),
-                   support_bound=support_bound, name="oce:entropic",
-                   closed_form=_entropic_value)
+    """phi(x) = exp(x) - 1: the entropic risk, log mean exp(x) in closed form;
+    L = e^D - 1, which overflows for D above about 709.78."""
+    with np.errstate(over="ignore"):  # an infinite L is reported by OceSpec, not warned
+        lipschitz = float(np.expm1(support_bound))
+    return OceSpec(support_bound=support_bound, lipschitz_constant=lipschitz,
+                   name="oce:entropic", closed_form=_entropic_value)
 
 
 def _support_bound(support_bound: float | None, largest: float) -> float:
@@ -314,7 +312,7 @@ def _oce_value(cdf: EmpiricalCDF, spec: OceSpec, sign: float, name: str) -> Risk
         raise SupportViolation(f"losses must lie in [0, {spec.support_bound}]; got range "
                                f"[{cdf.min}, {cdf.max}]")
     return RiskValue(value=spec.closed_form(cdf.values, sign), risk_name=name,
-                     L=oce_lipschitz_constant(spec))
+                     L=spec.lipschitz_constant)
 
 
 def oce_risk(cdf: EmpiricalCDF, spec: OceSpec) -> RiskValue:
@@ -341,19 +339,6 @@ def mean_variance(cdf: EmpiricalCDF, c: float, support_bound: float | None = Non
         risk_name=f"mean_var:{c:g}",
         L=d + 3.0 * abs(c) * d * d,
     )
-
-
-def oce_lipschitz_constant(spec: OceSpec) -> float:
-    """Sup-norm Lipschitz constant of an OCE risk on losses in [0, D]: phi(D) - phi(0).
-
-    The standard direction's constant is the max over x in [0, D] of
-    phi(D - x) - phi(-x), and the inverted one's is the max of
-    phi(x) - phi(x - D).  Increments of a convex phi grow with their start,
-    so the first is largest at x = 0 and the second at x = D; both equal
-    phi(D) - phi(0).
-    """
-    at_zero, at_d = _eval_fn(spec.phi, np.array([0.0, spec.support_bound]))
-    return float(at_d - at_zero)
 
 
 def _load_table_csv(path) -> tuple[np.ndarray, np.ndarray]:

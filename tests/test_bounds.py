@@ -176,6 +176,16 @@ class TestCertificates:
         assert certificate_finite_class(500, 8, 0.01).epsilon > base
         assert certificate_finite_class(500, 80, 0.1).epsilon > base
 
+    @pytest.mark.parametrize("n", [True, 200.0, np.float64(200)], ids=repr)
+    def test_sample_size_is_a_count_not_a_bool_or_float(self, n):
+        message = f"sample size must be a positive integer, got {n!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            certificate("finite_class", n, 0.05, 3)
+
+    def test_numpy_integer_sample_size(self):
+        cert = certificate("finite_class", np.int64(200), 0.05, 3)
+        assert cert.n == 200 and type(cert.n) is int
+
     def test_serialization(self):
         cert = certificate_finite_class(100, 5, 0.1)
         payload = json.loads(json.dumps(cert.to_dict()))

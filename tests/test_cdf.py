@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from riskcdf.cdf import (
     wasserstein1,
     write_cdf_csv,
 )
-from riskcdf.errors import EmptySample, InvalidLoss, InvalidOrder, ShapeError, SupportViolation
+from riskcdf.errors import (EmptySample, InvalidLoss, InvalidOrder, NumericError, ShapeError,
+                            SupportViolation)
 
 finite_losses = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False), min_size=1, max_size=50
@@ -273,6 +276,15 @@ class TestMoment:
     def test_invalid_order(self):
         with pytest.raises(InvalidOrder):
             moment(build_cdf([1.0]), 0)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_overflow_names_the_order_without_warning(self, k):
+        cdf = build_cdf([1.0, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert moment(cdf, 1) == 5e199
+            with pytest.raises(NumericError, match=rf"^moment of order {k} is not finite: inf$"):
+                moment(cdf, k)
 
     @given(finite_losses, st.integers(min_value=1, max_value=4))
     def test_matches_direct_summation(self, losses, k):

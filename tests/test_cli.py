@@ -792,7 +792,9 @@ DATASETS = {"NAN_DATASET": "a,b,label\n1,2,0\n3,nan,1\n",
             "NAN_LOSSES": "1\n2\n\nnan\n",
             "INF_TABLE": "m,k\n1,2\n3,inf\n",
             "NAN_MATRIX": "1,2,3\n4,nan,6\n",
-            "REPEATED_NAME_TABLE": "m,m\n1,5\n2,6\n"}
+            "REPEATED_NAME_TABLE": "m,m\n1,5\n2,6\n",
+            "HUGE_LOSSES": "1e200\n1\n",
+            "HUGE_TABLE": "m\n1e200\n1\n"}
 
 # (case, argv, manifest text for MANIFEST or None, exit code)
 REJECTIONS = [
@@ -852,6 +854,9 @@ REJECTIONS = [
      None, 4),
     ("mean-var-support-overflow", ["assess", "--input", "TABLE", "--risk", "mean_var:1",
                                    "--support-bound", "1e160"], None, 4),
+    ("cdf-moment-overflow", ["cdf", "--input", "HUGE_LOSSES"], None, 4),
+    ("mean-var-moment-overflow", ["assess", "--input", "HUGE_TABLE", "--risk", "mean_var:1"],
+     None, 4),
     ("risk-unknown", ["assess", "--input", "TABLE", "--risk", "nope"], None, 2),
     ("assess-cvar-subnormal-level", ["assess", "--input", "TABLE", "--risk", "cvar:1e-320"],
      None, 4),

@@ -213,9 +213,9 @@ def file_writers(source: str) -> list[str]:
 
 
 def test_one_file_writer():
-    """Every file riskcdf writes is opened by ``data._write_csv`` or
-    ``data._write_json``, and only ``data`` makes a csv writer, so each
-    format is decided in one place."""
+    """Every file riskcdf and its scripts write is opened by
+    ``data._write_csv`` or ``data._write_json``, and only ``data`` makes a csv
+    writer, so each format is decided in one place."""
     assert file_writers(textwrap.dedent("""
         open(p)
         open(p, "rb")
@@ -235,10 +235,12 @@ def test_one_file_writer():
     """)) == ["open:f", "csv:f", "open:g", "open:g", "open:g", "open:g", "csv:<import>",
               "open:<module>"]
     sources = sorted(Path(SRC, "riskcdf").glob("*.py"))
-    assert sources
-    found = [f"{p.name}:{where}" for p in sources for where in file_writers(p.read_text())]
-    assert found == ["data.py:open:_write_json", "data.py:csv:_write_csv",
-                     "data.py:open:_write_csv"]
+    scripts = sorted(Path(SRC).parent.joinpath("scripts").glob("*.py"))
+    assert sources and scripts
+    found = [f"{p.parent.name}/{p.name}:{where}"
+             for p in sources + scripts for where in file_writers(p.read_text())]
+    assert found == ["riskcdf/data.py:open:_write_json", "riskcdf/data.py:csv:_write_csv",
+                     "riskcdf/data.py:open:_write_csv"]
 
 
 LOWER_LAYERS = ("cdf", "bounds", "permcomplexity")

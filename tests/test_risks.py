@@ -33,7 +33,6 @@ from riskcdf.risks import (
     mean_variance,
     oce_cvar_spec,
     oce_entropic_spec,
-    oce_lipschitz_constant,
     oce_mean_spec,
     oce_risk,
     spectral_risk,
@@ -469,8 +468,8 @@ class TestOceAgainstOracles:
             assert inverted_oce_risk(cdf, spec).value == pytest.approx(lower, abs=1e-12)
 
     def test_linear_phi_at_large_support_accepted(self):
-        assert oce_lipschitz_constant(oce_mean_spec(1e6)) == 1e6
-        assert oce_lipschitz_constant(oce_cvar_spec(0.1, support_bound=1e6)) == 1e7
+        assert oce_mean_spec(1e6).lipschitz_constant == 1e6
+        assert oce_cvar_spec(0.1, support_bound=1e6).lipschitz_constant == 1e7
 
     def test_memory_is_linear_in_n(self):
         rng = np.random.default_rng(5)
@@ -506,8 +505,15 @@ def golden_section(fn, lo, hi, tol):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def search_oce(phi, d):
-    """A ``closed_form`` for any convex phi on losses in [0, d], by search.
+def phi_constant(phi, d):
+    """The oracle's OCE constant phi(D) - phi(0), from phi read at [0, D]."""
+    at_zero, at_d = phi(np.array([0.0, d]))
+    return float(at_d - at_zero)
+
+
+def search_oce(phi, d, name="oce"):
+    """The OCE of any convex phi on losses in [0, d], by search, with the
+    constant phi(d) - phi(0).
 
     sign * lambda + mean(phi(sign * (x - lambda))) is convex in lambda, so
     golden-section search over [0, d] finds its minimum; sign times that
@@ -518,13 +524,13 @@ def search_oce(phi, d):
             lambda lam: sign * lam + float(np.mean(phi(sign * (x - lam)))), 0.0, d, SEARCH_TOL)
         return sign * best
 
-    return value
+    return OceSpec(support_bound=d, lipschitz_constant=phi_constant(phi, d),
+                   closed_form=value, name=name)
 
 
-def searched(spec):
-    """The same phi and support with the golden-section search as its closed form."""
-    return OceSpec(phi=spec.phi, support_bound=spec.support_bound,
-                   closed_form=search_oce(spec.phi, spec.support_bound), name=spec.name)
+def searched(spec, phi):
+    """A preset's support and name with the golden-section search over its phi."""
+    return search_oce(phi, spec.support_bound, spec.name)
 
 
 PRESETS = {
@@ -533,13 +539,25 @@ PRESETS = {
     "cvar": lambda d, alpha: oce_cvar_spec(alpha, support_bound=d),
 }
 
+# The oracle: each preset's disutility phi (given alpha), which riskcdf never evaluates.
+PRESET_PHIS = {
+    "mean": lambda alpha: lambda x: np.asarray(x, dtype=np.float64),
+    "entropic": lambda alpha: lambda x: np.expm1(np.asarray(x, dtype=np.float64)),
+    "cvar": lambda alpha: lambda x: np.maximum(np.asarray(x, dtype=np.float64), 0.0) / alpha,
+}
+
+
+def preset_cases(alphas):
+    """(preset, alpha) for the mean and entropic presets and CVaR at each alpha."""
+    return [("mean", None), ("entropic", None), *(("cvar", a) for a in alphas)]
+
 
 class TestOceClosedForms:
     @pytest.mark.parametrize("preset", list(PRESETS))
     def test_preset_matches_search(self, preset):
         for x, d, alpha in random_oce_cases():
             cdf, spec = build_cdf(x), PRESETS[preset](d, alpha)
-            oracle = searched(spec)
+            oracle = searched(spec, PRESET_PHIS[preset](alpha))
             assert oce_risk(cdf, spec).value == pytest.approx(
                 oce_risk(cdf, oracle).value, abs=1e-6)
             assert inverted_oce_risk(cdf, spec).value == pytest.approx(
@@ -574,8 +592,9 @@ class TestOceClosedForms:
         cdf, spec = build_cdf(x), oce_cvar_spec(0.1, 6.0)
         assert oce_risk(cdf, spec).value == pytest.approx(6.0, abs=1e-15)
         assert inverted_oce_risk(cdf, spec).value == pytest.approx(1.0, abs=1e-15)
-        assert oce_risk(cdf, searched(spec)).value == pytest.approx(6.0, abs=1e-6)
-        assert inverted_oce_risk(cdf, searched(spec)).value == pytest.approx(1.0, abs=1e-6)
+        oracle = searched(spec, PRESET_PHIS["cvar"](0.1))
+        assert oce_risk(cdf, oracle).value == pytest.approx(6.0, abs=1e-6)
+        assert inverted_oce_risk(cdf, oracle).value == pytest.approx(1.0, abs=1e-6)
 
 
 class TestMeanVariance:
@@ -598,32 +617,45 @@ class TestMeanVariance:
 
 
 class TestOceLipschitzConstant:
+    SUPPORTS = [0.0, 1e-3, 0.37, 1.0, 3.7, 5.0, 20.0, 123.456, 300.0, 709.78, 1e6]
+    ALPHAS = [0.01, 0.05, 0.1, 0.123, 0.3333, 0.5, 1.0]
+
     def test_linear_phi(self):
-        assert oce_lipschitz_constant(oce_mean_spec(1.0)) == pytest.approx(1.0)
+        assert oce_mean_spec(1.0).lipschitz_constant == 1.0
 
     def test_cvar_phi(self):
-        spec = oce_cvar_spec(0.5, support_bound=1.0)
-        assert oce_lipschitz_constant(spec) == pytest.approx(2.0)
+        assert oce_cvar_spec(0.5, support_bound=1.0).lipschitz_constant == 2.0
 
     def test_degenerate_support(self):
-        assert oce_lipschitz_constant(oce_mean_spec(0.0)) == 0.0
+        assert oce_mean_spec(0.0).lipschitz_constant == 0.0
 
     def test_inverted_direction_linear(self):
         cdf, spec = build_cdf([0.25, 1.0]), oce_mean_spec(1.0)
         assert inverted_oce_risk(cdf, spec).L == oce_risk(cdf, spec).L == 1.0
 
-    def test_constant_reads_phi_at_zero_and_d(self):
-        seen = []
-
-        def phi(x):
-            seen.append(np.array(x, dtype=np.float64))
-            return np.expm1(np.asarray(x, dtype=np.float64))
-
-        spec = OceSpec(phi=phi, support_bound=2.0, closed_form=search_oce(phi, 2.0))
-        seen.clear()
-        assert oce_lipschitz_constant(spec) == np.expm1(2.0)
-        assert len(seen) == 1
-        np.testing.assert_array_equal(seen[0], [0.0, 2.0])
+    def test_preset_constants_equal_phi_oracle_bit_for_bit(self):
+        """Each preset's closed-form constant (D, D/alpha, e^D - 1) is the
+        oracle's phi(D) - phi(0) exactly, and so is L in both directions; an
+        entropic constant that overflows raises NumericError, without a warning."""
+        supports = self.SUPPORTS + list(np.random.default_rng(26).uniform(0.0, 709.0, 300))
+        checked = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in supports:
+                cdf = build_cdf([0.0, d])
+                for preset, alpha in preset_cases(self.ALPHAS):
+                    with np.errstate(over="ignore"):
+                        want = phi_constant(PRESET_PHIS[preset](alpha), d)
+                    if not np.isfinite(want):
+                        with pytest.raises(NumericError, match=r"non-finite .* D = "):
+                            PRESETS[preset](d, alpha)
+                        continue
+                    spec = PRESETS[preset](d, alpha)
+                    assert spec.lipschitz_constant == want, (spec.name, d)
+                    assert oce_risk(cdf, spec).L == want, (spec.name, d)
+                    assert inverted_oce_risk(cdf, spec).L == want, (spec.name, d)
+                    checked += 1
+        assert checked == 2798
 
 
 GRID_POINTS = 10_001
@@ -635,18 +667,17 @@ CONVEX_PHIS = {
 }
 
 
-def grid_oce_lipschitz(spec, inverted):
+def grid_oce_lipschitz(phi, d, inverted):
     """The former grid estimate of an OCE constant, kept as an oracle: the max
     over x on a 10,001-point grid of [0, D] of phi(D - x) - phi(-x), or of
     phi(x) - phi(x - D) for the inverted risk."""
-    d = spec.support_bound
     if d == 0.0:
         return 0.0
     x = np.linspace(0.0, d, GRID_POINTS)
     if inverted:
-        vals = spec.phi(x) - spec.phi(x - d)
+        vals = phi(x) - phi(x - d)
     else:
-        vals = spec.phi(d - x) - spec.phi(-x)
+        vals = phi(d - x) - phi(-x)
     return float(np.max(vals))
 
 
@@ -718,27 +749,26 @@ class TestExactConstantsAgainstGrids:
     ALPHAS = [0.01, 0.05, 0.1, 0.5, 1.0]
 
     def preset_specs(self, d):
-        yield oce_mean_spec(d)
-        yield oce_entropic_spec(d)
-        for alpha in self.ALPHAS:
-            yield oce_cvar_spec(alpha, support_bound=d)
+        """(spec, its oracle phi) for each preset."""
+        for preset, alpha in preset_cases(self.ALPHAS):
+            yield PRESETS[preset](d, alpha), PRESET_PHIS[preset](alpha)
 
     def oce_specs(self, d):
         yield from self.preset_specs(d)
         for name, phi in CONVEX_PHIS.items():
-            yield OceSpec(phi=phi, support_bound=d, closed_form=search_oce(phi, d), name=name)
+            yield search_oce(phi, d, name), phi
 
     @pytest.mark.parametrize("d", SUPPORTS)
     def test_preset_phi_is_a_disutility(self, d):
-        """Each preset's phi is finite on a 10,001-point grid of [-D, D], has
-        phi(0) = 0, and is non-decreasing and convex there (second differences,
-        tolerance 1e-9 scaled by max(1, max |phi|)); the constant
+        """Each preset's oracle phi is finite on a 10,001-point grid of [-D, D],
+        has phi(0) = 0, and is non-decreasing and convex there (second
+        differences, tolerance 1e-9 scaled by max(1, max |phi|)); the constant
         phi(D) - phi(0) relies on all three."""
         grid = np.linspace(-d, d, GRID_POINTS)
-        for spec in self.preset_specs(d):
-            vals = spec.phi(grid)
+        for spec, phi in self.preset_specs(d):
+            vals = phi(grid)
             assert np.all(np.isfinite(vals)), spec.name
-            assert spec.phi(np.zeros(1))[0] == 0.0, spec.name
+            assert phi(np.zeros(1))[0] == 0.0, spec.name
             assert np.min(np.diff(vals)) >= -1e-9, spec.name
             scale = max(1.0, float(np.max(np.abs(vals))))
             assert np.min(np.diff(vals, 2)) >= -1e-9 * scale, spec.name
@@ -746,11 +776,11 @@ class TestExactConstantsAgainstGrids:
     @pytest.mark.parametrize("d", SUPPORTS)
     def test_oce_constant_equals_grid_bit_for_bit(self, d):
         cdf = build_cdf([0.0, d])
-        for spec in self.oce_specs(d):
+        for spec, phi in self.oce_specs(d):
             upper, lower = oce_risk(cdf, spec).L, inverted_oce_risk(cdf, spec).L
-            assert upper == lower == oce_lipschitz_constant(spec), spec.name
-            assert upper == grid_oce_lipschitz(spec, inverted=False), spec.name
-            assert lower == grid_oce_lipschitz(spec, inverted=True), spec.name
+            assert upper == lower == spec.lipschitz_constant, spec.name
+            assert upper == grid_oce_lipschitz(phi, d, inverted=False), spec.name
+            assert lower == grid_oce_lipschitz(phi, d, inverted=True), spec.name
 
     def test_spectrum_constant_equals_grid_bit_for_bit(self, tmp_path):
         # Shaped like the benchmark's table: increasing h on 0, 0.3, 0.6, 0.9, 1.
