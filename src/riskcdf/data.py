@@ -11,7 +11,6 @@ or :func:`_write_json`.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import numbers
@@ -130,15 +129,17 @@ def _filled_rows(lines):
             yield reader.line_num, row
 
 
-def _cell(path, names: tuple[str, ...] | None, row: int, col: int) -> str:
-    """``row R, column C (name)`` for data row ``row`` of ``path``, R its file line.
-
-    Only for error paths: the reader returns no line numbers, so this
-    re-scans the file for filled row ``row`` after the header (there is one
-    iff ``names`` is set).
-    """
+def _data_rows(path, names: tuple[str, ...] | None):
+    """(file line number, cells) of each data row of ``path``: its filled
+    rows after the header, which there is iff ``names`` is set."""
     with open(path, newline="") as fh:
-        line, _ = next(itertools.islice(_filled_rows(fh), row + (names is not None), None))
+        yield from itertools.islice(_filled_rows(fh), names is not None, None)
+
+
+def _cell(path, names: tuple[str, ...] | None, row: int, col: int) -> str:
+    """``row R, column C (name)`` for data row ``row`` of ``path``, R its file
+    line.  Only for error paths: the reader returns no line numbers."""
+    line, _ = next(itertools.islice(_data_rows(path, names), row, None))
     name = f" ({names[col]})" if names is not None else ""
     return f"row {line}, column {col + 1}{name}"
 
@@ -152,16 +153,13 @@ def _all_numbers(row: list[str]) -> bool:
     return True
 
 
-def _parse_cells(path, body: str, offset: int, names: tuple[str, ...] | None) -> np.ndarray:
-    """Rows of ``body`` cell by cell with ``float``, naming the first bad row and column.
-
-    ``offset`` is the file line that precedes ``body``, so errors give file
-    line numbers; the width is the header's, else the first row's.
-    """
+def _parse_cells(path, names: tuple[str, ...] | None) -> np.ndarray:
+    """The data rows of ``path`` cell by cell with ``float``, naming the
+    first bad file row and column; the width is the header's, else the
+    first row's."""
     width = None if names is None else len(names)
     data = []
-    for line, row in _filled_rows(io.StringIO(body)):
-        r = offset + line
+    for r, row in _data_rows(path, names):
         width = len(row) if width is None else width
         if len(row) != width:
             raise FormatError(f"{path}: row {r}: expected {width} columns, got {len(row)}")
@@ -184,29 +182,29 @@ def read_numeric_csv(path, header: bool | None) -> tuple[tuple[str, ...] | None,
     The one format every riskcdf input file shares.  Rows with no
     non-blank cell are skipped.  ``header=True`` makes the first such row
     a header of names, ``False`` means there is none, and ``None`` means a
-    header iff that row is not all numbers.  The body goes through numpy's
-    C parser; if it rejects the body, or gives a width other than the
-    header's, each cell is parsed with ``float`` and the first bad one
-    raises :class:`FormatError` naming its file row and column (or the row
-    of a wrong width).  No data row raises :class:`EmptySample`.
+    header iff that row is not all numbers.  The file's lines stream into
+    numpy's C parser, whitespace-only ones dropped; if it rejects them, or
+    gives a width other than the header's, the file is read again and each
+    cell parsed with ``float``, the first bad one raising
+    :class:`FormatError` naming its file row and column (or the row of a
+    wrong width).  No data row raises :class:`EmptySample`.
     """
-    names, offset = None, 0
+    names, values = None, None
     with open(path, newline="") as fh:
         if header is not False:
-            line, first = next(_filled_rows(fh), (0, None))
+            _, first = next(_filled_rows(fh), (0, None))
             if first is not None and (header or not _all_numbers(first)):
-                names, offset = tuple(c.strip() for c in first), line
+                names = tuple(c.strip() for c in first)
             else:
                 fh.seek(0)
-        body = fh.read()
-    values = None
-    if body.strip():
-        try:
-            values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
+        lines = itertools.filterfalse(str.isspace, fh)
+        if (head := next(lines, None)) is not None:  # numpy warns on empty input
+            try:
+                values = np.loadtxt(itertools.chain([head], lines), delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
     if values is None or (names is not None and values.shape[1] != len(names)):
-        values = _parse_cells(path, body, offset, names)
+        values = _parse_cells(path, names)
     if len(values) == 0:
         raise EmptySample(f"{path}: no data rows")
     return names, values

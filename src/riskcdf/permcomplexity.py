@@ -175,22 +175,23 @@ def greedy_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
 
     Candidates are the rows' own stable argsort permutations (ties broken
     by original index), so the cover is always feasible and the result is
-    at most the number of distinct weak orders.  Works for any number of
-    rows and any n: memory is O(rows * n) plus one bit per (row, order).
+    at most the number of distinct weak orders.  An argsort is a function
+    of the weak order, so only each order's first row is tried.  Memory is
+    O(rows * n) plus one bit per (candidate, order), for any rows and n.
     """
     perms, ranks = _rank_rows(m.rows)
-    orders = _distinct_rows(ranks)
-    # sorts[i, j]: row i's argsort lists order j's ranks non-decreasingly.
-    # Orders go in blocks of about 2**20 gathered ranks, or one at a time.
-    sorts = np.empty((perms.shape[0], orders.shape[0]), dtype=bool)
-    block = max(1, 2**20 // perms.size)
+    first = np.sort(np.unique(ranks, axis=0, return_index=True)[1])
+    perms, orders = perms[first], ranks[first].astype(np.min_scalar_type(m.n_points))
+    # Bit j of packed[:, i]: candidate i lists order j's ranks non-decreasingly.
+    # Orders go in blocks of about 2**20 gathered ranks, rounded up to whole bytes.
+    packed = np.empty(((orders.shape[0] + 7) // 8, perms.shape[0]), dtype=np.uint8)
+    block = 8 * math.ceil(max(1, 2**20 // perms.size) / 8)
     for lo in range(0, orders.shape[0], block):
-        along = orders[lo : lo + block][:, perms]
-        sorts[:, lo : lo + block] = np.all(along[..., 1:] >= along[..., :-1], axis=2).T
-    # Bit j of a mask is set iff the permutation sorts order j.
-    packed = np.packbits(sorts, axis=1, bitorder="little")
+        along = orders[lo : lo + block][:, perms.T]  # (order, position, candidate)
+        sorts = np.all(along[:, 1:] >= along[:, :-1], axis=1)
+        packed[lo // 8 : (lo + block) // 8] = np.packbits(sorts, axis=0, bitorder="little")
     candidates: dict[tuple[int, ...], int] = {}
-    for perm_row, bits in zip(perms, packed):
+    for perm_row, bits in zip(perms, packed.T):
         candidates.setdefault(tuple(perm_row.tolist()), int.from_bytes(bits.tobytes(), "little"))
     pool = list(candidates.items())
     chosen: list[tuple[int, ...]] = []

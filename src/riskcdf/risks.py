@@ -349,7 +349,7 @@ def _load_table_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if values.shape[0] < 2:
         raise FormatError(f"{path}: need at least two numeric rows")
     x, y = np.ascontiguousarray(values.T)
-    if np.any(np.diff(x) <= 0):
+    if not np.all(np.diff(x) > 0):  # a NaN knot fails this too
         raise FormatError(f"{path}: first column must be strictly increasing")
     return x, y
 

@@ -1,8 +1,10 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from riskcdf import data
 from riskcdf.cdf import read_losses_csv
 from riskcdf.data import (
     TOY_BLOB_CENTERS,
@@ -304,7 +306,7 @@ class TestReadNumericCsv:
         path = tmp_path / "v.csv"
         path.write_text(text)
         _, fast = read_numeric_csv(path, header=False)
-        per_cell = _parse_cells(path, text, 0, None)
+        per_cell = _parse_cells(path, None)
         assert np.array_equal(fast, values) and np.array_equal(per_cell, values)
         # A quoted cell sends the whole body down the per-cell path.
         path.write_text('"' + text.replace(",", '",', 1))
@@ -312,9 +314,13 @@ class TestReadNumericCsv:
         assert np.array_equal(quoted, values)
 
     @pytest.mark.parametrize("blank", ["  \n", ",,,,\n", " , ,,\t\n", "\t\n"])
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    def test_blank_rows_give_the_clean_values(self, tmp_path, blank, newline):
-        # numpy rejects these rows; they are skipped like empty lines.
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_blank_rows_give_the_clean_values(self, tmp_path, monkeypatch, blank, newline):
+        # numpy rejects these rows; they are skipped like empty lines.  A
+        # whitespace-only line never reaches numpy, so the per-cell path stays
+        # idle; a lone CR ends a line for both paths, as for the csv module.
+        calls = []
+        monkeypatch.setattr(data, "_parse_cells", lambda *a: calls.append(a) or _parse_cells(*a))
         rng = rng_from(6, "blank-rows")
         values = rng.exponential(size=(50, 4))
         rows = _lines(values).splitlines(keepends=True)
@@ -328,6 +334,23 @@ class TestReadNumericCsv:
         assert got["dirty"][0] == got["clean"][0] == ("m1", "m2", "m3", "m4")
         assert np.array_equal(got["dirty"][1], got["clean"][1])
         assert np.array_equal(got["clean"][1], values)
+        assert len(calls) == (0 if blank.isspace() else 1)
+
+    def test_load_holds_no_copy_of_the_text(self, tmp_path):
+        # The 3.1 MB file streams into numpy line by line: the peak is about
+        # the 1.3 MB array, where a string copy of the body peaks at 17 MB.
+        rng = rng_from(7, "csv-memory")
+        values = rng.exponential(size=(20_000, 8))
+        path = tmp_path / "t.csv"
+        path.write_text("".join(f"m{j}," for j in range(7)) + "m7\n" + _lines(values))
+        tracemalloc.start()
+        try:
+            _, got = load_loss_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, values)
+        assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_bad_cell_after_a_blank_row_still_names_its_line(self, tmp_path):
         path = tmp_path / "t.csv"

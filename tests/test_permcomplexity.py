@@ -352,7 +352,7 @@ class TestGreedySolver:
             assert any(permutation_sorts(p, w) for p in witnesses)
 
     def test_large_n_peak_memory(self):
-        # At this size ranks are gathered one order at a time, O(rows * n);
+        # At this size ranks are gathered eight orders at a time, O(rows * n);
         # the exact solver's pairwise-precedence layout would need
         # rows * n(n-1)/2 entries here.
         rows = np.random.default_rng(60).uniform(size=(60, 10_000))
@@ -368,6 +368,20 @@ class TestGreedySolver:
         for row in rows:
             w = weak_order(row)
             assert any(permutation_sorts(p, w) for p in witnesses)
+
+    def test_many_orders_peak_memory(self):
+        # 4,000 distinct orders: their cover masks take one bit per
+        # (candidate, order), 2 MB, where one byte each would take 16 MB.
+        rows = np.random.default_rng(61).uniform(size=(4000, 12))
+        m = LossMatrix(rows)
+        tracemalloc.start()
+        try:
+            count, witnesses = greedy_min_permutations(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
+        assert count == len(witnesses) <= 4000
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=2, max_value=7),
            st.integers(min_value=0, max_value=10_000))

@@ -13,6 +13,7 @@ from riskcdf.cdf import build_cdf, sup_norm_distance
 from riskcdf.cli import main
 from riskcdf.errors import (
     ConfigError,
+    FormatError,
     InvalidAlpha,
     InvalidDistortion,
     InvalidSpectrum,
@@ -903,8 +904,10 @@ class TestTableLoaders:
         (load_spectrum_csv, "0,1.5\n1,0.5\n", InvalidSpectrum, "not non-decreasing"),
         (load_spectrum_csv, "0,1\n0.5,nan\n1,1\n", InvalidSpectrum, "non-finite"),
         (load_spectrum_csv, "0,2\n1,2\n", InvalidSpectrum, "must run from 0 to 1"),
+        (load_distortion_csv, "t,g\n0,0\nnan,0.5\n1,1\n", FormatError, "strictly increasing"),
+        (load_spectrum_csv, "u,h\n0,1\nnan,1\n1,1\n", FormatError, "strictly increasing"),
     ], ids=["g-narrow-dip", "g-nan", "g-at-0", "g-at-1",
-            "h-narrow-negative-dip", "h-decreasing", "h-nan", "h-mass-2"])
+            "h-narrow-negative-dip", "h-decreasing", "h-nan", "h-mass-2", "t-nan", "u-nan"])
     def test_invalid_table_rejected_at_its_knots(self, tmp_path, load, table, error, match):
         path = tmp_path / "table.csv"
         path.write_text(table)
