@@ -305,7 +305,7 @@ def _replay_params(manifest: object, where: str) -> tuple[str, dict, dict]:
 
 
 def run_rerun(manifest_path: str, out_dir: str) -> None:
-    with open(manifest_path) as fh:
+    with open(manifest_path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
         except ValueError as exc:

@@ -132,7 +132,7 @@ def _filled_rows(lines):
 def _data_rows(path, names: tuple[str, ...] | None):
     """(file line number, cells) of each data row of ``path``: its filled
     rows after the header, which there is iff ``names`` is set."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         yield from itertools.islice(_filled_rows(fh), names is not None, None)
 
 
@@ -187,24 +187,30 @@ def read_numeric_csv(path, header: bool | None) -> tuple[tuple[str, ...] | None,
     gives a width other than the header's, the file is read again and each
     cell parsed with ``float``, the first bad one raising
     :class:`FormatError` naming its file row and column (or the row of a
-    wrong width).  No data row raises :class:`EmptySample`.
+    wrong width).  A file that is not UTF-8 text raises :class:`FormatError`
+    naming the file, and no data row raises :class:`EmptySample`.
     """
     names, values = None, None
-    with open(path, newline="") as fh:
-        if header is not False:
-            _, first = next(_filled_rows(fh), (0, None))
-            if first is not None and (header or not _all_numbers(first)):
-                names = tuple(c.strip() for c in first)
-            else:
-                fh.seek(0)
-        lines = itertools.filterfalse(str.isspace, fh)
-        if (head := next(lines, None)) is not None:  # numpy warns on empty input
-            try:
-                values = np.loadtxt(itertools.chain([head], lines), delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                pass
-    if values is None or (names is not None and values.shape[1] != len(names)):
-        values = _parse_cells(path, names)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if header is not False:
+                _, first = next(_filled_rows(fh), (0, None))
+                if first is not None and (header or not _all_numbers(first)):
+                    names = tuple(c.strip() for c in first)
+                else:
+                    fh.seek(0)
+            lines = itertools.filterfalse(str.isspace, fh)
+            if (head := next(lines, None)) is not None:  # numpy warns on empty input
+                try:
+                    values = np.loadtxt(itertools.chain([head], lines), delimiter=",",
+                                        comments=None, ndmin=2)
+                except ValueError:
+                    pass
+        if values is None or (names is not None and values.shape[1] != len(names)):
+            values = _parse_cells(path, names)
+    except UnicodeDecodeError:
+        # The decoder reads ahead in chunks, so its position names no file line.
+        raise FormatError(f"{path}: not UTF-8 text") from None
     if len(values) == 0:
         raise EmptySample(f"{path}: no data rows")
     return names, values
@@ -252,7 +258,7 @@ def _write_json(payload: dict, path) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"cannot write {path}: {exc}") from None
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
@@ -271,5 +277,5 @@ def _write_csv(path, header: list[str], columns) -> None:
         else:
             cells.append([line([v])[:-2] for v in column.tolist()])
     rows = map(",".join, zip(*cells))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("".join([line(header), *[f"{row}\r\n" for row in rows]]))

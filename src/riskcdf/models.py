@@ -358,10 +358,10 @@ def load_checkpoint(path) -> LossModel:
     """The model a :func:`save_checkpoint` file holds; a missing field, a
     parameter that is not a finite number or a width that is not a positive
     integer raises :class:`FormatError`."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on a non-UTF-8 byte
             raise FormatError(f"{path}: invalid checkpoint JSON: {exc}") from None
     try:
         hyper = payload["hyperparameters"]

@@ -8,9 +8,9 @@ row's tie-aware weak order, so the problem is a set cover over distinct
 weak orders:
 
 * :func:`exact_min_permutations` tests all n! permutations against every
-  weak order, one matrix product per fixed block of permutations, and
-  solves the cover exactly by memoised depth-first branch and bound
-  (limits: n <= 8, at most 64 rows);
+  weak order through their n - 1 consecutive pairs, and solves the cover
+  exactly by memoised depth-first branch and bound (limits: n <= 8, at
+  most 64 distinct weak orders);
 * :func:`greedy_min_permutations` covers greedily using only the rows' own
   sorting permutations, giving an upper bound that never exceeds the
   number of distinct weak orders; it handles any number of rows and any n;
@@ -46,9 +46,7 @@ __all__ = [
 ]
 
 EXACT_MAX_N = 8
-EXACT_MAX_ROWS = 64
-# Permutations per block of the exact cover's table build and product.
-_COVER_BLOCK = 2048
+EXACT_MAX_ORDERS = 64
 
 
 def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,54 +115,40 @@ class LossMatrix:
 
 @functools.cache
 def _permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All n! permutations of range(n) in lexicographic order, and their precedences.
+    """All n! permutations of range(n) in lexicographic order, and their consecutive pairs.
 
-    ``perms`` is ``uint8`` (n <= 8).  ``prec[p, k]`` is 1.0 (``float32``) iff
-    permutation p lists a before b, for the k-th pair a < b of
-    ``np.triu_indices(n, 1)``; it is filled :data:`_COVER_BLOCK` permutations
-    at a time from their ``uint8`` positions, so the n = 8 table takes about
-    4.8 MB and its build no more than a block's temporaries.  Both arrays are
-    read-only: the cache hands them to every caller.
+    ``perms`` is ``uint8`` (n <= 8).  Row i of ``pairs``, shape (n - 1, n!),
+    holds ``a * n + b`` for the pair (a, b) at positions i and i + 1 of each
+    permutation.  Both arrays are read-only: the cache hands them to every
+    caller.
     """
     flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
     perms = np.fromiter(flat, dtype=np.uint8, count=math.factorial(n) * n).reshape(-1, n)
-    a, b = np.triu_indices(n, 1)
-    prec = np.empty((perms.shape[0], a.size), dtype=np.float32)
-    for lo in range(0, perms.shape[0], _COVER_BLOCK):
-        pos = perms[lo : lo + _COVER_BLOCK].argsort(axis=1).astype(np.uint8)
-        prec[lo : lo + _COVER_BLOCK] = pos[:, a] < pos[:, b]
-    perms.flags.writeable = prec.flags.writeable = False
-    return perms, prec
+    pairs = perms.T[:-1].astype(np.intp, order="C")
+    pairs *= n
+    pairs += perms.T[1:]
+    perms.flags.writeable = pairs.flags.writeable = False
+    return perms, pairs
 
 
 def _cover_witnesses(orders: np.ndarray) -> dict[int, tuple[int, ...]]:
     """Each distinct non-empty cover mask with its lexicographically first witness.
 
     ``orders`` holds at most 64 distinct weak orders as rank rows.  Bit j of
-    a mask is set iff the witness permutation sorts order j; masks are keyed
-    in the order their first witnesses appear among the n! permutations.
-    The permutations are tested :data:`_COVER_BLOCK` at a time against the
-    read-only cached table, through one reused (block, 64) ``bool`` buffer,
-    into one (n!,) ``<u8`` array of packed masks: working memory is
-    O(block * 64) beside that array.
+    a mask is set iff the witness permutation sorts order j, that is iff
+    each of its consecutive pairs (a, b) has order j rank a no higher than
+    b; masks are keyed in the order their first witnesses appear among the
+    n! permutations.
     """
-    n = orders.shape[1]
-    # Permutation p sorts order j iff it reverses no strict pair of j:
-    # prec @ gt + (1 - prec) @ lt = prec @ (gt - lt) + sum(lt) is zero.
-    # The float32 product is exact, as every count is at most n(n-1)/2.
-    perms, prec = _permutation_table(n)
-    a, b = np.triu_indices(n, 1)
-    lt = (orders[:, a] < orders[:, b]).T.astype(np.float32)
-    gt = (orders[:, a] > orders[:, b]).T.astype(np.float32)
-    step, need = gt - lt, -lt.sum(axis=0)
-    # Columns past the last order stay False, so their mask bits stay 0.
-    sorts = np.zeros((_COVER_BLOCK, 64), dtype=bool)
-    codes = np.empty(perms.shape[0], dtype="<u8")
-    for lo in range(0, perms.shape[0], _COVER_BLOCK):
-        block = prec[lo : lo + _COVER_BLOCK]
-        hits = sorts[: len(block)]
-        np.equal(block @ step, need, out=hits[:, : orders.shape[0]])
-        codes[lo : lo + len(block)] = np.packbits(hits, bitorder="little").view("<u8")
+    k, n = orders.shape
+    perms, pairs = _permutation_table(n)
+    # ok[a * n + b]: bit j is set iff order j ranks a no higher than b.
+    below = (orders[:, :, None] <= orders[:, None, :]).reshape(k, n * n)
+    bits = np.uint64(1) << np.arange(k, dtype=np.uint64)
+    ok = (below * bits[:, None]).sum(axis=0, dtype=np.uint64)
+    codes = np.full(perms.shape[0], (1 << k) - 1, dtype=np.uint64)
+    for row in pairs:
+        codes &= ok[row]
     _, first = np.unique(codes, return_index=True)
     first.sort()
     return {mask: tuple(perms[p].tolist()) for mask, p in zip(codes[first].tolist(), first) if mask}
@@ -219,11 +203,11 @@ def greedy_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
 def exact_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
     """Exact minimum permutation count with a witness set.
 
-    Tests all n! permutations against every distinct weak order in blocks,
-    reduces them to distinct maximal cover sets, and solves the set cover
-    by memoised depth-first branch and bound seeded with the greedy solution.
-    Feasible because every weak order is sorted by at least its own
-    argsort permutation.
+    Tests all n! permutations against every distinct weak order, one
+    consecutive pair position at a time, reduces them to distinct maximal
+    cover sets, and solves the set cover by memoised depth-first branch and
+    bound seeded with the greedy solution.  Feasible because every weak
+    order is sorted by at least its own argsort permutation.
     """
     n = m.n_points
     if n > EXACT_MAX_N:
@@ -231,13 +215,13 @@ def exact_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
             f"exact solver enumerates n! permutations and is limited to n <= "
             f"{EXACT_MAX_N}; got n = {n}. Use greedy_min_permutations instead."
         )
-    if m.n_hypotheses > EXACT_MAX_ROWS:
-        raise TooLarge(
-            f"exact solver is limited to {EXACT_MAX_ROWS} hypotheses; "
-            f"got {m.n_hypotheses}. Use greedy_min_permutations instead."
-        )
     orders = _distinct_rows(_rank_rows(m.rows)[1])
     n_orders = orders.shape[0]
+    if n_orders > EXACT_MAX_ORDERS:
+        raise TooLarge(
+            f"exact solver is limited to {EXACT_MAX_ORDERS} distinct weak orders; "
+            f"got {n_orders}. Use greedy_min_permutations instead."
+        )
     universe = (1 << n_orders) - 1
 
     mask_to_perm = _cover_witnesses(orders)
@@ -320,7 +304,7 @@ def monte_carlo_permutation_complexity(
 ) -> PermComplexityEstimate:
     """Average instance complexity over fresh n-point data draws.
 
-    Uses the exact solver when the instance is small enough; larger
+    Uses the exact solver when the instance is within its limits; larger
     instances require ``allow_greedy`` (the estimate is then an upper
     bound) and otherwise raise :class:`TooLarge`.  Raises :class:`ConfigError`
     unless ``n`` and ``reps`` are integers >= 1, and :class:`ShapeError` if a
@@ -335,18 +319,17 @@ def monte_carlo_permutation_complexity(
         rng = rng_from(seed, "perm_rep", r)
         x, y = sample_data(rng, n)
         m = LossMatrix(np.stack([_row_losses(fn, j, x, y, n) for j, fn in enumerate(loss_fns)]))
-        if n <= EXACT_MAX_N and m.n_hypotheses <= EXACT_MAX_ROWS:
-            count, _ = exact_min_permutations(m)
+        try:
+            values[r], _ = exact_min_permutations(m)
             solvers.append("exact")
-        elif allow_greedy:
-            count, _ = greedy_min_permutations(m)
+        except TooLarge:
+            if not allow_greedy:
+                raise TooLarge(
+                    f"instance (n={n}, rows={m.n_hypotheses}) exceeds the exact "
+                    "solver limits; pass allow_greedy=True for an upper-bound estimate"
+                ) from None
+            values[r], _ = greedy_min_permutations(m)
             solvers.append("greedy")
-        else:
-            raise TooLarge(
-                f"instance (n={n}, rows={m.n_hypotheses}) exceeds the exact "
-                "solver limits; pass allow_greedy=True for an upper-bound estimate"
-            )
-        values[r] = count
     stderr = float(np.std(values, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return PermComplexityEstimate(
         mean=float(np.mean(values)),

@@ -585,6 +585,14 @@ class TestCmdComplexity:
         got = [(tmp_path / out / "complexity.json").read_bytes() for out in "ab"]
         assert got[0] == got[1]
 
+    def test_exact_limit_counts_distinct_orders(self, tmp_path):
+        src = tmp_path / "m.csv"
+        src.write_text("2,0,1,1,3\n" * 100)
+        out = tmp_path / "c"
+        assert run(["complexity", "--input", src, "--mode", "exact", "--out", out]) == 0
+        payload = json.loads((out / "complexity.json").read_text())
+        assert (payload["value"], payload["witness_permutations"]) == (1, [[1, 2, 3, 0, 4]])
+
     def test_too_large_suggests_greedy(self, tmp_path, capsys):
         src = tmp_path / "m.csv"
         src.write_text(",".join(["1"] * 9) + "\n" + ",".join(["2"] * 9))
@@ -950,6 +958,26 @@ class TestRejections:
         src.write_text(DATASETS[key])
         assert run([command, "--input", src, "--out", tmp_path / "o"]) == 3
         assert capsys.readouterr().err == f"riskcdf: error: {src}: non-finite loss at {where}\n"
+
+    @pytest.mark.parametrize("argv, data", [
+        (["assess", "--input", "BAD"], b"m1,m2\n1,\xff\n"),
+        (["assess", "--input", "BAD"], b"m1,m2\n" + b"1,2\n" * 20_000 + b"1,\xff\n"),
+        (["complexity", "--input", "BAD"], b"m1,m2\n1,\xff\n"),
+        (["assess", "--input", "TABLE", "--risk", "distortion-file:BAD"], b"m1,m2\n1,\xff\n"),
+        (["cdf", "--has-header", "--input", "BAD"], b"x\n1\n\xff\n"),
+        (["train", "--input", "BAD", "--eta", 0.1, "--iters", 3], b"a,b,label\n1,\xff,0\n"),
+    ], ids=["assess", "assess-late-byte", "complexity", "distortion-file", "cdf", "train"])
+    def test_input_not_utf8_is_named(self, tmp_path, capsys, argv, data):
+        # Bytes, not text: write_text would encode \xff as two UTF-8 bytes.
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data)
+        table = tmp_path / "table.csv"
+        write_table(table, ["m"], [np.array([1.0, 2.0])])
+        argv = [table if a == "TABLE" else str(a).replace("BAD", str(bad)) for a in argv]
+        out = tmp_path / "out"
+        assert run([*argv, "--out", out]) == 3
+        assert capsys.readouterr().err == f"riskcdf: error: {bad}: not UTF-8 text\n"
+        assert os.listdir(out) == ["manifest.json"]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_json_output_holds_only_finite_numbers(self, tmp_path, value):

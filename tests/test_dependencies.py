@@ -176,24 +176,36 @@ def test_one_json_writer():
 CSV_WRITERS = {"writer", "DictWriter"}
 
 
-def opens_for_writing(node: ast.AST) -> bool:
-    """Whether ``node`` opens a file in a mode that may write: ``open(path,
-    mode)``, ``io.open(path, mode)`` or ``path.open(mode)`` whose mode has w,
-    a, x or + or is not a literal, or ``path.write_text``/``write_bytes``."""
+def open_modes(node: ast.AST) -> list[ast.expr] | None:
+    """The mode arguments of ``node`` (none if it gives no mode) if it is
+    ``open(path, mode)``, ``io.open(path, mode)`` or ``path.open(mode)``,
+    else None."""
     if not isinstance(node, ast.Call):
-        return False
+        return None
     func = node.func
-    if isinstance(func, ast.Attribute) and func.attr in {"write_text", "write_bytes"}:
-        return True
     if isinstance(func, ast.Name) and func.id == "open" or module_calls(node, "io", {"open"}):
         position = 1
     elif isinstance(func, ast.Attribute) and func.attr == "open":
         position = 0
     else:
-        return False
-    modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[position:position + 1]
+        return None
+    return [k.value for k in node.keywords if k.arg == "mode"] + node.args[position:position + 1]
+
+
+def path_calls(node: ast.AST, names: set[str]) -> bool:
+    """Whether ``node`` is a call ``x.name(...)`` for a name in ``names``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names)
+
+
+def opens_for_writing(node: ast.AST) -> bool:
+    """Whether ``node`` opens a file in a mode that may write: ``open(path,
+    mode)``, ``io.open(path, mode)`` or ``path.open(mode)`` whose mode has w,
+    a, x or + or is not a literal, or ``path.write_text``/``write_bytes``."""
+    if path_calls(node, {"write_text", "write_bytes"}):
+        return True
     return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
-               or set(m.value) & set("wax+") for m in modes)
+               or set(m.value) & set("wax+") for m in open_modes(node) or [])
 
 
 def file_writers(source: str) -> list[str]:
@@ -241,6 +253,50 @@ def test_one_file_writer():
              for p in sources + scripts for where in file_writers(p.read_text())]
     assert found == ["riskcdf/data.py:open:_write_json", "riskcdf/data.py:csv:_write_csv",
                      "riskcdf/data.py:open:_write_csv"]
+
+
+def text_opens_without_utf8(source: str) -> list[str]:
+    """The function of ``source`` around each call that opens a file as text
+    without ``encoding="utf-8"`` (``<module>`` outside any function): an
+    ``open``, ``io.open`` or ``path.open`` whose mode is not a literal with
+    b in it, or a ``path.read_text``/``write_text``."""
+    found = []
+    for node, where in nodes_in_functions(source):
+        modes = open_modes(node)
+        if modes is None and not path_calls(node, {"read_text", "write_text"}):
+            continue
+        if any(isinstance(m, ast.Constant) and "b" in str(m.value) for m in modes or []):
+            continue
+        if not any(k.arg == "encoding" and isinstance(k.value, ast.Constant)
+                   and k.value.value == "utf-8" for k in node.keywords):
+            found.append(where)
+    return found
+
+
+def test_text_opens_name_utf8():
+    """Every file riskcdf and its scripts open as text is read or written as
+    UTF-8, not in the locale's encoding; binary opens are exempt."""
+    assert text_opens_without_utf8(textwrap.dedent("""
+        open(p)
+        open(p, "rb")
+        open(p, encoding="utf-8")
+        def f(mode):
+            open(p, "w", newline="")
+            open(p, mode, encoding="utf-8")
+            open(p, mode)
+            io.open(p, mode="wb")
+            Path(p).open(encoding="latin-1")
+        def g():
+            p.read_text()
+            p.write_text("t", encoding="utf-8")
+            p.read_bytes()
+    """)) == ["<module>", "f", "f", "f", "g"]
+    sources = sorted(Path(SRC, "riskcdf").glob("*.py"))
+    scripts = sorted(Path(SRC).parent.joinpath("scripts").glob("*.py"))
+    assert sources and scripts
+    found = [f"{p.parent.name}/{p.name}:{where}"
+             for p in sources + scripts for where in text_opens_without_utf8(p.read_text())]
+    assert found == []
 
 
 LOWER_LAYERS = ("cdf", "bounds", "permcomplexity")

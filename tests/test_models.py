@@ -230,6 +230,12 @@ class TestCheckpointRoundTrip:
         with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {bad}')}$"):
             load_checkpoint(path)
 
+    def test_checkpoint_not_utf8_is_not_loaded(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(b'{"architecture": "\xff"}')
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: invalid checkpoint JSON: ')}"):
+            load_checkpoint(path)
+
     def test_init_is_seeded_uniform(self):
         a = init_model("logistic_crossentropy", 6, seed=42)
         b = init_model("logistic_crossentropy", 6, seed=42)

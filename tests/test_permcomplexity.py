@@ -195,8 +195,7 @@ class TestCoverBuild:
     @pytest.mark.parametrize("n", [7, 8])
     @pytest.mark.parametrize("count", [1, 63, 64])
     def test_matches_one_product_oracle_at_large_n(self, n, count):
-        # 64 orders set the mask's top bit; neither 7! nor 8! permutations
-        # fill a whole number of blocks.
+        # 64 orders set the mask's top bit.
         rows = np.random.default_rng([n, count]).integers(0, 4, size=(400, n)).astype(float)
         orders = _distinct_rows(_rank_rows(rows)[1])[:count]
         assert orders.shape[0] == count
@@ -217,9 +216,10 @@ class TestCoverBuild:
         got = _cover_witnesses(orders)
         assert list(got.items()) == list(one_product_cover_witnesses(orders).items())
 
-    # tracemalloc counts bytes, so the two tests below time nothing.  With
-    # full n!-row temporaries a cold solve peaked at 24.4 MB and a warm
-    # cover build at 15.5 MB; the cached n = 8 table is about 4.8 MB.
+    # tracemalloc counts bytes, so the tests below time nothing.  With full
+    # n!-row temporaries a cold solve peaked at 24.4 MB and a warm cover
+    # build at 15.5 MB; the cached n = 8 table, uint8 permutations and intp
+    # consecutive-pair codes, is 2.6 MB.
     ROWS = np.random.default_rng(64).integers(0, 4, size=(64, 8)).astype(float)
 
     @staticmethod
@@ -237,7 +237,13 @@ class TestCoverBuild:
             peak = self._peak_bytes(lambda: exact_min_permutations(LossMatrix(self.ROWS)))
         finally:
             _permutation_table.cache_clear()
-        assert peak <= 8e6
+        assert peak <= 5e6
+
+    def test_cached_table_size(self):
+        try:
+            assert sum(a.nbytes for a in _permutation_table(8)) <= 3e6
+        finally:
+            _permutation_table.cache_clear()
 
     def test_warm_cover_peak_memory(self):
         orders = _distinct_rows(_rank_rows(self.ROWS)[1])
@@ -305,6 +311,14 @@ class TestExactSolver:
         with pytest.raises(TooLarge):
             exact_min_permutations(LossMatrix(np.zeros((2, 9))))
 
+    def test_limit_counts_distinct_orders(self):
+        # 100 rows of one weak order: one permutation sorts them all.
+        m = LossMatrix(np.tile([2.0, 0.0, 1.0, 1.0, 3.0], (100, 1)))
+        assert exact_min_permutations(m) == (1, [(1, 2, 3, 0, 4)])
+        orders = np.asarray(list(itertools.permutations(range(5)))[:65], dtype=float)
+        with pytest.raises(TooLarge, match="limited to 64 distinct weak orders; got 65"):
+            exact_min_permutations(LossMatrix(np.vstack([orders, orders])))
+
     def test_exact_beats_row_argsort_pool(self):
         # The exact optimum may use permutations that are no row's argsort:
         # on the full binary cube greedy's pool can need more.
@@ -353,8 +367,8 @@ class TestGreedySolver:
 
     def test_large_n_peak_memory(self):
         # At this size ranks are gathered eight orders at a time, O(rows * n);
-        # the exact solver's pairwise-precedence layout would need
-        # rows * n(n-1)/2 entries here.
+        # the exact solver's table over the (a, b) pairs would take n^2 bits
+        # per order, 750 MB here.
         rows = np.random.default_rng(60).uniform(size=(60, 10_000))
         m = LossMatrix(rows)
         tracemalloc.start()
@@ -442,6 +456,12 @@ class TestMonteCarlo:
         fns = [lambda X, y: np.abs(X[:, 0]), lambda X, y: np.abs(X[:, 0])]
         est = monte_carlo_permutation_complexity(fns, _scalar_sampler, n=4, reps=10, seed=3)
         assert est.mean == 1.0
+
+    def test_many_rows_of_few_orders_solved_exactly(self):
+        fns = [lambda X, y, c=c: X[:, 0] + c for c in range(70)]
+        est = monte_carlo_permutation_complexity(fns, _scalar_sampler, n=6, reps=3, seed=5)
+        assert est.values.tolist() == [1.0] * 3
+        assert est.solvers == ("exact",) * 3
 
     def test_large_instance_needs_flag(self):
         fns = [lambda X, y: X[:, 0]]
