@@ -123,9 +123,13 @@ def certificate(method: str, n: int, delta: float, count: float) -> BoundCertifi
     """The certificate of ``method``, a key of :data:`CERTIFICATE_METHODS`, for
     ``n`` samples, confidence ``1 - delta`` and the method's complexity ``count``.
 
-    Checks n, then the count, then delta, then that R(n) is finite; a bad
-    count raises the method's error, a bad delta :class:`InvalidDelta`.
+    Checks the method, then n, then the count, then delta, then that R(n) is
+    finite; an unknown method raises :class:`ConfigError`, a bad count the
+    method's error, a bad delta :class:`InvalidDelta`.
     """
+    if method not in CERTIFICATE_METHODS:
+        raise ConfigError(f"unknown certificate method {method!r}; expected "
+                          f"{' | '.join(CERTIFICATE_METHODS)}")
     flag, _, _, _, rademacher = CERTIFICATE_METHODS[method]
     n = _check_n(n)
     _check_count(method, count)

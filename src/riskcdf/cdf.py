@@ -7,11 +7,12 @@ the step height at a repeated value is multiplicity/n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _check_loss_cells, _write_csv, read_numeric_csv
+from .data import _check_loss_cells, _is_count, _write_csv, read_numeric_csv
 from .errors import (EmptySample, FormatError, InvalidLoss, InvalidOrder, NumericError,
                      ShapeError, SupportViolation)
 
@@ -107,6 +108,25 @@ def _check_losses(losses: np.ndarray) -> np.ndarray:
     return losses
 
 
+def _support_bound(smallest: float, largest: float, support_bound: float | None) -> float:
+    """D for losses in [``smallest``, ``largest``]: ``support_bound``, or if it
+    is None the largest loss.
+
+    This is the one [0, D] rule.  Every Holder constant riskcdf reports holds
+    for losses in [0, D] only, so a negative loss, or a D that is not finite or
+    is below the largest loss, raises :class:`SupportViolation`.
+    """
+    if smallest < 0.0:
+        raise SupportViolation(f"losses must be nonnegative, got {smallest}")
+    if support_bound is None:
+        return largest
+    d = float(support_bound)
+    if not (math.isfinite(d) and d >= largest):
+        raise SupportViolation(f"support bound {d} must be finite and at least the "
+                               f"largest loss {largest}")
+    return d
+
+
 def sup_norm_distance(a: EmpiricalCDF, b: EmpiricalCDF) -> float:
     """Exact Kolmogorov-Smirnov distance between two step CDFs.
 
@@ -166,16 +186,12 @@ def sup_norm_distances(rows: np.ndarray, reference: EmpiricalCDF) -> np.ndarray:
 def wasserstein1(a: EmpiricalCDF, b: EmpiricalCDF, support_bound: float) -> float:
     """Exact integral of |F_a - F_b| over [0, support_bound].
 
-    Both samples must lie within [0, support_bound].  The difference of two
-    step functions is piecewise constant on the merged breakpoints, so the
-    integral is a finite sum with no quadrature error.
+    Both samples must lie within [0, D] for a finite D = ``support_bound``,
+    else :class:`SupportViolation` (:func:`_support_bound`).  The difference
+    of two step functions is piecewise constant on the merged breakpoints, so
+    the integral is a finite sum with no quadrature error.
     """
-    d = float(support_bound)
-    for name, c in (("first", a), ("second", b)):
-        if c.min < 0.0 or c.max > d:
-            raise SupportViolation(
-                f"{name} sample has values outside [0, {d}]: range [{c.min}, {c.max}]"
-            )
+    _support_bound(min(a.min, b.min), max(a.max, b.max), support_bound)
     pts = np.unique(np.concatenate([a.values, b.values]))
     # |F_a - F_b| is zero below the first breakpoint (both 0) and above the
     # last (both 1), so only the interior segments contribute.
@@ -186,14 +202,15 @@ def wasserstein1(a: EmpiricalCDF, b: EmpiricalCDF, support_bound: float) -> floa
 
 
 def moment(cdf: EmpiricalCDF, k: int) -> float:
-    """k-th raw moment (1/n) * sum(values**k) for integer k >= 1; one that
-    overflows raises :class:`NumericError` naming k."""
-    if int(k) != k or k < 1:
+    """k-th raw moment (1/n) * sum(values**k) for an integer k >= 1, not a bool,
+    else :class:`InvalidOrder`; one that overflows raises :class:`NumericError`
+    naming k."""
+    if not _is_count(k):
         raise InvalidOrder(f"moment order must be a positive integer, got {k!r}")
     with np.errstate(over="ignore"):  # reported below, not warned
         m = float(np.mean(cdf.values ** int(k)))
     if not np.isfinite(m):
-        raise NumericError(f"moment of order {int(k)} is not finite: {m}")
+        raise NumericError(f"moment of order {k} is not finite: {m}")
     return m
 
 

@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import __version__, bounds, data, risks
-from .cdf import build_cdf, moment, read_losses_csv, write_cdf_csv
+from .cdf import _support_bound, build_cdf, moment, read_losses_csv, write_cdf_csv
 from .data import _write_csv, _write_json
 from .errors import ConfigError, Diverged, FormatError, NumericError, ToolkitError
 from .models import ARCHITECTURES, finite_difference_check, init_model, save_checkpoint
@@ -97,7 +97,7 @@ def run_assess(params: dict, out_dir: str) -> None:
     inferred = params["support_bound"] is None
     # A given D is checked once, before any token is parsed, so every risk
     # rejects a bad one with the same error.
-    support = risks._support_bound(params["support_bound"], float(np.max(losses)))
+    support = _support_bound(float(losses.min()), float(losses.max()), params["support_bound"])
     cert = bounds.certificate("finite_class", n, params["delta"], len(names))
     tokens = list(dict.fromkeys(params["risks"] or ["mean"]))  # a repeated token counts once
     evaluators = {token: risks.parse_risk(token, support) for token in tokens}
@@ -107,7 +107,8 @@ def run_assess(params: dict, out_dir: str) -> None:
         cdf = build_cdf(column)
         for token, evaluate in evaluators.items():
             cells[token].append(evaluate(cdf))
-    records = [risks.risk_record(name, rv, bounds.risk_error_bound(cert, rv.L, rv.p))
+    records = [{"model": name, "risk_name": rv.risk_name, "value": rv.value, "L": rv.L,
+                "p": rv.p, "error_bound": bounds.risk_error_bound(cert, rv.L, rv.p)}
                for row in cells.values() for name, rv in zip(names, row)]
     payload = {
         "certificate": cert.to_dict(),

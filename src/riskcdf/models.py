@@ -139,14 +139,23 @@ class LossModel:
         model.__dict__.update(self.__dict__, params=arr)
         return model
 
-    def _check_features(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    def _check_data(self, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``X`` and ``y`` as float64 arrays, ``y`` flat: ``X`` must be 2-D with
+        :attr:`input_dim` columns and ``y`` hold one label per row, else
+        :class:`ShapeError`."""
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64).ravel()
+        if X.ndim != 2:
+            raise ShapeError(f"{self.architecture}: features must be 2-D, got shape {X.shape}")
         if X.shape[1] != self.input_dim:
             raise ShapeError(
                 f"{self.architecture}: expected feature dimension {self.input_dim}, "
                 f"got {X.shape[1]}"
             )
-        return X
+        if y.shape[0] != X.shape[0]:
+            raise ShapeError(f"{self.architecture}: {X.shape[0]} examples but "
+                             f"{y.shape[0]} labels")
+        return X, y
 
     def check_labels(self, y) -> None:
         """Raise :class:`DataError` if a cross-entropy model gets a label outside
@@ -205,8 +214,7 @@ class LossModel:
         once: O(len(rows) * width + d) work and memory, never the (n, d)
         per-example gradients.
         """
-        X = self._check_features(X)
-        y = np.asarray(y, dtype=np.float64).ravel()
+        X, y = self._check_data(X, y)
         if self.architecture == "linear_squared":
             resid = X @ self.params - y
             return resid ** 2, lambda rows, v: (v * (2.0 * resid[rows])) @ X[rows]
@@ -240,8 +248,7 @@ class LossModel:
 
         Builds the full matrix; training uses :meth:`loss_and_vjp`.
         """
-        X = self._check_features(X)
-        y = np.asarray(y, dtype=np.float64).ravel()
+        X, y = self._check_data(X, y)
         if self.architecture == "linear_squared":
             resid = X @ self.params - y
             return 2.0 * resid[:, None] * X

@@ -216,8 +216,9 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: Distortion
     be given, else :class:`ConfigError`.  ``seed`` seeds the step noise, and
     ``noise=False`` is a test hook that zeroes it; production runs keep it on.
 
-    Once per run it checks the labels, converts ``X`` and ``y`` to float64
-    arrays and computes the rank weights and their first weighted rank.
+    Once per run it checks the shapes (:meth:`LossModel._check_data`) and the
+    labels, converts ``X`` and ``y`` to float64 arrays and computes the rank
+    weights and their first weighted rank.
     Each iteration costs one parameter rebind, one forward pass, one stable
     sort and one vector-Jacobian product, in O(n * width + d) memory; the
     sort and the backward pass cover only the ranks from the first nonzero
@@ -265,12 +266,11 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: Distortion
             snapshots=tuple(snapshots),
         )
 
-    n = np.atleast_2d(X).shape[0]
+    X, y = model._check_data(X, y)
+    n = X.shape[0]
     if n == 0:
         raise EmptySample("no training examples")
     model.check_labels(y)
-    X = model._check_features(X)
-    y = np.asarray(y, dtype=np.float64).ravel()
     weights = distortion.rank_weights(n)
     lo = _first_weighted_rank(weights)
     d = theta.shape[0]

@@ -25,7 +25,8 @@ CDF error budget epsilon translates to a risk error budget L * epsilon^p.
 Each L is a closed form, not a grid estimate: 1/alpha, the table's
 steepest slope or h(1) for distortions (times D),
 D, D/alpha and e^D - 1 for the mean, CVaR and entropic OCEs and
-D + 3 |c| D^2 for mean + c * variance.
+D + 3 |c| D^2 for mean + c * variance.  Every L holds for losses in [0, D]
+only, and one rule, ``cdf._support_bound``, checks each sample and D.
 
 :data:`RISK_TOKENS` is the one grammar of ``--risk`` tokens (:func:`parse_risk`);
 its distortion tokens, the ones training takes, are :data:`DISTORTION_TOKENS`.
@@ -41,17 +42,15 @@ from typing import Callable
 
 import numpy as np
 
-from .cdf import EmpiricalCDF, moment
+from .cdf import EmpiricalCDF, _support_bound, moment
 from .data import _is_count, read_numeric_csv
 from .errors import (
     ConfigError,
     FormatError,
     InvalidAlpha,
     InvalidDistortion,
-    InvalidLoss,
     InvalidSpectrum,
     NumericError,
-    SupportViolation,
 )
 
 __all__ = [
@@ -77,7 +76,6 @@ __all__ = [
     "mean_variance",
     "load_distortion_csv",
     "load_spectrum_csv",
-    "risk_record",
 ]
 
 DISTORTION_TOL = 1e-9
@@ -178,7 +176,8 @@ class OceSpec:
     start.  It must be finite: an overflowing one raises :class:`NumericError`,
     as it does for every risk.  The presets (:func:`oce_mean_spec`,
     :func:`oce_entropic_spec`, :func:`oce_cvar_spec`) build every OCE riskcdf
-    evaluates, each with its constant in closed form.
+    evaluates, each with its constant in closed form.  D must be finite and
+    nonnegative, else :class:`SupportViolation`.
     """
 
     support_bound: float
@@ -187,8 +186,7 @@ class OceSpec:
     name: str = "oce"
 
     def __post_init__(self):
-        if self.support_bound < 0:
-            raise SupportViolation(f"{self.name}: support bound must be nonnegative")
+        _support_bound(0.0, 0.0, self.support_bound)
         if not math.isfinite(self.lipschitz_constant):
             raise NumericError(f"{self.name}: non-finite Holder constant "
                                f"{self.lipschitz_constant} with support bound "
@@ -268,31 +266,13 @@ def oce_entropic_spec(support_bound: float) -> OceSpec:
                    name="oce:entropic", closed_form=_entropic_value)
 
 
-def _support_bound(support_bound: float | None, largest: float) -> float:
-    """D for the Holder constants: ``support_bound``, or if it is None the
-    sample maximum ``largest``.
-
-    The constants hold for losses in [0, D] only, so a D below the sample
-    maximum, or one that is not finite, raises :class:`SupportViolation`.
-    """
-    if support_bound is None:
-        return largest
-    d = float(support_bound)
-    if not (math.isfinite(d) and d >= largest):
-        raise SupportViolation(f"support bound {d} must be finite and at least the "
-                               f"largest loss {largest}")
-    return d
-
-
 def distortion_risk(cdf: EmpiricalCDF, spec: DistortionSpec,
                     support_bound: float | None = None,
                     weights: np.ndarray | None = None) -> RiskValue:
     """Distortion risk of an empirical CDF, spectral risks included: the
     spec's rank weights dotted with the sorted losses.  ``weights``, if given, is
     ``spec.rank_weights(cdf.n)``, built once for many CDFs of that size."""
-    if cdf.min < 0.0:
-        raise InvalidLoss("distortion risk requires nonnegative losses")
-    d = _support_bound(support_bound, cdf.max)
+    d = _support_bound(cdf.min, cdf.max, support_bound)
     w = spec.rank_weights(cdf.n) if weights is None else weights
     L = None if spec.lipschitz_constant is None else spec.lipschitz_constant * d
     return RiskValue(value=float(w @ cdf.values), risk_name=spec.name, L=L)
@@ -308,9 +288,7 @@ def cvar(cdf: EmpiricalCDF, alpha: float, support_bound: float | None = None) ->
 
 def _oce_value(cdf: EmpiricalCDF, spec: OceSpec, sign: float, name: str) -> RiskValue:
     """The OCE (``sign=+1``) or its inversion (``sign=-1``) of losses in [0, D]."""
-    if cdf.min < 0.0 or cdf.max > spec.support_bound:
-        raise SupportViolation(f"losses must lie in [0, {spec.support_bound}]; got range "
-                               f"[{cdf.min}, {cdf.max}]")
+    _support_bound(cdf.min, cdf.max, spec.support_bound)
     return RiskValue(value=spec.closed_form(cdf.values, sign), risk_name=name,
                      L=spec.lipschitz_constant)
 
@@ -331,9 +309,9 @@ def mean_variance(cdf: EmpiricalCDF, c: float, support_bound: float | None = Non
     The sup-norm constant on losses in [0, D] is D (the mean) plus |c| times
     D^2 (the second raw moment) and 2 D^2 (the squared mean): D + 3 |c| D^2.
     """
+    d = _support_bound(cdf.min, cdf.max, support_bound)
     m1 = moment(cdf, 1)
     m2 = moment(cdf, 2)
-    d = _support_bound(support_bound, cdf.max)
     return RiskValue(
         value=m1 + c * (m2 - m1 * m1),
         risk_name=f"mean_var:{c:g}",
@@ -474,14 +452,3 @@ def token_path(token: str) -> str | None:
     head, _, rest = token.partition(":")
     return rest if f"{head}:PATH" in RISK_TOKENS else None
 
-
-def risk_record(model: str, rv: RiskValue, error_bound: float | None) -> dict:
-    """JSON-ready record for one (model, risk) evaluation."""
-    return {
-        "model": model,
-        "risk_name": rv.risk_name,
-        "value": rv.value,
-        "L": rv.L,
-        "p": rv.p,
-        "error_bound": error_bound,
-    }

@@ -182,6 +182,12 @@ class TestCertificates:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             certificate("finite_class", n, 0.05, 3)
 
+    def test_unknown_method_is_config_error(self):
+        message = ("unknown certificate method 'nope'; expected "
+                   "finite_class | permutation | growth | vc_sauer")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            certificate("nope", 100, 0.05, 3)
+
     def test_numpy_integer_sample_size(self):
         cert = certificate("finite_class", np.int64(200), 0.05, 3)
         assert cert.n == 200 and type(cert.n) is int

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -273,9 +274,11 @@ class TestMoment:
         assert moment(build_cdf([1, 2, 3]), 2) == pytest.approx(14 / 3)
         assert moment(build_cdf([2.5] * 7), 3) == pytest.approx(2.5 ** 3)
 
-    def test_invalid_order(self):
-        with pytest.raises(InvalidOrder):
-            moment(build_cdf([1.0]), 0)
+    @pytest.mark.parametrize("k", [0, 2.0, 2.5, float("nan"), float("inf"), True])
+    def test_invalid_order(self, k):
+        with pytest.raises(InvalidOrder, match=re.escape(
+                f"moment order must be a positive integer, got {k!r}")):
+            moment(build_cdf([1.0]), k)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_overflow_names_the_order_without_warning(self, k):

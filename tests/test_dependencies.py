@@ -255,6 +255,29 @@ def test_one_file_writer():
                      "riskcdf/data.py:open:_write_csv"]
 
 
+def constructions(source: str, name: str) -> list[str]:
+    """The function around each call ``name(...)`` or ``module.name(...)`` in
+    ``source`` (``<module>`` outside any function)."""
+    return [where for node, where in nodes_in_functions(source)
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_one_support_rule():
+    """Only ``cdf._support_bound`` makes a :class:`SupportViolation`, so the
+    [0, D] rule that every Holder constant needs is decided in one place."""
+    assert constructions(textwrap.dedent("""
+        SupportViolation("a")
+        def f():
+            raise errors.SupportViolation(x)
+        def g():
+            return SupportViolation
+    """), "SupportViolation") == ["<module>", "f"]
+    found = {f"{p.name}:{where}" for p in Path(SRC, "riskcdf").glob("*.py")
+             for where in constructions(p.read_text(), "SupportViolation")}
+    assert found == {"cdf.py:_support_bound"}
+
+
 def text_opens_without_utf8(source: str) -> list[str]:
     """The function of ``source`` around each call that opens a file as text
     without ``encoding="utf-8"`` (``<module>`` outside any function): an

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskcdf.cdf import build_cdf
-from riskcdf.errors import ConfigError, DataError, Diverged, InvalidLoss
+from riskcdf.errors import ConfigError, DataError, Diverged, InvalidLoss, ShapeError
 from riskcdf import optim
 from riskcdf.data import toy_blobs
-from riskcdf.models import MAX_CROSSENTROPY_LOSS, LossModel, init_model, relative_error
+from riskcdf.models import (ARCHITECTURES, MAX_CROSSENTROPY_LOSS, LossModel, init_model,
+                            relative_error)
 from riskcdf.optim import (
     NOISE_BLOCK_DRAWS,
     distortion_gradient,
@@ -419,6 +420,29 @@ class TestNoisyStep:
             grad = distortion_gradient(model.with_params(theta), X, y, spec)
             theta = noisy_gd_step(theta, grad, 1e-3, rng)
         assert final.params.tobytes() == theta.tobytes()
+
+
+class TestDataShapes:
+    """Every entry point that takes (X, y) rejects a shape that does not fit
+    with :class:`ShapeError`: a 3-D ``X``, or a label count other than n."""
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("call, X_shape, n_labels, match", [
+        (lambda m, X, y: m.batch_losses(X, y), (5, 2, 2), 5, "features must be 2-D"),
+        (lambda m, X, y: m.batch_gradients(X, y), (5, 2), 4, "5 examples but 4 labels"),
+        (lambda m, X, y: m.loss_and_vjp(X, y), (5, 2), 6, "5 examples but 6 labels"),
+        (lambda m, X, y: distortion_gradient(m, X, y, identity_distortion()), (5, 2), 3,
+         "5 examples but 3 labels"),
+        (lambda m, X, y: train(m, X, y, identity_distortion(), 2, eta=0.1), (5, 2), 3,
+         "5 examples but 3 labels"),
+        (lambda m, X, y: train(m, X, y, identity_distortion(), 2, eta=0.1), (5, 2, 2), 5,
+         "features must be 2-D"),
+    ], ids=["batch_losses-3d", "batch_gradients-short", "loss_and_vjp-long",
+            "distortion_gradient-short", "train-short", "train-3d"])
+    def test_shape_error(self, arch, call, X_shape, n_labels, match):
+        model = init_model(arch, 2, (3,) if arch == "mlp_tanh" else (), seed=0)
+        with pytest.raises(ShapeError, match=f"^{arch}: {match}"):
+            call(model, np.ones(X_shape), np.ones(n_labels))
 
 
 class TestTrain:

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 from dataclasses import dataclass, field
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskcdf.cdf import build_cdf, sup_norm_distance
+from riskcdf.cdf import EmpiricalCDF, build_cdf, sup_norm_distance, wasserstein1
 from riskcdf.cli import main
 from riskcdf.errors import (
     ConfigError,
@@ -23,6 +24,7 @@ from riskcdf.errors import (
 from riskcdf.risks import (
     DistortionSpec,
     OceSpec,
+    RiskValue,
     cvar,
     cvar_distortion,
     cvar_spectrum,
@@ -157,13 +159,34 @@ class TestDistortionRisk:
         lambda cdf, d: distortion_risk(cdf, identity_distortion(), d),
         lambda cdf, d: spectral_risk(cdf, cvar_spectrum(1.0), d),
         lambda cdf, d: mean_variance(cdf, 0.5, d),
-    ], ids=["distortion", "spectral", "mean_variance"])
-    @pytest.mark.parametrize("d", [-1.0, 4.9, float("nan"), float("inf")])
-    def test_support_bound_must_cover_the_sample(self, evaluate, d):
-        cdf = build_cdf([0.0, 1.0, 5.0])
-        with pytest.raises(SupportViolation, match="support bound"):
-            evaluate(cdf, d)
-        assert evaluate(cdf, 5.0).L >= 5.0
+        lambda cdf, d: cvar(cdf, 0.5, d),
+        lambda cdf, d: oce_risk(cdf, oce_mean_spec(d)),
+        lambda cdf, d: inverted_oce_risk(cdf, oce_mean_spec(d)),
+        lambda cdf, d: oce_risk(cdf, oce_entropic_spec(d)),
+        lambda cdf, d: inverted_oce_risk(cdf, oce_entropic_spec(d)),
+        lambda cdf, d: oce_risk(cdf, oce_cvar_spec(0.5, d)),
+        lambda cdf, d: inverted_oce_risk(cdf, oce_cvar_spec(0.5, d)),
+        lambda cdf, d: wasserstein1(cdf, build_cdf([0.0, 2.0]), d),
+    ], ids=["distortion", "spectral", "mean_variance", "cvar", "oce_mean", "inverted_oce_mean",
+            "oce_entropic", "inverted_oce_entropic", "oce_cvar", "inverted_oce_cvar",
+            "wasserstein1"])
+    @pytest.mark.parametrize("losses, d", [
+        ([0.0, 1.0, 5.0], -1.0), ([0.0, 1.0, 5.0], 4.9), ([0.0, 1.0, 5.0], float("nan")),
+        ([0.0, 1.0, 5.0], float("inf")), ([-1.0, 1.0, 5.0], 5.0),
+    ], ids=["-1.0", "4.9", "nan", "inf", "negative_loss"])
+    def test_support_bound_must_cover_the_sample(self, evaluate, losses, d):
+        """Every evaluator checks its sample and D by one rule, with its text.
+        An OCE preset checks D as it is built, as for the sample [0, 0], so a
+        D that fails there names the largest loss 0.0."""
+        if losses[0] < 0:
+            message = "losses must be nonnegative, got -1.0"
+        else:
+            message = (re.escape(f"support bound {d} must be finite and at least the largest "
+                                 "loss ") + r"[05]\.0")
+        with pytest.raises(SupportViolation, match=f"^{message}$"):
+            evaluate(EmpiricalCDF(np.array(losses)), d)
+        result = evaluate(build_cdf([0.0, 1.0, 5.0]), 5.0)
+        assert not isinstance(result, RiskValue) or result.L >= 5.0
 
     @given(loss_vectors)
     @settings(max_examples=80)
