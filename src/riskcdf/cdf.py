@@ -214,14 +214,14 @@ def moment(cdf: EmpiricalCDF, k: int) -> float:
     return m
 
 
-def read_losses_csv(path, has_header: bool = False) -> np.ndarray:
+def read_losses_csv(path) -> np.ndarray:
     """Read a single-column CSV of loss values.
 
     Parsed by :func:`riskcdf.data.read_numeric_csv`; the first filled row
-    is a header when ``has_header`` is set.  A non-finite or negative loss
-    raises :class:`InvalidLoss` naming its file row and column.
+    is a header exactly when it is not a number.  A non-finite or negative
+    loss raises :class:`InvalidLoss` naming its file row and column.
     """
-    names, values = read_numeric_csv(path, header=has_header)
+    names, values = read_numeric_csv(path, header=None)
     if values.shape[1] != 1:
         raise FormatError(f"{path}: expected a single column, got {values.shape[1]}")
     _check_loss_cells(path, names, values)

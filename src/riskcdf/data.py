@@ -78,28 +78,27 @@ def blob_mixture_sampler():
     return sample
 
 
-def load_dataset_csv(path, label_column: str | int = "label",
-                     has_header: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Load a dataset as ``(X, y)``: the features are the non-label columns
-    in header order, the labels the label column.
-
-    ``label_column`` is a header name (with ``has_header``) or a 0-based
-    column index.  Parsed by :func:`read_numeric_csv`, so any non-numeric
-    cell raises :class:`FormatError` naming the cell, and so does a NaN or
-    infinite one.
+def load_dataset_csv(path, label_column: str | int = "label") -> tuple[np.ndarray, np.ndarray]:
+    """Load a dataset as ``(X, y)``: the non-label columns in order, and the
+    label column, a header name or a 0-based column index.  A file with no
+    header needs an index, an int or its decimal text, else :class:`ConfigError`.
+    Parsed by :func:`read_numeric_csv`, so any non-numeric, NaN or infinite
+    cell raises :class:`FormatError` naming it.
     """
-    if not has_header and not isinstance(label_column, int):
-        raise ConfigError("label_column must be a column index when has_header=False")
-    names, values = read_numeric_csv(path, header=has_header)
+    names, values = read_numeric_csv(path, header=None)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         row, col = (int(i) for i in bad[0])
         raise FormatError(f"{path}: {_cell(path, names, row, col)}: "
                           f"not a finite number: {float(values[row, col])}")
-    label_idx = label_column
-    if not isinstance(label_column, int):
-        if label_column not in names:
-            raise FormatError(f"{path}: label column {label_column!r} not in header {list(names)}")
+    if isinstance(label_column, int) or (names is None and str(label_column).isdecimal()):
+        label_idx = int(label_column)
+    elif names is None:
+        raise ConfigError(f"{path} has no header, so the label column must be a 0-based "
+                          f"column index, got {label_column!r}")
+    elif label_column not in names:
+        raise FormatError(f"{path}: label column {label_column!r} not in header {list(names)}")
+    else:
         label_idx = names.index(label_column)
     width = values.shape[1]
     if not (0 <= label_idx < width):
@@ -180,9 +179,9 @@ def read_numeric_csv(path, header: bool | None) -> tuple[tuple[str, ...] | None,
     """Read a CSV of numbers: ``(names or None, float64 array of shape (rows, width))``.
 
     The one format every riskcdf input file shares.  Rows with no
-    non-blank cell are skipped.  ``header=True`` makes the first such row
-    a header of names, ``False`` means there is none, and ``None`` means a
-    header iff that row is not all numbers.  The file's lines stream into
+    non-blank cell are skipped.  The first such row is a header of names
+    with ``header=True`` (a loss table's) and with ``None`` (every other
+    reader) exactly when it is not all numbers.  The file's lines stream into
     numpy's C parser, whitespace-only ones dropped; if it rejects them, or
     gives a width other than the header's, the file is read again and each
     cell parsed with ``float``, the first bad one raising
@@ -193,12 +192,11 @@ def read_numeric_csv(path, header: bool | None) -> tuple[tuple[str, ...] | None,
     names, values = None, None
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            if header is not False:
-                _, first = next(_filled_rows(fh), (0, None))
-                if first is not None and (header or not _all_numbers(first)):
-                    names = tuple(c.strip() for c in first)
-                else:
-                    fh.seek(0)
+            _, first = next(_filled_rows(fh), (0, None))
+            if first is not None and (header or not _all_numbers(first)):
+                names = tuple(c.strip() for c in first)
+            else:
+                fh.seek(0)
             lines = itertools.filterfalse(str.isspace, fh)
             if (head := next(lines, None)) is not None:  # numpy warns on empty input
                 try:

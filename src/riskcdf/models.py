@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _is_count, _write_json
-from .errors import ConfigError, DataError, FormatError, ShapeError
+from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .seeds import rng_from
 
 __all__ = [
@@ -315,19 +315,24 @@ def relative_error(a, b) -> float:
 def finite_difference_check(model: LossModel, x, y: float, step: float = 1e-6) -> float:
     """Central-difference check of the analytic gradient of one example's
     loss (features ``x``, label ``y``); returns the relative error
-    (unit-floored scale, see :func:`relative_error`)."""
+    (unit-floored scale, see :func:`relative_error`); a step that overflows
+    the losses raises :class:`NumericError` naming it."""
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"step must be finite and positive, got {step}")
     grad = per_example_gradient(model, x, y)
     fd = np.empty_like(grad)
     base = model.params
-    for i in range(base.shape[0]):
-        bump = np.zeros_like(base)
-        bump[i] = step
-        hi = per_example_loss(model.with_params(base + bump), x, y)
-        lo = per_example_loss(model.with_params(base - bump), x, y)
-        fd[i] = (hi - lo) / (2.0 * step)
-    return relative_error(fd, grad)
+    with np.errstate(all="ignore"):  # a non-finite error is raised below, not warned
+        for i in range(base.shape[0]):
+            bump = np.zeros_like(base)
+            bump[i] = step
+            hi = per_example_loss(model.with_params(base + bump), x, y)
+            lo = per_example_loss(model.with_params(base - bump), x, y)
+            fd[i] = (hi - lo) / (2.0 * step)
+        error = relative_error(fd, grad)
+    if not math.isfinite(error):
+        raise NumericError(f"the finite-difference relative error is {error} at step {step:g}")
+    return error
 
 
 def save_checkpoint(model: LossModel, path) -> None:

@@ -283,43 +283,45 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: Distortion
     noise = np.empty((block, d))
     w = np.zeros(d)  # without noise the step adds zeros, as noisy_gd_step does
     current = model
-    for t in range(1, t_total + 1):
-        current = current.with_params(theta)
-        losses, vjp = current.loss_and_vjp(X, y)
-        if not np.isfinite(losses).all():
-            raise Diverged(f"non-finite loss at iteration {t}", trace=make_trace(t - 1))
-        rho, grad = _risk_and_gradient(losses, vjp, weights, lo)
-        if not math.isfinite(rho) or rho > DIVERGENCE_GUARD:
-            raise Diverged(f"risk {rho} exceeded guard at iteration {t}",
-                           trace=make_trace(t - 1))
-        risk[t - 1] = rho
-        grad_norm[t - 1] = math.sqrt(grad.dot(grad))  # np.linalg.norm's formula
-        if t == 1 or t == t_total or t % cadence == 0:
-            snapshots.append((t, theta.copy(), grad.copy()))
-        if rng is not None:
-            k = (t - 1) % block
-            if k == 0:
-                rows = min(block, t_total - t + 1)
-                np.divide(standard_normal_rows(rng, uniforms[:rows]), math.sqrt(d),
-                          out=noise[:rows])
-            w = noise[k]
-        theta = theta - eta * (grad + w)
-        if not np.isfinite(theta).all():
-            raise Diverged(f"the step at iteration {t} made the parameters non-finite",
-                           trace=make_trace(t))
-    return current.with_params(theta), make_trace(t_total)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised, not warned
+        for t in range(1, t_total + 1):
+            current = current.with_params(theta)
+            losses, vjp = current.loss_and_vjp(X, y)
+            if not np.isfinite(losses).all():
+                raise Diverged(f"non-finite loss at iteration {t}", trace=make_trace(t - 1))
+            rho, grad = _risk_and_gradient(losses, vjp, weights, lo)
+            if not math.isfinite(rho) or rho > DIVERGENCE_GUARD:
+                raise Diverged(f"risk {rho} exceeded guard at iteration {t}",
+                               trace=make_trace(t - 1))
+            risk[t - 1] = rho
+            grad_norm[t - 1] = math.sqrt(grad.dot(grad))  # np.linalg.norm's formula
+            if t == 1 or t == t_total or t % cadence == 0:
+                snapshots.append((t, theta.copy(), grad.copy()))
+            if rng is not None:
+                k = (t - 1) % block
+                if k == 0:
+                    rows = min(block, t_total - t + 1)
+                    np.divide(standard_normal_rows(rng, uniforms[:rows]), math.sqrt(d),
+                              out=noise[:rows])
+                w = noise[k]
+            theta = theta - eta * (grad + w)
+            if not np.isfinite(theta).all():
+                raise Diverged(f"the step at iteration {t} made the parameters non-finite",
+                               trace=make_trace(t))
+        return current.with_params(theta), make_trace(t_total)
 
 
 def estimate_beta(trace: TrainTrace) -> float:
     """Crude smoothness estimate: max gradient-change ratio over snapshots."""
     pairs = zip(trace.snapshots[:-1], trace.snapshots[1:])
     best = 0.0
-    for (_, th_a, g_a), (_, th_b, g_b) in pairs:
-        dth = float(np.linalg.norm(th_b - th_a))
-        if not math.isfinite(dth):
-            raise ConfigError("cannot estimate beta: parameter movement is not finite")
-        if dth > 0:
-            best = max(best, float(np.linalg.norm(g_b - g_a)) / dth)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below, not warned
+        for (_, th_a, g_a), (_, th_b, g_b) in pairs:
+            dth = float(np.linalg.norm(th_b - th_a))
+            if not math.isfinite(dth):
+                raise ConfigError("cannot estimate beta: parameter movement is not finite")
+            if dth > 0:
+                best = max(best, float(np.linalg.norm(g_b - g_a)) / dth)
     if best == 0.0:
         raise ConfigError("cannot estimate beta: no parameter movement in snapshots")
     return best

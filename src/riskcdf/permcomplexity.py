@@ -49,21 +49,18 @@ EXACT_MAX_N = 8
 EXACT_MAX_ORDERS = 64
 
 
-def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable argsort of each row of a 2-D array, and the row's dense tie-aware ranks."""
+def _distinct_orders(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct tie-aware weak orders of a 2-D array's rows, first seen first: the
+    stable argsort of each one's first row, and its dense ranks in the smallest
+    unsigned type."""
     order = np.argsort(rows, axis=1, kind="stable")
     ordered = np.take_along_axis(rows, order, axis=1)
     dense = np.zeros(rows.shape, dtype=np.intp)
     np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=dense[:, 1:])
     ranks = np.empty_like(dense)
     np.put_along_axis(ranks, order, dense, axis=1)
-    return order, ranks
-
-
-def _distinct_rows(a: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-D array, in order of first occurrence."""
-    _, first = np.unique(a, axis=0, return_index=True)
-    return a[np.sort(first)]
+    first = np.sort(np.unique(ranks, axis=0, return_index=True)[1])
+    return order[first], ranks[first].astype(np.min_scalar_type(rows.shape[1]))
 
 
 def weak_order(losses) -> tuple[int, ...]:
@@ -76,7 +73,7 @@ def weak_order(losses) -> tuple[int, ...]:
         raise ShapeError(f"weak_order needs a 1-D loss vector, got shape {arr.shape}")
     if np.any(np.isnan(arr)):
         raise InvalidLoss("loss vector contains NaN")
-    return tuple(_rank_rows(arr.reshape(1, -1))[1][0].tolist())
+    return tuple(_distinct_orders(arr.reshape(1, -1))[1][0].tolist())
 
 
 def permutation_sorts(perm: Sequence[int], ranks: Sequence[int]) -> bool:
@@ -163,9 +160,11 @@ def greedy_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
     of the weak order, so only each order's first row is tried.  Memory is
     O(rows * n) plus one bit per (candidate, order), for any rows and n.
     """
-    perms, ranks = _rank_rows(m.rows)
-    first = np.sort(np.unique(ranks, axis=0, return_index=True)[1])
-    perms, orders = perms[first], ranks[first].astype(np.min_scalar_type(m.n_points))
+    return _greedy_cover(*_distinct_orders(m.rows))
+
+
+def _greedy_cover(perms: np.ndarray, orders: np.ndarray) -> tuple[int, list[tuple[int, ...]]]:
+    """The greedy cover of ``orders`` by the argsorts ``perms`` (:func:`_distinct_orders`)."""
     # Bit j of packed[:, i]: candidate i lists order j's ranks non-decreasingly.
     # Orders go in blocks of about 2**20 gathered ranks, rounded up to whole bytes.
     packed = np.empty(((orders.shape[0] + 7) // 8, perms.shape[0]), dtype=np.uint8)
@@ -215,7 +214,7 @@ def exact_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
             f"exact solver enumerates n! permutations and is limited to n <= "
             f"{EXACT_MAX_N}; got n = {n}. Use greedy_min_permutations instead."
         )
-    orders = _distinct_rows(_rank_rows(m.rows)[1])
+    perms, orders = _distinct_orders(m.rows)
     n_orders = orders.shape[0]
     if n_orders > EXACT_MAX_ORDERS:
         raise TooLarge(
@@ -239,7 +238,7 @@ def exact_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
     # Branch on the uncovered order with the fewest covering masks (the
     # lowest such order on a tie).
     branch_order = sorted(range(n_orders), key=lambda j: len(by_element[j]))
-    best_count, best_perms = greedy_min_permutations(m)
+    best_count, best_perms = _greedy_cover(perms, orders)
     best: list[int] = []  # masks of the incumbent (greedy witness used if never improved)
     max_cover = max(mk.bit_count() for mk in maximal)
     # Fewest masks chosen on reaching each remaining set.  A revisit at no

@@ -299,7 +299,7 @@ class TestCsvRoundTrip:
     def test_read_and_export(self, tmp_path):
         src = tmp_path / "losses.csv"
         src.write_text("loss\n1\n1\n1\n2\n")
-        losses = read_losses_csv(src, has_header=True)
+        losses = read_losses_csv(src)
         c = build_cdf(losses)
         out = tmp_path / "cdf.csv"
         write_cdf_csv(c, out)

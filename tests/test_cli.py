@@ -62,6 +62,17 @@ class TestCmdCdf:
         src.write_text("")
         assert run(["cdf", "--input", src, "--out", tmp_path / "o"]) == 3
 
+    def test_text_first_row_is_a_header(self, tmp_path, capsys):
+        plain = tmp_path / "plain.csv"
+        write_losses(plain, [3, 1, 4])
+        headed = tmp_path / "headed.csv"
+        headed.write_text("loss\n" + plain.read_text())
+        assert run(["cdf", "--input", plain, "--out", tmp_path / "a"]) == 0
+        assert run(["cdf", "--input", headed, "--out", tmp_path / "b"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["riskcdf cdf: n=3 min=1 max=4"] * 2
+        for name in ("cdf.csv", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
 
 MISSING_COUNT = {
     "finite_class": "--class-size is required for method=finite_class",
@@ -174,13 +185,15 @@ class TestCmdAssess:
         assert by_risk["mean"]["error_bound"] == pytest.approx(eps)
         assert by_risk["cvar:0.05"]["error_bound"] == pytest.approx(20 * eps)
 
-    def test_large_n_override_spot_value(self, tmp_path):
+    def test_large_n_spot_value(self, tmp_path):
+        # The certificate's n is the table's row count, here 50,000.
         src = tmp_path / "table.csv"
-        write_table(src, ["a", "b", "c", "d", "e"], [np.linspace(0, 1, 8)] * 5)
+        write_table(src, ["a", "b", "c", "d", "e"], [np.linspace(0, 1, 50_000)] * 5)
         out = tmp_path / "a"
-        assert run(["assess", "--input", src, "--risk", "mean", "--n", 50000,
+        assert run(["assess", "--input", src, "--risk", "mean",
                     "--delta", 0.05, "--support-bound", 1, "--out", out]) == 0
         payload = json.loads((out / "assessment.json").read_text())
+        assert payload["certificate"]["n"] == 50_000
         assert payload["certificate"]["epsilon"] == pytest.approx(0.01642, abs=1e-5)
         mean_records = [r for r in payload["records"] if r["risk_name"] == "mean"]
         assert mean_records[0]["error_bound"] == pytest.approx(0.01642, abs=1e-5)
@@ -519,17 +532,19 @@ class TestCmdTrain:
         flags = ["--arch", "logistic_crossentropy", "--eta", 0.2, "--iters", 5,
                  "--disable-noise"]
         assert run(["train", "--input", with_header, *flags, "--out", tmp_path / "a"]) == 0
-        assert run(["train", "--input", headerless, "--no-has-header", "--label-column", 2,
+        assert run(["train", "--input", headerless, "--label-column", 2,
                     *flags, "--out", tmp_path / "b"]) == 0
-        for name in ("trace.csv", "checkpoint.json"):
+        for name in ("trace.csv", "checkpoint.json", "stationarity.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_headerless_label_name_is_config_error(self, tmp_path, capsys):
         src = tmp_path / "plain.csv"
-        src.write_text("1,2,0\n3,4,1\n")
-        assert run(["train", "--input", src, "--no-has-header", "--label-column", "label",
-                    "--eta", 0.1, "--iters", 2, "--out", tmp_path / "x"]) == 2
-        assert "--label-column" in capsys.readouterr().err
+        src.write_text("0.5,1.0,0\n3,4,1\n")
+        assert run(["train", "--input", src, "--eta", 0.1, "--iters", 2,
+                    "--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err == (
+            f"riskcdf: error: {src} has no header, so the label column must be a 0-based "
+            "column index, got 'label'\n")
 
 
 class TestCmdComplexity:
@@ -614,6 +629,12 @@ class TestCmdGradcheck:
         payload = json.loads((out / "gradcheck.json").read_text())
         assert payload["max_relative_error"] <= tol
 
+    def test_overflowing_step_names_the_step(self, tmp_path, capsys):
+        assert run(["gradcheck", "--arch", "linear_squared", "--step", "1e300", "--trials", 2,
+                    "--out", tmp_path / "g"]) == 4
+        assert capsys.readouterr().err == (
+            "riskcdf: error: the finite-difference relative error is nan at step 1e+300\n")
+
 
 class TestManifestRerun:
     @staticmethod
@@ -690,7 +711,8 @@ class TestManifestRerun:
     def test_recorded_manifest_replays_byte_identically(self, tmp_path):
         """A manifest as recorded for ``train --eta 0.1 --iters 3`` when unset
         flags could still be preset from the environment: its args equal
-        those a run records now, and its replay writes the same files."""
+        those a run records now but for the retired ``has_header``, and its
+        replay writes the same files."""
         recorded = {
             "args": {"add_bias": False, "arch": "logistic_crossentropy", "beta": None,
                      "disable_noise": False, "eta": 0.1, "has_header": True, "hidden": "8",
@@ -707,7 +729,8 @@ class TestManifestRerun:
         out_a = tmp_path / "a"
         assert run(["train", "--eta", 0.1, "--iters", 3, "--out", out_a]) == 0
         written = json.loads((out_a / "manifest.json").read_text())
-        assert written["args"] == {**recorded["args"], "out": str(out_a)}
+        args = {k: v for k, v in recorded["args"].items() if k != "has_header"}
+        assert written["args"] == {**args, "out": str(out_a)}
         out_b = tmp_path / "b"
         assert run(["rerun", "--manifest", path, "--out", out_b]) == 0
         names = self.primary_files(out_a)
@@ -717,8 +740,9 @@ class TestManifestRerun:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_recorded_assess_manifest_with_seed_replays(self, tmp_path):
-        """A manifest as recorded for ``assess`` when it still took ``--seed``:
-        its replay drops the seed and writes the same files as a run today."""
+        """A manifest as recorded for ``assess`` when it still took ``--seed``
+        and ``--n``: its replay drops both and writes the same files as a run
+        today."""
         table = tmp_path / "table.csv"
         table.write_text("m1,m2\n0.5,1\n2,0\n3.5,4\n")
         recorded = {
@@ -737,7 +761,7 @@ class TestManifestRerun:
         assert run(["assess", "--input", table, "--risk", "cvar:0.5", "--risk", "mean_var:0.5",
                     "--out", out_a]) == 0
         written = json.loads((out_a / "manifest.json").read_text())
-        args = {k: v for k, v in recorded["args"].items() if k != "seed"}
+        args = {k: v for k, v in recorded["args"].items() if k not in ("seed", "n")}
         assert written["args"] == {**args, "out": str(out_a)}
         out_b = tmp_path / "b"
         assert run(["rerun", "--manifest", path, "--out", out_b]) == 0
@@ -749,6 +773,38 @@ class TestManifestRerun:
         assert names == self.primary_files(out_b) == ["assessment.csv", "assessment.json"]
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command, dest, default, value", [
+        ("cdf", "has_header", False, True),
+        ("assess", "n", None, 5),
+        ("train", "has_header", True, False),
+    ])
+    def test_retired_flag_replays_only_at_its_old_default(self, tmp_path, capsys, command,
+                                                          dest, default, value):
+        src = tmp_path / "in.csv"
+        src.write_text("m\n1\n2\n")  # a loss vector with a header, or a loss table
+        argv = {"cdf": ["cdf", "--input", src], "assess": ["assess", "--input", src],
+                "train": ["train", "--eta", 0.1, "--iters", 2]}[command]
+        out_a = tmp_path / "a"
+        assert run([*argv, "--out", out_a]) == 0
+        manifest = json.loads((out_a / "manifest.json").read_text())
+        path = tmp_path / "old.json"
+        manifest["args"][dest] = default
+        path.write_text(json.dumps(manifest))
+        out_b = tmp_path / "b"
+        assert run(["rerun", "--manifest", path, "--out", out_b]) == 0
+        names = self.primary_files(out_a)
+        assert names == self.primary_files(out_b)
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        manifest["args"][dest] = value
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["rerun", "--manifest", path, "--out", tmp_path / "c"]) == 2
+        assert capsys.readouterr().err == (
+            f"riskcdf: error: {path}: {command} no longer has the flag {dest!r}; "
+            f"a run recorded with {dest}={value!r} cannot be replayed\n")
+        assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
     def test_recorded_seed_still_checked_where_it_is_a_flag(self, tmp_path, capsys, command):
@@ -788,7 +844,7 @@ class TestManifestRerun:
         assert sorted(manifest) == ["args", "command", "input_digests", "timestamp", "version"]
 
 
-CDF_ARGS = {"input": "losses.csv", "has_header": False, "out": "."}
+CDF_ARGS = {"input": "losses.csv", "out": "."}
 HUGE = "1" + "0" * 400  # a count no float holds
 # Iteration counts whose trace buffers no machine holds: 8e18 bytes fails to
 # allocate, and 1e19 exceeds numpy's largest dimension.  (A count near 1e12
@@ -815,7 +871,7 @@ REJECTIONS = [
     ("manifest-args-empty", ["rerun", "--manifest", "MANIFEST"],
      json.dumps({"command": "cdf", "args": {}}), 2),
     ("manifest-flag-type", ["rerun", "--manifest", "MANIFEST"],
-     json.dumps({"command": "cdf", "args": {**CDF_ARGS, "has_header": "yes"},
+     json.dumps({"command": "cdf", "args": {**CDF_ARGS, "input": 5},
                  "input_digests": {}}), 2),
     ("manifest-unknown-flag", ["rerun", "--manifest", "MANIFEST"],
      json.dumps({"command": "cdf", "args": {**CDF_ARGS, "trials": 3}, "input_digests": {}}), 2),
@@ -843,7 +899,6 @@ REJECTIONS = [
                                       "--class-size", HUGE], None, 2),
     ("nu-401-digits", ["bound", "--method", "vc_sauer", "--n", 10, "--nu", HUGE], None, 2),
     ("bound-n-401-digits", ["bound", "--method", "vc_sauer", "--n", HUGE, "--nu", 3], None, 2),
-    ("assess-n-401-digits", ["assess", "--input", "TABLE", "--n", HUGE], None, 2),
     ("gradcheck-step-overflow", ["gradcheck", "--arch", "linear_squared", "--step", "1e300",
                                  "--trials", 2], None, 4),
     ("train-input-nan-feature", ["train", "--input", "NAN_DATASET", "--eta", 0.1,
@@ -942,6 +997,19 @@ class TestRejections:
         assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["assess", "--input", "t.csv"], ["--n", "5"]),
+        (["cdf", "--input", "l.csv"], ["--has-header"]),
+        (["train", "--input", "d.csv"], ["--has-header"]),
+        (["train", "--input", "d.csv"], ["--no-has-header"]),
+    ], ids=["assess-n", "cdf-has-header", "train-has-header", "train-no-has-header"])
+    def test_input_decides_what_retired_flags_set(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            run([*argv, *flag, "--out", tmp_path / "o"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("iters", [ITERS_1E18, ITERS_1E19])
     def test_iteration_count_beyond_memory_is_named(self, tmp_path, capsys, iters):
         assert run(["train", "--eta", 0.1, "--iters", iters, "--out", tmp_path / "o"]) == 2
@@ -964,7 +1032,7 @@ class TestRejections:
         (["assess", "--input", "BAD"], b"m1,m2\n" + b"1,2\n" * 20_000 + b"1,\xff\n"),
         (["complexity", "--input", "BAD"], b"m1,m2\n1,\xff\n"),
         (["assess", "--input", "TABLE", "--risk", "distortion-file:BAD"], b"m1,m2\n1,\xff\n"),
-        (["cdf", "--has-header", "--input", "BAD"], b"x\n1\n\xff\n"),
+        (["cdf", "--input", "BAD"], b"x\n1\n\xff\n"),
         (["train", "--input", "BAD", "--eta", 0.1, "--iters", 3], b"a,b,label\n1,\xff,0\n"),
     ], ids=["assess", "assess-late-byte", "complexity", "distortion-file", "cdf", "train"])
     def test_input_not_utf8_is_named(self, tmp_path, capsys, argv, data):

@@ -18,7 +18,7 @@ from riskcdf.data import (
     save_dataset_csv,
     toy_blobs,
 )
-from riskcdf.errors import EmptySample, FormatError, InvalidLoss
+from riskcdf.errors import ConfigError, EmptySample, FormatError, InvalidLoss
 from riskcdf.permcomplexity import load_loss_matrix_csv
 from riskcdf.risks import _load_table_csv
 from riskcdf.seeds import rng_from
@@ -63,16 +63,16 @@ class TestDatasetCsv:
         assert np.array_equal(loaded_y, y)
         assert [p.name for p in tmp_path.iterdir()] == ["ds.csv"]  # no sidecar
 
-    @pytest.mark.parametrize("text, header, label, where", [
-        ("a,b,label\n1,2,0\n\n3,nan,1\n", True, "label", "row 4, column 2 (b)"),
-        ("\na,b,label\n1,2,inf\n", True, "label", "row 3, column 3 (label)"),
-        ("1,2,0\n,,\n-inf,4,1\n", False, 2, "row 3, column 1"),
+    @pytest.mark.parametrize("text, label, where", [
+        ("a,b,label\n1,2,0\n\n3,nan,1\n", "label", "row 4, column 2 (b)"),
+        ("\na,b,label\n1,2,inf\n", "label", "row 3, column 3 (label)"),
+        ("1,2,0\n,,\n-inf,4,1\n", 2, "row 3, column 1"),
     ], ids=["nan-feature", "inf-label", "headerless"])
-    def test_non_finite_cell_names_its_file_line(self, tmp_path, text, header, label, where):
+    def test_non_finite_cell_names_its_file_line(self, tmp_path, text, label, where):
         path = tmp_path / "d.csv"
         path.write_text(text)
         with pytest.raises(FormatError, match=f"d.csv: {re.escape(where)}: not a finite number"):
-            load_dataset_csv(path, label_column=label, has_header=header)
+            load_dataset_csv(path, label_column=label)
 
     def test_basic_load(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -94,11 +94,22 @@ class TestDatasetCsv:
         with pytest.raises(FormatError, match="row 3, column 1"):
             load_dataset_csv(path, label_column="label")
 
-    def test_headerless_by_index(self, tmp_path):
+    @pytest.mark.parametrize("label", [2, "2"], ids=["int", "text"])
+    def test_headerless_by_index(self, tmp_path, label):
         path = tmp_path / "d.csv"
         path.write_text("1,2,0\n3,4,1\n")
-        X, y = load_dataset_csv(path, label_column=2, has_header=False)
-        assert X.shape[1] == 2 and y.tolist() == [0.0, 1.0]
+        X, y = load_dataset_csv(path, label_column=label)
+        assert X.tolist() == [[1.0, 2.0], [3.0, 4.0]] and y.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("label", ["label", "-1", "2.0"])
+    def test_headerless_label_must_be_an_index(self, tmp_path, label):
+        # All-number first rows are data, so no header names the label.
+        path = tmp_path / "d.csv"
+        path.write_text("1,2,0\n3,4,1\n")
+        want = (f"{path} has no header, so the label column must be a 0-based column index, "
+                f"got {label!r}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            load_dataset_csv(path, label_column=label)
 
 
 class TestLossTable:
@@ -143,7 +154,7 @@ class TestLossTable:
             load_loss_table(path)
         if "," not in text:
             with pytest.raises(InvalidLoss, match=rf"non-finite loss at {re.escape(where)}$"):
-                read_losses_csv(path, has_header=True)
+                read_losses_csv(path)
 
     @pytest.mark.parametrize("text, where", [
         ("m\n\n1\n-1\n", "row 4, column 1 (m)"),      # blank line before the data
@@ -180,16 +191,17 @@ class TestLossTable:
             load_loss_table(path)
 
 
-# Every loader as (path -> 2-D array, header rule, width).  The header rule is
-# the reader's: True = the first filled row is a header, False = there is
-# none, None = a header iff that row is not all numbers.
+# Every loader as (path -> 2-D array, header, width).  True = the first filled
+# row is a header, the loss table's rule.  Every other loader makes that row a
+# header iff it is not all numbers; its test files have a header row (None)
+# or none (False).
 LOADERS = {
     "loss-table": (lambda p: load_loss_table(p)[1], True, 2),
-    "dataset": (lambda p: np.column_stack(load_dataset_csv(p, label_column=1)), True, 2),
-    "dataset-headerless": (lambda p: np.column_stack(
-        load_dataset_csv(p, label_column=1, has_header=False)), False, 2),
+    "dataset": (lambda p: np.column_stack(load_dataset_csv(p, label_column=1)), None, 2),
+    "dataset-headerless": (lambda p: np.column_stack(load_dataset_csv(p, label_column=1)),
+                           False, 2),
     "losses": (lambda p: read_losses_csv(p)[:, None], False, 1),
-    "losses-header": (lambda p: read_losses_csv(p, has_header=True)[:, None], True, 1),
+    "losses-header": (lambda p: read_losses_csv(p)[:, None], None, 1),
     "distortion-table": (lambda p: np.column_stack(_load_table_csv(p)), None, 2),
     "loss-matrix": (lambda p: load_loss_matrix_csv(p).rows, None, 2),
 }
@@ -225,13 +237,9 @@ class TestSharedCsvRules:
         assert np.array_equal(load(self.write(tmp_path, text)), body)
 
     def test_text_first_row(self, tmp_path, name):
-        load, header, width = LOADERS[name]
+        load, _, width = LOADERS[name]
         path = self.write(tmp_path, _header_line(width) + _lines(_body(width)))
-        if header is False:
-            with pytest.raises(FormatError, match="row 1, column 1: not a number"):
-                load(path)
-        else:
-            assert np.array_equal(load(path), _body(width))
+        assert np.array_equal(load(path), _body(width))
 
     def test_numeric_first_row(self, tmp_path, name):
         load, header, width = LOADERS[name]
@@ -305,12 +313,12 @@ class TestReadNumericCsv:
         text = _lines(values)
         path = tmp_path / "v.csv"
         path.write_text(text)
-        _, fast = read_numeric_csv(path, header=False)
+        _, fast = read_numeric_csv(path, header=None)
         per_cell = _parse_cells(path, None)
         assert np.array_equal(fast, values) and np.array_equal(per_cell, values)
         # A quoted cell sends the whole body down the per-cell path.
         path.write_text('"' + text.replace(",", '",', 1))
-        _, quoted = read_numeric_csv(path, header=False)
+        _, quoted = read_numeric_csv(path, header=None)
         assert np.array_equal(quoted, values)
 
     @pytest.mark.parametrize("blank", ["  \n", ",,,,\n", " , ,,\t\n", "\t\n"])

@@ -14,6 +14,7 @@ import textwrap
 from pathlib import Path
 
 import riskcdf
+from riskcdf.bounds import CERTIFICATE_METHODS
 
 SRC = str(Path(riskcdf.__file__).resolve().parents[1])
 
@@ -348,3 +349,55 @@ def test_lower_layers_import_no_upper_layer():
     found = {name: riskcdf_imports(Path(SRC, "riskcdf", f"{name}.py").read_text()) & UPPER_LAYERS
              for name in LOWER_LAYERS}
     assert found == {name: set() for name in LOWER_LAYERS}
+
+
+def subcommand_dests(source: str) -> set[str]:
+    """The ``dest`` of each ``add_argument`` call in ``source`` but
+    ``--version``: its ``dest=`` or its first long option, dashes as
+    underscores."""
+    dests = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"):
+            continue
+        keywords = {k.arg: k.value.value for k in node.keywords
+                    if isinstance(k.value, ast.Constant)}
+        if keywords.get("action") == "version":
+            continue
+        flag = next(a.value for a in node.args if a.value.startswith("--"))
+        dests.add(keywords.get("dest", flag[2:].replace("-", "_")))
+    return dests
+
+
+def flag_reads(source: str) -> set[str]:
+    """The flags ``source`` reads: ``params["x"]`` and ``params.get("x")``
+    loads, and ``ns.x`` for the flags ``main`` reads off the namespace."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id == "params"
+                and isinstance(node.slice, ast.Constant)):
+            reads.add(node.slice.value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "params" and isinstance(node.args[0], ast.Constant)):
+            reads.add(node.args[0].value)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name) and node.value.id == "ns"):
+            reads.add(node.attr)
+    return reads
+
+
+def test_every_flag_is_read():
+    """No flag is write-only: each one a subcommand defines is read by a
+    runner.  ``bound`` reads the count flags through its certificate table."""
+    snippet = ('parser.add_argument("--version", action="version")\n'
+               'p.add_argument("--input")\np.add_argument("--threads", type=int)\n'
+               'p.add_argument("--n-pi", dest="n_pi")\np.add_argument("--out")\n'
+               'params["input"]\nparams.get("n_pi")\nparams["threads"] = 2\nns.out\n')
+    assert subcommand_dests(snippet) == {"input", "threads", "n_pi", "out"}
+    assert flag_reads(snippet) == {"input", "n_pi", "out"}
+    source = Path(SRC, "riskcdf", "cli.py").read_text()
+    counts = {entry[0] for entry in CERTIFICATE_METHODS.values()}
+    assert counts <= subcommand_dests(source)
+    assert subcommand_dests(source) - flag_reads(source) - counts == set()

@@ -156,6 +156,13 @@ class TestFiniteDifference:
         with pytest.raises(ConfigError):
             finite_difference_check(model, x, y, step=0.0)
 
+    def test_overflowing_step_is_numeric_error(self):
+        # The bumped losses overflow to inf, so their difference is NaN.
+        model, x, y = random_case("linear_squared", 3)
+        with pytest.raises(NumericError, match="^the finite-difference relative error is nan "
+                                               r"at step 1e\+300$"):
+            finite_difference_check(model, x, y, step=1e300)
+
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_hundred_random_draws(self, arch):
         worst = max(

@@ -502,7 +502,7 @@ class TestTrain:
         # The first step overflows while its risk, at the initial iterate, is finite.
         m = LossModel("linear_squared", params=np.array([1.0]), input_dim=1)
         X, y = np.array([[1.0]]), np.array([0.0])
-        with np.errstate(over="ignore"), pytest.raises(
+        with pytest.raises(
                 Diverged, match="^the step at iteration 1 made the parameters non-finite$") as err:
             train(m, X, y, identity_distortion(), 3, eta=1e308, seed=0, noise=False)
         assert err.value.trace.risk.tolist() == [1.0]
@@ -619,6 +619,16 @@ class TestStationarity:
             _, trace = train(m, X, y, identity_distortion(), T, beta=2.0, seed=5)
             means.append(stationarity_report(trace, beta=2.0)["mean_sq_grad_norm"])
         assert means[1] < means[0]
+
+    def test_overflowing_movement_is_config_error(self):
+        # The step takes the parameters to about 3.5e307: finite, but the norm
+        # of their movement overflows.  Neither call warns.
+        X, y = toy_blobs(seed=0)
+        model = init_model("mlp_tanh", 2, (8,), seed=0)
+        _, trace = train(model, X, y, identity_distortion(), 2, eta=1e308, seed=0)
+        with pytest.raises(ConfigError,
+                           match="^cannot estimate beta: parameter movement is not finite$"):
+            estimate_beta(trace)
 
     def test_beta_estimate_positive(self):
         model, X, y = random_problem("logistic_crossentropy", 13)

@@ -15,9 +15,8 @@ from riskcdf.errors import ConfigError, InvalidLoss, ShapeError, TooLarge
 from riskcdf.permcomplexity import (
     LossMatrix,
     _cover_witnesses,
-    _distinct_rows,
+    _distinct_orders,
     _permutation_table,
-    _rank_rows,
     exact_min_permutations,
     greedy_min_permutations,
     load_loss_matrix_csv,
@@ -31,7 +30,7 @@ from riskcdf.seeds import standard_normal
 def distinct_weak_orders(m):
     """The distinct weak orders of a matrix's rows, in first-seen order, as the
     cover build and greedy form them."""
-    return [tuple(r) for r in _distinct_rows(_rank_rows(m.rows)[1]).tolist()]
+    return [tuple(r) for r in _distinct_orders(m.rows)[1].tolist()]
 
 
 def brute_force_min_cover(rows):
@@ -197,7 +196,7 @@ class TestCoverBuild:
     def test_matches_one_product_oracle_at_large_n(self, n, count):
         # 64 orders set the mask's top bit.
         rows = np.random.default_rng([n, count]).integers(0, 4, size=(400, n)).astype(float)
-        orders = _distinct_rows(_rank_rows(rows)[1])[:count]
+        orders = _distinct_orders(rows)[1][:count]
         assert orders.shape[0] == count
         got = _cover_witnesses(orders)
         assert list(got.items()) == list(one_product_cover_witnesses(orders).items())
@@ -211,7 +210,7 @@ class TestCoverBuild:
         assert list(got.items()) == [(1, tuple(range(n)))]
         rows = np.random.default_rng(n).integers(0, 3, size=(80, n)).astype(float)
         rows[[0, 5]] = 2.0
-        orders = _distinct_rows(_rank_rows(rows)[1])[:64]
+        orders = _distinct_orders(rows)[1][:64]
         assert not orders[0].any()
         got = _cover_witnesses(orders)
         assert list(got.items()) == list(one_product_cover_witnesses(orders).items())
@@ -246,7 +245,7 @@ class TestCoverBuild:
             _permutation_table.cache_clear()
 
     def test_warm_cover_peak_memory(self):
-        orders = _distinct_rows(_rank_rows(self.ROWS)[1])
+        orders = _distinct_orders(self.ROWS)[1]
         try:
             _cover_witnesses(orders)
             peak = self._peak_bytes(lambda: _cover_witnesses(orders))
