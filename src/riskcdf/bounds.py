@@ -30,10 +30,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .cdf import _check_losses, _KsWorkspace, _sup_norm_rows, build_cdf
 # perfbench/tracing.py times calls through the names bound here, so
 # sup_norm_distance stays bound although the Monte Carlo loop calls the
 # rows kernel.
-from .cdf import _check_losses, build_cdf, sup_norm_distance, sup_norm_distances  # noqa: F401
+from .cdf import sup_norm_distance  # noqa: F401
 from .data import _is_count, _write_csv
 from .errors import ConfigError, InvalidDelta, InvalidGrowth, ShapeError, WeakReference
 from .seeds import rng_from
@@ -179,6 +180,12 @@ class MonteCarloEnResult:
         _write_csv(path, ["rep", "e_n"], [range(len(self.values)), self.values])
 
 
+# The most losses one loss call, sort or KS pass of monte_carlo_en handles:
+# 8,192 doubles are 64 KB, so each block's temporaries are small, and the
+# allocator hands the same memory back block after block.
+MC_BLOCK_LOSSES = 8192
+
+
 def _row_losses(fn, j: int, X, y, rows: int) -> np.ndarray:
     """``loss_fns[j]`` on a dataset of ``rows`` examples, one loss per row."""
     losses = np.asarray(fn(X, y), dtype=np.float64).ravel()
@@ -217,12 +224,20 @@ def monte_carlo_en(
     threads : int
         Accepted for existing callers and ignored: repetitions run serially.
 
-    Repetitions run in blocks of ``max(1, reference_sample_size // n)``, so
-    a block holds about as many losses as the reference.  Per block and
-    model there is one loss call on the block's stacked draws, one sort of
-    its rows and one :func:`~riskcdf.cdf.sup_norm_distances` pass against
-    the reference: O(reps n log N) time for a reference of N points, and
-    working memory of O(N) beyond the reference data.
+    Repetitions run in blocks of ``max(1, min(reference_sample_size,
+    MC_BLOCK_LOSSES) // n)``, so a block holds at most 8,192 losses unless
+    one sample alone holds more, and the reference's losses are computed
+    in chunks of the same size.  Per block and model there is one loss
+    call on the block's stacked draws, one sort of its rows and one
+    :func:`~riskcdf.cdf.sup_norm_distances` pass against the reference:
+    O(reps n log N) time for a reference of N points.  The sorted rows
+    and the KS pass's counts and differences go into one buffer and one
+    workspace, allocated once per call for a full block and reused for
+    every block and model, so working memory beyond the reference data is
+    O(min(N, 8192) + n).  Each other temporary in the loop holds at most
+    one block's rows (64 KB per float column), so the allocator hands the
+    same pages back block after block: page faults do not grow with
+    ``reps``.
 
     Raises :class:`ConfigError` unless n, reps and reference_sample_size are
     integers >= 1, :class:`ShapeError` if a loss function returns other than
@@ -240,19 +255,30 @@ def monte_carlo_en(
         )
     ref_rng = rng_from(seed, "reference")
     x_ref, y_ref = sample_data(ref_rng, reference_sample_size)
-    references = [build_cdf(_row_losses(fn, j, x_ref, y_ref, reference_sample_size))
-                  for j, fn in enumerate(loss_fns)]
+    chunk = min(reference_sample_size, MC_BLOCK_LOSSES)
+    ref_losses = np.empty(reference_sample_size)
+    references = []
+    for j, fn in enumerate(loss_fns):
+        for s in range(0, reference_sample_size, chunk):
+            part = slice(s, s + chunk)
+            ref_losses[part] = _row_losses(fn, j, x_ref[part], y_ref[part],
+                                           min(chunk, reference_sample_size - s))
+        references.append(build_cdf(ref_losses))
 
     values = np.zeros(reps)
-    block = max(1, reference_sample_size // n)
+    block = max(1, chunk // n)
+    sorted_rows = np.empty((min(block, reps), n))
+    work = _KsWorkspace(sorted_rows.size)
     for start in range(0, reps, block):
         draws = [sample_data(rng_from(seed, "rep", r), n)
                  for r in range(start, min(start + block, reps))]
         x = np.concatenate([d[0] for d in draws])
         y = np.concatenate([d[1] for d in draws])
         out = values[start:start + len(draws)]
+        rows = sorted_rows[:len(draws)]
         for j, (fn, ref) in enumerate(zip(loss_fns, references)):
-            losses = _check_losses(_row_losses(fn, j, x, y, len(draws) * n))
-            rows = np.sort(losses.reshape(len(draws), n), axis=1)
-            np.maximum(out, sup_norm_distances(rows, ref), out=out)
+            losses = _check_losses(_row_losses(fn, j, x, y, rows.size))
+            np.copyto(rows, losses.reshape(rows.shape))
+            rows.sort(axis=1)
+            np.maximum(out, _sup_norm_rows(rows, ref, work), out=out)
     return MonteCarloEnResult(values=values)

@@ -147,9 +147,19 @@ def sup_norm_distances(rows: np.ndarray, reference: EmpiricalCDF) -> np.ndarray:
     monotone there.  So |F_row - F_ref| on each such interval is largest at
     one of its ends: the value at the left end or the left limit at the
     right end.  Checking the value and the left limit at the row's points
-    alone is therefore exact, whichever sample is larger.  Each number
-    compared is one the all-breakpoints formula also compares, so the
-    result is the same float.
+    alone is therefore exact, whichever sample is larger.
+
+    No absolute value is needed either: the result is the larger of
+    max(F_row(x) - F_ref(x)) and max(F_ref(x-) - F_row(x-)) over the row's
+    points x.  Where the value-side difference is negative, the left-limit
+    difference at the row's next distinct point is at least its size, since
+    F_ref only grew and F_row held still in between; a row's largest point
+    has F_row = 1 there, so its value-side difference is never negative.
+    Likewise a negative left-limit difference is dominated by the value-side
+    one at the row's previous distinct point, and the smallest point has
+    F_row(x-) = 0.  Float division and subtraction are monotone, so this
+    holds for the rounded numbers too, and each number compared is one the
+    all-breakpoints formula also compares: the result is the same float.
 
     A row's own counts (< x and <= x at its points) are the ends of its runs
     of equal values, found by one running max and one running min, so they
@@ -157,30 +167,55 @@ def sup_norm_distances(rows: np.ndarray, reference: EmpiricalCDF) -> np.ndarray:
     count is searched only for points equal to a reference value.  Cost:
     O(m n log N) for a reference of N points, with O(m n) working memory.
     """
+    return _sup_norm_rows(rows, reference, _KsWorkspace(rows.size))
+
+
+class _KsWorkspace:
+    """Scratch arrays for :func:`_sup_norm_rows` on up to ``size`` points in
+    all, so that a caller with many blocks of rows allocates them once."""
+
+    def __init__(self, size: int):
+        self.starts, self.ends, self.hit = (np.empty(size, dtype=bool) for _ in range(3))
+        self.below, self.at_most, self.ref_at_most = (np.empty(size, dtype=np.intp)
+                                                      for _ in range(3))
+        self.diff, self.scratch = np.empty(size), np.empty(size)
+
+
+def _sup_norm_rows(rows: np.ndarray, reference: EmpiricalCDF, work: _KsWorkspace) -> np.ndarray:
+    """:func:`sup_norm_distances`, with its counts and differences written
+    into ``work``, which must hold at least ``rows.size`` points."""
     m, n = rows.shape
-    pos = np.arange(n)
-    starts = np.ones((m, n), dtype=bool)  # rows[:, i] begins a run of equal values
+
+    def view(buffer: np.ndarray) -> np.ndarray:
+        return buffer[:m * n].reshape(m, n)
+
+    starts, ends, hit = view(work.starts), view(work.ends), view(work.hit)
+    below, at_most, ref_at_most = view(work.below), view(work.at_most), view(work.ref_at_most)
+    diff, scratch = view(work.diff), view(work.scratch)
+
+    starts[:, 0] = True  # rows[:, i] begins a run of equal values
     np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
-    below = np.where(starts, pos, 0)
+    np.multiply(starts, np.arange(n), out=below)
     np.maximum.accumulate(below, axis=1, out=below)
-    ends = np.ones((m, n), dtype=bool)  # rows[:, i] ends a run
+    ends[:, -1] = True  # rows[:, i] ends a run
     ends[:, :-1] = starts[:, 1:]
-    at_most = np.where(ends, pos + 1, n)
+    at_most[...] = n
+    np.copyto(at_most, np.arange(1, n + 1), where=ends)
     np.minimum.accumulate(at_most[:, ::-1], axis=1, out=at_most[:, ::-1])
 
     ref = reference.values
-    keys = rows.ravel()
-    ref_below = np.searchsorted(ref, keys, side="left")
-    ref_at_most = ref_below.copy()
-    hit = ref[np.minimum(ref_below, ref.size - 1)] == keys
-    ref_at_most[hit] = np.searchsorted(ref, keys[hit], side="right")
+    ref_below = np.searchsorted(ref, rows.reshape(-1), side="left").reshape(m, n)
+    ref_at_most[...] = ref_below
+    np.take(ref, ref_below, out=scratch, mode="clip")
+    np.equal(scratch, rows, out=hit)
+    ref_at_most[hit] = np.searchsorted(ref, rows[hit], side="right")
 
-    d = np.empty((2, m, n))
-    for out, own, other in ((d[0], at_most, ref_at_most), (d[1], below, ref_below)):
-        np.divide(own, n, out=out)
-        out -= other.reshape(m, n) / reference.n
-        np.abs(out, out=out)
-    return d.max(axis=(0, 2))
+    np.divide(at_most, n, out=diff)
+    diff -= np.divide(ref_at_most, reference.n, out=scratch)
+    value_side = diff.max(axis=1)
+    np.divide(ref_below, reference.n, out=diff)
+    diff -= np.divide(below, n, out=scratch)
+    return np.maximum(value_side, diff.max(axis=1), out=value_side)
 
 
 def wasserstein1(a: EmpiricalCDF, b: EmpiricalCDF, support_bound: float) -> float:

@@ -70,10 +70,14 @@ def blob_mixture_sampler():
     cum = np.cumsum(weights)
 
     def sample(rng: np.random.Generator, n: int):
-        comp = np.searchsorted(cum, rng.random(n), side="right")
-        z = standard_normal(rng, (n, centers_arr.shape[1]))
-        x = centers_arr[comp] + stds_arr[comp, None] * z
-        return x, comp.astype(np.float64)
+        # In place, the IEEE operations of centers[comp] + stds[comp] * z.
+        labels = rng.random(n)
+        comp = np.searchsorted(cum, labels, side="right")
+        x = standard_normal(rng, (n, centers_arr.shape[1]))
+        x *= stds_arr[comp, None]
+        x += centers_arr[comp]
+        np.copyto(labels, comp)
+        return x, labels
 
     return sample
 

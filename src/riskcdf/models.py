@@ -54,19 +54,36 @@ def _sigmoid_pair(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     exp(-|s|) never overflows.  Bit for bit this is 1/(1+exp(-s)) for
     s >= 0 and exp(s)/(1+exp(s)) for s < 0, and the mirror image for -s.
+    Computed in place in three arrays of the scores' size, and ``scores``
+    is not written.
     """
-    e = np.exp(-np.abs(scores))
-    denom = 1.0 + e
-    return np.where(scores >= 0, 1.0, e) / denom, np.where(scores <= 0, 1.0, e) / denom
+    e = np.abs(scores)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denom = e + 1.0
+    p = np.where(scores >= 0, 1.0, e)
+    p /= denom
+    np.copyto(e, 1.0, where=scores <= 0)
+    e /= denom
+    return p, e
 
 
 def _crossentropy(p: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """-(y log p + (1 - y) log q), computed in place in two arrays of the
+    labels' size; ``p``, ``q`` and ``y`` are not written."""
     # q = sigmoid(-s) is the stable complement of p = sigmoid(s); clamping
     # both sides below caps the loss exactly at MAX_CROSSENTROPY_LOSS.  A
     # sigmoid never exceeds 1, so no upper clamp is needed.
-    log_p = np.log(np.maximum(p, PROB_CLAMP))
-    log_q = np.log(np.maximum(q, PROB_CLAMP))
-    return -(y * log_p + (1.0 - y) * log_q)
+    loss = np.maximum(q, PROB_CLAMP)
+    np.log(loss, out=loss)
+    term = np.subtract(1.0, y)
+    loss *= term
+    np.maximum(p, PROB_CLAMP, out=term)
+    np.log(term, out=term)
+    term *= y
+    loss += term
+    np.negative(loss, out=loss)
+    return loss
 
 
 def _crossentropy_residual(p: np.ndarray, y: np.ndarray) -> np.ndarray:

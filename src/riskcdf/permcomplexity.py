@@ -146,9 +146,10 @@ def _cover_witnesses(orders: np.ndarray) -> dict[int, tuple[int, ...]]:
     codes = np.full(perms.shape[0], (1 << k) - 1, dtype=np.uint64)
     for row in pairs:
         codes &= ok[row]
-    _, first = np.unique(codes, return_index=True)
-    first.sort()
-    return {mask: tuple(perms[p].tolist()) for mask, p in zip(codes[first].tolist(), first) if mask}
+    covering = np.flatnonzero(codes)  # ascending, so first witnesses stay first
+    _, first = np.unique(codes[covering], return_index=True)
+    first = covering[np.sort(first)]
+    return {mask: tuple(perms[p].tolist()) for mask, p in zip(codes[first].tolist(), first)}
 
 
 def greedy_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:

@@ -379,6 +379,8 @@ class TestBlockedMonteCarlo:
         (30, 9, 900),     # one block covers every rep
         (50, 6, 30),      # n > reference: blocks of one
         (40, 5, 40),      # n = reference
+        (800, 23, 20_000),  # capped blocks of 10, 10 and 3, reference in 3 chunks
+        (3000, 5, 30_000),  # capped blocks of 2, 2 and 1
     ])
     def test_matches_per_rep_loop(self, n, reps, reference):
         kwargs = dict(n=n, reps=reps, seed=n + reps, reference_sample_size=reference)
@@ -388,11 +390,16 @@ class TestBlockedMonteCarlo:
             want = per_rep_monte_carlo_en(TIE_HEAVY_FNS, _gaussian_sampler, **kwargs)
         assert got.values.dtype == want.dtype and got.values.tolist() == want.tolist()
 
-    def test_logistic_models_match_per_rep_loop(self):
+    @pytest.mark.parametrize("n,reps,reference", [
+        (150, 37, 2_000),
+        (800, 23, 20_000),
+        (3000, 5, 30_000),
+    ])
+    def test_logistic_models_match_per_rep_loop(self, n, reps, reference):
         models = [init_model("logistic_crossentropy", 2, seed=derive_seed(4, "model", j))
                   for j in range(3)]
         fns = [(lambda X, y, m=m: m.batch_losses(X, y)) for m in models]
-        kwargs = dict(n=150, reps=37, seed=4, reference_sample_size=2_000)
+        kwargs = dict(n=n, reps=reps, seed=4, reference_sample_size=reference)
         got = monte_carlo_en(fns, blob_mixture_sampler(), **kwargs)
         want = per_rep_monte_carlo_en(fns, blob_mixture_sampler(), **kwargs)
         assert got.values.tolist() == want.tolist()
@@ -409,15 +416,32 @@ class TestBlockedMonteCarlo:
         # The reference, then blocks of 10, 10 and 3 repetitions.
         assert calls == [200, 200, 200, 60]
 
+    def test_loss_calls_hold_at_most_the_block_cap(self):
+        calls = []
+
+        def fn(X, y):
+            calls.append(X.shape[0])
+            return np.abs(X[:, 0])
+
+        monte_carlo_en([fn], _gaussian_sampler, n=800, reps=23, seed=0,
+                       reference_sample_size=20_000)
+        # The reference in chunks of MC_BLOCK_LOSSES, then blocks of
+        # 8,192 // 800 = 10, 10 and 3 repetitions.
+        assert calls == [8192, 8192, 3616, 8000, 8000, 2400]
+
     def test_no_models_gives_zeros(self):
         res = monte_carlo_en([], _gaussian_sampler, n=5, reps=4, seed=0,
                              reference_sample_size=50)
         assert res.values.tolist() == [0.0] * 4
 
     def test_peak_memory_stays_order_reference(self):
-        # Blocks of 25 repetitions hold 20,000 losses each, like the
-        # reference; all 1,000 repetitions at once would hold 800,000.
+        # The reference's draws, losses and two sorted copies take about
+        # 1 MB, and its losses are computed in chunks of 8,192.  Blocks of
+        # 10 repetitions hold 8,000 losses each, in buffers reused block
+        # after block; all 1,000 repetitions at once would hold 800,000.
         fns = [lambda X, y: np.abs(X[:, 0]), lambda X, y: np.floor(4.0 * X[:, 0] ** 2)]
+        # A first call imports what numpy loads lazily, which is not the loop's memory.
+        monte_carlo_en(fns, _gaussian_sampler, n=20, reps=3, seed=0, reference_sample_size=200)
         tracemalloc.start()
         try:
             monte_carlo_en(fns, _gaussian_sampler, n=800, reps=1000, seed=0,
@@ -425,7 +449,32 @@ class TestBlockedMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 2.5e6, f"peak {peak / 1e6:.2f} MB"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_minflt counts minor page faults on Linux")
+    def test_page_faults_do_not_grow_with_reps(self):
+        # The loop reuses its buffers and sizes every temporary by a block
+        # of at most 8,192 rows, so ten times the repetitions take no more
+        # fresh pages.  A call may also refault its ~2 MB of reference
+        # arrays, or not, depending on whether the allocator trimmed the
+        # heap after the call before; the least of three differences
+        # leaves that out.
+        import resource
+
+        models = [init_model("logistic_crossentropy", 2, seed=derive_seed(0, "model", j))
+                  for j in range(5)]
+        fns = [(lambda X, y, m=m: m.batch_losses(X, y)) for m in models]
+        sampler = blob_mixture_sampler()
+
+        def faults(reps):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            monte_carlo_en(fns, sampler, n=800, reps=reps, seed=1, reference_sample_size=20_000)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults(40)  # warm-up
+        growth = min(faults(400) - faults(40) for _ in range(3))
+        assert growth < 300, f"{growth} more minor faults at 400 reps than at 40"
 
 
 def _bad_loss(kind):
@@ -468,7 +517,7 @@ class TestLossFunctionContract:
         assert str(mc_err.value) == text
 
     @pytest.mark.parametrize("kind, error, text", [
-        ("short", ShapeError, "loss function 0 returned 19999 losses for 20000 rows"),
+        ("short", ShapeError, "loss function 0 returned 8191 losses for 8192 rows"),
         ("nan", InvalidLoss, "losses must be finite (no NaN/inf)"),
         ("negative", InvalidLoss, "losses must be nonnegative"),
     ])
