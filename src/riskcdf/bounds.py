@@ -30,10 +30,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cdf import _check_losses, _KsWorkspace, _sup_norm_rows, build_cdf
-# perfbench/tracing.py times calls through the names bound here, so
-# sup_norm_distance stays bound although the Monte Carlo loop calls the
-# rows kernel.
+from .cdf import _check_losses, build_cdf, sup_norm_distances
+# perfbench/tracing.py times calls through the names bound here: the Monte
+# Carlo loop's KS pass through sup_norm_distances, and sup_norm_distance,
+# bound although nothing here calls it.
 from .cdf import sup_norm_distance  # noqa: F401
 from .data import _is_count, _write_csv
 from .errors import ConfigError, InvalidDelta, InvalidGrowth, ShapeError, WeakReference
@@ -230,14 +230,13 @@ def monte_carlo_en(
     in chunks of the same size.  Per block and model there is one loss
     call on the block's stacked draws, one sort of its rows and one
     :func:`~riskcdf.cdf.sup_norm_distances` pass against the reference:
-    O(reps n log N) time for a reference of N points.  The sorted rows
-    and the KS pass's counts and differences go into one buffer and one
-    workspace, allocated once per call for a full block and reused for
-    every block and model, so working memory beyond the reference data is
-    O(min(N, 8192) + n).  Each other temporary in the loop holds at most
-    one block's rows (64 KB per float column), so the allocator hands the
-    same pages back block after block: page faults do not grow with
-    ``reps``.
+    O(reps n log N) time for a reference of N points.  The sorted rows go
+    into one buffer, allocated once per call for a full block and reused
+    for every block and model, so working memory beyond the reference data
+    is O(min(N, 8192) + n).  Each other temporary in the loop, the KS
+    pass's searches and differences too, holds at most one block's rows
+    (64 KB per float column), so the allocator hands the same pages back
+    block after block: page faults do not grow with ``reps``.
 
     Raises :class:`ConfigError` unless n, reps and reference_sample_size are
     integers >= 1, :class:`ShapeError` if a loss function returns other than
@@ -268,7 +267,6 @@ def monte_carlo_en(
     values = np.zeros(reps)
     block = max(1, chunk // n)
     sorted_rows = np.empty((min(block, reps), n))
-    work = _KsWorkspace(sorted_rows.size)
     for start in range(0, reps, block):
         draws = [sample_data(rng_from(seed, "rep", r), n)
                  for r in range(start, min(start + block, reps))]
@@ -280,5 +278,5 @@ def monte_carlo_en(
             losses = _check_losses(_row_losses(fn, j, x, y, rows.size))
             np.copyto(rows, losses.reshape(rows.shape))
             rows.sort(axis=1)
-            np.maximum(out, _sup_norm_rows(rows, ref, work), out=out)
+            np.maximum(out, sup_norm_distances(rows, ref), out=out)
     return MonteCarloEnResult(values=values)

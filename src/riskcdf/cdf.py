@@ -157,64 +157,35 @@ def sup_norm_distances(rows: np.ndarray, reference: EmpiricalCDF) -> np.ndarray:
     has F_row = 1 there, so its value-side difference is never negative.
     Likewise a negative left-limit difference is dominated by the value-side
     one at the row's previous distinct point, and the smallest point has
-    F_row(x-) = 0.  Float division and subtraction are monotone, so this
-    holds for the rounded numbers too, and each number compared is one the
-    all-breakpoints formula also compares: the result is the same float.
+    F_row(x-) = 0.
 
-    A row's own counts (< x and <= x at its points) are the ends of its runs
-    of equal values, found by one running max and one running min, so they
-    need no search.  The reference is searched once, on the left; the right
-    count is searched only for points equal to a reference value.  Cost:
+    Nor are the row's own counts needed: the two maxima are taken over the
+    row's positions i = 0..n-1 as max((i+1)/n - F_ref(x_i)) and
+    max(F_ref(x_i-) - i/n).  F_ref is the same at every point of a run of
+    equal values, (i+1)/n is largest at the run's last point, where it is
+    F_row(x_i), and i/n is smallest at its first, where it is F_row(x_i-);
+    the other points of the run give smaller differences.  Float division
+    and subtraction are monotone, so this holds for the rounded numbers
+    too, and each maximum is a number the all-breakpoints formula also
+    compares: the result is the same float.
+
+    The reference is searched once, on the left; the right count is
+    searched only for points equal to a reference value.  Cost:
     O(m n log N) for a reference of N points, with O(m n) working memory.
     """
-    return _sup_norm_rows(rows, reference, _KsWorkspace(rows.size))
-
-
-class _KsWorkspace:
-    """Scratch arrays for :func:`_sup_norm_rows` on up to ``size`` points in
-    all, so that a caller with many blocks of rows allocates them once."""
-
-    def __init__(self, size: int):
-        self.starts, self.ends, self.hit = (np.empty(size, dtype=bool) for _ in range(3))
-        self.below, self.at_most, self.ref_at_most = (np.empty(size, dtype=np.intp)
-                                                      for _ in range(3))
-        self.diff, self.scratch = np.empty(size), np.empty(size)
-
-
-def _sup_norm_rows(rows: np.ndarray, reference: EmpiricalCDF, work: _KsWorkspace) -> np.ndarray:
-    """:func:`sup_norm_distances`, with its counts and differences written
-    into ``work``, which must hold at least ``rows.size`` points."""
     m, n = rows.shape
-
-    def view(buffer: np.ndarray) -> np.ndarray:
-        return buffer[:m * n].reshape(m, n)
-
-    starts, ends, hit = view(work.starts), view(work.ends), view(work.hit)
-    below, at_most, ref_at_most = view(work.below), view(work.at_most), view(work.ref_at_most)
-    diff, scratch = view(work.diff), view(work.scratch)
-
-    starts[:, 0] = True  # rows[:, i] begins a run of equal values
-    np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
-    np.multiply(starts, np.arange(n), out=below)
-    np.maximum.accumulate(below, axis=1, out=below)
-    ends[:, -1] = True  # rows[:, i] ends a run
-    ends[:, :-1] = starts[:, 1:]
-    at_most[...] = n
-    np.copyto(at_most, np.arange(1, n + 1), where=ends)
-    np.minimum.accumulate(at_most[:, ::-1], axis=1, out=at_most[:, ::-1])
-
     ref = reference.values
-    ref_below = np.searchsorted(ref, rows.reshape(-1), side="left").reshape(m, n)
-    ref_at_most[...] = ref_below
-    np.take(ref, ref_below, out=scratch, mode="clip")
-    np.equal(scratch, rows, out=hit)
-    ref_at_most[hit] = np.searchsorted(ref, rows[hit], side="right")
+    below = np.searchsorted(ref, rows.reshape(-1), side="left").reshape(m, n)
+    at_most = below.copy()
+    diff = ref.take(below, mode="clip")
+    hit = diff == rows
+    at_most[hit] = np.searchsorted(ref, rows[hit], side="right")
 
-    np.divide(at_most, n, out=diff)
-    diff -= np.divide(ref_at_most, reference.n, out=scratch)
+    np.divide(at_most, reference.n, out=diff)
+    np.subtract(np.arange(1, n + 1) / n, diff, out=diff)
     value_side = diff.max(axis=1)
-    np.divide(ref_below, reference.n, out=diff)
-    diff -= np.divide(below, n, out=scratch)
+    np.divide(below, reference.n, out=diff)
+    diff -= np.arange(n) / n
     return np.maximum(value_side, diff.max(axis=1), out=value_side)
 
 

@@ -174,16 +174,34 @@ class LossModel:
                              f"{y.shape[0]} labels")
         return X, y
 
-    def check_labels(self, y) -> None:
-        """Raise :class:`DataError` if a cross-entropy model gets a label outside
-        [0, 1], where its loss can be negative; any label suits linear_squared."""
-        if self.architecture == "linear_squared":
-            return
-        y = np.asarray(y, dtype=np.float64).ravel()
-        bad = np.flatnonzero(~((y >= 0.0) & (y <= 1.0)))
-        if bad.size:
-            raise DataError(f"{self.architecture}: label {y[bad[0]]:g} of example {bad[0] + 1} "
-                            "is outside [0, 1], which cross-entropy needs")
+    def check_values(self, X, y) -> tuple[np.ndarray, np.ndarray]:
+        """``X`` and ``y`` as :meth:`_check_data` returns them, after checking
+        their values.
+
+        The first non-finite feature or label, in example order and the
+        features before the label, raises :class:`DataError` naming its
+        example and column.  So does a label outside [0, 1] for a
+        cross-entropy model, whose loss can be negative there; any finite
+        label suits linear_squared.
+        """
+        X, y = self._check_data(X, y)
+        finite = np.isfinite(X).all(axis=1)
+        finite &= np.isfinite(y)
+        if not finite.all():
+            i = int(finite.argmin())
+            cols = np.flatnonzero(~np.isfinite(X[i]))
+            if cols.size:
+                what, value = f"feature {cols[0] + 1}", X[i, cols[0]]
+            else:
+                what, value = "label", y[i]
+            raise DataError(f"{self.architecture}: {what} of example {i + 1} is {value:g}, "
+                            "not a finite number")
+        if self.architecture != "linear_squared":
+            bad = np.flatnonzero((y < 0.0) | (y > 1.0))
+            if bad.size:
+                raise DataError(f"{self.architecture}: label {y[bad[0]]:g} of example "
+                                f"{bad[0] + 1} is outside [0, 1], which cross-entropy needs")
+        return X, y
 
     def _mlp_layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         dims = [self.input_dim, *self.hidden, 1]

@@ -172,10 +172,12 @@ def distortion_gradient(model: LossModel, X: np.ndarray, y: np.ndarray,
 
     One forward pass, one stable sort and one vector-Jacobian product, as
     in a training step: only the examples at ranks the weights reach are
-    sorted and backpropagated (:func:`_risk_and_gradient`).  NaN, infinite
-    or negative losses raise :class:`InvalidLoss`, as :func:`build_cdf` does.
+    sorted and backpropagated (:func:`_risk_and_gradient`).  The features
+    and labels are checked first, as :func:`train` checks them
+    (:meth:`LossModel.check_values`).  NaN, infinite or negative losses
+    raise :class:`InvalidLoss`, as :func:`build_cdf` does.
     """
-    losses, vjp = model.loss_and_vjp(X, y)
+    losses, vjp = model.loss_and_vjp(*model.check_values(X, y))
     if losses.size == 0:
         raise EmptySample("no training examples")
     if not np.all(np.isfinite(losses)):
@@ -216,9 +218,9 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: Distortion
     be given, else :class:`ConfigError`.  ``seed`` seeds the step noise, and
     ``noise=False`` is a test hook that zeroes it; production runs keep it on.
 
-    Once per run it checks the shapes (:meth:`LossModel._check_data`) and the
-    labels, converts ``X`` and ``y`` to float64 arrays and computes the rank
-    weights and their first weighted rank.
+    Once per run it checks the shapes and values of ``X`` and ``y``
+    (:meth:`LossModel.check_values`), converts them to float64 arrays and
+    computes the rank weights and their first weighted rank.
     Each iteration costs one parameter rebind, one forward pass, one stable
     sort and one vector-Jacobian product, in O(n * width + d) memory; the
     sort and the backward pass cover only the ranks from the first nonzero
@@ -228,10 +230,11 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: Distortion
     per block of ``max(1, NOISE_BLOCK_DRAWS // (2 * d))`` steps.  ``risk[t-1]``
     equals ``distortion_risk(build_cdf(losses), distortion).value`` on the
     iterate's losses bit for bit.  Negative losses raise
-    :class:`InvalidLoss`, as :func:`build_cdf` does, and labels that the
-    model's loss does not accept raise :class:`DataError` before the first
-    step (:meth:`LossModel.check_labels`).  The trace snapshots the iterate
-    every ``max(1, T // 100)`` iterations, plus at t = 1 and t = T.
+    :class:`InvalidLoss`, as :func:`build_cdf` does, and a non-finite
+    feature or label, or a label that the model's loss does not accept,
+    raises :class:`DataError` before the first step.  The trace snapshots
+    the iterate every ``max(1, T // 100)`` iterations, plus at t = 1 and
+    t = T.
 
     Raises :class:`Diverged` (with the partial trace attached) if the risk
     exceeds the divergence guard or stops being finite, or if a step makes
@@ -266,11 +269,10 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: Distortion
             snapshots=tuple(snapshots),
         )
 
-    X, y = model._check_data(X, y)
+    X, y = model.check_values(X, y)
     n = X.shape[0]
     if n == 0:
         raise EmptySample("no training examples")
-    model.check_labels(y)
     weights = distortion.rank_weights(n)
     lo = _first_weighted_rank(weights)
     d = theta.shape[0]

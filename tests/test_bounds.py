@@ -21,7 +21,7 @@ from riskcdf.bounds import (
     monte_carlo_en,
     risk_error_bound,
 )
-from riskcdf.cdf import build_cdf
+from riskcdf.cdf import build_cdf, sup_norm_distances
 from riskcdf.cli import run_bound
 from riskcdf.data import blob_mixture_sampler
 from riskcdf.errors import (
@@ -415,6 +415,21 @@ class TestBlockedMonteCarlo:
                        reference_sample_size=200)
         # The reference, then blocks of 10, 10 and 3 repetitions.
         assert calls == [200, 200, 200, 60]
+
+    def test_one_ks_pass_per_model_and_block(self, monkeypatch):
+        # The pass goes through the public kernel, bound in riskcdf.bounds.
+        shapes = []
+
+        def recording(rows, reference):
+            shapes.append(rows.shape)
+            return sup_norm_distances(rows, reference)
+
+        monkeypatch.setattr("riskcdf.bounds.sup_norm_distances", recording)
+        fns = [lambda X, y: np.abs(X[:, 0]), lambda X, y: np.floor(4.0 * X[:, 0] ** 2)]
+        monte_carlo_en(fns, _gaussian_sampler, n=20, reps=23, seed=0,
+                       reference_sample_size=200)
+        # Blocks of 10, 10 and 3 repetitions, two models each.
+        assert shapes == [(10, 20)] * 4 + [(3, 20)] * 2
 
     def test_loss_calls_hold_at_most_the_block_cap(self):
         calls = []

@@ -213,11 +213,16 @@ class TestRowsKernelMatchesMergedFormula:
     @pytest.mark.parametrize("n, big", [
         (1, 50), (7, 50), (50, 50), (200, 50), (1, 1), (3, 1), (40, 2000),
     ], ids=["n=1", "n<N", "n=N", "n>N", "both-one", "N=1", "n<<N"])
-    @pytest.mark.parametrize("kind", ["ties", "signed_ties", "continuous", "shared"])
+    @pytest.mark.parametrize("kind", ["ties", "signed_ties", "continuous", "shared", "constant"])
     def test_random_rows(self, n, big, kind):
         rng = np.random.default_rng(n * 1000 + big)
         draw = TestSupNormMatchesMergedFormula._draw
-        if kind == "shared":
+        if kind == "constant":
+            # One run spans each row; the first five rows' values are reference points.
+            ref_values = draw(rng, big, "signed_ties")
+            values = np.concatenate([rng.choice(ref_values, 5), rng.integers(-4, 5, 4) + 0.5])
+            rows = np.repeat(values[:, np.newaxis], n, axis=1)
+        elif kind == "shared":
             # Continuous values, most of them also in the reference.
             pool = rng.exponential(size=max(n, big))
             ref_values = rng.choice(pool, big)

@@ -244,8 +244,9 @@ class TestFusedStepOracle:
     @pytest.mark.parametrize("spec", [identity_distortion(), cvar_distortion(0.5)],
                              ids=["identity", "cvar-half"])
     def test_gradient_rejects_non_finite_losses(self, spec):
-        X, y = np.array([[1.0], [np.nan], [3.0], [4.0]]), np.zeros(4)
-        model = LossModel("linear_squared", params=np.array([1.0]), input_dim=1)
+        # Finite data, so the losses are what the check rejects.
+        X, y = np.array([[1.0], [2.0], [3.0], [4.0]]), np.zeros(4)
+        model = LossModel("linear_squared", params=np.array([np.inf]), input_dim=1)
         with pytest.raises(InvalidLoss, match="finite"):
             distortion_gradient(model, X, y, spec)
 
@@ -445,19 +446,77 @@ class TestDataShapes:
             call(model, np.ones(X_shape), np.ones(n_labels))
 
 
+# The two entry points that take a dataset: both check its values once,
+# before the first forward pass.
+DATA_ENTRY_POINTS = {
+    "train": lambda m, X, y: train(m, X, y, identity_distortion(), 3, eta=0.1),
+    "distortion_gradient": lambda m, X, y: distortion_gradient(m, X, y, identity_distortion()),
+}
+
+
+def no_forward_pass(self, X, y):
+    raise AssertionError("a forward pass ran")
+
+
 class TestTrain:
+    @pytest.mark.parametrize("entry", DATA_ENTRY_POINTS)
     @pytest.mark.parametrize("arch", ["logistic_crossentropy", "mlp_tanh"])
-    @pytest.mark.parametrize("label", [2.0, -0.5, float("nan")])
-    def test_crossentropy_rejects_labels_outside_unit_interval(self, arch, label, monkeypatch):
+    @pytest.mark.parametrize("label", [2.0, -0.5, 1.05])
+    def test_crossentropy_rejects_labels_outside_unit_interval(self, arch, label, entry,
+                                                               monkeypatch):
         model, X, y = random_problem(arch, 4, n=6)
         y[3] = label
-
-        def no_step(self, X, y):
-            raise AssertionError("a training step ran")
-
-        monkeypatch.setattr(LossModel, "loss_and_vjp", no_step)  # rejected before any step
+        monkeypatch.setattr(LossModel, "loss_and_vjp", no_forward_pass)
         with pytest.raises(DataError, match=f"{arch}: label {label:g} of example 4 is outside"):
-            train(model, X, y, identity_distortion(), 3, eta=0.1)
+            DATA_ENTRY_POINTS[entry](model, X, y)
+
+    @pytest.mark.parametrize("entry", DATA_ENTRY_POINTS)
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("where, value, what", [
+        ((3, 1), np.inf, "feature 2 of example 4 is inf"),
+        ((0, 0), -np.inf, "feature 1 of example 1 is -inf"),
+        ((5, 2), np.nan, "feature 3 of example 6 is nan"),
+        ((3, None), np.nan, "label of example 4 is nan"),
+        ((2, None), np.inf, "label of example 3 is inf"),
+    ], ids=["inf-feature", "-inf-feature", "nan-feature", "nan-label", "inf-label"])
+    def test_non_finite_data_is_a_data_error(self, arch, entry, where, value, what,
+                                            monkeypatch):
+        model, X, y = random_problem(arch, 4, n=6)
+        i, j = where
+        if j is None:
+            y[i] = value
+        else:
+            X[i, j] = value
+        monkeypatch.setattr(LossModel, "loss_and_vjp", no_forward_pass)
+        with pytest.raises(DataError, match=f"^{arch}: {what}, not a finite number$") as err:
+            DATA_ENTRY_POINTS[entry](model, X, y)
+        assert err.value.exit_code == 3
+
+    def test_first_non_finite_value_is_named(self):
+        # Non-finite values are named before the [0, 1] label rule applies, in
+        # example order and with the features before the label.
+        model, X, y = random_problem("logistic_crossentropy", 4, n=6)
+        X[4, 0], X[2, 2], y[2], y[1] = np.nan, np.inf, 7.0, -3.0
+        with pytest.raises(DataError, match="feature 3 of example 3 is inf"):
+            model.check_values(X, y)
+        X[2, 2] = 0.0
+        y[2] = np.nan
+        with pytest.raises(DataError, match="label of example 3 is nan"):
+            model.check_values(X, y)
+
+    def test_values_are_checked_once_per_call(self, monkeypatch):
+        model, X, y = random_problem("logistic_crossentropy", 4, n=6)
+        calls = []
+        check = LossModel.check_values
+
+        def counted(self, X, y):
+            calls.append(X.shape)
+            return check(self, X, y)
+
+        monkeypatch.setattr(LossModel, "check_values", counted)
+        train(model, X, y, identity_distortion(), 5, eta=0.1)
+        distortion_gradient(model, X, y, identity_distortion())
+        assert calls == [(6, 3), (6, 3)]
 
     def test_linear_squared_takes_any_label(self):
         model, X, y = random_problem("linear_squared", 4, n=6)
