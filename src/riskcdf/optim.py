@@ -177,6 +177,9 @@ def distortion_gradient(model: LossModel, X: np.ndarray, y: np.ndarray,
     (:meth:`LossModel.check_values`).  NaN, infinite or negative losses
     raise :class:`InvalidLoss`, as :func:`build_cdf` does.
     """
+    # check_values returns float64 arrays of checked shape, so the forward
+    # pass's own shape check copies nothing (np.asarray returns X itself,
+    # ravel a view of y), as in every step of train.
     losses, vjp = model.loss_and_vjp(*model.check_values(X, y))
     if losses.size == 0:
         raise EmptySample("no training examples")

@@ -241,12 +241,22 @@ class TestFusedStepOracle:
         with pytest.raises(InvalidLoss):
             empirical_distortion_risk(model, X, y, spec)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("spec", [identity_distortion(), cvar_distortion(0.5)],
                              ids=["identity", "cvar-half"])
-    def test_gradient_rejects_non_finite_losses(self, spec):
-        # Finite data, so the losses are what the check rejects.
+    def test_gradient_rejects_non_finite_losses(self, spec, bad):
+        class OneBadLoss(LossModel):
+            """linear_squared with the second loss replaced by ``bad``."""
+
+            def loss_and_vjp(self, X, y):
+                losses, vjp = super().loss_and_vjp(X, y)
+                losses[1] = bad
+                return losses, vjp
+
+        # Finite data and parameters, so the one non-finite loss among finite
+        # ones is what the check rejects.
         X, y = np.array([[1.0], [2.0], [3.0], [4.0]]), np.zeros(4)
-        model = LossModel("linear_squared", params=np.array([np.inf]), input_dim=1)
+        model = OneBadLoss("linear_squared", params=np.array([1.0]), input_dim=1)
         with pytest.raises(InvalidLoss, match="finite"):
             distortion_gradient(model, X, y, spec)
 
