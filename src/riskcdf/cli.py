@@ -157,8 +157,7 @@ def run_train(params: dict, out_dir: str) -> None:
                        seed=params["seed"])
     try:
         final_model, trace = train(model, features, labels, spec, params["iters"],
-                                   eta=params["eta"], beta=params["beta"],
-                                   seed=params["seed"], noise=not params["disable_noise"])
+                                   eta=params["eta"], beta=params["beta"], seed=params["seed"])
     except Diverged as exc:
         if exc.trace is not None:  # keep the evidence up to the failing iteration
             exc.trace.to_csv(os.path.join(out_dir, "trace.csv"))
@@ -257,9 +256,10 @@ def _flag_accepts(action: argparse.Action, value: object) -> bool:
             and (action.choices is None or value in action.choices))
 
 
-# Flags the input now decides, each with the value a run recorded when it was
+# Flags a command no longer has, each with the value a run recorded when it was
 # left unset: a recorded run replays only if it holds that value.
-_RETIRED = {"cdf": {"has_header": False}, "assess": {"n": None}, "train": {"has_header": True}}
+_RETIRED = {"cdf": {"has_header": False}, "assess": {"n": None},
+            "train": {"has_header": True, "disable_noise": False}}
 
 
 def _replay_params(manifest: object, where: str) -> tuple[str, dict, dict]:
@@ -372,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--disable-noise", dest="disable_noise", action="store_true",
-                   help="test hook: zero the Gaussian step perturbation")
 
     p = sub.add_parser("complexity", help="permutation complexity of a loss matrix")
     common(p)

@@ -191,35 +191,32 @@ def distortion_gradient(model: LossModel, X: np.ndarray, y: np.ndarray,
 
 
 def noisy_gd_step(theta: np.ndarray, gradient: np.ndarray, eta: float,
-                  rng: np.random.Generator | None) -> np.ndarray:
-    """One descent step theta - eta*(gradient + w), w ~ N(0, I/d).
+                  rng: np.random.Generator) -> np.ndarray:
+    """One descent step theta - eta*(gradient + w), w ~ N(0, I/d) drawn from ``rng``.
 
-    ``rng=None`` zeroes the perturbation (test hook).  :func:`train` makes
-    the same step, with the same noise stream, from noise drawn in blocks.
+    :func:`train` makes the same step, with the same noise stream, from
+    noise drawn in blocks.
     """
     theta = np.asarray(theta, dtype=np.float64)
     gradient = np.asarray(gradient, dtype=np.float64)
     if theta.shape != gradient.shape:
         raise ConfigError(f"shape mismatch: theta {theta.shape} vs gradient {gradient.shape}")
     d = theta.shape[0]
-    if rng is None:
-        w = np.zeros(d)
-    else:
-        w = standard_normal(rng, d) / math.sqrt(d)
+    w = standard_normal(rng, d) / math.sqrt(d)
     return theta - eta * (gradient + w)
 
 
 def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: DistortionSpec,
           iterations: int, *, eta: float | None = None, beta: float | None = None,
-          seed: int = 0, noise: bool = True) -> tuple[LossModel, TrainTrace]:
+          seed: int = 0) -> tuple[LossModel, TrainTrace]:
     """Run the perturbed descent loop; returns the final model and trace.
 
     ``distortion`` is the objective and ``iterations`` (an integer >= 1)
     the number of steps T.  The step size is ``eta`` (finite and
     nonnegative) or, when ``eta`` is None, ``1 / (beta * sqrt(T))`` from the
     smoothness estimate ``beta`` (finite and positive); one of the two must
-    be given, else :class:`ConfigError`.  ``seed`` seeds the step noise, and
-    ``noise=False`` is a test hook that zeroes it; production runs keep it on.
+    be given, else :class:`ConfigError`.  ``seed`` seeds the step noise,
+    which every step adds.
 
     Once per run it checks the shapes and values of ``X`` and ``y``
     (:meth:`LossModel.check_values`), converts them to float64 arrays and
@@ -252,7 +249,7 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: Distortion
     if beta is not None:
         _positive_beta(beta)
     eta = float(eta) if eta is not None else 1.0 / (beta * math.sqrt(iterations))
-    rng = rng_from(seed, "gd_noise") if noise else None
+    rng = rng_from(seed, "gd_noise")
     t_total = int(iterations)
     cadence = max(1, t_total // 100)
 
@@ -280,13 +277,11 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: Distortion
     lo = _first_weighted_rank(weights)
     d = theta.shape[0]
     block = max(1, NOISE_BLOCK_DRAWS // (2 * d))
-    # The noise buffers are allocated once, before the loop: a block array
-    # allocated mid-run, above the step's large temporaries, can make the
-    # allocator return and re-fault the heap top every step (~100 page
-    # faults a step for mlp_tanh with 32 units under the mean at n = 1050).
+    # One noise buffer, allocated before the loop, holds each block's noise:
+    # a block array allocated mid-run, above the step's large temporaries,
+    # can make the allocator return and re-fault the heap top every step
+    # (~100 page faults a step for mlp_tanh with 32 units under the mean at n = 1050).
     uniforms = np.empty((block, 2, d))
-    noise = np.empty((block, d))
-    w = np.zeros(d)  # without noise the step adds zeros, as noisy_gd_step does
     current = model
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised, not warned
         for t in range(1, t_total + 1):
@@ -302,14 +297,11 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: Distortion
             grad_norm[t - 1] = math.sqrt(grad.dot(grad))  # np.linalg.norm's formula
             if t == 1 or t == t_total or t % cadence == 0:
                 snapshots.append((t, theta.copy(), grad.copy()))
-            if rng is not None:
-                k = (t - 1) % block
-                if k == 0:
-                    rows = min(block, t_total - t + 1)
-                    np.divide(standard_normal_rows(rng, uniforms[:rows]), math.sqrt(d),
-                              out=noise[:rows])
-                w = noise[k]
-            theta = theta - eta * (grad + w)
+            k = (t - 1) % block
+            if k == 0:
+                noise = standard_normal_rows(rng, uniforms[:min(block, t_total - t + 1)])
+                noise /= math.sqrt(d)
+            theta = theta - eta * (grad + noise[k])
             if not np.isfinite(theta).all():
                 raise Diverged(f"the step at iteration {t} made the parameters non-finite",
                                trace=make_trace(t))

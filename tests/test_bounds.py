@@ -23,7 +23,7 @@ from riskcdf.bounds import (
 )
 from riskcdf.cdf import build_cdf, sup_norm_distances
 from riskcdf.cli import run_bound
-from riskcdf.data import blob_mixture_sampler
+from riskcdf.data import TOY_BLOB_CENTERS, TOY_BLOB_SIZES, TOY_BLOB_STDS, blob_mixture_sampler
 from riskcdf.errors import (
     ConfigError,
     InvalidDelta,
@@ -471,25 +471,106 @@ class TestBlockedMonteCarlo:
     def test_page_faults_do_not_grow_with_reps(self):
         # The loop reuses its buffers and sizes every temporary by a block
         # of at most 8,192 rows, so ten times the repetitions take no more
-        # fresh pages.  A call may also refault its ~2 MB of reference
-        # arrays, or not, depending on whether the allocator trimmed the
-        # heap after the call before; the least of three differences
-        # leaves that out.
+        # fresh pages.  Faults are counted from the first 800-row draw, after
+        # the 20,000-row reference: the ~2 MB reference phase refaults, or
+        # not, depending on whether the allocator trimmed the heap after the
+        # call before, and it, the values and the sorted-rows buffer do not
+        # grow with reps.  The least of three differences leaves out noise.
         import resource
 
         models = [init_model("logistic_crossentropy", 2, seed=derive_seed(0, "model", j))
                   for j in range(5)]
         fns = [(lambda X, y, m=m: m.batch_losses(X, y)) for m in models]
-        sampler = blob_mixture_sampler()
+        sample = blob_mixture_sampler()
 
         def faults(reps):
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            loop_start = []
+
+            def sampler(rng, size):
+                if size == 800 and not loop_start:
+                    loop_start.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+                return sample(rng, size)
+
             monte_carlo_en(fns, sampler, n=800, reps=reps, seed=1, reference_sample_size=20_000)
-            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - loop_start[0]
 
         faults(40)  # warm-up
         growth = min(faults(400) - faults(40) for _ in range(3))
         assert growth < 300, f"{growth} more minor faults at 400 reps than at 40"
+
+
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
+def exact_logistic_loss_cdf(theta, r):
+    """F(r), the exact CDF of a bias-free logistic model's cross-entropy loss
+    on the blob mixture that :func:`blob_mixture_sampler` draws, at ``r``.
+
+    The score s = theta . x of cluster k is N(mu_k, sigma_k^2) with
+    mu_k = theta . c_k and sigma_k = s_k |theta|.  A label-0 loss
+    log(1 + e^s) is at most r where s <= t, and a label-1 loss
+    log(1 + e^-s) where s >= -t, for t = r + log(-expm1(-r)); so
+    F(r) = w_0 Phi((t - mu_0) / sigma_0) + w_1 (1 - Phi((-t - mu_1) / sigma_1)).
+    """
+    w = np.asarray(TOY_BLOB_SIZES, dtype=np.float64) / sum(TOY_BLOB_SIZES)
+    mu = np.asarray(TOY_BLOB_CENTERS) @ theta
+    sigma = np.asarray(TOY_BLOB_STDS) * np.linalg.norm(theta)
+    with np.errstate(divide="ignore"):  # r = 0 gives t = -inf, F = 0
+        t = r + np.log(-np.expm1(-r))
+
+    def phi(z):
+        return 0.5 * _ERFC(-z / math.sqrt(2.0)).astype(np.float64)
+
+    return w[0] * phi((t - mu[0]) / sigma[0]) + w[1] * (1.0 - phi((-t - mu[1]) / sigma[1]))
+
+
+def exact_ks(losses, theta):
+    """sup_r |F_n(r) - F(r)| between the sample's CDF F_n and the exact F:
+    max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n) over the sorted sample."""
+    x = np.sort(losses)
+    f = exact_logistic_loss_cdf(theta, x)
+    i = np.arange(1, x.size + 1)
+    return float(max(np.max(i / x.size - f), np.max(f - (i - 1) / x.size)))
+
+
+def dkw_radius(n, delta):
+    """The DKW bound: a sample of n has KS distance above it with probability <= delta."""
+    return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
+
+
+class TestExactLossCdfOracle:
+    """An exact loss CDF, F, for bias-free logistic models on the blob mixture."""
+
+    MODELS = [init_model("logistic_crossentropy", 2, seed=derive_seed(321, "model", j))
+              for j in range(5)]
+
+    def worst_ks(self, X, y):
+        return max(exact_ks(m.batch_losses(X, y), m.params) for m in self.MODELS)
+
+    def test_exact_cdf_matches_sampler_draws(self):
+        X, y = blob_mixture_sampler()(rng_from(321, "oracle"), 200_000)
+        for m in self.MODELS:
+            assert exact_ks(m.batch_losses(X, y), m.params) <= dkw_radius(200_000, 1e-6)
+
+    def test_monte_carlo_en_is_within_its_reference_error(self):
+        # |sup|F_n - F_ref| - sup|F_n - F|| <= sup|F_ref - F| for each model,
+        # and so for their maxima: each value is the exact e_n up to the
+        # reference's own KS error, the bias MonteCarloEnResult states.
+        sample = blob_mixture_sampler()
+        draws = []
+
+        def recording(rng, size):
+            draws.append(sample(rng, size))
+            return draws[-1]
+
+        result = monte_carlo_en([m.batch_losses for m in self.MODELS], recording, n=200,
+                                reps=30, seed=321, reference_sample_size=20_000)
+        (x_ref, y_ref), reps = draws[0], draws[1:]
+        assert x_ref.shape[0] == 20_000 and [X.shape[0] for X, _ in reps] == [200] * 30
+        reference_error = self.worst_ks(x_ref, y_ref)
+        assert reference_error <= dkw_radius(20_000, 1e-6)
+        exact = np.array([self.worst_ks(X, y) for X, y in reps])
+        assert np.all(np.abs(result.values - exact) <= reference_error + 1e-12)
 
 
 def _bad_loss(kind):

@@ -91,8 +91,9 @@ CERTIFICATE_PINS = json.loads(
 # `train` runs as recorded before the noise was drawn in blocks: each run's
 # argv, exit code and the sha256 of trace.csv, checkpoint.json and
 # stationarity.json (None for a file the run does not write).  They cover the
-# three architectures, mean (every rank weighted) and CVaR, --beta,
-# --disable-noise, runs that end inside a noise block, a model with one step
+# three architectures, mean (every rank weighted) and CVaR, --beta, plain
+# descent (recorded with the retired --disable-noise, replayed with a zero
+# noise source), runs that end inside a noise block, a model with one step
 # per block (mlp 64,16: 1249 parameters), a diverging run that keeps a partial
 # trace and a run whose parameter movement overflows.
 TRAIN_PINS = json.loads((Path(__file__).parent / "data" / "train_pins.json").read_text())
@@ -402,14 +403,17 @@ class TestAssessHotPath:
 
 class TestCmdTrain:
     @pytest.mark.parametrize("pin", TRAIN_PINS, ids=[p["name"] for p in TRAIN_PINS])
-    def test_pinned_run(self, tmp_path, capsys, pin):
+    def test_pinned_run(self, tmp_path, request, pin):
         out = tmp_path / "out"
-        assert main([*pin["argv"], "--out", str(out)]) == pin["exit_code"]
+        argv = [a for a in pin["argv"] if a != "--disable-noise"]
+        if argv != pin["argv"]:
+            request.getfixturevalue("zero_step_noise")
+        assert main([*argv, "--out", str(out)]) == pin["exit_code"]
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    if (out / name).exists() else None for name in pin["sha256"]}
         assert digests == pin["sha256"]
 
-    def test_identity_matches_plain_erm_reference(self, tmp_path):
+    def test_identity_matches_plain_erm_reference(self, tmp_path, zero_step_noise):
         # Independent reference: hand-rolled full-batch logistic GD with the
         # same init and no noise must match the CLI trajectory exactly.
         X, y = toy_blobs(seed=7)
@@ -418,7 +422,7 @@ class TestCmdTrain:
         out = tmp_path / "t"
         assert run(["train", "--input", src, "--arch", "logistic_crossentropy",
                     "--risk", "mean", "--eta", 0.2, "--iters", 40, "--seed", 7,
-                    "--disable-noise", "--out", out]) == 0
+                    "--out", out]) == 0
         ckpt = json.loads((out / "checkpoint.json").read_text())
 
         theta = init_model("logistic_crossentropy", 2, seed=7).params.copy()
@@ -441,8 +445,7 @@ class TestCmdTrain:
 
     def test_eta_zero_is_flat(self, tmp_path):
         out = tmp_path / "t"
-        assert run(["train", "--risk", "mean", "--eta", 0, "--iters", 5,
-                    "--disable-noise", "--out", out]) == 0
+        assert run(["train", "--risk", "mean", "--eta", 0, "--iters", 5, "--out", out]) == 0
         lines = (out / "trace.csv").read_text().strip().splitlines()[1:]
         risks = {line.split(",")[1] for line in lines}
         assert len(risks) == 1
@@ -483,7 +486,7 @@ class TestCmdTrain:
         save_dataset_csv(*toy_blobs(seed=1), src)
         assert run(["train", "--input", src, "--arch", "linear_squared",
                     "--risk", "mean", "--eta", 50, "--iters", 200,
-                    "--disable-noise", "--out", tmp_path / "x"]) == 4
+                    "--out", tmp_path / "x"]) == 4
 
     def test_divergence_keeps_partial_trace(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -529,8 +532,7 @@ class TestCmdTrain:
         save_dataset_csv(*toy_blobs(seed=3), with_header)
         headerless = tmp_path / "plain.csv"
         headerless.write_text(with_header.read_text().split("\n", 1)[1])
-        flags = ["--arch", "logistic_crossentropy", "--eta", 0.2, "--iters", 5,
-                 "--disable-noise"]
+        flags = ["--arch", "logistic_crossentropy", "--eta", 0.2, "--iters", 5]
         assert run(["train", "--input", with_header, *flags, "--out", tmp_path / "a"]) == 0
         assert run(["train", "--input", headerless, "--label-column", 2,
                     *flags, "--out", tmp_path / "b"]) == 0
@@ -711,8 +713,8 @@ class TestManifestRerun:
     def test_recorded_manifest_replays_byte_identically(self, tmp_path):
         """A manifest as recorded for ``train --eta 0.1 --iters 3`` when unset
         flags could still be preset from the environment: its args equal
-        those a run records now but for the retired ``has_header``, and its
-        replay writes the same files."""
+        those a run records now but for the retired ``has_header`` and
+        ``disable_noise``, and its replay writes the same files."""
         recorded = {
             "args": {"add_bias": False, "arch": "logistic_crossentropy", "beta": None,
                      "disable_noise": False, "eta": 0.1, "has_header": True, "hidden": "8",
@@ -729,7 +731,8 @@ class TestManifestRerun:
         out_a = tmp_path / "a"
         assert run(["train", "--eta", 0.1, "--iters", 3, "--out", out_a]) == 0
         written = json.loads((out_a / "manifest.json").read_text())
-        args = {k: v for k, v in recorded["args"].items() if k != "has_header"}
+        args = {k: v for k, v in recorded["args"].items()
+                if k not in ("has_header", "disable_noise")}
         assert written["args"] == {**args, "out": str(out_a)}
         out_b = tmp_path / "b"
         assert run(["rerun", "--manifest", path, "--out", out_b]) == 0
@@ -778,6 +781,7 @@ class TestManifestRerun:
         ("cdf", "has_header", False, True),
         ("assess", "n", None, 5),
         ("train", "has_header", True, False),
+        ("train", "disable_noise", False, True),
     ])
     def test_retired_flag_replays_only_at_its_old_default(self, tmp_path, capsys, command,
                                                           dest, default, value):
@@ -1002,7 +1006,9 @@ class TestRejections:
         (["cdf", "--input", "l.csv"], ["--has-header"]),
         (["train", "--input", "d.csv"], ["--has-header"]),
         (["train", "--input", "d.csv"], ["--no-has-header"]),
-    ], ids=["assess-n", "cdf-has-header", "train-has-header", "train-no-has-header"])
+        (["train", "--input", "d.csv"], ["--disable-noise"]),
+    ], ids=["assess-n", "cdf-has-header", "train-has-header", "train-no-has-header",
+            "train-disable-noise"])
     def test_input_decides_what_retired_flags_set(self, tmp_path, capsys, argv, flag):
         with pytest.raises(SystemExit) as exit_info:
             run([*argv, *flag, "--out", tmp_path / "o"])

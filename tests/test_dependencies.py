@@ -5,6 +5,7 @@ function writes its JSON and one its CSV.  Its lower layers (CDFs,
 certificates, permutation complexity) import none of the layers built on
 them."""
 
+import argparse
 import ast
 import os
 import re
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import riskcdf
 from riskcdf.bounds import CERTIFICATE_METHODS
+from riskcdf.cli import _RETIRED, build_parser
 
 SRC = str(Path(riskcdf.__file__).resolve().parents[1])
 
@@ -401,3 +403,12 @@ def test_every_flag_is_read():
     counts = {entry[0] for entry in CERTIFICATE_METHODS.values()}
     assert counts <= subcommand_dests(source)
     assert subcommand_dests(source) - flag_reads(source) - counts == set()
+
+
+def test_retired_flags_are_not_defined():
+    """Each flag in ``cli._RETIRED`` is one its command's parser no longer
+    defines: a replay pops a retired flag's recorded value, so a live flag
+    listed there could never replay."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, retired in _RETIRED.items():
+        assert not {a.dest for a in sub.choices[command]._actions} & set(retired), command

@@ -335,12 +335,12 @@ class TestTiesAtFirstWeightedRank:
         assert straddled >= 60 and clamped >= 20
 
     @pytest.mark.parametrize("trial", range(6))
-    def test_train_risk_and_gradient_of_each_iterate(self, trial):
+    def test_train_risk_and_gradient_of_each_iterate(self, trial, zero_step_noise):
         model, X, y = tied_problem(trial)
         spec = straddling_cvar(model.batch_losses(X, y), rng_from(trial, "lo"))
         assert spec is not None
         # Without noise, tied examples of equal weight stay tied.
-        _, trace = train(model, X, y, spec, 10, eta=0.01, noise=False)
+        _, trace = train(model, X, y, spec, 10, eta=0.01)
         for t, theta, grad in trace.snapshots:
             current = model.with_params(theta)
             losses = current.batch_losses(X, y)
@@ -387,18 +387,16 @@ class TestWeightedRowsOnly:
 
 
 class TestNoisyStep:
-    def test_zero_gradient_zero_noise(self):
-        theta = np.array([1.0, -2.0])
-        assert np.array_equal(noisy_gd_step(theta, np.zeros(2), 0.5, rng=None), theta)
-
     def test_zero_eta(self):
         theta = np.array([1.0])
         out = noisy_gd_step(theta, np.array([3.0]), 0.0, rng=rng_from(0, "x"))
         assert np.array_equal(out, theta)
 
     def test_arithmetic(self):
-        out = noisy_gd_step(np.array([0.0]), np.array([2.0]), 0.5, rng=None)
-        assert out == pytest.approx([-1.0])
+        theta, grad = np.array([0.0, 1.0, -2.0]), np.array([2.0, -0.5, 0.25])
+        out = noisy_gd_step(theta, grad, 0.5, rng=rng_from(3, "step"))
+        w = standard_normal(rng_from(3, "step"), 3) / math.sqrt(3)
+        assert out.tobytes() == (theta - 0.5 * (grad + w)).tobytes()
 
     def test_noise_unit_mean_square(self):
         rng = rng_from(7, "noise_scale")
@@ -534,18 +532,18 @@ class TestTrain:
         _, trace = train(model, X, y, identity_distortion(), 2, eta=0.01)
         assert trace.iterations == 2
 
-    def test_eta_zero_is_flat(self):
+    def test_eta_zero_is_flat(self, zero_step_noise):
         model, X, y = random_problem("logistic_crossentropy", 1)
-        _, trace = train(model, X, y, identity_distortion(), 5, eta=0.0, seed=0, noise=False)
+        _, trace = train(model, X, y, identity_distortion(), 5, eta=0.0, seed=0)
         assert np.all(trace.risk == trace.risk[0])
 
-    def test_quadratic_geometric_convergence(self):
+    def test_quadratic_geometric_convergence(self, zero_step_noise):
         # One example, identity g: plain GD on loss (p*x - y)^2, closed form
         # contraction |p_t - y/x| = |1 - 2*eta*x^2|^t |p_0 - y/x|.
         m = LossModel("linear_squared", params=np.array([0.0]), input_dim=1)
         X, y = np.array([[1.0]]), np.array([3.0])
         eta = 0.25
-        final, trace = train(m, X, y, identity_distortion(), 30, eta=eta, seed=0, noise=False)
+        final, trace = train(m, X, y, identity_distortion(), 30, eta=eta, seed=0)
         rate = abs(1 - 2 * eta)
         for t in range(1, 10):
             expect = (rate ** t * 3.0) ** 2
@@ -559,28 +557,28 @@ class TestTrain:
         assert np.array_equal(final_a.params, final_b.params)
         assert np.array_equal(trace_a.risk, trace_b.risk)
 
-    def test_divergence_guard(self):
+    def test_divergence_guard(self, zero_step_noise):
         m = LossModel("linear_squared", params=np.array([1.0]), input_dim=1)
         X, y = np.array([[1.0]]), np.array([0.0])
         with pytest.raises(Diverged) as err:
-            train(m, X, y, identity_distortion(), 500, eta=10.0, seed=0, noise=False)
+            train(m, X, y, identity_distortion(), 500, eta=10.0, seed=0)
         assert err.value.trace is not None
         assert err.value.trace.iterations < 500
 
-    def test_non_finite_step_is_divergence(self):
+    def test_non_finite_step_is_divergence(self, zero_step_noise):
         # The first step overflows while its risk, at the initial iterate, is finite.
         m = LossModel("linear_squared", params=np.array([1.0]), input_dim=1)
         X, y = np.array([[1.0]]), np.array([0.0])
         with pytest.raises(
                 Diverged, match="^the step at iteration 1 made the parameters non-finite$") as err:
-            train(m, X, y, identity_distortion(), 3, eta=1e308, seed=0, noise=False)
+            train(m, X, y, identity_distortion(), 3, eta=1e308, seed=0)
         assert err.value.trace.risk.tolist() == [1.0]
 
-    def test_partial_trace_average_is_running_mean(self):
+    def test_partial_trace_average_is_running_mean(self, zero_step_noise):
         m = LossModel("linear_squared", params=np.array([1.0]), input_dim=1)
         X, y = np.array([[1.0]]), np.array([0.0])
         with pytest.raises(Diverged) as err:
-            train(m, X, y, identity_distortion(), 500, eta=10.0, seed=0, noise=False)
+            train(m, X, y, identity_distortion(), 500, eta=10.0, seed=0)
         trace = err.value.trace
         assert trace.iterations >= 3
         running, expected = 0.0, []
@@ -621,16 +619,15 @@ class TestTrain:
         assert len(validations) <= 1
         assert len(draws) <= math.ceil(iterations / (NOISE_BLOCK_DRAWS // (2 * d))) + 1
 
-    def test_config_validation(self):
+    def test_config_validation(self, zero_step_noise):
         model, X, y = random_problem("logistic_crossentropy", 1)
         with pytest.raises(ConfigError):
             train(model, X, y, identity_distortion(), 0, eta=0.1)
         with pytest.raises(ConfigError):
             train(model, X, y, identity_distortion(), 5)
         # 1 / (2 * sqrt(100)) is the double 0.05, so the beta rule takes the same steps.
-        _, by_beta = train(model, X, y, identity_distortion(), np.int64(100), beta=2.0,
-                           noise=False)
-        _, by_eta = train(model, X, y, identity_distortion(), 100, eta=0.05, noise=False)
+        _, by_beta = train(model, X, y, identity_distortion(), np.int64(100), beta=2.0)
+        _, by_eta = train(model, X, y, identity_distortion(), 100, eta=0.05)
         for field in ("risk", "grad_norm", "avg_sq_grad_norm"):
             assert getattr(by_beta, field).tobytes() == getattr(by_eta, field).tobytes()
         assert by_beta.snapshots[-1][1].tobytes() == by_eta.snapshots[-1][1].tobytes()
@@ -661,11 +658,11 @@ class TestTrain:
 
 
 class TestStationarity:
-    def test_zero_gradient_start(self):
+    def test_zero_gradient_start(self, zero_step_noise):
         # Loss constant in theta: gradient identically zero, bound trivially holds.
         m = LossModel("linear_squared", params=np.array([0.5]), input_dim=1)
         X, y = np.array([[0.0]]), np.array([1.0])
-        _, trace = train(m, X, y, identity_distortion(), 20, eta=0.1, seed=0, noise=False)
+        _, trace = train(m, X, y, identity_distortion(), 20, eta=0.1, seed=0)
         report = stationarity_report(trace, beta=1.0)
         assert report["mean_sq_grad_norm"] == 0.0
         assert report["holds"]
