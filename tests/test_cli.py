@@ -98,6 +98,29 @@ CERTIFICATE_PINS = json.loads(
 # trace and a run whose parameter movement overflows.
 TRAIN_PINS = json.loads((Path(__file__).parent / "data" / "train_pins.json").read_text())
 
+# `assess` runs as recorded before the inverted OCE became the reflected OCE:
+# each run's argv and the sha256 of assessment.json and assessment.csv.  Each
+# of the eight token forms runs alone and all eight run together, with the
+# support bound given (6) and inferred (the table's maximum, 5), on the inputs
+# `write_assess_inputs` writes.  Runs start in the inputs' directory, since
+# risk names embed a token's path.
+ASSESS_PINS = json.loads((Path(__file__).parent / "data" / "assess_pins.json").read_text())
+
+
+def write_assess_inputs(where):
+    """A seeded 300 x 4 loss table in [0, 5], ties on a 0.05 grid in two
+    columns and both 0 and 5 attained, a concave distortion table and a
+    spectrum table, written to ``where`` as losses.csv, g.csv and h.csv."""
+    rng = np.random.default_rng(35)
+    cols = []
+    for j in range(4):
+        x = 5.0 * rng.beta(1.0 + j % 3, 1.5 + j % 2, 300)
+        cols.append(np.round(x * 20.0) / 20.0 if j % 2 == 0 else x)
+    cols[0][7], cols[1][11] = 5.0, 0.0
+    write_table(where / "losses.csv", ["m0", "m1", "m2", "m3"], cols)
+    (where / "g.csv").write_text("t,g\n0,0\n0.2,0.5\n0.6,0.9\n1,1\n")
+    (where / "h.csv").write_text("u,h\n0,0.5\n0.5,1\n1,1.5\n")
+
 
 class TestCmdBound:
     def test_finite_class_spot_value(self, tmp_path):
@@ -321,6 +344,17 @@ class TestCmdAssess:
         payload = json.loads((out / "assessment.json").read_text())
         assert payload["support_bound_inferred"] is inferred
         assert payload["support_bound"] == support
+
+
+class TestAssessPins:
+    @pytest.mark.parametrize("pin", ASSESS_PINS, ids=[p["name"] for p in ASSESS_PINS])
+    def test_pinned_run(self, tmp_path, monkeypatch, pin):
+        monkeypatch.chdir(tmp_path)
+        write_assess_inputs(tmp_path)
+        assert main([*pin["argv"], "--out", "out"]) == 0
+        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                   for name in pin["sha256"]}
+        assert digests == pin["sha256"]
 
 
 class TestAssessHotPath:
