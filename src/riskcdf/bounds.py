@@ -31,9 +31,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cdf import _check_losses, build_cdf, sup_norm_distances
-# perfbench/tracing.py times calls through the names bound here: the Monte
-# Carlo loop's KS pass through sup_norm_distances, and sup_norm_distance,
-# bound although nothing here calls it.
+# sup_norm_distances is imported because the Monte Carlo loop calls it.
+# sup_norm_distance is bound only for perfbench/tracing.py, which times
+# calls through the name bound here; nothing here calls it.
 from .cdf import sup_norm_distance  # noqa: F401
 from .data import _is_count, _write_csv
 from .errors import ConfigError, InvalidDelta, InvalidGrowth, ShapeError, WeakReference

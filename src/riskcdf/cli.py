@@ -8,7 +8,9 @@ gradient audit), and ``rerun`` (replay a recorded run).
 
 Every command writes a ``manifest.json`` with the resolved flag set, input
 file digests, toolkit version, and timestamp; ``rerun`` replays a manifest
-and reproduces the primary outputs byte for byte in single-threaded mode.
+and reproduces the primary outputs byte for byte under the same numpy and
+BLAS build and the same BLAS thread count, which riskcdf neither sets nor
+records.
 Flag values come from the command line alone; unset flags take the
 parser's defaults (``--out .``, ``--seed 0``, ``--delta 0.05``,
 ``--iters 500``).  Only ``train`` and ``gradcheck`` draw random numbers,

@@ -41,7 +41,8 @@ every row in example order.
 The sort breaks ties stably by original index; the candidates keep that
 order, so ties at rank ``lo`` break as in a sort of all n losses.
 Ordering of the dataset never changes the risk value, and a fixed seed
-reproduces a run bit for bit in single-threaded mode.
+reproduces a run bit for bit under the same numpy and BLAS build and the
+same BLAS thread count.
 """
 
 from __future__ import annotations

@@ -167,13 +167,15 @@ class OceSpec:
     """An optimized certainty equivalent on losses in [0, D]: its exact value
     and its Holder constant.
 
-    ``closed_form(sorted_losses, sign)`` is the exact OCE value (``sign=+1``)
-    or its inversion (``sign=-1``) for a convex, non-decreasing disutility phi
-    with phi(0) = 0.  ``lipschitz_constant`` is the risk's sup-norm constant
-    on [0, D], the same for both directions: phi(D) - phi(0), the largest
-    increment phi(D - x) - phi(-x), or phi(x) - phi(x - D) for the inversion,
-    over x in [0, D], since the increments of a convex phi grow with their
-    start.  It must be finite: an overflowing one raises :class:`NumericError`,
+    ``closed_form(sorted_losses)`` is the exact OCE of any real sorted sample
+    for a convex, non-decreasing disutility phi with phi(0) = 0.
+    ``lipschitz_constant`` is the risk's sup-norm constant on [0, D]:
+    phi(D) - phi(0), the largest increment phi(D - x) - phi(-x) over x in
+    [0, D], since the increments of a convex phi grow with their start.  An
+    OCE moves with a shift of its losses, so this constant depends only on
+    the support's width D; the reflection -X that :func:`inverted_oce_risk`
+    evaluates keeps that width, so L is the same in both directions.  It
+    must be finite: an overflowing one raises :class:`NumericError`,
     as it does for every risk.  The presets (:func:`oce_mean_spec`,
     :func:`oce_entropic_spec`, :func:`oce_cvar_spec`) build every OCE riskcdf
     evaluates, each with its constant in closed form.  D must be finite and
@@ -221,40 +223,27 @@ def cvar_spectrum(alpha: float) -> DistortionSpec:
 def oce_mean_spec(support_bound: float) -> OceSpec:
     """phi(x) = x: lambda cancels and the OCE reduces to the mean; L = D."""
     return OceSpec(support_bound=support_bound, lipschitz_constant=float(support_bound),
-                   name="oce:mean", closed_form=lambda x, sign: float(np.mean(x)))
+                   name="oce:mean", closed_form=lambda x: float(np.mean(x)))
 
 
 def oce_cvar_spec(alpha: float, support_bound: float) -> OceSpec:
     """phi(x) = max(x, 0)/alpha: the certainty-equivalent form of CVaR; L = D/alpha.
 
     The objective is piecewise linear in lambda with its optimum at a sample
-    quantile, so the value is a distortion risk: the upper-tail CVaR
-    g(t) = min(t/alpha, 1) (the rank weights of :func:`cvar`, so the two
-    are equal) and, inverted, the lower-tail mean
-    g(t) = max(t - 1 + alpha, 0)/alpha.  Both specs are built once here; the
-    lower g adds alpha to t - 1, which is exact at t = 1, so g(1) = 1 however
-    small alpha is.
+    quantile, so the value is the distortion risk g(t) = min(t/alpha, 1): the
+    rank weights of :func:`cvar`, so the two are equal.
     """
-    upper = cvar_distortion(alpha)
-    a = float(alpha)
-    lower = DistortionSpec(
-        g=lambda t: np.maximum((np.asarray(t, dtype=np.float64) - 1.0) + a, 0.0) / a,
-        name=f"lower_tail_mean:{alpha:g}",
-        lipschitz_constant=1.0 / a,
-    )
-    up, down = (functools.lru_cache(maxsize=1)(spec.rank_weights) for spec in (upper, lower))
-
-    def closed_form(x: np.ndarray, sign: float) -> float:
-        return float((up if sign > 0 else down)(x.shape[0]) @ x)
-
-    return OceSpec(support_bound=support_bound, lipschitz_constant=float(support_bound) / a,
-                   name=f"oce:cvar:{alpha:g}", closed_form=closed_form)
+    weights = functools.lru_cache(maxsize=1)(cvar_distortion(alpha).rank_weights)
+    return OceSpec(support_bound=support_bound,
+                   lipschitz_constant=float(support_bound) / float(alpha),
+                   name=f"oce:cvar:{alpha:g}",
+                   closed_form=lambda x: float(weights(x.shape[0]) @ x))
 
 
-def _entropic_value(x: np.ndarray, sign: float) -> float:
-    """sign * log mean exp(sign * x), shifted by the extreme value so exp never overflows."""
-    m = float(x[-1] if sign > 0 else x[0])
-    return m + sign * float(np.log(np.mean(np.exp(sign * (x - m)))))
+def _entropic_value(x: np.ndarray) -> float:
+    """log mean exp(x), shifted by the largest value so exp never overflows."""
+    m = float(x[-1])
+    return m + float(np.log(np.mean(np.exp(x - m))))
 
 
 def oce_entropic_spec(support_bound: float) -> OceSpec:
@@ -286,21 +275,23 @@ def cvar(cdf: EmpiricalCDF, alpha: float, support_bound: float | None = None) ->
     return distortion_risk(cdf, cvar_distortion(alpha), support_bound=support_bound)
 
 
-def _oce_value(cdf: EmpiricalCDF, spec: OceSpec, sign: float, name: str) -> RiskValue:
-    """The OCE (``sign=+1``) or its inversion (``sign=-1``) of losses in [0, D]."""
+def oce_risk(cdf: EmpiricalCDF, spec: OceSpec) -> RiskValue:
+    """Optimized certainty equivalent: min over lambda in [0, D] of lambda + E[phi(X - lambda)]."""
     _support_bound(cdf.min, cdf.max, spec.support_bound)
-    return RiskValue(value=spec.closed_form(cdf.values, sign), risk_name=name,
+    return RiskValue(value=spec.closed_form(cdf.values), risk_name=spec.name,
                      L=spec.lipschitz_constant)
 
 
-def oce_risk(cdf: EmpiricalCDF, spec: OceSpec) -> RiskValue:
-    """Optimized certainty equivalent: min over lambda in [0, D] of lambda + E[phi(X - lambda)]."""
-    return _oce_value(cdf, spec, +1.0, spec.name)
-
-
 def inverted_oce_risk(cdf: EmpiricalCDF, spec: OceSpec) -> RiskValue:
-    """Risk-seeking inversion: max over lambda in [0, D] of lambda - E[phi(lambda - X)]."""
-    return _oce_value(cdf, spec, -1.0, f"inverted_{spec.name}")
+    """Risk-seeking inversion: max over lambda in [0, D] of lambda - E[phi(lambda - X)].
+
+    With lambda = -mu this is -(min over mu in [-D, 0] of mu + E[phi(-X - mu)]),
+    the negated OCE of the reflected losses -X in [-D, 0]: the spec's closed
+    form on the reversed, negated sorted sample.  Adding 0.0 makes a zero
+    value 0.0, not -0.0, and leaves every other value as it is."""
+    _support_bound(cdf.min, cdf.max, spec.support_bound)
+    return RiskValue(value=-spec.closed_form(-cdf.values[::-1]) + 0.0,
+                     risk_name=f"inverted_{spec.name}", L=spec.lipschitz_constant)
 
 
 def mean_variance(cdf: EmpiricalCDF, c: float, support_bound: float | None = None) -> RiskValue:

@@ -281,6 +281,61 @@ def test_one_support_rule():
     assert found == {"cdf.py:_support_bound"}
 
 
+def parameter_count(args: ast.arguments) -> int:
+    """How many parameters a signature has, ``*args`` and ``**kwargs`` included."""
+    return (len(args.posonlyargs) + len(args.args) + len(args.kwonlyargs)
+            + (args.vararg is not None) + (args.kwarg is not None))
+
+
+def closed_form_arities(source: str) -> list[tuple[str, int | None]]:
+    """For each ``.closed_form(...)`` call in ``source``, ``("call", its
+    argument count)``; for each callable passed as ``closed_form=``, its name
+    (``lambda`` for a lambda) and its parameter count, None when it is not a
+    lambda or a function ``source`` defines."""
+    tree = ast.parse(source)
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "closed_form":
+            found.append(("call", len(node.args) + len(node.keywords)))
+        for keyword in node.keywords:
+            if keyword.arg != "closed_form":
+                continue
+            value = keyword.value
+            if isinstance(value, ast.Lambda):
+                found.append(("lambda", parameter_count(value.args)))
+            elif isinstance(value, ast.Name) and value.id in functions:
+                found.append((value.id, parameter_count(functions[value.id].args)))
+            else:
+                found.append((ast.unparse(value), None))
+    return found
+
+
+def test_one_oce_direction():
+    """Every OCE closed form takes one argument, the sorted sample, so none
+    carries a direction: ``inverted_oce_risk`` reflects the sample instead."""
+    assert closed_form_arities(textwrap.dedent("""
+        spec.closed_form(x)
+        spec.closed_form(x, sign=-1.0)
+        def value(x, sign):
+            pass
+        OceSpec(closed_form=lambda x: x)
+        OceSpec(closed_form=value)
+        OceSpec(closed_form=partial(value, sign=1.0))
+    """)) == [("call", 1), ("call", 2), ("lambda", 1), ("value", 2),
+              ("partial(value, sign=1.0)", None)]
+    calls = [count for p in Path(SRC, "riskcdf").glob("*.py")
+             for kind, count in closed_form_arities(p.read_text()) if kind == "call"]
+    passed = [(kind, count) for kind, count
+              in closed_form_arities(Path(SRC, "riskcdf", "risks.py").read_text())
+              if kind != "call"]
+    assert calls and all(count == 1 for count in calls), calls
+    assert passed and all(count == 1 for _, count in passed), passed
+
+
 def text_opens_without_utf8(source: str) -> list[str]:
     """The function of ``source`` around each call that opens a file as text
     without ``encoding="utf-8"`` (``<module>`` outside any function): an

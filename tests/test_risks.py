@@ -535,26 +535,25 @@ def phi_constant(phi, d):
     return float(at_d - at_zero)
 
 
-def search_oce(phi, d, name="oce"):
-    """The OCE of any convex phi on losses in [0, d], by search, with the
-    constant phi(d) - phi(0).
+def search_oce(phi, d, x, sign):
+    """The OCE (sign = +1) or its inversion (sign = -1) of losses x in [0, d]
+    for any convex phi, each by its own definition.
 
     sign * lambda + mean(phi(sign * (x - lambda))) is convex in lambda, so
     golden-section search over [0, d] finds its minimum; sign times that
-    minimum is the OCE (sign = +1) or its inversion (sign = -1).
+    minimum is the value.
     """
-    def value(x, sign):
-        _, best = golden_section(
-            lambda lam: sign * lam + float(np.mean(phi(sign * (x - lam)))), 0.0, d, SEARCH_TOL)
-        return sign * best
-
-    return OceSpec(support_bound=d, lipschitz_constant=phi_constant(phi, d),
-                   closed_form=value, name=name)
+    _, best = golden_section(
+        lambda lam: sign * lam + float(np.mean(phi(sign * (x - lam)))), 0.0, d, SEARCH_TOL)
+    return sign * best
 
 
-def searched(spec, phi):
-    """A preset's support and name with the golden-section search over its phi."""
-    return search_oce(phi, spec.support_bound, spec.name)
+def searched_spec(phi, d, name):
+    """An OceSpec for any convex phi with the constant phi(d) - phi(0): its
+    closed form is the searched OCE of the sample moved to start at 0, moved
+    back, so it holds for any real sample no wider than d."""
+    return OceSpec(support_bound=d, lipschitz_constant=phi_constant(phi, d), name=name,
+                   closed_form=lambda x: search_oce(phi, d, x - x[0], +1.0) + float(x[0]))
 
 
 PRESETS = {
@@ -580,12 +579,26 @@ class TestOceClosedForms:
     @pytest.mark.parametrize("preset", list(PRESETS))
     def test_preset_matches_search(self, preset):
         for x, d, alpha in random_oce_cases():
-            cdf, spec = build_cdf(x), PRESETS[preset](d, alpha)
-            oracle = searched(spec, PRESET_PHIS[preset](alpha))
+            cdf, spec, phi = build_cdf(x), PRESETS[preset](d, alpha), PRESET_PHIS[preset](alpha)
             assert oce_risk(cdf, spec).value == pytest.approx(
-                oce_risk(cdf, oracle).value, abs=1e-6)
+                search_oce(phi, d, x, +1.0), abs=1e-6)
             assert inverted_oce_risk(cdf, spec).value == pytest.approx(
-                inverted_oce_risk(cdf, oracle).value, abs=1e-6)
+                search_oce(phi, d, x, -1.0), abs=1e-6)
+
+    SHIFTS = [-250.0, -7.5, -1e-3, 0.37, 3.0, 250.0]
+
+    @pytest.mark.parametrize("preset", list(PRESETS))
+    def test_closed_form_moves_with_a_shift(self, preset):
+        """closed_form(x + c) = closed_form(x) + c, the premise of the
+        inversion -OCE(-X): on samples in [0, D] with ties and n = 1, their
+        reflections, all-negative samples, and shifts of both signs."""
+        cases = [(np.array([2.5]), 3.0, 0.5), *random_oce_cases(count=60, seed=35)]
+        for x, d, alpha in cases:
+            spec, x = PRESETS[preset](d, alpha), np.sort(x)
+            for sample in (x, -x[::-1], x - (d + 1.0)):
+                value = spec.closed_form(sample)
+                for c in self.SHIFTS:
+                    assert_matches_oracle(spec.closed_form(sample + c), value + c)
 
     def test_cvar_preset_equals_cvar_exactly(self):
         for x, d, alpha in random_oce_cases():
@@ -616,9 +629,10 @@ class TestOceClosedForms:
         cdf, spec = build_cdf(x), oce_cvar_spec(0.1, 6.0)
         assert oce_risk(cdf, spec).value == pytest.approx(6.0, abs=1e-15)
         assert inverted_oce_risk(cdf, spec).value == pytest.approx(1.0, abs=1e-15)
-        oracle = searched(spec, PRESET_PHIS["cvar"](0.1))
-        assert oce_risk(cdf, oracle).value == pytest.approx(6.0, abs=1e-6)
-        assert inverted_oce_risk(cdf, oracle).value == pytest.approx(1.0, abs=1e-6)
+        phi = PRESET_PHIS["cvar"](0.1)
+        assert oce_risk(cdf, spec).value == pytest.approx(search_oce(phi, 6.0, x, +1.0), abs=1e-6)
+        assert inverted_oce_risk(cdf, spec).value == pytest.approx(
+            search_oce(phi, 6.0, x, -1.0), abs=1e-6)
 
 
 class TestMeanVariance:
@@ -744,14 +758,19 @@ def grid_check_spectrum(spec):
     assert np.max(np.diff(levels, 2)) * cells <= 1e-9
 
 
-def oce_cvar_levels(spec, sign):
+def oce_cvar_levels(spec, inverted):
     """g(k/n), k = 0..n with n = 10,000, of the distortion inside a CVaR OCE
-    preset: its value on the losses that are 1 on the top k ranks and 0 below
-    is the sum of the top k rank weights, g(k/n) - g(0)."""
+    preset or its inversion: its value on the losses that are 1 on the top k
+    ranks and 0 below is the sum of the top k rank weights, g(k/n) - g(0).
+    The inversion's value is read as inverted_oce_risk reads it, the negated
+    closed form of the reflected losses."""
     n = GRID_POINTS - 1
     ranks = np.arange(n)
-    return np.array([spec.closed_form((ranks >= n - k).astype(float), sign)
-                     for k in range(n + 1)])
+    levels = []
+    for k in range(n + 1):
+        x = (ranks >= n - k).astype(float)
+        levels.append(-spec.closed_form(-x[::-1]) if inverted else spec.closed_form(x))
+    return np.array(levels)
 
 
 def benchmark_shaped_tables(rng):
@@ -780,7 +799,7 @@ class TestExactConstantsAgainstGrids:
     def oce_specs(self, d):
         yield from self.preset_specs(d)
         for name, phi in CONVEX_PHIS.items():
-            yield search_oce(phi, d, name), phi
+            yield searched_spec(phi, d, name), phi
 
     @pytest.mark.parametrize("d", SUPPORTS)
     def test_preset_phi_is_a_disutility(self, d):
@@ -847,8 +866,8 @@ class TestExactConstantsAgainstGrids:
         grid_check_distortion(identity_distortion()(grid))
         for alpha in (0.05, 0.1, 1.0):  # the upper tail is cvar:alpha, the lower its mirror
             spec = oce_cvar_spec(alpha, support_bound=1.0)
-            grid_check_distortion(oce_cvar_levels(spec, +1.0))
-            grid_check_distortion(oce_cvar_levels(spec, -1.0))
+            grid_check_distortion(oce_cvar_levels(spec, inverted=False))
+            grid_check_distortion(oce_cvar_levels(spec, inverted=True))
         rng = np.random.default_rng(1)
         for k in range(5):
             (t, g), (u, h) = benchmark_shaped_tables(rng)
