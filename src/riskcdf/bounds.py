@@ -239,12 +239,15 @@ def monte_carlo_en(
     block after block: page faults do not grow with ``reps``.
 
     Raises :class:`ConfigError` unless n, reps and reference_sample_size are
-    integers >= 1, :class:`ShapeError` if a loss function returns other than
-    one loss per row, and :class:`InvalidLoss` for a NaN, infinite or negative loss.
+    integers >= 1 and there is a model, :class:`ShapeError` if a loss
+    function returns other than one loss per row, and :class:`InvalidLoss`
+    for a NaN, infinite or negative loss.
     """
     if not (_is_count(n) and _is_count(reps) and _is_count(reference_sample_size)):
         raise ConfigError(f"monte_carlo_en needs integers n, reps, reference_sample_size >= 1, "
                           f"got {n!r}, {reps!r}, {reference_sample_size!r}")
+    if len(loss_fns) == 0:
+        raise ConfigError("monte_carlo_en needs at least one model")
     if reference_sample_size < 10 * n:
         warnings.warn(
             f"reference sample ({reference_sample_size}) is below 10x the "

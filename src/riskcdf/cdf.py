@@ -141,13 +141,14 @@ def sup_norm_distance(a: EmpiricalCDF, b: EmpiricalCDF) -> float:
 def sup_norm_distances(rows: np.ndarray, reference: EmpiricalCDF) -> np.ndarray:
     """Exact KS distance from the step CDF of each row to ``reference``.
 
-    ``rows`` is an (m, n) array whose rows are sorted ascending; the result
-    holds m distances.  F_row is constant on each interval [x_i, x_(i+1))
-    between its own breakpoints, and on the two tails, while F_ref is
-    monotone there.  So |F_row - F_ref| on each such interval is largest at
-    one of its ends: the value at the left end or the left limit at the
-    right end.  Checking the value and the left limit at the row's points
-    alone is therefore exact, whichever sample is larger.
+    ``rows`` is a non-empty (m, n) array whose rows are sorted ascending,
+    else :class:`ShapeError`; the result holds m distances.  F_row is
+    constant on each interval [x_i, x_(i+1)) between its own breakpoints,
+    and on the two tails, while F_ref is monotone there.  So |F_row - F_ref|
+    on each such interval is largest at one of its ends: the value at the
+    left end or the left limit at the right end.  Checking the value and
+    the left limit at the row's points alone is therefore exact, whichever
+    sample is larger.
 
     No absolute value is needed either: the result is the larger of
     max(F_row(x) - F_ref(x)) and max(F_ref(x-) - F_row(x-)) over the row's
@@ -173,6 +174,8 @@ def sup_norm_distances(rows: np.ndarray, reference: EmpiricalCDF) -> np.ndarray:
     searched only for points equal to a reference value.  Cost:
     O(m n log N) for a reference of N points, with O(m n) working memory.
     """
+    if rows.ndim != 2 or rows.size == 0:
+        raise ShapeError(f"KS rows must be a non-empty 2-D array, got shape {rows.shape}")
     m, n = rows.shape
     ref = reference.values
     below = np.searchsorted(ref, rows.reshape(-1), side="left").reshape(m, n)

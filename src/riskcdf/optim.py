@@ -22,7 +22,7 @@ smoothness estimate beta, the rate of the descent guarantee that
 :func:`stationarity_report` checks.
 
 Once per run, :func:`train` checks its arguments and the labels, converts
-the features and labels to float64 arrays and computes the rank weights.
+the features and labels to float64 arrays and takes the spec's rank weights.
 Each iteration then rebinds the iterate (:meth:`LossModel.with_params`),
 makes one forward pass (:meth:`LossModel.loss_and_vjp`), one stable sort
 and one vector-Jacobian product that backpropagates the rank weights, and
@@ -121,18 +121,13 @@ class TrainTrace:
                     self.avg_sq_grad_norm])
 
 
-def _first_weighted_rank(weights: np.ndarray) -> int:
-    """``lo``: the first rank whose weight is nonzero; ranks below it carry no weight."""
-    return int(np.argmax(weights != 0.0))
-
-
 def _risk_and_gradient(losses: np.ndarray,
                        vjp: Callable[[np.ndarray | slice, np.ndarray], np.ndarray],
                        weights: np.ndarray, lo: int) -> tuple[float, np.ndarray]:
     """Distortion risk and its gradient from one stable sort of the weighted ranks.
 
-    ``weights`` is ``spec.rank_weights(n)`` and ``lo`` its
-    :func:`_first_weighted_rank`.  For ``lo == 0`` all n losses are sorted
+    ``weights`` is ``spec.rank_weights(n)`` and ``lo`` its first nonzero
+    rank, as the spec keeps them.  For ``lo == 0`` all n losses are sorted
     and the weights, scattered back to example order, are backpropagated
     through every row.  For ``lo > 0`` the candidates are the rows whose
     loss is at least the ``lo``-th smallest, found by one partition and
@@ -186,8 +181,7 @@ def distortion_gradient(model: LossModel, X: np.ndarray, y: np.ndarray,
         raise EmptySample("no training examples")
     if not np.all(np.isfinite(losses)):
         raise InvalidLoss("losses must be finite (no NaN/inf)")
-    weights = spec.rank_weights(losses.shape[0])
-    _, grad = _risk_and_gradient(losses, vjp, weights, _first_weighted_rank(weights))
+    _, grad = _risk_and_gradient(losses, vjp, *spec._ranked(losses.shape[0]))
     return grad
 
 
@@ -221,7 +215,7 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: Distortion
 
     Once per run it checks the shapes and values of ``X`` and ``y``
     (:meth:`LossModel.check_values`), converts them to float64 arrays and
-    computes the rank weights and their first weighted rank.
+    takes the rank weights and their first weighted rank from ``distortion``.
     Each iteration costs one parameter rebind, one forward pass, one stable
     sort and one vector-Jacobian product, in O(n * width + d) memory; the
     sort and the backward pass cover only the ranks from the first nonzero
@@ -274,8 +268,7 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: Distortion
     n = X.shape[0]
     if n == 0:
         raise EmptySample("no training examples")
-    weights = distortion.rank_weights(n)
-    lo = _first_weighted_rank(weights)
+    weights, lo = distortion._ranked(n)
     d = theta.shape[0]
     block = max(1, NOISE_BLOCK_DRAWS // (2 * d))
     # One noise buffer, allocated before the loop, holds each block's noise:

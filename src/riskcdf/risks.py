@@ -132,6 +132,7 @@ class DistortionSpec:
     g: Callable = field(repr=False)
     name: str = "custom"
     lipschitz_constant: float | None = None
+    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g0, g1 = self(np.array([0.0, 1.0]))
@@ -152,6 +153,17 @@ class DistortionSpec:
         levels = self(1.0 - np.arange(n + 1) / n)  # g(1 - i/n), i = 0..n
         _check_distortion_levels(self.name, levels[::-1])
         return levels[:-1] - levels[1:]
+
+    def _ranked(self, n: int) -> tuple[np.ndarray, int]:
+        """``rank_weights(n)``, read-only, and ``lo``, its first rank with a
+        nonzero weight (ranks below it carry none); built once for the last n."""
+        last = self._last
+        if last is None or last[0] != n:
+            weights = self.rank_weights(n)
+            weights.flags.writeable = False
+            last = (n, weights, int(np.argmax(weights != 0.0)))
+            object.__setattr__(self, "_last", last)
+        return last[1], last[2]
 
 
 # riskcdf builds no SpectrumSpec: a spectrum is a DistortionSpec.  The class
@@ -233,11 +245,11 @@ def oce_cvar_spec(alpha: float, support_bound: float) -> OceSpec:
     quantile, so the value is the distortion risk g(t) = min(t/alpha, 1): the
     rank weights of :func:`cvar`, so the two are equal.
     """
-    weights = functools.lru_cache(maxsize=1)(cvar_distortion(alpha).rank_weights)
+    spec = cvar_distortion(alpha)
     return OceSpec(support_bound=support_bound,
                    lipschitz_constant=float(support_bound) / float(alpha),
                    name=f"oce:cvar:{alpha:g}",
-                   closed_form=lambda x: float(weights(x.shape[0]) @ x))
+                   closed_form=lambda x: float(spec._ranked(x.shape[0])[0] @ x))
 
 
 def _entropic_value(x: np.ndarray) -> float:
@@ -256,13 +268,11 @@ def oce_entropic_spec(support_bound: float) -> OceSpec:
 
 
 def distortion_risk(cdf: EmpiricalCDF, spec: DistortionSpec,
-                    support_bound: float | None = None,
-                    weights: np.ndarray | None = None) -> RiskValue:
+                    support_bound: float | None = None) -> RiskValue:
     """Distortion risk of an empirical CDF, spectral risks included: the
-    spec's rank weights dotted with the sorted losses.  ``weights``, if given, is
-    ``spec.rank_weights(cdf.n)``, built once for many CDFs of that size."""
+    spec's rank weights, kept for the last sample size, dotted with the sorted losses."""
     d = _support_bound(cdf.min, cdf.max, support_bound)
-    w = spec.rank_weights(cdf.n) if weights is None else weights
+    w, _ = spec._ranked(cdf.n)
     L = None if spec.lipschitz_constant is None else spec.lipschitz_constant * d
     return RiskValue(value=float(w @ cdf.values), risk_name=spec.name, L=L)
 
@@ -427,9 +437,8 @@ def parse_risk(token: str, support_bound: float) -> Callable[[EmpiricalCDF], Ris
     form, param = _match(token, RISK_TOKENS, "risk")
     if form not in DISTORTION_TOKENS:
         return _VALUE_TOKENS[form](param, support_bound)
-    spec = DISTORTION_TOKENS[form](param)
-    weights = functools.lru_cache(maxsize=1)(spec.rank_weights)
-    return lambda cdf: distortion_risk(cdf, spec, support_bound, weights(cdf.n))
+    return functools.partial(distortion_risk, spec=DISTORTION_TOKENS[form](param),
+                             support_bound=support_bound)
 
 
 def parse_distortion(token: str) -> DistortionSpec:

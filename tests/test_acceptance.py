@@ -11,7 +11,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from riskcdf.bounds import certificate_finite_class, monte_carlo_en
 from riskcdf.cdf import build_cdf

@@ -248,10 +248,23 @@ class TestMonteCarloEn:
         with pytest.raises(ConfigError, match=rf"needs integers .* got {re.escape(got)}$"):
             monte_carlo_en(fns, _gaussian_sampler, seed=0, **kwargs)
 
+    def test_no_models_raise_before_drawing(self):
+        # No model would leave every error at 0, so any epsilon would read as never violated.
+        def sampler(rng, size):
+            raise AssertionError("drew data for no model")
+
+        with pytest.raises(ConfigError, match="at least one model"):
+            monte_carlo_en([], sampler, n=5, reps=4, seed=0, reference_sample_size=50)
+
     def test_validate_bounds_script_exits_with_config_code(self, tmp_path):
         proc = run_validate_bounds("--reps", "0", "--out", str(tmp_path))
         assert proc.returncode == ConfigError.exit_code
         assert "reps" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_validate_bounds_script_without_models_exits_with_config_code(self, tmp_path):
+        proc = run_validate_bounds("--models", "0", "--out", str(tmp_path))
+        assert proc.returncode == ConfigError.exit_code
+        assert "at least one model" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_validate_bounds_script_writes_monte_carlo_values(self, tmp_path):
         proc = run_validate_bounds("--n", "50", "--reps", "30", "--out", str(tmp_path))
@@ -443,11 +456,6 @@ class TestBlockedMonteCarlo:
         # The reference in chunks of MC_BLOCK_LOSSES, then blocks of
         # 8,192 // 800 = 10, 10 and 3 repetitions.
         assert calls == [8192, 8192, 3616, 8000, 8000, 2400]
-
-    def test_no_models_gives_zeros(self):
-        res = monte_carlo_en([], _gaussian_sampler, n=5, reps=4, seed=0,
-                             reference_sample_size=50)
-        assert res.values.tolist() == [0.0] * 4
 
     def test_peak_memory_stays_order_reference(self):
         # The reference's draws, losses and two sorted copies take about

@@ -141,6 +141,11 @@ class TestSupNormDistance:
             pb, qb = b.breakpoints()
             assert np.array_equal(pa, pb) and np.allclose(qa, qb)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 0), (0, 4), (1, 2, 3)])
+    def test_rows_must_be_non_empty_and_2d(self, shape):
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+            sup_norm_distances(np.zeros(shape), build_cdf([1, 2, 3]))
+
 
 def signed_cdf(values):
     """The CDF of a possibly signed sample, for the distances alone."""

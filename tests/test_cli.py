@@ -15,7 +15,7 @@ from riskcdf.cli import _write_json, build_parser, main
 from riskcdf.data import save_dataset_csv, toy_blobs
 from riskcdf.errors import NumericError
 from riskcdf.models import init_model
-from riskcdf.seeds import rng_from, standard_normal
+from riskcdf.seeds import rng_from
 
 
 def run(argv):

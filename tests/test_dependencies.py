@@ -380,6 +380,49 @@ def test_text_opens_name_utf8():
     assert found == []
 
 
+def unused_imports(source: str) -> list[str]:
+    """The names that module-level imports of ``source`` bind and the module
+    never loads.  ``__future__`` imports and imports with ``# noqa: F401``
+    on one of their lines are left out."""
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])):
+            continue
+        bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in loaded]
+
+
+def test_no_unused_imports():
+    """Every name a module of riskcdf, its scripts or its tests imports is
+    used.  A package's ``__init__.py`` imports its exports, so it is left out."""
+    assert unused_imports(textwrap.dedent("""
+        from __future__ import annotations
+        import os
+        import os.path
+        import numpy as np
+        from a import (b,
+                       c)  # noqa: F401
+        from d import e as f, g
+        def h():
+            import json
+            return np.zeros(1), g
+    """)) == ["os", "os", "f"]
+    sources = sorted(p for p in Path(SRC, "riskcdf").glob("*.py") if p.name != "__init__.py")
+    root = Path(SRC).parent
+    scripts = sorted(root.joinpath("scripts").glob("*.py"))
+    tests = sorted(root.joinpath("tests").glob("*.py"))
+    assert sources and scripts and tests
+    found = [f"{p.parent.name}/{p.name}:{name}"
+             for p in sources + scripts + tests for name in unused_imports(p.read_text())]
+    assert found == []
+
+
 LOWER_LAYERS = ("cdf", "bounds", "permcomplexity")
 UPPER_LAYERS = {"risks", "models", "optim", "cli"}
 

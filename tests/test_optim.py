@@ -26,7 +26,6 @@ from riskcdf.optim import (
     train,
 )
 from riskcdf.risks import (
-    DistortionSpec,
     cvar_distortion,
     distortion_risk,
     identity_distortion,
@@ -141,6 +140,13 @@ class TestDistortionGradient:
             ip = float(distortion_gradient(model, X, y, spec) @ u)
             assert relative_error(fd, ip) <= 1e-4
             checked += 1
+
+    def test_repeated_calls_build_the_weights_once(self, rank_weight_calls):
+        model, X, y = random_problem("mlp_tanh", 7, n=30)
+        spec = cvar_distortion(0.05)
+        grads = [distortion_gradient(model, X, y, spec) for _ in range(3)]
+        assert rank_weight_calls == [30]
+        assert all(np.array_equal(grad, grads[0]) for grad in grads)
 
 
 def old_distortion_gradient(model, X, y, spec):
@@ -467,6 +473,13 @@ def no_forward_pass(self, X, y):
 
 
 class TestTrain:
+    @pytest.mark.parametrize("make_spec", [identity_distortion, lambda: cvar_distortion(0.05)],
+                             ids=["mean", "cvar:0.05"])
+    def test_rank_weights_built_once_per_run(self, make_spec, rank_weight_calls):
+        model, X, y = random_problem("logistic_crossentropy", 6, n=40)
+        train(model, X, y, make_spec(), 50, eta=0.01)
+        assert rank_weight_calls == [40]
+
     @pytest.mark.parametrize("entry", DATA_ENTRY_POINTS)
     @pytest.mark.parametrize("arch", ["logistic_crossentropy", "mlp_tanh"])
     @pytest.mark.parametrize("label", [2.0, -0.5, 1.05])

@@ -433,6 +433,13 @@ def _scalar_sampler(rng, size):
 
 
 class TestMonteCarlo:
+    def test_no_models_raise_before_drawing(self):
+        def sampler(rng, size):
+            raise AssertionError("drew data for no model")
+
+        with pytest.raises(ConfigError, match="at least one model"):
+            monte_carlo_permutation_complexity([], sampler, n=4, reps=3, seed=0)
+
     def test_monotone_family_mean_exactly_one(self):
         fns = [
             lambda X, y: X[:, 0],

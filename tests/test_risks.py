@@ -1,8 +1,9 @@
 import json
+import math
 import re
 import tracemalloc
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -210,6 +211,66 @@ class TestDistortionRisk:
         assert distortion_risk(build_cdf(shuffled), spec).value == pytest.approx(
             distortion_risk(build_cdf(losses), spec).value
         )
+
+
+class TestRankWeightCache:
+    """A spec keeps the read-only rank weights of the last sample size and
+    ``lo``, their first nonzero rank, for every rank-weighted caller."""
+
+    @pytest.mark.parametrize("make_spec", [identity_distortion, lambda: cvar_distortion(0.05),
+                                           lambda: cvar_spectrum(0.3), lambda: ESS_SUP],
+                             ids=["mean", "cvar", "cvar_spectrum", "ess_sup"])
+    @pytest.mark.parametrize("n", [1, 7, 1050])
+    def test_equal_rank_weights_bit_for_bit(self, make_spec, n):
+        spec = make_spec()
+        weights, lo = spec._ranked(n)
+        want = spec.rank_weights(n)
+        assert weights.dtype == want.dtype and weights.tobytes() == want.tobytes()
+        assert lo == np.flatnonzero(want)[0]
+
+    def test_weights_are_read_only(self):
+        weights, _ = cvar_distortion(0.05)._ranked(20)
+        with pytest.raises(ValueError, match="read-only"):
+            weights[-1] = 1.0
+
+    @pytest.mark.parametrize("alpha, n", [(0.05, 1050), (0.25, 3), (0.3, 7), (1.0, 5)])
+    def test_first_weighted_rank(self, alpha, n):
+        assert identity_distortion()._ranked(n)[1] == 0
+        assert cvar_distortion(alpha)._ranked(n)[1] == n - math.ceil(alpha * n)
+
+    def test_cvar_first_weighted_rank_at_training_size(self):
+        assert cvar_distortion(0.05)._ranked(1050)[1] == 997
+
+    def test_new_sample_size_rebuilds(self, rank_weight_calls):
+        spec = cvar_distortion(0.05)
+        first, _ = spec._ranked(40)
+        assert spec._ranked(40)[0] is first
+        assert spec._ranked(41)[0].shape == (41,)
+        assert spec._ranked(40)[0] is not first
+        assert rank_weight_calls == [40, 41, 40]
+
+    def test_shared_by_distortion_risk_and_oce_cvar(self, rank_weight_calls):
+        spec = cvar_distortion(0.5)
+        for losses in ([1, 2, 3, 4], [4, 0, 1, 1]):
+            distortion_risk(build_cdf(losses), spec)
+        oce = oce_cvar_spec(0.5, 4.0)
+        for losses in ([1, 2, 3], [0, 0, 4]):
+            oce_risk(build_cdf(losses), oce)
+            inverted_oce_risk(build_cdf(losses), oce)
+        assert rank_weight_calls == [4, 3]
+
+    def test_no_weights_argument(self):
+        with pytest.raises(TypeError, match="weights"):
+            distortion_risk(build_cdf([1, 2, 3]), identity_distortion(),
+                            weights=np.array([1.0, 0.0, 0.0]))
+
+    def test_equality_hash_repr_and_replace_ignore_the_cache(self):
+        spec = cvar_distortion(0.05)
+        before = (hash(spec), repr(spec))
+        spec._ranked(30)
+        copy = replace(spec)
+        assert copy == spec and (hash(spec), repr(spec)) == before
+        assert copy._last is None
 
 
 class TestCvar:
