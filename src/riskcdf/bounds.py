@@ -24,6 +24,7 @@ via L * epsilon**p for sup-norm Holder risks.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
@@ -51,10 +52,10 @@ __all__ = [
 
 
 def _finite(value, what: str, error: type[ConfigError] = ConfigError) -> float:
-    """``value`` as a float, which must be finite: a NaN or infinite count, or an
-    integer too large for a float (a 400-digit one), raises ``error``."""
+    """``value`` as a float, which must be a finite real number: a string, None,
+    NaN, infinity or an integer too large for a float (400 digits) raises ``error``."""
     try:
-        x = float(value)
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
     except OverflowError:
         x = math.inf
     if not math.isfinite(x):
@@ -134,7 +135,7 @@ def certificate(method: str, n: int, delta: float, count: float) -> BoundCertifi
     flag, _, _, _, rademacher = CERTIFICATE_METHODS[method]
     n = _check_n(n)
     _check_count(method, count)
-    if not (0.0 < delta <= 1.0):
+    if not (isinstance(delta, numbers.Real) and 0.0 < delta <= 1.0):
         raise InvalidDelta(f"delta must be in (0, 1], got {delta!r}")
     delta = float(delta)
     r = _finite(rademacher(n, count), "rademacher bound")

@@ -69,9 +69,11 @@ class EmpiricalCDF:
         return float(out) if np.isscalar(r) else out
 
     def breakpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unique jump locations and the CDF value attained at each."""
-        pts = np.unique(self.values)
-        return pts, self.eval(pts)
+        """Unique jump locations, each run of equal values' first plus 0.0 (so
+        never -0.0), and the CDF value attained at each, the run's end over n."""
+        x = self.values
+        starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+        return x[starts] + 0.0, np.append(starts[1:], self.n) / self.n
 
     @property
     def min(self) -> float:
@@ -90,9 +92,12 @@ def build_cdf(losses) -> EmpiricalCDF:
     EmptySample
         if ``losses`` is empty.
     InvalidLoss
-        if any value is NaN, infinite, or negative.
+        if ``losses`` is not an array of numbers, or any is NaN, infinite or negative.
     """
-    arr = np.asarray(losses, dtype=np.float64).ravel()
+    try:
+        arr = np.asarray(losses, dtype=np.float64).ravel()
+    except (TypeError, ValueError):
+        raise InvalidLoss("losses must be an array of numbers, all rows of one length") from None
     return EmpiricalCDF(np.sort(_check_losses(arr)))
 
 

@@ -21,25 +21,19 @@ The step size over T steps is ``eta`` as given or 1/(beta * sqrt(T)) from a
 smoothness estimate beta, the rate of the descent guarantee that
 :func:`stationarity_report` checks.
 
-Once per run, :func:`train` checks its arguments and the labels, converts
-the features and labels to float64 arrays and takes the spec's rank weights.
-Each iteration then rebinds the iterate (:meth:`LossModel.with_params`),
-makes one forward pass (:meth:`LossModel.loss_and_vjp`), one stable sort
-and one vector-Jacobian product that backpropagates the rank weights, and
-adds the step's noise, drawn for a block of steps at a time.  The risk
-value and the gradient come from the same sort and weights, and no
+Once per run, :func:`train` checks its arguments and the labels and
+converts the features and labels to float64 arrays.  Each iteration then
+rebinds the iterate (:meth:`LossModel.with_params`), makes one forward
+pass (:meth:`LossModel.loss_and_vjp`), ranks the losses with
+:meth:`DistortionSpec.weigh`, makes one vector-Jacobian product that
+backpropagates the rank weights to the rows they reach, and adds the step's
+noise, drawn for a block of steps at a time.  ``weigh`` is the one rank
+rule: the risk value and the gradient's row weights come from the same sort
+and the same weights, which the spec builds once per run, and no
 per-example gradient matrix is built: O(n * width + d) memory per step.
+Under CVaR at level alpha < 1 only the largest losses are sorted, and
+the top ceil(alpha * n) backpropagated.
 
-Only the ranks from ``lo``, the first rank with a nonzero weight, count.
-When ``lo > 0`` (CVaR at level alpha < 1 has ``lo = n - ceil(alpha * n)``)
-a step selects the candidates, the losses at or above the ``lo``-th
-smallest, in O(n); it sorts only those and backpropagates only the
-``n - lo`` rows the weights reach.  When ``lo == 0`` (the smallest loss
-has weight, as under the mean) it sorts all n losses and backpropagates
-every row in example order.
-
-The sort breaks ties stably by original index; the candidates keep that
-order, so ties at rank ``lo`` break as in a sort of all n losses.
 Ordering of the dataset never changes the risk value, and a fixed seed
 reproduces a run bit for bit under the same numpy and BLAS build and the
 same BLAS thread count.
@@ -48,7 +42,6 @@ same BLAS thread count.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,12 +92,15 @@ class TrainTrace:
 
     risk: np.ndarray
     grad_norm: np.ndarray
-    avg_sq_grad_norm: np.ndarray
     snapshots: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
     @property
     def iterations(self) -> int:
         return self.risk.shape[0]
+
+    @property
+    def avg_sq_grad_norm(self) -> np.ndarray:
+        return np.cumsum(self.grad_norm ** 2) / np.arange(1, self.iterations + 1)
 
     @property
     def initial_risk(self) -> float:
@@ -121,55 +117,14 @@ class TrainTrace:
                     self.avg_sq_grad_norm])
 
 
-def _risk_and_gradient(losses: np.ndarray,
-                       vjp: Callable[[np.ndarray | slice, np.ndarray], np.ndarray],
-                       weights: np.ndarray, lo: int) -> tuple[float, np.ndarray]:
-    """Distortion risk and its gradient from one stable sort of the weighted ranks.
-
-    ``weights`` is ``spec.rank_weights(n)`` and ``lo`` its first nonzero
-    rank, as the spec keeps them.  For ``lo == 0`` all n losses are sorted
-    and the weights, scattered back to example order, are backpropagated
-    through every row.  For ``lo > 0`` the candidates are the rows whose
-    loss is at least the ``lo``-th smallest, found by one partition and
-    listed in index order, so ties at rank ``lo`` among them break as the
-    full stable sort breaks them.  Only the candidates are sorted, and
-    ``vjp`` gets the top ``n - lo`` of them with ``weights[lo:]``.
-
-    The risk is ``weights`` dotted with the ascending losses, zeros
-    standing in below rank ``lo`` where every weight is zero, so it equals
-    ``distortion_risk(build_cdf(losses), spec).value`` bit for bit.
-    ``losses`` must be finite.  Negative losses raise :class:`InvalidLoss`,
-    as :func:`build_cdf` does; for ``lo > 0`` the partition does not put
-    the minimum first, so it is checked on its own.
-    """
-    n = losses.shape[0]
-    if lo == 0:
-        order = losses.argsort(kind="stable")
-        ascending = losses[order]
-        if ascending[0] < 0.0:
-            raise InvalidLoss("losses must be nonnegative")
-        v = np.empty(n)
-        v[order] = weights
-        return float(weights @ ascending), vjp(slice(None), v)
-    if losses.min() < 0.0:
-        raise InvalidLoss("losses must be nonnegative")
-    kth = losses.copy()
-    kth.partition(lo)
-    candidates = (losses >= kth[lo]).nonzero()[0]
-    top = candidates[losses[candidates].argsort(kind="stable")[lo - n:]]
-    ascending = np.zeros(n)
-    ascending[lo:] = losses[top]
-    return float(weights @ ascending), vjp(top, weights[lo:])
-
-
 def distortion_gradient(model: LossModel, X: np.ndarray, y: np.ndarray,
                         spec: DistortionSpec) -> np.ndarray:
     """CDF-reweighted full-batch gradient of the empirical distortion risk.
 
-    One forward pass, one stable sort and one vector-Jacobian product, as
-    in a training step: only the examples at ranks the weights reach are
-    sorted and backpropagated (:func:`_risk_and_gradient`).  The features
-    and labels are checked first, as :func:`train` checks them
+    One forward pass, the rows and row weights of :meth:`DistortionSpec.weigh`
+    and one vector-Jacobian product, as in a training step; the spec builds
+    its rank weights once for repeated calls at one n.  The features and
+    labels are checked first, as :func:`train` checks them
     (:meth:`LossModel.check_values`).  NaN, infinite or negative losses
     raise :class:`InvalidLoss`, as :func:`build_cdf` does.
     """
@@ -181,8 +136,8 @@ def distortion_gradient(model: LossModel, X: np.ndarray, y: np.ndarray,
         raise EmptySample("no training examples")
     if not np.all(np.isfinite(losses)):
         raise InvalidLoss("losses must be finite (no NaN/inf)")
-    _, grad = _risk_and_gradient(losses, vjp, *spec._ranked(losses.shape[0]))
-    return grad
+    _, rows, v = spec.weigh(losses)
+    return vjp(rows, v)
 
 
 def noisy_gd_step(theta: np.ndarray, gradient: np.ndarray, eta: float,
@@ -214,12 +169,11 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: Distortion
     which every step adds.
 
     Once per run it checks the shapes and values of ``X`` and ``y``
-    (:meth:`LossModel.check_values`), converts them to float64 arrays and
-    takes the rank weights and their first weighted rank from ``distortion``.
-    Each iteration costs one parameter rebind, one forward pass, one stable
-    sort and one vector-Jacobian product, in O(n * width + d) memory; the
-    sort and the backward pass cover only the ranks from the first nonzero
-    weight up (:func:`_risk_and_gradient`).  The step is
+    (:meth:`LossModel.check_values`) and converts them to float64 arrays;
+    ``distortion`` builds its rank weights once, at the first step.  Each
+    iteration costs one parameter rebind, one forward pass, one
+    :meth:`DistortionSpec.weigh` and one vector-Jacobian product over the
+    rows it returns, in O(n * width + d) memory.  The step is
     :func:`noisy_gd_step`'s, with its noise stream bit for bit, but the
     noise comes from one :func:`~riskcdf.seeds.standard_normal_rows` draw
     per block of ``max(1, NOISE_BLOCK_DRAWS // (2 * d))`` steps.  ``risk[t-1]``
@@ -257,18 +211,13 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: Distortion
     snapshots: list[tuple[int, np.ndarray, np.ndarray]] = []
 
     def make_trace(upto: int) -> TrainTrace:
-        return TrainTrace(
-            risk=risk[:upto].copy(),
-            grad_norm=grad_norm[:upto].copy(),
-            avg_sq_grad_norm=np.cumsum(grad_norm[:upto] ** 2) / np.arange(1, upto + 1),
-            snapshots=tuple(snapshots),
-        )
+        return TrainTrace(risk=risk[:upto].copy(), grad_norm=grad_norm[:upto].copy(),
+                          snapshots=tuple(snapshots))
 
     X, y = model.check_values(X, y)
     n = X.shape[0]
     if n == 0:
         raise EmptySample("no training examples")
-    weights, lo = distortion._ranked(n)
     d = theta.shape[0]
     block = max(1, NOISE_BLOCK_DRAWS // (2 * d))
     # One noise buffer, allocated before the loop, holds each block's noise:
@@ -283,7 +232,8 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: Distortion
             losses, vjp = current.loss_and_vjp(X, y)
             if not np.isfinite(losses).all():
                 raise Diverged(f"non-finite loss at iteration {t}", trace=make_trace(t - 1))
-            rho, grad = _risk_and_gradient(losses, vjp, weights, lo)
+            rho, rows, v = distortion.weigh(losses)
+            grad = vjp(rows, v)
             if not math.isfinite(rho) or rho > DIVERGENCE_GUARD:
                 raise Diverged(f"risk {rho} exceeded guard at iteration {t}",
                                trace=make_trace(t - 1))

@@ -284,14 +284,20 @@ def exact_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
 class PermComplexityEstimate:
     """Monte Carlo estimate of the expected permutation complexity."""
 
-    mean: float
-    stderr: float
     values: np.ndarray
     solvers: tuple[str, ...]
 
     @property
     def reps(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self.values))
+
+    @property
+    def stderr(self) -> float:
+        return float(np.std(self.values, ddof=1) / math.sqrt(self.reps)) if self.reps > 1 else 0.0
 
 
 def monte_carlo_permutation_complexity(
@@ -333,13 +339,7 @@ def monte_carlo_permutation_complexity(
                 ) from None
             values[r], _ = greedy_min_permutations(m)
             solvers.append("greedy")
-    stderr = float(np.std(values, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return PermComplexityEstimate(
-        mean=float(np.mean(values)),
-        stderr=stderr,
-        values=values,
-        solvers=tuple(solvers),
-    )
+    return PermComplexityEstimate(values=values, solvers=tuple(solvers))
 
 
 def load_loss_matrix_csv(path) -> LossMatrix:

@@ -18,8 +18,8 @@ losses, evaluated exactly (no quadrature):
 
 where g is the distortion and w is ``spec.rank_weights(n)``: nonnegative
 weights summing to 1, checked as they are built (tables are also checked
-exactly at their knots).  The CVaR OCE
-presets and the training gradient use the same vector.  Every evaluator
+exactly at their knots).  The CVaR OCE presets and the training step
+(:meth:`DistortionSpec.weigh`) use the same vector.  Every evaluator
 reports the value together with sup-norm Holder constants (L, p) so that a
 CDF error budget epsilon translates to a risk error budget L * epsilon^p.
 Each L is a closed form, not a grid estimate: 1/alpha, the table's
@@ -37,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -49,6 +50,7 @@ from .errors import (
     FormatError,
     InvalidAlpha,
     InvalidDistortion,
+    InvalidLoss,
     InvalidSpectrum,
     NumericError,
 )
@@ -142,7 +144,13 @@ class DistortionSpec:
             raise InvalidDistortion(f"{self.name}: g(1) = {float(g1)}, expected 1")
 
     def __call__(self, t) -> np.ndarray:
-        return np.asarray(self.g(np.asarray(t, dtype=np.float64)), dtype=np.float64)
+        """g at the points ``t``: one value per point, else :class:`InvalidDistortion`."""
+        t = np.asarray(t, dtype=np.float64)
+        levels = np.asarray(self.g(t), dtype=np.float64)
+        if levels.shape != t.shape:
+            raise InvalidDistortion(f"{self.name}: g returned shape {levels.shape} "
+                                    f"for points of shape {t.shape}")
+        return levels
 
     def rank_weights(self, n: int) -> np.ndarray:
         """Weight g(1 - (i-1)/n) - g(1 - i/n) of the i-th smallest of n losses, i = 1..n.
@@ -164,6 +172,43 @@ class DistortionSpec:
             last = (n, weights, int(np.argmax(weights != 0.0)))
             object.__setattr__(self, "_last", last)
         return last[1], last[2]
+
+    def _rank_sum(self, ascending: np.ndarray) -> float:
+        """``rank_weights(n)``, kept for the last n, dotted with n ascending losses."""
+        return float(self._ranked(ascending.shape[0])[0] @ ascending)
+
+    def weigh(self, losses: np.ndarray) -> tuple[float, np.ndarray | slice, np.ndarray]:
+        """The risk of finite losses in example order, and the ``rows`` and
+        weights ``v`` of its gradient, sum_k v[k] * grad losses[rows][k].
+
+        It ranks as one stable sort of all n losses does, so the risk equals
+        ``distortion_risk(build_cdf(losses), self).value`` bit for bit.  If
+        the first rank with weight, ``lo``, is 0, ``rows`` is every row and
+        ``v`` the weights in example order.  Else one partition finds the
+        losses at or above the ``lo``-th smallest, kept in index order so that
+        ties break as in the full sort, and only they are sorted: ``rows`` is
+        the top ``n - lo``, ascending, and ``v`` is ``weights[lo:]``.
+        Negative losses raise :class:`InvalidLoss`, as :func:`build_cdf` does.
+        """
+        n = losses.shape[0]
+        weights, lo = self._ranked(n)
+        if lo == 0:
+            order = losses.argsort(kind="stable")
+            ascending = losses[order]
+            if ascending[0] < 0.0:
+                raise InvalidLoss("losses must be nonnegative")
+            v = np.empty(n)
+            v[order] = weights
+            return self._rank_sum(ascending), slice(None), v
+        if losses.min() < 0.0:  # the partition does not put the minimum first
+            raise InvalidLoss("losses must be nonnegative")
+        kth = losses.copy()
+        kth.partition(lo)
+        candidates = (losses >= kth[lo]).nonzero()[0]
+        rows = candidates[losses[candidates].argsort(kind="stable")[lo - n:]]
+        ascending = np.zeros(n)
+        ascending[lo:] = losses[rows]
+        return self._rank_sum(ascending), rows, weights[lo:]
 
 
 # riskcdf builds no SpectrumSpec: a spectrum is a DistortionSpec.  The class
@@ -215,8 +260,8 @@ def identity_distortion() -> DistortionSpec:
 
 def cvar_distortion(alpha: float) -> DistortionSpec:
     """g(t) = min(t/alpha, 1): expected value of the top 100*alpha% losses."""
-    if not (0.0 < alpha <= 1.0):
-        raise InvalidAlpha(f"alpha must be in (0, 1], got {alpha}")
+    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha <= 1.0):
+        raise InvalidAlpha(f"alpha must be in (0, 1], got {alpha!r}")
     a = float(alpha)
     return DistortionSpec(
         g=lambda t: np.minimum(np.asarray(t, dtype=np.float64), a) / a,  # min(t/a, 1), without overflow
@@ -249,7 +294,7 @@ def oce_cvar_spec(alpha: float, support_bound: float) -> OceSpec:
     return OceSpec(support_bound=support_bound,
                    lipschitz_constant=float(support_bound) / float(alpha),
                    name=f"oce:cvar:{alpha:g}",
-                   closed_form=lambda x: float(spec._ranked(x.shape[0])[0] @ x))
+                   closed_form=lambda x: spec._rank_sum(x))
 
 
 def _entropic_value(x: np.ndarray) -> float:
@@ -272,9 +317,8 @@ def distortion_risk(cdf: EmpiricalCDF, spec: DistortionSpec,
     """Distortion risk of an empirical CDF, spectral risks included: the
     spec's rank weights, kept for the last sample size, dotted with the sorted losses."""
     d = _support_bound(cdf.min, cdf.max, support_bound)
-    w, _ = spec._ranked(cdf.n)
     L = None if spec.lipschitz_constant is None else spec.lipschitz_constant * d
-    return RiskValue(value=float(w @ cdf.values), risk_name=spec.name, L=L)
+    return RiskValue(value=spec._rank_sum(cdf.values), risk_name=spec.name, L=L)
 
 
 spectral_risk = distortion_risk  # a spectral risk is a distortion risk

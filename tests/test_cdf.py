@@ -322,3 +322,29 @@ class TestCsvRoundTrip:
         src = tmp_path / "plain.csv"
         src.write_text("0.5\n0.25\n")
         assert read_losses_csv(src).tolist() == [0.5, 0.25]
+
+
+class TestBreakpoints:
+    def test_equal_to_unique_points_and_their_levels(self):
+        """Each run's first value and its end over n are the sorted unique
+        values and the CDF there, bit for bit, on tie-heavy samples."""
+        rng = np.random.default_rng(11)
+        for _ in range(1000):
+            n = int(rng.integers(1, 60))
+            cdf = build_cdf(rng.integers(0, int(rng.integers(1, 8)), n) * rng.uniform(0.1, 3.0))
+            points, levels = cdf.breakpoints()
+            unique = np.unique(cdf.values)
+            assert points.tobytes() == unique.tobytes()
+            assert levels.tobytes() == cdf.eval(unique).tobytes()
+
+    def test_negative_zero_is_written_as_zero_in_any_row_order(self, tmp_path):
+        written = []
+        for rows in ("-0\n0\n1\n", "0\n-0\n1\n"):
+            src = tmp_path / "losses.csv"
+            src.write_text(rows)
+            points, levels = build_cdf(read_losses_csv(src)).breakpoints()
+            assert not np.signbit(points).any() and levels.tolist() == [2 / 3, 1.0]
+            write_cdf_csv(build_cdf(read_losses_csv(src)), tmp_path / "cdf.csv")
+            written.append((tmp_path / "cdf.csv").read_bytes())
+        assert written[0] == written[1]
+        assert written[0].splitlines()[1].startswith(b"0,")

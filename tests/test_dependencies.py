@@ -336,6 +336,56 @@ def test_one_oce_direction():
     assert passed and all(count == 1 for _, count in passed), passed
 
 
+def attribute_reads(source: str, name: str) -> list[int]:
+    """Lines of ``source`` that read the attribute ``name`` off any object."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def matmul_owners(source: str) -> list[str]:
+    """The dotted name of the classes and functions around each ``@`` in
+    ``source`` (``<module>`` outside any)."""
+
+    def visit(node: ast.AST, where: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult):
+                yield where or "<module>"
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, f"{where}.{child.name}".lstrip("."))
+            else:
+                yield from visit(child, where)
+
+    return list(visit(ast.parse(source), ""))
+
+
+def test_one_rank_rule():
+    """``DistortionSpec`` owns the rank rule: only ``risks`` reads its weight
+    cache, one ``@`` in ``risks`` and ``optim`` dots rank weights with losses,
+    and ``optim`` sorts no losses, so ``assess``, ``oce:cvar`` and ``train``
+    rank a sample the same way."""
+    assert attribute_reads("spec._ranked(3)\nx = y._ranked\nz._rank_sum(x)\n",
+                           "_ranked") == [1, 2]
+    assert matmul_owners(textwrap.dedent("""
+        a @ b
+        class C:
+            def f(self):
+                x @= y
+                def g():
+                    return [u @ v]
+    """)) == ["<module>", "C.f", "C.f.g"]
+    sources = sorted(Path(SRC, "riskcdf").glob("*.py"))
+    scripts = sorted(Path(SRC).parent.joinpath("scripts").glob("*.py"))
+    assert sources and scripts
+    readers = {p.name for p in sources + scripts if attribute_reads(p.read_text(), "_ranked")}
+    assert readers == {"risks.py"}
+    owners = [owner for name in ("risks.py", "optim.py")
+              for owner in matmul_owners(Path(SRC, "riskcdf", name).read_text())]
+    assert owners == ["DistortionSpec._rank_sum"]
+    optim = Path(SRC, "riskcdf", "optim.py").read_text()
+    assert [name for name in ("argsort", "partition", "argpartition", "sort")
+            if constructions(optim, name)] == []
+
+
 def text_opens_without_utf8(source: str) -> list[str]:
     """The function of ``source`` around each call that opens a file as text
     without ``encoding="utf-8"`` (``<module>`` outside any function): an

@@ -11,18 +11,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskcdf.bounds import certificate
 from riskcdf.cdf import EmpiricalCDF, build_cdf, sup_norm_distance, wasserstein1
 from riskcdf.cli import main
 from riskcdf.errors import (
     ConfigError,
     FormatError,
     InvalidAlpha,
+    InvalidDelta,
     InvalidDistortion,
+    InvalidGrowth,
+    InvalidLoss,
     InvalidSpectrum,
     NumericError,
     SupportViolation,
 )
+from riskcdf.models import MAX_CROSSENTROPY_LOSS
 from riskcdf.risks import (
+    DISTORTION_TOKENS,
     DistortionSpec,
     OceSpec,
     RiskValue,
@@ -39,6 +45,7 @@ from riskcdf.risks import (
     oce_entropic_spec,
     oce_mean_spec,
     oce_risk,
+    parse_distortion,
     spectral_risk,
 )
 
@@ -271,6 +278,78 @@ class TestRankWeightCache:
         copy = replace(spec)
         assert copy == spec and (hash(spec), repr(spec)) == before
         assert copy._last is None
+
+
+def token_spec(form, alpha, tmp_path):
+    """The spec of a :data:`DISTORTION_TOKENS` form at level ``alpha``: CVaR's
+    g(t) = min(t/alpha, 1) as a distortion table, and as a spectrum table a
+    ramp from 0 at 1 - alpha to 2/alpha at 1, whose weights start there."""
+    if alpha == 1.0:
+        dist, spec = ([0.0, 1.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 2.0])
+    else:
+        dist = ([0.0, alpha, 1.0], [0.0, 1.0, 1.0])
+        spec = ([0.0, 1.0 - alpha, 1.0], [0.0, 0.0, 2.0 / alpha])
+    path = {"distortion-file:PATH": write_table(tmp_path / "dist.csv", *dist),
+            "spectral-file:PATH": write_table(tmp_path / "spec.csv", *spec)}.get(form)
+    return parse_distortion(form.replace("ALPHA", f"{alpha}").replace("PATH", f"{path}"))
+
+
+def tie_heavy_losses(rng):
+    """Losses drawn from one to four levels, the largest cross-entropy loss among them."""
+    n = int(rng.choice([1, 2, 3, 7, 20, 41, 200]))
+    pool = rng.choice([0.0, 0.25, 1.0, rng.uniform(0.0, 5.0), MAX_CROSSENTROPY_LOSS],
+                      int(rng.integers(1, 5)))
+    return rng.choice(pool, n)
+
+
+class TestWeigh:
+    """``weigh`` is a stable sort of all n losses: the risk, and the row
+    weights in example order, equal a full stable-argsort oracle's."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("form", list(DISTORTION_TOKENS))
+    def test_matches_full_stable_sort(self, form, alpha, tmp_path):
+        spec = token_spec(form, alpha, tmp_path)
+        rng = np.random.default_rng(37)
+        fixed = [np.array([0.7]), np.full(9, MAX_CROSSENTROPY_LOSS), np.zeros(20),
+                 np.array([MAX_CROSSENTROPY_LOSS, 0.0, MAX_CROSSENTROPY_LOSS, 1.0] * 10)]
+        for losses in fixed + [tie_heavy_losses(rng) for _ in range(150)]:
+            n = losses.size
+            order = losses.argsort(kind="stable")
+            w = spec.rank_weights(n)
+            want_v = np.empty(n)
+            want_v[order] = w
+            risk, rows, v = spec.weigh(losses)
+            assert risk == float(w @ losses[order]) == distortion_risk(build_cdf(losses),
+                                                                       spec).value
+            if isinstance(rows, slice):
+                assert rows == slice(None) and v.size == n
+            else:
+                assert rows.tolist() == order[n - rows.size:].tolist()
+            scattered = np.zeros(n)
+            scattered[rows] = v
+            assert scattered.tobytes() == want_v.tobytes()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: certificate("finite_class", 10, 0.1, "3"), ConfigError),
+    (lambda: certificate("finite_class", 10, 0.1, None), ConfigError),
+    (lambda: certificate("growth", 10, 0.1, "3"), InvalidGrowth),
+    (lambda: certificate("finite_class", 10, None, 3), InvalidDelta),
+    (lambda: certificate("finite_class", 10, "0.1", 3), InvalidDelta),
+    (lambda: cvar_distortion("0.5"), InvalidAlpha),
+    (lambda: DistortionSpec(g=lambda t: 1.0), InvalidDistortion),
+    (lambda: DistortionSpec(g=lambda t: np.asarray(t)[:2]).rank_weights(3), InvalidDistortion),
+    (lambda: build_cdf([[1, 2], [3]]), InvalidLoss),
+], ids=["count-str", "count-none", "growth-str", "delta-none", "delta-str", "alpha-str",
+        "g-scalar", "g-short", "ragged-losses"])
+def test_non_numeric_argument_raises_typed_error(call, error):
+    """A library argument of the wrong type raises the error its value check
+    raises, not a raw TypeError or ValueError from inside the check."""
+    with pytest.raises(error) as info:
+        call()
+    assert info.type is error
+    assert "non-decreasing" not in str(info.value)
 
 
 class TestCvar:
