@@ -69,11 +69,9 @@ class EmpiricalCDF:
         return float(out) if np.isscalar(r) else out
 
     def breakpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unique jump locations, each run of equal values' first plus 0.0 (so
-        never -0.0), and the CDF value attained at each, the run's end over n."""
-        x = self.values
-        starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
-        return x[starts] + 0.0, np.append(starts[1:], self.n) / self.n
+        """Unique jump locations, 0.0 never written -0.0, and the CDF value attained at each."""
+        pts = np.unique(self.values) + 0.0
+        return pts, self.eval(pts)
 
     @property
     def min(self) -> float:
@@ -102,15 +100,19 @@ def build_cdf(losses) -> EmpiricalCDF:
 
 
 def _check_losses(losses: np.ndarray) -> np.ndarray:
-    """Return ``losses`` after checking that every value is finite and nonnegative.
-
-    Raises :class:`InvalidLoss` with the text :func:`build_cdf` uses.
-    """
-    if not np.all(np.isfinite(losses)):
-        raise InvalidLoss("losses must be finite (no NaN/inf)")
-    if np.any(losses < 0.0):
-        raise InvalidLoss("losses must be nonnegative")
+    """Return ``losses`` after :func:`_check_loss_range` on its smallest and largest."""
+    if losses.size:
+        _check_loss_range(losses.min(), losses.max())  # NaN if any loss is
     return losses
+
+
+def _check_loss_range(least: float, most: float) -> None:
+    """Raise :class:`InvalidLoss` with the text :func:`build_cdf` uses unless
+    the smallest and largest loss are finite and nonnegative (a NaN fails)."""
+    if not -np.inf < least <= most < np.inf:
+        raise InvalidLoss("losses must be finite (no NaN/inf)")
+    if least < 0.0:
+        raise InvalidLoss("losses must be nonnegative")
 
 
 def _support_bound(smallest: float, largest: float, support_bound: float | None) -> float:

@@ -43,14 +43,13 @@ from typing import Callable
 
 import numpy as np
 
-from .cdf import EmpiricalCDF, _support_bound, moment
+from .cdf import EmpiricalCDF, _check_loss_range, _support_bound, moment
 from .data import _is_count, read_numeric_csv
 from .errors import (
     ConfigError,
     FormatError,
     InvalidAlpha,
     InvalidDistortion,
-    InvalidLoss,
     InvalidSpectrum,
     NumericError,
 )
@@ -173,13 +172,14 @@ class DistortionSpec:
             object.__setattr__(self, "_last", last)
         return last[1], last[2]
 
-    def _rank_sum(self, ascending: np.ndarray) -> float:
-        """``rank_weights(n)``, kept for the last n, dotted with n ascending losses."""
-        return float(self._ranked(ascending.shape[0])[0] @ ascending)
+    @staticmethod
+    def _rank_sum(weights: np.ndarray, ascending: np.ndarray) -> float:
+        """``weights``, the spec's ``_ranked(n)[0]``, dotted with n ascending losses."""
+        return float(weights @ ascending)
 
     def weigh(self, losses: np.ndarray) -> tuple[float, np.ndarray | slice, np.ndarray]:
-        """The risk of finite losses in example order, and the ``rows`` and
-        weights ``v`` of its gradient, sum_k v[k] * grad losses[rows][k].
+        """The risk of losses in example order, and the ``rows`` and weights
+        ``v`` of its gradient, sum_k v[k] * grad losses[rows][k].
 
         It ranks as one stable sort of all n losses does, so the risk equals
         ``distortion_risk(build_cdf(losses), self).value`` bit for bit.  If
@@ -187,28 +187,27 @@ class DistortionSpec:
         ``v`` the weights in example order.  Else one partition finds the
         losses at or above the ``lo``-th smallest, kept in index order so that
         ties break as in the full sort, and only they are sorted: ``rows`` is
-        the top ``n - lo``, ascending, and ``v`` is ``weights[lo:]``.
-        Negative losses raise :class:`InvalidLoss`, as :func:`build_cdf` does.
-        """
+        the top ``n - lo``, ascending, and ``v`` is ``weights[lo:]``.  NaN,
+        infinite or negative losses raise :class:`InvalidLoss`."""
         n = losses.shape[0]
         weights, lo = self._ranked(n)
         if lo == 0:
             order = losses.argsort(kind="stable")
             ascending = losses[order]
-            if ascending[0] < 0.0:
-                raise InvalidLoss("losses must be nonnegative")
+            _check_loss_range(ascending[0], ascending[-1])  # NaN sorts last
             v = np.empty(n)
             v[order] = weights
-            return self._rank_sum(ascending), slice(None), v
-        if losses.min() < 0.0:  # the partition does not put the minimum first
-            raise InvalidLoss("losses must be nonnegative")
+            return self._rank_sum(weights, ascending), slice(None), v
+        least = losses.min()  # NaN if any loss is: the partition below needs none
+        _check_loss_range(least, least)
         kth = losses.copy()
         kth.partition(lo)
         candidates = (losses >= kth[lo]).nonzero()[0]
         rows = candidates[losses[candidates].argsort(kind="stable")[lo - n:]]
         ascending = np.zeros(n)
         ascending[lo:] = losses[rows]
-        return self._rank_sum(ascending), rows, weights[lo:]
+        _check_loss_range(least, ascending[-1])  # the largest loss, +inf too, is a row
+        return self._rank_sum(weights, ascending), rows, weights[lo:]
 
 
 # riskcdf builds no SpectrumSpec: a spectrum is a DistortionSpec.  The class
@@ -294,7 +293,7 @@ def oce_cvar_spec(alpha: float, support_bound: float) -> OceSpec:
     return OceSpec(support_bound=support_bound,
                    lipschitz_constant=float(support_bound) / float(alpha),
                    name=f"oce:cvar:{alpha:g}",
-                   closed_form=lambda x: spec._rank_sum(x))
+                   closed_form=lambda x: spec._rank_sum(spec._ranked(x.shape[0])[0], x))
 
 
 def _entropic_value(x: np.ndarray) -> float:
@@ -318,7 +317,8 @@ def distortion_risk(cdf: EmpiricalCDF, spec: DistortionSpec,
     spec's rank weights, kept for the last sample size, dotted with the sorted losses."""
     d = _support_bound(cdf.min, cdf.max, support_bound)
     L = None if spec.lipschitz_constant is None else spec.lipschitz_constant * d
-    return RiskValue(value=spec._rank_sum(cdf.values), risk_name=spec.name, L=L)
+    return RiskValue(value=spec._rank_sum(spec._ranked(cdf.n)[0], cdf.values),
+                     risk_name=spec.name, L=L)
 
 
 spectral_risk = distortion_risk  # a spectral risk is a distortion risk

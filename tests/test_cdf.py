@@ -326,8 +326,8 @@ class TestCsvRoundTrip:
 
 class TestBreakpoints:
     def test_equal_to_unique_points_and_their_levels(self):
-        """Each run's first value and its end over n are the sorted unique
-        values and the CDF there, bit for bit, on tie-heavy samples."""
+        """Without -0.0 in the sample, adding 0.0 to the points changes no bit:
+        they are the sorted unique values and the levels the CDF there."""
         rng = np.random.default_rng(11)
         for _ in range(1000):
             n = int(rng.integers(1, 60))

@@ -330,6 +330,24 @@ class TestWeigh:
             scattered[rows] = v
             assert scattered.tobytes() == want_v.tobytes()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("spec", [identity_distortion(), cvar_distortion(0.05)],
+                             ids=["mean", "cvar:0.05"])
+    def test_rejects_what_build_cdf_rejects(self, spec, bad):
+        """The full sort (mean) and the partition (cvar) raise build_cdf's
+        InvalidLoss for a NaN, infinite or negative loss anywhere, and for a
+        vector of NaN alone."""
+        for at in (0, 7, 19):
+            losses = np.linspace(0.0, 2.0, 20)
+            losses[at] = bad
+            with pytest.raises(InvalidLoss) as built:
+                build_cdf(losses)
+            with pytest.raises(InvalidLoss) as weighed:
+                spec.weigh(losses)
+            assert str(weighed.value) == str(built.value)
+        with pytest.raises(InvalidLoss, match=r"^losses must be finite \(no NaN/inf\)$"):
+            spec.weigh(np.full(20, np.nan))
+
 
 @pytest.mark.parametrize("call, error", [
     (lambda: certificate("finite_class", 10, 0.1, "3"), ConfigError),
