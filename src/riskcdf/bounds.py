@@ -24,7 +24,6 @@ via L * epsilon**p for sup-norm Holder risks.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
@@ -36,7 +35,7 @@ from .cdf import _check_losses, build_cdf, sup_norm_distances
 # sup_norm_distance is bound only for perfbench/tracing.py, which times
 # calls through the name bound here; nothing here calls it.
 from .cdf import sup_norm_distance  # noqa: F401
-from .data import _is_count, _write_csv
+from .data import _is_count, _is_real, _write_csv
 from .errors import ConfigError, InvalidDelta, InvalidGrowth, ShapeError, WeakReference
 from .seeds import rng_from
 
@@ -52,10 +51,11 @@ __all__ = [
 
 
 def _finite(value, what: str, error: type[ConfigError] = ConfigError) -> float:
-    """``value`` as a float, which must be a finite real number: a string, None,
-    NaN, infinity or an integer too large for a float (400 digits) raises ``error``."""
+    """``value`` as a float, which must be a finite real number: a bool, a string,
+    None, NaN, infinity or an integer too large for a float (400 digits) raises
+    ``error``."""
     try:
-        x = float(value) if isinstance(value, numbers.Real) else math.nan
+        x = float(value) if _is_real(value) else math.nan
     except OverflowError:
         x = math.inf
     if not math.isfinite(x):
@@ -64,7 +64,8 @@ def _finite(value, what: str, error: type[ConfigError] = ConfigError) -> float:
 
 
 def _check_n(n: int) -> int:
-    _finite(n, "sample size")
+    if _is_real(n):
+        _finite(n, "sample size")
     if not _is_count(n):
         raise ConfigError(f"sample size must be a positive integer, got {n!r}")
     return int(n)
@@ -135,7 +136,7 @@ def certificate(method: str, n: int, delta: float, count: float) -> BoundCertifi
     flag, _, _, _, rademacher = CERTIFICATE_METHODS[method]
     n = _check_n(n)
     _check_count(method, count)
-    if not (isinstance(delta, numbers.Real) and 0.0 < delta <= 1.0):
+    if not (_is_real(delta) and 0.0 < delta <= 1.0):
         raise InvalidDelta(f"delta must be in (0, 1], got {delta!r}")
     delta = float(delta)
     r = _finite(rademacher(n, count), "rademacher bound")
@@ -230,12 +231,15 @@ def monte_carlo_en(
     one sample alone holds more, and the reference's losses are computed
     in chunks of the same size.  Per block and model there is one loss
     call on the block's stacked draws, one sort of its rows and one
-    :func:`~riskcdf.cdf.sup_norm_distances` pass against the reference:
-    O(reps n log N) time for a reference of N points.  The sorted rows go
+    :func:`~riskcdf.cdf.sup_norm_distances` pass against the reference.
+    For a reference of N points, its KS passes take O(N) once per model, to
+    build the reference's bucket index on the first block, then O(reps n)
+    plus O(c log N) for the c points that are searched, most often a few
+    in a hundred.  The sorted rows go
     into one buffer, allocated once per call for a full block and reused
     for every block and model, so working memory beyond the reference data
     is O(min(N, 8192) + n).  Each other temporary in the loop, the KS
-    pass's searches and differences too, holds at most one block's rows
+    pass's bounds, searches and differences too, holds at most one block's rows
     (64 KB per float column), so the allocator hands the same pages back
     block after block: page faults do not grow with ``reps``.
 

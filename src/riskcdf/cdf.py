@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,64 @@ __all__ = [
 ]
 
 
+class _Buckets(NamedTuple):
+    """Equal-width buckets over a sorted sample's finite range [lo, hi].
+
+    ``below[k]`` is the fraction of the sample in buckets below k, k = 0..B;
+    :func:`_bucket_of` maps a value to its bucket.  A sample with fewer than
+    two buckets' worth of points, or whose finite range is empty, a single
+    point or too wide for a float, has one bucket: ``below`` is [0, 1].
+    """
+
+    lo: float
+    hi: float
+    scale: float  # buckets per unit, B / (hi - lo)
+    below: np.ndarray
+
+
+# Points per bucket of the index, on average, and the most points one step
+# of its build maps: 8,192 doubles are 64 KB, as in the Monte Carlo blocks.
+_BUCKET_POINTS = 16
+_BUILD_CHUNK = 8192
+
+
+def _bucket_of(x: np.ndarray, index: _Buckets) -> np.ndarray:
+    """Bucket of each x, min(floor((clip(x, lo, hi) - lo) * scale), B - 1).
+
+    Every step is monotone in x, so x <= y gives a bucket no higher, and a
+    finite range keeps every step finite.  ``x`` must hold no NaN."""
+    t = np.clip(x, index.lo, index.hi)
+    t -= index.lo
+    t *= index.scale
+    np.minimum(t, index.below.shape[0] - 2, out=t)
+    return t.astype(np.intp)
+
+
+def _bucket_index(values: np.ndarray) -> _Buckets:
+    """The :class:`_Buckets` of ascending ``values`` with no NaN: B = N // 16
+    buckets, counted in chunks of at most 8,192 values.  O(N) time."""
+    n = values.shape[0]
+    finite = values[np.searchsorted(values, -np.inf, side="right"):
+                    np.searchsorted(values, np.inf, side="left")]
+    buckets = n // _BUCKET_POINTS
+    scale = 0.0
+    if buckets > 1 and finite.size and finite[0] < finite[-1]:
+        lo, hi = float(finite[0]), float(finite[-1])
+        scale = buckets / (hi - lo)  # 0 if the span overflows, inf if it underflows
+    if not 0.0 < scale < math.inf:
+        below = np.array([0.0, 1.0])
+        below.flags.writeable = False
+        return _Buckets(0.0, 0.0, 0.0, below)
+    index = _Buckets(lo, hi, scale, np.empty(buckets + 1))
+    counts = np.zeros(buckets + 1, dtype=np.intp)
+    for s in range(0, n, _BUILD_CHUNK):
+        counts[1:] += np.bincount(_bucket_of(values[s:s + _BUILD_CHUNK], index),
+                                  minlength=buckets)
+    np.divide(np.cumsum(counts, out=counts), n, out=index.below)
+    index.below.flags.writeable = False
+    return index
+
+
 @dataclass(frozen=True)
 class EmpiricalCDF:
     """Sorted sample with step-function CDF semantics.
@@ -40,6 +99,7 @@ class EmpiricalCDF:
     """
 
     values: np.ndarray = field(repr=False)
+    _index: _Buckets | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -61,6 +121,14 @@ class EmpiricalCDF:
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    def _buckets(self) -> _Buckets:
+        """The sample's bucket index for :func:`sup_norm_distances`, built on first use."""
+        index = self._index
+        if index is None:
+            index = _bucket_index(self.values)
+            object.__setattr__(self, "_index", index)
+        return index
 
     def eval(self, r):
         """Fraction of the sample <= r (right-continuous, vectorized)."""
@@ -138,7 +206,8 @@ def sup_norm_distance(a: EmpiricalCDF, b: EmpiricalCDF) -> float:
     """Exact Kolmogorov-Smirnov distance between two step CDFs.
 
     The one-row case of :func:`sup_norm_distances`, run on the sample with
-    fewer points: O(n log N) for samples of n <= N points.
+    fewer points, n, against the larger, of N: O(n + c log N), plus O(N) for
+    the larger sample's bucket index the first time it is a reference.
     """
     if a.n > b.n:
         a, b = b, a
@@ -149,7 +218,8 @@ def sup_norm_distances(rows: np.ndarray, reference: EmpiricalCDF) -> np.ndarray:
     """Exact KS distance from the step CDF of each row to ``reference``.
 
     ``rows`` is a non-empty (m, n) array whose rows are sorted ascending,
-    else :class:`ShapeError`; the result holds m distances.  F_row is
+    else :class:`ShapeError`; a NaN in it raises :class:`InvalidLoss`
+    naming its row.  The result holds m distances.  F_row is
     constant on each interval [x_i, x_(i+1)) between its own breakpoints,
     and on the two tails, while F_ref is monotone there.  So |F_row - F_ref|
     on each such interval is largest at one of its ends: the value at the
@@ -177,26 +247,59 @@ def sup_norm_distances(rows: np.ndarray, reference: EmpiricalCDF) -> np.ndarray:
     too, and each maximum is a number the all-breakpoints formula also
     compares: the result is the same float.
 
-    The reference is searched once, on the left; the right count is
-    searched only for points equal to a reference value.  Cost:
-    O(m n log N) for a reference of N points, with O(m n) working memory.
+    Most points cannot attain their row's maximum, so most are never
+    searched for.  The reference's bucket index (:class:`_Buckets`) puts
+    each point x in a bucket k by a monotone map, so the fractions
+    ``below[k] <= F_ref(x-) <= F_ref(x) <= below[k+1]`` bound both of its
+    differences, by the same monotone rounding.  Only the points whose
+    upper bound exceeds the best lower bound in their row are searched.
+    The others keep their lower bounds, none above the row's maximum; if
+    one of them attains it, the best lower bound already equals it.  Each
+    search is on the left, and on the right only for points equal to a
+    reference value.  Cost: O(m n) per call plus O(c log N) for the c
+    points searched in a reference of N points, with O(m n) working
+    memory.  The reference builds its index on its first call, in O(N):
+    less than the sort that made it.  A reference with one bucket (fewer
+    than 32 points, or no finite range to divide) bounds nothing, so every
+    point is searched, in O(m n log N).
     """
     if rows.ndim != 2 or rows.size == 0:
         raise ShapeError(f"KS rows must be a non-empty 2-D array, got shape {rows.shape}")
+    if np.isnan(rows.max()):  # a NaN maximum means a NaN somewhere
+        r, i = np.argwhere(np.isnan(rows))[0]
+        raise InvalidLoss(f"KS rows must not be NaN: row {r} has a NaN at position {i}")
     m, n = rows.shape
     ref = reference.values
-    below = np.searchsorted(ref, rows.reshape(-1), side="left").reshape(m, n)
-    at_most = below.copy()
-    diff = ref.take(below, mode="clip")
-    hit = diff == rows
-    at_most[hit] = np.searchsorted(ref, rows[hit], side="right")
+    value_level = np.arange(1, n + 1) / n  # F_row(x_i) at the run's last point
+    left_level = np.arange(n) / n  # F_row(x_i-) at the run's first point
+    index = reference._buckets()
+    if index.below.shape[0] == 2:
+        return _one_sided_max(ref, rows, value_level, left_level).max(axis=1)
 
-    np.divide(at_most, reference.n, out=diff)
-    np.subtract(np.arange(1, n + 1) / n, diff, out=diff)
-    value_side = diff.max(axis=1)
-    np.divide(below, reference.n, out=diff)
-    diff -= np.arange(n) / n
-    return np.maximum(value_side, diff.max(axis=1), out=value_side)
+    k = _bucket_of(rows, index)
+    least = index.below.take(k)
+    most = index.below[1:].take(k)
+    best = np.maximum(value_level - most, least - left_level)  # lower bounds
+    np.subtract(value_level, least, out=least)
+    np.subtract(most, left_level, out=most)
+    upper = np.maximum(least, most, out=least)
+    keys = np.flatnonzero(upper > best.max(axis=1, keepdims=True))
+    at = keys % n
+    np.put(best, keys, _one_sided_max(ref, rows.take(keys), value_level.take(at),
+                                      left_level.take(at)))
+    return best.max(axis=1)
+
+
+def _one_sided_max(ref: np.ndarray, x: np.ndarray, value_level: np.ndarray,
+                   left_level: np.ndarray) -> np.ndarray:
+    """max(value_level - F_ref(x), F_ref(x-) - left_level) at each point x,
+    with F_ref the step CDF of the sorted sample ``ref``."""
+    below = np.searchsorted(ref, x, side="left")
+    at_most = below.copy()
+    hit = ref.take(below, mode="clip") == x
+    at_most[hit] = np.searchsorted(ref, x[hit], side="right")
+    value_side = value_level - at_most / ref.shape[0]
+    return np.maximum(value_side, below / ref.shape[0] - left_level, out=value_side)
 
 
 def wasserstein1(a: EmpiricalCDF, b: EmpiricalCDF, support_bound: float) -> float:

@@ -121,7 +121,12 @@ def save_dataset_csv(X: np.ndarray, y: np.ndarray, path) -> None:
 
 def _is_count(value) -> bool:
     """Whether ``value`` is an integer >= 1 and not a bool, as every count riskcdf takes must be."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
+    return _is_real(value) and isinstance(value, numbers.Integral) and value >= 1
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool, as every number riskcdf takes must be."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
 
 def _filled_rows(lines):

@@ -37,14 +37,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .cdf import EmpiricalCDF, _check_loss_range, _support_bound, moment
-from .data import _is_count, read_numeric_csv
+from .data import _is_count, _is_real, read_numeric_csv
 from .errors import (
     ConfigError,
     FormatError,
@@ -259,7 +258,7 @@ def identity_distortion() -> DistortionSpec:
 
 def cvar_distortion(alpha: float) -> DistortionSpec:
     """g(t) = min(t/alpha, 1): expected value of the top 100*alpha% losses."""
-    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha <= 1.0):
+    if not (_is_real(alpha) and 0.0 < alpha <= 1.0):
         raise InvalidAlpha(f"alpha must be in (0, 1], got {alpha!r}")
     a = float(alpha)
     return DistortionSpec(

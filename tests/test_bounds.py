@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import riskcdf.cdf
 from riskcdf.bounds import (
     CERTIFICATE_METHODS,
     certificate,
@@ -443,6 +444,22 @@ class TestBlockedMonteCarlo:
                        reference_sample_size=200)
         # Blocks of 10, 10 and 3 repetitions, two models each.
         assert shapes == [(10, 20)] * 4 + [(3, 20)] * 2
+
+    def test_one_bucket_index_per_model_and_call(self, monkeypatch):
+        builds = []
+
+        def recording(values):
+            builds.append(values.size)
+            return bucket_index(values)
+
+        bucket_index = riskcdf.cdf._bucket_index
+        monkeypatch.setattr("riskcdf.cdf._bucket_index", recording)
+        fns = [lambda X, y: np.abs(X[:, 0]), lambda X, y: np.floor(4.0 * X[:, 0] ** 2)]
+        for calls in (1, 2):
+            monte_carlo_en(fns, _gaussian_sampler, n=20, reps=23, seed=0,
+                           reference_sample_size=2000)
+            # Three blocks each, but one index for each model's reference.
+            assert builds == [2000, 2000] * calls
 
     def test_loss_calls_hold_at_most_the_block_cap(self):
         calls = []

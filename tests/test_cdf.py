@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riskcdf.cdf
 from riskcdf.cdf import (
     EmpiricalCDF,
     build_cdf,
@@ -244,6 +245,174 @@ class TestRowsKernelMatchesMergedFormula:
             want = merged_breakpoint_ks(a, ref)
             assert d == want
             assert sup_norm_distance(a, ref) == want == sup_norm_distance(ref, a)
+
+
+def sorted_search_ks(rows, reference):
+    """The kernel before the bucket index: every point of every row searched."""
+    m, n = rows.shape
+    ref = reference.values
+    below = np.searchsorted(ref, rows.reshape(-1), side="left").reshape(m, n)
+    at_most = below.copy()
+    diff = ref.take(below, mode="clip")
+    hit = diff == rows
+    at_most[hit] = np.searchsorted(ref, rows[hit], side="right")
+    np.divide(at_most, reference.n, out=diff)
+    np.subtract(np.arange(1, n + 1) / n, diff, out=diff)
+    value_side = diff.max(axis=1)
+    np.divide(below, reference.n, out=diff)
+    diff -= np.arange(n) / n
+    return np.maximum(value_side, diff.max(axis=1), out=value_side)
+
+
+def assert_matches_sorted_search(rows, ref_values):
+    """sup_norm_distances on the sorted rows equals the full search's floats."""
+    ref = signed_cdf(np.asarray(ref_values, dtype=float))
+    rows = np.sort(np.asarray(rows, dtype=float), axis=1)
+    got = sup_norm_distances(rows, ref)
+    assert np.array_equal(got, sorted_search_ks(rows, ref))
+    return ref
+
+
+class TestBucketKernelMatchesSortedSearch:
+    """Searching only the points that can attain a row's maximum gives the
+    same floats as searching every point."""
+
+    def test_random_tie_heavy_rows(self):
+        rng = np.random.default_rng(38)
+        buckets = 0
+        for i in range(400):
+            big = int(rng.integers(1, 4000))
+            n = int(rng.integers(1, 400))
+            m = int(rng.integers(1, 12))
+            levels = int(rng.integers(1, 60))
+            if i % 2:
+                # Integer values with heavy ties; rows reach past both ends.
+                ref_values = rng.integers(0, levels, big).astype(float)
+                rows = rng.integers(-3, levels + 3, (m, n)).astype(float)
+            else:
+                # Continuous values, most rows' points also reference points.
+                pool = rng.exponential(size=levels * 20)
+                ref_values = rng.choice(pool, big)
+                rows = rng.choice(pool, (m, n))
+            ref = assert_matches_sorted_search(rows, ref_values)
+            buckets += ref._buckets().below.size > 2
+        assert buckets > 200  # most cases search the buckets' candidates only
+
+    @pytest.mark.parametrize("ref_values", [
+        np.full(100, 2.0),
+        np.full(100, np.inf),
+        np.full(100, -np.inf),
+        np.r_[np.full(50, -np.inf), np.full(50, np.inf)],
+        np.r_[-np.inf, np.full(98, 3.0), np.inf],
+        np.r_[0.0, np.full(98, 5e-324)],  # B / span overflows
+    ], ids=["all-equal", "all-inf", "all-minus-inf", "only-infinities", "one-finite-value",
+            "subnormal-span"])
+    def test_one_bucket_references(self, ref_values):
+        rng = np.random.default_rng(3)
+        rows = rng.choice(np.r_[ref_values, -1.0, 2.0, 3.0, 4.0, -np.inf, np.inf], (7, 40))
+        ref = assert_matches_sorted_search(rows, ref_values)
+        assert np.array_equal(ref._buckets().below, [0.0, 1.0])
+
+    def test_infinite_endpoints(self):
+        rng = np.random.default_rng(5)
+        ref_values = np.r_[np.full(30, -np.inf), rng.integers(0, 20, 500), np.full(30, np.inf)]
+        rows = rng.choice(np.r_[ref_values, -np.inf, np.inf, -1.0, 25.0], (9, 60))
+        ref = assert_matches_sorted_search(rows, ref_values)
+        assert ref._buckets().below.size > 2
+
+    def test_overflowing_span(self):
+        rng = np.random.default_rng(6)
+        ref_values = np.r_[-1e308, rng.normal(size=500), 1e308]
+        rows = rng.choice(np.r_[ref_values, -1.7e308, 1.7e308, 0.5], (9, 60))
+        ref = assert_matches_sorted_search(rows, ref_values)
+        assert np.array_equal(ref._buckets().below, [0.0, 1.0])
+
+    def test_points_below_and_above_the_reference(self):
+        rng = np.random.default_rng(7)
+        ref_values = rng.uniform(10.0, 20.0, 1000)
+        rows = np.r_[rng.uniform(-5.0, 10.0, (3, 50)), rng.uniform(20.0, 30.0, (3, 50)),
+                     rng.uniform(0.0, 30.0, (3, 50)), np.full((1, 50), 1.7e308),
+                     np.full((1, 50), -1.7e308)]
+        assert_matches_sorted_search(rows, ref_values)
+
+    @pytest.mark.parametrize("big", [1, 2, 15, 16, 31, 32, 33])
+    def test_small_references(self, big):
+        rng = np.random.default_rng(big)
+        for _ in range(20):
+            assert_matches_sorted_search(rng.integers(-1, 6, (5, 9)), rng.integers(0, 5, big))
+
+    def test_single_point_rows(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            assert_matches_sorted_search(rng.integers(-1, 12, (20, 1)), rng.integers(0, 10, 500))
+
+    def test_single_row(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            n = int(rng.integers(1, 300))
+            assert_matches_sorted_search(rng.integers(-1, 12, (1, n)), rng.integers(0, 10, 500))
+
+    def test_few_points_are_searched(self, monkeypatch):
+        searched = []
+
+        def recording(ref, x, value_level, left_level):
+            searched.append(x.size)
+            return one_sided_max(ref, x, value_level, left_level)
+
+        one_sided_max = riskcdf.cdf._one_sided_max
+        monkeypatch.setattr("riskcdf.cdf._one_sided_max", recording)
+        rng = np.random.default_rng(10)
+        assert_matches_sorted_search(rng.exponential(size=(10, 800)),
+                                     rng.exponential(size=20_000))
+        assert len(searched) == 1 and searched[0] < 800
+
+
+class TestBucketIndex:
+    """The reference's bucket index is built once, on the first KS call, and
+    is no part of the sample's value."""
+
+    def test_built_once_and_reused(self):
+        ref = build_cdf(np.arange(1000.0))
+        rows = np.sort(np.random.default_rng(1).uniform(0, 1000, (4, 30)), axis=1)
+        assert ref._index is None
+        first = sup_norm_distances(rows, ref)
+        index = ref._index
+        assert index is not None and index.below.size == 1000 // 16 + 1
+        assert np.array_equal(sup_norm_distances(rows, ref), first)
+        assert ref._index is index
+
+    @pytest.mark.parametrize("values", [np.arange(1000.0), np.ones(1000)], ids=["many", "one"])
+    def test_arrays_are_read_only(self, values):
+        below = build_cdf(values)._buckets().below
+        assert not below.flags.writeable
+        with pytest.raises(ValueError):
+            below[0] = 0.5
+
+    def test_no_part_in_equality_or_repr(self):
+        a = build_cdf(np.arange(1000.0))
+        b = EmpiricalCDF(a.values)
+        a._buckets()
+        assert b._index is None and a._index is not None
+        assert a == b and repr(a) == repr(b)
+
+    def test_counts_each_bucket(self):
+        values = np.sort(np.random.default_rng(2).exponential(size=5000))
+        index = EmpiricalCDF(values)._buckets()
+        buckets = np.minimum(((values - index.lo) * index.scale).astype(int), 5000 // 16 - 1)
+        counts = np.bincount(buckets, minlength=5000 // 16)
+        assert np.array_equal(index.below, np.r_[0, np.cumsum(counts)] / 5000)
+
+
+class TestSupNormRejectsNaN:
+    @pytest.mark.parametrize("big", [10, 1000])
+    @pytest.mark.parametrize("rows, row, position", [
+        ([[1.0, np.nan]], 0, 1),
+        ([[0.0, 1.0, 2.0], [1.0, np.nan, 2.0]], 1, 1),
+    ], ids=["last", "mid-row"])
+    def test_names_the_row(self, rows, row, position, big):
+        message = f"KS rows must not be NaN: row {row} has a NaN at position {position}"
+        with pytest.raises(InvalidLoss, match=f"^{re.escape(message)}$"):
+            sup_norm_distances(np.array(rows), EmpiricalCDF(np.arange(float(big))))
 
 
 class TestWasserstein:

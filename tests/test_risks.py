@@ -370,6 +370,20 @@ def test_non_numeric_argument_raises_typed_error(call, error):
     assert "non-decreasing" not in str(info.value)
 
 
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: cvar_distortion(True), InvalidAlpha),
+    (lambda: certificate("finite_class", 10, 0.1, True), ConfigError),
+    (lambda: certificate("vc_sauer", 10, 0.1, False), ConfigError),
+    (lambda: certificate("finite_class", 10, True, 3), InvalidDelta),
+], ids=["alpha-true", "count-true", "nu-false", "delta-true"])
+def test_bool_is_not_a_number(call, error):
+    """A bool is no real number to any check (``data._is_real``), as it is no count."""
+    with pytest.raises(error, match="got (True|False)$") as info:
+        call()
+    assert info.type is error
+
+
 class TestCvar:
     def test_alpha_one_is_mean(self):
         assert cvar(build_cdf([1, 2, 3, 4]), 1.0).value == pytest.approx(2.5)
