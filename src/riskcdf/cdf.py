@@ -259,10 +259,10 @@ def sup_norm_distances(rows: np.ndarray, reference: EmpiricalCDF) -> np.ndarray:
     reference value.  Cost: O(m n) per call plus O(c log N) for the c
     points searched in a reference of N points, with O(m n) working
     memory.  The reference builds its index on its first call, in O(N):
-    less than the sort that made it.  A reference with one bucket (fewer
-    than 32 points, or no finite range to divide) bounds nothing, so every
-    point is searched, in O(m n log N).
+    less than the sort that made it.  Rows of another dtype are widened
+    to float64 first, so they are bucketed as the index was built.
     """
+    rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.size == 0:
         raise ShapeError(f"KS rows must be a non-empty 2-D array, got shape {rows.shape}")
     if np.isnan(rows.max()):  # a NaN maximum means a NaN somewhere
@@ -273,9 +273,6 @@ def sup_norm_distances(rows: np.ndarray, reference: EmpiricalCDF) -> np.ndarray:
     value_level = np.arange(1, n + 1) / n  # F_row(x_i) at the run's last point
     left_level = np.arange(n) / n  # F_row(x_i-) at the run's first point
     index = reference._buckets()
-    if index.below.shape[0] == 2:
-        return _one_sided_max(ref, rows, value_level, left_level).max(axis=1)
-
     k = _bucket_of(rows, index)
     least = index.below.take(k)
     most = index.below[1:].take(k)

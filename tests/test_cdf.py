@@ -352,6 +352,19 @@ class TestBucketKernelMatchesSortedSearch:
             n = int(rng.integers(1, 300))
             assert_matches_sorted_search(rng.integers(-1, 12, (1, n)), rng.integers(0, 10, 500))
 
+    def test_float32_rows(self):
+        # Float32 points at 1e7 are integers, and the reference's least value
+        # 1e7 - 0.5 is not one: bucketed in float32, every point would move
+        # half a unit against the reference values a float64 step below it.
+        rng = np.random.default_rng(11)
+        pool = (1e7 + rng.uniform(0.0, 100.0, 2000)).astype(np.float32)
+        near = np.nextafter(pool.astype(np.float64), -np.inf)
+        ref = signed_cdf(np.r_[1e7 - 0.5, near, pool])
+        assert ref._buckets().below.size > 2
+        for _ in range(20):
+            rows = np.sort(rng.choice(pool, (6, 100)), axis=1)
+            assert np.array_equal(sup_norm_distances(rows, ref), sorted_search_ks(rows, ref))
+
     def test_few_points_are_searched(self, monkeypatch):
         searched = []
 
