@@ -155,7 +155,7 @@ def risk_error_bound(cert: BoundCertificate, L: float | None, p: float) -> float
     return None if L is None else float(L) * cert.epsilon ** p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonteCarloEnResult:
     """Empirical distribution of the worst-case CDF estimation error.
 

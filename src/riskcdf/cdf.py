@@ -87,19 +87,20 @@ def _bucket_index(values: np.ndarray) -> _Buckets:
     return index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalCDF:
     """Sorted sample with step-function CDF semantics.
 
-    ``values``, read-only, must be 1-D and ascending with no NaN: else
-    :class:`ShapeError`, or :class:`InvalidLoss` naming the first bad position.
+    ``values`` must be 1-D and ascending with no NaN: else :class:`ShapeError`,
+    or :class:`InvalidLoss` naming the first bad position.  The CDF holds a
+    read-only view of them, float64, and leaves the caller's array writable.
     :func:`build_cdf` builds one from nonnegative losses; a signed sample, for
     the distances alone, gets one as ``EmpiricalCDF(np.sort(x))``.  An empty
     sample raises :class:`EmptySample`.
     """
 
     values: np.ndarray = field(repr=False)
-    _index: _Buckets | None = field(default=None, init=False, repr=False, compare=False)
+    _index: _Buckets | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -115,8 +116,9 @@ class EmpiricalCDF:
             i = int(decrease.argmax()) + 1
             raise InvalidLoss(f"CDF sample values must be ascending: values[{i}] = {values[i]} "
                               f"is below values[{i - 1}] = {values[i - 1]}")
-        object.__setattr__(self, "values", values)
+        values = values.view()
         values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -217,15 +219,16 @@ def sup_norm_distance(a: EmpiricalCDF, b: EmpiricalCDF) -> float:
 def sup_norm_distances(rows: np.ndarray, reference: EmpiricalCDF) -> np.ndarray:
     """Exact KS distance from the step CDF of each row to ``reference``.
 
-    ``rows`` is a non-empty (m, n) array whose rows are sorted ascending,
-    else :class:`ShapeError`; a NaN in it raises :class:`InvalidLoss`
-    naming its row.  The result holds m distances.  F_row is
-    constant on each interval [x_i, x_(i+1)) between its own breakpoints,
-    and on the two tails, while F_ref is monotone there.  So |F_row - F_ref|
-    on each such interval is largest at one of its ends: the value at the
-    left end or the left limit at the right end.  Checking the value and
-    the left limit at the row's points alone is therefore exact, whichever
-    sample is larger.
+    ``rows`` is a non-empty (m, n) array, else :class:`ShapeError`, whose
+    rows are ascending with no NaN, else :class:`InvalidLoss` naming the
+    row and the first NaN or the first value below its predecessor (equal
+    values, -0.0 beside 0.0 too, are ascending).  The result holds m
+    distances.  F_row is constant on each interval [x_i, x_(i+1)) between
+    its own breakpoints, and on the two tails, while F_ref is monotone
+    there.  So |F_row - F_ref| on each such interval is largest at one of
+    its ends: the value at the left end or the left limit at the right end.
+    Checking the value and the left limit at the row's points alone is
+    therefore exact, whichever sample is larger.
 
     No absolute value is needed either: the result is the larger of
     max(F_row(x) - F_ref(x)) and max(F_ref(x-) - F_row(x-)) over the row's
@@ -254,13 +257,13 @@ def sup_norm_distances(rows: np.ndarray, reference: EmpiricalCDF) -> np.ndarray:
     differences, by the same monotone rounding.  Only the points whose
     upper bound exceeds the best lower bound in their row are searched.
     The others keep their lower bounds, none above the row's maximum; if
-    one of them attains it, the best lower bound already equals it.  Each
-    search is on the left, and on the right only for points equal to a
-    reference value.  Cost: O(m n) per call plus O(c log N) for the c
-    points searched in a reference of N points, with O(m n) working
-    memory.  The reference builds its index on its first call, in O(N):
-    less than the sort that made it.  Rows of another dtype are widened
-    to float64 first, so they are bucketed as the index was built.
+    one of them attains it, the best lower bound already equals it.  A
+    point searched gets a left search, for F_ref(x-), and a right one, for
+    F_ref(x).  Cost: O(m n) per call plus O(c log N) for the c points
+    searched in a reference of N points, with O(m n) working memory.  The
+    reference builds its index on its first call, in O(N): less than the
+    sort that made it.  Rows of another dtype are widened to float64
+    first, so they are bucketed as the index was built.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.size == 0:
@@ -269,6 +272,13 @@ def sup_norm_distances(rows: np.ndarray, reference: EmpiricalCDF) -> np.ndarray:
         r, i = np.argwhere(np.isnan(rows))[0]
         raise InvalidLoss(f"KS rows must not be NaN: row {r} has a NaN at position {i}")
     m, n = rows.shape
+    flat = rows.ravel()
+    descent = flat[1:] < flat[:-1]
+    descent[n - 1::n] = False  # the pairs that span two rows
+    if descent.any():
+        r, i = divmod(int(descent.argmax()) + 1, n)
+        raise InvalidLoss(f"KS rows must be ascending: row {r} has {rows[r, i]} at position "
+                          f"{i}, below {rows[r, i - 1]} at position {i - 1}")
     ref = reference.values
     value_level = np.arange(1, n + 1) / n  # F_row(x_i) at the run's last point
     left_level = np.arange(n) / n  # F_row(x_i-) at the run's first point
@@ -292,9 +302,7 @@ def _one_sided_max(ref: np.ndarray, x: np.ndarray, value_level: np.ndarray,
     """max(value_level - F_ref(x), F_ref(x-) - left_level) at each point x,
     with F_ref the step CDF of the sorted sample ``ref``."""
     below = np.searchsorted(ref, x, side="left")
-    at_most = below.copy()
-    hit = ref.take(below, mode="clip") == x
-    at_most[hit] = np.searchsorted(ref, x[hit], side="right")
+    at_most = np.searchsorted(ref, x, side="right")
     value_side = value_level - at_most / ref.shape[0]
     return np.maximum(value_side, below / ref.shape[0] - left_level, out=value_side)
 

@@ -112,7 +112,7 @@ def parameter_count(architecture: str, input_dim: int, hidden: tuple[int, ...] =
     return sum(dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossModel:
     """A parameter vector plus an architecture tag.
 

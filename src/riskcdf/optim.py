@@ -79,7 +79,7 @@ def _positive_beta(beta: float) -> float:
     return float(beta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainTrace:
     """Per-iteration training record.
 

@@ -87,9 +87,12 @@ def permutation_sorts(perm: Sequence[int], ranks: Sequence[int]) -> bool:
     return all(ranks[perm[i]] <= ranks[perm[i + 1]] for i in range(len(perm) - 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossMatrix:
-    """One loss vector per hypothesis, evaluated on a shared dataset."""
+    """One loss vector per hypothesis, evaluated on a shared dataset.
+
+    ``rows`` is held as a read-only float64 view; the caller's array stays
+    writable."""
 
     rows: np.ndarray = field(repr=False)
 
@@ -99,6 +102,8 @@ class LossMatrix:
             raise FormatError("loss matrix must be 2-D and non-empty")
         if not np.all(np.isfinite(arr)):
             raise InvalidLoss("loss matrix entries must be finite")
+        arr = arr.view()
+        arr.flags.writeable = False
         object.__setattr__(self, "rows", arr)
 
     @property
@@ -193,8 +198,6 @@ def _greedy_cover(perms: np.ndarray, orders: np.ndarray) -> tuple[int, list[tupl
         if heap and key > heap[0]:
             heapq.heappush(heap, key)
             continue
-        if not mask & remaining:  # cannot happen: every order's own perm covers it
-            raise AssertionError("greedy cover stalled")
         chosen.append(perm)
         remaining &= ~mask
     return len(chosen), chosen
@@ -280,7 +283,7 @@ def exact_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
     return best_count, witnesses
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermComplexityEstimate:
     """Monte Carlo estimate of the expected permutation complexity."""
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -97,6 +98,13 @@ class TestEmpiricalCdfInvariant:
     def test_two_dimensional_rejected(self):
         with pytest.raises(ShapeError, match=r"1-D, got shape \(2, 2\)$"):
             EmpiricalCDF(np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+    def test_caller_array_stays_writable(self):
+        a = np.array([1.0, 2.0, 3.0])
+        cdf = EmpiricalCDF(a)
+        assert a.flags.writeable and not cdf.values.flags.writeable
+        with pytest.raises(ValueError):
+            cdf.values[0] = 0.0
 
     def test_signed_sorted_sample_keeps_its_distance(self):
         a = EmpiricalCDF(np.array([-2.0, -0.5, 0.0, 3.0]))
@@ -402,11 +410,15 @@ class TestBucketIndex:
             below[0] = 0.5
 
     def test_no_part_in_equality_or_repr(self):
+        # A CDF compares by identity, so the index shows in no comparison; a
+        # copy made by dataclasses.replace starts without one.
         a = build_cdf(np.arange(1000.0))
         b = EmpiricalCDF(a.values)
         a._buckets()
-        assert b._index is None and a._index is not None
-        assert a == b and repr(a) == repr(b)
+        c = dataclasses.replace(a)
+        assert b._index is None and c._index is None and a._index is not None
+        assert np.array_equal(c.values, a.values)
+        assert repr(a) == repr(b) == repr(c) == "EmpiricalCDF()"
 
     def test_counts_each_bucket(self):
         values = np.sort(np.random.default_rng(2).exponential(size=5000))
@@ -426,6 +438,28 @@ class TestSupNormRejectsNaN:
         message = f"KS rows must not be NaN: row {row} has a NaN at position {position}"
         with pytest.raises(InvalidLoss, match=f"^{re.escape(message)}$"):
             sup_norm_distances(np.array(rows), EmpiricalCDF(np.arange(float(big))))
+
+
+class TestSupNormRejectsDescent:
+    @pytest.mark.parametrize("big", [10, 1000])
+    @pytest.mark.parametrize("rows, row, position", [
+        ([[9.0, 0.0]], 0, 1),
+        ([[0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 1.0, 3.0]], 1, 2),
+    ], ids=["two-points", "mid-row"])
+    def test_names_the_row(self, rows, row, position, big):
+        below, above = rows[row][position], rows[row][position - 1]
+        message = (f"KS rows must be ascending: row {row} has {below} at position "
+                   f"{position}, below {above} at position {position - 1}")
+        with pytest.raises(InvalidLoss, match=f"^{re.escape(message)}$"):
+            sup_norm_distances(np.array(rows), EmpiricalCDF(np.arange(float(big))))
+
+    @pytest.mark.parametrize("big", [10, 1000])
+    def test_equal_values_pass(self, big):
+        rows = np.array([[-0.0, 0.0, 0.0, 3.0], [0.0, -0.0, 3.0, 3.0]])
+        ref = np.arange(float(big))
+        expected = [brute_force_ks(row, ref) for row in rows]
+        assert np.allclose(sup_norm_distances(rows, EmpiricalCDF(ref)), expected,
+                           rtol=0, atol=1e-12)
 
 
 class TestWasserstein:

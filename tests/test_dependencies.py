@@ -3,7 +3,7 @@ a fresh interpreter where importing scipy fails.  It reads nothing from the
 process environment: every flag value comes from the command line.  One
 function writes its JSON and one its CSV.  Its lower layers (CDFs,
 certificates, permutation complexity) import none of the layers built on
-them."""
+them.  Its dataclasses that hold arrays compare and hash by identity."""
 
 import argparse
 import ast
@@ -14,9 +14,16 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import riskcdf
-from riskcdf.bounds import CERTIFICATE_METHODS
+from riskcdf.bounds import CERTIFICATE_METHODS, MonteCarloEnResult
+from riskcdf.cdf import build_cdf
 from riskcdf.cli import _RETIRED, build_parser
+from riskcdf.models import init_model
+from riskcdf.optim import TrainTrace
+from riskcdf.permcomplexity import LossMatrix, PermComplexityEstimate
 
 SRC = str(Path(riskcdf.__file__).resolve().parents[1])
 
@@ -560,3 +567,69 @@ def test_retired_flags_are_not_defined():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     for command, retired in _RETIRED.items():
         assert not {a.dest for a in sub.choices[command]._actions} & set(retired), command
+
+
+def array_holders(source: str) -> dict[str, bool]:
+    """Each ``@dataclass`` class of ``source`` with a field whose annotation
+    names ``np.ndarray``, and whether its decorator passes ``eq=False``."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or not any(
+                isinstance(field, ast.AnnAssign) and "np.ndarray" in ast.unparse(field.annotation)
+                for field in node.body):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            if ast.unparse(call.func if call else decorator) in ("dataclass",
+                                                                 "dataclasses.dataclass"):
+                found[node.name] = call is not None and any(
+                    k.arg == "eq" and isinstance(k.value, ast.Constant) and k.value.value is False
+                    for k in call.keywords)
+    return found
+
+
+ARRAY_HOLDERS = {
+    "EmpiricalCDF": lambda: build_cdf([1.0, 2.0]),
+    "LossModel": lambda: init_model("logistic_crossentropy", 2, seed=0),
+    "LossMatrix": lambda: LossMatrix(np.ones((2, 3))),
+    "MonteCarloEnResult": lambda: MonteCarloEnResult(values=np.zeros(3)),
+    "TrainTrace": lambda: TrainTrace(risk=np.zeros(2), grad_norm=np.zeros(2), snapshots=()),
+    "PermComplexityEstimate": lambda: PermComplexityEstimate(values=np.ones(2),
+                                                             solvers=("exact", "exact")),
+}
+
+
+def test_array_holders_compare_by_identity():
+    """Every riskcdf dataclass that holds an array passes ``eq=False``: a
+    generated ``__eq__`` compares the arrays, so ``==`` raises on two equal
+    samples, and the class is left unhashable."""
+    assert array_holders(textwrap.dedent("""
+        @dataclass(frozen=True)
+        class A:
+            x: np.ndarray
+        @dataclasses.dataclass
+        class B:
+            y: tuple[tuple[int, np.ndarray], ...] = ()
+        @dataclass(frozen=True, eq=False)
+        class C:
+            x: np.ndarray = field(repr=False)
+        @dataclass(frozen=True)
+        class D:
+            x: float
+        class E:
+            x: np.ndarray
+    """)) == {"A": False, "B": False, "C": True}
+    found = {}
+    for p in sorted(Path(SRC, "riskcdf").glob("*.py")):
+        found.update(array_holders(p.read_text()))
+    assert set(ARRAY_HOLDERS) <= set(found)
+    assert [name for name, identity in found.items() if not identity] == []
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDERS)
+def test_array_holders_hash_and_compare(name):
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert type(a).__name__ == name
+    assert a == a and not a != a and hash(a) == hash(a)
+    assert a != b and not a == b
+    assert len({a, b, a}) == 2 and a in {a} and b not in {a}

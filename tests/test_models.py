@@ -251,6 +251,11 @@ class TestCheckpointRoundTrip:
         assert not np.array_equal(a.params, c.params)
         assert np.all(np.abs(a.params) <= 0.5)
 
+    def test_caller_array_stays_writable(self):
+        source = np.zeros(2)
+        model = LossModel("logistic_crossentropy", params=source, input_dim=2)
+        assert source.flags.writeable and not model.params.flags.writeable
+
     def test_with_params_rebinds_a_read_only_copy(self):
         class Tagged(LossModel):
             pass

@@ -364,6 +364,19 @@ class TestGreedySolver:
             w = weak_order(row)
             assert any(permutation_sorts(p, w) for p in witnesses)
 
+    @given(st.integers(min_value=1, max_value=200), st.integers(min_value=1, max_value=12),
+           st.booleans(), st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_witnesses_sort_every_row(self, n_rows, n_pts, ties, seed):
+        rng = np.random.default_rng(seed)
+        rows = (rng.integers(0, 3, size=(n_rows, n_pts)).astype(float) if ties
+                else rng.uniform(size=(n_rows, n_pts)))
+        count, witnesses = greedy_min_permutations(LossMatrix(rows))
+        distinct = {tuple(np.unique(row, return_inverse=True)[1]) for row in rows}
+        assert count == len(witnesses) <= len(distinct)
+        along = rows[:, np.array(witnesses)]  # (row, witness, position)
+        assert np.all(np.any(np.all(np.diff(along, axis=2) >= 0, axis=2), axis=1))
+
     def test_large_n_peak_memory(self):
         # At this size ranks are gathered eight orders at a time, O(rows * n);
         # the exact solver's table over the (a, b) pairs would take n^2 bits
@@ -495,6 +508,15 @@ class TestMonteCarlo:
         fns = [lambda X, y: X[:, 0], lambda X, y: X[1:, 0]]
         with pytest.raises(ShapeError, match=r"^loss function 1 returned 4 losses for 5 rows$"):
             monte_carlo_permutation_complexity(fns, _scalar_sampler, n=5, reps=2, seed=1)
+
+
+class TestLossMatrix:
+    def test_caller_array_stays_writable(self):
+        rows = np.ones((2, 3))
+        m = LossMatrix(rows)
+        assert rows.flags.writeable and not m.rows.flags.writeable
+        with pytest.raises(ValueError):
+            m.rows[0, 0] = np.nan
 
 
 class TestCsvIngestion:
