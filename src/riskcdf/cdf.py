@@ -91,12 +91,12 @@ def _bucket_index(values: np.ndarray) -> _Buckets:
 class EmpiricalCDF:
     """Sorted sample with step-function CDF semantics.
 
-    ``values`` must be 1-D and ascending with no NaN: else :class:`ShapeError`,
-    or :class:`InvalidLoss` naming the first bad position.  The CDF holds a
-    read-only view of them, float64, and leaves the caller's array writable.
-    :func:`build_cdf` builds one from nonnegative losses; a signed sample, for
-    the distances alone, gets one as ``EmpiricalCDF(np.sort(x))``.  An empty
-    sample raises :class:`EmptySample`.
+    ``values`` may be any 1-D sample with no NaN, in any order, else
+    :class:`ShapeError` or :class:`InvalidLoss` naming the first NaN.  The CDF
+    holds its own sorted, read-only float64 copy, so a later write to the
+    caller's array changes nothing here.  :func:`build_cdf` builds one from
+    nonnegative losses; a signed sample gets one for the distances alone.  An
+    empty sample raises :class:`EmptySample`.
     """
 
     values: np.ndarray = field(repr=False)
@@ -108,17 +108,12 @@ class EmpiricalCDF:
             raise EmptySample("loss sample is empty")
         if values.ndim != 1:
             raise ShapeError(f"a CDF sample must be 1-D, got shape {values.shape}")
-        nan = np.isnan(values)
-        if nan.any():
-            raise InvalidLoss(f"CDF sample values must not be NaN: values[{nan.argmax()}] is NaN")
-        decrease = values[1:] < values[:-1]
-        if decrease.any():
-            i = int(decrease.argmax()) + 1
-            raise InvalidLoss(f"CDF sample values must be ascending: values[{i}] = {values[i]} "
-                              f"is below values[{i - 1}] = {values[i - 1]}")
-        values = values.view()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        ordered = np.sort(values)
+        if np.isnan(ordered[-1]):  # NaN sorts last
+            raise InvalidLoss("CDF sample values must not be NaN: "
+                              f"values[{np.isnan(values).argmax()}] is NaN")
+        ordered.flags.writeable = False
+        object.__setattr__(self, "values", ordered)
 
     @property
     def n(self) -> int:
@@ -139,9 +134,11 @@ class EmpiricalCDF:
         return float(out) if np.isscalar(r) else out
 
     def breakpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unique jump locations, 0.0 never written -0.0, and the CDF value attained at each."""
-        pts = np.unique(self.values) + 0.0
-        return pts, self.eval(pts)
+        """Unique jump locations, 0.0 never written -0.0, and the CDF value attained at each:
+        the last of each run of equal values (-0.0 equals 0.0), and its position + 1 over n."""
+        v = self.values
+        last = np.flatnonzero(np.append(v[1:] != v[:-1], True))
+        return v[last] + 0.0, (last + 1) / self.n
 
     @property
     def min(self) -> float:
@@ -153,7 +150,7 @@ class EmpiricalCDF:
 
 
 def build_cdf(losses) -> EmpiricalCDF:
-    """Build the empirical CDF of a nonnegative loss sample.
+    """Build the empirical CDF of a nonnegative loss sample, in any order.
 
     Raises
     ------
@@ -166,7 +163,7 @@ def build_cdf(losses) -> EmpiricalCDF:
         arr = np.asarray(losses, dtype=np.float64).ravel()
     except (TypeError, ValueError):
         raise InvalidLoss("losses must be an array of numbers, all rows of one length") from None
-    return EmpiricalCDF(np.sort(_check_losses(arr)))
+    return EmpiricalCDF(_check_losses(arr))
 
 
 def _check_losses(losses: np.ndarray) -> np.ndarray:
@@ -207,9 +204,9 @@ def _support_bound(smallest: float, largest: float, support_bound: float | None)
 def sup_norm_distance(a: EmpiricalCDF, b: EmpiricalCDF) -> float:
     """Exact Kolmogorov-Smirnov distance between two step CDFs.
 
-    The one-row case of :func:`sup_norm_distances`, run on the sample with
-    fewer points, n, against the larger, of N: O(n + c log N), plus O(N) for
-    the larger sample's bucket index the first time it is a reference.
+    The one-row case of :func:`sup_norm_distances`: the sorted values of the
+    sample with fewer points, n, are the row, against the larger, of N:
+    O(n + c log N), plus O(N) to index the larger the first time it is a reference.
     """
     if a.n > b.n:
         a, b = b, a

@@ -80,14 +80,33 @@ class TestBuildCdf:
 
 
 class TestEmpiricalCdfInvariant:
-    """An EmpiricalCDF holds a 1-D, ascending, NaN-free sample; anything else
-    is a data error (exit code 3) that names where the sample goes wrong."""
+    """An EmpiricalCDF holds a sorted, read-only copy of a 1-D, NaN-free
+    sample; anything else is a data error (exit code 3) that names where the
+    sample goes wrong."""
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(InvalidLoss, match=r"values\[1\] = 1.0 is below values\[0\] = 3.0$"):
-            EmpiricalCDF(np.array([3.0, 1.0, 2.0]))
-        with pytest.raises(InvalidLoss, match=r"values\[3\] = 1.5 is below values\[2\] = 2.0$"):
-            EmpiricalCDF(np.array([1.0, 2.0, 2.0, 1.5]))
+    def test_unsorted_sample_is_sorted_into_a_copy(self):
+        rng = np.random.default_rng(12)
+        sample = rng.integers(0, 9, 200) * rng.choice([-1.0, -0.0, 0.0, 0.5], 200)
+        before = sample.copy()
+        cdf, ordered = EmpiricalCDF(sample), EmpiricalCDF(np.sort(sample))
+        assert sample.tobytes() == before.tobytes()
+        assert np.array_equal(cdf.values, ordered.values)  # -0.0 and 0.0 may swap
+        for got, want in zip(cdf.breakpoints(), ordered.breakpoints()):
+            assert got.tobytes() == want.tobytes()
+        rows = np.sort(rng.integers(-8, 9, (5, 40)) * 0.5, axis=1)
+        assert np.array_equal(sup_norm_distances(rows, cdf), sup_norm_distances(rows, ordered))
+
+    def test_caller_writes_leave_the_cdf_and_its_index_alone(self):
+        # A write to the caller's array after a KS call reaches neither the
+        # values nor the bucket index that call cached.
+        rng = np.random.default_rng(13)
+        sample = np.sort(rng.exponential(size=1000))
+        rows = np.sort(rng.exponential(size=(2, 50)), axis=1)
+        cdf = EmpiricalCDF(sample)
+        sup_norm_distances(rows, cdf)
+        sample *= 3.0
+        assert np.array_equal(sup_norm_distances(rows, cdf),
+                              sup_norm_distances(rows, EmpiricalCDF(sample / 3.0)))
 
     @pytest.mark.parametrize("values, position", [([np.nan], 0), ([1.0, np.nan, 2.0], 1),
                                                   ([1.0, 2.0, np.nan], 2)])
@@ -550,6 +569,19 @@ class TestBreakpoints:
             cdf = build_cdf(rng.integers(0, int(rng.integers(1, 8)), n) * rng.uniform(0.1, 3.0))
             points, levels = cdf.breakpoints()
             unique = np.unique(cdf.values)
+            assert points.tobytes() == unique.tobytes()
+            assert levels.tobytes() == cdf.eval(unique).tobytes()
+
+    def test_signed_samples_match_the_unique_values_oracle(self):
+        """Run ends give the bits of the sorted unique values plus 0.0 and of
+        the CDF there, with ties, +-0.0 and +-inf in any order."""
+        rng = np.random.default_rng(14)
+        atoms = np.array([-np.inf, -2.5, -0.0, 0.0, 0.0, 1.0, 3.0, np.inf])
+        for _ in range(1000):
+            sample = rng.choice(atoms[:int(rng.integers(1, 9))], int(rng.integers(1, 40)))
+            cdf = EmpiricalCDF(sample)
+            points, levels = cdf.breakpoints()
+            unique = np.unique(cdf.values) + 0.0
             assert points.tobytes() == unique.tobytes()
             assert levels.tobytes() == cdf.eval(unique).tobytes()
 
