@@ -116,8 +116,9 @@ def parameter_count(architecture: str, input_dim: int, hidden: tuple[int, ...] =
 class LossModel:
     """A parameter vector plus an architecture tag.
 
-    Immutable.  Construction checks the architecture and the parameter
-    count; :meth:`with_params` binds a new parameter vector of the same
+    Immutable: :attr:`params` is a read-only float64 copy of the vector
+    given.  Construction checks the architecture and the parameter count;
+    :meth:`with_params` binds a new parameter vector of the same
     shape without checking them again, which is all a training step does
     to the model.
     """
@@ -129,14 +130,14 @@ class LossModel:
 
     def __post_init__(self):
         expected = parameter_count(self.architecture, self.input_dim, self.hidden)
-        arr = np.asarray(self.params, dtype=np.float64).ravel()
+        arr = np.array(self.params, dtype=np.float64).ravel()
         if arr.shape[0] != expected:
             raise ShapeError(
                 f"{self.architecture}: expected {expected} parameters, got {arr.shape[0]}"
             )
+        arr.flags.writeable = False
         object.__setattr__(self, "params", arr)
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        self.params.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -320,10 +321,14 @@ class LossModel:
 
 def init_model(architecture: str, input_dim: int, hidden: tuple[int, ...] = (),
                seed: int = 0) -> LossModel:
-    """Fresh model with parameters uniform on [-0.5, 0.5] from the seed."""
+    """Fresh model with parameters uniform on [-0.5, 0.5] from the seed; a
+    parameter vector numpy cannot hold raises :class:`ConfigError`."""
     count = parameter_count(architecture, input_dim, hidden)
     rng = rng_from(seed, "init", architecture)
-    params = rng.random(count) - 0.5
+    try:
+        params = rng.random(count) - 0.5
+    except (MemoryError, ValueError):
+        raise ConfigError(f"{architecture}: cannot hold {count} parameters in memory") from None
     return LossModel(architecture=architecture, params=params,
                      input_dim=int(input_dim), hidden=tuple(hidden))
 

@@ -91,18 +91,17 @@ def permutation_sorts(perm: Sequence[int], ranks: Sequence[int]) -> bool:
 class LossMatrix:
     """One loss vector per hypothesis, evaluated on a shared dataset.
 
-    ``rows`` is held as a read-only float64 view; the caller's array stays
-    writable."""
+    ``rows`` is held as a read-only float64 copy, so a later write to the
+    caller's array changes nothing here."""
 
     rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.rows, dtype=np.float64)
+        arr = np.array(self.rows, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:
             raise FormatError("loss matrix must be 2-D and non-empty")
         if not np.all(np.isfinite(arr)):
             raise InvalidLoss("loss matrix entries must be finite")
-        arr = arr.view()
         arr.flags.writeable = False
         object.__setattr__(self, "rows", arr)
 

@@ -11,7 +11,7 @@ import pytest
 
 from riskcdf.bounds import CERTIFICATE_METHODS
 from riskcdf.cdf import build_cdf
-from riskcdf.cli import _write_json, build_parser, main
+from riskcdf.cli import RUNNERS, _write_json, build_parser, main
 from riskcdf.data import save_dataset_csv, toy_blobs
 from riskcdf.errors import NumericError
 from riskcdf.models import init_model
@@ -522,6 +522,17 @@ class TestCmdTrain:
                     "--risk", "mean", "--eta", 50, "--iters", 200,
                     "--out", tmp_path / "x"]) == 4
 
+    def test_non_finite_loss_diverges(self, tmp_path, capsys):
+        # The first step moves the weight to about 1e308, where the next
+        # iteration's squared residual overflows to inf.
+        src = tmp_path / "ds.csv"
+        src.write_text("a,label\n1,0\n1,0\n")
+        out = tmp_path / "x"
+        assert run(["train", "--input", src, "--arch", "linear_squared", "--eta", "1e308",
+                    "--out", out]) == 4
+        assert capsys.readouterr().err == "riskcdf: error: non-finite loss at iteration 2\n"
+        assert (out / "trace.csv").read_text().count("\n") == 2  # header and iteration 1
+
     def test_divergence_keeps_partial_trace(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert run(["train", "--arch", "linear_squared", "--eta", 1e6, "--iters", 50,
@@ -715,6 +726,16 @@ class TestManifestRerun:
         assert run(["rerun", "--manifest", out_a / "manifest.json",
                     "--out", tmp_path / "b"]) == 2
 
+    def test_missing_recorded_input_is_config_error(self, tmp_path, capsys):
+        src = tmp_path / "l.csv"
+        write_losses(src, [3, 1, 4])
+        assert run(["cdf", "--input", src, "--out", tmp_path / "a"]) == 0
+        src.unlink()
+        manifest = tmp_path / "a" / "manifest.json"
+        assert run(["rerun", "--manifest", manifest, "--out", tmp_path / "b"]) == 2
+        assert capsys.readouterr().err == (
+            f"riskcdf: error: {manifest}: recorded input {src} is missing\n")
+
     @pytest.mark.parametrize("prefix, table, edited", [
         ("distortion-file", "t,g\n0,0\n0.5,0.8\n1,1\n", "t,g\n0,0\n0.5,0.2\n1,1\n"),
         ("spectral-file", "u,h\n0,0.5\n1,1.5\n", "u,h\n0,0\n0.5,1\n1,2\n"),
@@ -889,6 +910,12 @@ HUGE = "1" + "0" * 400  # a count no float holds
 # is not used: under memory overcommit it may allocate and then run.)
 ITERS_1E18 = "1" + "0" * 18
 ITERS_1E19 = "1" + "0" * 19
+# Widths whose parameter vector no machine holds: 1e14 float64s are 728 TiB,
+# more than a 48-bit address space maps, and 1e19 exceeds numpy's largest
+# dimension, so neither is ever partly allocated.
+WIDTH_1E14 = "1" + "0" * 14
+WIDTH_1E19 = ITERS_1E19
+LOGISTIC = "logistic_crossentropy"  # gradcheck's default architecture
 DATASETS = {"NAN_DATASET": "a,b,label\n1,2,0\n3,nan,1\n",
             "LABEL_DATASET": "a,b,label\n1,2,0\n3,4,2\n",
             "NAN_LOSSES": "1\n2\n\nnan\n",
@@ -896,7 +923,9 @@ DATASETS = {"NAN_DATASET": "a,b,label\n1,2,0\n3,nan,1\n",
             "NAN_MATRIX": "1,2,3\n4,nan,6\n",
             "REPEATED_NAME_TABLE": "m,m\n1,5\n2,6\n",
             "HUGE_LOSSES": "1e200\n1\n",
-            "HUGE_TABLE": "m\n1e200\n1\n"}
+            "HUGE_TABLE": "m\n1e200\n1\n",
+            "THREE_COLUMNS": "1,2,3\n4,5,6\n",
+            "HEADERLESS_DATASET": "1,2,0\n3,4,1\n"}
 
 # (case, argv, manifest text for MANIFEST or None, exit code)
 REJECTIONS = [
@@ -976,16 +1005,34 @@ REJECTIONS = [
      None, 2),
     ("train-spectrum-narrow-negative-dip", ["train", "--risk", "DIP_H", "--eta", 0.1,
                                             "--iters", 3], None, 2),
+    ("cdf-input-three-columns", ["cdf", "--input", "THREE_COLUMNS"], None, 3),
+    ("assess-distortion-three-columns", ["assess", "--input", "TABLE", "--risk", "WIDE_G"],
+     None, 3),
+    ("assess-spectrum-one-row", ["assess", "--input", "TABLE", "--risk", "SHORT_H"], None, 3),
+    ("train-input-label-index-out-of-range", ["train", "--input", "HEADERLESS_DATASET",
+                                              "--label-column", 5, "--eta", 0.1, "--iters", 3],
+     None, 3),
+    ("train-hidden-not-integer", ["train", "--arch", "mlp_tanh", "--hidden", "8,x", "--eta", 0.1,
+                                  "--iters", 3], None, 2),
+    ("gradcheck-input-dim-1e14", ["gradcheck", "--input-dim", WIDTH_1E14], None, 2),
+    ("gradcheck-input-dim-1e19", ["gradcheck", "--input-dim", WIDTH_1E19], None, 2),
+    ("train-hidden-1e14", ["train", "--arch", "mlp_tanh", "--hidden", WIDTH_1E14, "--eta", 0.1,
+                           "--iters", 3], None, 2),
+    ("train-hidden-1e19", ["train", "--arch", "mlp_tanh", "--hidden", WIDTH_1E19, "--eta", 0.1,
+                           "--iters", 3], None, 2),
 ]
 
-# Tables valid except on a piece too narrow for a 10,001-point grid: g falls
-# from 0.6 to 0.2 within 1e-5, and h dips to -c within 2e-7 (c keeps the
-# integral at 1).
+# DIP_G and DIP_H are tables valid except on a piece too narrow for a
+# 10,001-point grid: g falls from 0.6 to 0.2 within 1e-5, and h dips to -c
+# within 2e-7 (c keeps the integral at 1).  WIDE_G has three columns and
+# SHORT_H one row.
 C_DIP = 1.0 / (1.0 - 2e-7)
-DIP_TABLES = {
+RISK_TABLES = {
     "DIP_G": ("distortion-file", "t,g\n0,0\n0.50001,0.6\n0.50002,0.2\n0.50003,0.6\n1,1\n"),
     "DIP_H": ("spectral-file", f"u,h\n0,{C_DIP!r}\n0.5,{C_DIP!r}\n0.5000001,{-C_DIP!r}\n"
                                f"0.5000002,{C_DIP!r}\n1,{C_DIP!r}\n"),
+    "WIDE_G": ("distortion-file", "t,g,h\n0,0,0\n1,1,1\n"),
+    "SHORT_H": ("spectral-file", "u,h\n0,1\n"),
 }
 
 
@@ -1003,7 +1050,7 @@ class TestRejections:
         table = tmp_path / "table.csv"
         write_table(table, ["m"], [np.array([1.0, 2.0])])
         files = {"MANIFEST": path, "TABLE": table}
-        for key, (head, text) in DIP_TABLES.items():
+        for key, (head, text) in RISK_TABLES.items():
             (tmp_path / key).write_text(text)
             files[key] = f"{head}:{tmp_path / key}"
         for key, text in DATASETS.items():
@@ -1055,6 +1102,33 @@ class TestRejections:
         assert run(["train", "--eta", 0.1, "--iters", iters, "--out", tmp_path / "o"]) == 2
         assert capsys.readouterr().err == (
             f"riskcdf: error: cannot hold the trace of {iters} iterations in memory\n")
+
+    @pytest.mark.parametrize("argv, model", [
+        (["gradcheck", "--input-dim", WIDTH_1E14], f"{LOGISTIC}: cannot hold {WIDTH_1E14}"),
+        (["gradcheck", "--input-dim", WIDTH_1E19], f"{LOGISTIC}: cannot hold {WIDTH_1E19}"),
+        (["train", "--arch", "mlp_tanh", "--hidden", WIDTH_1E14, "--eta", 0.1],
+         f"mlp_tanh: cannot hold {4 * 10 ** 14 + 1}"),
+        (["train", "--arch", "mlp_tanh", "--hidden", WIDTH_1E19, "--eta", 0.1],
+         f"mlp_tanh: cannot hold {4 * 10 ** 19 + 1}"),
+    ], ids=["gradcheck-1e14", "gradcheck-1e19", "train-1e14", "train-1e19"])
+    def test_parameter_count_beyond_memory_is_named(self, tmp_path, capsys, argv, model):
+        assert run([*argv, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == f"riskcdf: error: {model} parameters in memory\n"
+
+    def test_other_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(params, out_dir):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setitem(RUNNERS, "bound", exhausted)
+        assert run(["bound", "--method", "vc_sauer", "--n", 10, "--nu", 3,
+                    "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            "riskcdf: error: out of memory: Unable to allocate 8.00 EiB\n")
+
+    def test_unreadable_input_is_data_error(self, tmp_path, capsys):
+        assert run(["cdf", "--input", tmp_path, "--out", tmp_path / "o"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"riskcdf: error: cannot read input {tmp_path}: ")
 
     @pytest.mark.parametrize("command, key, where", [
         ("cdf", "NAN_LOSSES", "row 4, column 1"),

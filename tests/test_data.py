@@ -101,6 +101,14 @@ class TestDatasetCsv:
         X, y = load_dataset_csv(path, label_column=label)
         assert X.tolist() == [[1.0, 2.0], [3.0, 4.0]] and y.tolist() == [0.0, 1.0]
 
+    @pytest.mark.parametrize("label", [3, "7"], ids=["int", "text"])
+    def test_headerless_label_index_out_of_range(self, tmp_path, label):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2,0\n3,4,1\n")
+        want = f"{path}: label column index {label} out of range for width 3"
+        with pytest.raises(FormatError, match=f"^{re.escape(want)}$"):
+            load_dataset_csv(path, label_column=label)
+
     @pytest.mark.parametrize("label", ["label", "-1", "2.0"])
     def test_headerless_label_must_be_an_index(self, tmp_path, label):
         # All-number first rows are data, so no header names the label.

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -256,6 +257,39 @@ class TestCheckpointRoundTrip:
         model = LossModel("logistic_crossentropy", params=source, input_dim=2)
         assert source.flags.writeable and not model.params.flags.writeable
 
+    def test_caller_writes_leave_the_params_alone(self):
+        source = np.zeros(3)
+        model = LossModel("logistic_crossentropy", params=source, input_dim=3)
+        source[0] = np.nan
+        assert model.params.tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("field", ["architecture", "hyperparameters", "parameter_vector",
+                                       "input_dim"])
+    def test_missing_field_is_not_loaded(self, tmp_path, field):
+        hyper = {"input_dim": 2}
+        payload = {"architecture": "linear_squared", "hyperparameters": hyper,
+                   "parameter_vector": [0.5, 1.0]}
+        payload.pop(field, None)
+        hyper.pop(field, None)
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: missing checkpoint "
+                                              f"field: '{field}'$"):
+            load_checkpoint(path)
+
+    # The smallest vector here is 1e14 float64s, 728 TiB, more than a 48-bit
+    # address space maps, so none is ever partly allocated.
+    @pytest.mark.parametrize("arch, input_dim, hidden, count", [
+        ("logistic_crossentropy", 10 ** 14, (), 10 ** 14),
+        ("linear_squared", 10 ** 19, (), 10 ** 19),
+        ("mlp_tanh", 2, (10 ** 14,), 4 * 10 ** 14 + 1),
+    ])
+    def test_parameter_vector_beyond_memory_is_config_error(self, arch, input_dim, hidden,
+                                                           count):
+        want = f"^{arch}: cannot hold {count} parameters in memory$"
+        with pytest.raises(ConfigError, match=want):
+            init_model(arch, input_dim, hidden)
+
     def test_with_params_rebinds_a_read_only_copy(self):
         class Tagged(LossModel):
             pass
@@ -273,6 +307,14 @@ class TestCheckpointRoundTrip:
     def test_parameter_count(self):
         assert parameter_count("linear_squared", 7) == 7
         assert parameter_count("mlp_tanh", 3, (4, 2)) == (4 * 3 + 4) + (2 * 4 + 2) + (2 + 1)
+
+    def test_unknown_architecture_is_config_error(self):
+        with pytest.raises(ConfigError, match="^unknown architecture 'cnn'$"):
+            parameter_count("cnn", 2)
+
+    def test_wrong_parameter_count_is_shape_error(self):
+        with pytest.raises(ShapeError, match="^linear_squared: expected 3 parameters, got 2$"):
+            LossModel("linear_squared", params=np.zeros(2), input_dim=3)
 
     @pytest.mark.parametrize("arch, input_dim, hidden, match", [
         ("mlp_tanh", 2, (-3,), r"hidden widths must be integers >= 1, got \(-3,\)"),

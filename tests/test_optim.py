@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskcdf.cdf import build_cdf
-from riskcdf.errors import ConfigError, DataError, Diverged, InvalidLoss, ShapeError
+from riskcdf.errors import ConfigError, DataError, Diverged, EmptySample, InvalidLoss, ShapeError
 from riskcdf import optim
 from riskcdf.data import toy_blobs
 from riskcdf.models import (ARCHITECTURES, MAX_CROSSENTROPY_LOSS, LossModel, init_model,
@@ -404,6 +404,11 @@ class TestNoisyStep:
         w = standard_normal(rng_from(3, "step"), 3) / math.sqrt(3)
         assert out.tobytes() == (theta - 0.5 * (grad + w)).tobytes()
 
+    def test_mismatched_shapes_are_config_error(self):
+        want = r"^shape mismatch: theta \(3,\) vs gradient \(2,\)$"
+        with pytest.raises(ConfigError, match=want):
+            noisy_gd_step(np.zeros(3), np.zeros(2), 0.1, rng=rng_from(0, "x"))
+
     def test_noise_unit_mean_square(self):
         rng = rng_from(7, "noise_scale")
         d = 50
@@ -479,6 +484,13 @@ class TestTrain:
         model, X, y = random_problem("logistic_crossentropy", 6, n=40)
         train(model, X, y, make_spec(), 50, eta=0.01)
         assert rank_weight_calls == [40]
+
+    @pytest.mark.parametrize("entry", DATA_ENTRY_POINTS)
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_no_rows_is_empty_sample(self, arch, entry):
+        model = init_model(arch, 2, (3,) if arch == "mlp_tanh" else (), seed=0)
+        with pytest.raises(EmptySample, match="^no training examples$"):
+            DATA_ENTRY_POINTS[entry](model, np.ones((0, 2)), np.ones(0))
 
     @pytest.mark.parametrize("entry", DATA_ENTRY_POINTS)
     @pytest.mark.parametrize("arch", ["logistic_crossentropy", "mlp_tanh"])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskcdf.bounds import certificate
-from riskcdf.errors import ConfigError, InvalidLoss, ShapeError, TooLarge
+from riskcdf.errors import ConfigError, FormatError, InvalidLoss, ShapeError, TooLarge
 from riskcdf.permcomplexity import (
     LossMatrix,
     _cover_witnesses,
@@ -517,6 +517,20 @@ class TestLossMatrix:
         assert rows.flags.writeable and not m.rows.flags.writeable
         with pytest.raises(ValueError):
             m.rows[0, 0] = np.nan
+
+    def test_caller_writes_leave_the_rows_alone(self):
+        rows = np.ones((2, 3))
+        m = LossMatrix(rows)
+        rows[0, 0] = np.nan
+        assert m.rows.tolist() == [[1.0] * 3] * 2
+
+    @pytest.mark.parametrize("rows, error, match", [
+        ([1.0, 2.0, 3.0], FormatError, "^loss matrix must be 2-D and non-empty$"),
+        ([[1.0, np.nan], [2.0, 3.0]], InvalidLoss, "^loss matrix entries must be finite$"),
+    ], ids=["one-dimensional", "nan-entry"])
+    def test_rejected(self, rows, error, match):
+        with pytest.raises(error, match=match):
+            LossMatrix(np.array(rows))
 
 
 class TestCsvIngestion:

@@ -220,6 +220,14 @@ class TestDistortionRisk:
         )
 
 
+class TestRiskValue:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_numeric_error(self, value):
+        with pytest.raises(NumericError, match=f"^risk 'cvar' evaluated to {value}$") as err:
+            RiskValue(value, "cvar", 1.0)
+        assert err.value.exit_code == 4
+
+
 class TestRankWeightCache:
     """A spec keeps the read-only rank weights of the last sample size and
     ``lo``, their first nonzero rank, for every rank-weighted caller."""
@@ -1120,8 +1128,11 @@ class TestTableLoaders:
         (load_spectrum_csv, "0,2\n1,2\n", InvalidSpectrum, "must run from 0 to 1"),
         (load_distortion_csv, "t,g\n0,0\nnan,0.5\n1,1\n", FormatError, "strictly increasing"),
         (load_spectrum_csv, "u,h\n0,1\nnan,1\n1,1\n", FormatError, "strictly increasing"),
+        (load_distortion_csv, "0,0,0\n1,1,1\n", FormatError, "expected two columns, got 3$"),
+        (load_spectrum_csv, "u,h\n0,1\n", FormatError, "need at least two numeric rows$"),
     ], ids=["g-narrow-dip", "g-nan", "g-at-0", "g-at-1",
-            "h-narrow-negative-dip", "h-decreasing", "h-nan", "h-mass-2", "t-nan", "u-nan"])
+            "h-narrow-negative-dip", "h-decreasing", "h-nan", "h-mass-2", "t-nan", "u-nan",
+            "g-three-columns", "h-one-row"])
     def test_invalid_table_rejected_at_its_knots(self, tmp_path, load, table, error, match):
         path = tmp_path / "table.csv"
         path.write_text(table)
