@@ -134,11 +134,9 @@ class EmpiricalCDF:
         return float(out) if np.isscalar(r) else out
 
     def breakpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unique jump locations, 0.0 never written -0.0, and the CDF value attained at each:
-        the last of each run of equal values (-0.0 equals 0.0), and its position + 1 over n."""
-        v = self.values
-        last = np.flatnonzero(np.append(v[1:] != v[:-1], True))
-        return v[last] + 0.0, (last + 1) / self.n
+        """Unique jump locations, 0.0 never written -0.0, and the CDF value attained at each."""
+        pts = np.unique(self.values) + 0.0
+        return pts, self.eval(pts)
 
     @property
     def min(self) -> float:

@@ -411,9 +411,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 3
-    except MemoryError as exc:
-        print(f"{PROG}: error: out of memory: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -561,29 +561,24 @@ class TestCsvRoundTrip:
 
 class TestBreakpoints:
     def test_equal_to_unique_points_and_their_levels(self):
-        """Without -0.0 in the sample, adding 0.0 to the points changes no bit:
-        they are the sorted unique values and the levels the CDF there."""
+        """The points are the sorted unique values plus 0.0 and the levels the
+        CDF there, for nonnegative losses and for signed samples with ties,
+        +-0.0 and +-inf in any order."""
         rng = np.random.default_rng(11)
-        for _ in range(1000):
-            n = int(rng.integers(1, 60))
-            cdf = build_cdf(rng.integers(0, int(rng.integers(1, 8)), n) * rng.uniform(0.1, 3.0))
-            points, levels = cdf.breakpoints()
-            unique = np.unique(cdf.values)
-            assert points.tobytes() == unique.tobytes()
-            assert levels.tobytes() == cdf.eval(unique).tobytes()
-
-    def test_signed_samples_match_the_unique_values_oracle(self):
-        """Run ends give the bits of the sorted unique values plus 0.0 and of
-        the CDF there, with ties, +-0.0 and +-inf in any order."""
-        rng = np.random.default_rng(14)
         atoms = np.array([-np.inf, -2.5, -0.0, 0.0, 0.0, 1.0, 3.0, np.inf])
-        for _ in range(1000):
-            sample = rng.choice(atoms[:int(rng.integers(1, 9))], int(rng.integers(1, 40)))
-            cdf = EmpiricalCDF(sample)
-            points, levels = cdf.breakpoints()
-            unique = np.unique(cdf.values) + 0.0
-            assert points.tobytes() == unique.tobytes()
-            assert levels.tobytes() == cdf.eval(unique).tobytes()
+        samples = (
+            lambda: build_cdf(rng.integers(0, int(rng.integers(1, 8)), int(rng.integers(1, 60)))
+                              * rng.uniform(0.1, 3.0)),
+            lambda: EmpiricalCDF(rng.choice(atoms[:int(rng.integers(1, 9))],
+                                            int(rng.integers(1, 40)))),
+        )
+        for sample in samples:
+            for _ in range(1000):
+                cdf = sample()
+                points, levels = cdf.breakpoints()
+                unique = np.unique(cdf.values) + 0.0
+                assert points.tobytes() == unique.tobytes()
+                assert levels.tobytes() == cdf.eval(unique).tobytes()
 
     def test_negative_zero_is_written_as_zero_in_any_row_order(self, tmp_path):
         written = []

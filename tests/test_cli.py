@@ -11,7 +11,7 @@ import pytest
 
 from riskcdf.bounds import CERTIFICATE_METHODS
 from riskcdf.cdf import build_cdf
-from riskcdf.cli import RUNNERS, _write_json, build_parser, main
+from riskcdf.cli import _write_json, build_parser, main
 from riskcdf.data import save_dataset_csv, toy_blobs
 from riskcdf.errors import NumericError
 from riskcdf.models import init_model
@@ -1114,16 +1114,6 @@ class TestRejections:
     def test_parameter_count_beyond_memory_is_named(self, tmp_path, capsys, argv, model):
         assert run([*argv, "--out", tmp_path / "o"]) == 2
         assert capsys.readouterr().err == f"riskcdf: error: {model} parameters in memory\n"
-
-    def test_other_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch):
-        def exhausted(params, out_dir):
-            raise MemoryError("Unable to allocate 8.00 EiB")
-
-        monkeypatch.setitem(RUNNERS, "bound", exhausted)
-        assert run(["bound", "--method", "vc_sauer", "--n", 10, "--nu", 3,
-                    "--out", tmp_path / "o"]) == 2
-        assert capsys.readouterr().err == (
-            "riskcdf: error: out of memory: Unable to allocate 8.00 EiB\n")
 
     def test_unreadable_input_is_data_error(self, tmp_path, capsys):
         assert run(["cdf", "--input", tmp_path, "--out", tmp_path / "o"]) == 3
