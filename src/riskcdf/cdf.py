@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _check_loss_cells, _is_count, _write_csv, read_numeric_csv
+from .data import _check_loss_cells, _is_count, _is_real, _write_csv, read_numeric_csv
 from .errors import (EmptySample, FormatError, InvalidLoss, InvalidOrder, NumericError,
                      ShapeError, SupportViolation)
 
@@ -185,13 +185,15 @@ def _support_bound(smallest: float, largest: float, support_bound: float | None)
     is None the largest loss.
 
     This is the one [0, D] rule.  Every Holder constant riskcdf reports holds
-    for losses in [0, D] only, so a negative loss, or a D that is not finite or
-    is below the largest loss, raises :class:`SupportViolation`.
+    for losses in [0, D] only, so a negative loss, or a D that is not a finite
+    number or is below the largest loss, raises :class:`SupportViolation`.
     """
     if smallest < 0.0:
         raise SupportViolation(f"losses must be nonnegative, got {smallest}")
     if support_bound is None:
         return largest
+    if not _is_real(support_bound):
+        raise SupportViolation(f"support bound must be a finite number, got {support_bound!r}")
     d = float(support_bound)
     if not (math.isfinite(d) and d >= largest):
         raise SupportViolation(f"support bound {d} must be finite and at least the "

@@ -66,6 +66,7 @@ def _write_manifest(command: str, params: dict, out_dir: str, input_paths: list[
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    os.makedirs(out_dir, exist_ok=True)  # after the inputs are read: a bad one leaves no directory
     _write_json(manifest, os.path.join(out_dir, "manifest.json"))
 
 
@@ -205,11 +206,9 @@ def run_gradcheck(params: dict, out_dir: str) -> None:
         model = init_model(arch, dim, hidden, seed=trial_seed)
         rng = rng_from(trial_seed, "example")
         x = standard_normal(rng, dim)
-        if arch == "linear_squared":
-            y = float(standard_normal(rng, 1)[0])
-        else:
-            y = float(rng.random() < 0.5)
-        worst = max(worst, finite_difference_check(model, x, y, step=params["step"]))
+        y = float(standard_normal(rng, 1)[0] if arch == "linear_squared" else rng.random() < 0.5)
+        u = standard_normal(rng, model.dim)
+        worst = max(worst, finite_difference_check(model, x, y, u, step=params["step"]))
     payload = {
         "architecture": arch,
         "trials": params["trials"],
@@ -240,7 +239,6 @@ def _input_paths(params: dict) -> list[str]:
 
 
 def _execute(command: str, params: dict, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     _write_manifest(command, params, out_dir, _input_paths(params))
     RUNNERS[command](params, out_dir)
 
@@ -380,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="CSV, rows = hypotheses")
     p.add_argument("--mode", default="exact", choices=["exact", "greedy"])
 
-    p = sub.add_parser("gradcheck", help="finite-difference audit of loss gradients")
+    p = sub.add_parser("gradcheck", help="directional finite-difference audit of loss gradients")
     common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--arch", default="logistic_crossentropy", choices=ARCHITECTURES)

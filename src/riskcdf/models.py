@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _is_count, _write_json
+from .data import _is_count, _is_real, _write_json
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .seeds import rng_from
 
@@ -35,8 +35,6 @@ __all__ = [
     "LossModel",
     "parameter_count",
     "init_model",
-    "per_example_loss",
-    "per_example_gradient",
     "finite_difference_check",
     "relative_error",
     "save_checkpoint",
@@ -333,16 +331,6 @@ def init_model(architecture: str, input_dim: int, hidden: tuple[int, ...] = (),
                      input_dim=int(input_dim), hidden=tuple(hidden))
 
 
-def per_example_loss(model: LossModel, x, y: float) -> float:
-    """The loss of one example: feature vector ``x`` and label ``y``."""
-    return float(model.batch_losses([x], [y])[0])
-
-
-def per_example_gradient(model: LossModel, x, y: float) -> np.ndarray:
-    """The gradient of one example's loss, by the backward pass that training runs."""
-    return model.loss_and_vjp([x], [y])[1](slice(None), np.ones(1))
-
-
 def relative_error(a, b) -> float:
     """Max elementwise |a - b| scaled by max(1, |a|, |b|) over the arrays."""
     a = np.asarray(a, dtype=np.float64)
@@ -352,24 +340,30 @@ def relative_error(a, b) -> float:
     return float(np.max(np.abs(a - b), initial=0.0)) / scale
 
 
-def finite_difference_check(model: LossModel, x, y: float, step: float = 1e-6) -> float:
-    """Central-difference check of the analytic gradient of one example's
-    loss (features ``x``, label ``y``); returns the relative error
-    (unit-floored scale, see :func:`relative_error`); a step that overflows
-    the losses raises :class:`NumericError` naming it."""
-    if not (math.isfinite(step) and step > 0):
+def finite_difference_check(model: LossModel, x, y: float, direction,
+                            step: float = 1e-6) -> float:
+    """Central-difference check of one example's loss gradient (features
+    ``x``, label ``y``) along ``direction``: the :func:`relative_error` of the
+    gradient training backpropagates, dotted with the unit vector u of
+    ``direction``, against the central difference of the loss along u.  Three
+    model passes at any parameter count; a basis vector e_i checks coordinate
+    i alone.  A ``direction`` without :attr:`LossModel.dim` entries raises
+    :class:`ShapeError`, one without a finite nonzero norm :class:`ConfigError`,
+    and a step that overflows the losses :class:`NumericError` naming it."""
+    if not (_is_real(step) and math.isfinite(step) and step > 0):
         raise ConfigError(f"step must be finite and positive, got {step}")
-    grad = per_example_gradient(model, x, y)
-    fd = np.empty_like(grad)
-    base = model.params
+    u = np.asarray(direction, dtype=np.float64).ravel()
+    if u.shape != model.params.shape:
+        raise ShapeError(f"{model.architecture}: direction has {u.size} entries, not {model.dim}")
+    norm = np.linalg.norm(u)
+    if not (math.isfinite(norm) and norm > 0):
+        raise ConfigError(f"{model.architecture}: direction norm {norm:g} is not finite and > 0")
+    u = u / norm
+    slope = model.loss_and_vjp([x], [y])[1](slice(None), np.ones(1)) @ u
     with np.errstate(all="ignore"):  # a non-finite error is raised below, not warned
-        for i in range(base.shape[0]):
-            bump = np.zeros_like(base)
-            bump[i] = step
-            hi = per_example_loss(model.with_params(base + bump), x, y)
-            lo = per_example_loss(model.with_params(base - bump), x, y)
-            fd[i] = (hi - lo) / (2.0 * step)
-        error = relative_error(fd, grad)
+        hi = model.with_params(model.params + step * u).batch_losses([x], [y])[0]
+        lo = model.with_params(model.params - step * u).batch_losses([x], [y])[0]
+        error = relative_error((hi - lo) / (2.0 * step), slope)
     if not math.isfinite(error):
         raise NumericError(f"the finite-difference relative error is {error} at step {step:g}")
     return error

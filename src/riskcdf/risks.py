@@ -277,7 +277,8 @@ def cvar_spectrum(alpha: float) -> DistortionSpec:
 
 def oce_mean_spec(support_bound: float) -> OceSpec:
     """phi(x) = x: lambda cancels and the OCE reduces to the mean; L = D."""
-    return OceSpec(support_bound=support_bound, lipschitz_constant=float(support_bound),
+    d = _support_bound(0.0, 0.0, support_bound)
+    return OceSpec(support_bound=d, lipschitz_constant=d,
                    name="oce:mean", closed_form=lambda x: float(np.mean(x)))
 
 
@@ -289,8 +290,8 @@ def oce_cvar_spec(alpha: float, support_bound: float) -> OceSpec:
     rank weights of :func:`cvar`, so the two are equal.
     """
     spec = cvar_distortion(alpha)
-    return OceSpec(support_bound=support_bound,
-                   lipschitz_constant=float(support_bound) / float(alpha),
+    d = _support_bound(0.0, 0.0, support_bound)
+    return OceSpec(support_bound=d, lipschitz_constant=d / float(alpha),
                    name=f"oce:cvar:{alpha:g}",
                    closed_form=lambda x: spec._rank_sum(spec._ranked(x.shape[0])[0], x))
 
@@ -304,9 +305,10 @@ def _entropic_value(x: np.ndarray) -> float:
 def oce_entropic_spec(support_bound: float) -> OceSpec:
     """phi(x) = exp(x) - 1: the entropic risk, log mean exp(x) in closed form;
     L = e^D - 1, which overflows for D above about 709.78."""
+    d = _support_bound(0.0, 0.0, support_bound)
     with np.errstate(over="ignore"):  # an infinite L is reported by OceSpec, not warned
-        lipschitz = float(np.expm1(support_bound))
-    return OceSpec(support_bound=support_bound, lipschitz_constant=lipschitz,
+        lipschitz = float(np.expm1(d))
+    return OceSpec(support_bound=d, lipschitz_constant=lipschitz,
                    name="oce:entropic", closed_form=_entropic_value)
 
 
@@ -352,7 +354,10 @@ def mean_variance(cdf: EmpiricalCDF, c: float, support_bound: float | None = Non
 
     The sup-norm constant on losses in [0, D] is D (the mean) plus |c| times
     D^2 (the second raw moment) and 2 D^2 (the squared mean): D + 3 |c| D^2.
+    A ``c`` that is not a real number raises :class:`ConfigError`.
     """
+    if not _is_real(c):
+        raise ConfigError(f"mean_var: c must be a real number, got {c!r}")
     d = _support_bound(cdf.min, cdf.max, support_bound)
     m1 = moment(cdf, 1)
     m2 = moment(cdf, 2)

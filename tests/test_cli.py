@@ -14,7 +14,7 @@ from riskcdf.cdf import build_cdf
 from riskcdf.cli import _write_json, build_parser, main
 from riskcdf.data import save_dataset_csv, toy_blobs
 from riskcdf.errors import NumericError
-from riskcdf.models import init_model
+from riskcdf.models import LossModel, init_model
 from riskcdf.seeds import rng_from
 
 
@@ -682,6 +682,25 @@ class TestCmdGradcheck:
         assert capsys.readouterr().err == (
             "riskcdf: error: the finite-difference relative error is nan at step 1e+300\n")
 
+    @pytest.mark.parametrize("fault", ["output-bias-zeroed", "first-layer-halved"])
+    @pytest.mark.parametrize("sizes", [[], ["--input-dim", 100, "--hidden", 128, "--trials", 2]],
+                             ids=["default", "d13057"])
+    def test_backward_pass_faults_are_caught(self, tmp_path, monkeypatch, fault, sizes):
+        backward = LossModel._mlp_vjp
+
+        def faulty(self, activations, delta):
+            grad = backward(self, activations, delta)
+            if fault == "output-bias-zeroed":
+                grad[-1] = 0.0
+            else:
+                w, b = self._mlp_layers()[0]
+                grad[:w.size + b.size] *= 0.5
+            return grad
+
+        monkeypatch.setattr(LossModel, "_mlp_vjp", faulty)
+        assert run(["gradcheck", "--arch", "mlp_tanh", *sizes, "--out", tmp_path]) == 0
+        assert json.loads((tmp_path / "gradcheck.json").read_text())["max_relative_error"] > 1e-4
+
 
 class TestManifestRerun:
     @staticmethod
@@ -1119,6 +1138,7 @@ class TestRejections:
         assert run(["cdf", "--input", tmp_path, "--out", tmp_path / "o"]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"riskcdf: error: cannot read input {tmp_path}: ")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, key, where", [
         ("cdf", "NAN_LOSSES", "row 4, column 1"),

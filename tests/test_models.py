@@ -18,11 +18,20 @@ from riskcdf.models import (
     init_model,
     load_checkpoint,
     parameter_count,
-    per_example_gradient,
-    per_example_loss,
+    relative_error,
     save_checkpoint,
 )
 from riskcdf.seeds import rng_from, standard_normal
+
+
+def per_example_loss(model, x, y):
+    """Oracle: the loss of one example, features ``x`` and label ``y``."""
+    return float(model.batch_losses([x], [y])[0])
+
+
+def per_example_gradient(model, x, y):
+    """Oracle: one example's loss gradient, by the backward pass training runs."""
+    return model.loss_and_vjp([x], [y])[1](slice(None), np.ones(1))
 
 
 def random_case(arch, trial, input_dim=3, hidden=(4,)):
@@ -32,6 +41,12 @@ def random_case(arch, trial, input_dim=3, hidden=(4,)):
     x = standard_normal(rng, input_dim)
     y = float(standard_normal(rng, 1)[0]) if arch == "linear_squared" else float(rng.random() < 0.5)
     return model, x, y
+
+
+def direction_case(arch, trial, input_dim=3, hidden=(4,)):
+    """A random case and a random direction in its parameter space."""
+    model, x, y = random_case(arch, trial, input_dim, hidden)
+    return model, x, y, standard_normal(rng_from(1000 + trial, "direction"), model.dim)
 
 
 class TestPerExampleLoss:
@@ -140,36 +155,72 @@ class TestPerExampleGradient:
 
 class TestFiniteDifference:
     def test_linear_tiny_step(self):
-        model, x, y = random_case("linear_squared", 0)
-        assert finite_difference_check(model, x, y, step=1e-6) <= 1e-7
+        assert finite_difference_check(*direction_case("linear_squared", 0), step=1e-6) <= 1e-7
 
     def test_linear_large_step_still_exact(self):
-        # Central differences are exact for losses quadratic in each coordinate.
-        model, x, y = random_case("linear_squared", 1)
-        assert finite_difference_check(model, x, y, step=1e-1) <= 1e-10
+        # Central differences are exact for losses quadratic along a line.
+        assert finite_difference_check(*direction_case("linear_squared", 1), step=1e-1) <= 1e-10
 
     def test_logistic(self):
-        model, x, y = random_case("logistic_crossentropy", 2)
-        assert finite_difference_check(model, x, y, step=1e-6) <= 1e-5
+        assert finite_difference_check(*direction_case("logistic_crossentropy", 2),
+                                       step=1e-6) <= 1e-5
 
     def test_bad_step(self):
-        model, x, y = random_case("linear_squared", 3)
         with pytest.raises(ConfigError):
-            finite_difference_check(model, x, y, step=0.0)
+            finite_difference_check(*direction_case("linear_squared", 3), step=0.0)
 
     def test_overflowing_step_is_numeric_error(self):
         # The bumped losses overflow to inf, so their difference is NaN.
-        model, x, y = random_case("linear_squared", 3)
         with pytest.raises(NumericError, match="^the finite-difference relative error is nan "
                                                r"at step 1e\+300$"):
-            finite_difference_check(model, x, y, step=1e300)
+            finite_difference_check(*direction_case("linear_squared", 3), step=1e300)
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_hundred_random_draws(self, arch):
         worst = max(
-            finite_difference_check(*random_case(arch, t), step=1e-6) for t in range(100)
+            finite_difference_check(*direction_case(arch, t), step=1e-6) for t in range(100)
         )
         assert worst <= 1e-4
+
+    def test_basis_vector_is_the_coordinate_difference(self):
+        # Along e_i the check is the coordinate-wise central difference of coordinate i.
+        model, x, y = random_case("mlp_tanh", 4)
+        grad = per_example_gradient(model, x, y)
+        step = 1e-6
+        for i in range(model.dim):
+            e = np.zeros(model.dim)
+            e[i] = 1.0
+            hi = per_example_loss(model.with_params(model.params + step * e), x, y)
+            lo = per_example_loss(model.with_params(model.params - step * e), x, y)
+            want = relative_error((hi - lo) / (2.0 * step), grad[i])
+            assert finite_difference_check(model, x, y, e, step=step) == want, i
+
+    @pytest.mark.parametrize("input_dim, hidden, dim", [(3, (4,), 21), (100, (128,), 13_057)])
+    def test_three_passes_at_any_parameter_count(self, monkeypatch, input_dim, hidden, dim):
+        model, x, y, u = direction_case("mlp_tanh", 5, input_dim, hidden)
+        assert model.dim == dim
+        passes = []
+        forward = LossModel.loss_and_vjp
+
+        def counted(self, X, y):
+            passes.append(self)
+            return forward(self, X, y)
+
+        monkeypatch.setattr(LossModel, "loss_and_vjp", counted)
+        assert finite_difference_check(model, x, y, u) <= 1e-4
+        assert len(passes) == 3
+
+    def test_wrong_length_direction_is_shape_error(self):
+        model, x, y, u = direction_case("mlp_tanh", 6)
+        with pytest.raises(ShapeError, match="^mlp_tanh: direction has 20 entries, not 21$"):
+            finite_difference_check(model, x, y, u[:-1])
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
+    def test_direction_without_a_finite_nonzero_norm_is_config_error(self, bad):
+        model, x, y, u = direction_case("mlp_tanh", 6)
+        u = np.zeros_like(u) if bad == 0.0 else np.concatenate([u[:-1], [bad]])
+        with pytest.raises(ConfigError, match=f"^mlp_tanh: direction norm {bad:g} is not finite"):
+            finite_difference_check(model, x, y, u)
 
 
 class TestLipschitzInParameters:

@@ -26,7 +26,8 @@ from riskcdf.errors import (
     NumericError,
     SupportViolation,
 )
-from riskcdf.models import MAX_CROSSENTROPY_LOSS
+from riskcdf.models import MAX_CROSSENTROPY_LOSS, finite_difference_check, init_model
+from riskcdf.optim import stationarity_report, train
 from riskcdf.risks import (
     DISTORTION_TOKENS,
     DistortionSpec,
@@ -357,6 +358,17 @@ class TestWeigh:
             spec.weigh(np.full(20, np.nan))
 
 
+def train_tiny(**step):
+    """train on one example for two steps, with the step-size arguments given."""
+    return train(init_model("linear_squared", 1), [[1.0]], [0.0], identity_distortion(), 2,
+                 **step)
+
+
+def check_tiny(step):
+    """finite_difference_check on a one-parameter model with the step given."""
+    return finite_difference_check(init_model("linear_squared", 1), [1.0], 0.0, [1.0], step)
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: certificate("finite_class", 10, 0.1, "3"), ConfigError),
     (lambda: certificate("finite_class", 10, 0.1, None), ConfigError),
@@ -367,8 +379,17 @@ class TestWeigh:
     (lambda: DistortionSpec(g=lambda t: 1.0), InvalidDistortion),
     (lambda: DistortionSpec(g=lambda t: np.asarray(t)[:2]).rank_weights(3), InvalidDistortion),
     (lambda: build_cdf([[1, 2], [3]]), InvalidLoss),
+    (lambda: train_tiny(eta="0.1"), ConfigError),
+    (lambda: train_tiny(beta="1"), ConfigError),
+    (lambda: check_tiny("1e-6"), ConfigError),
+    (lambda: mean_variance(build_cdf([1.0]), "1"), ConfigError),
+    (lambda: mean_variance(build_cdf([1.0]), 1.0, support_bound="a"), SupportViolation),
+    (lambda: oce_mean_spec("5"), SupportViolation),
+    (lambda: oce_entropic_spec("a"), SupportViolation),
+    (lambda: oce_cvar_spec(0.5, "a"), SupportViolation),
 ], ids=["count-str", "count-none", "growth-str", "delta-none", "delta-str", "alpha-str",
-        "g-scalar", "g-short", "ragged-losses"])
+        "g-scalar", "g-short", "ragged-losses", "eta-str", "beta-str", "step-str", "c-str",
+        "support-bound-str", "oce-mean-d-str", "oce-entropic-d-str", "oce-cvar-d-str"])
 def test_non_numeric_argument_raises_typed_error(call, error):
     """A library argument of the wrong type raises the error its value check
     raises, not a raw TypeError or ValueError from inside the check."""
@@ -384,7 +405,16 @@ def test_non_numeric_argument_raises_typed_error(call, error):
     (lambda: certificate("finite_class", 10, 0.1, True), ConfigError),
     (lambda: certificate("vc_sauer", 10, 0.1, False), ConfigError),
     (lambda: certificate("finite_class", 10, True, 3), InvalidDelta),
-], ids=["alpha-true", "count-true", "nu-false", "delta-true"])
+    (lambda: train_tiny(eta=True), ConfigError),
+    (lambda: train_tiny(beta=True), ConfigError),
+    (lambda: stationarity_report(train_tiny(eta=0.1)[1], beta=True), ConfigError),
+    (lambda: check_tiny(True), ConfigError),
+    (lambda: mean_variance(build_cdf([1.0]), True), ConfigError),
+    (lambda: mean_variance(build_cdf([1.0]), 1.0, support_bound=True), SupportViolation),
+    (lambda: oce_mean_spec(True), SupportViolation),
+], ids=["alpha-true", "count-true", "nu-false", "delta-true", "eta-true", "beta-true",
+        "stationarity-beta-true", "step-true", "c-true", "support-bound-true",
+        "oce-mean-d-true"])
 def test_bool_is_not_a_number(call, error):
     """A bool is no real number to any check (``data._is_real``), as it is no count."""
     with pytest.raises(error, match="got (True|False)$") as info:
