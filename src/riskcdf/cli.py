@@ -206,9 +206,12 @@ def run_gradcheck(params: dict, out_dir: str) -> None:
         model = init_model(arch, dim, hidden, seed=trial_seed)
         rng = rng_from(trial_seed, "example")
         x = standard_normal(rng, dim)
-        y = float(standard_normal(rng, 1)[0] if arch == "linear_squared" else rng.random() < 0.5)
-        u = standard_normal(rng, model.dim)
-        worst = max(worst, finite_difference_check(model, x, y, u, step=params["step"]))
+        if arch == "linear_squared":
+            y = float(standard_normal(rng, 1)[0])
+        else:
+            y = float(rng.random() < 0.5)
+        v = standard_normal(rng, model.dim)
+        worst = max(worst, finite_difference_check(model, x, y, v, step=params["step"]))
     payload = {
         "architecture": arch,
         "trials": params["trials"],

@@ -342,28 +342,28 @@ def relative_error(a, b) -> float:
 
 def finite_difference_check(model: LossModel, x, y: float, direction,
                             step: float = 1e-6) -> float:
-    """Central-difference check of one example's loss gradient (features
-    ``x``, label ``y``) along ``direction``: the :func:`relative_error` of the
-    gradient training backpropagates, dotted with the unit vector u of
-    ``direction``, against the central difference of the loss along u.  Three
-    model passes at any parameter count; a basis vector e_i checks coordinate
-    i alone.  A ``direction`` without :attr:`LossModel.dim` entries raises
-    :class:`ShapeError`, one without a finite nonzero norm :class:`ConfigError`,
+    """Central-difference check of one example's loss gradient g (features
+    ``x``, label ``y``; g as training backpropagates it) along ``direction``,
+    a vector v with one entry per parameter: |fd - g . v| / max(1, max_i |g_i|),
+    fd the central difference of the loss at ``step`` along v.  A basis vector
+    e_i gives coordinate i's error; standard normal entries see an error e in
+    g as e . v, of root-mean-square size |e|.  Three model passes at any
+    parameter count.  A ``direction`` without :attr:`LossModel.dim` entries
+    raises :class:`ShapeError`, one not finite or all zero :class:`ConfigError`,
     and a step that overflows the losses :class:`NumericError` naming it."""
     if not (_is_real(step) and math.isfinite(step) and step > 0):
         raise ConfigError(f"step must be finite and positive, got {step}")
-    u = np.asarray(direction, dtype=np.float64).ravel()
-    if u.shape != model.params.shape:
-        raise ShapeError(f"{model.architecture}: direction has {u.size} entries, not {model.dim}")
-    norm = np.linalg.norm(u)
-    if not (math.isfinite(norm) and norm > 0):
-        raise ConfigError(f"{model.architecture}: direction norm {norm:g} is not finite and > 0")
-    u = u / norm
-    slope = model.loss_and_vjp([x], [y])[1](slice(None), np.ones(1)) @ u
+    v = np.asarray(direction, dtype=np.float64).ravel()
+    if v.shape != model.params.shape:
+        raise ShapeError(f"{model.architecture}: direction has {v.size} entries, not {model.dim}")
+    if not (np.isfinite(v).all() and v.any()):
+        raise ConfigError(f"{model.architecture}: direction must be finite and not all zero")
+    grad = model.loss_and_vjp([x], [y])[1](slice(None), np.ones(1))
     with np.errstate(all="ignore"):  # a non-finite error is raised below, not warned
-        hi = model.with_params(model.params + step * u).batch_losses([x], [y])[0]
-        lo = model.with_params(model.params - step * u).batch_losses([x], [y])[0]
-        error = relative_error((hi - lo) / (2.0 * step), slope)
+        hi = model.with_params(model.params + step * v).batch_losses([x], [y])[0]
+        lo = model.with_params(model.params - step * v).batch_losses([x], [y])[0]
+        miss = float(abs((hi - lo) / (2.0 * step) - grad @ v))
+    error = miss / max(1.0, float(np.max(np.abs(grad))))
     if not math.isfinite(error):
         raise NumericError(f"the finite-difference relative error is {error} at step {step:g}")
     return error

@@ -275,10 +275,15 @@ def cvar_spectrum(alpha: float) -> DistortionSpec:
     return dataclasses.replace(cvar_distortion(alpha), name=f"cvar_spectrum:{alpha:g}")
 
 
+def _float_or_nan(support_bound) -> float:
+    """D as a float for a preset's constant, or NaN if D is not a real number:
+    :class:`OceSpec` checks D, and rejects that one, before it reads the constant."""
+    return float(support_bound) if _is_real(support_bound) else math.nan
+
+
 def oce_mean_spec(support_bound: float) -> OceSpec:
     """phi(x) = x: lambda cancels and the OCE reduces to the mean; L = D."""
-    d = _support_bound(0.0, 0.0, support_bound)
-    return OceSpec(support_bound=d, lipschitz_constant=d,
+    return OceSpec(support_bound=support_bound, lipschitz_constant=_float_or_nan(support_bound),
                    name="oce:mean", closed_form=lambda x: float(np.mean(x)))
 
 
@@ -290,8 +295,8 @@ def oce_cvar_spec(alpha: float, support_bound: float) -> OceSpec:
     rank weights of :func:`cvar`, so the two are equal.
     """
     spec = cvar_distortion(alpha)
-    d = _support_bound(0.0, 0.0, support_bound)
-    return OceSpec(support_bound=d, lipschitz_constant=d / float(alpha),
+    return OceSpec(support_bound=support_bound,
+                   lipschitz_constant=_float_or_nan(support_bound) / float(alpha),
                    name=f"oce:cvar:{alpha:g}",
                    closed_form=lambda x: spec._rank_sum(spec._ranked(x.shape[0])[0], x))
 
@@ -305,10 +310,9 @@ def _entropic_value(x: np.ndarray) -> float:
 def oce_entropic_spec(support_bound: float) -> OceSpec:
     """phi(x) = exp(x) - 1: the entropic risk, log mean exp(x) in closed form;
     L = e^D - 1, which overflows for D above about 709.78."""
-    d = _support_bound(0.0, 0.0, support_bound)
     with np.errstate(over="ignore"):  # an infinite L is reported by OceSpec, not warned
-        lipschitz = float(np.expm1(d))
-    return OceSpec(support_bound=d, lipschitz_constant=lipschitz,
+        lipschitz = float(np.expm1(_float_or_nan(support_bound)))
+    return OceSpec(support_bound=support_bound, lipschitz_constant=lipschitz,
                    name="oce:entropic", closed_form=_entropic_value)
 
 

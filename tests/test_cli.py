@@ -682,7 +682,8 @@ class TestCmdGradcheck:
         assert capsys.readouterr().err == (
             "riskcdf: error: the finite-difference relative error is nan at step 1e+300\n")
 
-    @pytest.mark.parametrize("fault", ["output-bias-zeroed", "first-layer-halved"])
+    @pytest.mark.parametrize("fault", ["output-bias-zeroed", "first-layer-halved",
+                                       "first-weight-negated"])
     @pytest.mark.parametrize("sizes", [[], ["--input-dim", 100, "--hidden", 128, "--trials", 2]],
                              ids=["default", "d13057"])
     def test_backward_pass_faults_are_caught(self, tmp_path, monkeypatch, fault, sizes):
@@ -692,9 +693,11 @@ class TestCmdGradcheck:
             grad = backward(self, activations, delta)
             if fault == "output-bias-zeroed":
                 grad[-1] = 0.0
-            else:
+            elif fault == "first-layer-halved":
                 w, b = self._mlp_layers()[0]
                 grad[:w.size + b.size] *= 0.5
+            else:
+                grad[0] = -grad[0]
             return grad
 
         monkeypatch.setattr(LossModel, "_mlp_vjp", faulty)

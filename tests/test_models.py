@@ -18,7 +18,6 @@ from riskcdf.models import (
     init_model,
     load_checkpoint,
     parameter_count,
-    relative_error,
     save_checkpoint,
 )
 from riskcdf.seeds import rng_from, standard_normal
@@ -153,17 +152,28 @@ class TestPerExampleGradient:
                 assert np.allclose(batch[i], row, atol=1e-12), arch
 
 
+def worst_error(model, x, y, directions, step=1e-6):
+    """The largest finite_difference_check error over ``directions``."""
+    return max(finite_difference_check(model, x, y, v, step=step) for v in directions)
+
+
+def coordinates_and_one_direction(arch, trial):
+    """A random case, every basis vector of its parameters and one random direction."""
+    model, x, y, u = direction_case(arch, trial)
+    return model, x, y, [*np.eye(model.dim), u]
+
+
 class TestFiniteDifference:
     def test_linear_tiny_step(self):
-        assert finite_difference_check(*direction_case("linear_squared", 0), step=1e-6) <= 1e-7
+        assert worst_error(*coordinates_and_one_direction("linear_squared", 0)) <= 1e-7
 
     def test_linear_large_step_still_exact(self):
         # Central differences are exact for losses quadratic along a line.
-        assert finite_difference_check(*direction_case("linear_squared", 1), step=1e-1) <= 1e-10
+        assert worst_error(*coordinates_and_one_direction("linear_squared", 1),
+                           step=1e-1) <= 1e-10
 
     def test_logistic(self):
-        assert finite_difference_check(*direction_case("logistic_crossentropy", 2),
-                                       step=1e-6) <= 1e-5
+        assert worst_error(*coordinates_and_one_direction("logistic_crossentropy", 2)) <= 1e-5
 
     def test_bad_step(self):
         with pytest.raises(ConfigError):
@@ -177,22 +187,28 @@ class TestFiniteDifference:
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_hundred_random_draws(self, arch):
-        worst = max(
-            finite_difference_check(*direction_case(arch, t), step=1e-6) for t in range(100)
-        )
+        # Every coordinate of every draw, as a coordinate-by-coordinate check would.
+        worst = 0.0
+        for t in range(100):
+            model, x, y = random_case(arch, t)
+            worst = max(worst, worst_error(model, x, y, np.eye(model.dim)))
+        assert worst <= 1e-4
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_hundred_random_directions(self, arch):
+        worst = max(finite_difference_check(*direction_case(arch, t)) for t in range(100))
         assert worst <= 1e-4
 
     def test_basis_vector_is_the_coordinate_difference(self):
-        # Along e_i the check is the coordinate-wise central difference of coordinate i.
+        # Along e_i the check is coordinate i's central difference against
+        # gradient entry i, on the scale of the gradient's largest entry.
         model, x, y = random_case("mlp_tanh", 4)
         grad = per_example_gradient(model, x, y)
         step = 1e-6
-        for i in range(model.dim):
-            e = np.zeros(model.dim)
-            e[i] = 1.0
+        for i, e in enumerate(np.eye(model.dim)):
             hi = per_example_loss(model.with_params(model.params + step * e), x, y)
             lo = per_example_loss(model.with_params(model.params - step * e), x, y)
-            want = relative_error((hi - lo) / (2.0 * step), grad[i])
+            want = abs((hi - lo) / (2.0 * step) - grad[i]) / max(1.0, np.max(np.abs(grad)))
             assert finite_difference_check(model, x, y, e, step=step) == want, i
 
     @pytest.mark.parametrize("input_dim, hidden, dim", [(3, (4,), 21), (100, (128,), 13_057)])
@@ -216,10 +232,11 @@ class TestFiniteDifference:
             finite_difference_check(model, x, y, u[:-1])
 
     @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
-    def test_direction_without_a_finite_nonzero_norm_is_config_error(self, bad):
+    def test_direction_not_finite_or_all_zero_is_config_error(self, bad):
         model, x, y, u = direction_case("mlp_tanh", 6)
         u = np.zeros_like(u) if bad == 0.0 else np.concatenate([u[:-1], [bad]])
-        with pytest.raises(ConfigError, match=f"^mlp_tanh: direction norm {bad:g} is not finite"):
+        with pytest.raises(ConfigError, match="^mlp_tanh: direction must be finite and not "
+                                              "all zero$"):
             finite_difference_check(model, x, y, u)
 
 
