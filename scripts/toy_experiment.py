@@ -3,7 +3,9 @@
 tail-risk objective, then compare the resulting loss distributions.
 
 Writes one training trace per objective plus a side-by-side risk table
-(plot-ready CSV), and prints the comparison.
+(plot-ready CSV), and prints the comparison.  A riskcdf error ends the run
+with its exit code: 2 for a bad setting such as ``--alpha 2`` or
+``--iters 0``, 4 if training diverges.
 
     python3 scripts/toy_experiment.py --out results/toy --seed 42
 """
@@ -16,22 +18,15 @@ import numpy as np
 
 from riskcdf.cdf import build_cdf
 from riskcdf.data import _write_csv, toy_blobs
+from riskcdf.errors import ToolkitError
 from riskcdf.models import init_model
 from riskcdf.optim import train
 from riskcdf.risks import cvar, cvar_distortion, identity_distortion, mean_variance
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="results/toy")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--iters", type=int, default=2000)
-    parser.add_argument("--eta", type=float, default=0.1)
-    parser.add_argument("--alpha", type=float, default=0.05,
-                        help="tail level of the CVaR objective")
-    args = parser.parse_args()
-    os.makedirs(args.out, exist_ok=True)
-
+def compare(args) -> list[dict]:
+    """Train one model per objective, write its trace, and return one row of
+    risks of its final losses per objective."""
     features, y = toy_blobs(seed=0)
     X = np.hstack([features, np.ones((features.shape[0], 1))])  # intercept column
     model0 = init_model("logistic_crossentropy", X.shape[1], seed=args.seed)
@@ -53,6 +48,25 @@ def main() -> int:
             "mean_var_0.5": mean_variance(cdf, 0.5).value,
             "max_loss": float(losses.max()),
         })
+    return rows
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", default="results/toy")
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--iters", type=int, default=2000)
+    parser.add_argument("--eta", type=float, default=0.1)
+    parser.add_argument("--alpha", type=float, default=0.05,
+                        help="tail level of the CVaR objective")
+    args = parser.parse_args()
+    os.makedirs(args.out, exist_ok=True)
+
+    try:
+        rows = compare(args)
+    except ToolkitError as exc:
+        print(f"toy_experiment: error: {exc}", file=sys.stderr)
+        return exc.exit_code
 
     header = list(rows[0])
     table_path = os.path.join(args.out, "risk_comparison.csv")

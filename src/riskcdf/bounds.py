@@ -35,7 +35,7 @@ from .cdf import _check_losses, build_cdf, sup_norm_distances
 # sup_norm_distance is bound only for perfbench/tracing.py, which times
 # calls through the name bound here; nothing here calls it.
 from .cdf import sup_norm_distance  # noqa: F401
-from .data import _is_count, _is_real, _write_csv
+from .data import _is_count, _is_real, _real, _write_csv
 from .errors import ConfigError, InvalidDelta, InvalidGrowth, ShapeError, WeakReference
 from .seeds import rng_from
 
@@ -51,13 +51,9 @@ __all__ = [
 
 
 def _finite(value, what: str, error: type[ConfigError] = ConfigError) -> float:
-    """``value`` as a float, which must be a finite real number: a bool, a string,
-    None, NaN, infinity or an integer too large for a float (400 digits) raises
-    ``error``."""
-    try:
-        x = float(value) if _is_real(value) else math.nan
-    except OverflowError:
-        x = math.inf
+    """``value`` as a finite float (:func:`data._real`): a bool, a string, None,
+    NaN, infinity or an integer beyond float range raises ``error``."""
+    x = _real(value)
     if not math.isfinite(x):
         raise error(f"{what} must be a finite number, got {value!r}")
     return x
@@ -136,7 +132,7 @@ def certificate(method: str, n: int, delta: float, count: float) -> BoundCertifi
     flag, _, _, _, rademacher = CERTIFICATE_METHODS[method]
     n = _check_n(n)
     _check_count(method, count)
-    if not (_is_real(delta) and 0.0 < delta <= 1.0):
+    if not 0.0 < _real(delta) <= 1.0:
         raise InvalidDelta(f"delta must be in (0, 1], got {delta!r}")
     delta = float(delta)
     r = _finite(rademacher(n, count), "rademacher bound")

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _check_loss_cells, _is_count, _is_real, _write_csv, read_numeric_csv
+from .data import _check_loss_cells, _is_count, _is_real, _real, _write_csv, read_numeric_csv
 from .errors import (EmptySample, FormatError, InvalidLoss, InvalidOrder, NumericError,
                      ShapeError, SupportViolation)
 
@@ -194,8 +194,8 @@ def _support_bound(smallest: float, largest: float, support_bound: float | None)
         return largest
     if not _is_real(support_bound):
         raise SupportViolation(f"support bound must be a finite number, got {support_bound!r}")
-    d = float(support_bound)
-    if not (math.isfinite(d) and d >= largest):
+    d = _real(support_bound)
+    if not largest <= d < math.inf:
         raise SupportViolation(f"support bound {d} must be finite and at least the "
                                f"largest loss {largest}")
     return d
@@ -329,7 +329,7 @@ def moment(cdf: EmpiricalCDF, k: int) -> float:
     if not _is_count(k):
         raise InvalidOrder(f"moment order must be a positive integer, got {k!r}")
     with np.errstate(over="ignore"):  # reported below, not warned
-        m = float(np.mean(cdf.values ** int(k)))
+        m = float(np.mean(cdf.values ** _real(k)))  # an order beyond float range is inf
     if not np.isfinite(m):
         raise NumericError(f"moment of order {k} is not finite: {m}")
     return m

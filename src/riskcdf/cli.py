@@ -54,7 +54,7 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(command: str, params: dict, out_dir: str, input_paths: list[str]) -> None:
+def _write_manifest(command: str, params: dict, out_dir: str, digests: dict[str, str]) -> None:
     # JSON has no NaN or infinity, so a non-finite flag value is recorded as
     # its text; every run given one fails, and so does its replay.
     args = {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
@@ -62,7 +62,7 @@ def _write_manifest(command: str, params: dict, out_dir: str, input_paths: list[
     manifest = {
         "command": command,
         "args": args,
-        "input_digests": {p: _sha256(p) for p in input_paths},
+        "input_digests": digests,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -241,8 +241,9 @@ def _input_paths(params: dict) -> list[str]:
     return paths + [p for p in map(risks.token_path, tokens) if p is not None]
 
 
-def _execute(command: str, params: dict, out_dir: str) -> None:
-    _write_manifest(command, params, out_dir, _input_paths(params))
+def _execute(command: str, params: dict, out_dir: str, digests: dict[str, str]) -> None:
+    """Write the manifest, with ``digests`` of the run's inputs, then run ``command``."""
+    _write_manifest(command, params, out_dir, digests)
     RUNNERS[command](params, out_dir)
 
 
@@ -315,7 +316,7 @@ def run_rerun(manifest_path: str, out_dir: str) -> None:
         if _sha256(path) != digest:
             raise ConfigError(f"{manifest_path}: input {path} changed since the recorded run")
     params["out"] = out_dir
-    _execute(command, params, out_dir)
+    _execute(command, params, out_dir, {p: digests[p] for p in _input_paths(params)})
 
 
 @functools.cache
@@ -404,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
             run_rerun(ns.manifest, ns.out)
             return 0
         params = {k: v for k, v in vars(ns).items() if k != "command"}
-        _execute(ns.command, params, params["out"])
+        _execute(ns.command, params, params["out"], {p: _sha256(p) for p in _input_paths(params)})
         return 0
     except ToolkitError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

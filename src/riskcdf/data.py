@@ -6,6 +6,11 @@ its seed on every platform.  Every CSV input riskcdf reads is parsed by
 :func:`read_numeric_csv`, which reports a parse failure with its exact file
 row and column.  Every file riskcdf writes goes through :func:`_write_csv`
 or :func:`_write_json`.
+
+Every number riskcdf takes as an argument must be a real number and not a
+bool (:func:`_is_real`).  :func:`_real` converts one to a float: anything
+else becomes NaN, and an integer beyond float range becomes infinity of its
+sign, so a check of a finite number fails it as it fails infinity.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import numbers
 import types
 
@@ -127,6 +133,15 @@ def _is_count(value) -> bool:
 def _is_real(value) -> bool:
     """Whether ``value`` is a real number and not a bool, as every number riskcdf takes must be."""
     return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
+def _real(value) -> float:
+    """``value`` as a float if it is a real number and not a bool, else NaN; an
+    integer beyond float range becomes infinity of its sign, and fails as it does."""
+    try:
+        return float(value) if _is_real(value) else math.nan
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _filled_rows(lines):

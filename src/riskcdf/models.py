@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _is_count, _is_real, _write_json
+from .data import _is_count, _real, _write_json
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .seeds import rng_from
 
@@ -351,7 +351,7 @@ def finite_difference_check(model: LossModel, x, y: float, direction,
     parameter count.  A ``direction`` without :attr:`LossModel.dim` entries
     raises :class:`ShapeError`, one not finite or all zero :class:`ConfigError`,
     and a step that overflows the losses :class:`NumericError` naming it."""
-    if not (_is_real(step) and math.isfinite(step) and step > 0):
+    if not 0.0 < _real(step) < math.inf:
         raise ConfigError(f"step must be finite and positive, got {step}")
     v = np.asarray(direction, dtype=np.float64).ravel()
     if v.shape != model.params.shape:

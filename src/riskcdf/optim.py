@@ -50,7 +50,7 @@ import numpy as np
 # build_cdf and distortion_risk stay bound although training reads neither:
 # its risk is the rank-weighted sum that distortion_risk computes.
 from .cdf import build_cdf  # noqa: F401
-from .data import _is_count, _is_real, _write_csv
+from .data import _is_count, _real, _write_csv
 from .errors import ConfigError, Diverged, EmptySample
 from .models import LossModel
 from .risks import DistortionSpec, distortion_risk  # noqa: F401
@@ -74,9 +74,9 @@ NOISE_BLOCK_DRAWS = 4096
 
 def _positive_beta(beta: float) -> float:
     """``beta`` as a float: a smoothness constant must be finite and positive."""
-    if not (_is_real(beta) and math.isfinite(beta) and beta > 0):
+    if not 0.0 < (b := _real(beta)) < math.inf:
         raise ConfigError(f"beta must be finite and positive, got {beta}")
-    return float(beta)
+    return b
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +191,7 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: Distortion
         raise ConfigError(f"iterations must be an integer >= 1, got {iterations!r}")
     if eta is None and beta is None:
         raise ConfigError("either eta or beta must be given")
-    if eta is not None and not (_is_real(eta) and math.isfinite(eta) and eta >= 0):
+    if eta is not None and not 0.0 <= _real(eta) < math.inf:
         raise ConfigError(f"eta must be finite and nonnegative, got {eta}")
     if beta is not None:
         _positive_beta(beta)

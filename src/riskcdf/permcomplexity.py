@@ -315,16 +315,20 @@ def monte_carlo_permutation_complexity(
     Uses the exact solver when the instance is within its limits; larger
     instances require ``allow_greedy`` (the estimate is then an upper
     bound) and otherwise raise :class:`TooLarge`.  Raises :class:`ConfigError`
-    unless ``n`` and ``reps`` are integers >= 1 and there is a model, and
-    :class:`ShapeError` if a loss function returns other than one loss per
-    example.
+    unless ``n`` and ``reps`` are integers >= 1, numpy can hold ``reps``
+    values and there is a model, and :class:`ShapeError` if a loss function
+    returns other than one loss per example.
     """
     if not (_is_count(n) and _is_count(reps)):
         raise ConfigError(f"monte_carlo_permutation_complexity needs integers n >= 1 and "
                           f"reps >= 1, got n={n!r}, reps={reps!r}")
     if len(loss_fns) == 0:
         raise ConfigError("monte_carlo_permutation_complexity needs at least one model")
-    values = np.empty(reps)
+    try:
+        values = np.empty(reps)
+    except (MemoryError, ValueError):
+        raise ConfigError(f"monte_carlo_permutation_complexity cannot hold {reps} "
+                          "repetitions in memory") from None
     solvers = []
     for r in range(reps):
         rng = rng_from(seed, "perm_rep", r)

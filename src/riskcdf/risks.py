@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .cdf import EmpiricalCDF, _check_loss_range, _support_bound, moment
-from .data import _is_count, _is_real, read_numeric_csv
+from .data import _is_count, _is_real, _real, read_numeric_csv
 from .errors import (
     ConfigError,
     FormatError,
@@ -153,10 +153,15 @@ class DistortionSpec:
     def rank_weights(self, n: int) -> np.ndarray:
         """Weight g(1 - (i-1)/n) - g(1 - i/n) of the i-th smallest of n losses, i = 1..n.
 
-        ``n`` must be an integer >= 1, else :class:`ConfigError`."""
+        ``n`` must be an integer >= 1 whose weights numpy can hold, else :class:`ConfigError`."""
         if not _is_count(n):
             raise ConfigError(f"{self.name}: rank weights need an integer n >= 1, got {n!r}")
-        levels = self(1.0 - np.arange(n + 1) / n)  # g(1 - i/n), i = 0..n
+        try:
+            ranks = np.arange(n + 1)
+        except (MemoryError, ValueError):
+            raise ConfigError(f"{self.name}: cannot hold the rank weights of {n} losses "
+                              "in memory") from None
+        levels = self(1.0 - ranks / n)  # g(1 - i/n), i = 0..n
         _check_distortion_levels(self.name, levels[::-1])
         return levels[:-1] - levels[1:]
 
@@ -258,9 +263,8 @@ def identity_distortion() -> DistortionSpec:
 
 def cvar_distortion(alpha: float) -> DistortionSpec:
     """g(t) = min(t/alpha, 1): expected value of the top 100*alpha% losses."""
-    if not (_is_real(alpha) and 0.0 < alpha <= 1.0):
+    if not 0.0 < (a := _real(alpha)) <= 1.0:
         raise InvalidAlpha(f"alpha must be in (0, 1], got {alpha!r}")
-    a = float(alpha)
     return DistortionSpec(
         g=lambda t: np.minimum(np.asarray(t, dtype=np.float64), a) / a,  # min(t/a, 1), without overflow
         name=f"cvar:{alpha:g}",
@@ -275,15 +279,9 @@ def cvar_spectrum(alpha: float) -> DistortionSpec:
     return dataclasses.replace(cvar_distortion(alpha), name=f"cvar_spectrum:{alpha:g}")
 
 
-def _float_or_nan(support_bound) -> float:
-    """D as a float for a preset's constant, or NaN if D is not a real number:
-    :class:`OceSpec` checks D, and rejects that one, before it reads the constant."""
-    return float(support_bound) if _is_real(support_bound) else math.nan
-
-
 def oce_mean_spec(support_bound: float) -> OceSpec:
     """phi(x) = x: lambda cancels and the OCE reduces to the mean; L = D."""
-    return OceSpec(support_bound=support_bound, lipschitz_constant=_float_or_nan(support_bound),
+    return OceSpec(support_bound=support_bound, lipschitz_constant=_real(support_bound),
                    name="oce:mean", closed_form=lambda x: float(np.mean(x)))
 
 
@@ -296,7 +294,7 @@ def oce_cvar_spec(alpha: float, support_bound: float) -> OceSpec:
     """
     spec = cvar_distortion(alpha)
     return OceSpec(support_bound=support_bound,
-                   lipschitz_constant=_float_or_nan(support_bound) / float(alpha),
+                   lipschitz_constant=_real(support_bound) / float(alpha),
                    name=f"oce:cvar:{alpha:g}",
                    closed_form=lambda x: spec._rank_sum(spec._ranked(x.shape[0])[0], x))
 
@@ -311,7 +309,7 @@ def oce_entropic_spec(support_bound: float) -> OceSpec:
     """phi(x) = exp(x) - 1: the entropic risk, log mean exp(x) in closed form;
     L = e^D - 1, which overflows for D above about 709.78."""
     with np.errstate(over="ignore"):  # an infinite L is reported by OceSpec, not warned
-        lipschitz = float(np.expm1(_float_or_nan(support_bound)))
+        lipschitz = float(np.expm1(_real(support_bound)))
     return OceSpec(support_bound=support_bound, lipschitz_constant=lipschitz,
                    name="oce:entropic", closed_form=_entropic_value)
 
@@ -362,6 +360,7 @@ def mean_variance(cdf: EmpiricalCDF, c: float, support_bound: float | None = Non
     """
     if not _is_real(c):
         raise ConfigError(f"mean_var: c must be a real number, got {c!r}")
+    c = _real(c)
     d = _support_bound(cdf.min, cdf.max, support_bound)
     m1 = moment(cdf, 1)
     m2 = moment(cdf, 2)

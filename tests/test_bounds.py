@@ -24,7 +24,8 @@ from riskcdf.bounds import (
 )
 from riskcdf.cdf import build_cdf, sup_norm_distances
 from riskcdf.cli import run_bound
-from riskcdf.data import TOY_BLOB_CENTERS, TOY_BLOB_SIZES, TOY_BLOB_STDS, blob_mixture_sampler
+from riskcdf.data import (TOY_BLOB_CENTERS, TOY_BLOB_SIZES, TOY_BLOB_STDS,
+                           blob_mixture_sampler, toy_blobs)
 from riskcdf.errors import (
     ConfigError,
     InvalidDelta,
@@ -34,10 +35,13 @@ from riskcdf.errors import (
     WeakReference,
 )
 from riskcdf.models import init_model
+from riskcdf.optim import train
+from riskcdf.risks import cvar, identity_distortion, mean_variance
 from riskcdf.seeds import derive_seed, rng_from, standard_normal
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "validate_bounds.py"
+TOY_SCRIPT = ROOT / "scripts" / "toy_experiment.py"
 
 
 def mcdiarmid(n, delta):
@@ -258,17 +262,17 @@ class TestMonteCarloEn:
             monte_carlo_en([], sampler, n=5, reps=4, seed=0, reference_sample_size=50)
 
     def test_validate_bounds_script_exits_with_config_code(self, tmp_path):
-        proc = run_validate_bounds("--reps", "0", "--out", str(tmp_path))
+        proc = run_script(SCRIPT, "--reps", "0", "--out", str(tmp_path))
         assert proc.returncode == ConfigError.exit_code
         assert "reps" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_validate_bounds_script_without_models_exits_with_config_code(self, tmp_path):
-        proc = run_validate_bounds("--models", "0", "--out", str(tmp_path))
+        proc = run_script(SCRIPT, "--models", "0", "--out", str(tmp_path))
         assert proc.returncode == ConfigError.exit_code
         assert "at least one model" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_validate_bounds_script_writes_monte_carlo_values(self, tmp_path):
-        proc = run_validate_bounds("--n", "50", "--reps", "30", "--out", str(tmp_path))
+        proc = run_script(SCRIPT, "--n", "50", "--reps", "30", "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         with open(tmp_path / "en_samples.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -281,6 +285,40 @@ class TestMonteCarloEn:
         res = monte_carlo_en(fns, blob_mixture_sampler(), n=50, reps=30, seed=321,
                              reference_sample_size=20_000)
         assert [float(v) for _, v in rows[1:]] == res.values.tolist()
+
+    def test_toy_experiment_script_writes_traces_and_risk_table(self, tmp_path):
+        proc = run_script(TOY_SCRIPT, "--iters", "50", "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        tables = {}
+        for name in ("trace_mean.csv", "trace_cvar0.05.csv", "risk_comparison.csv"):
+            with open(tmp_path / name, newline="") as fh:
+                tables[name] = list(csv.reader(fh))
+        for name in ("trace_mean.csv", "trace_cvar0.05.csv"):
+            assert tables[name][0] == ["t", "risk", "grad_norm", "avg_sq_grad_norm"]
+            assert [int(row[0]) for row in tables[name][1:]] == list(range(1, 51))
+        header, *rows = tables["risk_comparison.csv"]
+        assert header == ["objective", "mean", "cvar_0.05", "mean_var_0.5", "max_loss"]
+        assert [row[0] for row in rows] == ["mean", "cvar0.05"]
+        # The script's defaults: seed 42, eta 0.1, logistic with an intercept column.
+        features, y = toy_blobs(seed=0)
+        X = np.hstack([features, np.ones((features.shape[0], 1))])
+        final, trace = train(init_model("logistic_crossentropy", 3, seed=42), X, y,
+                             identity_distortion(), 50, eta=0.1, seed=42)
+        losses = final.batch_losses(X, y)
+        cdf = build_cdf(losses)
+        assert [float(row[1]) for row in tables["trace_mean.csv"][1:]] == trace.risk.tolist()
+        assert [float(v) for v in rows[0][1:]] == [float(losses.mean()), cvar(cdf, 0.05).value,
+                                                   mean_variance(cdf, 0.5).value, cdf.max]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha", "2", "alpha must be in (0, 1], got 2.0"),
+        ("--iters", "0", "iterations must be an integer >= 1, got 0"),
+    ])
+    def test_toy_experiment_script_exits_with_config_code(self, tmp_path, flag, value, message):
+        proc = run_script(TOY_SCRIPT, flag, value, "--out", str(tmp_path))
+        assert proc.returncode == ConfigError.exit_code
+        assert proc.stderr == f"toy_experiment: error: {message}\n"
+        assert not (tmp_path / "risk_comparison.csv").exists()
 
     def test_weak_reference_warns(self):
         fns = [lambda X, y: np.abs(X[:, 0])]
@@ -339,9 +377,9 @@ class TestMonteCarloEn:
         assert len(lines) == 4
 
 
-def run_validate_bounds(*args):
+def run_script(script, *args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, str(SCRIPT), *args],
+    return subprocess.run([sys.executable, str(script), *args],
                           capture_output=True, text=True, env=env, timeout=120)
 
 

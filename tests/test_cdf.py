@@ -525,7 +525,7 @@ class TestMoment:
                 f"moment order must be a positive integer, got {k!r}")):
             moment(build_cdf([1.0]), k)
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 10 ** 400], ids=["2", "3", "4", "1e400"])
     def test_overflow_names_the_order_without_warning(self, k):
         cdf = build_cdf([1.0, 1e200])
         with warnings.catch_warnings():

@@ -465,6 +465,14 @@ class TestCmdTrain:
             theta = theta - 0.2 * ((p - y)[:, None] * X).mean(axis=0)
         assert np.allclose(ckpt["parameter_vector"], theta, atol=1e-9)
 
+    def test_mlp_without_hidden_layer(self, tmp_path):
+        """``--hidden ""`` trains an MLP with no hidden layer: two weights and a bias."""
+        assert run(["train", "--arch", "mlp_tanh", "--hidden", "", "--eta", 0.1, "--iters", 5,
+                    "--out", tmp_path]) == 0
+        ckpt = json.loads((tmp_path / "checkpoint.json").read_text())
+        assert ckpt["hyperparameters"] == {"input_dim": 2, "hidden": []}
+        assert len(ckpt["parameter_vector"]) == 3
+
     @pytest.mark.parametrize("key, message", [
         ("NAN_DATASET", "{src}: row 3, column 2 (b): not a finite number: nan"),
         ("LABEL_DATASET", "logistic_crossentropy: label 2 of example 2 is outside [0, 1], "
@@ -676,6 +684,12 @@ class TestCmdGradcheck:
         payload = json.loads((out / "gradcheck.json").read_text())
         assert payload["max_relative_error"] <= tol
 
+    def test_mlp_without_hidden_layer(self, tmp_path):
+        """``--hidden ""`` audits an MLP with no hidden layer: weights and a bias."""
+        assert run(["gradcheck", "--arch", "mlp_tanh", "--hidden", "", "--trials", 25,
+                    "--out", tmp_path]) == 0
+        assert json.loads((tmp_path / "gradcheck.json").read_text())["max_relative_error"] <= 1e-4
+
     def test_overflowing_step_names_the_step(self, tmp_path, capsys):
         assert run(["gradcheck", "--arch", "linear_squared", "--step", "1e300", "--trials", 2,
                     "--out", tmp_path / "g"]) == 4
@@ -757,6 +771,23 @@ class TestManifestRerun:
         assert run(["rerun", "--manifest", manifest, "--out", tmp_path / "b"]) == 2
         assert capsys.readouterr().err == (
             f"riskcdf: error: {manifest}: recorded input {src} is missing\n")
+
+    def test_rerun_hashes_each_input_once(self, tmp_path, monkeypatch):
+        """The digests a rerun checks are the ones its manifest records."""
+        import riskcdf.cli as cli
+
+        src = tmp_path / "l.csv"
+        write_losses(src, [3, 1, 4])
+        out_a = tmp_path / "a"
+        assert run(["cdf", "--input", src, "--out", out_a]) == 0
+        hashed = []
+        original = cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or original(path))
+        assert run(["rerun", "--manifest", out_a / "manifest.json", "--out", tmp_path / "b"]) == 0
+        assert hashed == [str(src)]
+        recorded = json.loads((out_a / "manifest.json").read_text())["input_digests"]
+        replayed = json.loads((tmp_path / "b" / "manifest.json").read_text())["input_digests"]
+        assert replayed == recorded == {str(src): hashlib.sha256(src.read_bytes()).hexdigest()}
 
     @pytest.mark.parametrize("prefix, table, edited", [
         ("distortion-file", "t,g\n0,0\n0.5,0.8\n1,1\n", "t,g\n0,0\n0.5,0.2\n1,1\n"),

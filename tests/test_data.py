@@ -1,5 +1,7 @@
+import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -373,3 +375,17 @@ class TestReadNumericCsv:
         path.write_text("m1,m2\n1,2\n  \n3,x\n")
         with pytest.raises(FormatError, match=r"t\.csv: row 4, column 2 \(m2\): not a number: 'x'$"):
             read_numeric_csv(path, header=True)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (2, 2.0), (-0.5, -0.5), (np.float32(0.25), 0.25), (np.int64(3), 3.0), (math.inf, math.inf),
+    (10 ** 400, math.inf), (-10 ** 400, -math.inf), (Fraction(-10 ** 400, 3), -math.inf),
+], ids=["int", "float", "float32", "int64", "inf", "1e400", "-1e400", "fraction"])
+def test_real_converts_a_real_number(value, expected):
+    """An integer or fraction beyond float range becomes the infinity of its sign."""
+    assert data._real(value) == expected
+
+
+@pytest.mark.parametrize("value", [True, False, None, "1", math.nan, 1j, [1.0]])
+def test_real_is_nan_for_anything_else(value):
+    assert math.isnan(data._real(value))

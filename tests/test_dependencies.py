@@ -288,6 +288,37 @@ def test_one_support_rule():
     assert found == {"cdf.py:_support_bound"}
 
 
+def catchers(source: str, name: str) -> list[str]:
+    """The function around each ``except`` clause of ``source`` whose types
+    name ``name`` (``<module>`` outside any function)."""
+    return [where for node, where in nodes_in_functions(source)
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and any(name in (getattr(n, "id", None), getattr(n, "attr", None))
+                    for n in ast.walk(node.type))]
+
+
+def test_one_overflow_rule():
+    """Only ``data.py`` catches an :class:`OverflowError`: every real argument
+    is converted by ``data._real``, which turns an integer beyond float range
+    into infinity, so no other check needs an overflow branch."""
+    assert catchers(textwrap.dedent("""
+        try:
+            pass
+        except OverflowError:
+            pass
+        def f():
+            try:
+                pass
+            except (ValueError, builtins.OverflowError) as exc:
+                pass
+            except ValueError:
+                pass
+    """), "OverflowError") == ["<module>", "f"]
+    found = {f"{p.name}:{where}" for p in Path(SRC, "riskcdf").glob("*.py")
+             for where in catchers(p.read_text(), "OverflowError")}
+    assert found == {"data.py:_real"}
+
+
 def parameter_count(args: ast.arguments) -> int:
     """How many parameters a signature has, ``*args`` and ``**kwargs`` included."""
     return (len(args.posonlyargs) + len(args.args) + len(args.kwonlyargs)

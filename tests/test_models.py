@@ -151,6 +151,22 @@ class TestPerExampleGradient:
                 row = per_example_gradient(model, X[i], y[i])
                 assert np.allclose(batch[i], row, atol=1e-12), arch
 
+    def test_mlp_without_hidden_layer_is_logistic_with_a_bias(self):
+        # With no hidden layer the MLP's parameters [w, b] score x as w . x + b:
+        # logistic regression on the features with a constant-1 column.
+        rng = rng_from(12, "no_hidden")
+        X = standard_normal(rng, (9, 3))
+        y = (rng.random(9) < 0.5).astype(float)
+        mlp = init_model("mlp_tanh", 3, (), seed=12)
+        logistic = LossModel("logistic_crossentropy", params=mlp.params, input_dim=4)
+        X1 = np.hstack([X, np.ones((9, 1))])
+        assert np.allclose(mlp.batch_losses(X, y), logistic.batch_losses(X1, y))
+        v = standard_normal(rng, 9)
+        mlp_losses, mlp_vjp = mlp.loss_and_vjp(X, y)
+        log_losses, log_vjp = logistic.loss_and_vjp(X1, y)
+        assert np.allclose(mlp_losses, log_losses)
+        assert np.allclose(mlp_vjp(slice(None), v), log_vjp(slice(None), v))
+
 
 def worst_error(model, x, y, directions, step=1e-6):
     """The largest finite_difference_check error over ``directions``."""

@@ -504,6 +504,15 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError, match=rf"needs integers .* {arg}={value!r}"):
             monte_carlo_permutation_complexity(fns, _scalar_sampler, seed=1, **kwargs)
 
+    def test_reps_beyond_memory_are_config_error(self):
+        # 1e19 exceeds numpy's largest dimension, so nothing is ever allocated.
+        def sampler(rng, size):
+            raise AssertionError("drew data for repetitions it cannot hold")
+
+        with pytest.raises(ConfigError, match=f"cannot hold {10 ** 19} repetitions in memory$"):
+            monte_carlo_permutation_complexity([lambda X, y: X[:, 0]], sampler, n=4,
+                                               reps=10 ** 19, seed=1)
+
     def test_wrong_loss_count_is_a_shape_error(self):
         fns = [lambda X, y: X[:, 0], lambda X, y: X[1:, 0]]
         with pytest.raises(ShapeError, match=r"^loss function 1 returned 4 losses for 5 rows$"):

@@ -47,6 +47,7 @@ from riskcdf.risks import (
     oce_mean_spec,
     oce_risk,
     parse_distortion,
+    parse_risk,
     spectral_risk,
 )
 
@@ -157,6 +158,12 @@ class TestDistortionRisk:
             with pytest.raises(ConfigError, match=f"^mean: rank weights need an integer n >= 1, "
                                                   f"got {n!r}$"):
                 identity_distortion().rank_weights(n)
+
+    def test_rank_weights_beyond_memory_are_config_error(self):
+        # 1e19 exceeds numpy's largest dimension, so nothing is ever allocated.
+        with pytest.raises(ConfigError, match="^mean: cannot hold the rank weights of "
+                                              f"{10 ** 19} losses in memory$"):
+            identity_distortion().rank_weights(10 ** 19)
 
     def test_risk_constant_scales_with_support(self):
         cdf = build_cdf([0.0, 1.0, 5.0])
@@ -420,6 +427,34 @@ def test_bool_is_not_a_number(call, error):
     with pytest.raises(error, match="got (True|False)$") as info:
         call()
     assert info.type is error
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+@pytest.mark.parametrize("call, error", [
+    (lambda x: train_tiny(eta=x), ConfigError),
+    (lambda x: train_tiny(beta=x), ConfigError),
+    (lambda x: stationarity_report(train_tiny(eta=0.1)[1], beta=x), ConfigError),
+    (check_tiny, ConfigError),
+    (lambda x: certificate("finite_class", 10, x, 3), InvalidDelta),
+    (cvar_distortion, InvalidAlpha),
+    (lambda x: mean_variance(build_cdf([1.0, 2.0]), x), NumericError),
+    (lambda x: mean_variance(build_cdf([1.0]), 1.0, support_bound=x), SupportViolation),
+    (lambda x: distortion_risk(build_cdf([1.0]), identity_distortion(), x), SupportViolation),
+    (lambda x: wasserstein1(build_cdf([1.0]), build_cdf([2.0]), x), SupportViolation),
+    (lambda x: parse_risk("mean", x)(build_cdf([1.0])), SupportViolation),
+    (oce_mean_spec, SupportViolation),
+    (lambda x: oce_cvar_spec(0.5, x), SupportViolation),
+    (oce_entropic_spec, SupportViolation),
+], ids=["eta", "beta", "stationarity-beta", "step", "delta", "alpha", "c", "support-bound",
+        "distortion-risk-d", "wasserstein1-d", "parse-risk-d", "oce-mean-d", "oce-cvar-d",
+        "oce-entropic-d"])
+def test_integer_beyond_float_range_fails_as_infinity(call, error, sign):
+    """An integer no float holds (``data._real``) raises the error that the
+    infinity of its sign raises, not a raw OverflowError."""
+    for value in (sign * 10 ** 400, sign * math.inf):
+        with pytest.raises(error) as info:
+            call(value)
+        assert info.type is error
 
 
 class TestCvar:
