@@ -226,18 +226,17 @@ def monte_carlo_en(
     MC_BLOCK_LOSSES) // n)``, so a block holds at most 8,192 losses unless
     one sample alone holds more, and the reference's losses are computed
     in chunks of the same size.  Per block and model there is one loss
-    call on the block's stacked draws, one sort of its rows and one
-    :func:`~riskcdf.cdf.sup_norm_distances` pass against the reference.
-    For a reference of N points, its KS passes take O(N) once per model, to
-    build the reference's bucket index on the first block, then O(reps n)
-    plus O(c log N) for the c points that are searched, most often a few
-    in a hundred.  The sorted rows go
-    into one buffer, allocated once per call for a full block and reused
-    for every block and model, so working memory beyond the reference data
-    is O(min(N, 8192) + n).  Each other temporary in the loop, the KS
-    pass's bounds, searches and differences too, holds at most one block's rows
-    (64 KB per float column), so the allocator hands the same pages back
-    block after block: page faults do not grow with ``reps``.
+    call on the block's stacked draws and one
+    :func:`~riskcdf.cdf.sup_norm_distances` pass against the reference,
+    which sorts the block's rows.  For a reference of N points, its KS
+    passes take O(N) once per model, to build the reference's bucket index
+    on the first block, then O(reps n) plus O(c log N) for the c points
+    that are searched, most often a few in a hundred.  Working memory
+    beyond the reference data is O(min(N, 8192) + n): each temporary in
+    the loop, the KS pass's sorted rows, bounds, searches and differences
+    too, holds at most one block's rows (64 KB per float column), so the
+    allocator hands the same pages back block after block: page faults do
+    not grow with ``reps``.
 
     Raises :class:`ConfigError` unless n, reps and reference_sample_size are
     integers >= 1 and there is a model, :class:`ShapeError` if a loss
@@ -270,17 +269,13 @@ def monte_carlo_en(
 
     values = np.zeros(reps)
     block = max(1, chunk // n)
-    sorted_rows = np.empty((min(block, reps), n))
     for start in range(0, reps, block):
         draws = [sample_data(rng_from(seed, "rep", r), n)
                  for r in range(start, min(start + block, reps))]
         x = np.concatenate([d[0] for d in draws])
         y = np.concatenate([d[1] for d in draws])
         out = values[start:start + len(draws)]
-        rows = sorted_rows[:len(draws)]
         for j, (fn, ref) in enumerate(zip(loss_fns, references)):
-            losses = _check_losses(_row_losses(fn, j, x, y, rows.size))
-            np.copyto(rows, losses.reshape(rows.shape))
-            rows.sort(axis=1)
-            np.maximum(out, sup_norm_distances(rows, ref), out=out)
+            losses = _check_losses(_row_losses(fn, j, x, y, len(draws) * n))
+            np.maximum(out, sup_norm_distances(losses.reshape(len(draws), n), ref), out=out)
     return MonteCarloEnResult(values=values)

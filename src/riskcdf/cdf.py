@@ -180,18 +180,16 @@ def _check_loss_range(least: float, most: float) -> None:
         raise InvalidLoss("losses must be nonnegative")
 
 
-def _support_bound(smallest: float, largest: float, support_bound: float | None) -> float:
-    """D for losses in [``smallest``, ``largest``]: ``support_bound``, or if it
-    is None the largest loss.
+def _support_bound(smallest: float, largest: float, support_bound: float) -> float:
+    """``support_bound`` as the float D for losses in [``smallest``, ``largest``].
 
     This is the one [0, D] rule.  Every Holder constant riskcdf reports holds
     for losses in [0, D] only, so a negative loss, or a D that is not a finite
-    number or is below the largest loss, raises :class:`SupportViolation`.
+    number (None too) or is below the largest loss, raises
+    :class:`SupportViolation`.  A caller that infers D passes the largest loss.
     """
     if smallest < 0.0:
         raise SupportViolation(f"losses must be nonnegative, got {smallest}")
-    if support_bound is None:
-        return largest
     if not _is_real(support_bound):
         raise SupportViolation(f"support bound must be a finite number, got {support_bound!r}")
     d = _real(support_bound)
@@ -216,16 +214,15 @@ def sup_norm_distance(a: EmpiricalCDF, b: EmpiricalCDF) -> float:
 def sup_norm_distances(rows: np.ndarray, reference: EmpiricalCDF) -> np.ndarray:
     """Exact KS distance from the step CDF of each row to ``reference``.
 
-    ``rows`` is a non-empty (m, n) array, else :class:`ShapeError`, whose
-    rows are ascending with no NaN, else :class:`InvalidLoss` naming the
-    row and the first NaN or the first value below its predecessor (equal
-    values, -0.0 beside 0.0 too, are ascending).  The result holds m
-    distances.  F_row is constant on each interval [x_i, x_(i+1)) between
-    its own breakpoints, and on the two tails, while F_ref is monotone
-    there.  So |F_row - F_ref| on each such interval is largest at one of
-    its ends: the value at the left end or the left limit at the right end.
-    Checking the value and the left limit at the row's points alone is
-    therefore exact, whichever sample is larger.
+    ``rows`` is a non-empty (m, n) array, else :class:`ShapeError`, its rows
+    in any order (sorted in a copy if need be) with no NaN, else
+    :class:`InvalidLoss` naming the row and the position of the first NaN.
+    The result holds m distances.  F_row is constant on each interval
+    [x_i, x_(i+1)) between its own breakpoints, and on the two tails, while
+    F_ref is monotone there.  So |F_row - F_ref| on each such interval is
+    largest at one of its ends: the value at the left end or the left limit
+    at the right end.  Checking the value and the left limit at the row's
+    points alone is therefore exact, whichever sample is larger.
 
     No absolute value is needed either: the result is the larger of
     max(F_row(x) - F_ref(x)) and max(F_ref(x-) - F_row(x-)) over the row's
@@ -272,10 +269,8 @@ def sup_norm_distances(rows: np.ndarray, reference: EmpiricalCDF) -> np.ndarray:
     flat = rows.ravel()
     descent = flat[1:] < flat[:-1]
     descent[n - 1::n] = False  # the pairs that span two rows
-    if descent.any():
-        r, i = divmod(int(descent.argmax()) + 1, n)
-        raise InvalidLoss(f"KS rows must be ascending: row {r} has {rows[r, i]} at position "
-                          f"{i}, below {rows[r, i - 1]} at position {i - 1}")
+    if descent.any():  # ascending rows, as every CDF's values are, are used as given
+        rows = np.sort(rows, axis=1)
     ref = reference.values
     value_level = np.arange(1, n + 1) / n  # F_row(x_i) at the run's last point
     left_level = np.arange(n) / n  # F_row(x_i-) at the run's first point

@@ -99,7 +99,9 @@ def run_assess(params: dict, out_dir: str) -> None:
     inferred = params["support_bound"] is None
     # A given D is checked once, before any token is parsed, so every risk
     # rejects a bad one with the same error.
-    support = _support_bound(float(losses.min()), float(losses.max()), params["support_bound"])
+    largest = float(losses.max())
+    support = _support_bound(float(losses.min()), largest,
+                             largest if inferred else params["support_bound"])
     cert = bounds.certificate("finite_class", losses.shape[0], params["delta"], len(names))
     tokens = list(dict.fromkeys(params["risks"] or ["mean"]))  # a repeated token counts once
     evaluators = {token: risks.parse_risk(token, support) for token in tokens}

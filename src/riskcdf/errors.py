@@ -56,7 +56,7 @@ class EmptySample(DataError):
 
 
 class InvalidLoss(DataError):
-    """Loss value is NaN, infinite, or negative where it must not be, or out of ascending order."""
+    """Loss value is NaN, infinite, or negative where it must not be."""
 
 
 class SupportViolation(DataError):

@@ -351,7 +351,7 @@ def finite_difference_check(model: LossModel, x, y: float, direction,
     parameter count.  A ``direction`` without :attr:`LossModel.dim` entries
     raises :class:`ShapeError`, one not finite or all zero :class:`ConfigError`,
     and a step that overflows the losses :class:`NumericError` naming it."""
-    if not 0.0 < _real(step) < math.inf:
+    if not 0.0 < (h := _real(step)) < math.inf:
         raise ConfigError(f"step must be finite and positive, got {step}")
     v = np.asarray(direction, dtype=np.float64).ravel()
     if v.shape != model.params.shape:
@@ -360,12 +360,12 @@ def finite_difference_check(model: LossModel, x, y: float, direction,
         raise ConfigError(f"{model.architecture}: direction must be finite and not all zero")
     grad = model.loss_and_vjp([x], [y])[1](slice(None), np.ones(1))
     with np.errstate(all="ignore"):  # a non-finite error is raised below, not warned
-        hi = model.with_params(model.params + step * v).batch_losses([x], [y])[0]
-        lo = model.with_params(model.params - step * v).batch_losses([x], [y])[0]
-        miss = float(abs((hi - lo) / (2.0 * step) - grad @ v))
+        hi = model.with_params(model.params + h * v).batch_losses([x], [y])[0]
+        lo = model.with_params(model.params - h * v).batch_losses([x], [y])[0]
+        miss = float(abs((hi - lo) / (2.0 * h) - grad @ v))
     error = miss / max(1.0, float(np.max(np.abs(grad))))
     if not math.isfinite(error):
-        raise NumericError(f"the finite-difference relative error is {error} at step {step:g}")
+        raise NumericError(f"the finite-difference relative error is {error} at step {h:g}")
     return error
 
 
@@ -383,10 +383,7 @@ def save_checkpoint(model: LossModel, path) -> None:
 def _parameter(path, i: int, value) -> float:
     """Entry ``i`` of a checkpoint's ``parameter_vector`` as a finite float,
     else :class:`FormatError` naming the file and the index."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
+    number = _real(value)
     if not math.isfinite(number):
         raise FormatError(f"{path}: parameter_vector[{i}] is not a finite number: {value!r}")
     return number

@@ -248,11 +248,10 @@ class OceSpec:
     name: str = "oce"
 
     def __post_init__(self):
-        _support_bound(0.0, 0.0, self.support_bound)
+        d = _support_bound(0.0, 0.0, self.support_bound)
         if not math.isfinite(self.lipschitz_constant):
             raise NumericError(f"{self.name}: non-finite Holder constant "
-                               f"{self.lipschitz_constant} with support bound "
-                               f"D = {self.support_bound:g}")
+                               f"{self.lipschitz_constant} with support bound D = {d:g}")
 
 
 def identity_distortion() -> DistortionSpec:
@@ -267,8 +266,8 @@ def cvar_distortion(alpha: float) -> DistortionSpec:
         raise InvalidAlpha(f"alpha must be in (0, 1], got {alpha!r}")
     return DistortionSpec(
         g=lambda t: np.minimum(np.asarray(t, dtype=np.float64), a) / a,  # min(t/a, 1), without overflow
-        name=f"cvar:{alpha:g}",
-        lipschitz_constant=1.0 / alpha,
+        name=f"cvar:{a:g}",
+        lipschitz_constant=1.0 / a,
     )
 
 
@@ -276,7 +275,7 @@ def cvar_spectrum(alpha: float) -> DistortionSpec:
     """h(u) = (1/alpha) * 1{u >= 1-alpha} as its distortion 1 - H(1 - t), which
     is CVaR's min(t/alpha, 1): :func:`cvar_distortion` under the spectrum's
     name, so g(0) = 0 and g(1) = 1 however small alpha is."""
-    return dataclasses.replace(cvar_distortion(alpha), name=f"cvar_spectrum:{alpha:g}")
+    return dataclasses.replace(cvar_distortion(alpha), name=f"cvar_spectrum:{_real(alpha):g}")
 
 
 def oce_mean_spec(support_bound: float) -> OceSpec:
@@ -295,7 +294,7 @@ def oce_cvar_spec(alpha: float, support_bound: float) -> OceSpec:
     spec = cvar_distortion(alpha)
     return OceSpec(support_bound=support_bound,
                    lipschitz_constant=_real(support_bound) / float(alpha),
-                   name=f"oce:cvar:{alpha:g}",
+                   name=f"oce:{spec.name}",
                    closed_form=lambda x: spec._rank_sum(spec._ranked(x.shape[0])[0], x))
 
 
@@ -318,7 +317,7 @@ def distortion_risk(cdf: EmpiricalCDF, spec: DistortionSpec,
                     support_bound: float | None = None) -> RiskValue:
     """Distortion risk of an empirical CDF, spectral risks included: the
     spec's rank weights, kept for the last sample size, dotted with the sorted losses."""
-    d = _support_bound(cdf.min, cdf.max, support_bound)
+    d = _support_bound(cdf.min, cdf.max, cdf.max if support_bound is None else support_bound)
     L = None if spec.lipschitz_constant is None else spec.lipschitz_constant * d
     return RiskValue(value=spec._rank_sum(spec._ranked(cdf.n)[0], cdf.values),
                      risk_name=spec.name, L=L)
@@ -361,7 +360,7 @@ def mean_variance(cdf: EmpiricalCDF, c: float, support_bound: float | None = Non
     if not _is_real(c):
         raise ConfigError(f"mean_var: c must be a real number, got {c!r}")
     c = _real(c)
-    d = _support_bound(cdf.min, cdf.max, support_bound)
+    d = _support_bound(cdf.min, cdf.max, cdf.max if support_bound is None else support_bound)
     m1 = moment(cdf, 1)
     m2 = moment(cdf, 2)
     return RiskValue(

@@ -532,13 +532,13 @@ class TestBlockedMonteCarlo:
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="ru_minflt counts minor page faults on Linux")
     def test_page_faults_do_not_grow_with_reps(self):
-        # The loop reuses its buffers and sizes every temporary by a block
-        # of at most 8,192 rows, so ten times the repetitions take no more
-        # fresh pages.  Faults are counted from the first 800-row draw, after
-        # the 20,000-row reference: the ~2 MB reference phase refaults, or
-        # not, depending on whether the allocator trimmed the heap after the
-        # call before, and it, the values and the sorted-rows buffer do not
-        # grow with reps.  The least of three differences leaves out noise.
+        # The loop sizes every temporary, the KS pass's sorted rows too, by
+        # a block of at most 8,192 rows, so ten times the repetitions take no
+        # more fresh pages.  Faults are counted from the first 800-row draw,
+        # after the 20,000-row reference: the ~2 MB reference phase refaults,
+        # or not, depending on whether the allocator trimmed the heap after
+        # the call before, and it and the values do not grow with reps.  The
+        # least of three differences leaves out noise.
         import resource
 
         models = [init_model("logistic_crossentropy", 2, seed=derive_seed(0, "model", j))

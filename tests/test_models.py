@@ -301,7 +301,11 @@ class TestCheckpointRoundTrip:
         ("[NaN, 1.0]", "parameter_vector[0] is not a finite number: nan"),
         ("[1.0, Infinity]", "parameter_vector[1] is not a finite number: inf"),
         ('["a", 1.0]', "parameter_vector[0] is not a finite number: 'a'"),
-    ], ids=["nan", "infinity", "string"])
+        (f"[1.0, {10 ** 400}]", f"parameter_vector[1] is not a finite number: {10 ** 400}"),
+        ('["1.5", 1.0]', "parameter_vector[0] is not a finite number: '1.5'"),
+        ("[1.0, true]", "parameter_vector[1] is not a finite number: True"),
+        ("[null, 1.0]", "parameter_vector[0] is not a finite number: None"),
+    ], ids=["nan", "infinity", "string", "401-digits", "numeric-string", "true", "null"])
     def test_bad_parameter_is_not_loaded(self, tmp_path, vector, bad):
         path = tmp_path / "ckpt.json"
         path.write_text('{"architecture": "linear_squared", '

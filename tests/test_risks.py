@@ -4,6 +4,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -394,9 +395,13 @@ def check_tiny(step):
     (lambda: oce_mean_spec("5"), SupportViolation),
     (lambda: oce_entropic_spec("a"), SupportViolation),
     (lambda: oce_cvar_spec(0.5, "a"), SupportViolation),
+    (lambda: oce_mean_spec(None), SupportViolation),
+    (lambda: oce_entropic_spec(None), SupportViolation),
+    (lambda: oce_cvar_spec(0.5, None), SupportViolation),
 ], ids=["count-str", "count-none", "growth-str", "delta-none", "delta-str", "alpha-str",
         "g-scalar", "g-short", "ragged-losses", "eta-str", "beta-str", "step-str", "c-str",
-        "support-bound-str", "oce-mean-d-str", "oce-entropic-d-str", "oce-cvar-d-str"])
+        "support-bound-str", "oce-mean-d-str", "oce-entropic-d-str", "oce-cvar-d-str",
+        "oce-mean-d-none", "oce-entropic-d-none", "oce-cvar-d-none"])
 def test_non_numeric_argument_raises_typed_error(call, error):
     """A library argument of the wrong type raises the error its value check
     raises, not a raw TypeError or ValueError from inside the check."""
@@ -405,6 +410,31 @@ def test_non_numeric_argument_raises_typed_error(call, error):
     assert info.type is error
     assert "non-decreasing" not in str(info.value)
 
+
+def test_oce_support_bound_none_is_not_a_number():
+    """A risk of a sample infers a None D from it, but an OCE spec has no
+    sample: a None D fails as any other non-number does."""
+    with pytest.raises(SupportViolation, match="^support bound must be a finite number, got None$"):
+        oce_mean_spec(None)
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: oce_entropic_spec(Fraction(800)), NumericError, "D = 800"),
+    (lambda: check_tiny(Fraction(10 ** 200)), NumericError, "at step 1e+200"),
+], ids=["oce-entropic-d", "step"])
+def test_fraction_message_formats_its_float(call, error, text):
+    """A message formats the float its check made, not the argument, which
+    may be a Fraction that has no ``:g`` format before Python 3.12."""
+    with pytest.raises(error, match=f"{re.escape(text)}$") as info:
+        call()
+    assert info.type is error
+
+
+def test_fraction_alpha_names_its_float():
+    half = Fraction(1, 2)
+    names = [cvar_distortion(half).name, cvar_spectrum(half).name, oce_cvar_spec(half, 5.0).name]
+    assert names == ["cvar:0.5", "cvar_spectrum:0.5", "oce:cvar:0.5"]
+    assert cvar_distortion(half).lipschitz_constant == 2.0
 
 
 @pytest.mark.parametrize("call, error", [
