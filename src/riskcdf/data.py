@@ -67,21 +67,31 @@ def blob_mixture_sampler():
     is drawn with probability proportional to ``TOY_BLOB_SIZES[k]``.
 
     Returns ``sample(rng, n) -> (X, y)`` for Monte Carlo drivers that need
-    fresh draws from the population rather than a fixed dataset.
+    fresh draws from the population rather than a fixed dataset.  ``n`` must
+    be an integer >= 0 and not a bool, else :class:`ConfigError`.  The draws
+    are a pure function of the generator's state: ``rng.random(n)`` labels,
+    then :func:`~riskcdf.seeds.standard_normal`'s ``u1`` and ``u2`` for the
+    points; point i joins cluster ``searchsorted(cum, label_i, "right")`` of
+    the cumulative weights ``cum``, and is ``center + std * z`` bit for bit.
     """
     centers_arr = np.asarray(TOY_BLOB_CENTERS, dtype=np.float64)
     stds_arr = np.asarray(TOY_BLOB_STDS, dtype=np.float64)
     weights = np.asarray(TOY_BLOB_SIZES, dtype=np.float64)
     weights = weights / weights.sum()
     cum = np.cumsum(weights)
+    d = centers_arr.shape[1]
 
     def sample(rng: np.random.Generator, n: int):
-        # In place, the IEEE operations of centers[comp] + stds[comp] * z.
+        if not (_is_real(n) and isinstance(n, numbers.Integral) and n >= 0):
+            raise ConfigError(f"blob sampler needs an integer n >= 0, got {n!r}")
         labels = rng.random(n)
-        comp = np.searchsorted(cum, labels, side="right")
-        x = standard_normal(rng, (n, centers_arr.shape[1]))
-        x *= stds_arr[comp, None]
-        x += centers_arr[comp]
+        comp = (labels >= cum[:, None]).sum(axis=0)  # searchsorted(cum, labels, "right")
+        x = standard_normal(rng, (n, d))
+        # In place on x's C-contiguous buffer, the IEEE operations of
+        # centers[comp] + stds[comp] * z, one flat row for all n * d values.
+        flat = x.reshape(-1)
+        flat *= np.repeat(stds_arr.take(comp), d)
+        flat += centers_arr.take(comp, axis=0).reshape(-1)
         np.copyto(labels, comp)
         return x, labels
 

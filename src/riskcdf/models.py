@@ -51,19 +51,19 @@ def _sigmoid_pair(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sigmoid(s) and its stable complement sigmoid(-s) from one exponential.
 
     exp(-|s|) never overflows.  Bit for bit this is 1/(1+exp(-s)) for
-    s >= 0 and exp(s)/(1+exp(s)) for s < 0, and the mirror image for -s.
-    Computed in place in three arrays of the scores' size, and ``scores``
-    is not written.
+    s >= 0 and exp(s)/(1+exp(s)) for s < 0, and the mirror image for -s;
+    ``scores`` is not written.
     """
     e = np.abs(scores)
     np.negative(e, out=e)
     np.exp(e, out=e)
     denom = e + 1.0
-    p = np.where(scores >= 0, 1.0, e)
+    upper = scores >= 0
+    p = np.where(upper, 1.0, e)
     p /= denom
-    np.copyto(e, 1.0, where=scores <= 0)
-    e /= denom
-    return p, e
+    q = np.where(upper, e, 1.0)
+    q /= denom
+    return p, q
 
 
 def _crossentropy(p: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -126,7 +126,8 @@ class DistortionSpec:
     :meth:`rank_weights` the levels it reads, so every risk has valid weights.
     ``lipschitz_constant`` is the constant of g itself (the induced risk
     constant on losses supported in [0, D] is this times D); ``None`` means
-    unknown.
+    unknown.  Any other constant is stored as its float (``data._real``): one
+    that is not a real number, or NaN, raises :class:`NumericError`.
     """
 
     g: Callable = field(repr=False)
@@ -135,6 +136,13 @@ class DistortionSpec:
     _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if (c := self.lipschitz_constant) is not None:
+            # Infinity is kept: cvar_distortion's 1/alpha overflows for a
+            # subnormal alpha, which trains; RiskValue rejects it when evaluated.
+            if math.isnan(L := _real(c)):
+                raise NumericError(f"{self.name}: non-finite Holder constant "
+                                   f"{L if _is_real(c) else repr(c)}")
+            object.__setattr__(self, "lipschitz_constant", L)
         g0, g1 = self(np.array([0.0, 1.0]))
         if not abs(g0) <= DISTORTION_TOL:  # NaN fails too
             raise InvalidDistortion(f"{self.name}: g(0) = {float(g0)}, expected 0")
@@ -235,8 +243,9 @@ class OceSpec:
     OCE moves with a shift of its losses, so this constant depends only on
     the support's width D; the reflection -X that :func:`inverted_oce_risk`
     evaluates keeps that width, so L is the same in both directions.  It
-    must be finite: an overflowing one raises :class:`NumericError`,
-    as it does for every risk.  The presets (:func:`oce_mean_spec`,
+    is stored as its float (``data._real``) and must be finite: one that is
+    not a real number, or overflows, raises :class:`NumericError`, as it
+    does for every risk.  The presets (:func:`oce_mean_spec`,
     :func:`oce_entropic_spec`, :func:`oce_cvar_spec`) build every OCE riskcdf
     evaluates, each with its constant in closed form.  D must be finite and
     nonnegative, else :class:`SupportViolation`.
@@ -249,9 +258,10 @@ class OceSpec:
 
     def __post_init__(self):
         d = _support_bound(0.0, 0.0, self.support_bound)
-        if not math.isfinite(self.lipschitz_constant):
+        if not math.isfinite(L := _real(c := self.lipschitz_constant)):
             raise NumericError(f"{self.name}: non-finite Holder constant "
-                               f"{self.lipschitz_constant} with support bound D = {d:g}")
+                               f"{L if _is_real(c) else repr(c)} with support bound D = {d:g}")
+        object.__setattr__(self, "lipschitz_constant", L)
 
 
 def identity_distortion() -> DistortionSpec:

@@ -23,7 +23,7 @@ from riskcdf.data import (
 from riskcdf.errors import ConfigError, EmptySample, FormatError, InvalidLoss
 from riskcdf.permcomplexity import load_loss_matrix_csv
 from riskcdf.risks import _load_table_csv
-from riskcdf.seeds import rng_from
+from riskcdf.seeds import rng_from, standard_normal
 
 
 class TestGenerateBlobs:
@@ -53,6 +53,48 @@ class TestGenerateBlobs:
         assert X.shape == (20_000, 2)
         frac = float(np.mean(y == 1.0))
         assert frac == pytest.approx(50 / 1050, abs=0.01)
+
+
+def gathered_blob_sample(rng, n):
+    """Oracle: the blob sampler as it was computed, by ``searchsorted``, a
+    fancy-index gather and a broadcast multiply."""
+    centers = np.asarray(TOY_BLOB_CENTERS, dtype=np.float64)
+    stds = np.asarray(TOY_BLOB_STDS, dtype=np.float64)
+    weights = np.asarray(TOY_BLOB_SIZES, dtype=np.float64)
+    cum = np.cumsum(weights / weights.sum())
+    labels = rng.random(n)
+    comp = np.searchsorted(cum, labels, side="right")
+    x = standard_normal(rng, (n, centers.shape[1]))
+    x *= stds[comp, None]
+    x += centers[comp]
+    np.copyto(labels, comp)
+    return x, labels
+
+
+class TestBlobSamplerMatchesGatherOracle:
+    @pytest.mark.parametrize("n", [0, 1, 2, 200, 20_000])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_same_bits_and_stream(self, n, seed):
+        """The same points and labels, bit for bit, and the generator is left
+        where the oracle leaves it."""
+        got_rng, want_rng = rng_from(seed, "mix"), rng_from(seed, "mix")
+        got = blob_mixture_sampler()(got_rng, n)
+        want = gathered_blob_sample(want_rng, n)
+        assert got[0].shape == (n, 2) and got[1].shape == (n,)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert got_rng.random() == want_rng.random()
+
+    def test_numpy_integer_count(self):
+        got = blob_mixture_sampler()(rng_from(0, "mix"), np.int64(3))
+        want = gathered_blob_sample(rng_from(0, "mix"), 3)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("n", [-1, 2.5, 3.0, True, False, "3", None],
+                             ids=["negative", "fraction", "float", "true", "false", "str", "none"])
+    def test_count_is_an_integer_at_least_zero(self, n):
+        with pytest.raises(ConfigError, match=r"^blob sampler needs an integer n >= 0, got "):
+            blob_mixture_sampler()(rng_from(0, "mix"), n)
 
 
 class TestDatasetCsv:

@@ -120,6 +120,52 @@ class TestClampsMatchClipOracle:
                            clip_crossentropy(p, q, y))
 
 
+def masked_sigmoid_pair(scores):
+    """Oracle: ``_sigmoid_pair`` as it was computed in place, its complement
+    by a masked ``np.copyto`` of 1.0 where s <= 0."""
+    e = np.abs(scores)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denom = e + 1.0
+    p = np.where(scores >= 0, 1.0, e)
+    p /= denom
+    np.copyto(e, 1.0, where=scores <= 0)
+    e /= denom
+    return p, e
+
+
+SPECIAL_SCORES = [0.0, -0.0, 745.2, -745.2, 800.0, -800.0, 1e308, -1e308, math.nan]
+
+
+class TestSigmoidPairMatchesMaskedOracle:
+    """``_sigmoid_pair`` gives the masked kernel's p and q, bit for bit, NaN too."""
+
+    @staticmethod
+    def assert_same_bits(scores):
+        got, want = _sigmoid_pair(scores), masked_sigmoid_pair(scores)
+        for a, b in zip(got, want):
+            assert a.shape == scores.shape and a.dtype == np.float64
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("size", [0, 1, 1050, 8192])
+    def test_random_scale(self, size):
+        rng = rng_from(size, "sigmoid-scores")
+        scores = standard_normal(rng, size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+        if size >= len(SPECIAL_SCORES):
+            scores[:len(SPECIAL_SCORES)] = SPECIAL_SCORES
+        self.assert_same_bits(scores)
+
+    @pytest.mark.parametrize("score", SPECIAL_SCORES)
+    def test_special_score(self, score):
+        self.assert_same_bits(np.array([score]))
+
+    def test_scores_are_not_written(self):
+        scores = np.array(SPECIAL_SCORES)
+        before = scores.copy()
+        _sigmoid_pair(scores)
+        assert np.array_equal(scores.view(np.int64), before.view(np.int64))
+
+
 class TestPerExampleGradient:
     def test_linear_gradient(self):
         m = LossModel("linear_squared", params=np.array([1.0]), input_dim=1)

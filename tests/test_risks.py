@@ -377,6 +377,16 @@ def check_tiny(step):
     return finite_difference_check(init_model("linear_squared", 1), [1.0], 0.0, [1.0], step)
 
 
+def oce_with_constant(constant):
+    """An OCE spec on [0, 1] with the Holder constant given."""
+    return OceSpec(support_bound=1.0, lipschitz_constant=constant, closed_form=float)
+
+
+def identity_with_constant(constant):
+    """The identity distortion with the Holder constant given."""
+    return DistortionSpec(g=lambda t: np.asarray(t, dtype=np.float64), lipschitz_constant=constant)
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: certificate("finite_class", 10, 0.1, "3"), ConfigError),
     (lambda: certificate("finite_class", 10, 0.1, None), ConfigError),
@@ -398,10 +408,18 @@ def check_tiny(step):
     (lambda: oce_mean_spec(None), SupportViolation),
     (lambda: oce_entropic_spec(None), SupportViolation),
     (lambda: oce_cvar_spec(0.5, None), SupportViolation),
+    (lambda: oce_with_constant(None), NumericError),
+    (lambda: oce_with_constant("1"), NumericError),
+    (lambda: oce_with_constant(True), NumericError),
+    (lambda: identity_with_constant("a"), NumericError),
+    (lambda: identity_with_constant(True), NumericError),
+    (lambda: identity_with_constant(math.nan), NumericError),
 ], ids=["count-str", "count-none", "growth-str", "delta-none", "delta-str", "alpha-str",
         "g-scalar", "g-short", "ragged-losses", "eta-str", "beta-str", "step-str", "c-str",
         "support-bound-str", "oce-mean-d-str", "oce-entropic-d-str", "oce-cvar-d-str",
-        "oce-mean-d-none", "oce-entropic-d-none", "oce-cvar-d-none"])
+        "oce-mean-d-none", "oce-entropic-d-none", "oce-cvar-d-none", "oce-constant-none",
+        "oce-constant-str", "oce-constant-true", "distortion-constant-str",
+        "distortion-constant-true", "distortion-constant-nan"])
 def test_non_numeric_argument_raises_typed_error(call, error):
     """A library argument of the wrong type raises the error its value check
     raises, not a raw TypeError or ValueError from inside the check."""
@@ -428,6 +446,39 @@ def test_fraction_message_formats_its_float(call, error, text):
     with pytest.raises(error, match=f"{re.escape(text)}$") as info:
         call()
     assert info.type is error
+
+
+@pytest.mark.parametrize("constant, message", [
+    (None, "oce: non-finite Holder constant None with support bound D = 1"),
+    ("a", "oce: non-finite Holder constant 'a' with support bound D = 1"),
+    (Fraction(10 ** 400), "oce: non-finite Holder constant inf with support bound D = 1"),
+    (math.inf, "oce: non-finite Holder constant inf with support bound D = 1"),
+], ids=["none", "str", "fraction-beyond-float", "inf"])
+def test_oce_constant_message_names_the_spec(constant, message):
+    with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+        oce_with_constant(constant)
+
+
+@pytest.mark.parametrize("make", [oce_with_constant, identity_with_constant],
+                         ids=["oce", "distortion"])
+def test_holder_constant_is_stored_as_its_float(make):
+    """A real constant is kept as its float (``data._real``): a float is
+    unchanged, an int, Fraction or numpy scalar becomes a Python float."""
+    for constant, want in [(0.1, 0.1), (3, 3.0), (Fraction(1, 3), 1 / 3),
+                           (np.float32(0.5), 0.5), (np.int64(2), 2.0)]:
+        stored = make(constant).lipschitz_constant
+        assert type(stored) is float and stored == want
+    assert identity_with_constant(None).lipschitz_constant is None
+
+
+def test_subnormal_cvar_keeps_its_infinite_constant():
+    """1/alpha overflows for a subnormal alpha: the spec builds, so it can
+    train, and a risk evaluated with it reports the infinite constant."""
+    spec = cvar_distortion(5e-324)
+    assert spec.lipschitz_constant == math.inf
+    assert spec.rank_weights(4).tolist() == [0.0, 0.0, 0.0, 1.0]
+    with pytest.raises(NumericError, match="has Holder constant L = inf$"):
+        distortion_risk(build_cdf([1.0, 2.0]), spec)
 
 
 def test_fraction_alpha_names_its_float():
@@ -475,9 +526,11 @@ def test_bool_is_not_a_number(call, error):
     (oce_mean_spec, SupportViolation),
     (lambda x: oce_cvar_spec(0.5, x), SupportViolation),
     (oce_entropic_spec, SupportViolation),
+    (oce_with_constant, NumericError),
+    (lambda x: distortion_risk(build_cdf([1.0]), identity_with_constant(x)), NumericError),
 ], ids=["eta", "beta", "stationarity-beta", "step", "delta", "alpha", "c", "support-bound",
         "distortion-risk-d", "wasserstein1-d", "parse-risk-d", "oce-mean-d", "oce-cvar-d",
-        "oce-entropic-d"])
+        "oce-entropic-d", "oce-constant", "distortion-constant"])
 def test_integer_beyond_float_range_fails_as_infinity(call, error, sign):
     """An integer no float holds (``data._real``) raises the error that the
     infinity of its sign raises, not a raw OverflowError."""
