@@ -35,7 +35,7 @@ from .cdf import _check_losses, build_cdf, sup_norm_distances
 # sup_norm_distance is bound only for perfbench/tracing.py, which times
 # calls through the name bound here; nothing here calls it.
 from .cdf import sup_norm_distance  # noqa: F401
-from .data import _is_count, _is_real, _real, _write_csv
+from .data import _BUFFER_DOUBLES, _is_count, _is_real, _real, _write_csv
 from .errors import ConfigError, InvalidDelta, InvalidGrowth, ShapeError, WeakReference
 from .seeds import rng_from
 
@@ -178,12 +178,6 @@ class MonteCarloEnResult:
         _write_csv(path, ["rep", "e_n"], [range(len(self.values)), self.values])
 
 
-# The most losses one loss call, sort or KS pass of monte_carlo_en handles:
-# 8,192 doubles are 64 KB, so each block's temporaries are small, and the
-# allocator hands the same memory back block after block.
-MC_BLOCK_LOSSES = 8192
-
-
 def _row_losses(fn, j: int, X, y, rows: int) -> np.ndarray:
     """``loss_fns[j]`` on a dataset of ``rows`` examples, one loss per row."""
     losses = np.asarray(fn(X, y), dtype=np.float64).ravel()
@@ -223,7 +217,7 @@ def monte_carlo_en(
         Accepted for existing callers and ignored: repetitions run serially.
 
     Repetitions run in blocks of ``max(1, min(reference_sample_size,
-    MC_BLOCK_LOSSES) // n)``, so a block holds at most 8,192 losses unless
+    8192) // n)``, so a block holds at most 8,192 losses unless
     one sample alone holds more, and the reference's losses are computed
     in chunks of the same size.  Per block and model there is one loss
     call on the block's stacked draws and one
@@ -238,16 +232,21 @@ def monte_carlo_en(
     allocator hands the same pages back block after block: page faults do
     not grow with ``reps``.
 
-    Raises :class:`ConfigError` unless n, reps and reference_sample_size are
-    integers >= 1 and there is a model, :class:`ShapeError` if a loss
-    function returns other than one loss per row, and :class:`InvalidLoss`
-    for a NaN, infinite or negative loss.
+    Raises :class:`ConfigError`, before anything is drawn, unless n, reps
+    and reference_sample_size are integers >= 1, numpy can hold ``reps``
+    values and there is a model; :class:`ShapeError` if a loss function
+    returns other than one loss per row, and :class:`InvalidLoss` for a NaN,
+    infinite or negative loss.
     """
     if not (_is_count(n) and _is_count(reps) and _is_count(reference_sample_size)):
         raise ConfigError(f"monte_carlo_en needs integers n, reps, reference_sample_size >= 1, "
                           f"got {n!r}, {reps!r}, {reference_sample_size!r}")
     if len(loss_fns) == 0:
         raise ConfigError("monte_carlo_en needs at least one model")
+    try:
+        values = np.zeros(reps)
+    except (MemoryError, ValueError):
+        raise ConfigError(f"monte_carlo_en cannot hold {reps} repetitions in memory") from None
     if reference_sample_size < 10 * n:
         warnings.warn(
             f"reference sample ({reference_sample_size}) is below 10x the "
@@ -257,7 +256,7 @@ def monte_carlo_en(
         )
     ref_rng = rng_from(seed, "reference")
     x_ref, y_ref = sample_data(ref_rng, reference_sample_size)
-    chunk = min(reference_sample_size, MC_BLOCK_LOSSES)
+    chunk = min(reference_sample_size, _BUFFER_DOUBLES)
     ref_losses = np.empty(reference_sample_size)
     references = []
     for j, fn in enumerate(loss_fns):
@@ -267,7 +266,6 @@ def monte_carlo_en(
                                            min(chunk, reference_sample_size - s))
         references.append(build_cdf(ref_losses))
 
-    values = np.zeros(reps)
     block = max(1, chunk // n)
     for start in range(0, reps, block):
         draws = [sample_data(rng_from(seed, "rep", r), n)

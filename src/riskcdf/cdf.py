@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _check_loss_cells, _is_count, _is_real, _real, _write_csv, read_numeric_csv
+from .data import (_BUFFER_DOUBLES, _check_loss_cells, _is_count, _is_real, _real, _write_csv,
+                   read_numeric_csv)
 from .errors import (EmptySample, FormatError, InvalidLoss, InvalidOrder, NumericError,
                      ShapeError, SupportViolation)
 
@@ -44,10 +45,8 @@ class _Buckets(NamedTuple):
     below: np.ndarray
 
 
-# Points per bucket of the index, on average, and the most points one step
-# of its build maps: 8,192 doubles are 64 KB, as in the Monte Carlo blocks.
+# Points per bucket of the index, on average.
 _BUCKET_POINTS = 16
-_BUILD_CHUNK = 8192
 
 
 def _bucket_of(x: np.ndarray, index: _Buckets) -> np.ndarray:
@@ -64,7 +63,7 @@ def _bucket_of(x: np.ndarray, index: _Buckets) -> np.ndarray:
 
 def _bucket_index(values: np.ndarray) -> _Buckets:
     """The :class:`_Buckets` of ascending ``values`` with no NaN: B = N // 16
-    buckets, counted in chunks of at most 8,192 values.  O(N) time."""
+    buckets, counted in chunks of at most ``_BUFFER_DOUBLES`` values.  O(N) time."""
     n = values.shape[0]
     finite = values[np.searchsorted(values, -np.inf, side="right"):
                     np.searchsorted(values, np.inf, side="left")]
@@ -79,8 +78,8 @@ def _bucket_index(values: np.ndarray) -> _Buckets:
         return _Buckets(0.0, 0.0, 0.0, below)
     index = _Buckets(lo, hi, scale, np.empty(buckets + 1))
     counts = np.zeros(buckets + 1, dtype=np.intp)
-    for s in range(0, n, _BUILD_CHUNK):
-        counts[1:] += np.bincount(_bucket_of(values[s:s + _BUILD_CHUNK], index),
+    for s in range(0, n, _BUFFER_DOUBLES):
+        counts[1:] += np.bincount(_bucket_of(values[s:s + _BUFFER_DOUBLES], index),
                                   minlength=buckets)
     np.divide(np.cumsum(counts, out=counts), n, out=index.below)
     index.below.flags.writeable = False

@@ -45,6 +45,12 @@ TOY_BLOB_SIZES = (1000, 50)
 TOY_BLOB_CENTERS = ((0.0, 0.0), (1.0, 1.0))
 TOY_BLOB_STDS = (1.5, 0.5)
 
+# The most doubles one working buffer of a blocked loop holds (the KS index
+# build, the Monte Carlo blocks, the step noise): 8,192 doubles are 64 KB, so
+# each block's temporaries are small and the allocator hands the same memory
+# back block after block instead of faulting in fresh pages.
+_BUFFER_DOUBLES = 8192
+
 
 def toy_blobs(seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The imbalanced two-cluster toy dataset (1000 + 50 points in 2-D) as
@@ -68,9 +74,10 @@ def blob_mixture_sampler():
 
     Returns ``sample(rng, n) -> (X, y)`` for Monte Carlo drivers that need
     fresh draws from the population rather than a fixed dataset.  ``n`` must
-    be an integer >= 0 and not a bool, else :class:`ConfigError`.  The draws
-    are a pure function of the generator's state: ``rng.random(n)`` labels,
-    then :func:`~riskcdf.seeds.standard_normal`'s ``u1`` and ``u2`` for the
+    be an integer >= 0 and not a bool, and numpy must be able to hold n
+    draws, else :class:`ConfigError`.  The draws are a pure function of the
+    generator's state: ``rng.random(n)`` labels, then
+    :func:`~riskcdf.seeds.standard_normal`'s ``u1`` and ``u2`` for the
     points; point i joins cluster ``searchsorted(cum, label_i, "right")`` of
     the cumulative weights ``cum``, and is ``center + std * z`` bit for bit.
     """
@@ -84,7 +91,10 @@ def blob_mixture_sampler():
     def sample(rng: np.random.Generator, n: int):
         if not (_is_real(n) and isinstance(n, numbers.Integral) and n >= 0):
             raise ConfigError(f"blob sampler needs an integer n >= 0, got {n!r}")
-        labels = rng.random(n)
+        try:
+            labels = rng.random(n)
+        except (MemoryError, ValueError):
+            raise ConfigError(f"blob sampler cannot hold {n} draws in memory") from None
         comp = (labels >= cum[:, None]).sum(axis=0)  # searchsorted(cum, labels, "right")
         x = standard_normal(rng, (n, d))
         # In place on x's C-contiguous buffer, the IEEE operations of

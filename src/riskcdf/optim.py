@@ -50,7 +50,7 @@ import numpy as np
 # build_cdf and distortion_risk stay bound although training reads neither:
 # its risk is the rank-weighted sum that distortion_risk computes.
 from .cdf import build_cdf  # noqa: F401
-from .data import _is_count, _real, _write_csv
+from .data import _BUFFER_DOUBLES, _is_count, _real, _write_csv
 from .errors import ConfigError, Diverged, EmptySample
 from .models import LossModel
 from .risks import DistortionSpec, distortion_risk  # noqa: F401
@@ -67,9 +67,6 @@ __all__ = [
 ]
 
 DIVERGENCE_GUARD = 1e12
-# Uniforms drawn at once for the step noise: 2d per step, so a block holds
-# max(1, NOISE_BLOCK_DRAWS // (2d)) steps, 32 KB of doubles or one step.
-NOISE_BLOCK_DRAWS = 4096
 
 
 def _positive_beta(beta: float) -> float:
@@ -174,8 +171,10 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: Distortion
     rows it returns, in O(n * width + d) memory.  The step is
     :func:`noisy_gd_step`'s, with its noise stream bit for bit, but the
     noise comes from one :func:`~riskcdf.seeds.standard_normal_rows` draw
-    per block of ``max(1, NOISE_BLOCK_DRAWS // (2 * d))`` steps.  ``risk[t-1]``
-    equals ``distortion_risk(build_cdf(losses), distortion).value`` on the
+    per block of ``max(1, 8192 // (2 * d))`` steps, 2d
+    uniforms a step, so one 64 KB buffer holds a block unless a step alone
+    needs more.  ``risk[t-1]`` equals
+    ``distortion_risk(build_cdf(losses), distortion).value`` on the
     iterate's losses bit for bit.  Negative losses raise
     :class:`InvalidLoss`, as :func:`build_cdf` does, and a non-finite
     feature or label, or a label that the model's loss does not accept,
@@ -217,7 +216,7 @@ def train(model: LossModel, X: np.ndarray, y: np.ndarray, distortion: Distortion
     if n == 0:
         raise EmptySample("no training examples")
     d = theta.shape[0]
-    block = max(1, NOISE_BLOCK_DRAWS // (2 * d))
+    block = max(1, _BUFFER_DOUBLES // (2 * d))
     # One noise buffer, allocated before the loop, holds each block's noise:
     # a block array allocated mid-run, above the step's large temporaries,
     # can make the allocator return and re-fault the heap top every step

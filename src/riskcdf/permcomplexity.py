@@ -241,9 +241,8 @@ def exact_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
     # Branch on the uncovered order with the fewest covering masks (the
     # lowest such order on a tie).
     branch_order = sorted(range(n_orders), key=lambda j: len(by_element[j]))
-    best_count, best_perms = _greedy_cover(perms, orders)
-    best: list[int] = []  # masks of the incumbent (greedy witness used if never improved)
-    max_cover = max(mk.bit_count() for mk in maximal)
+    best_count, best = _greedy_cover(perms, orders)  # the incumbent and its witnesses
+    max_cover = maximal[0].bit_count()  # maximal keeps the masks' largest-first order
     # Fewest masks chosen on reaching each remaining set.  A revisit at no
     # smaller depth is pruned: the first visit searched the same subtree
     # under an incumbent no better than today's, so it cannot improve it.
@@ -258,7 +257,7 @@ def exact_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
         if not remaining:
             if depth < best_count:
                 best_count = depth
-                best = list(chosen)
+                best = [mask_to_perm[mk] for mk in chosen]
             return
         lower = depth + math.ceil(remaining.bit_count() / max_cover)
         if lower >= best_count:
@@ -275,11 +274,7 @@ def exact_min_permutations(m: LossMatrix) -> tuple[int, list[tuple[int, ...]]]:
             chosen.pop()
 
     dfs(universe, [])
-    if best:
-        witnesses = [mask_to_perm[mk] for mk in best]
-    else:
-        witnesses = best_perms
-    return best_count, witnesses
+    return best_count, best
 
 
 @dataclass(frozen=True, eq=False)

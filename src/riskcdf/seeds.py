@@ -4,13 +4,21 @@ All randomness in the toolkit funnels through a single run seed.  Subsystem
 and per-repetition seeds are derived by hashing ``(seed, *scope)`` with
 SHA-256, so results are identical regardless of scheduling, worker count, or
 platform.
+
+A seed is an integer and not a bool, of any sign and size; numpy integers
+count.  Anything else, a float, a string or None, raises
+:class:`~riskcdf.errors.ConfigError` rather than standing in for the
+integer it would convert to.
 """
 
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 def derive_seed(seed: int, *scope) -> int:
@@ -18,7 +26,10 @@ def derive_seed(seed: int, *scope) -> int:
 
     ``derive_seed(7, "montecarlo", 12)`` is a pure function of its
     arguments; distinct scopes give statistically independent streams.
+    ``seed`` must be an integer and not a bool, else :class:`ConfigError`.
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ConfigError(f"a seed must be an integer, got {seed!r}")
     msg = ":".join([str(int(seed)), *map(str, scope)]).encode()
     return int.from_bytes(hashlib.sha256(msg).digest()[:8], "big")
 

@@ -261,6 +261,24 @@ class TestMonteCarloEn:
         with pytest.raises(ConfigError, match="at least one model"):
             monte_carlo_en([], sampler, n=5, reps=4, seed=0, reference_sample_size=50)
 
+    @pytest.mark.parametrize("reps", [10**400, 2**62], ids=["10**400", "2**62"])
+    def test_reps_numpy_cannot_hold_raise_before_drawing(self, reps):
+        # Counts numpy rejects by their size alone, before it allocates.
+        def sampler(rng, size):
+            raise AssertionError("drew data for repetitions it cannot hold")
+
+        with pytest.raises(ConfigError, match=rf"^monte_carlo_en cannot hold {reps} repetitions"):
+            monte_carlo_en([lambda X, y: X[:, 0]], sampler, n=5, reps=reps, seed=0,
+                           reference_sample_size=50)
+
+    def test_sample_size_numpy_cannot_hold_is_a_config_error(self):
+        # 10**400 passes the count check; the blob sampler rejects it before allocating.
+        fns = [lambda X, y: np.abs(X[:, 0])]
+        with pytest.warns(WeakReference), pytest.raises(
+                ConfigError, match=r"^blob sampler cannot hold 10{400} draws in memory$"):
+            monte_carlo_en(fns, blob_mixture_sampler(), n=10**400, reps=1, seed=0,
+                           reference_sample_size=20)
+
     def test_validate_bounds_script_exits_with_config_code(self, tmp_path):
         proc = run_script(SCRIPT, "--reps", "0", "--out", str(tmp_path))
         assert proc.returncode == ConfigError.exit_code
@@ -508,7 +526,7 @@ class TestBlockedMonteCarlo:
 
         monte_carlo_en([fn], _gaussian_sampler, n=800, reps=23, seed=0,
                        reference_sample_size=20_000)
-        # The reference in chunks of MC_BLOCK_LOSSES, then blocks of
+        # The reference in chunks of data._BUFFER_DOUBLES, then blocks of
         # 8,192 // 800 = 10, 10 and 3 repetitions.
         assert calls == [8192, 8192, 3616, 8000, 8000, 2400]
 

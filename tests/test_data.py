@@ -96,6 +96,12 @@ class TestBlobSamplerMatchesGatherOracle:
         with pytest.raises(ConfigError, match=r"^blob sampler needs an integer n >= 0, got "):
             blob_mixture_sampler()(rng_from(0, "mix"), n)
 
+    # Counts numpy rejects by their size alone, before it allocates.
+    @pytest.mark.parametrize("n", [10**400, 2**62], ids=["10**400", "2**62"])
+    def test_count_numpy_cannot_hold_is_a_config_error(self, n):
+        with pytest.raises(ConfigError, match=rf"^blob sampler cannot hold {n} draws in memory$"):
+            blob_mixture_sampler()(rng_from(0, "mix"), n)
+
 
 class TestDatasetCsv:
     def test_round_trip(self, tmp_path):

@@ -319,6 +319,37 @@ def test_one_overflow_rule():
     assert found == {"data.py:_real"}
 
 
+def block_size_literals(source: str) -> list[str]:
+    """The function around each integer literal 8192 in ``source``
+    (``<module>`` outside any function), then ``<module>`` once for each
+    module constant set to the integer 4096: the sizes blocked loops took."""
+    def is_int(node: ast.AST, value: int) -> bool:
+        return isinstance(node, ast.Constant) and type(node.value) is int and node.value == value
+
+    return ([where for node, where in nodes_in_functions(source) if is_int(node, 8192)]
+            + ["<module>" for node in ast.parse(source).body
+               if isinstance(node, ast.Assign) and is_int(node.value, 4096)])
+
+
+def test_one_working_buffer_size():
+    """The KS index build, the Monte Carlo blocks and the step noise size
+    their buffers by ``data._BUFFER_DOUBLES`` alone: no other module writes
+    8192 or a 4096 block, and the three old constants have no alias."""
+    assert block_size_literals(textwrap.dedent("""
+        A = 8192
+        B = 4096
+        def f():
+            return 4096 + 8192.0 + 8191 + True + 8192
+    """)) == ["<module>", "f", "<module>"]
+    found = [f"{p.name}:{where}" for p in sorted(Path(SRC, "riskcdf").glob("*.py"))
+             for where in block_size_literals(p.read_text())]
+    assert found == ["data.py:<module>"]
+    from riskcdf import bounds, cdf, data, optim
+    assert data._BUFFER_DOUBLES == 8192
+    assert not any(hasattr(module, name) for module in (bounds, cdf, data, optim)
+                   for name in ("_BUILD_CHUNK", "MC_BLOCK_LOSSES", "NOISE_BLOCK_DRAWS"))
+
+
 def parameter_count(args: ast.arguments) -> int:
     """How many parameters a signature has, ``*args`` and ``**kwargs`` included."""
     return (len(args.posonlyargs) + len(args.args) + len(args.kwonlyargs)

@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 from riskcdf.cdf import build_cdf
 from riskcdf.errors import ConfigError, DataError, Diverged, EmptySample, InvalidLoss, ShapeError
 from riskcdf import optim
-from riskcdf.data import toy_blobs
+from riskcdf.data import _BUFFER_DOUBLES, toy_blobs
 from riskcdf.models import (ARCHITECTURES, MAX_CROSSENTROPY_LOSS, LossModel, init_model,
                             relative_error)
 from riskcdf.optim import (
-    NOISE_BLOCK_DRAWS,
     distortion_gradient,
     estimate_beta,
     noisy_gd_step,
@@ -416,10 +415,11 @@ class TestNoisyStep:
               for _ in range(400)]
         assert np.mean(sq) == pytest.approx(1.0, rel=0.15)
 
-    # d = 1 and 3 fill a block with 2048 and 682 steps, 700 with 2, 2049 with one.
-    @pytest.mark.parametrize("d", [1, 3, 700, 2049])
+    # d = 1 and 3 fill a block with 4096 and 1365 steps, 700 with 5, 2049 with
+    # one; a step of d = 4097 needs more than the buffer, so a block is one step.
+    @pytest.mark.parametrize("d", [1, 3, 700, 2049, 4097])
     def test_block_noise_is_the_per_step_stream(self, d):
-        block = max(1, NOISE_BLOCK_DRAWS // (2 * d))
+        block = max(1, _BUFFER_DOUBLES // (2 * d))
         steps = 2 * block + 1  # two full blocks and one step of a third
         per_step = rng_from(5, "gd_noise")
         expected = np.array([standard_normal(per_step, d) / math.sqrt(d) for _ in range(steps)])
@@ -621,7 +621,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("iterations", [7, 100])
     def test_per_run_work_is_not_repeated_per_step(self, iterations, monkeypatch):
-        d = 300  # a noise block holds 4096 // 600 = 6 steps
+        d = 300  # a noise block holds 8192 // 600 = 13 steps
         model = LossModel("linear_squared", params=np.zeros(d), input_dim=d)
         X = standard_normal(rng_from(2, "X"), (5, d)) / math.sqrt(d)
         y = np.ones(5)
@@ -642,7 +642,7 @@ class TestTrain:
         monkeypatch.setattr(optim, "rng_from", lambda *a: CountingGenerator(derive(*a)))
         train(model, X, y, identity_distortion(), iterations, eta=0.01)
         assert len(validations) <= 1
-        assert len(draws) <= math.ceil(iterations / (NOISE_BLOCK_DRAWS // (2 * d))) + 1
+        assert len(draws) <= math.ceil(iterations / (_BUFFER_DOUBLES // (2 * d))) + 1
 
     def test_config_validation(self, zero_step_noise):
         model, X, y = random_problem("logistic_crossentropy", 1)
